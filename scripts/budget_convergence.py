@@ -11,8 +11,7 @@ import sys
 
 import numpy as np
 
-from pitest.data import synthetic_pair
-from pitest.estimators import dcov_sq_direct, s_hat
+from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.privacy import PrivacyParams
 from pitest.protocol import alice_prepare, bob_evaluate
 
@@ -33,7 +32,7 @@ def main():
     rng = np.random.default_rng(args.data_seed)
     X = args.x_scale * rng.standard_normal((args.n, args.d))
     Y = rng.standard_normal((args.n, args.m))
-    gamma_ref = args.n * dcov_sq_direct(X, Y) / s_hat(X, Y)
+    gamma_ref = args.n * dcov_sq_closed_form(X, Y) / s_hat(X, Y)
     print(f"non-private Gamma = {gamma_ref:.6g}  (n = {args.n})")
     print(f"{'epsilon':>10} {'mean rel err':>14} {'bound lower':>12} {'bound upper':>12}")
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from pitest.estimators import dcov_sq_direct, decide, s_hat
+from pitest.estimators import dcov_sq_closed_form, decide, s_hat
 
 
 def rejection_rate(n, seeds, alpha, coupling):
@@ -18,7 +18,7 @@ def rejection_rate(n, seeds, alpha, coupling):
         s = s_hat(x, y)
         if s <= 0:
             continue
-        rejected += decide(n * dcov_sq_direct(x, y) / s, alpha).reject
+        rejected += decide(n * dcov_sq_closed_form(x, y) / s, alpha).reject
     return rejected / seeds
 
 

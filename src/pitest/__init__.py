@@ -5,7 +5,6 @@ from .errors import (
     DegenerateStatisticError,
     InsufficientSamplesError,
     InvalidInputError,
-    NotPsdError,
     PackageFormatError,
     PiTestError,
     ShapeError,
@@ -20,13 +19,13 @@ from .matrices import (
     laplacian_S,
     laplacian_W,
     pairwise_sq_dist,
-    psd_factor_generic,
 )
 from .estimators import (
     DcovComponents,
     TestDecision,
     complete_graph_quadratic,
     dcov_components,
+    dcov_sq_closed_form,
     dcov_sq_direct,
     dcov_sq_directional,
     dcov_sq_laplacian,

@@ -20,12 +20,11 @@ import math
 import sys
 
 from .data import load_csv
-from .errors import PiTestError
-from .estimators import dcov_sq_direct, decide, s_hat
+from .errors import InvalidInputError, PiTestError
+from .estimators import dcov_sq_closed_form, decide, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau, tau_mechanism
 from .protocol import alice_prepare, bob_evaluate, deserialize_package, report_to_dict, serialize_package
-from .errors import InvalidInputError
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
 
@@ -210,7 +209,7 @@ def _cmd_run(args) -> int:
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
 
     n = X.shape[0]
-    omega_ref = dcov_sq_direct(X, Y)
+    omega_ref = dcov_sq_closed_form(X, Y)
     s_ref = s_hat(X, Y)
     if s_ref > 0.0:
         verdict = decide(n * omega_ref / s_ref, args.alpha)

@@ -17,10 +17,6 @@ class InsufficientSamplesError(InvalidInputError):
     """Too few rows to compute the requested statistic."""
 
 
-class NotPsdError(PiTestError):
-    """A matrix expected to be positive semi-definite is not, beyond tolerance."""
-
-
 class DegenerateStatisticError(PiTestError):
     """A denominator statistic is zero (or non-positive), so a ratio is undefined."""
 

@@ -21,7 +21,21 @@ one, and the test suite pins their agreement.
 
 The test statistic is :math:`\\Gamma = n \\hat{\\Omega}^2 / \\hat{S}`,
 rejected against the squared normal quantile
-:math:`(\\Phi^{-1}(1-\\alpha/2))^2`.
+:math:`(\\Phi^{-1}(1-\\alpha/2))^2`.  With squared distances it is a
+centered cross-covariance norm: with column-centered ``Xc``, ``Yc``,
+
+.. math::
+
+    \\hat{\\Omega}^2 = \\frac{4}{n^2}\\lVert X_c^T Y_c \\rVert_F^2, \\quad
+    \\hat{S} = \\frac{4}{n^2}\\lVert X_c \\rVert_F^2 \\lVert Y_c \\rVert_F^2, \\quad
+    \\Gamma = \\frac{n \\lVert X_c^T Y_c \\rVert_F^2}
+                   {\\lVert X_c \\rVert_F^2 \\lVert Y_c \\rVert_F^2}.
+
+The protocol, the CLI and the sweep evaluate only O(n d m) forms: these two
+(:func:`dcov_sq_closed_form`, :func:`s_hat`) and their private counterparts,
+built on :func:`pitest.matrices.factor_W` and :func:`s_hat_directional`.
+The forms that build n x n matrices (:func:`dcov_components`, :func:`dcov_sq_direct`, :func:`dcov_sq_laplacian`,
+:func:`dcov_sq_unbiased`) are references for the tests.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ __all__ = [
     "dcov_sq_direct",
     "dcov_sq_laplacian",
     "dcov_sq_directional",
+    "dcov_sq_closed_form",
     "dcov_sq_unbiased",
     "s_hat",
     "s_hat_directional",
@@ -164,15 +179,42 @@ def dcov_sq_unbiased(X, Y) -> float:
     return term1 - term2 + term3
 
 
-def s_hat(X, Y) -> float:
-    """Product of the two mean squared pairwise distances.
+def _centered(A: np.ndarray) -> np.ndarray:
+    """Column-centered ``A``, with exact zeros in every constant column.
 
-    ``(1/n^2) sum_kl ||x_k - x_l||^2 * (1/n^2) sum_kl ||y_k - y_l||^2``;
-    nonnegative, and zero exactly when either dataset is constant.
+    The first row is subtracted before the mean: a constant column then
+    becomes exact zeros even when its mean is not representable, and a large
+    mean costs no precision.
+    """
+    D = A - A[0]
+    return D - D.mean(axis=0, keepdims=True)
+
+
+def dcov_sq_closed_form(X, Y) -> float:
+    """Squared dependence statistic as ``(4/n^2) ||Xc^T Yc||_F^2``.
+
+    The non-private reference that the CLI, the sweep and the scripts
+    compare the private value against: O(n d m), and exactly zero when
+    either dataset is constant.
     """
     A, B = _paired_matrices(X, Y)
     n = A.shape[0]
-    return float(pairwise_sq_dist(A).sum()) / n**2 * (float(pairwise_sq_dist(B).sum()) / n**2)
+    M = _centered(A).T @ _centered(B)  # (d, m)
+    return 4.0 * float(np.sum(M * M)) / n**2
+
+
+def s_hat(X, Y) -> float:
+    """Product of the two mean squared pairwise distances.
+
+    ``(1/n^2) sum_kl ||x_k - x_l||^2 * (1/n^2) sum_kl ||y_k - y_l||^2``,
+    evaluated as ``4 ||Xc||_F^2 ||Yc||_F^2 / n^2`` from the column-centered
+    data.  Nonnegative, and zero exactly when either dataset is constant.
+    """
+    A, B = _paired_matrices(X, Y)
+    n = A.shape[0]
+    Ac = _centered(A)
+    Bc = _centered(B)
+    return 4.0 * float(np.sum(Ac * Ac)) * float(np.sum(Bc * Bc)) / n**2
 
 
 def complete_graph_quadratic(Y) -> float:
@@ -186,38 +228,24 @@ def complete_graph_quadratic(Y) -> float:
     return n * float(np.sum(Ym * Ym)) - float(col_sums @ col_sums)
 
 
-def s_hat_directional(X_or_proj, G, Y) -> float:
+def s_hat_directional(Q, Y) -> float:
     """Denominator statistic from directional variance queries.
 
-    Returns ``(4/n^4) * (sum_i phi(g_i)) * Tr(Y^T L_S Y)`` where the ``g_i``
-    are the columns of ``G`` (from :func:`pitest.matrices.factor_S`) and
-    ``phi(g) = g^T X X^T g``.  The first argument is either the data matrix
-    ``X`` itself (non-private path) or a released projection answering
-    ``phi(g) = ||P g||^2`` (private path: any object with a 2-D ``values``
-    array of shape (r, n)).
+    ``Q`` is a (q, n) array whose Gram ``Q^T Q`` stands for ``X X^T``:
+    ``X.T`` for the non-private value, a released projection's ``values``
+    for the private one.  The statistic is
+    ``(4/n^4) * ||Q G||_F^2 * Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
+    complete-graph factor; since ``||Q G||_F^2 = n ||Q - row means||_F^2``,
+    it is evaluated as ``(4/n^3) * ||Q - row means||_F^2 * Tr(Y^T L_S Y)``
+    without forming ``G``.
     """
-    Gm = _as_sample_matrix(G, "G")
+    Qm = _as_sample_matrix(Q, "Q")
     Ym = _as_sample_matrix(Y, "Y")
-    n = Gm.shape[0]
-    if Ym.shape[0] != n:
-        raise ShapeError(f"G has {n} rows but Y has {Ym.shape[0]}")
-    if isinstance(X_or_proj, (np.ndarray, list, tuple)):
-        A = _as_sample_matrix(X_or_proj, "X")
-        if A.shape[0] != n:
-            raise ShapeError(f"X has {A.shape[0]} rows but G has {n}")
-        M = A.T @ Gm  # (d, q)
-        phi_sum = float(np.sum(M * M))
-    else:
-        P = getattr(X_or_proj, "values", None)
-        if P is None:
-            raise InvalidInputError(
-                "first argument must be a data matrix or a projection with a .values array"
-            )
-        if P.shape[1] != n:
-            raise ShapeError(f"projection answers queries of length {P.shape[1]}, G has {n} rows")
-        M = P @ Gm  # (r, q)
-        phi_sum = float(np.sum(M * M))
-    return 4.0 / n**4 * phi_sum * complete_graph_quadratic(Ym)
+    n = Ym.shape[0]
+    if Qm.shape[1] != n:
+        raise ShapeError(f"Q answers queries of length {Qm.shape[1]}, but Y has {n} rows")
+    Qc = Qm - Qm.mean(axis=1, keepdims=True)
+    return 4.0 / n**3 * float(np.sum(Qc * Qc)) * complete_graph_quadratic(Ym)
 
 
 def test_statistic(omega_sq: float, s: float, n: int) -> float:

@@ -1,14 +1,17 @@
 """Distance matrices, double centering, graph Laplacians and their factors.
 
-Everything downstream (the dependence estimators, the private release, the
-two-party protocol) is built from a handful of dense linear-algebra
-primitives collected here:
+The dependence statistic has several algebraically equal formulations; the
+dense linear-algebra primitives behind them are collected here:
 
 - the matrix of pairwise *squared* Euclidean distances,
 - double centering ``M -> J M J`` with ``J = I - (1/n) e e^T``,
 - the centered-distance adjacency ``W = J E J`` and its Laplacian,
 - the complete-graph Laplacian ``n I - e e^T``,
 - explicit factors ``B`` with ``B B^T = L`` for both Laplacians.
+
+Only :func:`factor_W` is on the production path: it is O(nd) and exact.
+The n x n builds (distance matrices, ``J``, both Laplacians, ``factor_S``)
+are references that the tests compare the closed forms against.
 
 All functions are pure and operate on plain float64 ``numpy`` arrays with
 rows as samples.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, InvalidInputError, NotPsdError, ShapeError
+from .errors import InsufficientSamplesError, InvalidInputError, ShapeError
 
 __all__ = [
     "pairwise_sq_dist",
@@ -29,7 +32,6 @@ __all__ = [
     "laplacian_S",
     "factor_W",
     "factor_S",
-    "psd_factor_generic",
 ]
 
 
@@ -154,35 +156,3 @@ def factor_S(n: int) -> np.ndarray:
     if n < 2:
         raise InvalidInputError(f"factor_S requires n >= 2, got {n}")
     return np.sqrt(n) * centering_matrix(n)
-
-
-def psd_factor_generic(L) -> np.ndarray:
-    """Eigendecomposition factor ``B`` with ``B B^T = L`` for any PSD ``L``.
-
-    Eigenvalues in ``[-1e-8 * lambda_max, 0]`` are treated as round-off and
-    clamped to zero; anything below that window raises ``NotPsdError``.
-    Columns belonging to zero eigenvalues are dropped, so ``B`` is
-    n x rank(L).
-
-    Fallback for arbitrary PSD inputs; the two Laplacians above have cheaper
-    exact factors.
-    """
-    A = np.asarray(L, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"psd_factor_generic expects a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("psd_factor_generic: input contains non-finite entries")
-    sym_tol = 1e-8 * (1.0 + float(np.max(np.abs(A), initial=0.0)))
-    if float(np.max(np.abs(A - A.T), initial=0.0)) > sym_tol:
-        raise InvalidInputError("psd_factor_generic: input is not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(A)
-    lam_max = max(float(eigvals[-1]), 0.0)
-    neg_tol = 1e-8 * lam_max
-    if float(eigvals[0]) < -neg_tol:
-        raise NotPsdError(
-            f"matrix is not positive semi-definite: min eigenvalue {eigvals[0]:.6e} "
-            f"below -1e-8 * max eigenvalue = {-neg_tol:.6e}"
-        )
-    eigvals = np.where(eigvals < 0.0, 0.0, eigvals)
-    keep = eigvals > 0.0
-    return eigvecs[:, keep] * np.sqrt(eigvals[keep])

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import dcov_sq_direct, s_hat
+from .estimators import dcov_sq_closed_form, s_hat
 from .privacy import PrivacyParams
 from .protocol import alice_prepare, bob_evaluate
 
@@ -98,7 +98,7 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     Y = np.asarray(Y, dtype=np.float64)
     n = X.shape[0]
 
-    omega_ref = dcov_sq_direct(X, Y)
+    omega_ref = dcov_sq_closed_form(X, Y)
     s_ref = s_hat(X, Y)
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 

@@ -143,6 +143,27 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     assert priv["statistic"] == pytest.approx(ref["statistic"], rel=0.15)
 
 
+def test_run_and_sweep_constant_x_are_degenerate(tmp_path, capsys):
+    # 0.1 has an inexact column mean; the non-private reference must still be exactly zero
+    _, Y = synthetic_pair(n=20, d=2, m=2, dependence=0.0, seed=3)
+    X = np.full((20, 2), 0.1)
+    save_csv(tmp_path / "x.csv", X)
+    save_csv(tmp_path / "y.csv", Y)
+    report = tmp_path / "const.json"
+    rc = main(["run", "--input-x", str(tmp_path / "x.csv"),
+               "--input-y", str(tmp_path / "y.csv"), *ALICE_ARGS,
+               "--seed", "4", "--report", str(report)])
+    assert rc == 0
+    assert "non-private: degenerate (constant dataset)" in capsys.readouterr().out
+    ref = json.loads(report.read_text())["nonprivate"]
+    assert ref["degenerate"] is True
+    assert ref["omega_sq"] == 0.0 and ref["s_hat"] == 0.0
+    cfg = SweepConfig(epsilons=(100.0,), replications=2, eta_values=(0.5,),
+                      delta=0.01, nu=0.5)
+    (row,) = run_sweep(cfg, X, Y)
+    assert math.isnan(row.mean_rel_err_gamma) and math.isnan(row.mean_rel_err_omega)
+
+
 def test_sweep_writes_expected_table(data_dir, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--input-x", str(data_dir / "x.csv"),

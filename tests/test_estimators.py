@@ -13,6 +13,7 @@ from pitest.errors import (
 )
 from pitest.estimators import (
     dcov_components,
+    dcov_sq_closed_form,
     dcov_sq_direct,
     dcov_sq_directional,
     dcov_sq_laplacian,
@@ -25,6 +26,7 @@ from pitest.estimators import (
     test_statistic as gamma_statistic,
 )
 from pitest.matrices import factor_S, factor_W, laplacian_S, laplacian_W
+from pitest.privacy import PrivacyParams, privatize_covariance
 
 from oracles import (
     oracle_dcov_double_sum,
@@ -126,6 +128,14 @@ def test_three_way_equivalence(shape):
     v3 = dcov_sq_directional(factor_W(X), Y)
     assert rel_close(v1, v2)
     assert rel_close(v1, v3)
+    assert rel_close(v1, dcov_sq_closed_form(X, Y))
+
+
+def test_closed_form_and_s_hat_keep_precision_under_large_means():
+    X, Y = random_pair(14, 30, 2, 3)
+    shift = 1e8
+    assert rel_close(dcov_sq_closed_form(X + shift, Y - shift), dcov_sq_closed_form(X, Y), 1e-6)
+    assert rel_close(s_hat(X + shift, Y - shift), s_hat(X, Y), 1e-6)
 
 
 # ---------------------------------------------------------------- unbiased estimator
@@ -181,17 +191,26 @@ def test_s_hat_matches_trace_form():
 
 def test_s_hat_directional_matches_s_hat():
     X, Y = random_pair(22, 13, 2, 3)
-    assert rel_close(s_hat_directional(X, factor_S(13), Y), s_hat(X, Y))
+    assert rel_close(s_hat_directional(X.T, Y), s_hat(X, Y))
+    # a released projection in place of X^T, against the n^2 form with G = factor_S(n)
+    n = 13
+    P = privatize_covariance(X, PrivacyParams(2.0, 0.01, 0.3, 0.1), seed=5).values
+    via_factor = (
+        4.0 / n**4
+        * np.linalg.norm(P @ factor_S(n), "fro") ** 2
+        * float(np.trace(Y.T @ laplacian_S(n) @ Y))
+    )
+    assert rel_close(s_hat_directional(P, Y), via_factor, tol=1e-12)
 
 
 def test_s_hat_directional_constant_y_is_zero():
     X = np.random.default_rng(6).standard_normal((8, 2))
-    assert abs(s_hat_directional(X, factor_S(8), np.ones((8, 2)))) <= 1e-12
+    assert abs(s_hat_directional(X.T, np.ones((8, 2)))) <= 1e-12
 
 
 def test_s_hat_directional_zero_factor_is_zero():
-    X, Y = random_pair(23, 6, 2, 2)
-    assert s_hat_directional(X, np.zeros((6, 6)), Y) == 0.0
+    _, Y = random_pair(23, 6, 2, 2)
+    assert s_hat_directional(np.zeros((6, 6)), Y) == 0.0
 
 
 # ---------------------------------------------------------------- statistic and decision
@@ -325,3 +344,9 @@ def test_degenerate_datasets_zero_everything(shape):
     assert abs(dcov_sq_laplacian(X, Y)) <= 1e-12
     assert dcov_sq_directional(factor_W(X), Y) == 0.0
     assert s_hat(X, Y) == 0.0
+    X = np.full((n, d), 0.1)  # the column mean 0.1 is not exactly representable
+    assert dcov_sq_direct(X, Y) == 0.0
+    assert dcov_sq_closed_form(X, Y) == 0.0
+    assert dcov_sq_closed_form(Y, X) == 0.0
+    assert s_hat(X, Y) == 0.0
+    assert s_hat(Y, X) == 0.0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from pitest.errors import InsufficientSamplesError, InvalidInputError, NotPsdError, ShapeError
+from pitest.errors import InsufficientSamplesError, InvalidInputError
 from pitest.matrices import (
     adjacency_W,
     centering_matrix,
@@ -13,7 +13,6 @@ from pitest.matrices import (
     laplacian_S,
     laplacian_W,
     pairwise_sq_dist,
-    psd_factor_generic,
 )
 
 from oracles import oracle_double_center_triple, oracle_pairwise_sq_dist
@@ -204,40 +203,6 @@ def test_factor_S_rank_and_singular_values(n):
     sv = np.linalg.svd(factor_S(n), compute_uv=False)
     assert np.allclose(sv[:-1], np.sqrt(n), atol=1e-9)
     assert abs(sv[-1]) <= 1e-9 * n
-
-
-def test_psd_factor_identity():
-    B = psd_factor_generic(np.eye(3))
-    assert np.allclose(B @ B.T, np.eye(3), atol=1e-9)
-
-
-def test_psd_factor_complete_graph():
-    B = psd_factor_generic(laplacian_S(4))
-    assert np.allclose(B @ B.T, 4 * np.eye(4) - np.ones((4, 4)), atol=1e-9)
-
-
-def test_psd_factor_zero_matrix_gives_zero_columns():
-    B = psd_factor_generic(np.zeros((5, 5)))
-    assert B.shape == (5, 0)
-
-
-def test_psd_factor_rejects_indefinite():
-    with pytest.raises(NotPsdError):
-        psd_factor_generic(np.diag([1.0, -1.0]))
-
-
-def test_psd_factor_rejects_non_square():
-    with pytest.raises(ShapeError):
-        psd_factor_generic(np.zeros((2, 3)))
-
-
-@settings(max_examples=50)
-@given(sample_shapes)
-def test_psd_factor_roundtrip_on_laplacians(shape):
-    n, d, seed = shape
-    L = laplacian_W(random_matrix(seed, n, d))
-    B = psd_factor_generic(L)
-    assert np.linalg.norm(B @ B.T - L) <= 1e-8 * (1.0 + np.linalg.norm(L))
 
 
 # ---------------------------------------------------------------- cross-identities

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from pitest.errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from pitest.estimators import dcov_sq_direct, s_hat, test_statistic as gamma_statistic
+from pitest.estimators import (
+    dcov_sq_closed_form,
+    dcov_sq_direct,
+    dcov_sq_directional,
+    s_hat,
+    test_statistic as gamma_statistic,
+)
+from pitest.matrices import factor_W
 from pitest.privacy import PrivacyParams, jl_params, tau_mechanism
 from pitest.protocol import (
     _alice_prepare_identity,
@@ -120,6 +128,37 @@ def test_report_statistics_match_package_arithmetic(package, xy):
     assert report.omega_bar_sq == pytest.approx(omega, rel=1e-12)
     assert report.s_bar == pytest.approx(s, rel=1e-12)
     assert report.statistic == pytest.approx(n * omega / s, rel=1e-12)
+
+
+def test_analyst_and_reference_paths_build_no_n_by_n_array():
+    """Peak traced memory stays below a quarter of one n x n float64 array.
+
+    alice_prepare is left out: the release stacks ``[F^T; w I]``, so it still
+    allocates n x n arrays.
+    """
+    n = 3000
+    params = PrivacyParams(epsilon=1.0, delta=1e-4, eta=0.9, nu=0.5)
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((n, 2))
+    Y = rng.standard_normal((n, 2))
+    pkg = alice_prepare(X, params, master_seed=5)
+    assert pkg.proj_X.rows == 14
+    calls = {
+        "bob_evaluate": lambda: bob_evaluate(pkg, Y),
+        "s_hat": lambda: s_hat(X, Y),
+        "dcov_sq_closed_form": lambda: dcov_sq_closed_form(X, Y),
+        "dcov_sq_directional(factor_W(X), Y)": lambda: dcov_sq_directional(factor_W(X), Y),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    limit = n * n * 8 / 4
+    assert all(peak < limit for peak in peaks.values()), (peaks, limit)
 
 
 def test_report_bounds_plumbing(package, xy):
