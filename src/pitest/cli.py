@@ -86,8 +86,10 @@ def _add_privacy_flags(parser: argparse.ArgumentParser) -> None:
                         help="multiplicative accuracy in (0,1) (default 0.1)")
     parser.add_argument("--nu", type=_unit_open_float, default=0.05,
                         help="per-query failure probability in (0,1) (default 0.05)")
-    parser.add_argument("--seed", type=_seed_int, default=0,
-                        help="master seed for the release randomness (default 0)")
+    parser.add_argument("--seed", type=_seed_int, default=None,
+                        help="master seed for the release randomness, for reproducible tests "
+                             "only: it lets anyone regenerate the release and recover X "
+                             "(default: fresh OS entropy)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,9 @@ publishing ``F``.  The release is
 where ``R`` is an r x (k+n) matrix of independent standard normals and
 ``w > 0`` is a spectral floor stacked under the factor so that
 ``A_hat^T A_hat = F F^T + w^2 I`` has least singular value at least ``w``.
+``A_hat`` is never formed: splitting ``R = [R_1 R_2]`` after column ``k``
+gives the same release as ``P = (R_1 F^T + w R_2) / sqrt(r)``, which costs
+O(r k n) rather than O(r (k+n) n) and holds no n x n array.
 For any query direction ``y``,
 
     E ||P y||^2 = y^T F F^T y + w^2 ||y||^2,
@@ -139,13 +142,12 @@ class PrivateProjection:
     """A released projection ``P`` of shape (r, n).
 
     Answers directional variance queries ``||P y||^2`` approximating
-    ``y^T F F^T y + w^2 ||y||^2``.  ``seed`` is the generator seed used by
-    the data holder; it is retained in memory only and never serialized.
+    ``y^T F F^T y + w^2 ||y||^2``.  The generator seed is not kept: with it,
+    anyone could regenerate ``R`` and recover the factor.
     """
 
     values: np.ndarray
     params: PrivacyParams
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -172,7 +174,8 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
             bit-identical release.
 
     Returns:
-        PrivateProjection with values ``(1/sqrt(r)) R [F^T; w I]``.
+        PrivateProjection with values ``(1/sqrt(r)) R [F^T; w I]``,
+        computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``.
     """
     A = np.asarray(F, dtype=np.float64)
     if A.ndim == 1:
@@ -183,24 +186,14 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         raise InvalidInputError("factor contains non-finite entries")
     n, k = A.shape
     r, w = jl_params(p)
-    augmented = np.vstack([A.T, w * np.eye(n)])  # (k + n, n)
-    rng = np.random.default_rng(int(seed))
-    R = rng.standard_normal((r, k + n))
-    P = (R @ augmented) / math.sqrt(r)
-    return PrivateProjection(values=P, params=p, seed=int(seed))
-
-
-def _identity_projection(F, p: PrivacyParams) -> PrivateProjection:
-    """Testing hook: a 'release' with no noise and no floor (P = F^T).
-
-    ``||P y||^2 = y^T F F^T y`` exactly.  Exists only so end-to-end tests
-    can compare the protocol against the non-private statistics; nothing in
-    the command-line surface can reach it.
-    """
-    A = np.asarray(F, dtype=np.float64)
-    if A.ndim == 1:
-        A = A[:, None]
-    return PrivateProjection(values=A.T.copy(), params=p, seed=None)
+    R = np.random.default_rng(int(seed)).standard_normal((r, k + n))
+    # Scale and sum in place: no r x n array besides R and P.
+    floor = R[:, k:]
+    floor *= w
+    P = R[:, :k] @ A.T
+    P += floor
+    P /= math.sqrt(r)
+    return PrivateProjection(values=P, params=p)
 
 
 def _query_matrix(y, n: int) -> np.ndarray:

@@ -6,8 +6,10 @@ Roles:
   ``B = sqrt(2) (X - column means)`` of the centered-distance Laplacian
   ``L = B B^T`` of ``X`` and releases two private projections — one for
   ``B B^T``, one for ``X X^T`` — each spending half of the (epsilon, delta)
-  budget.  The package of the two projections plus the sample count is all
-  that ever leaves her side.
+  budget.  Each release is ``(R_1 F^T + w R_2) / sqrt(r)`` for its factor
+  ``F``, so neither side of the protocol holds an n x n array.  The package
+  of the two projections plus the sample count is all that ever leaves her
+  side; the release seeds do not.
 - The *analyst* (Bob) owns ``Y``.  From the package alone he evaluates the
   private statistics
 
@@ -50,7 +52,6 @@ from .matrices import _as_sample_matrix, factor_W
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
-    _identity_projection,
     private_sum_directional_variances,
     privatize_covariance,
     tau,
@@ -131,13 +132,15 @@ class TestReport:
     m: int
 
 
-def alice_prepare(X, p: PrivacyParams, master_seed: int) -> AlicePackage:
+def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
     """Build the data holder's package from her data matrix.
 
     The master seed is expanded into one 64-bit seed per release (incidence
-    factor first, data matrix second), so the whole package is a
-    deterministic function of (X, p, master_seed).  Raw ``X`` and the
-    factor stay on this side.
+    factor first, data matrix second).  By default it is drawn from OS
+    entropy; an explicit seed makes the package a deterministic function of
+    (X, p, master_seed), which is for reproducible tests only, since anyone
+    who knows it can regenerate the projections and recover ``X``.  Raw
+    ``X``, the factor and the seeds stay on this side.
     """
     A = _as_sample_matrix(X, "X", min_rows=2)
     B = factor_W(A)
@@ -158,23 +161,6 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int) -> AlicePackage:
     proj_B = privatize_covariance(B, per_release, int(seeds[0]))
     proj_X = privatize_covariance(A, per_release, int(seeds[1]))
     return AlicePackage(n=A.shape[0], params=p, proj_B=proj_B, proj_X=proj_X)
-
-
-def _alice_prepare_identity(X, p: PrivacyParams) -> AlicePackage:
-    """Testing hook: a package whose 'projections' answer queries exactly.
-
-    Used only to verify that the analyst's pipeline reproduces the
-    non-private statistics when no noise is injected.  Not reachable from
-    the command line.
-    """
-    A = _as_sample_matrix(X, "X", min_rows=2)
-    per_release = p.half_budget()
-    return AlicePackage(
-        n=A.shape[0],
-        params=p,
-        proj_B=_identity_projection(factor_W(A), per_release),
-        proj_X=_identity_projection(A, per_release),
-    )
 
 
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
@@ -319,7 +305,7 @@ def _decode_projection(section, name: str, n: int, params: PrivacyParams) -> Pri
     values = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise PackageFormatError(f"section '{name}': payload contains NaN or infinite entries")
-    return PrivateProjection(values=values, params=params, seed=None)
+    return PrivateProjection(values=values, params=params)
 
 
 def deserialize_package(data: bytes | str) -> AlicePackage:

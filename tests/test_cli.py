@@ -46,6 +46,14 @@ def test_alice_is_reproducible(data_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_alice_default_seed_is_fresh(data_dir, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS]
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() != b.read_bytes()
+
+
 def test_alice_reports_unavailable_closed_form(data_dir, tmp_path, capsys):
     # nu = 0.5 saturates (m + n) nu, so the closed-form constant is n/a
     out = tmp_path / "pkg.json"

@@ -109,10 +109,12 @@ def test_privatize_is_projection_of_augmented_factor():
     r, w = jl_params(p)
     F = np.random.default_rng(1).standard_normal((5, 2))
     P = privatize_covariance(F, p, seed=99).values
-    rng = np.random.default_rng(99)
-    R = rng.standard_normal((r, 2 + 5))
-    expected = (R @ np.vstack([F.T, w * np.eye(5)])) / math.sqrt(r)
-    assert np.array_equal(P, expected)
+    R = np.random.default_rng(99).standard_normal((r, 2 + 5))
+    # the release's bytes: the two-term form of R [F^T; w I] / sqrt(r)
+    assert np.array_equal(P, (R[:, :2] @ F.T + w * R[:, 2:]) / math.sqrt(r))
+    # the stacked product it equals in exact arithmetic
+    stacked = (R @ np.vstack([F.T, w * np.eye(5)])) / math.sqrt(r)
+    assert np.max(np.abs(P - stacked)) <= 1e-12 * np.max(np.abs(stacked))
 
 
 def test_privatize_shape_and_finiteness():

@@ -21,9 +21,15 @@ from pitest.estimators import (
     test_statistic as gamma_statistic,
 )
 from pitest.matrices import factor_W
-from pitest.privacy import PrivacyParams, jl_params, tau_mechanism
+from pitest.privacy import (
+    PrivacyParams,
+    PrivateProjection,
+    jl_params,
+    privatize_covariance,
+    tau_mechanism,
+)
 from pitest.protocol import (
-    _alice_prepare_identity,
+    AlicePackage,
     alice_prepare,
     bob_evaluate,
     deserialize_package,
@@ -61,11 +67,14 @@ def test_projection_rows_use_half_budget(package):
     assert package.proj_X.values.shape == (r, 12)
 
 
-def test_release_seeds_derived_from_master(package):
+def test_release_seeds_derived_from_master(xy, package):
+    X = xy[0]
     seeds = np.random.SeedSequence(2024).generate_state(2, np.uint64)
-    assert package.proj_B.seed == int(seeds[0])
-    assert package.proj_X.seed == int(seeds[1])
-    assert package.proj_B.seed != package.proj_X.seed
+    half = PARAMS.half_budget()
+    proj_B = privatize_covariance(factor_W(X), half, int(seeds[0]))
+    proj_X = privatize_covariance(X, half, int(seeds[1]))
+    assert np.array_equal(proj_B.values, package.proj_B.values)
+    assert np.array_equal(proj_X.values, package.proj_X.values)
 
 
 def test_alice_rejects_bad_input():
@@ -77,7 +86,10 @@ def test_alice_rejects_bad_input():
 
 def test_identity_hook_reproduces_nonprivate_statistics(xy):
     X, Y = xy
-    pkg = _alice_prepare_identity(X, PARAMS)
+    # a 'release' with no noise and no floor: P = F^T answers queries exactly
+    half = PARAMS.half_budget()
+    pkg = AlicePackage(12, PARAMS, PrivateProjection(factor_W(X).T, half),
+                       PrivateProjection(X.T, half))
     report = bob_evaluate(pkg, Y)
     omega = dcov_sq_direct(X, Y)
     s = s_hat(X, Y)
@@ -131,11 +143,7 @@ def test_report_statistics_match_package_arithmetic(package, xy):
 
 
 def test_analyst_and_reference_paths_build_no_n_by_n_array():
-    """Peak traced memory stays below a quarter of one n x n float64 array.
-
-    alice_prepare is left out: the release stacks ``[F^T; w I]``, so it still
-    allocates n x n arrays.
-    """
+    """Peak traced memory stays below a quarter of one n x n float64 array."""
     n = 3000
     params = PrivacyParams(epsilon=1.0, delta=1e-4, eta=0.9, nu=0.5)
     rng = np.random.default_rng(17)
@@ -144,6 +152,7 @@ def test_analyst_and_reference_paths_build_no_n_by_n_array():
     pkg = alice_prepare(X, params, master_seed=5)
     assert pkg.proj_X.rows == 14
     calls = {
+        "alice_prepare": lambda: alice_prepare(X, params, master_seed=5),
         "bob_evaluate": lambda: bob_evaluate(pkg, Y),
         "s_hat": lambda: s_hat(X, Y),
         "dcov_sq_closed_form": lambda: dcov_sq_closed_form(X, Y),

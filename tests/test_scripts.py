@@ -1,0 +1,25 @@
+"""Smoke test: each experiment script runs on tiny inputs and prints its header."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPTS = [
+    ("level_power.py", ["--n", "30", "--seeds", "5"], "n = 30, 5 seeds, alpha = 0.05"),
+    ("budget_convergence.py", ["--n", "10", "--eta", "0.5", "--reps", "1"],
+     "non-private Gamma = "),
+    ("sweep_table.py", ["--n", "20", "--replications", "2", "--epsilons", "1,2", "--etas", "0.5"],
+     "eps   eta | "),
+]
+
+
+def test_scripts_run_on_tiny_inputs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for script, args, header in SCRIPTS:
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (script, done.stderr)
+        assert header in done.stdout.splitlines()[0], (script, done.stdout)
