@@ -103,13 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_alice.add_argument("--input", required=True, help="CSV file with X (rows = samples)")
     p_alice.add_argument("--header", action="store_true", help="skip the first CSV line")
     _add_privacy_flags(p_alice)
-    p_alice.add_argument("--out", required=True, help="package file to write (JSON)")
+    p_alice.add_argument("--out", required=True,
+                         help="package file to write (a JSON header line, then binary payloads)")
     p_alice.add_argument("--analyst-dim", type=int, default=1, metavar="M",
                          help="assumed analyst column count for the closed-form tau printout")
     p_alice.set_defaults(func=_cmd_alice)
 
     p_bob = sub.add_parser("bob", help="evaluate a package against the analyst's Y")
-    p_bob.add_argument("--package", required=True, help="package file from the data holder")
+    p_bob.add_argument("--package", required=True,
+                       help="package file written by 'pi-test alice' (format version 2)")
     p_bob.add_argument("--input", required=True, help="CSV file with Y (rows = samples)")
     p_bob.add_argument("--header", action="store_true", help="skip the first CSV line")
     p_bob.add_argument("--alpha", type=_unit_open_float, default=0.05,
@@ -153,7 +155,14 @@ def _params_from_args(args) -> PrivacyParams:
     return PrivacyParams(args.epsilon, args.delta, args.eta, args.nu)
 
 
+def _warn_if_seeded(args) -> None:
+    if args.seed is not None:
+        print("warning: --seed lets anyone who knows it regenerate the release and recover X; "
+              "use it for reproducible tests only", file=sys.stderr)
+
+
 def _cmd_alice(args) -> int:
+    _warn_if_seeded(args)
     X = load_csv(args.input, has_header=args.header)
     params = _params_from_args(args)
     package = alice_prepare(X, params, args.seed)
@@ -204,6 +213,7 @@ def _print_decision(report) -> None:
 
 
 def _cmd_run(args) -> int:
+    _warn_if_seeded(args)
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
     params = _params_from_args(args)

@@ -22,15 +22,17 @@ Roles:
   Nothing flows back, so the release's privacy guarantee is preserved under
   this post-processing.
 
-The package serializes to a versioned UTF-8 JSON document; matrix payloads
-are base64-encoded little-endian IEEE-754 binary64, row-major, so
-round-trips are bit-exact.
+Wire format (version 2): one line of canonical UTF-8 JSON (sorted keys,
+compact separators) holding ``version``, ``n``, ``privacy`` and the
+``rows``/``cols`` of the ``proj_B`` and ``proj_X`` sections, then one
+newline byte, then the ``proj_B`` and ``proj_X`` payloads as raw
+little-endian IEEE-754 binary64 values in row-major order.  The blob is
+exactly the header, the newline and ``8 * rows * cols`` bytes per section
+long, so round-trips are bit-exact and equal packages are equal bytes.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -75,7 +77,7 @@ __all__ = [
     "report_to_dict",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,18 +249,14 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     )
 
 
-def _encode_projection(P: PrivateProjection) -> dict:
-    raw = np.ascontiguousarray(P.values, dtype="<f8").tobytes()
-    return {
-        "rows": P.rows,
-        "cols": P.n,
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
-
-
 def serialize_package(pkg: AlicePackage) -> bytes:
-    """Encode a package as canonical UTF-8 JSON bytes (bit-exact payloads)."""
-    doc = {
+    """Encode a package as a canonical JSON header line plus raw payloads.
+
+    The payloads are the projections' own little-endian float64 buffers,
+    joined once into the output: no intermediate copy or text encoding.
+    """
+    payloads = [np.ascontiguousarray(P.values, dtype="<f8") for P in (pkg.proj_B, pkg.proj_X)]
+    header = {
         "version": pkg.version,
         "n": pkg.n,
         "privacy": {
@@ -268,10 +266,11 @@ def serialize_package(pkg: AlicePackage) -> bytes:
             "nu": pkg.params.nu,
             "split": "half-half",
         },
-        "proj_B": _encode_projection(pkg.proj_B),
-        "proj_X": _encode_projection(pkg.proj_X),
+        "proj_B": {"rows": payloads[0].shape[0], "cols": payloads[0].shape[1]},
+        "proj_X": {"rows": payloads[1].shape[0], "cols": payloads[1].shape[1]},
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join([head, b"\n", *payloads])
 
 
 def _require(doc: dict, field: str, where: str = "package"):
@@ -280,53 +279,45 @@ def _require(doc: dict, field: str, where: str = "package"):
     return doc[field]
 
 
-def _decode_projection(section, name: str, n: int, params: PrivacyParams) -> PrivateProjection:
+def _section_rows(section, name: str, n: int) -> int:
     if not isinstance(section, dict):
         raise PackageFormatError(f"section '{name}' must be an object")
     rows = _require(section, "rows", f"section '{name}'")
     cols = _require(section, "cols", f"section '{name}'")
-    data = _require(section, "data", f"section '{name}'")
     if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
         raise PackageFormatError(f"section '{name}': rows must be a positive integer, got {rows!r}")
     if not isinstance(cols, int) or isinstance(cols, bool) or cols != n:
         raise PackageFormatError(f"section '{name}': cols must equal n = {n}, got {cols!r}")
-    if not isinstance(data, str):
-        raise PackageFormatError(f"section '{name}': data must be a base64 string")
+    return rows
+
+
+def _parse_header(head: bytes) -> dict:
     try:
-        raw = base64.b64decode(data.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as exc:
-        raise PackageFormatError(f"section '{name}': invalid base64 payload: {exc}") from exc
-    expected = rows * cols * 8
-    if len(raw) != expected:
-        raise PackageFormatError(
-            f"section '{name}': payload holds {len(raw)} bytes, expected {expected} "
-            f"({rows}x{cols} float64)"
-        )
-    values = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise PackageFormatError(f"section '{name}': payload contains NaN or infinite entries")
-    return PrivateProjection(values=values, params=params)
-
-
-def deserialize_package(data: bytes | str) -> AlicePackage:
-    """Parse and validate package bytes; inverse of :func:`serialize_package`.
-
-    Raises PackageFormatError (or its UnsupportedVersionError subclass)
-    for every malformed input; never returns a partially validated package.
-    """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PackageFormatError(f"package is not valid UTF-8: {exc}") from exc
-    else:
-        text = data
+        text = head.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackageFormatError(f"package header is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PackageFormatError(f"package is not valid JSON (truncated?): {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise PackageFormatError(f"package header is not valid JSON (truncated?): {exc}") from exc
     if not isinstance(doc, dict):
-        raise PackageFormatError(f"package must be a JSON object, got {type(doc).__name__}")
+        raise PackageFormatError(f"package header must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def deserialize_package(data: bytes) -> AlicePackage:
+    """Parse and validate package bytes; inverse of :func:`serialize_package`.
+
+    The projections are read-only views into ``data``.  Raises
+    PackageFormatError (or its UnsupportedVersionError subclass) for every
+    malformed input; never returns a partially validated package.
+    """
+    if not isinstance(data, bytes):
+        raise PackageFormatError(f"package must be bytes, got {type(data).__name__}")
+    end = data.find(b"\n")
+    # Without a newline the whole input is read as the header, so a document
+    # of another format version is still reported by its version.
+    doc = _parse_header(data if end < 0 else data[:end])
 
     version = _require(doc, "version")
     if not isinstance(version, int) or isinstance(version, bool):
@@ -335,6 +326,8 @@ def deserialize_package(data: bytes | str) -> AlicePackage:
         raise UnsupportedVersionError(
             f"unsupported package version {version}; this build reads version {FORMAT_VERSION}"
         )
+    if end < 0:
+        raise PackageFormatError("package header is not followed by a newline (truncated?)")
 
     n = _require(doc, "n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
@@ -348,7 +341,10 @@ def deserialize_package(data: bytes | str) -> AlicePackage:
         value = _require(privacy, field, "section 'privacy'")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise PackageFormatError(f"privacy field '{field}' must be a number, got {value!r}")
-        kwargs[field] = float(value)
+        try:
+            kwargs[field] = float(value)
+        except OverflowError as exc:
+            raise PackageFormatError(f"privacy field '{field}' is out of range: {exc}") from exc
     split = privacy.get("split", "half-half")
     if split != "half-half":
         raise PackageFormatError(f"unsupported budget split {split!r}; expected 'half-half'")
@@ -357,10 +353,29 @@ def deserialize_package(data: bytes | str) -> AlicePackage:
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid privacy parameters: {exc}") from exc
 
+    names = ("proj_B", "proj_X")
+    rows = [_section_rows(_require(doc, name), name, n) for name in names]
+
+    offset = end + 1
+    expected = offset + 8 * n * sum(rows)
+    if len(data) != expected:
+        raise PackageFormatError(
+            f"package holds {len(data)} bytes, expected {expected} "
+            f"(header, newline and payloads of {rows[0]}x{n} and {rows[1]}x{n} float64)"
+        )
     per_release = params.half_budget()
-    proj_B = _decode_projection(_require(doc, "proj_B"), "proj_B", n, per_release)
-    proj_X = _decode_projection(_require(doc, "proj_X"), "proj_X", n, per_release)
-    return AlicePackage(n=n, params=params, proj_B=proj_B, proj_X=proj_X, version=version)
+    projections = []
+    for name, r in zip(names, rows):
+        values = np.frombuffer(data, dtype="<f8", count=r * n, offset=offset).reshape(r, n)
+        offset += 8 * r * n
+        try:
+            projections.append(PrivateProjection(values=values, params=per_release))
+        except InvalidInputError as exc:
+            raise PackageFormatError(
+                f"section '{name}': payload contains NaN or infinite entries"
+            ) from exc
+    return AlicePackage(n=n, params=params, proj_B=projections[0], proj_X=projections[1],
+                        version=version)
 
 
 def report_to_dict(report: TestReport) -> dict:

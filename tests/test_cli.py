@@ -9,6 +9,8 @@ import pytest
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError
+from pitest.privacy import PrivacyParams, jl_params
+from pitest.protocol import alice_prepare, deserialize_package, serialize_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
 
@@ -32,10 +34,46 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "wrote package" in captured.out
     assert "projection rows r = " in captured.out
-    doc = json.loads(out.read_bytes())
-    assert doc["version"] == 1
+    head, newline, payload = out.read_bytes().partition(b"\n")
+    assert newline == b"\n"
+    doc = json.loads(head)
+    assert doc["version"] == 2
     assert doc["n"] == 20
     assert doc["privacy"]["split"] == "half-half"
+    assert len(payload) == 8 * 20 * (doc["proj_B"]["rows"] + doc["proj_X"]["rows"])
+
+
+def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
+    """With the master seed, R is regenerated and X recovered by least squares."""
+    out = tmp_path / "pkg.bin"
+    rc = main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS,
+               "--seed", "11", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: --seed") and "recover X" in captured.err
+    assert "warning" not in captured.out
+
+    X = load_csv(data_dir / "x.csv")
+    params = PrivacyParams(10.0, 0.01, 0.5, 0.5)
+    assert out.read_bytes() == serialize_package(alice_prepare(X, params, 11))
+
+    proj_X = deserialize_package(out.read_bytes()).proj_X
+    (n, k), (r, w) = X.shape, jl_params(params.half_budget())
+    release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[1])
+    R = np.random.default_rng(release_seed).standard_normal((r, k + n))
+    # sqrt(r) P = R_1 X^T + w R_2, so X^T solves R_1 Z = sqrt(r) P - w R_2
+    Z = np.linalg.lstsq(R[:, :k], math.sqrt(r) * proj_X.values - w * R[:, k:], rcond=None)[0]
+    assert np.linalg.norm(Z.T - X) <= 1e-6 * np.linalg.norm(X)
+
+    rc = main(["run", "--input-x", str(data_dir / "x.csv"), "--input-y", str(data_dir / "y.csv"),
+               *ALICE_ARGS, "--seed", "11", "--report", str(tmp_path / "run.json")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: --seed") and captured.err.count("\n") == 1
+    assert "warning" not in captured.out
+    main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--out", str(out)])
+    assert capsys.readouterr().err == ""
 
 
 def test_alice_is_reproducible(data_dir, tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import struct
@@ -206,6 +207,27 @@ def test_closed_form_constants_present_when_budget_allows(xy):
 # ------------------------------------------------------------ wire format
 
 
+def _header_and_payload(blob: bytes) -> tuple[dict, bytes]:
+    head, newline, payload = blob.partition(b"\n")
+    assert newline == b"\n"
+    return json.loads(head), payload
+
+
+def _doc(package) -> dict:
+    return _header_and_payload(serialize_package(package))[0]
+
+
+def _wire(package, doc) -> bytes:
+    """A (possibly mutated) header line followed by the package's payloads."""
+    payload = _header_and_payload(serialize_package(package))[1]
+    return json.dumps(doc).encode("utf-8") + b"\n" + payload
+
+
+def _reject(package, doc):
+    with pytest.raises(PackageFormatError):
+        deserialize_package(_wire(package, doc))
+
+
 def test_round_trip_is_bit_exact(package):
     blob = serialize_package(package)
     pkg2 = deserialize_package(blob)
@@ -216,24 +238,29 @@ def test_round_trip_is_bit_exact(package):
     assert np.array_equal(pkg2.proj_X.values, package.proj_X.values)
 
 
+def test_layout_is_header_line_then_raw_payloads(package):
+    blob = serialize_package(package)
+    doc, payload = _header_and_payload(blob)
+    head = blob[: blob.index(b"\n")]
+    assert head == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert doc["version"] == 2
+    assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12}
+    assert doc["proj_X"] == {"rows": package.proj_X.rows, "cols": 12}
+    assert len(blob) == len(head) + 1 + 8 * (package.proj_B.rows + package.proj_X.rows) * 12
+    expected = np.concatenate([package.proj_B.values.ravel(), package.proj_X.values.ravel()])
+    assert payload == expected.astype("<f8").tobytes()
+
+
 def test_round_trip_preserves_bob_verdict(package, xy):
     direct = bob_evaluate(package, xy[1])
     wired = bob_evaluate(deserialize_package(serialize_package(package)), xy[1])
     assert wired == direct
 
 
-def test_deserialize_accepts_text(package):
-    blob = serialize_package(package).decode("utf-8")
-    assert deserialize_package(blob).n == package.n
-
-
-def _doc(package) -> dict:
-    return json.loads(serialize_package(package))
-
-
-def _reject(doc):
-    with pytest.raises(PackageFormatError):
-        deserialize_package(json.dumps(doc))
+def test_rejects_text(package):
+    # the format is binary: a str is not a package, whatever it holds
+    with pytest.raises(PackageFormatError, match="bytes"):
+        deserialize_package(serialize_package(package).decode("latin-1"))
 
 
 def test_rejects_non_utf8():
@@ -242,13 +269,39 @@ def test_rejects_non_utf8():
 
 
 def test_rejects_truncated_json(package):
+    blob = serialize_package(package)
     with pytest.raises(PackageFormatError, match="JSON"):
-        deserialize_package(serialize_package(package)[:-50])
+        deserialize_package(blob[: blob.index(b"\n") - 50])
 
 
 def test_rejects_non_object_document():
     with pytest.raises(PackageFormatError):
         deserialize_package(b"[1,2,3]")
+    with pytest.raises(PackageFormatError):
+        deserialize_package(b"[1,2,3]\n")
+
+
+def test_rejects_missing_newline(package):
+    blob = serialize_package(package)
+    end = blob.index(b"\n")
+    with pytest.raises(PackageFormatError, match="newline"):
+        deserialize_package(blob[:end])
+    with pytest.raises(PackageFormatError):
+        deserialize_package(blob[:end] + blob[end + 1:])
+
+
+def test_rejects_short_payload(package):
+    blob = serialize_package(package)
+    for cut in (1, 8, 8 * 12 * package.proj_X.rows, len(blob) - blob.index(b"\n") - 1):
+        with pytest.raises(PackageFormatError, match="expected"):
+            deserialize_package(blob[:-cut])
+
+
+def test_rejects_trailing_bytes(package):
+    blob = serialize_package(package)
+    for extra in (b"\x00", b"\n", bytes(8), blob):
+        with pytest.raises(PackageFormatError, match="expected"):
+            deserialize_package(blob + extra)
 
 
 @pytest.mark.parametrize("field", ["version", "n", "privacy", "proj_B", "proj_X"])
@@ -256,75 +309,121 @@ def test_rejects_missing_section(package, field):
     doc = _doc(package)
     del doc[field]
     with pytest.raises(PackageFormatError, match=field):
-        deserialize_package(json.dumps(doc))
+        deserialize_package(_wire(package, doc))
 
 
 def test_rejects_future_version(package):
     doc = _doc(package)
-    doc["version"] = 2
-    with pytest.raises(UnsupportedVersionError, match="version 2"):
-        deserialize_package(json.dumps(doc))
+    doc["version"] = 3
+    with pytest.raises(UnsupportedVersionError, match="version 3"):
+        deserialize_package(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
 
 
+def test_rejects_version_1_document(package):
+    """A base64-in-JSON document of format version 1 is no longer read."""
+    doc = _doc(package)
+    doc["version"] = 1
+    for name in ("proj_B", "proj_X"):
+        raw = getattr(package, name).values.astype("<f8").tobytes()
+        doc[name]["data"] = base64.b64encode(raw).decode("ascii")
+    v1 = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert b"\n" not in v1
+    with pytest.raises(UnsupportedVersionError, match="version 1"):
+        deserialize_package(v1)
+
+
 def test_rejects_non_integer_version(package):
     doc = _doc(package)
-    doc["version"] = "1"
-    _reject(doc)
+    doc["version"] = "2"
+    _reject(package, doc)
     doc["version"] = True
-    _reject(doc)
+    _reject(package, doc)
 
 
 def test_rejects_bad_n(package):
     for bad in (1, 2.0, True, "12"):
         doc = _doc(package)
         doc["n"] = bad
-        _reject(doc)
+        _reject(package, doc)
+
+
+def test_rejects_out_of_range_integers(package):
+    doc = _doc(package)
+    doc["privacy"]["epsilon"] = 10**400  # too large for a float
+    with pytest.raises(PackageFormatError, match="epsilon"):
+        deserialize_package(_wire(package, doc))
+    blob = serialize_package(package)
+    huge_n = blob.replace(b'"n":12', b'"n":' + b"1" * 5000, 1)  # too long to convert
+    with pytest.raises(PackageFormatError, match="JSON"):
+        deserialize_package(huge_n)
 
 
 def test_rejects_bad_privacy_values(package):
     doc = _doc(package)
     doc["privacy"]["epsilon"] = True
-    _reject(doc)
+    _reject(package, doc)
     doc = _doc(package)
     doc["privacy"]["epsilon"] = -1.0
-    _reject(doc)
+    _reject(package, doc)
     doc = _doc(package)
     doc["privacy"]["split"] = "thirds"
-    _reject(doc)
+    _reject(package, doc)
     doc = _doc(package)
     del doc["privacy"]["nu"]
-    _reject(doc)
+    _reject(package, doc)
 
 
 def test_rejects_bad_projection_sections(package):
     doc = _doc(package)
     doc["proj_B"]["rows"] = 4.5
-    _reject(doc)
+    _reject(package, doc)
     doc = _doc(package)
     doc["proj_B"]["cols"] = 13  # disagrees with n
-    _reject(doc)
+    _reject(package, doc)
     doc = _doc(package)
-    doc["proj_X"]["data"] = "not base64!!"
-    _reject(doc)
+    doc["proj_X"]["rows"] += 1  # disagrees with the payload length
+    _reject(package, doc)
     doc = _doc(package)
-    doc["proj_X"]["data"] = doc["proj_X"]["data"][: len(doc["proj_X"]["data"]) // 2]
-    _reject(doc)
+    doc["proj_X"]["rows"] -= 1
+    _reject(package, doc)
     doc = _doc(package)
     doc["proj_B"] = "should be an object"
-    _reject(doc)
+    _reject(package, doc)
 
 
 def test_rejects_nan_payload(package):
-    doc = _doc(package)
-    rows, cols = doc["proj_B"]["rows"], doc["proj_B"]["cols"]
-    import base64
+    clean = serialize_package(package)
+    first, last = clean.index(b"\n") + 1, len(clean) - 8  # first proj_B and last proj_X value
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in (first, last):
+            blob = bytearray(clean)
+            blob[at:at + 8] = struct.pack("<d", bad)
+            with pytest.raises(PackageFormatError, match="NaN or infinite"):
+                deserialize_package(bytes(blob))
 
-    raw = struct.pack("<d", math.nan) * (rows * cols)
-    doc["proj_B"]["data"] = base64.b64encode(raw).decode("ascii")
-    with pytest.raises(PackageFormatError, match="NaN or infinite"):
-        deserialize_package(json.dumps(doc))
+
+def test_codec_makes_no_payload_copy():
+    """Decoding returns views into the blob and encoding writes one buffer."""
+    n = 1000
+    params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
+    X = np.random.default_rng(3).standard_normal((n, 2))
+    pkg = alice_prepare(X, params, master_seed=8)
+    payload_bytes = 8 * n * (pkg.proj_B.rows + pkg.proj_X.rows)
+    assert payload_bytes > 10_000_000
+    blob = serialize_package(pkg)
+    peaks = {}
+    for name, call in (("serialize", lambda: serialize_package(pkg)),
+                       ("deserialize", lambda: deserialize_package(blob))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["deserialize"] < payload_bytes / 10, (peaks, payload_bytes)
+    assert peaks["serialize"] < 1.25 * payload_bytes, (peaks, payload_bytes)
 
 
 # ------------------------------------------------------------ report dict
