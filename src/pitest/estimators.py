@@ -52,7 +52,7 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .matrices import _as_sample_matrix, laplacian_W, pairwise_sq_dist
+from .matrices import _as_2d, _as_sample_matrix, _row_blocks, laplacian_W, pairwise_sq_dist
 
 __all__ = [
     "DcovComponents",
@@ -222,7 +222,11 @@ def complete_graph_quadratic(Y) -> float:
 
     Evaluated in closed form as ``n ||Y||_F^2 - ||column sums of Y||^2``.
     """
-    Ym = _as_sample_matrix(Y, "Y")
+    return _complete_graph_quadratic(_as_sample_matrix(Y, "Y"))
+
+
+def _complete_graph_quadratic(Ym: np.ndarray) -> float:
+    """:func:`complete_graph_quadratic` of an already validated sample matrix."""
     n = Ym.shape[0]
     col_sums = Ym.sum(axis=0)
     return n * float(np.sum(Ym * Ym)) - float(col_sums @ col_sums)
@@ -237,15 +241,22 @@ def s_hat_directional(Q, Y) -> float:
     ``(4/n^4) * ||Q G||_F^2 * Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
     complete-graph factor; since ``||Q G||_F^2 = n ||Q - row means||_F^2``,
     it is evaluated as ``(4/n^3) * ||Q - row means||_F^2 * Tr(Y^T L_S Y)``
-    without forming ``G``.
+    without forming ``G``.  ``Q`` is read, checked for finiteness and
+    centred one row block at a time, so no (q, n) temporary is formed.
     """
-    Qm = _as_sample_matrix(Q, "Q")
+    Qm = _as_2d(Q, "Q")
     Ym = _as_sample_matrix(Y, "Y")
     n = Ym.shape[0]
     if Qm.shape[1] != n:
         raise ShapeError(f"Q answers queries of length {Qm.shape[1]}, but Y has {n} rows")
-    Qc = Qm - Qm.mean(axis=1, keepdims=True)
-    return 4.0 / n**3 * float(np.sum(Qc * Qc)) * complete_graph_quadratic(Ym)
+    ss = 0.0
+    for rows in _row_blocks(Qm.shape[0], n):
+        block = Qm[rows]
+        if not np.all(np.isfinite(block)):
+            raise InvalidInputError("Q contains non-finite entries")
+        Qc = block - block.mean(axis=1, keepdims=True)
+        ss += float(np.sum(Qc * Qc))
+    return 4.0 / n**3 * ss * _complete_graph_quadratic(Ym)
 
 
 def test_statistic(omega_sq: float, s: float, n: int) -> float:

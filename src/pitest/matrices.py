@@ -35,13 +35,38 @@ __all__ = [
 ]
 
 
-def _as_sample_matrix(X, name: str = "X", min_rows: int = 1) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array with rows as samples."""
+# Entries of float64 per row block (256 KiB): every pass over a block stays in
+# cache, and a GEMM against a thin factor stays below OpenBLAS's threading
+# threshold.  Measured on run_sweep: 2**13 pays per-block Python overhead,
+# 2**19 crosses the threshold again.
+_BLOCK_FLOATS = 2**15
+
+
+def _block_height(width: int) -> int:
+    """Rows per block of a ``width``-column float64 array."""
+    return max(1, _BLOCK_FLOATS // width)
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices covering ``range(rows)`` in blocks of ``_block_height(width)`` rows."""
+    h = _block_height(width)
+    for i in range(0, rows, h):
+        yield slice(i, min(i + h, rows))
+
+
+def _as_2d(X, name: str) -> np.ndarray:
+    """Coerce to a non-empty 2-D float64 array with rows as samples."""
     A = np.asarray(X, dtype=np.float64)
     if A.ndim == 1:
         A = A[:, None]
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ShapeError(f"{name} must be a non-empty 2-D sample matrix, got shape {A.shape}")
+    return A
+
+
+def _as_sample_matrix(X, name: str = "X", min_rows: int = 1) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array with rows as samples."""
+    A = _as_2d(X, name)
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     if A.shape[0] < min_rows:

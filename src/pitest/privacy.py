@@ -12,7 +12,14 @@ where ``R`` is an r x (k+n) matrix of independent standard normals and
 ``A_hat^T A_hat = F F^T + w^2 I`` has least singular value at least ``w``.
 ``A_hat`` is never formed: splitting ``R = [R_1 R_2]`` after column ``k``
 gives the same release as ``P = (R_1 F^T + w R_2) / sqrt(r)``, which costs
-O(r k n) rather than O(r (k+n) n) and holds no n x n array.
+O(r k n) rather than O(r (k+n) n) and holds no n x n array.  ``R`` is not
+held whole either: it is drawn and projected one row block of about 256 KiB
+at a time, each block continuing the stream of the release's one generator,
+so the draw is that of ``standard_normal((r, k+n))``.  A block GEMM does
+about 2**15 k multiply-adds, so it stays in cache, and OpenBLAS runs it on
+one thread for k < 8 (its threading threshold is 2**18): the sweep's thread
+pool is not oversubscribed.  The analyst's sums of squares over ``P`` are
+accumulated over row blocks of the same size.
 For any query direction ``y``,
 
     E ||P y||^2 = y^T F F^T y + w^2 ||y||^2,
@@ -42,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
+from .matrices import _block_height, _row_blocks
 
 __all__ = [
     "PrivacyParams",
@@ -176,6 +184,9 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     Returns:
         PrivateProjection with values ``(1/sqrt(r)) R [F^T; w I]``,
         computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``.
+        ``R`` is drawn row block by row block into one reused buffer from
+        a single ``default_rng(seed)`` (the one-shot stream); only ``P`` and
+        one block are held.
     """
     A = np.asarray(F, dtype=np.float64)
     if A.ndim == 1:
@@ -186,13 +197,21 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         raise InvalidInputError("factor contains non-finite entries")
     n, k = A.shape
     r, w = jl_params(p)
-    R = np.random.default_rng(int(seed)).standard_normal((r, k + n))
-    # Scale and sum in place: no r x n array besides R and P.
-    floor = R[:, k:]
-    floor *= w
-    P = R[:, :k] @ A.T
-    P += floor
-    P /= math.sqrt(r)
+    rng = np.random.default_rng(int(seed))
+    scale = math.sqrt(r)
+    P = np.empty((r, n))
+    buf = np.empty((min(r, _block_height(k + n)), k + n))
+    for rows in _row_blocks(r, k + n):
+        # Consecutive fills continue the stream: the blocks are the rows of
+        # the one-shot draw ``standard_normal((r, k + n))``.
+        R = buf[: rows.stop - rows.start]
+        rng.standard_normal(out=R)
+        floor = R[:, k:]
+        floor *= w
+        block = P[rows]
+        np.matmul(R[:, :k], A.T, out=block)
+        block += floor
+        block /= scale
     return PrivateProjection(values=P, params=p)
 
 
@@ -226,5 +245,8 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
         raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("query matrix contains non-finite entries")
-    Z = P.values @ M
-    return float(np.sum(Z * Z))
+    total = 0.0
+    for rows in _row_blocks(P.rows, P.n):
+        Z = P.values[rows] @ M
+        total += float(np.sum(Z * Z))
+    return total

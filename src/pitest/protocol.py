@@ -29,6 +29,9 @@ newline byte, then the ``proj_B`` and ``proj_X`` payloads as raw
 little-endian IEEE-754 binary64 values in row-major order.  The blob is
 exactly the header, the newline and ``8 * rows * cols`` bytes per section
 long, so round-trips are bit-exact and equal packages are equal bytes.
+The payloads start right after the header, at an offset that need not be a
+multiple of 8; the analyst reads them one row block at a time, so the copy
+that BLAS needs for an unaligned operand is one block, not a payload.
 """
 
 from __future__ import annotations

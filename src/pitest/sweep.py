@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -118,16 +119,23 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
             _rel_err_pct(report.omega_bar_sq, omega_ref),
         )
 
-    rows: list[SweepRow] = []
+    # One map over the whole grid, so no cell waits for the previous one to
+    # drain; results come back in job order, i.e. cell by cell.
+    cells = list(product(range(len(cfg.epsilons)), range(len(cfg.eta_values))))
+    jobs = [(i_eps, i_eta, rep) for i_eps, i_eta in cells for rep in range(cfg.replications)]
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        for i_eps, epsilon in enumerate(cfg.epsilons):
-            for i_eta, eta in enumerate(cfg.eta_values):
-                jobs = [(i_eps, i_eta, rep) for rep in range(cfg.replications)]
-                results = list(pool.map(one_trial, jobs))
-                g_mean, g_sd = _mean_sd([r[0] for r in results])
-                s_mean, s_sd = _mean_sd([r[1] for r in results])
-                o_mean, o_sd = _mean_sd([r[2] for r in results])
-                rows.append(SweepRow(epsilon, eta, g_mean, g_sd, s_mean, s_sd, o_mean, o_sd))
+        results = list(pool.map(one_trial, jobs))
+
+    rows: list[SweepRow] = []
+    for cell, (i_eps, i_eta) in enumerate(cells):
+        trials = results[cell * cfg.replications : (cell + 1) * cfg.replications]
+        g_mean, g_sd = _mean_sd([t[0] for t in trials])
+        s_mean, s_sd = _mean_sd([t[1] for t in trials])
+        o_mean, o_sd = _mean_sd([t[2] for t in trials])
+        rows.append(
+            SweepRow(cfg.epsilons[i_eps], cfg.eta_values[i_eta],
+                     g_mean, g_sd, s_mean, s_sd, o_mean, o_sd)
+        )
     return rows
 
 

@@ -203,6 +203,16 @@ def test_s_hat_directional_matches_s_hat():
     assert rel_close(s_hat_directional(P, Y), via_factor, tol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 130])
+def test_s_hat_directional_rejects_non_finite_q(bad, row):
+    # n = 500: blocks of 65 rows, so row 130 is the first row of the third block
+    Q = np.random.default_rng(20).standard_normal((200, 500))
+    Q[row, 7] = bad
+    with pytest.raises(InvalidInputError):
+        s_hat_directional(Q, np.random.default_rng(21).standard_normal((500, 2)))
+
+
 def test_s_hat_directional_constant_y_is_zero():
     X = np.random.default_rng(6).standard_normal((8, 2))
     assert abs(s_hat_directional(X.T, np.ones((8, 2)))) <= 1e-12

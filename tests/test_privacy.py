@@ -117,6 +117,23 @@ def test_privatize_is_projection_of_augmented_factor():
     assert np.max(np.abs(P - stacked)) <= 1e-12 * np.max(np.abs(stacked))
 
 
+def test_privatize_draws_and_projects_row_blocks():
+    # r = 267 rows of R span five blocks of 2**15 // (2 + 500) = 65 rows; the last has 7
+    p = PrivacyParams(2.0, 0.01, 0.3, 0.1)
+    r, w = jl_params(p)
+    n, k, h = 500, 2, 65
+    assert (r, r % h) == (267, 7)
+    F = np.random.default_rng(1).standard_normal((n, k))
+    P = privatize_covariance(F, p, seed=99).values
+    R = np.random.default_rng(99).standard_normal((r, k + n))
+    # the blocks are consecutive rows of the one-shot draw, projected one at a time
+    blocks = [R[i : i + h, :k] @ F.T + w * R[i : i + h, k:] for i in range(0, r, h)]
+    assert np.array_equal(P, np.vstack(blocks) / math.sqrt(r))
+    # BLAS may round an h-row and an r-row GEMM differently in the last bit
+    one_shot = (R[:, :k] @ F.T + w * R[:, k:]) / math.sqrt(r)
+    assert np.max(np.abs(P - one_shot)) <= 1e-15 * np.max(np.abs(one_shot))
+
+
 def test_privatize_shape_and_finiteness():
     p = PARAMS
     r, _ = jl_params(p)

@@ -426,6 +426,57 @@ def test_codec_makes_no_payload_copy():
     assert peaks["serialize"] < 1.25 * payload_bytes, (peaks, payload_bytes)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_release_and_analyst_hold_no_whole_draw():
+    """Alice holds P and one block of R; Bob holds one block of each payload."""
+    n = 1000
+    params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((n, 2))
+    Y = rng.standard_normal((n, 2))
+    r = jl_params(params).r
+    assert r == 738
+    release_bytes = 8 * r * n
+    B = factor_W(X)
+    wire = deserialize_package(serialize_package(alice_prepare(X, params, master_seed=8)))
+    assert wire.proj_B.values.ctypes.data % 8 != 0  # BLAS needs an aligned copy
+    alice = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
+    bob = _peak_bytes(lambda: bob_evaluate(wire, Y))
+    assert alice < 1.25 * release_bytes, (alice, release_bytes)
+    assert bob < release_bytes / 4, (bob, release_bytes)
+
+
+def test_blocked_statistics_match_one_shot_formulas():
+    # n = 500: r = 267 rows in blocks of 65, so every statistic spans five blocks
+    n = 500
+    params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
+    rng = np.random.default_rng(19)
+    X = 3.0 * rng.standard_normal((n, 2))
+    Y = rng.standard_normal((n, 3))
+    pkg = alice_prepare(X, params, master_seed=6)
+    assert pkg.proj_B.rows == 267
+    wire = deserialize_package(serialize_package(pkg))
+    assert wire.proj_X.values.ctypes.data % 8 != 0
+    for p in (pkg, wire):
+        PB = np.array(p.proj_B.values)
+        PX = np.array(p.proj_X.values)
+        omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
+        Qc = PX - PX.mean(axis=1, keepdims=True)
+        col = Y.sum(axis=0)
+        s = 4.0 / n**3 * float(np.sum(Qc * Qc)) * (n * float(np.sum(Y * Y)) - float(col @ col))
+        report = bob_evaluate(p, Y)
+        assert report.omega_bar_sq == pytest.approx(omega, rel=1e-13)
+        assert report.s_bar == pytest.approx(s, rel=1e-13)
+
+
 # ------------------------------------------------------------ report dict
 
 
