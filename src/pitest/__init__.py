@@ -42,6 +42,7 @@ from .privacy import (
     PrivacyParams,
     PrivateProjection,
     jl_params,
+    private_centered_sq_norm,
     private_directional_variance,
     private_sum_directional_variances,
     privatize_covariance,

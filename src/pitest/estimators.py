@@ -33,7 +33,9 @@ centered cross-covariance norm: with column-centered ``Xc``, ``Yc``,
 
 The protocol, the CLI and the sweep evaluate only O(n d m) forms: these two
 (:func:`dcov_sq_closed_form`, :func:`s_hat`) and their private counterparts,
-built on :func:`pitest.matrices.factor_W` and :func:`s_hat_directional`.
+built on :func:`pitest.matrices.factor_W` and on the released scalar
+``||P_X - row means||_F^2`` times :func:`complete_graph_quadratic`, which is
+what :func:`s_hat_directional` computes from a whole projection.
 The forms that build n x n matrices (:func:`dcov_components`, :func:`dcov_sq_direct`, :func:`dcov_sq_laplacian`,
 :func:`dcov_sq_unbiased`) are references for the tests.
 """
@@ -52,7 +54,7 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .matrices import _as_2d, _as_sample_matrix, _row_blocks, laplacian_W, pairwise_sq_dist
+from .matrices import _as_2d, _as_sample_matrix, laplacian_W, pairwise_sq_dist
 
 __all__ = [
     "DcovComponents",
@@ -241,22 +243,18 @@ def s_hat_directional(Q, Y) -> float:
     ``(4/n^4) * ||Q G||_F^2 * Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
     complete-graph factor; since ``||Q G||_F^2 = n ||Q - row means||_F^2``,
     it is evaluated as ``(4/n^3) * ||Q - row means||_F^2 * Tr(Y^T L_S Y)``
-    without forming ``G``.  ``Q`` is read, checked for finiteness and
-    centred one row block at a time, so no (q, n) temporary is formed.
+    without forming ``G``.  The protocol does not call this: the data holder
+    sends ``||P_X - row means||_F^2`` itself, reduced as ``P_X`` is drawn.
     """
     Qm = _as_2d(Q, "Q")
     Ym = _as_sample_matrix(Y, "Y")
     n = Ym.shape[0]
     if Qm.shape[1] != n:
         raise ShapeError(f"Q answers queries of length {Qm.shape[1]}, but Y has {n} rows")
-    ss = 0.0
-    for rows in _row_blocks(Qm.shape[0], n):
-        block = Qm[rows]
-        if not np.all(np.isfinite(block)):
-            raise InvalidInputError("Q contains non-finite entries")
-        Qc = block - block.mean(axis=1, keepdims=True)
-        ss += float(np.sum(Qc * Qc))
-    return 4.0 / n**3 * ss * _complete_graph_quadratic(Ym)
+    if not np.all(np.isfinite(Qm)):
+        raise InvalidInputError("Q contains non-finite entries")
+    Qc = Qm - Qm.mean(axis=1, keepdims=True)
+    return 4.0 / n**3 * float(np.sum(Qc * Qc)) * _complete_graph_quadratic(Ym)
 
 
 def test_statistic(omega_sq: float, s: float, n: int) -> float:

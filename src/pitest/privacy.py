@@ -18,8 +18,10 @@ at a time, each block continuing the stream of the release's one generator,
 so the draw is that of ``standard_normal((r, k+n))``.  A block GEMM does
 about 2**15 k multiply-adds, so it stays in cache, and OpenBLAS runs it on
 one thread for k < 8 (its threading threshold is 2**18): the sweep's thread
-pool is not oversubscribed.  The analyst's sums of squares over ``P`` are
-accumulated over row blocks of the same size.
+pool is not oversubscribed.  A release that is only ever reduced to the
+centred sum of squares ``||P - row means||_F^2`` is reduced block by block
+as it is drawn, so no r x n array is held for it.  The analyst's sums of
+squares over ``P`` are accumulated over row blocks of the same size.
 For any query direction ``y``,
 
     E ||P y||^2 = y^T F F^T y + w^2 ||y||^2,
@@ -59,6 +61,7 @@ __all__ = [
     "tau",
     "tau_mechanism",
     "privatize_covariance",
+    "private_centered_sq_norm",
     "private_directional_variance",
     "private_sum_directional_variances",
 ]
@@ -160,7 +163,8 @@ class PrivateProjection:
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
             raise ShapeError(f"projection values must be 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        # One row block at a time, so the check holds no r x n temporary.
+        if not all(np.isfinite(self.values[rows]).all() for rows in _row_blocks(*self.values.shape)):
             raise InvalidInputError("projection contains non-finite entries")
 
     @property
@@ -170,6 +174,45 @@ class PrivateProjection:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+
+def _as_factor(F) -> np.ndarray:
+    A = np.asarray(F, dtype=np.float64)
+    if A.ndim == 1:
+        A = A[:, None]
+    if A.ndim != 2 or A.shape[0] < 2:
+        raise ShapeError(f"factor must be 2-D with at least 2 rows, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("factor contains non-finite entries")
+    return A
+
+
+def _release_blocks(A: np.ndarray, p: PrivacyParams, seed: int, P: np.ndarray | None = None):
+    """Yield the release ``(R_1 A^T + w R_2) / sqrt(r)`` one row block at a time.
+
+    ``R`` is drawn row block by row block into one reused buffer from a
+    single ``default_rng(seed)``: consecutive fills continue the stream, so
+    the blocks are the rows of the one-shot draw ``standard_normal((r, k+n))``.
+    Each block is written into its rows of ``P`` when given, else into one
+    reused buffer that the next block overwrites.
+    """
+    n, k = A.shape
+    r, w = jl_params(p)
+    rng = np.random.default_rng(int(seed))
+    scale = math.sqrt(r)
+    height = min(r, _block_height(k + n))
+    buf = np.empty((height, k + n))
+    out = np.empty((height, n)) if P is None else None
+    for rows in _row_blocks(r, k + n):
+        R = buf[: rows.stop - rows.start]
+        rng.standard_normal(out=R)
+        floor = R[:, k:]
+        floor *= w
+        block = P[rows] if out is None else out[: len(R)]
+        np.matmul(R[:, :k], A.T, out=block)
+        block += floor
+        block /= scale
+        yield block
 
 
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
@@ -183,36 +226,30 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
 
     Returns:
         PrivateProjection with values ``(1/sqrt(r)) R [F^T; w I]``,
-        computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``.
-        ``R`` is drawn row block by row block into one reused buffer from
-        a single ``default_rng(seed)`` (the one-shot stream); only ``P`` and
-        one block are held.
+        computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``,
+        one row block of ``R`` at a time: only ``P`` and one block are held.
     """
-    A = np.asarray(F, dtype=np.float64)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != 2 or A.shape[0] < 2:
-        raise ShapeError(f"factor must be 2-D with at least 2 rows, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("factor contains non-finite entries")
-    n, k = A.shape
-    r, w = jl_params(p)
-    rng = np.random.default_rng(int(seed))
-    scale = math.sqrt(r)
-    P = np.empty((r, n))
-    buf = np.empty((min(r, _block_height(k + n)), k + n))
-    for rows in _row_blocks(r, k + n):
-        # Consecutive fills continue the stream: the blocks are the rows of
-        # the one-shot draw ``standard_normal((r, k + n))``.
-        R = buf[: rows.stop - rows.start]
-        rng.standard_normal(out=R)
-        floor = R[:, k:]
-        floor *= w
-        block = P[rows]
-        np.matmul(R[:, :k], A.T, out=block)
-        block += floor
-        block /= scale
+    A = _as_factor(F)
+    P = np.empty((jl_params(p).r, A.shape[0]))
+    for _ in _release_blocks(A, p, seed, P):
+        pass  # each block is written into its rows of P
     return PrivateProjection(values=P, params=p)
+
+
+def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
+    """``||P - row means||_F^2`` of the release ``privatize_covariance(F, p, seed)``.
+
+    The same draw, reduced one row block at a time as it is made, so only
+    one block of ``P`` is ever held.  The value is post-processing of that
+    release, so it carries the release's privacy guarantee.  It is the one
+    number the analyst's denominator needs from the release of ``X X^T``:
+    ``||P J||_F^2`` for the centering matrix ``J``.
+    """
+    total = 0.0
+    for block in _release_blocks(_as_factor(F), p, seed):
+        block -= block.mean(axis=1, keepdims=True)
+        total += float(np.sum(block * block))
+    return total
 
 
 def _query_matrix(y, n: int) -> np.ndarray:

@@ -4,17 +4,21 @@ Roles:
 
 - The *data holder* (Alice) owns ``X``.  Alice takes the exact factor
   ``B = sqrt(2) (X - column means)`` of the centered-distance Laplacian
-  ``L = B B^T`` of ``X`` and releases two private projections — one for
-  ``B B^T``, one for ``X X^T`` — each spending half of the (epsilon, delta)
-  budget.  Each release is ``(R_1 F^T + w R_2) / sqrt(r)`` for its factor
-  ``F``, so neither side of the protocol holds an n x n array.  The package
-  of the two projections plus the sample count is all that ever leaves her
-  side; the release seeds do not.
+  ``L = B B^T`` of ``X`` and makes two private releases — a projection
+  ``P_B`` for ``B B^T`` and ``P_X`` for ``X X^T`` — each spending half of
+  the (epsilon, delta) budget.  Each release is ``(R_1 F^T + w R_2) /
+  sqrt(r)`` for its factor ``F``, so neither side of the protocol holds an
+  n x n array.  Of ``P_X`` the analyst needs one number,
+  ``sx = ||P_X - row means||_F^2``, so Alice reduces ``P_X`` to it block by
+  block as it is drawn and never holds it whole; sending ``sx`` in place of
+  ``P_X`` is post-processing of the same release.  The package of ``P_B``,
+  ``sx`` and the sample count is all that ever leaves her side; the release
+  seeds do not.
 - The *analyst* (Bob) owns ``Y``.  From the package alone he evaluates the
   private statistics
 
       omega_bar_sq = (2/n^2) * sum_i ||P_B y_i||^2           (columns of Y)
-      s_bar        = (4/n^3) * ||P_X - row means||_F^2 * Tr(Y^T L_S Y)
+      s_bar        = (4/n^3) * sx * Tr(Y^T L_S Y)
 
   (the second is ``(4/n^4) ||P_X G||_F^2 Tr(Y^T L_S Y)`` with
   ``G = sqrt(n) J`` the complete-graph factor, never formed), forms
@@ -22,16 +26,17 @@ Roles:
   Nothing flows back, so the release's privacy guarantee is preserved under
   this post-processing.
 
-Wire format (version 2): one line of canonical UTF-8 JSON (sorted keys,
-compact separators) holding ``version``, ``n``, ``privacy`` and the
-``rows``/``cols`` of the ``proj_B`` and ``proj_X`` sections, then one
-newline byte, then the ``proj_B`` and ``proj_X`` payloads as raw
-little-endian IEEE-754 binary64 values in row-major order.  The blob is
-exactly the header, the newline and ``8 * rows * cols`` bytes per section
-long, so round-trips are bit-exact and equal packages are equal bytes.
-The payloads start right after the header, at an offset that need not be a
-multiple of 8; the analyst reads them one row block at a time, so the copy
-that BLAS needs for an unaligned operand is one block, not a payload.
+Wire format (version 3): one line of canonical UTF-8 JSON (sorted keys,
+compact separators) holding ``version``, ``n``, ``privacy``, ``sx`` (a
+finite number >= 0) and the ``rows``/``cols`` of the ``proj_B`` section,
+then one newline byte, then the ``proj_B`` payload as raw little-endian
+IEEE-754 binary64 values in row-major order.  The blob is exactly the
+header, the newline and ``8 * rows * cols`` bytes long; ``sx`` is written
+as the shortest decimal that reads back to the same float, so round-trips
+are bit-exact and equal packages are equal bytes.  The payload starts
+right after the header, at an offset that need not be a multiple of 8; the
+analyst reads it one row block at a time, so the copy that BLAS needs for
+an unaligned operand is one block, not a payload.
 """
 
 from __future__ import annotations
@@ -49,14 +54,15 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .estimators import (
+    _complete_graph_quadratic,
     rejection_threshold,
-    s_hat_directional,
     test_statistic,
 )
 from .matrices import _as_sample_matrix, factor_W
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
+    private_centered_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
     tau,
@@ -80,25 +86,27 @@ __all__ = [
     "report_to_dict",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True, eq=False)
 class AlicePackage:
-    """Everything the data holder sends: two projections and the metadata."""
+    """Everything the data holder sends: a projection, a scalar and the metadata.
+
+    ``sx`` is ``||P_X - row means||_F^2`` of the release for ``X X^T``.
+    """
 
     n: int
-    params: PrivacyParams  # total budget; each projection spent half
+    params: PrivacyParams  # total budget; each release spent half
     proj_B: PrivateProjection
-    proj_X: PrivateProjection
+    sx: float
     version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.proj_B.n != self.n or self.proj_X.n != self.n:
-            raise ShapeError(
-                f"projection widths ({self.proj_B.n}, {self.proj_X.n}) "
-                f"must both equal n = {self.n}"
-            )
+        if self.proj_B.n != self.n:
+            raise ShapeError(f"projection width {self.proj_B.n} must equal n = {self.n}")
+        if not (math.isfinite(self.sx) and self.sx >= 0.0):
+            raise InvalidInputError(f"sx must be a finite number >= 0, got {self.sx!r}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,8 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     factor first, data matrix second).  By default it is drawn from OS
     entropy; an explicit seed makes the package a deterministic function of
     (X, p, master_seed), which is for reproducible tests only, since anyone
-    who knows it can regenerate the projections and recover ``X``.  Raw
-    ``X``, the factor and the seeds stay on this side.
+    who knows it can regenerate the releases and recover ``X``.  Raw
+    ``X``, the factor, ``P_X`` and the seeds stay on this side.
     """
     A = _as_sample_matrix(X, "X", min_rows=2)
     B = factor_W(A)
@@ -164,8 +172,8 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
         raise InvalidInputError(f"invalid master seed {master_seed!r}: {exc}") from exc
     per_release = p.half_budget()
     proj_B = privatize_covariance(B, per_release, int(seeds[0]))
-    proj_X = privatize_covariance(A, per_release, int(seeds[1]))
-    return AlicePackage(n=A.shape[0], params=p, proj_B=proj_B, proj_X=proj_X)
+    sx = private_centered_sq_norm(A, per_release, int(seeds[1]))
+    return AlicePackage(n=A.shape[0], params=p, proj_B=proj_B, sx=sx)
 
 
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
@@ -194,7 +202,7 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     threshold = rejection_threshold(alpha)
 
     omega_bar_sq = 2.0 / n**2 * private_sum_directional_variances(pkg.proj_B, Ym)
-    s_bar = s_hat_directional(pkg.proj_X.values, Ym)
+    s_bar = 4.0 / n**3 * pkg.sx * _complete_graph_quadratic(Ym)
 
     if not (s_bar > 0.0):
         return TestReport(
@@ -253,12 +261,12 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
 
 
 def serialize_package(pkg: AlicePackage) -> bytes:
-    """Encode a package as a canonical JSON header line plus raw payloads.
+    """Encode a package as a canonical JSON header line plus the raw payload.
 
-    The payloads are the projections' own little-endian float64 buffers,
+    The payload is the projection's own little-endian float64 buffer,
     joined once into the output: no intermediate copy or text encoding.
     """
-    payloads = [np.ascontiguousarray(P.values, dtype="<f8") for P in (pkg.proj_B, pkg.proj_X)]
+    payload = np.ascontiguousarray(pkg.proj_B.values, dtype="<f8")
     header = {
         "version": pkg.version,
         "n": pkg.n,
@@ -269,17 +277,26 @@ def serialize_package(pkg: AlicePackage) -> bytes:
             "nu": pkg.params.nu,
             "split": "half-half",
         },
-        "proj_B": {"rows": payloads[0].shape[0], "cols": payloads[0].shape[1]},
-        "proj_X": {"rows": payloads[1].shape[0], "cols": payloads[1].shape[1]},
+        "sx": float(pkg.sx),
+        "proj_B": {"rows": payload.shape[0], "cols": payload.shape[1]},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"".join([head, b"\n", *payloads])
+    return b"".join([head, b"\n", payload])
 
 
 def _require(doc: dict, field: str, where: str = "package"):
     if field not in doc:
         raise PackageFormatError(f"{where} is missing required section '{field}'")
     return doc[field]
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PackageFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise PackageFormatError(f"{what} is out of range: {exc}") from exc
 
 
 def _section_rows(section, name: str, n: int) -> int:
@@ -311,7 +328,7 @@ def _parse_header(head: bytes) -> dict:
 def deserialize_package(data: bytes) -> AlicePackage:
     """Parse and validate package bytes; inverse of :func:`serialize_package`.
 
-    The projections are read-only views into ``data``.  Raises
+    The projection is a read-only view into ``data``.  Raises
     PackageFormatError (or its UnsupportedVersionError subclass) for every
     malformed input; never returns a partially validated package.
     """
@@ -342,12 +359,7 @@ def deserialize_package(data: bytes) -> AlicePackage:
     kwargs = {}
     for field in ("epsilon", "delta", "eta", "nu"):
         value = _require(privacy, field, "section 'privacy'")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PackageFormatError(f"privacy field '{field}' must be a number, got {value!r}")
-        try:
-            kwargs[field] = float(value)
-        except OverflowError as exc:
-            raise PackageFormatError(f"privacy field '{field}' is out of range: {exc}") from exc
+        kwargs[field] = _number(value, f"privacy field '{field}'")
     split = privacy.get("split", "half-half")
     if split != "half-half":
         raise PackageFormatError(f"unsupported budget split {split!r}; expected 'half-half'")
@@ -356,29 +368,27 @@ def deserialize_package(data: bytes) -> AlicePackage:
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid privacy parameters: {exc}") from exc
 
-    names = ("proj_B", "proj_X")
-    rows = [_section_rows(_require(doc, name), name, n) for name in names]
+    # json.loads reads NaN and Infinity, and 1e400 as inf: AlicePackage
+    # checks that sx is finite and >= 0.
+    sx = _number(_require(doc, "sx"), "sx")
+    rows = _section_rows(_require(doc, "proj_B"), "proj_B", n)
 
     offset = end + 1
-    expected = offset + 8 * n * sum(rows)
+    expected = offset + 8 * rows * n
     if len(data) != expected:
         raise PackageFormatError(
             f"package holds {len(data)} bytes, expected {expected} "
-            f"(header, newline and payloads of {rows[0]}x{n} and {rows[1]}x{n} float64)"
+            f"(header, newline and a payload of {rows}x{n} float64)"
         )
-    per_release = params.half_budget()
-    projections = []
-    for name, r in zip(names, rows):
-        values = np.frombuffer(data, dtype="<f8", count=r * n, offset=offset).reshape(r, n)
-        offset += 8 * r * n
-        try:
-            projections.append(PrivateProjection(values=values, params=per_release))
-        except InvalidInputError as exc:
-            raise PackageFormatError(
-                f"section '{name}': payload contains NaN or infinite entries"
-            ) from exc
-    return AlicePackage(n=n, params=params, proj_B=projections[0], proj_X=projections[1],
-                        version=version)
+    values = np.frombuffer(data, dtype="<f8", count=rows * n, offset=offset).reshape(rows, n)
+    try:
+        proj_B = PrivateProjection(values=values, params=params.half_budget())
+    except InvalidInputError as exc:
+        raise PackageFormatError("section 'proj_B': payload contains NaN or infinite entries") from exc
+    try:
+        return AlicePackage(n=n, params=params, proj_B=proj_B, sx=sx, version=version)
+    except InvalidInputError as exc:
+        raise PackageFormatError(f"invalid package: {exc}") from exc
 
 
 def report_to_dict(report: TestReport) -> dict:

@@ -37,14 +37,15 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     head, newline, payload = out.read_bytes().partition(b"\n")
     assert newline == b"\n"
     doc = json.loads(head)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["n"] == 20
     assert doc["privacy"]["split"] == "half-half"
-    assert len(payload) == 8 * 20 * (doc["proj_B"]["rows"] + doc["proj_X"]["rows"])
+    assert doc["sx"] > 0.0
+    assert len(payload) == 8 * 20 * doc["proj_B"]["rows"]
 
 
 def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
-    """With the master seed, R is regenerated and X recovered by least squares."""
+    """With the master seed, R is regenerated and centred X recovered by least squares."""
     out = tmp_path / "pkg.bin"
     rc = main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS,
                "--seed", "11", "--out", str(out)])
@@ -58,13 +59,15 @@ def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
     params = PrivacyParams(10.0, 0.01, 0.5, 0.5)
     assert out.read_bytes() == serialize_package(alice_prepare(X, params, 11))
 
-    proj_X = deserialize_package(out.read_bytes()).proj_X
+    proj_B = deserialize_package(out.read_bytes()).proj_B
     (n, k), (r, w) = X.shape, jl_params(params.half_budget())
-    release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[1])
+    release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[0])
     R = np.random.default_rng(release_seed).standard_normal((r, k + n))
-    # sqrt(r) P = R_1 X^T + w R_2, so X^T solves R_1 Z = sqrt(r) P - w R_2
-    Z = np.linalg.lstsq(R[:, :k], math.sqrt(r) * proj_X.values - w * R[:, k:], rcond=None)[0]
-    assert np.linalg.norm(Z.T - X) <= 1e-6 * np.linalg.norm(X)
+    # sqrt(r) P_B = R_1 B^T + w R_2 with B = sqrt(2) Xc, so B^T solves
+    # R_1 Z = sqrt(r) P_B - w R_2
+    Z = np.linalg.lstsq(R[:, :k], math.sqrt(r) * proj_B.values - w * R[:, k:], rcond=None)[0]
+    Xc = X - X.mean(axis=0)
+    assert np.linalg.norm(Z.T / math.sqrt(2.0) - Xc) <= 1e-6 * np.linalg.norm(Xc)
 
     rc = main(["run", "--input-x", str(data_dir / "x.csv"), "--input-y", str(data_dir / "y.csv"),
                *ALICE_ARGS, "--seed", "11", "--report", str(tmp_path / "run.json")])

@@ -55,6 +55,17 @@ def package(xy):
     return alice_prepare(xy[0], PARAMS, master_seed=2024)
 
 
+def _x_release(X, params, master_seed) -> np.ndarray:
+    """The release of X X^T that alice_prepare reduces to sx, regenerated."""
+    seed = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)[1]
+    return privatize_covariance(X, params.half_budget(), int(seed)).values
+
+
+def _centred_sq_norm(P) -> float:
+    Pc = P - P.mean(axis=1, keepdims=True)
+    return float(np.sum(Pc * Pc))
+
+
 def test_alice_package_deterministic(xy, package):
     again = alice_prepare(xy[0], PARAMS, master_seed=2024)
     assert serialize_package(again) == serialize_package(package)
@@ -62,10 +73,10 @@ def test_alice_package_deterministic(xy, package):
     assert serialize_package(other) != serialize_package(package)
 
 
-def test_projection_rows_use_half_budget(package):
+def test_projection_rows_use_half_budget(xy, package):
     r, _ = jl_params(PARAMS.half_budget())
     assert package.proj_B.values.shape == (r, 12)
-    assert package.proj_X.values.shape == (r, 12)
+    assert _x_release(xy[0], PARAMS, 2024).shape == (r, 12)
 
 
 def test_release_seeds_derived_from_master(xy, package):
@@ -75,7 +86,19 @@ def test_release_seeds_derived_from_master(xy, package):
     proj_B = privatize_covariance(factor_W(X), half, int(seeds[0]))
     proj_X = privatize_covariance(X, half, int(seeds[1]))
     assert np.array_equal(proj_B.values, package.proj_B.values)
-    assert np.array_equal(proj_X.values, package.proj_X.values)
+    # one row block at r = 45: the same GEMM and the same sum, so equal bits
+    assert package.sx == _centred_sq_norm(proj_X.values)
+
+
+def test_sx_is_post_processing_of_the_x_release():
+    """sx is the centred sum of squares of the release for X X^T, nothing else."""
+    n = 500  # r = 267 rows in blocks of 65: the sum spans five blocks
+    params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
+    X = 3.0 * np.random.default_rng(23).standard_normal((n, 2))
+    pkg = alice_prepare(X, params, master_seed=31)
+    P = _x_release(X, params, 31)
+    assert P.shape == (267, n)
+    assert pkg.sx == pytest.approx(_centred_sq_norm(P), rel=1e-13)
 
 
 def test_alice_rejects_bad_input():
@@ -89,8 +112,9 @@ def test_identity_hook_reproduces_nonprivate_statistics(xy):
     X, Y = xy
     # a 'release' with no noise and no floor: P = F^T answers queries exactly
     half = PARAMS.half_budget()
+    Xc = X - X.mean(axis=0)
     pkg = AlicePackage(12, PARAMS, PrivateProjection(factor_W(X).T, half),
-                       PrivateProjection(X.T, half))
+                       sx=float(np.sum(Xc * Xc)))
     report = bob_evaluate(pkg, Y)
     omega = dcov_sq_direct(X, Y)
     s = s_hat(X, Y)
@@ -135,7 +159,8 @@ def test_report_statistics_match_package_arithmetic(package, xy):
     omega = 2.0 / n**2 * np.linalg.norm(package.proj_B.values @ Y, "fro") ** 2
     J = np.eye(n) - np.ones((n, n)) / n
     G = math.sqrt(n) * J
-    s = 4.0 / n**4 * np.linalg.norm(package.proj_X.values @ G, "fro") ** 2 * (
+    PX = _x_release(xy[0], PARAMS, 2024)
+    s = 4.0 / n**4 * np.linalg.norm(PX @ G, "fro") ** 2 * (
         n * np.linalg.norm(Y, "fro") ** 2 - np.linalg.norm(Y.sum(axis=0)) ** 2
     )
     assert report.omega_bar_sq == pytest.approx(omega, rel=1e-12)
@@ -151,7 +176,7 @@ def test_analyst_and_reference_paths_build_no_n_by_n_array():
     X = rng.standard_normal((n, 2))
     Y = rng.standard_normal((n, 2))
     pkg = alice_prepare(X, params, master_seed=5)
-    assert pkg.proj_X.rows == 14
+    assert pkg.proj_B.rows == 14
     calls = {
         "alice_prepare": lambda: alice_prepare(X, params, master_seed=5),
         "bob_evaluate": lambda: bob_evaluate(pkg, Y),
@@ -235,7 +260,7 @@ def test_round_trip_is_bit_exact(package):
     assert pkg2.n == package.n
     assert pkg2.params == package.params
     assert np.array_equal(pkg2.proj_B.values, package.proj_B.values)
-    assert np.array_equal(pkg2.proj_X.values, package.proj_X.values)
+    assert pkg2.sx == package.sx
 
 
 def test_layout_is_header_line_then_raw_payloads(package):
@@ -243,12 +268,12 @@ def test_layout_is_header_line_then_raw_payloads(package):
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
     assert head == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert doc["version"] == 2
+    assert doc["version"] == 3
+    assert sorted(doc) == ["n", "privacy", "proj_B", "sx", "version"]
+    assert doc["sx"] == package.sx
     assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12}
-    assert doc["proj_X"] == {"rows": package.proj_X.rows, "cols": 12}
-    assert len(blob) == len(head) + 1 + 8 * (package.proj_B.rows + package.proj_X.rows) * 12
-    expected = np.concatenate([package.proj_B.values.ravel(), package.proj_X.values.ravel()])
-    assert payload == expected.astype("<f8").tobytes()
+    assert len(blob) == len(head) + 1 + 8 * package.proj_B.rows * 12
+    assert payload == package.proj_B.values.astype("<f8").tobytes()
 
 
 def test_round_trip_preserves_bob_verdict(package, xy):
@@ -292,7 +317,7 @@ def test_rejects_missing_newline(package):
 
 def test_rejects_short_payload(package):
     blob = serialize_package(package)
-    for cut in (1, 8, 8 * 12 * package.proj_X.rows, len(blob) - blob.index(b"\n") - 1):
+    for cut in (1, 8, 8 * 12, len(blob) - blob.index(b"\n") - 1):
         with pytest.raises(PackageFormatError, match="expected"):
             deserialize_package(blob[:-cut])
 
@@ -304,7 +329,7 @@ def test_rejects_trailing_bytes(package):
             deserialize_package(blob + extra)
 
 
-@pytest.mark.parametrize("field", ["version", "n", "privacy", "proj_B", "proj_X"])
+@pytest.mark.parametrize("field", ["version", "n", "privacy", "proj_B", "sx"])
 def test_rejects_missing_section(package, field):
     doc = _doc(package)
     del doc[field]
@@ -314,19 +339,27 @@ def test_rejects_missing_section(package, field):
 
 def test_rejects_future_version(package):
     doc = _doc(package)
-    doc["version"] = 3
-    with pytest.raises(UnsupportedVersionError, match="version 3"):
+    doc["version"] = 4
+    with pytest.raises(UnsupportedVersionError, match="version 4"):
         deserialize_package(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
 
 
-def test_rejects_version_1_document(package):
-    """A base64-in-JSON document of format version 1 is no longer read."""
+def _two_projection_header(package, xy, version) -> tuple[dict, list[bytes]]:
+    """The header of a version 1 or 2 document, which sent P_X whole."""
     doc = _doc(package)
-    doc["version"] = 1
-    for name in ("proj_B", "proj_X"):
-        raw = getattr(package, name).values.astype("<f8").tobytes()
+    del doc["sx"]
+    doc["version"] = version
+    PX = _x_release(xy[0], PARAMS, 2024)
+    doc["proj_X"] = {"rows": PX.shape[0], "cols": PX.shape[1]}
+    return doc, [P.astype("<f8").tobytes() for P in (package.proj_B.values, PX)]
+
+
+def test_rejects_version_1_document(package, xy):
+    """A base64-in-JSON document of format version 1 is no longer read."""
+    doc, raws = _two_projection_header(package, xy, 1)
+    for name, raw in zip(("proj_B", "proj_X"), raws):
         doc[name]["data"] = base64.b64encode(raw).decode("ascii")
     v1 = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     assert b"\n" not in v1
@@ -334,9 +367,17 @@ def test_rejects_version_1_document(package):
         deserialize_package(v1)
 
 
+def test_rejects_version_2_document(package, xy):
+    """A version 2 document, a header line then both projections, is no longer read."""
+    doc, raws = _two_projection_header(package, xy, 2)
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with pytest.raises(UnsupportedVersionError, match="version 2"):
+        deserialize_package(b"".join([head, b"\n", *raws]))
+
+
 def test_rejects_non_integer_version(package):
     doc = _doc(package)
-    doc["version"] = "2"
+    doc["version"] = "3"
     _reject(package, doc)
     doc["version"] = True
     _reject(package, doc)
@@ -383,19 +424,38 @@ def test_rejects_bad_projection_sections(package):
     doc["proj_B"]["cols"] = 13  # disagrees with n
     _reject(package, doc)
     doc = _doc(package)
-    doc["proj_X"]["rows"] += 1  # disagrees with the payload length
+    doc["proj_B"]["rows"] += 1  # disagrees with the payload length
     _reject(package, doc)
     doc = _doc(package)
-    doc["proj_X"]["rows"] -= 1
+    doc["proj_B"]["rows"] -= 1
     _reject(package, doc)
     doc = _doc(package)
     doc["proj_B"] = "should be an object"
     _reject(package, doc)
 
 
+def test_rejects_bad_sx(package):
+    for bad in (True, False, None, "1.0", [1.0], {}, -1.0, -5e-324, 10**400):
+        doc = _doc(package)
+        doc["sx"] = bad
+        with pytest.raises(PackageFormatError, match="sx"):
+            deserialize_package(_wire(package, doc))
+    # json.loads reads these as NaN and infinities
+    blob = serialize_package(package)
+    good = b'"sx":' + json.dumps(package.sx).encode("ascii")
+    assert blob.count(good) == 1
+    for bad in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
+        with pytest.raises(PackageFormatError, match="sx"):
+            deserialize_package(blob.replace(good, b'"sx":' + bad))
+    for edge in (0, 0.0, 5e-324, 2**70):  # finite and >= 0, so read
+        doc = _doc(package)
+        doc["sx"] = edge
+        assert deserialize_package(_wire(package, doc)).sx == float(edge)
+
+
 def test_rejects_nan_payload(package):
     clean = serialize_package(package)
-    first, last = clean.index(b"\n") + 1, len(clean) - 8  # first proj_B and last proj_X value
+    first, last = clean.index(b"\n") + 1, len(clean) - 8  # first and last proj_B value
     for bad in (math.nan, math.inf, -math.inf):
         for at in (first, last):
             blob = bytearray(clean)
@@ -406,11 +466,11 @@ def test_rejects_nan_payload(package):
 
 def test_codec_makes_no_payload_copy():
     """Decoding returns views into the blob and encoding writes one buffer."""
-    n = 1000
+    n = 2000
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     X = np.random.default_rng(3).standard_normal((n, 2))
     pkg = alice_prepare(X, params, master_seed=8)
-    payload_bytes = 8 * n * (pkg.proj_B.rows + pkg.proj_X.rows)
+    payload_bytes = 8 * n * pkg.proj_B.rows
     assert payload_bytes > 10_000_000
     blob = serialize_package(pkg)
     peaks = {}
@@ -426,6 +486,15 @@ def test_codec_makes_no_payload_copy():
     assert peaks["serialize"] < 1.25 * payload_bytes, (peaks, payload_bytes)
 
 
+def _unaligned_wire(pkg) -> AlicePackage:
+    """``pkg`` decoded from a blob whose payload starts off an 8-byte boundary."""
+    head, _, payload = serialize_package(pkg).partition(b"\n")
+    pad = b" " if (len(head) + 1) % 8 == 0 else b""  # JSON allows the blank
+    wire = deserialize_package(head + pad + b"\n" + payload)
+    assert wire.proj_B.values.ctypes.data % 8 != 0  # BLAS needs an aligned copy
+    return wire
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:
@@ -436,7 +505,7 @@ def _peak_bytes(call):
 
 
 def test_release_and_analyst_hold_no_whole_draw():
-    """Alice holds P and one block of R; Bob holds one block of each payload."""
+    """Alice holds P_B and one block of R, never P_X; Bob holds one block."""
     n = 1000
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     rng = np.random.default_rng(3)
@@ -446,11 +515,12 @@ def test_release_and_analyst_hold_no_whole_draw():
     assert r == 738
     release_bytes = 8 * r * n
     B = factor_W(X)
-    wire = deserialize_package(serialize_package(alice_prepare(X, params, master_seed=8)))
-    assert wire.proj_B.values.ctypes.data % 8 != 0  # BLAS needs an aligned copy
+    wire = _unaligned_wire(alice_prepare(X, params, master_seed=8))
     alice = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
+    prepare = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))
     bob = _peak_bytes(lambda: bob_evaluate(wire, Y))
     assert alice < 1.25 * release_bytes, (alice, release_bytes)
+    assert prepare < 1.25 * release_bytes, (prepare, release_bytes)
     assert bob < release_bytes / 4, (bob, release_bytes)
 
 
@@ -463,15 +533,13 @@ def test_blocked_statistics_match_one_shot_formulas():
     Y = rng.standard_normal((n, 3))
     pkg = alice_prepare(X, params, master_seed=6)
     assert pkg.proj_B.rows == 267
-    wire = deserialize_package(serialize_package(pkg))
-    assert wire.proj_X.values.ctypes.data % 8 != 0
+    wire = _unaligned_wire(pkg)
+    PX = _x_release(X, params, 6)
     for p in (pkg, wire):
         PB = np.array(p.proj_B.values)
-        PX = np.array(p.proj_X.values)
         omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
-        Qc = PX - PX.mean(axis=1, keepdims=True)
         col = Y.sum(axis=0)
-        s = 4.0 / n**3 * float(np.sum(Qc * Qc)) * (n * float(np.sum(Y * Y)) - float(col @ col))
+        s = 4.0 / n**3 * _centred_sq_norm(PX) * (n * float(np.sum(Y * Y)) - float(col @ col))
         report = bob_evaluate(p, Y)
         assert report.omega_bar_sq == pytest.approx(omega, rel=1e-13)
         assert report.s_bar == pytest.approx(s, rel=1e-13)
