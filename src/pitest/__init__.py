@@ -10,31 +10,13 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .matrices import (
-    adjacency_W,
-    centering_matrix,
-    double_center,
-    factor_S,
-    factor_W,
-    laplacian_S,
-    laplacian_W,
-    pairwise_sq_dist,
-)
 from .estimators import (
-    DcovComponents,
     TestDecision,
-    complete_graph_quadratic,
-    dcov_components,
     dcov_sq_closed_form,
-    dcov_sq_direct,
-    dcov_sq_directional,
-    dcov_sq_laplacian,
-    dcov_sq_unbiased,
     decide,
     distance_correlation_sq,
     rejection_threshold,
     s_hat,
-    s_hat_directional,
     test_statistic,
 )
 from .privacy import (
@@ -50,12 +32,10 @@ from .privacy import (
     tau_mechanism,
 )
 from .bounds import (
-    DistanceSpreadCheck,
     NaiveInterval,
     aggregate_coverage_probability,
     lower_bound_ratio,
     naive_ratio_interval,
-    omega_le_s_condition,
     upper_bound_ratio,
 )
 from .protocol import (
@@ -66,6 +46,7 @@ from .protocol import (
     alice_prepare,
     bob_evaluate,
     deserialize_package,
+    factor_W,
     report_to_dict,
     serialize_package,
 )

@@ -14,6 +14,11 @@ additive ``tau`` of the truth, the private ratio
 The closed forms trade tightness for interpretability: on typical valid
 instances they are *looser* than the naive interval (they contain it),
 which is what the containment test in the suite checks.
+
+The second precondition of the lower side has a sufficient condition on the
+spread of squared pairwise distances, ``d_max <= ((n-1)/2) d_min^2`` (with
+one-hot second datasets).  Checking it visits all n^2 pairs, so it lives
+with the test suite's n^2 references in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -21,28 +26,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .matrices import pairwise_sq_dist
 
 __all__ = [
-    "DistanceSpreadCheck",
     "NaiveInterval",
     "lower_bound_ratio",
     "upper_bound_ratio",
     "aggregate_coverage_probability",
-    "omega_le_s_condition",
     "naive_ratio_interval",
 ]
-
-
-class DistanceSpreadCheck(NamedTuple):
-    """Result of the distance-spread precondition check."""
-
-    holds: bool
-    d_max: float
-    d_min: float
 
 
 def _check_eta(eta: float) -> None:
@@ -57,7 +49,7 @@ def lower_bound_ratio(ratio: float, eta: float) -> float:
 
     where ``ratio`` is the non-private value.  Valid when the non-private
     denominator exceeds ``n tau / (1 - eta)`` and the numerator statistic is
-    at most the denominator one (see :func:`omega_le_s_condition`).
+    at most the denominator one.
     """
     _check_eta(eta)
     if not (ratio >= 0.0) or not math.isfinite(ratio):
@@ -97,29 +89,6 @@ def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
             f"(m+n)*nu = {total:.6g} must be < 1 for a nontrivial probability floor"
         )
     return 1.0 - total
-
-
-def omega_le_s_condition(X) -> DistanceSpreadCheck:
-    """Check the distance-spread precondition ``d_max <= ((n-1)/2) d_min^2``.
-
-    ``d_max``/``d_min`` are the largest and smallest squared pairwise
-    distances over distinct sample pairs.  Duplicate rows give
-    ``d_min = 0`` and the condition trivially fails; a dataset with all rows
-    identical is reported as a failing degenerate case, not an error.  Under
-    this condition (with one-hot second datasets) the numerator statistic
-    cannot exceed the denominator one.
-    """
-    D = pairwise_sq_dist(X)
-    n = D.shape[0]
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {n}")
-    off_diag = D[~np.eye(n, dtype=bool)]
-    d_max = float(off_diag.max())
-    d_min = float(off_diag.min())
-    if d_max == 0.0:  # all rows identical
-        return DistanceSpreadCheck(holds=False, d_max=0.0, d_min=0.0)
-    holds = d_max <= (n - 1) / 2.0 * d_min**2
-    return DistanceSpreadCheck(holds=bool(holds), d_max=d_max, d_min=d_min)
 
 
 class NaiveInterval(NamedTuple):

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bob = sub.add_parser("bob", help="evaluate a package against the analyst's Y")
     p_bob.add_argument("--package", required=True,
-                       help="package file written by 'pi-test alice' (format version 2)")
+                       help="package file written by 'pi-test alice'")
     p_bob.add_argument("--input", required=True, help="CSV file with Y (rows = samples)")
     p_bob.add_argument("--header", action="store_true", help="skip the first CSV line")
     p_bob.add_argument("--alpha", type=_unit_open_float, default=0.05,

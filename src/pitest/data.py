@@ -1,4 +1,4 @@
-"""Dataset ingestion and synthetic data generation for the CLI and scripts."""
+"""Dataset ingestion, sample-matrix validation and synthetic data generation."""
 
 from __future__ import annotations
 
@@ -7,9 +7,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvParseError, InvalidInputError
+from .errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
 
 __all__ = ["load_csv", "save_csv", "synthetic_pair"]
+
+
+def _as_2d(X, name: str) -> np.ndarray:
+    """Coerce to a non-empty 2-D float64 array with rows as samples."""
+    A = np.asarray(X, dtype=np.float64)
+    if A.ndim == 1:
+        A = A[:, None]
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ShapeError(f"{name} must be a non-empty 2-D sample matrix, got shape {A.shape}")
+    return A
+
+
+def _as_sample_matrix(X, name: str = "X", min_rows: int = 1) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array with rows as samples."""
+    A = _as_2d(X, name)
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    if A.shape[0] < min_rows:
+        raise InsufficientSamplesError(
+            f"{name} has {A.shape[0]} sample(s); at least {min_rows} required"
+        )
+    return A
 
 
 def load_csv(path, has_header: bool = False) -> np.ndarray:

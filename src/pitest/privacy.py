@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
-from .matrices import _block_height, _row_blocks
 
 __all__ = [
     "PrivacyParams",
@@ -65,6 +65,25 @@ __all__ = [
     "private_directional_variance",
     "private_sum_directional_variances",
 ]
+
+
+# Entries of float64 per row block (256 KiB): every pass over a block stays in
+# cache, and a GEMM against a thin factor stays below OpenBLAS's threading
+# threshold.  Measured on run_sweep: 2**13 pays per-block Python overhead,
+# 2**19 crosses the threshold again.
+_BLOCK_FLOATS = 2**15
+
+
+def _block_height(width: int) -> int:
+    """Rows per block of a ``width``-column float64 array."""
+    return max(1, _BLOCK_FLOATS // width)
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices covering ``range(rows)`` in blocks of ``_block_height(width)`` rows."""
+    h = _block_height(width)
+    for i in range(0, rows, h):
+        yield slice(i, min(i + h, rows))
 
 
 @dataclass(frozen=True)
@@ -176,17 +195,6 @@ class PrivateProjection:
         return self.values.shape[1]
 
 
-def _as_factor(F) -> np.ndarray:
-    A = np.asarray(F, dtype=np.float64)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != 2 or A.shape[0] < 2:
-        raise ShapeError(f"factor must be 2-D with at least 2 rows, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("factor contains non-finite entries")
-    return A
-
-
 def _release_blocks(A: np.ndarray, p: PrivacyParams, seed: int, P: np.ndarray | None = None):
     """Yield the release ``(R_1 A^T + w R_2) / sqrt(r)`` one row block at a time.
 
@@ -229,7 +237,7 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``,
         one row block of ``R`` at a time: only ``P`` and one block are held.
     """
-    A = _as_factor(F)
+    A = _as_sample_matrix(F, "factor", min_rows=2)
     P = np.empty((jl_params(p).r, A.shape[0]))
     for _ in _release_blocks(A, p, seed, P):
         pass  # each block is written into its rows of P
@@ -246,7 +254,7 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     ``||P J||_F^2`` for the centering matrix ``J``.
     """
     total = 0.0
-    for block in _release_blocks(_as_factor(F), p, seed):
+    for block in _release_blocks(_as_sample_matrix(F, "factor", min_rows=2), p, seed):
         block -= block.mean(axis=1, keepdims=True)
         total += float(np.sum(block * block))
     return total

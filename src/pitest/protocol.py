@@ -18,10 +18,12 @@ Roles:
   private statistics
 
       omega_bar_sq = (2/n^2) * sum_i ||P_B y_i||^2           (columns of Y)
-      s_bar        = (4/n^3) * sx * Tr(Y^T L_S Y)
+      s_bar        = (4/n^3) * sx * n ||Yc||_F^2
 
   (the second is ``(4/n^4) ||P_X G||_F^2 Tr(Y^T L_S Y)`` with
-  ``G = sqrt(n) J`` the complete-graph factor, never formed), forms
+  ``G = sqrt(n) J`` the complete-graph factor, never formed, and
+  ``Tr(Y^T L_S Y) = n ||Yc||_F^2`` for the column-centered ``Yc``, which
+  keeps its precision when ``Y`` has a large mean), forms
   ``Gamma = n * omega_bar_sq / s_bar``, and applies the rejection rule.
   Nothing flows back, so the release's privacy guarantee is preserved under
   this post-processing.
@@ -53,12 +55,8 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .estimators import (
-    _complete_graph_quadratic,
-    rejection_threshold,
-    test_statistic,
-)
-from .matrices import _as_sample_matrix, factor_W
+from .data import _as_sample_matrix
+from .estimators import _centered, rejection_threshold, test_statistic
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
@@ -79,6 +77,7 @@ __all__ = [
     "AlicePackage",
     "BoundsReport",
     "TestReport",
+    "factor_W",
     "alice_prepare",
     "bob_evaluate",
     "serialize_package",
@@ -100,7 +99,6 @@ class AlicePackage:
     params: PrivacyParams  # total budget; each release spent half
     proj_B: PrivateProjection
     sx: float
-    version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         if self.proj_B.n != self.n:
@@ -143,6 +141,17 @@ class TestReport:
     degenerate: bool
     n: int
     m: int
+
+
+def factor_W(X) -> np.ndarray:
+    """Analytic factor ``B`` of the centered-distance Laplacian ``L = B B^T``.
+
+    ``B = sqrt(2) * (X - column means)``: an n x d matrix, exact in O(nd)
+    with no eigendecomposition, since ``L = -J E J = 2 J X X^T J`` for the
+    squared-distance matrix ``E`` of ``X``.
+    """
+    A = _as_sample_matrix(X, min_rows=2)
+    return np.sqrt(2.0) * (A - A.mean(axis=0, keepdims=True))
 
 
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
@@ -202,7 +211,8 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     threshold = rejection_threshold(alpha)
 
     omega_bar_sq = 2.0 / n**2 * private_sum_directional_variances(pkg.proj_B, Ym)
-    s_bar = 4.0 / n**3 * pkg.sx * _complete_graph_quadratic(Ym)
+    Yc = _centered(Ym)
+    s_bar = 4.0 / n**3 * pkg.sx * (n * float(np.sum(Yc * Yc)))
 
     if not (s_bar > 0.0):
         return TestReport(
@@ -268,7 +278,7 @@ def serialize_package(pkg: AlicePackage) -> bytes:
     """
     payload = np.ascontiguousarray(pkg.proj_B.values, dtype="<f8")
     header = {
-        "version": pkg.version,
+        "version": FORMAT_VERSION,
         "n": pkg.n,
         "privacy": {
             "epsilon": pkg.params.epsilon,
@@ -386,7 +396,7 @@ def deserialize_package(data: bytes) -> AlicePackage:
     except InvalidInputError as exc:
         raise PackageFormatError("section 'proj_B': payload contains NaN or infinite entries") from exc
     try:
-        return AlicePackage(n=n, params=params, proj_B=proj_B, sx=sx, version=version)
+        return AlicePackage(n=n, params=params, proj_B=proj_B, sx=sx)
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid package: {exc}") from exc
 

@@ -1,0 +1,260 @@
+"""Vectorised n x n reference formulations used only by the test suite.
+
+With squared distances the package evaluates one closed form,
+``Gamma = n ||Xc^T Yc||_F^2 / (||Xc||_F^2 ||Yc||_F^2)``.  The routes it was
+derived from (Szekely, Rizzo & Bakirov, 2007) build n x n distance matrices,
+Laplacians and the centering matrix; they are kept here as references that
+the tests compare the closed forms against, next to the pure-Python loops
+of ``oracles.py``.  They validate their inputs with the package's own
+private helpers, so they accept and reject exactly what the package does.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from pitest.data import _as_2d, _as_sample_matrix
+from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
+from pitest.estimators import _centered, _paired_matrices
+
+
+def pairwise_sq_dist(X) -> np.ndarray:
+    """Matrix of squared Euclidean distances between rows of ``X``.
+
+    Returns the n x n matrix with entries
+
+    .. math:: a_{ij} = \\lVert x_i - x_j \\rVert^2,
+
+    computed from explicit coordinate differences (not the Gram-matrix
+    shortcut), so the result is exactly symmetric with an exactly zero
+    diagonal and no negative round-off.
+    """
+    A = _as_sample_matrix(X)
+    diff = A[:, None, :] - A[None, :, :]  # (n, n, d)
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def double_center(M) -> np.ndarray:
+    """Apply the double-centering map ``M -> J M J``.
+
+    ``J = I - (1/n) e e^T`` removes row means, column means and restores the
+    grand mean:
+
+    .. math:: (JMJ)_{ij} = M_{ij} - \\bar{M}_{i\\cdot} - \\bar{M}_{\\cdot j} + \\bar{M}_{\\cdot\\cdot}
+
+    The product is evaluated in this mean-subtraction form; ``e e^T`` is never
+    materialized.
+    """
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"double_center expects a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("double_center: input contains non-finite entries")
+    row = A.mean(axis=1, keepdims=True)
+    col = A.mean(axis=0, keepdims=True)
+    grand = A.mean()
+    return A - row - col + grand
+
+
+def centering_matrix(n: int) -> np.ndarray:
+    """The n x n centering matrix ``J = I - (1/n) e e^T``."""
+    if n < 1:
+        raise InvalidInputError(f"centering_matrix requires n >= 1, got {n}")
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def adjacency_W(X) -> np.ndarray:
+    """Centered squared-distance adjacency ``W = J E J``.
+
+    ``E`` is the squared-distance matrix of ``X``.  Because ``J e = 0``,
+    every row and column of ``W`` sums to zero.
+    """
+    A = _as_sample_matrix(X, min_rows=2)
+    return double_center(pairwise_sq_dist(A))
+
+
+def laplacian_W(X) -> np.ndarray:
+    """Graph Laplacian ``L = D(W) - W`` of the centered-distance adjacency.
+
+    The degree matrix ``D(W)`` (diagonal of row sums) vanishes identically
+    because ``W``'s rows sum to zero, so ``L = -W``; the degrees are still
+    computed and checked against a scale-aware zero tolerance so that a
+    regression in the centering is caught here rather than downstream.  The
+    result is positive semi-definite and equals ``2 J X X^T J``.
+    """
+    W = adjacency_W(X)
+    n = W.shape[0]
+    degrees = W.sum(axis=1)
+    tol = 1e-9 * max(1.0, n * float(np.max(np.abs(W), initial=0.0)))
+    if np.max(np.abs(degrees), initial=0.0) > tol:
+        raise AssertionError(
+            "degrees of the centered adjacency must vanish; centering is broken "
+            f"(max |degree| = {np.max(np.abs(degrees)):.3e}, tolerance {tol:.3e})"
+        )
+    return np.diag(degrees) - W
+
+
+def laplacian_S(n: int) -> np.ndarray:
+    """Complete-graph Laplacian ``n I - e e^T`` on ``n`` vertices.
+
+    Its eigenvalues are 0 (once) and ``n`` (with multiplicity ``n - 1``).
+    """
+    if n < 2:
+        raise InvalidInputError(f"laplacian_S requires n >= 2, got {n}")
+    return n * np.eye(n) - np.ones((n, n))
+
+
+def factor_S(n: int) -> np.ndarray:
+    """Factor ``G = sqrt(n) * J`` with ``G G^T = laplacian_S(n)``.
+
+    ``G`` is n x n of rank ``n - 1`` (n - 1 singular values equal
+    ``sqrt(n)``, one equals 0).
+    """
+    if n < 2:
+        raise InvalidInputError(f"factor_S requires n >= 2, got {n}")
+    return np.sqrt(n) * centering_matrix(n)
+
+
+class DcovComponents(NamedTuple):
+    """The three double-sum components R-hat, S-hat, T-hat."""
+
+    r_hat: float
+    s_hat: float
+    t_hat: float
+
+
+def dcov_components(X, Y) -> DcovComponents:
+    """R-hat, S-hat, T-hat of the double-sum decomposition (see module docs)."""
+    A, B = _paired_matrices(X, Y)
+    n = A.shape[0]
+    a = pairwise_sq_dist(A)
+    b = pairwise_sq_dist(B)
+    r_hat = float(np.sum(a * b)) / n**2
+    s_hat_ = float(np.sum(a)) / n**2 * (float(np.sum(b)) / n**2)
+    t_hat = float(a.sum(axis=1) @ b.sum(axis=1)) / n**3
+    return DcovComponents(r_hat, s_hat_, t_hat)
+
+
+def dcov_sq_direct(X, Y) -> float:
+    """Squared dependence statistic via the double-sum form R + S - 2T."""
+    r_hat, s_hat_, t_hat = dcov_components(X, Y)
+    return r_hat + s_hat_ - 2.0 * t_hat
+
+
+def dcov_sq_laplacian(X, Y) -> float:
+    """Squared dependence statistic as ``(2/n^2) Tr(Y^T L Y)``.
+
+    ``L`` is the centered-distance Laplacian of ``X``.  The value is
+    symmetric in the arguments: swapping the roles of ``X`` and ``Y``
+    yields the same number up to round-off.
+    """
+    A, B = _paired_matrices(X, Y)
+    n = A.shape[0]
+    L = laplacian_W(A)
+    return 2.0 / n**2 * float(np.sum(B * (L @ B)))
+
+
+def dcov_sq_directional(B_factor, Y) -> float:
+    """Squared dependence statistic from a factor of the Laplacian.
+
+    Given ``B`` with ``B B^T = L`` (from :func:`pitest.protocol.factor_W`),
+    returns ``(2/n^2) * sum_i ||B^T y_i||^2`` over the columns ``y_i`` of
+    ``Y`` — a sum of directional variance queries against ``B B^T``, which
+    is exactly the form a released projection can answer.
+    """
+    Bf = _as_sample_matrix(B_factor, "B_factor")
+    Ym = _as_sample_matrix(Y, "Y")
+    if Bf.shape[0] != Ym.shape[0]:
+        raise ShapeError(
+            f"factor and Y must have the same row count, got {Bf.shape[0]} and {Ym.shape[0]}"
+        )
+    n = Bf.shape[0]
+    M = Bf.T @ Ym  # (k, m)
+    return 2.0 / n**2 * float(np.sum(M * M))
+
+
+def dcov_sq_unbiased(X, Y) -> float:
+    """Unbiased (U-statistic) estimator of the squared dependence.
+
+    .. math::
+
+        \\frac{1}{n(n-3)}\\sum_{i \\ne j} a_{ij} b_{ij}
+        - \\frac{2}{n(n-2)(n-3)}\\sum_{i} a_{i\\cdot} b_{i\\cdot}
+        + \\frac{a_{\\cdot\\cdot} b_{\\cdot\\cdot}}{n(n-1)(n-2)(n-3)}
+
+    where ``a_i.`` are row sums and ``a..`` the grand sum.  May be negative.
+    Provided for cross-checks; the protocol itself uses the biased
+    V-statistic forms.
+    """
+    A, B = _paired_matrices(X, Y)
+    n = A.shape[0]
+    if n < 4:
+        raise InsufficientSamplesError(f"unbiased estimator requires n >= 4, got n = {n}")
+    a = pairwise_sq_dist(A)
+    b = pairwise_sq_dist(B)
+    a_row = a.sum(axis=1)
+    b_row = b.sum(axis=1)
+    a_tot = float(a.sum())
+    b_tot = float(b.sum())
+    term1 = float(np.sum(a * b)) / (n * (n - 3))  # diagonals are zero, so i != j is free
+    term2 = 2.0 * float(a_row @ b_row) / (n * (n - 2) * (n - 3))
+    term3 = a_tot * b_tot / (n * (n - 1) * (n - 2) * (n - 3))
+    return term1 - term2 + term3
+
+
+def s_hat_directional(Q, Y) -> float:
+    """Denominator statistic from directional variance queries.
+
+    ``Q`` is a (q, n) array whose Gram ``Q^T Q`` stands for ``X X^T``:
+    ``X.T`` for the non-private value, a released projection's ``values``
+    for the private one.  The statistic is
+    ``(4/n^4) * ||Q G||_F^2 * Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
+    complete-graph factor; since ``||Q G||_F^2 = n ||Q - row means||_F^2``,
+    it is evaluated as ``(4/n^3) * ||Q - row means||_F^2 * Tr(Y^T L_S Y)``
+    without forming ``G``, and ``Tr(Y^T L_S Y)`` as ``n ||Yc||_F^2`` from the
+    column-centered ``Yc``.  The protocol does not call this: the data holder
+    sends ``||P_X - row means||_F^2`` itself, reduced as ``P_X`` is drawn.
+    """
+    Qm = _as_2d(Q, "Q")
+    Ym = _as_sample_matrix(Y, "Y")
+    n = Ym.shape[0]
+    if Qm.shape[1] != n:
+        raise ShapeError(f"Q answers queries of length {Qm.shape[1]}, but Y has {n} rows")
+    if not np.all(np.isfinite(Qm)):
+        raise InvalidInputError("Q contains non-finite entries")
+    Qc = Qm - Qm.mean(axis=1, keepdims=True)
+    Yc = _centered(Ym)
+    return 4.0 / n**3 * float(np.sum(Qc * Qc)) * (n * float(np.sum(Yc * Yc)))
+
+
+class DistanceSpreadCheck(NamedTuple):
+    """Result of the distance-spread precondition check."""
+
+    holds: bool
+    d_max: float
+    d_min: float
+
+
+def omega_le_s_condition(X) -> DistanceSpreadCheck:
+    """Check the distance-spread precondition ``d_max <= ((n-1)/2) d_min^2``.
+
+    ``d_max``/``d_min`` are the largest and smallest squared pairwise
+    distances over distinct sample pairs.  Duplicate rows give
+    ``d_min = 0`` and the condition trivially fails; a dataset with all rows
+    identical is reported as a failing degenerate case, not an error.  Under
+    this condition (with one-hot second datasets) the numerator statistic
+    cannot exceed the denominator one.
+    """
+    D = pairwise_sq_dist(X)
+    n = D.shape[0]
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 samples, got {n}")
+    off_diag = D[~np.eye(n, dtype=bool)]
+    d_max = float(off_diag.max())
+    d_min = float(off_diag.min())
+    if d_max == 0.0:  # all rows identical
+        return DistanceSpreadCheck(holds=False, d_max=0.0, d_min=0.0)
+    holds = d_max <= (n - 1) / 2.0 * d_min**2
+    return DistanceSpreadCheck(holds=bool(holds), d_max=d_max, d_min=d_min)

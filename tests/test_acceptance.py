@@ -13,12 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from pitest.bounds import lower_bound_ratio, omega_le_s_condition, upper_bound_ratio
+from pitest.bounds import lower_bound_ratio, upper_bound_ratio
 from pitest.cli import main as cli_main
 from pitest.data import save_csv, synthetic_pair
 from pitest.errors import PackageFormatError
-from pitest.estimators import dcov_sq_direct, dcov_sq_directional, dcov_sq_laplacian, decide, s_hat
-from pitest.matrices import centering_matrix, factor_S, factor_W, laplacian_S, pairwise_sq_dist
+from pitest.estimators import decide, s_hat
 from pitest.privacy import (
     PrivacyParams,
     jl_params,
@@ -26,9 +25,19 @@ from pitest.privacy import (
     privatize_covariance,
     tau_mechanism,
 )
-from pitest.protocol import alice_prepare, bob_evaluate, deserialize_package, serialize_package
+from pitest.protocol import alice_prepare, bob_evaluate, deserialize_package, factor_W, serialize_package
 
 from oracles import oracle_dcov_double_sum
+from reference import (
+    centering_matrix,
+    dcov_sq_direct,
+    dcov_sq_directional,
+    dcov_sq_laplacian,
+    factor_S,
+    laplacian_S,
+    omega_le_s_condition,
+    pairwise_sq_dist,
+)
 
 REL_TOL_EQUIV = 1e-9          # criteria 1 and 3: estimator formulation agreement
 N_EQUIV_INSTANCES = 200       # criteria 1-3: random instances per identity

@@ -12,27 +12,32 @@ from pitest.errors import (
     ShapeError,
 )
 from pitest.estimators import (
-    dcov_components,
     dcov_sq_closed_form,
-    dcov_sq_direct,
-    dcov_sq_directional,
-    dcov_sq_laplacian,
-    dcov_sq_unbiased,
     decide,
     distance_correlation_sq,
     rejection_threshold,
     s_hat,
-    s_hat_directional,
     test_statistic as gamma_statistic,
 )
-from pitest.matrices import factor_S, factor_W, laplacian_S, laplacian_W
 from pitest.privacy import PrivacyParams, privatize_covariance
+from pitest.protocol import factor_W
 
 from oracles import (
     oracle_dcov_double_sum,
     oracle_dcov_rst,
     oracle_normal_quantile,
     oracle_unbiased_dcov,
+)
+from reference import (
+    dcov_components,
+    dcov_sq_direct,
+    dcov_sq_directional,
+    dcov_sq_laplacian,
+    dcov_sq_unbiased,
+    factor_S,
+    laplacian_S,
+    laplacian_W,
+    s_hat_directional,
 )
 
 
@@ -305,6 +310,8 @@ def test_distance_correlation_in_unit_interval():
     X, Y = random_pair(9, 25, 2, 2)
     value = distance_correlation_sq(X, Y)
     assert 0.0 <= value <= 1.0
+    via_n2 = dcov_sq_direct(X, Y) / math.sqrt(dcov_sq_direct(X, X) * dcov_sq_direct(Y, Y))
+    assert rel_close(value, via_n2, tol=1e-9)
 
 
 # ---------------------------------------------------------------- structural properties

@@ -4,18 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pitest.errors import InsufficientSamplesError, InvalidInputError
-from pitest.matrices import (
+from pitest.protocol import factor_W
+
+from oracles import oracle_double_center_triple, oracle_pairwise_sq_dist
+from reference import (
     adjacency_W,
     centering_matrix,
     double_center,
     factor_S,
-    factor_W,
     laplacian_S,
     laplacian_W,
     pairwise_sq_dist,
 )
-
-from oracles import oracle_double_center_triple, oracle_pairwise_sq_dist
 
 
 def random_matrix(seed, n, d):

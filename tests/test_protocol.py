@@ -16,12 +16,9 @@ from pitest.errors import (
 )
 from pitest.estimators import (
     dcov_sq_closed_form,
-    dcov_sq_direct,
-    dcov_sq_directional,
     s_hat,
     test_statistic as gamma_statistic,
 )
-from pitest.matrices import factor_W
 from pitest.privacy import (
     PrivacyParams,
     PrivateProjection,
@@ -34,9 +31,12 @@ from pitest.protocol import (
     alice_prepare,
     bob_evaluate,
     deserialize_package,
+    factor_W,
     report_to_dict,
     serialize_package,
 )
+
+from reference import dcov_sq_direct, dcov_sq_directional
 
 # cheap parameters: per-release r = ceil(8 ln 4 / 0.25) = 45 rows
 PARAMS = PrivacyParams(epsilon=10.0, delta=0.01, eta=0.5, nu=0.5)
@@ -122,6 +122,18 @@ def test_identity_hook_reproduces_nonprivate_statistics(xy):
     assert report.s_bar == pytest.approx(s, rel=1e-9)
     assert report.statistic == pytest.approx(gamma_statistic(omega, s, 12), rel=1e-9)
     assert not report.degenerate
+
+
+def test_s_bar_keeps_precision_under_large_y_mean(xy):
+    X, Y = xy
+    half = PARAMS.half_budget()
+    Xc = X - X.mean(axis=0)
+    pkg = AlicePackage(12, PARAMS, PrivateProjection(factor_W(X).T, half),
+                       sx=float(np.sum(Xc * Xc)))
+    for shift in (1e8, -1e9):
+        report = bob_evaluate(pkg, Y + shift)
+        assert report.s_bar == pytest.approx(s_hat(X, Y + shift), rel=1e-6)
+        assert not report.degenerate
 
 
 def test_bob_is_deterministic_and_does_not_touch_inputs(package, xy):
