@@ -25,19 +25,12 @@ from .privacy import (
     PrivateProjection,
     jl_params,
     private_centered_sq_norm,
-    private_directional_variance,
     private_sum_directional_variances,
     privatize_covariance,
     tau,
     tau_mechanism,
 )
-from .bounds import (
-    NaiveInterval,
-    aggregate_coverage_probability,
-    lower_bound_ratio,
-    naive_ratio_interval,
-    upper_bound_ratio,
-)
+from .bounds import aggregate_coverage_probability, lower_bound_ratio, upper_bound_ratio
 from .protocol import (
     FORMAT_VERSION,
     AlicePackage,

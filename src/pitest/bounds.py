@@ -3,17 +3,16 @@
 When each released answer is within multiplicative ``1 +/- eta`` and
 additive ``tau`` of the truth, the private ratio
 :math:`\\bar{\\Omega}^2 / \\bar{S}` is sandwiched around the non-private
-:math:`\\hat{\\Omega}^2 / \\hat{S}`.  Two flavors are provided:
-
-- a *naive* interval obtained by separately bounding the numerator and
-  denominator and dividing,
-- closed-form lower/upper transforms of the non-private ratio, valid when
-  the denominator stays above ``n tau / (1 - eta)`` and (for the lower
-  side) the numerator statistic does not exceed the denominator one.
+:math:`\\hat{\\Omega}^2 / \\hat{S}` by closed-form lower/upper transforms of
+the non-private ratio, valid when the denominator stays above
+``n tau / (1 - eta)`` and (for the lower side) the numerator statistic does
+not exceed the denominator one.
 
 The closed forms trade tightness for interpretability: on typical valid
-instances they are *looser* than the naive interval (they contain it),
-which is what the containment test in the suite checks.
+instances they are *looser* than the naive interval that bounds the
+numerator and denominator separately and divides (they contain it).  That
+interval is the containment test's reference and lives in
+``tests/reference.py``.
 
 The second precondition of the lower side has a sufficient condition on the
 spread of squared pairwise distances, ``d_max <= ((n-1)/2) d_min^2`` (with
@@ -24,16 +23,13 @@ with the test suite's n^2 references in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import InvalidInputError
 
 __all__ = [
-    "NaiveInterval",
     "lower_bound_ratio",
     "upper_bound_ratio",
     "aggregate_coverage_probability",
-    "naive_ratio_interval",
 ]
 
 
@@ -89,34 +85,3 @@ def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
             f"(m+n)*nu = {total:.6g} must be < 1 for a nontrivial probability floor"
         )
     return 1.0 - total
-
-
-class NaiveInterval(NamedTuple):
-    """Naive two-sided ratio interval; ``upper`` is ``inf`` when the
-    denominator's lower bound is not positive."""
-
-    lower: float
-    upper: float
-
-
-def naive_ratio_interval(
-    omega_lo: float, omega_hi: float, s_lo: float, s_hi: float
-) -> NaiveInterval:
-    """Divide component bounds: numerator in [omega_lo, omega_hi],
-    denominator in [s_lo, s_hi].
-
-    Returns ``(omega_lo / s_hi, omega_hi / s_lo)``.  With the standard
-    components this is
-
-    (((1-eta) W - m tau) / ((1+eta) S + n tau),
-     ((1+eta) W + m tau) / ((1-eta) S - n tau))
-
-    for numerator statistic ``W`` and denominator statistic ``S``.  When
-    ``s_lo <= 0`` the upper end is ``+inf`` (the sentinel doubles as the
-    flag); ``s_hi`` must be positive.
-    """
-    if not (s_hi > 0.0):
-        raise InvalidInputError(f"denominator upper bound must be positive, got {s_hi}")
-    lower = omega_lo / s_hi
-    upper = math.inf if s_lo <= 0.0 else omega_hi / s_lo
-    return NaiveInterval(lower, upper)

@@ -24,6 +24,7 @@ from .errors import InvalidInputError, PiTestError
 from .estimators import dcov_sq_closed_form, decide, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau, tau_mechanism
+from .protocol import _privacy_section
 from .protocol import alice_prepare, bob_evaluate, deserialize_package, report_to_dict, serialize_package
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
@@ -189,13 +190,7 @@ def _cmd_bob(args) -> int:
     Y = load_csv(args.input, has_header=args.header)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
     doc = report_to_dict(report)
-    doc["privacy"] = {
-        "epsilon": package.params.epsilon,
-        "delta": package.params.delta,
-        "eta": package.params.eta,
-        "nu": package.params.nu,
-        "split": "half-half",
-    }
+    doc["privacy"] = _privacy_section(package.params)
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(f"wrote report: {args.report}")
@@ -258,8 +253,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.replications < 1:
-        raise InvalidInputError(f"--replications must be >= 1, got {args.replications}")
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
     cfg = SweepConfig(

@@ -26,9 +26,11 @@ For any query direction ``y``,
 
     E ||P y||^2 = y^T F F^T y + w^2 ||y||^2,
 
-and with ``r`` rows the answer concentrates within a multiplicative
-``1 +/- eta`` of that mean with failure probability ``nu`` per query.
-The parameters are
+and ``private_sum_directional_variances`` answers the sum of these queries
+over the columns of a matrix; a single query is its one-column case.
+With ``r`` rows each answer concentrates within a multiplicative
+``1 +/- eta`` of its mean with failure probability ``nu`` per query.  The
+parameters are
 
     r = ceil(8 ln(2/nu) / eta^2),
     w = (16 sqrt(r ln(2/delta)) / epsilon) * ln(16 r / delta),
@@ -62,7 +64,6 @@ __all__ = [
     "tau_mechanism",
     "privatize_covariance",
     "private_centered_sq_norm",
-    "private_directional_variance",
     "private_sum_directional_variances",
 ]
 
@@ -128,9 +129,14 @@ class JlParams(NamedTuple):
 def jl_params(p: PrivacyParams) -> JlParams:
     """Compute (r, w) from the privacy/accuracy parameters.
 
-    ``r`` is rounded up to an integer row count.
+    ``r`` is rounded up to an integer row count.  Raises InvalidInputError
+    when either is not a finite positive number, e.g. for an ``eta`` so
+    small that ``eta^2`` underflows.
     """
-    r = math.ceil(8.0 * math.log(2.0 / p.nu) / p.eta**2)
+    try:
+        r = math.ceil(8.0 * math.log(2.0 / p.nu) / p.eta**2)
+    except (ZeroDivisionError, OverflowError):  # eta^2 underflows, or the quotient overflows
+        raise InvalidInputError(f"eta = {p.eta!r} is too small for a row count") from None
     w = 16.0 * math.sqrt(r * math.log(2.0 / p.delta)) / p.epsilon * math.log(16.0 * r / p.delta)
     if not (r >= 1 and math.isfinite(w) and w > 0.0):
         raise InvalidInputError(f"degenerate projection parameters r={r}, w={w}")
@@ -169,15 +175,16 @@ def tau_mechanism(p: PrivacyParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PrivateProjection:
-    """A released projection ``P`` of shape (r, n).
+    """A released projection ``P``: a finite array of shape (r, n).
 
     Answers directional variance queries ``||P y||^2`` approximating
-    ``y^T F F^T y + w^2 ||y||^2``.  The generator seed is not kept: with it,
-    anyone could regenerate ``R`` and recover the factor.
+    ``y^T F F^T y + w^2 ||y||^2``.  It does not keep the parameters it was
+    released under; its holder does (a package keeps its total budget).
+    The generator seed is not kept either: with it, anyone could regenerate
+    ``R`` and recover the factor.
     """
 
     values: np.ndarray
-    params: PrivacyParams
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -241,7 +248,7 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     P = np.empty((jl_params(p).r, A.shape[0]))
     for _ in _release_blocks(A, p, seed, P):
         pass  # each block is written into its rows of P
-    return PrivateProjection(values=P, params=p)
+    return PrivateProjection(values=P)
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
@@ -260,29 +267,13 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     return total
 
 
-def _query_matrix(y, n: int) -> np.ndarray:
-    v = np.asarray(y, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != n:
-        raise ShapeError(f"query direction must be a vector of length {n}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("query direction contains non-finite entries")
-    return v
-
-
-def private_directional_variance(P: PrivateProjection, y) -> float:
-    """Answer one directional variance query: ``||P y||^2``.
-
-    Non-unit directions are answered as asked; the value scales as
-    ``||y||^2``, so callers normalize when the unit-direction convention
-    matters.
-    """
-    v = _query_matrix(y, P.n)
-    z = P.values @ v
-    return float(z @ z)
-
-
 def private_sum_directional_variances(P: PrivateProjection, V) -> float:
-    """Sum of query answers over the columns of ``V``: ``||P V||_F^2``."""
+    """Sum of query answers over the columns of ``V``: ``||P V||_F^2``.
+
+    A vector ``V`` is one query ``y``, answered as ``||P y||^2``.  Non-unit
+    directions are answered as asked; the value scales as ``||y||^2``, so
+    callers normalize when the unit-direction convention matters.
+    """
     M = np.asarray(V, dtype=np.float64)
     if M.ndim == 1:
         M = M[:, None]

@@ -11,9 +11,9 @@ Roles:
   n x n array.  Of ``P_X`` the analyst needs one number,
   ``sx = ||P_X - row means||_F^2``, so Alice reduces ``P_X`` to it block by
   block as it is drawn and never holds it whole; sending ``sx`` in place of
-  ``P_X`` is post-processing of the same release.  The package of ``P_B``,
-  ``sx`` and the sample count is all that ever leaves her side; the release
-  seeds do not.
+  ``P_X`` is post-processing of the same release.  The package of the
+  total budget, ``P_B`` and ``sx`` is all that ever leaves her side (the
+  sample count is the width of ``P_B``); the release seeds do not.
 - The *analyst* (Bob) owns ``Y``.  From the package alone he evaluates the
   private statistics
 
@@ -32,8 +32,11 @@ Wire format (version 3): one line of canonical UTF-8 JSON (sorted keys,
 compact separators) holding ``version``, ``n``, ``privacy``, ``sx`` (a
 finite number >= 0) and the ``rows``/``cols`` of the ``proj_B`` section,
 then one newline byte, then the ``proj_B`` payload as raw little-endian
-IEEE-754 binary64 values in row-major order.  The blob is exactly the
-header, the newline and ``8 * rows * cols`` bytes long; ``sx`` is written
+IEEE-754 binary64 values in row-major order.  ``rows`` must be the ``r``
+that the ``privacy`` fields imply for one release and ``cols`` must be
+``n``, so the payload is the release whose bounds the analyst reports.
+The blob is exactly the header, the newline and ``8 * rows * cols`` bytes
+long; ``sx`` is written
 as the shortest decimal that reads back to the same float, so round-trips
 are bit-exact and equal packages are equal bytes.  The payload starts
 right after the header, at an offset that need not be a multiple of 8; the
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from .estimators import _centered, rejection_threshold, test_statistic
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
+    jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
@@ -86,23 +90,27 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 3
+_SPLIT = "half-half"  # the budget split over the two releases
 
 
 @dataclass(frozen=True, eq=False)
 class AlicePackage:
-    """Everything the data holder sends: a projection, a scalar and the metadata.
+    """Everything the data holder sends: the budget, a projection and a scalar.
 
-    ``sx`` is ``||P_X - row means||_F^2`` of the release for ``X X^T``.
+    ``params`` is the total budget; each release spent ``params.half_budget()``.
+    ``sx`` is ``||P_X - row means||_F^2`` of the release for ``X X^T``.  The
+    sample count is the projection's width, so it is not stored again.
     """
 
-    n: int
-    params: PrivacyParams  # total budget; each release spent half
+    params: PrivacyParams
     proj_B: PrivateProjection
     sx: float
 
+    @property
+    def n(self) -> int:
+        return self.proj_B.n
+
     def __post_init__(self) -> None:
-        if self.proj_B.n != self.n:
-            raise ShapeError(f"projection width {self.proj_B.n} must equal n = {self.n}")
         if not (math.isfinite(self.sx) and self.sx >= 0.0):
             raise InvalidInputError(f"sx must be a finite number >= 0, got {self.sx!r}")
 
@@ -182,7 +190,7 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     per_release = p.half_budget()
     proj_B = privatize_covariance(B, per_release, int(seeds[0]))
     sx = private_centered_sq_norm(A, per_release, int(seeds[1]))
-    return AlicePackage(n=A.shape[0], params=p, proj_B=proj_B, sx=sx)
+    return AlicePackage(params=p, proj_B=proj_B, sx=sx)
 
 
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
@@ -231,7 +239,7 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     statistic = test_statistic(omega_bar_sq, s_bar, n)
     reject = statistic > threshold
 
-    per_release = pkg.proj_B.params
+    per_release = pkg.params.half_budget()
     eta = per_release.eta
     tau_used = tau_mechanism(per_release)
     ratio = omega_bar_sq / s_bar
@@ -270,6 +278,17 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     )
 
 
+def _privacy_section(params: PrivacyParams) -> dict:
+    """The ``privacy`` section of a package header or a report."""
+    return {
+        "epsilon": params.epsilon,
+        "delta": params.delta,
+        "eta": params.eta,
+        "nu": params.nu,
+        "split": _SPLIT,
+    }
+
+
 def serialize_package(pkg: AlicePackage) -> bytes:
     """Encode a package as a canonical JSON header line plus the raw payload.
 
@@ -280,13 +299,7 @@ def serialize_package(pkg: AlicePackage) -> bytes:
     header = {
         "version": FORMAT_VERSION,
         "n": pkg.n,
-        "privacy": {
-            "epsilon": pkg.params.epsilon,
-            "delta": pkg.params.delta,
-            "eta": pkg.params.eta,
-            "nu": pkg.params.nu,
-            "split": "half-half",
-        },
+        "privacy": _privacy_section(pkg.params),
         "sx": float(pkg.sx),
         "proj_B": {"rows": payload.shape[0], "cols": payload.shape[1]},
     }
@@ -309,16 +322,15 @@ def _number(value, what: str) -> float:
         raise PackageFormatError(f"{what} is out of range: {exc}") from exc
 
 
-def _section_rows(section, name: str, n: int) -> int:
+def _check_shape(section, name: str, r: int, n: int) -> None:
     if not isinstance(section, dict):
         raise PackageFormatError(f"section '{name}' must be an object")
-    rows = _require(section, "rows", f"section '{name}'")
-    cols = _require(section, "cols", f"section '{name}'")
-    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-        raise PackageFormatError(f"section '{name}': rows must be a positive integer, got {rows!r}")
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols != n:
-        raise PackageFormatError(f"section '{name}': cols must equal n = {n}, got {cols!r}")
-    return rows
+    for field, symbol, want in (("rows", "r", r), ("cols", "n", n)):
+        got = _require(section, field, f"section '{name}'")
+        if not isinstance(got, int) or isinstance(got, bool) or got != want:
+            raise PackageFormatError(
+                f"section '{name}': {field} must equal {symbol} = {want}, got {got!r}"
+            )
 
 
 def _parse_header(head: bytes) -> dict:
@@ -370,18 +382,20 @@ def deserialize_package(data: bytes) -> AlicePackage:
     for field in ("epsilon", "delta", "eta", "nu"):
         value = _require(privacy, field, "section 'privacy'")
         kwargs[field] = _number(value, f"privacy field '{field}'")
-    split = privacy.get("split", "half-half")
-    if split != "half-half":
-        raise PackageFormatError(f"unsupported budget split {split!r}; expected 'half-half'")
+    split = privacy.get("split", _SPLIT)
+    if split != _SPLIT:
+        raise PackageFormatError(f"unsupported budget split {split!r}; expected {_SPLIT!r}")
     try:
         params = PrivacyParams(**kwargs)
+        # The header fixes the release's row count: r of the per-release budget.
+        rows = jl_params(params.half_budget()).r
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid privacy parameters: {exc}") from exc
 
     # json.loads reads NaN and Infinity, and 1e400 as inf: AlicePackage
     # checks that sx is finite and >= 0.
     sx = _number(_require(doc, "sx"), "sx")
-    rows = _section_rows(_require(doc, "proj_B"), "proj_B", n)
+    _check_shape(_require(doc, "proj_B"), "proj_B", rows, n)
 
     offset = end + 1
     expected = offset + 8 * rows * n
@@ -392,39 +406,21 @@ def deserialize_package(data: bytes) -> AlicePackage:
         )
     values = np.frombuffer(data, dtype="<f8", count=rows * n, offset=offset).reshape(rows, n)
     try:
-        proj_B = PrivateProjection(values=values, params=params.half_budget())
+        proj_B = PrivateProjection(values=values)
     except InvalidInputError as exc:
         raise PackageFormatError("section 'proj_B': payload contains NaN or infinite entries") from exc
     try:
-        return AlicePackage(n=n, params=params, proj_B=proj_B, sx=sx)
+        return AlicePackage(params=params, proj_B=proj_B, sx=sx)
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid package: {exc}") from exc
 
 
 def report_to_dict(report: TestReport) -> dict:
-    """JSON-safe dict for a TestReport (infinities become null + flag)."""
-    bounds = None
-    if report.bounds is not None:
-        b = report.bounds
-        bounds = {
-            "lower": b.lower,
-            "upper": None if math.isinf(b.upper) else b.upper,
-            "upper_finite": not math.isinf(b.upper),
-            "s_param": b.s_param,
-            "tau_used": b.tau_used,
-            "tau_closed_form": b.tau_closed_form,
-            "prob_floor": b.prob_floor,
-            "s_param_clamped": b.s_param_clamped,
-        }
-    return {
-        "omega_bar_sq": report.omega_bar_sq,
-        "s_bar": report.s_bar,
-        "statistic": report.statistic,
-        "threshold": report.threshold,
-        "alpha": report.alpha,
-        "reject": report.reject,
-        "degenerate": report.degenerate,
-        "n": report.n,
-        "m": report.m,
-        "bounds": bounds,
-    }
+    """JSON-safe dict for a TestReport (an infinite upper bound becomes null + flag)."""
+    doc = asdict(report)
+    bounds = doc["bounds"]
+    if bounds is not None:
+        bounds["upper_finite"] = not math.isinf(bounds["upper"])
+        if not bounds["upper_finite"]:
+            bounds["upper"] = None
+    return doc

@@ -25,10 +25,6 @@ from .protocol import alice_prepare, bob_evaluate
 
 __all__ = ["SweepConfig", "SweepRow", "SWEEP_HEADER", "run_sweep", "sweep_rows_to_csv"]
 
-SWEEP_HEADER = (
-    "epsilon,eta,mean_rel_err_gamma,sd_gamma,mean_rel_err_s,sd_s,mean_rel_err_omega,sd_omega"
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -60,6 +56,9 @@ class SweepRow(NamedTuple):
     sd_s: float
     mean_rel_err_omega: float
     sd_omega: float
+
+
+SWEEP_HEADER = ",".join(SweepRow._fields)
 
 
 def _thread_count() -> int:

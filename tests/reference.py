@@ -7,10 +7,13 @@ Laplacians and the centering matrix; they are kept here as references that
 the tests compare the closed forms against, next to the pure-Python loops
 of ``oracles.py``.  They validate their inputs with the package's own
 private helpers, so they accept and reject exactly what the package does.
+The naive ratio interval, which the closed-form bounds of ``pitest.bounds``
+are checked to contain, is kept here too.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -258,3 +261,34 @@ def omega_le_s_condition(X) -> DistanceSpreadCheck:
         return DistanceSpreadCheck(holds=False, d_max=0.0, d_min=0.0)
     holds = d_max <= (n - 1) / 2.0 * d_min**2
     return DistanceSpreadCheck(holds=bool(holds), d_max=d_max, d_min=d_min)
+
+
+class NaiveInterval(NamedTuple):
+    """Naive two-sided ratio interval; ``upper`` is ``inf`` when the
+    denominator's lower bound is not positive."""
+
+    lower: float
+    upper: float
+
+
+def naive_ratio_interval(
+    omega_lo: float, omega_hi: float, s_lo: float, s_hi: float
+) -> NaiveInterval:
+    """Divide component bounds: numerator in [omega_lo, omega_hi],
+    denominator in [s_lo, s_hi].
+
+    Returns ``(omega_lo / s_hi, omega_hi / s_lo)``.  With the standard
+    components this is
+
+    (((1-eta) W - m tau) / ((1+eta) S + n tau),
+     ((1+eta) W + m tau) / ((1-eta) S - n tau))
+
+    for numerator statistic ``W`` and denominator statistic ``S``.  When
+    ``s_lo <= 0`` the upper end is ``+inf`` (the sentinel doubles as the
+    flag); ``s_hi`` must be positive.
+    """
+    if not (s_hi > 0.0):
+        raise InvalidInputError(f"denominator upper bound must be positive, got {s_hi}")
+    lower = omega_lo / s_hi
+    upper = math.inf if s_lo <= 0.0 else omega_hi / s_lo
+    return NaiveInterval(lower, upper)

@@ -21,7 +21,7 @@ from pitest.estimators import decide, s_hat
 from pitest.privacy import (
     PrivacyParams,
     jl_params,
-    private_directional_variance,
+    private_sum_directional_variances,
     privatize_covariance,
     tau_mechanism,
 )
@@ -125,7 +125,7 @@ def test_criterion_4_mechanism_coverage():
         hits = 0
         for s in seeds:
             P = privatize_covariance(F, p, int(s))
-            v = private_directional_variance(P, y)
+            v = private_sum_directional_variances(P, y)
             hits += (1 - eta) * t - t_mech <= v <= (1 + eta) * t + t_mech
         assert hits / 2000 >= 1.0 - nu - COVERAGE_SLACK
     assert time.monotonic() - start < 60.0

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from pitest.bounds import (
     aggregate_coverage_probability,
     lower_bound_ratio,
-    naive_ratio_interval,
     upper_bound_ratio,
 )
 from pitest.errors import InvalidInputError
 from pitest.estimators import s_hat
 
-from reference import dcov_sq_direct, omega_le_s_condition
+from reference import dcov_sq_direct, naive_ratio_interval, omega_le_s_condition
 
 
 def test_lower_bound_worked_example():

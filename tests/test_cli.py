@@ -44,6 +44,29 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     assert len(payload) == 8 * 20 * doc["proj_B"]["rows"]
 
 
+def test_alice_reports_eta_too_small_as_an_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "pkg.bin"
+    rc = main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
+               "--eta", "1e-200", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: eta = 1e-200 is too small")
+    assert not out.exists()
+
+
+def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, capsys):
+    X = load_csv(data_dir / "x.csv")
+    blob = serialize_package(alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 3))
+    head, _, payload = blob.partition(b"\n")
+    doc = json.loads(head)
+    doc["privacy"]["eta"] = 1e-200
+    pkg = tmp_path / "pkg.bin"
+    pkg.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + payload)
+    rc = main(["bob", "--package", str(pkg), "--input", str(data_dir / "y.csv"),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid privacy parameters: eta = 1e-200")
+
+
 def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
     """With the master seed, R is regenerated and centred X recovered by least squares."""
     out = tmp_path / "pkg.bin"
@@ -211,6 +234,21 @@ def test_run_and_sweep_constant_x_are_degenerate(tmp_path, capsys):
                       delta=0.01, nu=0.5)
     (row,) = run_sweep(cfg, X, Y)
     assert math.isnan(row.mean_rel_err_gamma) and math.isnan(row.mean_rel_err_omega)
+
+
+def test_sweep_rejects_zero_replications(data_dir, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--input-x", str(data_dir / "x.csv"),
+               "--input-y", str(data_dir / "y.csv"), "--replications", "0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: replications must be >= 1")
+    assert not out.exists()
+
+
+def test_sweep_header_names_the_row_fields():
+    assert SWEEP_HEADER == (
+        "epsilon,eta,mean_rel_err_gamma,sd_gamma,mean_rel_err_s,sd_s,mean_rel_err_omega,sd_omega"
+    )
 
 
 def test_sweep_writes_expected_table(data_dir, tmp_path, capsys):

@@ -9,7 +9,6 @@ from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
     PrivacyParams,
     jl_params,
-    private_directional_variance,
     private_sum_directional_variances,
     privatize_covariance,
     tau,
@@ -38,6 +37,13 @@ def test_jl_params_r_doubles_with_log_term():
     r1 = jl_params(PrivacyParams(1.0, 1e-4, 0.1, 2.0 / math.e)).r
     r2 = jl_params(PrivacyParams(1.0, 1e-4, 0.1, 2.0 / math.e**2)).r
     assert (r1, r2) == (800, 1600)
+
+
+@pytest.mark.parametrize("eta", [1e-155, 1e-200, 5e-324])
+def test_jl_params_rejects_eta_too_small_for_a_row_count(eta):
+    # 8 ln(2/nu)/eta^2 overflows to inf at 1e-155; eta^2 underflows to 0 below
+    with pytest.raises(InvalidInputError, match="eta"):
+        jl_params(PrivacyParams(epsilon=1.0, delta=1e-4, eta=eta, nu=0.05))
 
 
 @pytest.mark.parametrize(
@@ -179,7 +185,7 @@ def test_projection_core_unbiased_within_three_se():
     F = np.zeros((5, 1))
     for s in seeds:
         P = privatize_covariance(F, PARAMS, int(s))
-        values.append(private_directional_variance(P, y))
+        values.append(private_sum_directional_variances(P, y))
     values = np.asarray(values)
     se = values.std(ddof=1) / math.sqrt(trials)
     assert abs(values.mean() - target) <= 3.0 * se
@@ -190,28 +196,28 @@ def test_projection_core_unbiased_within_three_se():
 
 def test_directional_variance_zero_query():
     P = privatize_covariance(np.zeros((4, 1)), PARAMS, seed=3)
-    assert private_directional_variance(P, np.zeros(4)) == 0.0
+    assert private_sum_directional_variances(P, np.zeros(4)) == 0.0
 
 
 def test_directional_variance_scales_quadratically():
     P = privatize_covariance(np.random.default_rng(11).standard_normal((6, 2)), PARAMS, seed=4)
     y = np.random.default_rng(12).standard_normal(6)
-    assert private_directional_variance(P, 2.0 * y) == pytest.approx(
-        4.0 * private_directional_variance(P, y), rel=1e-12
+    assert private_sum_directional_variances(P, 2.0 * y) == pytest.approx(
+        4.0 * private_sum_directional_variances(P, y), rel=1e-12
     )
 
 
 def test_directional_variance_shape_check():
     P = privatize_covariance(np.zeros((4, 1)), PARAMS, seed=3)
     with pytest.raises(ShapeError):
-        private_directional_variance(P, np.zeros(5))
+        private_sum_directional_variances(P, np.zeros(5))
 
 
 def test_sum_single_column_equals_single_query():
     P = privatize_covariance(np.random.default_rng(13).standard_normal((5, 2)), PARAMS, seed=6)
     y = np.random.default_rng(14).standard_normal(5)
     assert private_sum_directional_variances(P, y[:, None]) == pytest.approx(
-        private_directional_variance(P, y), rel=1e-12
+        private_sum_directional_variances(P, y), rel=1e-12
     )
 
 
@@ -223,7 +229,7 @@ def test_sum_zero_matrix():
 def test_sum_matches_columnwise_loop():
     P = privatize_covariance(np.random.default_rng(15).standard_normal((7, 3)), PARAMS, seed=8)
     V = np.random.default_rng(16).standard_normal((7, 4))
-    total = sum(private_directional_variance(P, V[:, i]) for i in range(4))
+    total = sum(float(np.sum((P.values @ V[:, i]) ** 2)) for i in range(4))
     assert private_sum_directional_variances(P, V) == pytest.approx(total, rel=1e-10)
 
 
@@ -242,7 +248,7 @@ def test_single_query_coverage():
     hits = 0
     for s in seeds:
         P = privatize_covariance(F, p, int(s))
-        value = private_directional_variance(P, y)
+        value = private_sum_directional_variances(P, y)
         if (1 - p.eta) * t - t_mech <= value <= (1 + p.eta) * t + t_mech:
             hits += 1
     assert hits / len(seeds) >= 1.0 - p.nu - 0.02
@@ -262,7 +268,7 @@ def test_multi_query_union_coverage():
         P = privatize_covariance(F, p, int(s))
         ok = all(
             (1 - p.eta) * t - t_mech
-            <= private_directional_variance(P, V[:, i])
+            <= private_sum_directional_variances(P, V[:, i])
             <= (1 + p.eta) * t + t_mech
             for i, t in enumerate(targets)
         )

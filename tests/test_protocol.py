@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import struct
@@ -111,10 +112,8 @@ def test_alice_rejects_bad_input():
 def test_identity_hook_reproduces_nonprivate_statistics(xy):
     X, Y = xy
     # a 'release' with no noise and no floor: P = F^T answers queries exactly
-    half = PARAMS.half_budget()
     Xc = X - X.mean(axis=0)
-    pkg = AlicePackage(12, PARAMS, PrivateProjection(factor_W(X).T, half),
-                       sx=float(np.sum(Xc * Xc)))
+    pkg = AlicePackage(PARAMS, PrivateProjection(factor_W(X).T), sx=float(np.sum(Xc * Xc)))
     report = bob_evaluate(pkg, Y)
     omega = dcov_sq_direct(X, Y)
     s = s_hat(X, Y)
@@ -126,14 +125,19 @@ def test_identity_hook_reproduces_nonprivate_statistics(xy):
 
 def test_s_bar_keeps_precision_under_large_y_mean(xy):
     X, Y = xy
-    half = PARAMS.half_budget()
     Xc = X - X.mean(axis=0)
-    pkg = AlicePackage(12, PARAMS, PrivateProjection(factor_W(X).T, half),
-                       sx=float(np.sum(Xc * Xc)))
+    pkg = AlicePackage(PARAMS, PrivateProjection(factor_W(X).T), sx=float(np.sum(Xc * Xc)))
     for shift in (1e8, -1e9):
         report = bob_evaluate(pkg, Y + shift)
         assert report.s_bar == pytest.approx(s_hat(X, Y + shift), rel=1e-6)
         assert not report.degenerate
+
+
+def test_package_stores_each_fact_once(package):
+    """The budget, the projection and sx; n is the projection's width."""
+    assert [f.name for f in dataclasses.fields(AlicePackage)] == ["params", "proj_B", "sx"]
+    assert [f.name for f in dataclasses.fields(PrivateProjection)] == ["values"]
+    assert package.n == package.proj_B.n == 12
 
 
 def test_bob_is_deterministic_and_does_not_touch_inputs(package, xy):
@@ -444,6 +448,24 @@ def test_rejects_bad_projection_sections(package):
     doc = _doc(package)
     doc["proj_B"] = "should be an object"
     _reject(package, doc)
+
+
+def test_rejects_row_count_other_than_the_headers_r(package):
+    """The header's privacy fields fix r; a payload of other height is refused."""
+    assert package.proj_B.rows == jl_params(PARAMS.half_budget()).r == 45
+    doc = _doc(package)
+    doc["proj_B"]["rows"] = 1
+    head = json.dumps(doc).encode("utf-8")
+    one_row = np.asarray(package.proj_B.values[:1], dtype="<f8").tobytes()
+    with pytest.raises(PackageFormatError, match="rows must equal r = 45"):
+        deserialize_package(head + b"\n" + one_row)
+
+
+def test_rejects_eta_too_small_for_a_row_count(package):
+    doc = _doc(package)
+    doc["privacy"]["eta"] = 1e-200  # eta^2 underflows in jl_params
+    with pytest.raises(PackageFormatError, match="eta"):
+        deserialize_package(_wire(package, doc))
 
 
 def test_rejects_bad_sx(package):
