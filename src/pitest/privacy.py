@@ -18,9 +18,10 @@ at a time, each block continuing the stream of the release's one generator,
 so the draw is that of ``standard_normal((r, k+n))``.  A block GEMM does
 about 2**15 k multiply-adds, so it stays in cache, and OpenBLAS runs it on
 one thread for k < 8 (its threading threshold is 2**18): the sweep's thread
-pool is not oversubscribed.  A release that is only ever reduced to the
-centred sum of squares ``||P - row means||_F^2`` is reduced block by block
-as it is drawn, so no r x n array is held for it.  The analyst's sums of
+pool is not oversubscribed.  ``P`` lives in its own anonymous memory
+mapping, so its pages go back to the operating system as soon as the
+release is dropped; from the heap, the allocator may keep a freed release
+of a few MiB in a thread arena for the next one.  The analyst's sums of
 squares over ``P`` are accumulated over row blocks of the same size.
 For any query direction ``y``,
 
@@ -42,11 +43,34 @@ closed-form additive constant ``tau`` for the end-to-end ratio guarantee is
 also provided; both are reported side by side because the closed form is a
 loose analytical bound while ``tau_mech`` reflects the mechanism actually
 run.
+
+A release that is only ever reduced to its centred sum of squares
+``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
+drawn from its exact law.  Each row of ``P J`` is ``(Fc rho + w J xi) /
+sqrt(r)`` with ``Fc = J F`` the column-centred factor, ``rho ~ N(0, I_k)``
+and ``xi ~ N(0, I_n)``, so it is ``N(0, (Fc Fc^T + w^2 J) / r)``.  That
+covariance has the eigenvalues ``(lambda_j + w^2) / r`` for the top
+``q = min(k, n-1)`` eigenvalues ``lambda_j`` of ``Fc^T Fc``, ``w^2 / r``
+with multiplicity ``n - 1 - q``, and one 0.  Summing the squared norms of
+``r`` independent rows gives
+
+    sx = (1/r) [ sum_{j<=q} (lambda_j + w^2) g_j + w^2 h ],
+    g_j ~ chi^2_r,  h ~ chi^2_{r (n-1-q)},  all independent,
+
+which costs O(n k min(n, k)) for the eigenvalues and q + 1 chi-square
+draws, against r (k+n) normals and 2 r k n flops for the release it stands
+for, and holds nothing of size r.  Privacy is unchanged: (epsilon, delta)
+differential privacy is a property of the law of a mechanism's output, and
+for every ``F`` this draw has exactly the law of ``||P J||_F^2`` computed
+from the release ``P``, which is post-processing of an (epsilon, delta)-DP
+release.  So the two mechanisms satisfy the same guarantee, though for a
+given seed they give different numbers.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,7 +174,9 @@ def tau(p: PrivacyParams, m: int, n: int) -> float:
           * ln^2(128 ln(1/((m+n)nu)) / (eta^2 delta))
 
     Requires ``(m + n) nu < 1`` (and every logarithm above to have argument
-    > 1) so the constant is positive and meaningful.
+    > 1) so the constant is positive and meaningful.  Raises
+    InvalidInputError when it is not a finite number, e.g. for an
+    ``eta^2 delta`` that underflows.
     """
     if m < 1 or n < 1:
         raise InvalidInputError(f"query counts must be positive, got m={m}, n={n}")
@@ -159,13 +185,22 @@ def tau(p: PrivacyParams, m: int, n: int) -> float:
         raise InvalidInputError(
             f"(m+n)*nu = {total:.6g} must be < 1 for the additive constant to be defined"
         )
-    inner = 128.0 * math.log(1.0 / total) / (p.eta**2 * p.delta)
-    if inner <= 1.0:
+    try:
+        inner = 128.0 * math.log(1.0 / total) / (p.eta**2 * p.delta)
+        if inner <= 1.0:
+            raise InvalidInputError(
+                f"log argument 128*ln(1/((m+n)nu))/(eta^2*delta) = {inner:.6g} must exceed 1"
+            )
+        lead = 2048.0 * math.log(2.0 / total) * math.log(2.0 / p.delta) / (p.eta * p.epsilon**2)
+        value = lead * math.log(inner) ** 2
+    except (ZeroDivisionError, OverflowError):  # a product underflows, or a power overflows
+        value = math.inf
+    if not math.isfinite(value):
         raise InvalidInputError(
-            f"log argument 128*ln(1/((m+n)nu))/(eta^2*delta) = {inner:.6g} must exceed 1"
+            f"tau cannot be evaluated in float64 for eta = {p.eta!r}, "
+            f"delta = {p.delta!r}, epsilon = {p.epsilon!r}"
         )
-    lead = 2048.0 * math.log(2.0 / total) * math.log(2.0 / p.delta) / (p.eta * p.epsilon**2)
-    return lead * math.log(inner) ** 2
+    return value
 
 
 def tau_mechanism(p: PrivacyParams) -> float:
@@ -202,34 +237,6 @@ class PrivateProjection:
         return self.values.shape[1]
 
 
-def _release_blocks(A: np.ndarray, p: PrivacyParams, seed: int, P: np.ndarray | None = None):
-    """Yield the release ``(R_1 A^T + w R_2) / sqrt(r)`` one row block at a time.
-
-    ``R`` is drawn row block by row block into one reused buffer from a
-    single ``default_rng(seed)``: consecutive fills continue the stream, so
-    the blocks are the rows of the one-shot draw ``standard_normal((r, k+n))``.
-    Each block is written into its rows of ``P`` when given, else into one
-    reused buffer that the next block overwrites.
-    """
-    n, k = A.shape
-    r, w = jl_params(p)
-    rng = np.random.default_rng(int(seed))
-    scale = math.sqrt(r)
-    height = min(r, _block_height(k + n))
-    buf = np.empty((height, k + n))
-    out = np.empty((height, n)) if P is None else None
-    for rows in _row_blocks(r, k + n):
-        R = buf[: rows.stop - rows.start]
-        rng.standard_normal(out=R)
-        floor = R[:, k:]
-        floor *= w
-        block = P[rows] if out is None else out[: len(R)]
-        np.matmul(R[:, :k], A.T, out=block)
-        block += floor
-        block /= scale
-        yield block
-
-
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     """Release a private projection for the covariance ``F F^T``.
 
@@ -243,28 +250,61 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         PrivateProjection with values ``(1/sqrt(r)) R [F^T; w I]``,
         computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``,
         one row block of ``R`` at a time: only ``P`` and one block are held.
+        ``P`` is backed by its own anonymous memory mapping.
+
+    Raises InvalidInputError when ``P`` cannot be allocated, e.g. for an
+    ``eta`` so small that r x n float64 exceeds the address space.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    P = np.empty((jl_params(p).r, A.shape[0]))
-    for _ in _release_blocks(A, p, seed, P):
-        pass  # each block is written into its rows of P
+    n, k = A.shape
+    r, w = jl_params(p)
+    try:
+        P = np.frombuffer(mmap.mmap(-1, 8 * r * n), np.float64).reshape(r, n)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise InvalidInputError(
+            f"a release of r = {r:.6g} rows by n = {n} samples needs "
+            f"{8.0 * r * n:.6g} bytes and cannot be allocated: {exc}"
+        ) from None
+    rng = np.random.default_rng(int(seed))
+    scale = math.sqrt(r)
+    # Consecutive fills of one buffer continue the stream, so the blocks are
+    # the rows of the one-shot draw standard_normal((r, k+n)).
+    buf = np.empty((min(r, _block_height(k + n)), k + n))
+    for rows in _row_blocks(r, k + n):
+        R = buf[: rows.stop - rows.start]
+        rng.standard_normal(out=R)
+        floor = R[:, k:]
+        floor *= w
+        block = P[rows]
+        np.matmul(R[:, :k], A.T, out=block)
+        block += floor
+        block /= scale
     return PrivateProjection(values=P)
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
-    """``||P - row means||_F^2`` of the release ``privatize_covariance(F, p, seed)``.
+    """``||P - row means||_F^2`` for a release ``P`` of ``F F^T``, drawn from its exact law.
 
-    The same draw, reduced one row block at a time as it is made, so only
-    one block of ``P`` is ever held.  The value is post-processing of that
-    release, so it carries the release's privacy guarantee.  It is the one
-    number the analyst's denominator needs from the release of ``X X^T``:
-    ``||P J||_F^2`` for the centering matrix ``J``.
+    The value has the law of the centred sum of squares of
+    ``privatize_covariance(F, p, seed)`` (see the module docstring), so it
+    carries that release's privacy guarantee; it is not that release's
+    value for this seed.  It is the one number the analyst's denominator
+    needs from the release of ``X X^T``: ``||P J||_F^2`` for the centering
+    matrix ``J``.  Nothing of size r is drawn or held.
     """
-    total = 0.0
-    for block in _release_blocks(_as_sample_matrix(F, "factor", min_rows=2), p, seed):
-        block -= block.mean(axis=1, keepdims=True)
-        total += float(np.sum(block * block))
-    return total
+    A = _as_sample_matrix(F, "factor", min_rows=2)
+    n, k = A.shape
+    r, w = jl_params(p)
+    Ac = A - A.mean(axis=0, keepdims=True)
+    gram = Ac.T @ Ac if k <= n else Ac @ Ac.T
+    q = min(k, n - 1)
+    lam = np.clip(np.linalg.eigvalsh(gram)[-q:], 0.0, None)  # the top q, ascending
+    rng = np.random.default_rng(int(seed))
+    w2 = w * w
+    total = float((lam + w2) @ rng.chisquare(r, size=q))
+    if n - 1 > q:
+        total += w2 * float(rng.chisquare(r * (n - 1 - q)))
+    return total / r
 
 
 def private_sum_directional_variances(P: PrivateProjection, V) -> float:

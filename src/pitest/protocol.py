@@ -9,9 +9,10 @@ Roles:
   the (epsilon, delta) budget.  Each release is ``(R_1 F^T + w R_2) /
   sqrt(r)`` for its factor ``F``, so neither side of the protocol holds an
   n x n array.  Of ``P_X`` the analyst needs one number,
-  ``sx = ||P_X - row means||_F^2``, so Alice reduces ``P_X`` to it block by
-  block as it is drawn and never holds it whole; sending ``sx`` in place of
-  ``P_X`` is post-processing of the same release.  The package of the
+  ``sx = ||P_X - row means||_F^2``, so Alice draws ``sx`` from its exact law
+  (a weighted sum of chi-square draws, see :mod:`pitest.privacy`) and never
+  draws ``P_X``; for every ``X`` it has the law of that post-processing of
+  the release, so it carries the release's guarantee.  The package of the
   total budget, ``P_B`` and ``sx`` is all that ever leaves her side (the
   sample count is the width of ``P_B``); the release seeds do not.
 - The *analyst* (Bob) owns ``Y``.  From the package alone he evaluates the
@@ -98,7 +99,8 @@ class AlicePackage:
     """Everything the data holder sends: the budget, a projection and a scalar.
 
     ``params`` is the total budget; each release spent ``params.half_budget()``.
-    ``sx`` is ``||P_X - row means||_F^2`` of the release for ``X X^T``.  The
+    ``sx`` has the law of ``||P_X - row means||_F^2`` for a release ``P_X``
+    of ``X X^T``.  The
     sample count is the projection's width, so it is not stored again.
     """
 
@@ -170,7 +172,8 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     entropy; an explicit seed makes the package a deterministic function of
     (X, p, master_seed), which is for reproducible tests only, since anyone
     who knows it can regenerate the releases and recover ``X``.  Raw
-    ``X``, the factor, ``P_X`` and the seeds stay on this side.
+    ``X``, the factor and the seeds stay on this side; ``P_X`` is never
+    drawn.
     """
     A = _as_sample_matrix(X, "X", min_rows=2)
     B = factor_W(A)

@@ -8,7 +8,9 @@ the tests compare the closed forms against, next to the pure-Python loops
 of ``oracles.py``.  They validate their inputs with the package's own
 private helpers, so they accept and reject exactly what the package does.
 The naive ratio interval, which the closed-form bounds of ``pitest.bounds``
-are checked to contain, is kept here too.
+are checked to contain, is kept here too, and so is the reduction of a drawn
+release to its centred sum of squares, whose law the package's exact-law
+draw of ``sx`` is checked against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
+from pitest.privacy import PrivacyParams, privatize_covariance
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -218,7 +221,7 @@ def s_hat_directional(Q, Y) -> float:
     it is evaluated as ``(4/n^3) * ||Q - row means||_F^2 * Tr(Y^T L_S Y)``
     without forming ``G``, and ``Tr(Y^T L_S Y)`` as ``n ||Yc||_F^2`` from the
     column-centered ``Yc``.  The protocol does not call this: the data holder
-    sends ``||P_X - row means||_F^2`` itself, reduced as ``P_X`` is drawn.
+    sends ``||P_X - row means||_F^2`` itself, drawn from its exact law.
     """
     Qm = _as_2d(Q, "Q")
     Ym = _as_sample_matrix(Y, "Y")
@@ -230,6 +233,18 @@ def s_hat_directional(Q, Y) -> float:
     Qc = Qm - Qm.mean(axis=1, keepdims=True)
     Yc = _centered(Ym)
     return 4.0 / n**3 * float(np.sum(Qc * Qc)) * (n * float(np.sum(Yc * Yc)))
+
+
+def release_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
+    """``||P - row means||_F^2`` of the drawn release ``P = privatize_covariance(F, p, seed)``.
+
+    ``||P J||_F^2`` for the centering matrix ``J``, reduced from the whole
+    r x n release; ``pitest.privacy.private_centered_sq_norm`` draws a number
+    with the same law without drawing ``P``.
+    """
+    P = privatize_covariance(F, p, seed).values
+    Pc = P - P.mean(axis=1, keepdims=True)
+    return float(np.sum(Pc * Pc))
 
 
 class DistanceSpreadCheck(NamedTuple):

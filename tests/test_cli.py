@@ -53,6 +53,16 @@ def test_alice_reports_eta_too_small_as_an_error(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_alice_reports_an_impossible_release_size_as_an_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "pkg.bin"
+    rc = main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
+               "--eta", "1e-100", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a release of r = ") and "bytes" in err
+    assert not out.exists()
+
+
 def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, capsys):
     X = load_csv(data_dir / "x.csv")
     blob = serialize_package(alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 3))

@@ -93,6 +93,12 @@ def test_tau_rejects_large_query_volume():
         tau(p, 3, 500)  # (m+n)*nu = 5.03 >= 1
 
 
+def test_tau_rejects_underflowing_eta_squared_delta():
+    # eta^2 * delta = 1e-326 underflows to 0 in float64
+    with pytest.raises(InvalidInputError, match="tau"):
+        tau(PrivacyParams(1, 1e-300, 1e-13, 0.05), 1, 10)
+
+
 def test_tau_mechanism_is_eta_inflated_floor():
     p = PrivacyParams(1.0, 1e-4, 0.1, 0.01)
     assert tau_mechanism(p) == pytest.approx(1.1 * jl_params(p).w ** 2, rel=1e-12)
@@ -146,6 +152,13 @@ def test_privatize_shape_and_finiteness():
     P = privatize_covariance(np.zeros((7, 3)), p, seed=5)
     assert P.values.shape == (r, 7)
     assert np.all(np.isfinite(P.values))
+
+
+def test_privatize_reports_an_impossible_release_size():
+    # eta = 1e-100 gives r ~ 3e201 rows: 8 r n bytes exceed any address space
+    p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
+    with pytest.raises(InvalidInputError, match=r"r = .* rows by n = 5 samples needs .* bytes"):
+        privatize_covariance(np.arange(5.0)[:, None], p, seed=0)
 
 
 def test_privatize_rejects_non_finite_factor():

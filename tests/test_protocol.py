@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pitest.errors import (
     InsufficientSamplesError,
@@ -24,6 +25,7 @@ from pitest.privacy import (
     PrivacyParams,
     PrivateProjection,
     jl_params,
+    private_centered_sq_norm,
     privatize_covariance,
     tau_mechanism,
 )
@@ -37,7 +39,7 @@ from pitest.protocol import (
     serialize_package,
 )
 
-from reference import dcov_sq_direct, dcov_sq_directional
+from reference import dcov_sq_direct, dcov_sq_directional, release_centered_sq_norm
 
 # cheap parameters: per-release r = ceil(8 ln 4 / 0.25) = 45 rows
 PARAMS = PrivacyParams(epsilon=10.0, delta=0.01, eta=0.5, nu=0.5)
@@ -57,14 +59,9 @@ def package(xy):
 
 
 def _x_release(X, params, master_seed) -> np.ndarray:
-    """The release of X X^T that alice_prepare reduces to sx, regenerated."""
+    """A release of X X^T drawn from the seed that alice_prepare uses for sx."""
     seed = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)[1]
     return privatize_covariance(X, params.half_budget(), int(seed)).values
-
-
-def _centred_sq_norm(P) -> float:
-    Pc = P - P.mean(axis=1, keepdims=True)
-    return float(np.sum(Pc * Pc))
 
 
 def test_alice_package_deterministic(xy, package):
@@ -85,21 +82,52 @@ def test_release_seeds_derived_from_master(xy, package):
     seeds = np.random.SeedSequence(2024).generate_state(2, np.uint64)
     half = PARAMS.half_budget()
     proj_B = privatize_covariance(factor_W(X), half, int(seeds[0]))
-    proj_X = privatize_covariance(X, half, int(seeds[1]))
     assert np.array_equal(proj_B.values, package.proj_B.values)
-    # one row block at r = 45: the same GEMM and the same sum, so equal bits
-    assert package.sx == _centred_sq_norm(proj_X.values)
+    assert package.sx == private_centered_sq_norm(X, half, int(seeds[1]))
+
+
+# name, sample count, data matrix: the floor or the data dominates, a column
+# is constant (a zero eigenvalue), d > n (no floor-only term), a large mean
+_SX_LAW_CASES = [
+    ("floor-dominated", lambda g: g.standard_normal((8, 2))),
+    ("data-dominated", lambda g: 1e4 * g.standard_normal((8, 2))),
+    ("constant column", lambda g: np.column_stack(
+        [800.0 * g.standard_normal((8, 2)), np.full(8, 7.0)])),
+    ("d > n", lambda g: 500.0 * g.standard_normal((5, 9))),
+    ("mean 1e6", lambda g: 1e6 + 800.0 * g.standard_normal((8, 2))),
+]
 
 
 def test_sx_is_post_processing_of_the_x_release():
-    """sx is the centred sum of squares of the release for X X^T, nothing else."""
-    n = 500  # r = 267 rows in blocks of 65: the sum spans five blocks
-    params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
-    X = 3.0 * np.random.default_rng(23).standard_normal((n, 2))
-    pkg = alice_prepare(X, params, master_seed=31)
-    P = _x_release(X, params, 31)
-    assert P.shape == (267, n)
-    assert pkg.sx == pytest.approx(_centred_sq_norm(P), rel=1e-13)
+    """sx has the law of the centred sum of squares of a drawn release of X X^T.
+
+    The exact-law draw and the reduction of drawn releases are compared over
+    disjoint seeds, by a two-sample KS test and by bands on the mean
+    ||Xc||^2 + w^2 (n-1) and the variance (2/r)(sum (lambda_j + w^2)^2 +
+    w^4 (n-1-q)) that the law implies, with the fourth cumulant of the chi-square
+    sum setting the standard error of the sample variance.
+    """
+    p = PrivacyParams(epsilon=1.0, delta=0.1, eta=0.9, nu=0.5)  # r = 14: skewed chi-squares
+    r, w = jl_params(p)
+    assert r == 14
+    trials = 2000
+    for case, make in _SX_LAW_CASES:
+        X = make(np.random.default_rng(41))
+        n, d = X.shape
+        Xc = X - X.mean(axis=0)
+        q = min(d, n - 1)
+        lam = np.sort(np.linalg.svd(Xc, compute_uv=False) ** 2)[::-1][:q]
+        c = np.append(lam + w**2, np.full(n - 1 - q, w**2))  # one chi^2_r weight each
+        mean = float(np.sum(Xc * Xc)) + w**2 * (n - 1)
+        var = 2.0 / r * float(np.sum(c**2))
+        kappa4 = 48.0 / r**3 * float(np.sum(c**4))
+        drawn = np.array([private_centered_sq_norm(X, p, s) for s in range(trials)])
+        reduced = np.array([release_centered_sq_norm(X, p, s) for s in range(trials, 2 * trials)])
+        assert stats.ks_2samp(drawn, reduced).pvalue > 1e-3, case
+        for sample in (drawn, reduced):
+            se_var = math.sqrt(kappa4 / trials + 2.0 * var**2 / (trials - 1))
+            assert abs(sample.mean() - mean) < 5.0 * math.sqrt(var / trials), case
+            assert abs(sample.var(ddof=1) - var) < 5.0 * se_var, case
 
 
 def test_alice_rejects_bad_input():
@@ -173,10 +201,8 @@ def test_report_statistics_match_package_arithmetic(package, xy):
     report = bob_evaluate(package, Y)
     n = 12
     omega = 2.0 / n**2 * np.linalg.norm(package.proj_B.values @ Y, "fro") ** 2
-    J = np.eye(n) - np.ones((n, n)) / n
-    G = math.sqrt(n) * J
-    PX = _x_release(xy[0], PARAMS, 2024)
-    s = 4.0 / n**4 * np.linalg.norm(PX @ G, "fro") ** 2 * (
+    # ||P_X G||_F^2 = n ||P_X J||_F^2 = n sx
+    s = 4.0 / n**4 * (n * package.sx) * (
         n * np.linalg.norm(Y, "fro") ** 2 - np.linalg.norm(Y.sum(axis=0)) ** 2
     )
     assert report.omega_bar_sq == pytest.approx(omega, rel=1e-12)
@@ -530,16 +556,21 @@ def _unaligned_wire(pkg) -> AlicePackage:
 
 
 def _peak_bytes(call):
+    """The traced peak of ``call()``, and its result."""
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
 
 def test_release_and_analyst_hold_no_whole_draw():
-    """Alice holds P_B and one block of R, never P_X; Bob holds one block."""
+    """Alice holds P_B and one block of R, never P_X; Bob holds one block.
+
+    P_B has its own memory mapping, which tracemalloc does not see, so its
+    bytes are added to Alice's traced peaks.
+    """
     n = 1000
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     rng = np.random.default_rng(3)
@@ -550,16 +581,29 @@ def test_release_and_analyst_hold_no_whole_draw():
     release_bytes = 8 * r * n
     B = factor_W(X)
     wire = _unaligned_wire(alice_prepare(X, params, master_seed=8))
-    alice = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
-    prepare = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))
-    bob = _peak_bytes(lambda: bob_evaluate(wire, Y))
+    traced, proj = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
+    alice = traced + proj.values.nbytes
+    traced, pkg = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))
+    prepare = traced + pkg.proj_B.values.nbytes
+    bob = _peak_bytes(lambda: bob_evaluate(wire, Y))[0]
     assert alice < 1.25 * release_bytes, (alice, release_bytes)
     assert prepare < 1.25 * release_bytes, (prepare, release_bytes)
     assert bob < release_bytes / 4, (bob, release_bytes)
 
 
+def test_sx_draw_holds_nothing_of_size_r():
+    """sx is drawn from its law: the traced peak does not grow with r."""
+    n = 1000
+    X = np.random.default_rng(3).standard_normal((n, 2))
+    for eta, r in ((0.2, 738), (0.02, 73_778)):
+        params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=eta, nu=0.05)
+        assert jl_params(params).r == r
+        peak = _peak_bytes(lambda: private_centered_sq_norm(X, params, 1))[0]
+        assert peak < 64 * 1024, (r, peak)
+
+
 def test_blocked_statistics_match_one_shot_formulas():
-    # n = 500: r = 267 rows in blocks of 65, so every statistic spans five blocks
+    # n = 500: r = 267 rows in blocks of 65, so omega_bar_sq spans five blocks
     n = 500
     params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
     rng = np.random.default_rng(19)
@@ -568,12 +612,11 @@ def test_blocked_statistics_match_one_shot_formulas():
     pkg = alice_prepare(X, params, master_seed=6)
     assert pkg.proj_B.rows == 267
     wire = _unaligned_wire(pkg)
-    PX = _x_release(X, params, 6)
     for p in (pkg, wire):
         PB = np.array(p.proj_B.values)
         omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
         col = Y.sum(axis=0)
-        s = 4.0 / n**3 * _centred_sq_norm(PX) * (n * float(np.sum(Y * Y)) - float(col @ col))
+        s = 4.0 / n**3 * p.sx * (n * float(np.sum(Y * Y)) - float(col @ col))
         report = bob_evaluate(p, Y)
         assert report.omega_bar_sq == pytest.approx(omega, rel=1e-13)
         assert report.s_bar == pytest.approx(s, rel=1e-13)
