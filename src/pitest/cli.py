@@ -171,8 +171,8 @@ def _cmd_alice(args) -> int:
 
     per_release = params.half_budget()
     r, w = jl_params(per_release)
-    print(f"wrote package: {args.out} (n = {package.n}, projection {r} x {package.n}, "
-          f"scalar sx = {package.sx:.6g})")
+    print(f"wrote package: {args.out} (n = {package.n}, "
+          f"release factor {package.proj_B.rows} x {package.n}, scalar sx = {package.sx:.6g})")
     print(f"per-release budget: epsilon = {per_release.epsilon:g}, delta = {per_release.delta:g}")
     print(f"projection rows r = {r}, spectral floor w = {w:.6g}")
     print(f"tau_mech (mechanism additive constant) = {tau_mechanism(per_release):.6g}")

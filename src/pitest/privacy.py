@@ -2,27 +2,15 @@
 
 A data holder wants to publish enough about a covariance ``F F^T`` for an
 analyst to evaluate directional variance queries ``y^T F F^T y``, without
-publishing ``F``.  The release is
+publishing ``F``.  The mechanism is the Gaussian release of Blocki, Blum,
+Datta & Sheffet (FOCS 2012),
 
-    P = (1/sqrt(r)) * R * A_hat,      A_hat = [ F^T ]   ((k+n) x n)
+    P = (1/sqrt(r)) * G * A_hat,      A_hat = [ F^T ]   ((k+n) x n)
                                               [ w I ]
 
-where ``R`` is an r x (k+n) matrix of independent standard normals and
+where ``G`` is an r x (k+n) matrix of independent standard normals and
 ``w > 0`` is a spectral floor stacked under the factor so that
 ``A_hat^T A_hat = F F^T + w^2 I`` has least singular value at least ``w``.
-``A_hat`` is never formed: splitting ``R = [R_1 R_2]`` after column ``k``
-gives the same release as ``P = (R_1 F^T + w R_2) / sqrt(r)``, which costs
-O(r k n) rather than O(r (k+n) n) and holds no n x n array.  ``R`` is not
-held whole either: it is drawn and projected one row block of about 256 KiB
-at a time, each block continuing the stream of the release's one generator,
-so the draw is that of ``standard_normal((r, k+n))``.  A block GEMM does
-about 2**15 k multiply-adds, so it stays in cache, and OpenBLAS runs it on
-one thread for k < 8 (its threading threshold is 2**18): the sweep's thread
-pool is not oversubscribed.  ``P`` lives in its own anonymous memory
-mapping, so its pages go back to the operating system as soon as the
-release is dropped; from the heap, the allocator may keep a freed release
-of a few MiB in a thread arena for the next one.  The analyst's sums of
-squares over ``P`` are accumulated over row blocks of the same size.
 For any query direction ``y``,
 
     E ||P y||^2 = y^T F F^T y + w^2 ||y||^2,
@@ -44,6 +32,25 @@ also provided; both are reported side by side because the closed form is a
 loose analytical bound while ``tau_mech`` reflects the mechanism actually
 run.
 
+The analyst reads ``P`` only through its Gram ``P^T P``, so what is shipped
+is not ``P`` but ``R``, the min(r, n) x n upper-trapezoidal factor with a
+positive diagonal of a QR of ``P``: ``R^T R = P^T P``, so every query has
+the same answer.  ``R`` is drawn from its exact law without drawing ``P``.
+Write ``G = Q T`` for a QR of ``G`` with ``T`` upper trapezoidal and
+positive on its diagonal; then ``P^T P = (T A_hat)^T (T A_hat) / r``, so ``R``
+is the R factor of ``T A_hat / sqrt(r)``.  By Bartlett's decomposition the
+entries of ``T`` are independent, with ``T_ii ~ chi_{r-i}`` (counting from
+0) and ``T_ij ~ N(0, 1)`` for ``j > i``.  Splitting ``T`` after row
+``min(r, k)`` and column ``k``, ``T A_hat`` is the min(r, k) dense rows
+``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and a
+QR of that stack is one triangular-pentagonal QR (LAPACK ``dtpqrt``) of
+its leading min(r, n) columns, whose reflectors ``dtpmqrt`` applies to the
+rest.  ``T_22`` is drawn straight into the buffer that becomes ``R``, with
+the min(r, k) dense rows scaled by ``1/w`` so that the floor is applied
+once, to the finished factor.  That costs about min(r, n) n - min(r, n)^2 / 2
+normals and O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n
+flops for ``P``, and holds nothing of size r.
+
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
 drawn from its exact law.  Each row of ``P J`` is ``(Fc rho + w J xi) /
@@ -54,27 +61,30 @@ covariance has the eigenvalues ``(lambda_j + w^2) / r`` for the top
 with multiplicity ``n - 1 - q``, and one 0.  Summing the squared norms of
 ``r`` independent rows gives
 
-    sx = (1/r) [ sum_{j<=q} (lambda_j + w^2) g_j + w^2 h ],
+    sx = sum_{j<=q} (lambda_j + w^2) g_j / r + w^2 h / r,
     g_j ~ chi^2_r,  h ~ chi^2_{r (n-1-q)},  all independent,
 
 which costs O(n k min(n, k)) for the eigenvalues and q + 1 chi-square
-draws, against r (k+n) normals and 2 r k n flops for the release it stands
-for, and holds nothing of size r.  Privacy is unchanged: (epsilon, delta)
-differential privacy is a property of the law of a mechanism's output, and
-for every ``F`` this draw has exactly the law of ``||P J||_F^2`` computed
-from the release ``P``, which is post-processing of an (epsilon, delta)-DP
-release.  So the two mechanisms satisfy the same guarantee, though for a
-given seed they give different numbers.
+draws, and holds nothing of size r.  Each draw is divided by r before it is
+weighted, so sx stays finite when r is too large for ``w^2 r``.
+
+Privacy is unchanged by either draw: (epsilon, delta) differential privacy
+is a property of the law of a mechanism's output.  ``R`` and ``sx`` are
+data-independent functions (a QR factor, a centred sum of squares) of an
+(epsilon, delta)-DP release, so they are post-processing of it, and for
+every ``F`` the exact-law draws have exactly their laws.  So the shipped
+values satisfy the release's guarantee, though for a given seed they are
+not the functions of any one ``P`` drawn from that seed.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .data import _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
@@ -98,15 +108,18 @@ __all__ = [
 # 2**19 crosses the threshold again.
 _BLOCK_FLOATS = 2**15
 
-
-def _block_height(width: int) -> int:
-    """Rows per block of a ``width``-column float64 array."""
-    return max(1, _BLOCK_FLOATS // width)
+# Reflectors per block of the triangular-pentagonal QR, and float64 entries
+# per panel of trailing columns that the blocks are applied to (1 MiB, so a
+# panel stays in cache while it is updated and scaled).  Measured on the
+# 2952 x 20000 factor of n = 2e4, r = 2952: 16 and 2**17 took 0.41 s; 32
+# and 2**17 took 0.47 s, and 32 with one panel of all the columns 0.60 s.
+_REFLECTOR_BLOCK = 16
+_PANEL_FLOATS = 2**17
 
 
 def _row_blocks(rows: int, width: int):
-    """Slices covering ``range(rows)`` in blocks of ``_block_height(width)`` rows."""
-    h = _block_height(width)
+    """Slices covering ``range(rows)`` in blocks of about ``_BLOCK_FLOATS`` entries."""
+    h = max(1, _BLOCK_FLOATS // width)
     for i in range(0, rows, h):
         yield slice(i, min(i + h, rows))
 
@@ -210,13 +223,15 @@ def tau_mechanism(p: PrivacyParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PrivateProjection:
-    """A released projection ``P``: a finite array of shape (r, n).
+    """A released matrix ``P``: a finite array of shape (rows, n).
 
     Answers directional variance queries ``||P y||^2`` approximating
-    ``y^T F F^T y + w^2 ||y||^2``.  It does not keep the parameters it was
-    released under; its holder does (a package keeps its total budget).
-    The generator seed is not kept either: with it, anyone could regenerate
-    ``R`` and recover the factor.
+    ``y^T F F^T y + w^2 ||y||^2``; only its Gram ``P^T P`` matters.  A
+    release from :func:`privatize_covariance` is the min(r, n) x n
+    upper-trapezoidal QR factor, stored column by column (Fortran order).
+    It does not keep the parameters it was released under; its holder does
+    (a package keeps its total budget).  The generator seed is not kept
+    either: with it, anyone could regenerate ``T`` and recover the factor.
     """
 
     values: np.ndarray
@@ -224,8 +239,9 @@ class PrivateProjection:
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
             raise ShapeError(f"projection values must be 2-D, got shape {self.values.shape}")
-        # One row block at a time, so the check holds no r x n temporary.
-        if not all(np.isfinite(self.values[rows]).all() for rows in _row_blocks(*self.values.shape)):
+        # One block of columns at a time, so the check holds no whole-size temporary.
+        columns = self.values.T
+        if not all(np.isfinite(columns[cols]).all() for cols in _row_blocks(self.n, self.rows)):
             raise InvalidInputError("projection contains non-finite entries")
 
     @property
@@ -237,8 +253,72 @@ class PrivateProjection:
         return self.values.shape[1]
 
 
+def _draw_bartlett(rng: np.random.Generator, r: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``T``, the R factor of a QR of an r x (k+n) standard normal matrix.
+
+    ``T`` comes from its Bartlett law (see the module docstring) in two
+    parts.  Returns ``T1``, its first min(r, k) rows, and a zero-filled
+    min(r, n) x n Fortran-order array whose leading q = min(r - min(r, k), n)
+    rows hold ``T22 = T[min(r, k):, k:]``; that array becomes the release
+    factor.  ``T22`` is drawn one column at a time, straight into place.
+
+    Raises InvalidInputError when the factor cannot be allocated.
+    """
+    k1, rows = min(r, k), min(r, n)
+    q = min(r - k1, n)
+    try:
+        Rt = np.zeros((n, rows))  # the factor's transpose, so the factor is Fortran-ordered
+    except (MemoryError, ValueError) as exc:
+        raise InvalidInputError(
+            f"a release factor of {rows} x {n} float64 needs {8.0 * rows * n:.6g} bytes "
+            f"and cannot be allocated: {exc}"
+        ) from None
+    # Degrees of freedom as floats: r may exceed int64.
+    T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
+    T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
+    for j in range(n):  # column j of T22 has min(j, q) normals above its diagonal
+        rng.standard_normal(out=Rt[j, : min(j, q)])
+    Rt[range(q), range(q)] = np.sqrt(rng.chisquare(float(r) - k1 - np.arange(q, dtype=np.float64)))
+    return T1, Rt.T
+
+
+def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np.ndarray) -> None:
+    """Overwrite ``R`` with the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``.
+
+    ``A`` is the n x k factor, ``T1`` and ``R`` (holding ``T22``) are as
+    :func:`_draw_bartlett` returns them, and ``A_hat = [A^T; w I]``.  ``R``
+    is updated in place; below its diagonal it stays +0.0.
+    """
+    k = A.shape[1]
+    rows, n = R.shape
+    # The dense rows of T A_hat, over w: T11 A^T / w + T12.
+    D = np.asfortranarray(T1[:, k:])
+    D += T1[:, :k] @ (A.T / w)
+    # A QR of [T22; D] over the leading columns, where T22 is square once
+    # padded with zero rows (rows - q of them, at most k).
+    _, V, Tv, _ = lapack.dtpqrt(0, min(rows, _REFLECTOR_BLOCK), R[:, :rows], D[:, :rows],
+                                overwrite_a=1, overwrite_b=1)
+    # Make the diagonal positive and restore the floor and the 1/sqrt(r);
+    # adding +0.0 turns the -0.0 a sign flip leaves below the diagonal into +0.0.
+    scale = np.copysign(w / math.sqrt(r), np.diagonal(R))
+    columns = R.T
+    for cols in _row_blocks(rows, rows):
+        block = columns[cols]
+        block *= scale
+        block += 0.0
+    # When rows < n the same reflectors finish the trailing columns, a panel
+    # at a time.  What they leave of D is zero in exact arithmetic, since
+    # [T22; D] has only ``rows`` nonzero rows.
+    width = max(1, _PANEL_FLOATS // rows)
+    for start in range(rows, n, width):
+        panel = R[:, start : start + width]
+        lapack.dtpmqrt(0, V, Tv, panel, D[:, start : start + width], trans="T",
+                       overwrite_a=1, overwrite_b=1)
+        panel *= scale[:, None]
+
+
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
-    """Release a private projection for the covariance ``F F^T``.
+    """Release the Gram of a private projection for the covariance ``F F^T``.
 
     Args:
         F: n x k factor of the target covariance (rows are samples).
@@ -247,48 +327,29 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
             bit-identical release.
 
     Returns:
-        PrivateProjection with values ``(1/sqrt(r)) R [F^T; w I]``,
-        computed as ``(R_1 F^T + w R_2) / sqrt(r)`` with ``R_1 = R[:, :k]``,
-        one row block of ``R`` at a time: only ``P`` and one block are held.
-        ``P`` is backed by its own anonymous memory mapping.
+        PrivateProjection whose values are ``R``, the min(r, n) x n
+        upper-trapezoidal R factor with positive diagonal of a QR of the
+        release ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law
+        (see the module docstring) without drawing ``P``.  ``R`` is in
+        Fortran order, that is ``R^T`` row by row.
 
-    Raises InvalidInputError when ``P`` cannot be allocated, e.g. for an
-    ``eta`` so small that r x n float64 exceeds the address space.
+    Raises InvalidInputError when ``R`` cannot be allocated.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n, k = A.shape
     r, w = jl_params(p)
-    try:
-        P = np.frombuffer(mmap.mmap(-1, 8 * r * n), np.float64).reshape(r, n)
-    except (OverflowError, OSError, ValueError) as exc:
-        raise InvalidInputError(
-            f"a release of r = {r:.6g} rows by n = {n} samples needs "
-            f"{8.0 * r * n:.6g} bytes and cannot be allocated: {exc}"
-        ) from None
-    rng = np.random.default_rng(int(seed))
-    scale = math.sqrt(r)
-    # Consecutive fills of one buffer continue the stream, so the blocks are
-    # the rows of the one-shot draw standard_normal((r, k+n)).
-    buf = np.empty((min(r, _block_height(k + n)), k + n))
-    for rows in _row_blocks(r, k + n):
-        R = buf[: rows.stop - rows.start]
-        rng.standard_normal(out=R)
-        floor = R[:, k:]
-        floor *= w
-        block = P[rows]
-        np.matmul(R[:, :k], A.T, out=block)
-        block += floor
-        block /= scale
-    return PrivateProjection(values=P)
+    T1, R = _draw_bartlett(np.random.default_rng(int(seed)), r, k, n)
+    _factor_from_bartlett(A, w, r, T1, R)
+    return PrivateProjection(values=R)
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     """``||P - row means||_F^2`` for a release ``P`` of ``F F^T``, drawn from its exact law.
 
-    The value has the law of the centred sum of squares of
-    ``privatize_covariance(F, p, seed)`` (see the module docstring), so it
-    carries that release's privacy guarantee; it is not that release's
-    value for this seed.  It is the one number the analyst's denominator
+    The value has the law of the centred sum of squares of the release
+    ``P = (1/sqrt(r)) G [F^T; w I]`` (see the module docstring), so it
+    carries that release's privacy guarantee; it is not the value of any
+    release drawn from this seed.  It is the one number the analyst's denominator
     needs from the release of ``X X^T``: ``||P J||_F^2`` for the centering
     matrix ``J``.  Nothing of size r is drawn or held.
     """
@@ -301,10 +362,11 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     lam = np.clip(np.linalg.eigvalsh(gram)[-q:], 0.0, None)  # the top q, ascending
     rng = np.random.default_rng(int(seed))
     w2 = w * w
-    total = float((lam + w2) @ rng.chisquare(r, size=q))
+    rf = float(r)  # r may exceed int64, and w^2 r may exceed float64
+    total = float((lam + w2) @ (rng.chisquare(rf, size=q) / rf))
     if n - 1 > q:
-        total += w2 * float(rng.chisquare(r * (n - 1 - q)))
-    return total / r
+        total += w2 * float(rng.chisquare(rf * (n - 1 - q)) / rf)
+    return total
 
 
 def private_sum_directional_variances(P: PrivateProjection, V) -> float:
@@ -321,8 +383,11 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
         raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("query matrix contains non-finite entries")
-    total = 0.0
-    for rows in _row_blocks(P.rows, P.n):
-        Z = P.values[rows] @ M
-        total += float(np.sum(Z * Z))
-    return total
+    # P V summed over blocks of P's columns, each a contiguous block of a
+    # Fortran-ordered factor: an unaligned wire payload is copied one block
+    # at a time.
+    columns = P.values.T
+    PV = np.zeros((P.rows, M.shape[1]))
+    for cols in _row_blocks(P.n, P.rows):
+        PV += columns[cols].T @ M[cols]
+    return float(np.sum(PV * PV))

@@ -6,43 +6,47 @@ Roles:
   ``B = sqrt(2) (X - column means)`` of the centered-distance Laplacian
   ``L = B B^T`` of ``X`` and makes two private releases — a projection
   ``P_B`` for ``B B^T`` and ``P_X`` for ``X X^T`` — each spending half of
-  the (epsilon, delta) budget.  Each release is ``(R_1 F^T + w R_2) /
-  sqrt(r)`` for its factor ``F``, so neither side of the protocol holds an
-  n x n array.  Of ``P_X`` the analyst needs one number,
+  the (epsilon, delta) budget.  The analyst reads ``P_B`` only through its
+  Gram, so Alice ships ``R_B``, the min(r, n) x n triangular factor of a QR
+  of ``P_B``, drawn from its exact law (see :mod:`pitest.privacy`) without
+  drawing ``P_B``.  Of ``P_X`` the analyst needs one number,
   ``sx = ||P_X - row means||_F^2``, so Alice draws ``sx`` from its exact law
-  (a weighted sum of chi-square draws, see :mod:`pitest.privacy`) and never
-  draws ``P_X``; for every ``X`` it has the law of that post-processing of
-  the release, so it carries the release's guarantee.  The package of the
-  total budget, ``P_B`` and ``sx`` is all that ever leaves her side (the
-  sample count is the width of ``P_B``); the release seeds do not.
+  (a weighted sum of chi-square draws) and never draws ``P_X``.  For every
+  ``X`` both have the law of a data-independent function of their release,
+  so they carry its guarantee.  The package of the total budget, ``R_B``
+  (under the name ``proj_B``) and ``sx`` is all that ever leaves her side
+  (the sample count is the width of ``R_B``); the release seeds do not.
 - The *analyst* (Bob) owns ``Y``.  From the package alone he evaluates the
   private statistics
 
-      omega_bar_sq = (2/n^2) * sum_i ||P_B y_i||^2           (columns of Y)
+      omega_bar_sq = (2/n^2) * sum_i ||R_B y_i||^2           (columns of Y)
       s_bar        = (4/n^3) * sx * n ||Yc||_F^2
 
-  (the second is ``(4/n^4) ||P_X G||_F^2 Tr(Y^T L_S Y)`` with
-  ``G = sqrt(n) J`` the complete-graph factor, never formed, and
-  ``Tr(Y^T L_S Y) = n ||Yc||_F^2`` for the column-centered ``Yc``, which
-  keeps its precision when ``Y`` has a large mean), forms
-  ``Gamma = n * omega_bar_sq / s_bar``, and applies the rejection rule.
-  Nothing flows back, so the release's privacy guarantee is preserved under
-  this post-processing.
+  (``||R_B y||^2 = ||P_B y||^2`` for every ``y``; the second is
+  ``(4/n^4) ||P_X G||_F^2 Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
+  complete-graph factor, never formed, and ``Tr(Y^T L_S Y) = n ||Yc||_F^2``
+  for the column-centered ``Yc``, which keeps its precision when ``Y`` has a
+  large mean), forms ``Gamma = n * omega_bar_sq / s_bar``, and applies the
+  rejection rule.  Nothing flows back, so the release's privacy guarantee
+  is preserved under this post-processing.
 
-Wire format (version 3): one line of canonical UTF-8 JSON (sorted keys,
+Wire format (version 4): one line of canonical UTF-8 JSON (sorted keys,
 compact separators) holding ``version``, ``n``, ``privacy``, ``sx`` (a
 finite number >= 0) and the ``rows``/``cols`` of the ``proj_B`` section,
-then one newline byte, then the ``proj_B`` payload as raw little-endian
-IEEE-754 binary64 values in row-major order.  ``rows`` must be the ``r``
-that the ``privacy`` fields imply for one release and ``cols`` must be
-``n``, so the payload is the release whose bounds the analyst reports.
-The blob is exactly the header, the newline and ``8 * rows * cols`` bytes
-long; ``sx`` is written
-as the shortest decimal that reads back to the same float, so round-trips
-are bit-exact and equal packages are equal bytes.  The payload starts
-right after the header, at an offset that need not be a multiple of 8; the
-analyst reads it one row block at a time, so the copy that BLAS needs for
-an unaligned operand is one block, not a payload.
+then one newline byte, then the ``proj_B`` payload: the factor ``R_B`` as
+raw little-endian IEEE-754 binary64 values in column-major order, that is
+column 0 of ``R_B`` (``rows`` values), then column 1, and so on.  This is
+the buffer Alice fills, so neither side transposes it.  ``rows`` must be
+min(r, n) for the ``r`` that the ``privacy`` fields imply for one release,
+and ``cols`` must be ``n``.  ``R_B`` is upper trapezoidal: every entry
+below the diagonal must be +0.0 (all bytes zero) and every diagonal entry
+must be > 0.  The blob is exactly the header, the newline and
+``8 * rows * cols`` bytes long; ``sx`` is written as the shortest decimal
+that reads back to the same float, so round-trips are bit-exact and equal
+packages are equal bytes.  The payload starts right after the header, at
+an offset that need not be a multiple of 8; the analyst reads it one block
+of columns at a time, so the copy that BLAS needs for an unaligned operand
+is one block, not a payload.
 """
 
 from __future__ import annotations
@@ -90,18 +94,19 @@ __all__ = [
     "report_to_dict",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _SPLIT = "half-half"  # the budget split over the two releases
 
 
 @dataclass(frozen=True, eq=False)
 class AlicePackage:
-    """Everything the data holder sends: the budget, a projection and a scalar.
+    """Everything the data holder sends: the budget, a release factor and a scalar.
 
     ``params`` is the total budget; each release spent ``params.half_budget()``.
-    ``sx`` has the law of ``||P_X - row means||_F^2`` for a release ``P_X``
-    of ``X X^T``.  The
-    sample count is the projection's width, so it is not stored again.
+    ``proj_B`` has the Gram of a release ``P_B`` of ``B B^T``, and ``sx`` has
+    the law of ``||P_X - row means||_F^2`` for a release ``P_X`` of
+    ``X X^T``.  The sample count is the factor's width, so it is not stored
+    again.
     """
 
     params: PrivacyParams
@@ -172,8 +177,8 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     entropy; an explicit seed makes the package a deterministic function of
     (X, p, master_seed), which is for reproducible tests only, since anyone
     who knows it can regenerate the releases and recover ``X``.  Raw
-    ``X``, the factor and the seeds stay on this side; ``P_X`` is never
-    drawn.
+    ``X``, its Laplacian factor ``B`` and the seeds stay on this side;
+    neither release is drawn.
     """
     A = _as_sample_matrix(X, "X", min_rows=2)
     B = factor_W(A)
@@ -295,16 +300,17 @@ def _privacy_section(params: PrivacyParams) -> dict:
 def serialize_package(pkg: AlicePackage) -> bytes:
     """Encode a package as a canonical JSON header line plus the raw payload.
 
-    The payload is the projection's own little-endian float64 buffer,
-    joined once into the output: no intermediate copy or text encoding.
+    The payload is the factor's own little-endian float64 buffer, column by
+    column, joined once into the output: no intermediate copy or text
+    encoding.
     """
-    payload = np.ascontiguousarray(pkg.proj_B.values, dtype="<f8")
+    payload = np.ascontiguousarray(pkg.proj_B.values.T, dtype="<f8")
     header = {
         "version": FORMAT_VERSION,
         "n": pkg.n,
         "privacy": _privacy_section(pkg.params),
         "sx": float(pkg.sx),
-        "proj_B": {"rows": payload.shape[0], "cols": payload.shape[1]},
+        "proj_B": {"rows": pkg.proj_B.rows, "cols": pkg.n},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"".join([head, b"\n", payload])
@@ -325,10 +331,10 @@ def _number(value, what: str) -> float:
         raise PackageFormatError(f"{what} is out of range: {exc}") from exc
 
 
-def _check_shape(section, name: str, r: int, n: int) -> None:
+def _check_shape(section, name: str, rows: int, n: int) -> None:
     if not isinstance(section, dict):
         raise PackageFormatError(f"section '{name}' must be an object")
-    for field, symbol, want in (("rows", "r", r), ("cols", "n", n)):
+    for field, symbol, want in (("rows", "min(r, n)", rows), ("cols", "n", n)):
         got = _require(section, field, f"section '{name}'")
         if not isinstance(got, int) or isinstance(got, bool) or got != want:
             raise PackageFormatError(
@@ -350,10 +356,29 @@ def _parse_header(head: bytes) -> dict:
     return doc
 
 
+def _check_upper_trapezoidal(columns: np.ndarray) -> None:
+    """Check that ``columns`` (n x rows, the transpose of the factor) is a triangular factor.
+
+    Below the factor's diagonal, that is right of the diagonal of
+    ``columns``, every entry must be +0.0; on it, every entry must be > 0.
+    Only the first ``rows`` columns of the factor reach below the diagonal.
+    """
+    rows = columns.shape[1]
+    words = columns.view(np.uint64)  # +0.0 is the one float64 whose bytes are all zero
+    # Tiles of 128 rows of ``columns`` (columns of the factor): the strict
+    # upper triangle of the diagonal tile, and everything right of it.
+    for a in range(0, rows, 128):
+        b = min(a + 128, rows)
+        if np.triu(words[a:b, a:b], 1).any() or words[a:b, b:].any():
+            raise PackageFormatError("section 'proj_B': an entry below the diagonal is not +0.0")
+    if not np.all(np.diagonal(columns) > 0.0):
+        raise PackageFormatError("section 'proj_B': a diagonal entry is not > 0")
+
+
 def deserialize_package(data: bytes) -> AlicePackage:
     """Parse and validate package bytes; inverse of :func:`serialize_package`.
 
-    The projection is a read-only view into ``data``.  Raises
+    The factor is a read-only view into ``data``.  Raises
     PackageFormatError (or its UnsupportedVersionError subclass) for every
     malformed input; never returns a partially validated package.
     """
@@ -390,8 +415,8 @@ def deserialize_package(data: bytes) -> AlicePackage:
         raise PackageFormatError(f"unsupported budget split {split!r}; expected {_SPLIT!r}")
     try:
         params = PrivacyParams(**kwargs)
-        # The header fixes the release's row count: r of the per-release budget.
-        rows = jl_params(params.half_budget()).r
+        # The header fixes the factor's row count: min(r, n) for r of one release.
+        rows = min(jl_params(params.half_budget()).r, n)
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid privacy parameters: {exc}") from exc
 
@@ -407,11 +432,12 @@ def deserialize_package(data: bytes) -> AlicePackage:
             f"package holds {len(data)} bytes, expected {expected} "
             f"(header, newline and a payload of {rows}x{n} float64)"
         )
-    values = np.frombuffer(data, dtype="<f8", count=rows * n, offset=offset).reshape(rows, n)
+    columns = np.frombuffer(data, dtype="<f8", count=rows * n, offset=offset).reshape(n, rows)
     try:
-        proj_B = PrivateProjection(values=values)
+        proj_B = PrivateProjection(values=columns.T)
     except InvalidInputError as exc:
         raise PackageFormatError("section 'proj_B': payload contains NaN or infinite entries") from exc
+    _check_upper_trapezoidal(columns)
     try:
         return AlicePackage(params=params, proj_B=proj_B, sx=sx)
     except InvalidInputError as exc:

@@ -8,9 +8,10 @@ the tests compare the closed forms against, next to the pure-Python loops
 of ``oracles.py``.  They validate their inputs with the package's own
 private helpers, so they accept and reject exactly what the package does.
 The naive ratio interval, which the closed-form bounds of ``pitest.bounds``
-are checked to contain, is kept here too, and so is the reduction of a drawn
-release to its centred sum of squares, whose law the package's exact-law
-draw of ``sx`` is checked against.
+are checked to contain, is kept here too, and so are the Gaussian release
+itself and its reduction to its centred sum of squares, whose laws the
+package's exact-law draws of the release factor and of ``sx`` are checked
+against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
-from pitest.privacy import PrivacyParams, privatize_covariance
+from pitest.privacy import PrivacyParams, jl_params
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -235,14 +236,29 @@ def s_hat_directional(Q, Y) -> float:
     return 4.0 / n**3 * float(np.sum(Qc * Qc)) * (n * float(np.sum(Yc * Yc)))
 
 
+def gaussian_release(F, p: PrivacyParams, seed: int) -> np.ndarray:
+    """The r x n Gaussian release ``P = (G_1 F^T + w G_2) / sqrt(r)`` itself.
+
+    ``G = [G_1 G_2] = standard_normal((r, k+n))`` from the generator seeded
+    with ``seed``.  ``pitest.privacy.privatize_covariance`` ships the QR
+    factor of such a release, drawn from its exact law without drawing
+    ``G``; ``private_centered_sq_norm`` draws the centred sum of squares.
+    """
+    A = _as_sample_matrix(F, "factor", min_rows=2)
+    n, k = A.shape
+    r, w = jl_params(p)
+    G = np.random.default_rng(int(seed)).standard_normal((r, k + n))
+    return (G[:, :k] @ A.T + w * G[:, k:]) / math.sqrt(r)
+
+
 def release_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
-    """``||P - row means||_F^2`` of the drawn release ``P = privatize_covariance(F, p, seed)``.
+    """``||P - row means||_F^2`` of the drawn release ``P = gaussian_release(F, p, seed)``.
 
     ``||P J||_F^2`` for the centering matrix ``J``, reduced from the whole
     r x n release; ``pitest.privacy.private_centered_sq_norm`` draws a number
     with the same law without drawing ``P``.
     """
-    P = privatize_covariance(F, p, seed).values
+    P = gaussian_release(F, p, seed)
     Pc = P - P.mean(axis=1, keepdims=True)
     return float(np.sum(Pc * Pc))
 

@@ -9,7 +9,7 @@ import pytest
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError
-from pitest.privacy import PrivacyParams, jl_params
+from pitest.privacy import PrivacyParams, _draw_bartlett, jl_params
 from pitest.protocol import alice_prepare, deserialize_package, serialize_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
@@ -37,7 +37,7 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     head, newline, payload = out.read_bytes().partition(b"\n")
     assert newline == b"\n"
     doc = json.loads(head)
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert doc["n"] == 20
     assert doc["privacy"]["split"] == "half-half"
     assert doc["sx"] > 0.0
@@ -53,14 +53,16 @@ def test_alice_reports_eta_too_small_as_an_error(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_alice_reports_an_impossible_release_size_as_an_error(data_dir, tmp_path, capsys):
+def test_alice_writes_a_package_at_a_huge_row_count(data_dir, tmp_path, capsys):
+    # eta = 1e-100 gives r ~ 3e201 rows: the factor has n = 20 rows and sx is finite
     out = tmp_path / "pkg.bin"
     rc = main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
                "--eta", "1e-100", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: a release of r = ") and "bytes" in err
-    assert not out.exists()
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    package = deserialize_package(out.read_bytes())
+    assert package.proj_B.values.shape == (20, 20)
+    assert math.isfinite(package.sx) and package.sx > 0.0
 
 
 def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, capsys):
@@ -78,7 +80,15 @@ def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, c
 
 
 def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
-    """With the master seed, R is regenerated and centred X recovered by least squares."""
+    """With the master seed, T is regenerated and centred X recovered from the factor.
+
+    The factor R has R^T R = (T A_hat)^T (T A_hat) / r for A_hat = [B^T; w I]
+    and the Bartlett factor T of the release.  Subtracting the floor rows
+    (w^2 / r) T22^T T22 leaves D^T D / r for the k = 2 dense rows
+    D = T11 B^T + w T12, so D is known up to a 2 x 2 orthogonal map O.  The
+    columns of B sum to zero, so D e = w T12 e, which leaves two choices of
+    O (a rotation and a reflection); one of them gives Xc = B / sqrt(2).
+    """
     out = tmp_path / "pkg.bin"
     rc = main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS,
                "--seed", "11", "--out", str(out)])
@@ -92,15 +102,27 @@ def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
     params = PrivacyParams(10.0, 0.01, 0.5, 0.5)
     assert out.read_bytes() == serialize_package(alice_prepare(X, params, 11))
 
-    proj_B = deserialize_package(out.read_bytes()).proj_B
+    R = deserialize_package(out.read_bytes()).proj_B.values
     (n, k), (r, w) = X.shape, jl_params(params.half_budget())
     release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[0])
-    R = np.random.default_rng(release_seed).standard_normal((r, k + n))
-    # sqrt(r) P_B = R_1 B^T + w R_2 with B = sqrt(2) Xc, so B^T solves
-    # R_1 Z = sqrt(r) P_B - w R_2
-    Z = np.linalg.lstsq(R[:, :k], math.sqrt(r) * proj_B.values - w * R[:, k:], rcond=None)[0]
+    T1, T22 = _draw_bartlett(np.random.default_rng(release_seed), r, k, n)
+    gram = r * (R.T @ R) - w**2 * (T22.T @ T22)  # D^T D
+    lam, V = np.linalg.eigh(gram)
+    D0 = np.sqrt(lam[-k:])[:, None] * V[:, -k:].T  # D = O D0
+    u, v = D0.sum(axis=1), w * T1[:, k:].sum(axis=1)  # O u = v
+    norm = np.linalg.norm(u) * np.linalg.norm(v)
+    # cosine and sine of the difference, then of the sum, of the angles of v and u
+    c, s = (u @ v) / norm, (u[0] * v[1] - u[1] * v[0]) / norm
+    c2, s2 = (u[0] * v[0] - u[1] * v[1]) / norm, (u[1] * v[0] + u[0] * v[1]) / norm
+    rotation = np.array([[c, -s], [s, c]])
+    reflection = np.array([[c2, s2], [s2, -c2]])
     Xc = X - X.mean(axis=0)
-    assert np.linalg.norm(Z.T / math.sqrt(2.0) - Xc) <= 1e-6 * np.linalg.norm(Xc)
+    errors = []
+    for O in (rotation, reflection):
+        assert np.allclose(O @ u, v, rtol=1e-9)
+        Bt = np.linalg.solve(T1[:, :k], O @ D0 - w * T1[:, k:])
+        errors.append(np.linalg.norm(Bt.T / math.sqrt(2.0) - Xc))
+    assert min(errors) <= 1e-6 * np.linalg.norm(Xc)
 
     rc = main(["run", "--input-x", str(data_dir / "x.csv"), "--input-y", str(data_dir / "y.csv"),
                *ALICE_ARGS, "--seed", "11", "--report", str(tmp_path / "run.json")])

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.linalg import lapack
 
 from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
     PrivacyParams,
+    _draw_bartlett,
+    _factor_from_bartlett,
     jl_params,
+    private_centered_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
     tau,
@@ -16,6 +21,7 @@ from pitest.privacy import (
 )
 
 from oracles import oracle_projection_mean
+from reference import gaussian_release
 
 
 PARAMS = PrivacyParams(epsilon=100.0, delta=0.5, eta=0.5, nu=0.5)  # small r, small w: fast MC
@@ -116,49 +122,154 @@ def test_privatize_deterministic():
     assert a.values.tobytes() != c.values.tobytes()
 
 
+def _positive_qr_r(M):
+    """The R factor with positive diagonal of a QR of ``M``."""
+    T = np.linalg.qr(M, mode="r")
+    return T * np.sign(np.diagonal(T))[:, None]
+
+
+def _bartlett_whole(T1, R, r, k):
+    """T assembled from the parts ``_draw_bartlett`` returns, before the factor overwrites R."""
+    k1 = T1.shape[0]
+    q = min(r - k1, R.shape[1])
+    T = np.zeros((k1 + q, T1.shape[1]))
+    T[:k1] = T1
+    T[k1:, k:] = R[:q]
+    return T
+
+
+def _assert_upper_trapezoidal(R):
+    below = R[np.tril_indices(R.shape[0], -1, R.shape[1])]
+    assert below.tobytes() == bytes(below.nbytes)  # +0.0, not -0.0
+    assert np.all(np.diagonal(R) > 0.0)
+
+
 def test_privatize_is_projection_of_augmented_factor():
     p = PrivacyParams(2.0, 0.01, 0.3, 0.1)
     r, w = jl_params(p)
+    assert r == 267
     F = np.random.default_rng(1).standard_normal((5, 2))
-    P = privatize_covariance(F, p, seed=99).values
-    R = np.random.default_rng(99).standard_normal((r, 2 + 5))
-    # the release's bytes: the two-term form of R [F^T; w I] / sqrt(r)
-    assert np.array_equal(P, (R[:, :2] @ F.T + w * R[:, 2:]) / math.sqrt(r))
-    # the stacked product it equals in exact arithmetic
-    stacked = (R @ np.vstack([F.T, w * np.eye(5)])) / math.sqrt(r)
-    assert np.max(np.abs(P - stacked)) <= 1e-12 * np.max(np.abs(stacked))
+    R = privatize_covariance(F, p, seed=99).values
+    # the release's bytes: T drawn from the seed, then R from T
+    T1, expected = _draw_bartlett(np.random.default_rng(99), r, 2, 5)
+    T = _bartlett_whole(T1, expected, r, 2)
+    _factor_from_bartlett(F, w, r, T1, expected)
+    assert np.array_equal(R, expected)
+    # the QR of the stacked product T [F^T; w I] / sqrt(r) it equals in exact arithmetic
+    stacked = _positive_qr_r(T @ np.vstack([F.T, w * np.eye(5)]) / math.sqrt(r))
+    assert np.max(np.abs(R - stacked)) <= 1e-12 * np.max(np.abs(stacked))
 
 
 def test_privatize_draws_and_projects_row_blocks():
-    # r = 267 rows of R span five blocks of 2**15 // (2 + 500) = 65 rows; the last has 7
+    # r = 267 < n = 500: the QR runs on the leading 267 columns, and its
+    # reflectors, applied block by block, finish the other 233
     p = PrivacyParams(2.0, 0.01, 0.3, 0.1)
     r, w = jl_params(p)
-    n, k, h = 500, 2, 65
-    assert (r, r % h) == (267, 7)
+    n, k = 500, 2
     F = np.random.default_rng(1).standard_normal((n, k))
-    P = privatize_covariance(F, p, seed=99).values
-    R = np.random.default_rng(99).standard_normal((r, k + n))
-    # the blocks are consecutive rows of the one-shot draw, projected one at a time
-    blocks = [R[i : i + h, :k] @ F.T + w * R[i : i + h, k:] for i in range(0, r, h)]
-    assert np.array_equal(P, np.vstack(blocks) / math.sqrt(r))
-    # BLAS may round an h-row and an r-row GEMM differently in the last bit
-    one_shot = (R[:, :k] @ F.T + w * R[:, k:]) / math.sqrt(r)
-    assert np.max(np.abs(P - one_shot)) <= 1e-15 * np.max(np.abs(one_shot))
+    R = privatize_covariance(F, p, seed=99).values
+    assert R.shape == (r, n) and R.flags.f_contiguous
+    T1, expected = _draw_bartlett(np.random.default_rng(99), r, k, n)
+    # the one-shot triangular-pentagonal QR over all n columns, T22 padded square
+    T22 = np.zeros((n, n), order="F")
+    T22[:r] = expected
+    dense = np.asfortranarray(T1[:, k:] + T1[:, :k] @ (F.T / w))
+    one_shot = lapack.dtpqrt(0, 16, T22, dense)[0]
+    one_shot *= np.copysign(w / math.sqrt(r), np.diagonal(one_shot))[:, None]
+    _factor_from_bartlett(F, w, r, T1, expected)
+    assert np.array_equal(R, expected)
+    # BLAS may round the split and the one-shot products differently in the last bit
+    assert np.max(np.abs(R - one_shot[:r])) <= 1e-15 * np.max(np.abs(one_shot))
+    # [T22; dense] has only r rows, so the one-shot QR leaves nothing below them
+    assert np.max(np.abs(one_shot[r:])) <= 1e-15 * np.max(np.abs(one_shot))
 
 
 def test_privatize_shape_and_finiteness():
     p = PARAMS
     r, _ = jl_params(p)
     P = privatize_covariance(np.zeros((7, 3)), p, seed=5)
-    assert P.values.shape == (r, 7)
+    assert P.values.shape == (min(r, 7), 7)
     assert np.all(np.isfinite(P.values))
+    _assert_upper_trapezoidal(P.values)
 
 
-def test_privatize_reports_an_impossible_release_size():
-    # eta = 1e-100 gives r ~ 3e201 rows: 8 r n bytes exceed any address space
+def test_privatize_ships_an_n_row_factor_at_a_huge_row_count():
+    # eta = 1e-100 gives r ~ 3e201 rows: the factor still has n = 5 rows
     p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
-    with pytest.raises(InvalidInputError, match=r"r = .* rows by n = 5 samples needs .* bytes"):
-        privatize_covariance(np.arange(5.0)[:, None], p, seed=0)
+    assert jl_params(p).r > 1e201
+    P = privatize_covariance(np.arange(5.0)[:, None], p, seed=0)
+    assert P.values.shape == (5, 5)
+    _assert_upper_trapezoidal(P.values)
+
+
+def test_privatize_reports_a_factor_it_cannot_allocate(monkeypatch):
+    # a refusal stands in for an allocation the OS cannot make: asking for
+    # one might be granted under overcommit and then exhaust memory
+    zeros = np.zeros
+
+    def refuse_the_factor(shape, *args, **kwargs):
+        if shape == (5, 5):
+            raise MemoryError(f"Unable to allocate array with shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_the_factor)
+    with pytest.raises(InvalidInputError, match=r"factor of 5 x 5 float64 needs 200 bytes"):
+        privatize_covariance(np.arange(5.0)[:, None], PARAMS, seed=0)
+
+
+def test_private_centered_sq_norm_is_finite_at_a_huge_row_count():
+    # r ~ 3e201 and w^2 ~ 5e204: weighting chi^2_r / r keeps sx finite, at its
+    # mean ||Xc||^2 + w^2 (n-1) to within the sqrt(2/r) spread of the draws
+    p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
+    w = jl_params(p).w
+    X = np.arange(5.0)[:, None]
+    sx = private_centered_sq_norm(X, p, seed=0)
+    assert math.isfinite(sx)
+    assert sx == pytest.approx(10.0 + 4.0 * w**2, rel=1e-12)
+
+
+# r, k, n in the four regimes of the QR: r >= k+n, n < r < k+n, k < r <= n, r <= k
+_REGIMES = [(14, 2, 8), (14, 4, 12), (14, 2, 20), (14, 2, 14), (14, 16, 20), (6, 8, 4)]
+
+
+@pytest.mark.parametrize("r, k, n", _REGIMES)
+def test_factor_from_bartlett_is_the_qr_of_the_release(r, k, n):
+    """R from T equals the positive-diagonal R of a QR of (G_1 F^T + w G_2) / sqrt(r)."""
+    rng = np.random.default_rng(r + 100 * k + 10_000 * n)
+    F = 30.0 * rng.standard_normal((n, k))
+    w = 25.0
+    G = rng.standard_normal((r, k + n))
+    T = _positive_qr_r(G)
+    k1, rows = min(r, k), min(r, n)
+    q = min(r - k1, n)
+    R = np.zeros((n, rows)).T
+    R[:q] = T[k1:, k:]
+    _factor_from_bartlett(F, w, r, T[:k1], R)
+    expected = _positive_qr_r((G[:, :k] @ F.T + w * G[:, k:]) / math.sqrt(r))
+    assert R.shape == expected.shape == (rows, n)
+    assert np.max(np.abs(R - expected)) <= 1e-10 * np.max(np.abs(expected))
+    _assert_upper_trapezoidal(R)
+
+
+@pytest.mark.parametrize("k, n", [(2, 8), (4, 12), (2, 20), (16, 20)])
+def test_factor_has_the_law_of_the_release_gram(k, n):
+    """||R Y||^2 and y_1^T R^T R y_2 have the laws of the release's ||P Y||^2 and y_1^T P^T P y_2."""
+    p = PrivacyParams(epsilon=1.0, delta=0.1, eta=0.9, nu=0.5)
+    r, w = jl_params(p)
+    assert r == 14
+    rng = np.random.default_rng(k + 100 * n)
+    F = w / 2.0 * rng.standard_normal((n, k))  # the data and the floor both matter
+    Y = rng.standard_normal((n, 2))
+    trials = 2000
+
+    def statistics(M):
+        Z = M @ Y
+        return float(np.sum(Z * Z)), float(Z[:, 0] @ Z[:, 1])
+
+    drawn = np.array([statistics(privatize_covariance(F, p, s).values) for s in range(trials)])
+    released = np.array([statistics(gaussian_release(F, p, s)) for s in range(trials, 2 * trials)])
+    for column in range(2):
+        assert stats.ks_2samp(drawn[:, column], released[:, column]).pvalue > 1e-3, column
 
 
 def test_privatize_rejects_non_finite_factor():

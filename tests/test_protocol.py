@@ -39,7 +39,7 @@ from pitest.protocol import (
     serialize_package,
 )
 
-from reference import dcov_sq_direct, dcov_sq_directional, release_centered_sq_norm
+from reference import dcov_sq_direct, dcov_sq_directional, gaussian_release, release_centered_sq_norm
 
 # cheap parameters: per-release r = ceil(8 ln 4 / 0.25) = 45 rows
 PARAMS = PrivacyParams(epsilon=10.0, delta=0.01, eta=0.5, nu=0.5)
@@ -58,10 +58,11 @@ def package(xy):
     return alice_prepare(xy[0], PARAMS, master_seed=2024)
 
 
-def _x_release(X, params, master_seed) -> np.ndarray:
-    """A release of X X^T drawn from the seed that alice_prepare uses for sx."""
-    seed = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)[1]
-    return privatize_covariance(X, params.half_budget(), int(seed)).values
+def _gaussian_releases(X, params, master_seed) -> tuple[np.ndarray, np.ndarray]:
+    """The r x n releases of B B^T and X X^T drawn from the seeds alice_prepare uses."""
+    seeds = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    half = params.half_budget()
+    return gaussian_release(factor_W(X), half, int(seeds[0])), gaussian_release(X, half, int(seeds[1]))
 
 
 def test_alice_package_deterministic(xy, package):
@@ -73,8 +74,8 @@ def test_alice_package_deterministic(xy, package):
 
 def test_projection_rows_use_half_budget(xy, package):
     r, _ = jl_params(PARAMS.half_budget())
-    assert package.proj_B.values.shape == (r, 12)
-    assert _x_release(xy[0], PARAMS, 2024).shape == (r, 12)
+    assert package.proj_B.values.shape == (min(r, 12), 12)
+    assert all(P.shape == (r, 12) for P in _gaussian_releases(xy[0], PARAMS, 2024))
 
 
 def test_release_seeds_derived_from_master(xy, package):
@@ -310,12 +311,14 @@ def test_layout_is_header_line_then_raw_payloads(package):
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
     assert head == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert sorted(doc) == ["n", "privacy", "proj_B", "sx", "version"]
     assert doc["sx"] == package.sx
-    assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12}
+    assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12} == {"rows": 12, "cols": 12}
     assert len(blob) == len(head) + 1 + 8 * package.proj_B.rows * 12
-    assert payload == package.proj_B.values.astype("<f8").tobytes()
+    # the factor column by column: the buffer Alice filled
+    assert package.proj_B.values.flags.f_contiguous
+    assert payload == package.proj_B.values.astype("<f8").tobytes(order="F")
 
 
 def test_round_trip_preserves_bob_verdict(package, xy):
@@ -381,21 +384,22 @@ def test_rejects_missing_section(package, field):
 
 def test_rejects_future_version(package):
     doc = _doc(package)
-    doc["version"] = 4
-    with pytest.raises(UnsupportedVersionError, match="version 4"):
+    doc["version"] = 5
+    with pytest.raises(UnsupportedVersionError, match="version 5"):
         deserialize_package(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
 
 
 def _two_projection_header(package, xy, version) -> tuple[dict, list[bytes]]:
-    """The header of a version 1 or 2 document, which sent P_X whole."""
+    """The header of a version 1 or 2 document, which sent P_B and P_X whole."""
     doc = _doc(package)
     del doc["sx"]
     doc["version"] = version
-    PX = _x_release(xy[0], PARAMS, 2024)
+    PB, PX = _gaussian_releases(xy[0], PARAMS, 2024)
+    doc["proj_B"] = {"rows": PB.shape[0], "cols": PB.shape[1]}
     doc["proj_X"] = {"rows": PX.shape[0], "cols": PX.shape[1]}
-    return doc, [P.astype("<f8").tobytes() for P in (package.proj_B.values, PX)]
+    return doc, [P.astype("<f8").tobytes() for P in (PB, PX)]
 
 
 def test_rejects_version_1_document(package, xy):
@@ -417,9 +421,20 @@ def test_rejects_version_2_document(package, xy):
         deserialize_package(b"".join([head, b"\n", *raws]))
 
 
+def test_rejects_version_3_document(package, xy):
+    """A version 3 document, a header line then P_B whole row by row, is no longer read."""
+    doc = _doc(package)
+    doc["version"] = 3
+    PB = _gaussian_releases(xy[0], PARAMS, 2024)[0]
+    doc["proj_B"] = {"rows": PB.shape[0], "cols": PB.shape[1]}
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with pytest.raises(UnsupportedVersionError, match="version 3"):
+        deserialize_package(head + b"\n" + PB.astype("<f8").tobytes())
+
+
 def test_rejects_non_integer_version(package):
     doc = _doc(package)
-    doc["version"] = "3"
+    doc["version"] = "4"
     _reject(package, doc)
     doc["version"] = True
     _reject(package, doc)
@@ -477,14 +492,40 @@ def test_rejects_bad_projection_sections(package):
 
 
 def test_rejects_row_count_other_than_the_headers_r(package):
-    """The header's privacy fields fix r; a payload of other height is refused."""
-    assert package.proj_B.rows == jl_params(PARAMS.half_budget()).r == 45
+    """The header's privacy fields fix r, so min(r, n); a factor of other height is refused."""
+    assert jl_params(PARAMS.half_budget()).r == 45
+    assert package.proj_B.rows == min(45, 12)
     doc = _doc(package)
     doc["proj_B"]["rows"] = 1
     head = json.dumps(doc).encode("utf-8")
     one_row = np.asarray(package.proj_B.values[:1], dtype="<f8").tobytes()
-    with pytest.raises(PackageFormatError, match="rows must equal r = 45"):
+    with pytest.raises(PackageFormatError, match=r"rows must equal min\(r, n\) = 12"):
         deserialize_package(head + b"\n" + one_row)
+
+
+def _with_factor_entry(package, row: int, col: int, value: float) -> bytes:
+    """The package's blob with entry (row, col) of the factor replaced by ``value``."""
+    blob = bytearray(serialize_package(package))
+    at = blob.index(b"\n") + 1 + 8 * (col * package.proj_B.rows + row)  # column-major
+    blob[at:at + 8] = struct.pack("<d", value)
+    return bytes(blob)
+
+
+def test_rejects_a_nonzero_entry_below_the_diagonal(package):
+    for row, col in ((1, 0), (11, 10), (11, 0)):
+        with pytest.raises(PackageFormatError, match=r"below the diagonal is not \+0\.0"):
+            deserialize_package(_with_factor_entry(package, row, col, 1e-300))
+
+
+def test_rejects_a_negative_zero_below_the_diagonal(package):
+    with pytest.raises(PackageFormatError, match=r"below the diagonal is not \+0\.0"):
+        deserialize_package(_with_factor_entry(package, 5, 2, -0.0))
+
+
+def test_rejects_a_diagonal_entry_that_is_not_positive(package):
+    for value in (0.0, -0.0, -package.proj_B.values[4, 4], -5e-324):
+        with pytest.raises(PackageFormatError, match="diagonal entry is not > 0"):
+            deserialize_package(_with_factor_entry(package, 4, 4, value))
 
 
 def test_rejects_eta_too_small_for_a_row_count(package):
@@ -566,29 +607,27 @@ def _peak_bytes(call):
 
 
 def test_release_and_analyst_hold_no_whole_draw():
-    """Alice holds P_B and one block of R, never P_X; Bob holds one block.
+    """Alice holds the factor and blocks far smaller, never P_B or P_X; Bob holds one block.
 
-    P_B has its own memory mapping, which tracemalloc does not see, so its
-    bytes are added to Alice's traced peaks.
+    The factor is min(r, n) x n for r = 738: r < n, then r > n.
     """
-    n = 1000
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((n, 2))
-    Y = rng.standard_normal((n, 2))
     r = jl_params(params).r
     assert r == 738
-    release_bytes = 8 * r * n
-    B = factor_W(X)
-    wire = _unaligned_wire(alice_prepare(X, params, master_seed=8))
-    traced, proj = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
-    alice = traced + proj.values.nbytes
-    traced, pkg = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))
-    prepare = traced + pkg.proj_B.values.nbytes
-    bob = _peak_bytes(lambda: bob_evaluate(wire, Y))[0]
-    assert alice < 1.25 * release_bytes, (alice, release_bytes)
-    assert prepare < 1.25 * release_bytes, (prepare, release_bytes)
-    assert bob < release_bytes / 4, (bob, release_bytes)
+    for n in (1000, 500):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((n, 2))
+        Y = rng.standard_normal((n, 2))
+        release_bytes = 8 * min(r, n) * n
+        B = factor_W(X)
+        wire = _unaligned_wire(alice_prepare(X, params, master_seed=8))
+        alice, proj = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
+        assert proj.values.nbytes == release_bytes
+        prepare = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
+        bob = _peak_bytes(lambda: bob_evaluate(wire, Y))[0]
+        assert alice < 1.25 * release_bytes, (n, alice, release_bytes)
+        assert prepare < 1.25 * release_bytes, (n, prepare, release_bytes)
+        assert bob < release_bytes / 4, (n, bob, release_bytes)
 
 
 def test_sx_draw_holds_nothing_of_size_r():
@@ -603,7 +642,7 @@ def test_sx_draw_holds_nothing_of_size_r():
 
 
 def test_blocked_statistics_match_one_shot_formulas():
-    # n = 500: r = 267 rows in blocks of 65, so omega_bar_sq spans five blocks
+    # n = 500: the 267 x 500 factor's columns in blocks of 122, so omega_bar_sq spans five blocks
     n = 500
     params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
     rng = np.random.default_rng(19)
