@@ -167,12 +167,15 @@ def _cmd_alice(args) -> int:
     X = load_csv(args.input, has_header=args.header)
     params = _params_from_args(args)
     package = alice_prepare(X, params, args.seed)
-    atomic_write_bytes(args.out, serialize_package(package))
+    blob = serialize_package(package)
+    atomic_write_bytes(args.out, blob)
 
     per_release = params.half_budget()
     r, w = jl_params(per_release)
-    print(f"wrote package: {args.out} (n = {package.n}, "
-          f"release factor {package.proj_B.rows} x {package.n}, scalar sx = {package.sx:.6g})")
+    factor = package.proj_B
+    print(f"wrote package: {args.out} ({len(blob)} bytes; n = {package.n}, "
+          f"release factor {factor.rows} x {factor.n} packed as {factor.values.size} entries, "
+          f"scalar sx = {package.sx:.6g})")
     print(f"per-release budget: epsilon = {per_release.epsilon:g}, delta = {per_release.delta:g}")
     print(f"projection rows r = {r}, spectral floor w = {w:.6g}")
     print(f"tau_mech (mechanism additive constant) = {tau_mechanism(per_release):.6g}")
@@ -186,11 +189,15 @@ def _cmd_alice(args) -> int:
 
 def _cmd_bob(args) -> int:
     with open(args.package, "rb") as handle:
-        package = deserialize_package(handle.read())
+        blob = handle.read()
+    package = deserialize_package(blob)
     Y = load_csv(args.input, has_header=args.header)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
     doc = report_to_dict(report)
     doc["privacy"] = _privacy_section(package.params)
+    # Read off the header and the blob's length: nothing beyond the release.
+    r, w = jl_params(package.params.half_budget())
+    doc["release"] = {"r": r, "w": w, "rows": package.proj_B.rows, "package_bytes": len(blob)}
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(f"wrote report: {args.report}")

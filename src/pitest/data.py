@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
                     raise CsvParseError(
                         f"{path}: line {line_no}, column {col_no}: not a number: {cell!r}"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise CsvParseError(
                         f"{path}: line {line_no}, column {col_no}: non-finite value {cell!r}"
                     )

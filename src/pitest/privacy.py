@@ -35,7 +35,10 @@ run.
 The analyst reads ``P`` only through its Gram ``P^T P``, so what is shipped
 is not ``P`` but ``R``, the min(r, n) x n upper-trapezoidal factor with a
 positive diagonal of a QR of ``P``: ``R^T R = P^T P``, so every query has
-the same answer.  ``R`` is drawn from its exact law without drawing ``P``.
+the same answer.  ``R`` is drawn from its exact law without drawing ``P``,
+and kept packed: column ``j`` holds only its first min(j+1, rows) entries,
+the columns one after another, so the zeros below the diagonal are neither
+stored nor shipped.
 Write ``G = Q T`` for a QR of ``G`` with ``T`` upper trapezoidal and
 positive on its diagonal; then ``P^T P = (T A_hat)^T (T A_hat) / r``, so ``R``
 is the R factor of ``T A_hat / sqrt(r)``.  By Bartlett's decomposition the
@@ -49,7 +52,11 @@ rest.  ``T_22`` is drawn straight into the buffer that becomes ``R``, with
 the min(r, k) dense rows scaled by ``1/w`` so that the floor is applied
 once, to the finished factor.  That costs about min(r, n) n - min(r, n)^2 / 2
 normals and O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n
-flops for ``P``, and holds nothing of size r.
+flops for ``P``, and holds nothing of size r.  The finished factor is then
+packed in place, a block of columns at a time: the first j columns hold at
+least as many entries as the packed first j columns, so a block's packed
+entries land at or before the block's own start, where every column has
+already been read, and packing needs no second factor-sized buffer.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -122,6 +129,28 @@ def _row_blocks(rows: int, width: int):
     h = max(1, _BLOCK_FLOATS // width)
     for i in range(0, rows, h):
         yield slice(i, min(i + h, rows))
+
+
+def _packed_offset(j: int, rows: int) -> int:
+    """Entries before column ``j`` of a packed factor with ``rows`` rows.
+
+    Column ``i`` keeps its first min(i+1, rows) entries, so this is
+    j (j+1) / 2 up to column ``rows`` and grows by ``rows`` a column after
+    it; for ``j = n`` it is the length of the whole packed factor.
+    """
+    t = min(j, rows)
+    return t * (t + 1) // 2 + (j - t) * rows
+
+
+def _column_blocks(rows: int, n: int):
+    """Slices of about ``_BLOCK_FLOATS`` entries covering the columns of a rows x n factor.
+
+    No slice crosses column ``rows``: the columns before it grow by one
+    entry each, the columns after it are whole.
+    """
+    yield from _row_blocks(rows, rows)
+    for cols in _row_blocks(n - rows, rows):
+        yield slice(rows + cols.start, rows + cols.stop)
 
 
 @dataclass(frozen=True)
@@ -223,34 +252,39 @@ def tau_mechanism(p: PrivacyParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PrivateProjection:
-    """A released matrix ``P``: a finite array of shape (rows, n).
+    """A released factor ``R``: rows x n, upper trapezoidal, stored packed.
 
-    Answers directional variance queries ``||P y||^2`` approximating
-    ``y^T F F^T y + w^2 ||y||^2``; only its Gram ``P^T P`` matters.  A
-    release from :func:`privatize_covariance` is the min(r, n) x n
-    upper-trapezoidal QR factor, stored column by column (Fortran order).
-    It does not keep the parameters it was released under; its holder does
-    (a package keeps its total budget).  The generator seed is not kept
-    either: with it, anyone could regenerate ``T`` and recover the factor.
+    ``values`` holds column ``j`` of ``R`` as its first min(j+1, rows)
+    entries, the columns one after another; the entries below the diagonal
+    are zero and not stored.  ``R`` answers directional variance queries
+    ``||R y||^2`` approximating ``y^T F F^T y + w^2 ||y||^2``; only its Gram
+    ``R^T R`` matters.  A release from :func:`privatize_covariance` is the
+    min(r, n) x n QR factor of the projection ``P``.  It does not keep the
+    parameters it was released under; its holder does (a package keeps its
+    total budget).  The generator seed is not kept either: with it, anyone
+    could regenerate ``T`` and recover the factor.
     """
 
     values: np.ndarray
+    rows: int
+    n: int
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ShapeError(f"projection values must be 2-D, got shape {self.values.shape}")
-        # One block of columns at a time, so the check holds no whole-size temporary.
-        columns = self.values.T
-        if not all(np.isfinite(columns[cols]).all() for cols in _row_blocks(self.n, self.rows)):
+        if not (1 <= self.rows <= self.n):
+            raise ShapeError(f"a factor needs 1 <= rows <= n, got rows={self.rows}, n={self.n}")
+        size = _packed_offset(self.n, self.rows)
+        if self.values.shape != (size,):
+            raise ShapeError(f"a packed {self.rows} x {self.n} factor has {size} entries, "
+                             f"got shape {self.values.shape}")
+        # One block at a time, so the check holds no whole-size temporary.
+        if not all(np.isfinite(self.values[i : i + _BLOCK_FLOATS]).all()
+                   for i in range(0, size, _BLOCK_FLOATS)):
             raise InvalidInputError("projection contains non-finite entries")
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of ``R``: entry j of column j, at packed offset j (j+3) / 2."""
+        j = np.arange(self.rows)
+        return self.values[j * (j + 3) // 2]
 
 
 def _draw_bartlett(rng: np.random.Generator, r: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +321,7 @@ def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np
 
     ``A`` is the n x k factor, ``T1`` and ``R`` (holding ``T22``) are as
     :func:`_draw_bartlett` returns them, and ``A_hat = [A^T; w I]``.  ``R``
-    is updated in place; below its diagonal it stays +0.0.
+    is updated in place; below its diagonal it stays zero.
     """
     k = A.shape[1]
     rows, n = R.shape
@@ -298,14 +332,11 @@ def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np
     # padded with zero rows (rows - q of them, at most k).
     _, V, Tv, _ = lapack.dtpqrt(0, min(rows, _REFLECTOR_BLOCK), R[:, :rows], D[:, :rows],
                                 overwrite_a=1, overwrite_b=1)
-    # Make the diagonal positive and restore the floor and the 1/sqrt(r);
-    # adding +0.0 turns the -0.0 a sign flip leaves below the diagonal into +0.0.
+    # Make the diagonal positive and restore the floor and the 1/sqrt(r).
     scale = np.copysign(w / math.sqrt(r), np.diagonal(R))
     columns = R.T
     for cols in _row_blocks(rows, rows):
-        block = columns[cols]
-        block *= scale
-        block += 0.0
+        columns[cols, : cols.stop] *= scale[: cols.stop]  # zero below row cols.stop
     # When rows < n the same reflectors finish the trailing columns, a panel
     # at a time.  What they leave of D is zero in exact arithmetic, since
     # [T22; D] has only ``rows`` nonzero rows.
@@ -315,6 +346,26 @@ def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np
         lapack.dtpmqrt(0, V, Tv, panel, D[:, start : start + width], trans="T",
                        overwrite_a=1, overwrite_b=1)
         panel *= scale[:, None]
+
+
+def _pack_columns(R: np.ndarray) -> np.ndarray:
+    """Pack the Fortran-ordered upper-trapezoidal ``R`` in place; return the packed entries.
+
+    Column ``j`` keeps its first min(j+1, rows) entries.  A block of columns
+    is gathered, then written at its packed offset, which is at or before
+    the block's own start, so no column not yet read is overwritten.  The
+    result is a view of the start of ``R``'s buffer.
+    """
+    rows, n = R.shape
+    flat = R.reshape(-1, order="F")
+    columns = R.T
+    for cols in _column_blocks(rows, n):
+        a, b = cols.start, cols.stop
+        block = columns[cols, : min(b, rows)]
+        if a < rows:
+            block = block[np.tri(b - a, b, a, dtype=bool)]
+        flat[_packed_offset(a, rows) : _packed_offset(b, rows)] = block.reshape(-1)
+    return flat[: _packed_offset(n, rows)]
 
 
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
@@ -327,11 +378,10 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
             bit-identical release.
 
     Returns:
-        PrivateProjection whose values are ``R``, the min(r, n) x n
-        upper-trapezoidal R factor with positive diagonal of a QR of the
-        release ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law
-        (see the module docstring) without drawing ``P``.  ``R`` is in
-        Fortran order, that is ``R^T`` row by row.
+        PrivateProjection of ``R``, the min(r, n) x n upper-trapezoidal R
+        factor with positive diagonal of a QR of the release
+        ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law (see the
+        module docstring) without drawing ``P``, and packed.
 
     Raises InvalidInputError when ``R`` cannot be allocated.
     """
@@ -340,7 +390,7 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     r, w = jl_params(p)
     T1, R = _draw_bartlett(np.random.default_rng(int(seed)), r, k, n)
     _factor_from_bartlett(A, w, r, T1, R)
-    return PrivateProjection(values=R)
+    return PrivateProjection(_pack_columns(R), *R.shape)
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
@@ -370,9 +420,9 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
 
 
 def private_sum_directional_variances(P: PrivateProjection, V) -> float:
-    """Sum of query answers over the columns of ``V``: ``||P V||_F^2``.
+    """Sum of query answers over the columns of ``V``: ``||R V||_F^2`` for the factor ``R``.
 
-    A vector ``V`` is one query ``y``, answered as ``||P y||^2``.  Non-unit
+    A vector ``V`` is one query ``y``, answered as ``||R y||^2``.  Non-unit
     directions are answered as asked; the value scales as ``||y||^2``, so
     callers normalize when the unit-direction convention matters.
     """
@@ -383,11 +433,21 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
         raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("query matrix contains non-finite entries")
-    # P V summed over blocks of P's columns, each a contiguous block of a
-    # Fortran-ordered factor: an unaligned wire payload is copied one block
-    # at a time.
-    columns = P.values.T
-    PV = np.zeros((P.rows, M.shape[1]))
-    for cols in _row_blocks(P.n, P.rows):
-        PV += columns[cols].T @ M[cols]
-    return float(np.sum(PV * PV))
+    # R V summed over blocks of R's columns.  A block left of column ``rows``
+    # is expanded into a zeroed scratch, whose entries below the block's
+    # diagonal no earlier block has written; a block right of it is whole
+    # columns, a contiguous run of the packed entries, and an unaligned wire
+    # payload is copied one block at a time.
+    rows = P.rows
+    RV = np.zeros((rows, M.shape[1]))
+    scratch = np.zeros((min(rows, max(1, _BLOCK_FLOATS // rows)), rows))
+    for cols in _column_blocks(rows, P.n):
+        a, b = cols.start, cols.stop
+        packed = P.values[_packed_offset(a, rows) : _packed_offset(b, rows)]
+        if a < rows:
+            block = scratch[: b - a, :b]
+            block[np.tri(b - a, b, a, dtype=bool)] = packed
+            RV[:b] += block.T @ M[cols]
+        else:
+            RV += packed.reshape(b - a, rows).T @ M[cols]
+    return float(np.sum(RV * RV))

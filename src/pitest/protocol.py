@@ -30,19 +30,22 @@ Roles:
   rejection rule.  Nothing flows back, so the release's privacy guarantee
   is preserved under this post-processing.
 
-Wire format (version 4): one line of canonical UTF-8 JSON (sorted keys,
+Wire format (version 5): one line of canonical UTF-8 JSON (sorted keys,
 compact separators) holding ``version``, ``n``, ``privacy``, ``sx`` (a
 finite number >= 0) and the ``rows``/``cols`` of the ``proj_B`` section,
-then one newline byte, then the ``proj_B`` payload: the factor ``R_B`` as
-raw little-endian IEEE-754 binary64 values in column-major order, that is
-column 0 of ``R_B`` (``rows`` values), then column 1, and so on.  This is
-the buffer Alice fills, so neither side transposes it.  ``rows`` must be
-min(r, n) for the ``r`` that the ``privacy`` fields imply for one release,
-and ``cols`` must be ``n``.  ``R_B`` is upper trapezoidal: every entry
-below the diagonal must be +0.0 (all bytes zero) and every diagonal entry
-must be > 0.  The blob is exactly the header, the newline and
-``8 * rows * cols`` bytes long; ``sx`` is written as the shortest decimal
-that reads back to the same float, so round-trips are bit-exact and equal
+then one newline byte, then the ``proj_B`` payload: the upper trapezoid of
+the factor ``R_B``, packed, as raw little-endian IEEE-754 binary64 values.
+Column ``j`` of ``R_B`` contributes its first min(j+1, rows) entries, from
+row 0 down, and the columns follow one another: column 0 (one value), then
+column 1 (two values), and so on.  The zeros below the diagonal are not
+sent.  This is the buffer Alice fills, so neither side rearranges it.
+``rows`` must be min(r, n) for the ``r`` that the ``privacy`` fields imply
+for one release, and ``cols`` must be ``n``.  The blob is exactly the
+header, the newline and ``8 * (rows (rows+1) / 2 + (n - rows) rows)``
+payload bytes long (``8 n (n+1) / 2`` when r >= n).  Every payload value
+must be finite, and every diagonal entry, the value at offset j (j+3) / 2
+for j < rows, must be > 0.  ``sx`` is written as the shortest decimal that
+reads back to the same float, so round-trips are bit-exact and equal
 packages are equal bytes.  The payload starts right after the header, at
 an offset that need not be a multiple of 8; the analyst reads it one block
 of columns at a time, so the copy that BLAS needs for an unaligned operand
@@ -68,6 +71,7 @@ from .estimators import _centered, rejection_threshold, test_statistic
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
+    _packed_offset,
     jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
@@ -94,7 +98,7 @@ __all__ = [
     "report_to_dict",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _SPLIT = "half-half"  # the budget split over the two releases
 
 
@@ -300,11 +304,10 @@ def _privacy_section(params: PrivacyParams) -> dict:
 def serialize_package(pkg: AlicePackage) -> bytes:
     """Encode a package as a canonical JSON header line plus the raw payload.
 
-    The payload is the factor's own little-endian float64 buffer, column by
-    column, joined once into the output: no intermediate copy or text
-    encoding.
+    The payload is the factor's own packed little-endian float64 buffer,
+    joined once into the output: no intermediate copy or text encoding.
     """
-    payload = np.ascontiguousarray(pkg.proj_B.values.T, dtype="<f8")
+    payload = np.ascontiguousarray(pkg.proj_B.values, dtype="<f8")
     header = {
         "version": FORMAT_VERSION,
         "n": pkg.n,
@@ -354,25 +357,6 @@ def _parse_header(head: bytes) -> dict:
     if not isinstance(doc, dict):
         raise PackageFormatError(f"package header must be a JSON object, got {type(doc).__name__}")
     return doc
-
-
-def _check_upper_trapezoidal(columns: np.ndarray) -> None:
-    """Check that ``columns`` (n x rows, the transpose of the factor) is a triangular factor.
-
-    Below the factor's diagonal, that is right of the diagonal of
-    ``columns``, every entry must be +0.0; on it, every entry must be > 0.
-    Only the first ``rows`` columns of the factor reach below the diagonal.
-    """
-    rows = columns.shape[1]
-    words = columns.view(np.uint64)  # +0.0 is the one float64 whose bytes are all zero
-    # Tiles of 128 rows of ``columns`` (columns of the factor): the strict
-    # upper triangle of the diagonal tile, and everything right of it.
-    for a in range(0, rows, 128):
-        b = min(a + 128, rows)
-        if np.triu(words[a:b, a:b], 1).any() or words[a:b, b:].any():
-            raise PackageFormatError("section 'proj_B': an entry below the diagonal is not +0.0")
-    if not np.all(np.diagonal(columns) > 0.0):
-        raise PackageFormatError("section 'proj_B': a diagonal entry is not > 0")
 
 
 def deserialize_package(data: bytes) -> AlicePackage:
@@ -426,18 +410,20 @@ def deserialize_package(data: bytes) -> AlicePackage:
     _check_shape(_require(doc, "proj_B"), "proj_B", rows, n)
 
     offset = end + 1
-    expected = offset + 8 * rows * n
+    size = _packed_offset(n, rows)
+    expected = offset + 8 * size
     if len(data) != expected:
         raise PackageFormatError(
             f"package holds {len(data)} bytes, expected {expected} "
-            f"(header, newline and a payload of {rows}x{n} float64)"
+            f"(header, newline and the {size} float64 of a packed {rows}x{n} factor)"
         )
-    columns = np.frombuffer(data, dtype="<f8", count=rows * n, offset=offset).reshape(n, rows)
+    values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
     try:
-        proj_B = PrivateProjection(values=columns.T)
+        proj_B = PrivateProjection(values, rows, n)
     except InvalidInputError as exc:
         raise PackageFormatError("section 'proj_B': payload contains NaN or infinite entries") from exc
-    _check_upper_trapezoidal(columns)
+    if not np.all(proj_B.diagonal() > 0.0):
+        raise PackageFormatError("section 'proj_B': a diagonal entry is not > 0")
     try:
         return AlicePackage(params=params, proj_B=proj_B, sx=sx)
     except InvalidInputError as exc:

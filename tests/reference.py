@@ -11,7 +11,7 @@ The naive ratio interval, which the closed-form bounds of ``pitest.bounds``
 are checked to contain, is kept here too, and so are the Gaussian release
 itself and its reduction to its centred sum of squares, whose laws the
 package's exact-law draws of the release factor and of ``sx`` are checked
-against.
+against, and the dense view of a packed release factor.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
-from pitest.privacy import PrivacyParams, jl_params
+from pitest.privacy import PrivacyParams, PrivateProjection, jl_params
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -261,6 +261,28 @@ def release_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     P = gaussian_release(F, p, seed)
     Pc = P - P.mean(axis=1, keepdims=True)
     return float(np.sum(Pc * Pc))
+
+
+def unpack_factor(proj: PrivateProjection) -> np.ndarray:
+    """The dense rows x n factor ``R`` of a packed release, zeros below the diagonal.
+
+    Column ``j`` of ``R`` is read, one column at a time, from the next
+    min(j+1, rows) packed values.
+    """
+    R = np.zeros((proj.rows, proj.n))
+    at = 0
+    for j in range(proj.n):
+        h = min(j + 1, proj.rows)
+        R[:h, j] = proj.values[at : at + h]
+        at += h
+    assert at == proj.values.size
+    return R
+
+
+def pack_factor(R) -> PrivateProjection:
+    """The packed release of the upper trapezoid of a dense rows x n ``R`` (rows <= n)."""
+    rows, n = R.shape
+    return PrivateProjection(np.concatenate([R[: min(j + 1, rows), j] for j in range(n)]), rows, n)
 
 
 class DistanceSpreadCheck(NamedTuple):

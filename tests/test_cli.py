@@ -13,6 +13,8 @@ from pitest.privacy import PrivacyParams, _draw_bartlett, jl_params
 from pitest.protocol import alice_prepare, deserialize_package, serialize_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
+from reference import unpack_factor
+
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
@@ -37,11 +39,14 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     head, newline, payload = out.read_bytes().partition(b"\n")
     assert newline == b"\n"
     doc = json.loads(head)
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert doc["n"] == 20
     assert doc["privacy"]["split"] == "half-half"
     assert doc["sx"] > 0.0
-    assert len(payload) == 8 * 20 * doc["proj_B"]["rows"]
+    assert doc["proj_B"]["rows"] == 20
+    assert len(payload) == 8 * (20 * 21 // 2)
+    size = len(head) + 1 + len(payload)
+    assert f"({size} bytes; n = 20, release factor 20 x 20 packed as 210 entries," in captured.out
 
 
 def test_alice_reports_eta_too_small_as_an_error(data_dir, tmp_path, capsys):
@@ -61,7 +66,7 @@ def test_alice_writes_a_package_at_a_huge_row_count(data_dir, tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err == ""
     package = deserialize_package(out.read_bytes())
-    assert package.proj_B.values.shape == (20, 20)
+    assert (package.proj_B.rows, package.proj_B.n) == (20, 20)
     assert math.isfinite(package.sx) and package.sx > 0.0
 
 
@@ -102,7 +107,7 @@ def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
     params = PrivacyParams(10.0, 0.01, 0.5, 0.5)
     assert out.read_bytes() == serialize_package(alice_prepare(X, params, 11))
 
-    R = deserialize_package(out.read_bytes()).proj_B.values
+    R = unpack_factor(deserialize_package(out.read_bytes()).proj_B)
     (n, k), (r, w) = X.shape, jl_params(params.half_budget())
     release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[0])
     T1, T22 = _draw_bartlett(np.random.default_rng(release_seed), r, k, n)
@@ -173,6 +178,10 @@ def test_bob_round_trip(data_dir, tmp_path, capsys):
     assert doc["n"] == 20 and doc["m"] == 2
     assert doc["privacy"]["epsilon"] == 10.0
     assert isinstance(doc["reject"], bool)
+    # the release as the header and the blob's length give it
+    r, w = jl_params(PrivacyParams(10.0, 0.01, 0.5, 0.5).half_budget())
+    assert doc["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": pkg.stat().st_size}
+    assert r == 45
 
 
 def test_bob_degenerate_input_still_exits_zero(data_dir, tmp_path, capsys):

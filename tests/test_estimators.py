@@ -38,6 +38,7 @@ from reference import (
     laplacian_S,
     laplacian_W,
     s_hat_directional,
+    unpack_factor,
 )
 
 
@@ -199,7 +200,7 @@ def test_s_hat_directional_matches_s_hat():
     assert rel_close(s_hat_directional(X.T, Y), s_hat(X, Y))
     # a released projection in place of X^T, against the n^2 form with G = factor_S(n)
     n = 13
-    P = privatize_covariance(X, PrivacyParams(2.0, 0.01, 0.3, 0.1), seed=5).values
+    P = unpack_factor(privatize_covariance(X, PrivacyParams(2.0, 0.01, 0.3, 0.1), seed=5))
     via_factor = (
         4.0 / n**4
         * np.linalg.norm(P @ factor_S(n), "fro") ** 2

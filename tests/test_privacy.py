@@ -10,6 +10,7 @@ from scipy.linalg import lapack
 from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
     PrivacyParams,
+    PrivateProjection,
     _draw_bartlett,
     _factor_from_bartlett,
     jl_params,
@@ -21,7 +22,7 @@ from pitest.privacy import (
 )
 
 from oracles import oracle_projection_mean
-from reference import gaussian_release
+from reference import gaussian_release, pack_factor, unpack_factor
 
 
 PARAMS = PrivacyParams(epsilon=100.0, delta=0.5, eta=0.5, nu=0.5)  # small r, small w: fast MC
@@ -139,8 +140,7 @@ def _bartlett_whole(T1, R, r, k):
 
 
 def _assert_upper_trapezoidal(R):
-    below = R[np.tril_indices(R.shape[0], -1, R.shape[1])]
-    assert below.tobytes() == bytes(below.nbytes)  # +0.0, not -0.0
+    assert np.all(np.tril(R, -1) == 0.0)
     assert np.all(np.diagonal(R) > 0.0)
 
 
@@ -149,7 +149,7 @@ def test_privatize_is_projection_of_augmented_factor():
     r, w = jl_params(p)
     assert r == 267
     F = np.random.default_rng(1).standard_normal((5, 2))
-    R = privatize_covariance(F, p, seed=99).values
+    R = unpack_factor(privatize_covariance(F, p, seed=99))
     # the release's bytes: T drawn from the seed, then R from T
     T1, expected = _draw_bartlett(np.random.default_rng(99), r, 2, 5)
     T = _bartlett_whole(T1, expected, r, 2)
@@ -167,8 +167,9 @@ def test_privatize_draws_and_projects_row_blocks():
     r, w = jl_params(p)
     n, k = 500, 2
     F = np.random.default_rng(1).standard_normal((n, k))
-    R = privatize_covariance(F, p, seed=99).values
-    assert R.shape == (r, n) and R.flags.f_contiguous
+    P = privatize_covariance(F, p, seed=99)
+    assert (P.rows, P.n) == (r, n)
+    R = unpack_factor(P)
     T1, expected = _draw_bartlett(np.random.default_rng(99), r, k, n)
     # the one-shot triangular-pentagonal QR over all n columns, T22 padded square
     T22 = np.zeros((n, n), order="F")
@@ -184,13 +185,45 @@ def test_privatize_draws_and_projects_row_blocks():
     assert np.max(np.abs(one_shot[r:])) <= 1e-15 * np.max(np.abs(one_shot))
 
 
+@pytest.mark.parametrize("n", [5, 267, 500])
+def test_packed_values_are_the_upper_trapezoid_of_the_factor(n):
+    """The packed release is bit-equal to the upper trapezoid of the drawn, then factored, R.
+
+    r = 267 rows: r > n, r = n, r < n.
+    """
+    p = PrivacyParams(2.0, 0.01, 0.3, 0.1)
+    r, w = jl_params(p)
+    assert r == 267
+    k = 2
+    F = np.random.default_rng(n).standard_normal((n, k))
+    P = privatize_covariance(F, p, seed=99)
+    T1, R = _draw_bartlett(np.random.default_rng(99), r, k, n)
+    _factor_from_bartlett(F, w, r, T1, R)
+    rows = min(r, n)
+    assert P.values.size == rows * (rows + 1) // 2 + (n - rows) * rows
+    assert P.values.tobytes() == pack_factor(R).values.tobytes()
+
+
+def test_projection_checks_its_packed_length():
+    # a 2 x 3 factor keeps 1, 2 and 2 entries of its columns
+    assert PrivateProjection(np.ones(5), 2, 3).values.size == 5
+    for size, rows, n in ((6, 2, 3), (4, 2, 3), (5, 3, 3), (5, 4, 3), (5, 0, 3)):
+        with pytest.raises(ShapeError):
+            PrivateProjection(np.ones(size), rows, n)
+    with pytest.raises(ShapeError):
+        PrivateProjection(np.ones((1, 5)), 2, 3)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        PrivateProjection(np.array([1.0, np.nan, 1.0, 1.0, 1.0]), 2, 3)
+
+
 def test_privatize_shape_and_finiteness():
     p = PARAMS
     r, _ = jl_params(p)
     P = privatize_covariance(np.zeros((7, 3)), p, seed=5)
-    assert P.values.shape == (min(r, 7), 7)
+    assert (P.rows, P.n) == (min(r, 7), 7)
+    assert P.values.shape == (7 * 8 // 2,)
     assert np.all(np.isfinite(P.values))
-    _assert_upper_trapezoidal(P.values)
+    _assert_upper_trapezoidal(unpack_factor(P))
 
 
 def test_privatize_ships_an_n_row_factor_at_a_huge_row_count():
@@ -198,8 +231,8 @@ def test_privatize_ships_an_n_row_factor_at_a_huge_row_count():
     p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
     assert jl_params(p).r > 1e201
     P = privatize_covariance(np.arange(5.0)[:, None], p, seed=0)
-    assert P.values.shape == (5, 5)
-    _assert_upper_trapezoidal(P.values)
+    assert (P.rows, P.n) == (5, 5)
+    _assert_upper_trapezoidal(unpack_factor(P))
 
 
 def test_privatize_reports_a_factor_it_cannot_allocate(monkeypatch):
@@ -266,7 +299,7 @@ def test_factor_has_the_law_of_the_release_gram(k, n):
         Z = M @ Y
         return float(np.sum(Z * Z)), float(Z[:, 0] @ Z[:, 1])
 
-    drawn = np.array([statistics(privatize_covariance(F, p, s).values) for s in range(trials)])
+    drawn = np.array([statistics(unpack_factor(privatize_covariance(F, p, s))) for s in range(trials)])
     released = np.array([statistics(gaussian_release(F, p, s)) for s in range(trials, 2 * trials)])
     for column in range(2):
         assert stats.ks_2samp(drawn[:, column], released[:, column]).pvalue > 1e-3, column
@@ -353,7 +386,8 @@ def test_sum_zero_matrix():
 def test_sum_matches_columnwise_loop():
     P = privatize_covariance(np.random.default_rng(15).standard_normal((7, 3)), PARAMS, seed=8)
     V = np.random.default_rng(16).standard_normal((7, 4))
-    total = sum(float(np.sum((P.values @ V[:, i]) ** 2)) for i in range(4))
+    R = unpack_factor(P)
+    total = sum(float(np.sum((R @ V[:, i]) ** 2)) for i in range(4))
     assert private_sum_directional_variances(P, V) == pytest.approx(total, rel=1e-10)
 
 

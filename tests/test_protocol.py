@@ -39,7 +39,14 @@ from pitest.protocol import (
     serialize_package,
 )
 
-from reference import dcov_sq_direct, dcov_sq_directional, gaussian_release, release_centered_sq_norm
+from reference import (
+    dcov_sq_direct,
+    dcov_sq_directional,
+    gaussian_release,
+    pack_factor,
+    release_centered_sq_norm,
+    unpack_factor,
+)
 
 # cheap parameters: per-release r = ceil(8 ln 4 / 0.25) = 45 rows
 PARAMS = PrivacyParams(epsilon=10.0, delta=0.01, eta=0.5, nu=0.5)
@@ -74,7 +81,7 @@ def test_alice_package_deterministic(xy, package):
 
 def test_projection_rows_use_half_budget(xy, package):
     r, _ = jl_params(PARAMS.half_budget())
-    assert package.proj_B.values.shape == (min(r, 12), 12)
+    assert (package.proj_B.rows, package.proj_B.n) == (min(r, 12), 12)
     assert all(P.shape == (r, 12) for P in _gaussian_releases(xy[0], PARAMS, 2024))
 
 
@@ -140,9 +147,11 @@ def test_alice_rejects_bad_input():
 
 def test_identity_hook_reproduces_nonprivate_statistics(xy):
     X, Y = xy
-    # a 'release' with no noise and no floor: P = F^T answers queries exactly
+    # a 'release' with no noise and no floor: P = F^T answers queries exactly,
+    # and so does the triangular factor of its QR
     Xc = X - X.mean(axis=0)
-    pkg = AlicePackage(PARAMS, PrivateProjection(factor_W(X).T), sx=float(np.sum(Xc * Xc)))
+    R = np.linalg.qr(factor_W(X).T, mode="r")
+    pkg = AlicePackage(PARAMS, pack_factor(R), sx=float(np.sum(Xc * Xc)))
     report = bob_evaluate(pkg, Y)
     omega = dcov_sq_direct(X, Y)
     s = s_hat(X, Y)
@@ -155,7 +164,8 @@ def test_identity_hook_reproduces_nonprivate_statistics(xy):
 def test_s_bar_keeps_precision_under_large_y_mean(xy):
     X, Y = xy
     Xc = X - X.mean(axis=0)
-    pkg = AlicePackage(PARAMS, PrivateProjection(factor_W(X).T), sx=float(np.sum(Xc * Xc)))
+    R = np.linalg.qr(factor_W(X).T, mode="r")
+    pkg = AlicePackage(PARAMS, pack_factor(R), sx=float(np.sum(Xc * Xc)))
     for shift in (1e8, -1e9):
         report = bob_evaluate(pkg, Y + shift)
         assert report.s_bar == pytest.approx(s_hat(X, Y + shift), rel=1e-6)
@@ -165,7 +175,7 @@ def test_s_bar_keeps_precision_under_large_y_mean(xy):
 def test_package_stores_each_fact_once(package):
     """The budget, the projection and sx; n is the projection's width."""
     assert [f.name for f in dataclasses.fields(AlicePackage)] == ["params", "proj_B", "sx"]
-    assert [f.name for f in dataclasses.fields(PrivateProjection)] == ["values"]
+    assert [f.name for f in dataclasses.fields(PrivateProjection)] == ["values", "rows", "n"]
     assert package.n == package.proj_B.n == 12
 
 
@@ -201,7 +211,7 @@ def test_report_statistics_match_package_arithmetic(package, xy):
     Y = xy[1]
     report = bob_evaluate(package, Y)
     n = 12
-    omega = 2.0 / n**2 * np.linalg.norm(package.proj_B.values @ Y, "fro") ** 2
+    omega = 2.0 / n**2 * np.linalg.norm(unpack_factor(package.proj_B) @ Y, "fro") ** 2
     # ||P_X G||_F^2 = n ||P_X J||_F^2 = n sx
     s = 4.0 / n**4 * (n * package.sx) * (
         n * np.linalg.norm(Y, "fro") ** 2 - np.linalg.norm(Y.sum(axis=0)) ** 2
@@ -311,14 +321,16 @@ def test_layout_is_header_line_then_raw_payloads(package):
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
     assert head == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert sorted(doc) == ["n", "privacy", "proj_B", "sx", "version"]
     assert doc["sx"] == package.sx
     assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12} == {"rows": 12, "cols": 12}
-    assert len(blob) == len(head) + 1 + 8 * package.proj_B.rows * 12
-    # the factor column by column: the buffer Alice filled
-    assert package.proj_B.values.flags.f_contiguous
-    assert payload == package.proj_B.values.astype("<f8").tobytes(order="F")
+    # the upper triangle of the 12 x 12 factor, column j keeping j + 1 entries
+    assert len(blob) == len(head) + 1 + 8 * (12 * 13 // 2)
+    # the buffer Alice filled, which is the factor's upper trapezoid column by column
+    assert payload == package.proj_B.values.astype("<f8").tobytes()
+    R = unpack_factor(package.proj_B)
+    assert payload == b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(12))
 
 
 def test_round_trip_preserves_bob_verdict(package, xy):
@@ -384,8 +396,8 @@ def test_rejects_missing_section(package, field):
 
 def test_rejects_future_version(package):
     doc = _doc(package)
-    doc["version"] = 5
-    with pytest.raises(UnsupportedVersionError, match="version 5"):
+    doc["version"] = 6
+    with pytest.raises(UnsupportedVersionError, match="version 6"):
         deserialize_package(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
@@ -432,9 +444,19 @@ def test_rejects_version_3_document(package, xy):
         deserialize_package(head + b"\n" + PB.astype("<f8").tobytes())
 
 
+def test_rejects_version_4_document(package):
+    """A version 4 document, a header line then the whole factor column by column, is no longer read."""
+    doc = _doc(package)
+    doc["version"] = 4
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    R = unpack_factor(package.proj_B)
+    with pytest.raises(UnsupportedVersionError, match="version 4"):
+        deserialize_package(head + b"\n" + R.astype("<f8").tobytes(order="F"))
+
+
 def test_rejects_non_integer_version(package):
     doc = _doc(package)
-    doc["version"] = "4"
+    doc["version"] = "5"
     _reject(package, doc)
     doc["version"] = True
     _reject(package, doc)
@@ -498,34 +520,34 @@ def test_rejects_row_count_other_than_the_headers_r(package):
     doc = _doc(package)
     doc["proj_B"]["rows"] = 1
     head = json.dumps(doc).encode("utf-8")
-    one_row = np.asarray(package.proj_B.values[:1], dtype="<f8").tobytes()
+    one_row = unpack_factor(package.proj_B)[:1].astype("<f8").tobytes()
     with pytest.raises(PackageFormatError, match=r"rows must equal min\(r, n\) = 12"):
         deserialize_package(head + b"\n" + one_row)
 
 
 def _with_factor_entry(package, row: int, col: int, value: float) -> bytes:
-    """The package's blob with entry (row, col) of the factor replaced by ``value``."""
+    """The package's blob with entry (row, col), row <= col, of the factor replaced by ``value``."""
     blob = bytearray(serialize_package(package))
-    at = blob.index(b"\n") + 1 + 8 * (col * package.proj_B.rows + row)  # column-major
+    at = blob.index(b"\n") + 1 + 8 * (col * (col + 1) // 2 + row)  # packed, 12 rows
     blob[at:at + 8] = struct.pack("<d", value)
     return bytes(blob)
 
 
-def test_rejects_a_nonzero_entry_below_the_diagonal(package):
-    for row, col in ((1, 0), (11, 10), (11, 0)):
-        with pytest.raises(PackageFormatError, match=r"below the diagonal is not \+0\.0"):
-            deserialize_package(_with_factor_entry(package, row, col, 1e-300))
-
-
-def test_rejects_a_negative_zero_below_the_diagonal(package):
-    with pytest.raises(PackageFormatError, match=r"below the diagonal is not \+0\.0"):
-        deserialize_package(_with_factor_entry(package, 5, 2, -0.0))
-
-
 def test_rejects_a_diagonal_entry_that_is_not_positive(package):
-    for value in (0.0, -0.0, -package.proj_B.values[4, 4], -5e-324):
-        with pytest.raises(PackageFormatError, match="diagonal entry is not > 0"):
-            deserialize_package(_with_factor_entry(package, 4, 4, value))
+    R = unpack_factor(package.proj_B)
+    for j in (0, 4, 11):  # the first, a middle and the last diagonal offset
+        for value in (0.0, -0.0, -R[j, j], -5e-324):
+            with pytest.raises(PackageFormatError, match="diagonal entry is not > 0"):
+                deserialize_package(_with_factor_entry(package, j, j, value))
+    # the entry just above a diagonal entry may be anything finite
+    assert deserialize_package(_with_factor_entry(package, 10, 11, -1.0)).n == 12
+
+
+def test_rejects_a_payload_one_entry_short_or_long(package):
+    blob = serialize_package(package)
+    for wrong in (blob[:-8], blob + struct.pack("<d", 1.0)):
+        with pytest.raises(PackageFormatError, match=r"expected .* the 78 float64 of a packed 12x12"):
+            deserialize_package(wrong)
 
 
 def test_rejects_eta_too_small_for_a_row_count(package):
@@ -567,11 +589,11 @@ def test_rejects_nan_payload(package):
 
 def test_codec_makes_no_payload_copy():
     """Decoding returns views into the blob and encoding writes one buffer."""
-    n = 2000
+    n = 2100
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     X = np.random.default_rng(3).standard_normal((n, 2))
     pkg = alice_prepare(X, params, master_seed=8)
-    payload_bytes = 8 * n * pkg.proj_B.rows
+    payload_bytes = pkg.proj_B.values.nbytes
     assert payload_bytes > 10_000_000
     blob = serialize_package(pkg)
     peaks = {}
@@ -622,7 +644,8 @@ def test_release_and_analyst_hold_no_whole_draw():
         B = factor_W(X)
         wire = _unaligned_wire(alice_prepare(X, params, master_seed=8))
         alice, proj = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
-        assert proj.values.nbytes == release_bytes
+        rows = min(r, n)
+        assert proj.values.nbytes == 8 * (rows * (rows + 1) // 2 + (n - rows) * rows)
         prepare = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
         bob = _peak_bytes(lambda: bob_evaluate(wire, Y))[0]
         assert alice < 1.25 * release_bytes, (n, alice, release_bytes)
@@ -642,7 +665,8 @@ def test_sx_draw_holds_nothing_of_size_r():
 
 
 def test_blocked_statistics_match_one_shot_formulas():
-    # n = 500: the 267 x 500 factor's columns in blocks of 122, so omega_bar_sq spans five blocks
+    # n = 500: the 267 x 500 factor's columns in blocks of 122 on each side of
+    # column 267, so omega_bar_sq spans five blocks
     n = 500
     params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
     rng = np.random.default_rng(19)
@@ -652,7 +676,7 @@ def test_blocked_statistics_match_one_shot_formulas():
     assert pkg.proj_B.rows == 267
     wire = _unaligned_wire(pkg)
     for p in (pkg, wire):
-        PB = np.array(p.proj_B.values)
+        PB = unpack_factor(p.proj_B)
         omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
         col = Y.sum(axis=0)
         s = 4.0 / n**3 * p.sx * (n * float(np.sum(Y * Y)) - float(col @ col))
