@@ -39,6 +39,7 @@ from .protocol import (
     alice_prepare,
     bob_evaluate,
     deserialize_package,
+    encode_package,
     factor_W,
     report_to_dict,
     serialize_package,

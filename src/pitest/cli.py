@@ -25,7 +25,7 @@ from .estimators import dcov_sq_closed_form, decide, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau, tau_mechanism
 from .protocol import _privacy_section
-from .protocol import alice_prepare, bob_evaluate, deserialize_package, report_to_dict, serialize_package
+from .protocol import alice_prepare, bob_evaluate, deserialize_package, encode_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
 
@@ -56,6 +56,16 @@ def _seed_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -106,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_privacy_flags(p_alice)
     p_alice.add_argument("--out", required=True,
                          help="package file to write (a JSON header line, then binary payloads)")
-    p_alice.add_argument("--analyst-dim", type=int, default=1, metavar="M",
+    p_alice.add_argument("--analyst-dim", type=_positive_int, default=1, metavar="M",
                          help="assumed analyst column count for the closed-form tau printout")
     p_alice.set_defaults(func=_cmd_alice)
 
@@ -167,13 +177,13 @@ def _cmd_alice(args) -> int:
     X = load_csv(args.input, has_header=args.header)
     params = _params_from_args(args)
     package = alice_prepare(X, params, args.seed)
-    blob = serialize_package(package)
-    atomic_write_bytes(args.out, blob)
+    parts = encode_package(package)
+    atomic_write_bytes(args.out, *parts)
 
     per_release = params.half_budget()
     r, w = jl_params(per_release)
     factor = package.proj_B
-    print(f"wrote package: {args.out} ({len(blob)} bytes; n = {package.n}, "
+    print(f"wrote package: {args.out} ({sum(map(len, parts))} bytes; n = {package.n}, "
           f"release factor {factor.rows} x {factor.n} packed as {factor.values.size} entries, "
           f"scalar sx = {package.sx:.6g})")
     print(f"per-release budget: epsilon = {per_release.epsilon:g}, delta = {per_release.delta:g}")

@@ -9,13 +9,20 @@ from pathlib import Path
 __all__ = ["atomic_write_bytes", "atomic_write_text"]
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, *parts) -> None:
+    """Write the bytes-like ``parts``, in order, as the whole content of ``path``.
+
+    They go to a temporary file in the target's directory, which then
+    replaces the target; on any failure the temporary file is removed and
+    the target is left as it was.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp_name, target)
     except BaseException:
         try:

@@ -48,15 +48,27 @@ entries of ``T`` are independent, with ``T_ii ~ chi_{r-i}`` (counting from
 ``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and a
 QR of that stack is one triangular-pentagonal QR (LAPACK ``dtpqrt``) of
 its leading min(r, n) columns, whose reflectors ``dtpmqrt`` applies to the
-rest.  ``T_22`` is drawn straight into the buffer that becomes ``R``, with
-the min(r, k) dense rows scaled by ``1/w`` so that the floor is applied
-once, to the finished factor.  That costs about min(r, n) n - min(r, n)^2 / 2
-normals and O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n
-flops for ``P``, and holds nothing of size r.  The finished factor is then
-packed in place, a block of columns at a time: the first j columns hold at
-least as many entries as the packed first j columns, so a block's packed
-entries land at or before the block's own start, where every column has
-already been read, and packing needs no second factor-sized buffer.
+rest.  ``T_22`` is drawn straight into the packed buffer that becomes
+``R``, the only array of the factor's size, with the min(r, k) dense rows
+``D`` scaled by ``1/w`` so that the floor is applied once, to the finished
+factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
+O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n flops for
+``P``, and holds nothing of size r.
+
+The QR runs left-looking, one panel of columns at a time, in the packed
+buffer.  A panel [a, b) left of column min(r, n) is expanded into its
+a x (b - a) top block and its triangle; the reflectors of columns [0, a)
+are applied to the top block and to ``D``'s columns [a, b) (one
+``dtpmqrt``), the triangle over them is factored (``dtpqrt``), and the
+panel is scaled and packed back.  Right of column min(r, n) the packed
+columns are whole, and ``dtpmqrt`` applies all the reflectors to them in
+place.  So Alice holds the packed factor and O(panel) scratch.  Panels left
+of column min(r, n) start at multiples of the reflector block, so every
+column meets the same reflector blocks, in the same order, as in one
+``dtpqrt`` of all the leading columns; and the normals are drawn in column
+order, a block of columns per call, which is the stream of one call per
+column.  So a seed gives the same bits as that draw and that one-shot QR
+on a dense min(r, n) x n buffer.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -116,10 +128,11 @@ __all__ = [
 _BLOCK_FLOATS = 2**15
 
 # Reflectors per block of the triangular-pentagonal QR, and float64 entries
-# per panel of trailing columns that the blocks are applied to (1 MiB, so a
-# panel stays in cache while it is updated and scaled).  Measured on the
-# 2952 x 20000 factor of n = 2e4, r = 2952: 16 and 2**17 took 0.41 s; 32
-# and 2**17 took 0.47 s, and 32 with one panel of all the columns 0.60 s.
+# per panel of columns that the QR works on at a time (1 MiB, so a panel
+# stays in cache while it is updated and scaled, and a panel's scratch stays
+# small beside the factor).  Measured on the 2952 x 20000 factor of n = 2e4,
+# r = 2952: 16 and 2**17 took 0.41 s; 32 and 2**17 took 0.47 s, and 32 with
+# one panel of all the columns 0.60 s.
 _REFLECTOR_BLOCK = 16
 _PANEL_FLOATS = 2**17
 
@@ -287,85 +300,112 @@ class PrivateProjection:
         return self.values[j * (j + 3) // 2]
 
 
-def _draw_bartlett(rng: np.random.Generator, r: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``T``, the R factor of a QR of an r x (k+n) standard normal matrix.
+def _panels(rows: int, n: int):
+    """Panels ``(a, b)`` of about ``_PANEL_FLOATS`` entries covering the columns of a rows x n factor.
 
-    ``T`` comes from its Bartlett law (see the module docstring) in two
-    parts.  Returns ``T1``, its first min(r, k) rows, and a zero-filled
-    min(r, n) x n Fortran-order array whose leading q = min(r - min(r, k), n)
-    rows hold ``T22 = T[min(r, k):, k:]``; that array becomes the release
-    factor.  ``T22`` is drawn one column at a time, straight into place.
-
-    Raises InvalidInputError when the factor cannot be allocated.
+    No panel crosses column ``rows``.  Left of it a panel's width is a
+    multiple of ``_REFLECTOR_BLOCK`` (the last may be narrower), so the
+    reflector blocks of a QR run panel by panel are those of one QR of all
+    the leading columns.
     """
-    k1, rows = min(r, k), min(r, n)
-    q = min(r - k1, n)
-    try:
-        Rt = np.zeros((n, rows))  # the factor's transpose, so the factor is Fortran-ordered
-    except (MemoryError, ValueError) as exc:
-        raise InvalidInputError(
-            f"a release factor of {rows} x {n} float64 needs {8.0 * rows * n:.6g} bytes "
-            f"and cannot be allocated: {exc}"
-        ) from None
-    # Degrees of freedom as floats: r may exceed int64.
-    T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
-    T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
-    for j in range(n):  # column j of T22 has min(j, q) normals above its diagonal
-        rng.standard_normal(out=Rt[j, : min(j, q)])
-    Rt[range(q), range(q)] = np.sqrt(rng.chisquare(float(r) - k1 - np.arange(q, dtype=np.float64)))
-    return T1, Rt.T
+    width = max(1, _PANEL_FLOATS // rows)
+    left = max(_REFLECTOR_BLOCK, width - width % _REFLECTOR_BLOCK)
+    for a in range(0, rows, left):
+        yield a, min(a + left, rows)
+    for a in range(rows, n, width):
+        yield a, min(a + width, n)
 
 
-def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np.ndarray) -> None:
-    """Overwrite ``R`` with the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``.
+def _column_heads(heads, lengths) -> np.ndarray:
+    """A mask over columns of ``lengths`` entries, one after another: True at the first ``heads`` of each."""
+    lengths = np.asarray(lengths)
+    runs = np.empty((lengths.size, 2), dtype=np.intp)
+    runs[:, 0] = heads
+    runs[:, 1] = lengths - runs[:, 0]
+    return np.repeat(np.tile([True, False], lengths.size), runs.reshape(-1))
 
-    ``A`` is the n x k factor, ``T1`` and ``R`` (holding ``T22``) are as
-    :func:`_draw_bartlett` returns them, and ``A_hat = [A^T; w I]``.  ``R``
-    is updated in place; below its diagonal it stays zero.
+
+def _draw_t22(rng: np.random.Generator, values: np.ndarray, rows: int, n: int, q: int, dof: float) -> None:
+    """Draw ``T22`` (see the module docstring) into the zeroed packed factor ``values``.
+
+    Its q x n upper-trapezoidal entries come from the Bartlett law: the
+    normals above the diagonal in column order, one draw per block of
+    columns, then the diagonal, ``chi_{dof - i}`` in row ``i``.  Rows q to
+    ``rows`` stay zero.
     """
-    k = A.shape[1]
-    rows, n = R.shape
+    for cols in _column_blocks(rows, n):
+        a, b = cols.start, cols.stop
+        segment = values[_packed_offset(a, rows) : _packed_offset(b, rows)]
+        if a >= rows:  # whole columns, normals in their first q rows
+            segment.reshape(b - a, rows)[:, :q] = rng.standard_normal((b - a, q))
+            continue
+        # Column j keeps j + 1 entries, and its normals are the first min(j, q).
+        columns = np.arange(a, b)
+        drawn = _column_heads(np.minimum(columns, q), columns + 1)
+        segment[drawn] = rng.standard_normal(np.count_nonzero(drawn))
+    j = np.arange(q)
+    values[j * (j + 3) // 2] = np.sqrt(rng.chisquare(dof - np.arange(q, dtype=np.float64)))
+
+
+def _factor_panel(segment: np.ndarray, a: int, b: int, D: np.ndarray, Tv: np.ndarray,
+                  scale: np.ndarray, floor: float) -> None:
+    """Factor the packed columns [a, b), left of column ``rows``, in place.
+
+    ``segment`` holds them; column j keeps ``a`` entries of the top block,
+    then j - a + 1 of the triangle.  ``D[:, :a]`` and ``Tv[:, :a]`` hold
+    the earlier panels' reflectors and ``scale[:a]`` their rows' scales;
+    this panel's are written to ``D[:, a:b]``, ``Tv[:, a:b]`` and
+    ``scale[a:b]``.
+    """
+    width = b - a
+    heads = _column_heads(a, np.arange(a + 1, b + 1))
+    if a:  # the earlier reflectors act on the top block and on D[:, a:b]
+        top_t = segment[heads].reshape(width, a)
+        lapack.dtpmqrt(0, D[:, :a], Tv[:, :a], top_t.T, D[:, a:b], trans="T",
+                       overwrite_a=1, overwrite_b=1)
+        top_t *= scale[:a]
+        segment[heads] = top_t.reshape(-1)
+        del top_t  # before the triangle's scratch, so that only one is held
+    in_triangle = np.logical_not(heads, out=heads)
+    lower = np.tri(width, dtype=bool)
+    triangle_t = np.zeros((width, width))  # transposed, so the triangle is Fortran-ordered
+    triangle_t[lower] = segment[in_triangle]
+    t = lapack.dtpqrt(0, min(width, Tv.shape[0]), triangle_t.T, D[:, a:b],
+                      overwrite_a=1, overwrite_b=1)[2]
+    Tv[: t.shape[0], a:b] = t
+    scale[a:b] = np.copysign(floor, np.diagonal(triangle_t))
+    triangle_t *= scale[a:b]
+    segment[in_triangle] = triangle_t[lower]
+
+
+def _factor_packed(A: np.ndarray, w: float, r: int, T1: np.ndarray, values: np.ndarray, rows: int) -> None:
+    """Overwrite the packed ``T22`` in ``values`` with the release factor ``R``.
+
+    ``R`` is the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``
+    for the n x k factor ``A``, ``A_hat = [A^T; w I]`` and ``T`` from
+    ``T1`` and ``T22``.  The triangular-pentagonal QR of ``[T22; D]`` is
+    left-looking: each panel left of column ``rows`` takes the earlier
+    panels' reflectors, is factored and is scaled (:func:`_factor_panel`).
+    Right of column ``rows`` the packed columns are whole, and the
+    reflectors are applied to them in place.
+    """
+    n, k = A.shape
     # The dense rows of T A_hat, over w: T11 A^T / w + T12.
     D = np.asfortranarray(T1[:, k:])
     D += T1[:, :k] @ (A.T / w)
-    # A QR of [T22; D] over the leading columns, where T22 is square once
-    # padded with zero rows (rows - q of them, at most k).
-    _, V, Tv, _ = lapack.dtpqrt(0, min(rows, _REFLECTOR_BLOCK), R[:, :rows], D[:, :rows],
-                                overwrite_a=1, overwrite_b=1)
-    # Make the diagonal positive and restore the floor and the 1/sqrt(r).
-    scale = np.copysign(w / math.sqrt(r), np.diagonal(R))
-    columns = R.T
-    for cols in _row_blocks(rows, rows):
-        columns[cols, : cols.stop] *= scale[: cols.stop]  # zero below row cols.stop
-    # When rows < n the same reflectors finish the trailing columns, a panel
-    # at a time.  What they leave of D is zero in exact arithmetic, since
-    # [T22; D] has only ``rows`` nonzero rows.
-    width = max(1, _PANEL_FLOATS // rows)
-    for start in range(rows, n, width):
-        panel = R[:, start : start + width]
-        lapack.dtpmqrt(0, V, Tv, panel, D[:, start : start + width], trans="T",
-                       overwrite_a=1, overwrite_b=1)
-        panel *= scale[:, None]
-
-
-def _pack_columns(R: np.ndarray) -> np.ndarray:
-    """Pack the Fortran-ordered upper-trapezoidal ``R`` in place; return the packed entries.
-
-    Column ``j`` keeps its first min(j+1, rows) entries.  A block of columns
-    is gathered, then written at its packed offset, which is at or before
-    the block's own start, so no column not yet read is overwritten.  The
-    result is a view of the start of ``R``'s buffer.
-    """
-    rows, n = R.shape
-    flat = R.reshape(-1, order="F")
-    columns = R.T
-    for cols in _column_blocks(rows, n):
-        a, b = cols.start, cols.stop
-        block = columns[cols, : min(b, rows)]
+    # The reflector blocks' triangular factors, and the rows' scales, which
+    # make the diagonal positive and restore the floor and the 1/sqrt(r).
+    Tv = np.empty((min(rows, _REFLECTOR_BLOCK), rows), order="F")
+    scale = np.empty(rows)
+    for a, b in _panels(rows, n):
+        segment = values[_packed_offset(a, rows) : _packed_offset(b, rows)]
         if a < rows:
-            block = block[np.tri(b - a, b, a, dtype=bool)]
-        flat[_packed_offset(a, rows) : _packed_offset(b, rows)] = block.reshape(-1)
-    return flat[: _packed_offset(n, rows)]
+            _factor_panel(segment, a, b, D, Tv, scale, w / math.sqrt(r))
+            continue
+        block = segment.reshape(b - a, rows).T
+        lapack.dtpmqrt(0, D[:, :rows], Tv, block, D[:, a:b], trans="T",
+                       overwrite_a=1, overwrite_b=1)
+        block *= scale[:, None]
 
 
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
@@ -383,14 +423,27 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law (see the
         module docstring) without drawing ``P``, and packed.
 
-    Raises InvalidInputError when ``R`` cannot be allocated.
+    Raises InvalidInputError when the packed ``R`` cannot be allocated.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n, k = A.shape
     r, w = jl_params(p)
-    T1, R = _draw_bartlett(np.random.default_rng(int(seed)), r, k, n)
-    _factor_from_bartlett(A, w, r, T1, R)
-    return PrivateProjection(_pack_columns(R), *R.shape)
+    k1, rows = min(r, k), min(r, n)
+    size = _packed_offset(n, rows)
+    try:
+        values = np.zeros(size)  # the only array of the factor's size
+    except (MemoryError, ValueError) as exc:
+        raise InvalidInputError(
+            f"a release factor of {rows} x {n} float64, packed, needs {8.0 * size:.6g} bytes "
+            f"and cannot be allocated: {exc}"
+        ) from None
+    rng = np.random.default_rng(int(seed))
+    # Degrees of freedom as floats: r may exceed int64.
+    T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
+    T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
+    _draw_t22(rng, values, rows, n, min(r - k1, n), float(r) - k1)
+    _factor_packed(A, w, r, T1, values, rows)
+    return PrivateProjection(values, rows, n)
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:

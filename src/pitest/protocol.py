@@ -38,7 +38,8 @@ the factor ``R_B``, packed, as raw little-endian IEEE-754 binary64 values.
 Column ``j`` of ``R_B`` contributes its first min(j+1, rows) entries, from
 row 0 down, and the columns follow one another: column 0 (one value), then
 column 1 (two values), and so on.  The zeros below the diagonal are not
-sent.  This is the buffer Alice fills, so neither side rearranges it.
+sent.  This is the buffer Alice fills, so neither side rearranges it, and
+:func:`encode_package` hands it to a writer as it is, after the header line.
 ``rows`` must be min(r, n) for the ``r`` that the ``privacy`` fields imply
 for one release, and ``cols`` must be ``n``.  The blob is exactly the
 header, the newline and ``8 * (rows (rows+1) / 2 + (n - rows) rows)``
@@ -93,6 +94,7 @@ __all__ = [
     "factor_W",
     "alice_prepare",
     "bob_evaluate",
+    "encode_package",
     "serialize_package",
     "deserialize_package",
     "report_to_dict",
@@ -301,11 +303,12 @@ def _privacy_section(params: PrivacyParams) -> dict:
     }
 
 
-def serialize_package(pkg: AlicePackage) -> bytes:
-    """Encode a package as a canonical JSON header line plus the raw payload.
+def encode_package(pkg: AlicePackage) -> tuple[bytes, memoryview]:
+    """Encode a package as its two parts: the header line and the raw payload.
 
-    The payload is the factor's own packed little-endian float64 buffer,
-    joined once into the output: no intermediate copy or text encoding.
+    The header is the canonical JSON line with its newline; the payload is
+    a byte view of the factor's own packed little-endian float64 buffer, so
+    a writer can stream both without joining or copying the payload.
     """
     payload = np.ascontiguousarray(pkg.proj_B.values, dtype="<f8")
     header = {
@@ -316,7 +319,12 @@ def serialize_package(pkg: AlicePackage) -> bytes:
         "proj_B": {"rows": pkg.proj_B.rows, "cols": pkg.n},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"".join([head, b"\n", payload])
+    return head + b"\n", memoryview(payload.view(np.uint8))
+
+
+def serialize_package(pkg: AlicePackage) -> bytes:
+    """The package as one bytes object: the two parts of :func:`encode_package`, joined."""
+    return b"".join(encode_package(pkg))
 
 
 def _require(doc: dict, field: str, where: str = "package"):

@@ -11,7 +11,9 @@ The naive ratio interval, which the closed-form bounds of ``pitest.bounds``
 are checked to contain, is kept here too, and so are the Gaussian release
 itself and its reduction to its centred sum of squares, whose laws the
 package's exact-law draws of the release factor and of ``sx`` are checked
-against, and the dense view of a packed release factor.
+against, the dense view of a packed release factor, and the dense release
+(``dense_release``): the same draw and QR on a whole rows x n buffer, then
+packed, whose bytes the panel-by-panel release is checked to equal.
 """
 
 from __future__ import annotations
@@ -20,11 +22,21 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
-from pitest.privacy import PrivacyParams, PrivateProjection, jl_params
+from pitest.privacy import (
+    _PANEL_FLOATS,
+    _REFLECTOR_BLOCK,
+    PrivacyParams,
+    PrivateProjection,
+    _column_blocks,
+    _packed_offset,
+    _row_blocks,
+    jl_params,
+)
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -261,6 +273,99 @@ def release_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     P = gaussian_release(F, p, seed)
     Pc = P - P.mean(axis=1, keepdims=True)
     return float(np.sum(Pc * Pc))
+
+
+def _draw_bartlett(rng: np.random.Generator, r: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``T``, the R factor of a QR of an r x (k+n) standard normal matrix.
+
+    ``T`` comes from its Bartlett law (see the ``pitest.privacy`` docstring)
+    in two parts.  Returns ``T1``, its first min(r, k) rows, and a
+    zero-filled min(r, n) x n Fortran-order array whose leading
+    q = min(r - min(r, k), n) rows hold ``T22 = T[min(r, k):, k:]``; that
+    array becomes the release factor.  ``T22`` is drawn one column at a
+    time, straight into place.
+    """
+    k1, rows = min(r, k), min(r, n)
+    q = min(r - k1, n)
+    Rt = np.zeros((n, rows))  # the factor's transpose, so the factor is Fortran-ordered
+    # Degrees of freedom as floats: r may exceed int64.
+    T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
+    T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
+    for j in range(n):  # column j of T22 has min(j, q) normals above its diagonal
+        rng.standard_normal(out=Rt[j, : min(j, q)])
+    Rt[range(q), range(q)] = np.sqrt(rng.chisquare(float(r) - k1 - np.arange(q, dtype=np.float64)))
+    return T1, Rt.T
+
+
+def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np.ndarray) -> None:
+    """Overwrite ``R`` with the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``.
+
+    ``A`` is the n x k factor, ``T1`` and ``R`` (holding ``T22``) are as
+    :func:`_draw_bartlett` returns them, and ``A_hat = [A^T; w I]``.  ``R``
+    is updated in place: one ``dtpqrt`` of all its leading columns, whose
+    reflectors ``dtpmqrt`` applies to the rest.
+    """
+    k = A.shape[1]
+    rows, n = R.shape
+    # The dense rows of T A_hat, over w: T11 A^T / w + T12.
+    D = np.asfortranarray(T1[:, k:])
+    D += T1[:, :k] @ (A.T / w)
+    # A QR of [T22; D] over the leading columns, where T22 is square once
+    # padded with zero rows (rows - q of them, at most k).
+    _, V, Tv, _ = lapack.dtpqrt(0, min(rows, _REFLECTOR_BLOCK), R[:, :rows], D[:, :rows],
+                                overwrite_a=1, overwrite_b=1)
+    # Make the diagonal positive and restore the floor and the 1/sqrt(r).
+    scale = np.copysign(w / math.sqrt(r), np.diagonal(R))
+    columns = R.T
+    for cols in _row_blocks(rows, rows):
+        columns[cols, : cols.stop] *= scale[: cols.stop]  # zero below row cols.stop
+    # When rows < n the same reflectors finish the trailing columns, a panel
+    # at a time.  What they leave of D is zero in exact arithmetic, since
+    # [T22; D] has only ``rows`` nonzero rows.
+    width = max(1, _PANEL_FLOATS // rows)
+    for start in range(rows, n, width):
+        panel = R[:, start : start + width]
+        lapack.dtpmqrt(0, V, Tv, panel, D[:, start : start + width], trans="T",
+                       overwrite_a=1, overwrite_b=1)
+        panel *= scale[:, None]
+
+
+def _pack_columns(R: np.ndarray) -> np.ndarray:
+    """Pack the Fortran-ordered upper-trapezoidal ``R`` in place; return the packed entries.
+
+    Column ``j`` keeps its first min(j+1, rows) entries.  A block of columns
+    is gathered, then written at its packed offset, which is at or before
+    the block's own start, so no column not yet read is overwritten.  The
+    result is a view of the start of ``R``'s buffer.
+    """
+    rows, n = R.shape
+    flat = R.reshape(-1, order="F")
+    columns = R.T
+    for cols in _column_blocks(rows, n):
+        a, b = cols.start, cols.stop
+        block = columns[cols, : min(b, rows)]
+        if a < rows:
+            block = block[np.tri(b - a, b, a, dtype=bool)]
+        flat[_packed_offset(a, rows) : _packed_offset(b, rows)] = block.reshape(-1)
+    return flat[: _packed_offset(n, rows)]
+
+
+def dense_release(F, p: PrivacyParams, seed: int) -> PrivateProjection:
+    """The packed release factor, drawn and factored on a whole dense rows x n buffer.
+
+    ``T`` is drawn one column at a time into a zeroed Fortran-order
+    min(r, n) x n array, one ``dtpqrt`` factors all its leading columns,
+    ``dtpmqrt`` finishes the rest, and the result is packed in place.
+    ``pitest.privacy.privatize_covariance`` draws the same stream and runs
+    the same reflector blocks panel by panel in the packed buffer, so its
+    values are bit-identical to these.
+    """
+    A = _as_sample_matrix(F, "factor", min_rows=2)
+    n, k = A.shape
+    r, w = jl_params(p)
+    T1, R = _draw_bartlett(np.random.default_rng(int(seed)), r, k, n)
+    _factor_from_bartlett(A, w, r, T1, R)
+    return PrivateProjection(_pack_columns(R), *R.shape)
 
 
 def unpack_factor(proj: PrivateProjection) -> np.ndarray:

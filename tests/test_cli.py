@@ -9,11 +9,11 @@ import pytest
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError
-from pitest.privacy import PrivacyParams, _draw_bartlett, jl_params
+from pitest.privacy import PrivacyParams, jl_params
 from pitest.protocol import alice_prepare, deserialize_package, serialize_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
-from reference import unpack_factor
+from reference import _draw_bartlett, unpack_factor
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,19 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     assert len(payload) == 8 * (20 * 21 // 2)
     size = len(head) + 1 + len(payload)
     assert f"({size} bytes; n = 20, release factor 20 x 20 packed as 210 entries," in captured.out
+
+
+def test_alice_file_is_the_serialized_package(tmp_path, capsys):
+    # r = 45 < n = 150: the packed factor has a triangle and whole columns
+    X, _ = synthetic_pair(n=150, d=2, m=1, dependence=0.0, seed=5)
+    x_csv, out = tmp_path / "x.csv", tmp_path / "pkg.bin"
+    save_csv(x_csv, X)
+    rc = main(["alice", "--input", str(x_csv), *ALICE_ARGS, "--seed", "17", "--out", str(out)])
+    assert rc == 0
+    blob = serialize_package(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 17))
+    assert deserialize_package(blob).proj_B.rows == 45
+    assert out.read_bytes() == blob
+    assert f"({len(blob)} bytes; n = 150, release factor 45 x 150 " in capsys.readouterr().out
 
 
 def test_alice_reports_eta_too_small_as_an_error(data_dir, tmp_path, capsys):
@@ -238,6 +251,12 @@ def test_usage_errors_exit_two(data_dir, tmp_path):
         main(["sweep", "--input-x", "a", "--input-y", "b", "--out", "c",
               "--epsilons", "4,2,1"])
     assert exc.value.code == 2  # not increasing
+    for dim in ("-3", "0", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
+                  "--analyst-dim", dim, "--out", str(tmp_path / "p")])
+        assert exc.value.code == 2  # not a positive integer
+    assert not (tmp_path / "p").exists()
 
 
 def test_run_reports_both_worlds(data_dir, tmp_path, capsys):

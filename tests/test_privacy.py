@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import lapack
 
+from pitest import privacy
 from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
     PrivacyParams,
     PrivateProjection,
-    _draw_bartlett,
-    _factor_from_bartlett,
     jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
@@ -22,7 +21,14 @@ from pitest.privacy import (
 )
 
 from oracles import oracle_projection_mean
-from reference import gaussian_release, pack_factor, unpack_factor
+from reference import (
+    _draw_bartlett,
+    _factor_from_bartlett,
+    dense_release,
+    gaussian_release,
+    pack_factor,
+    unpack_factor,
+)
 
 
 PARAMS = PrivacyParams(epsilon=100.0, delta=0.5, eta=0.5, nu=0.5)  # small r, small w: fast MC
@@ -237,16 +243,17 @@ def test_privatize_ships_an_n_row_factor_at_a_huge_row_count():
 
 def test_privatize_reports_a_factor_it_cannot_allocate(monkeypatch):
     # a refusal stands in for an allocation the OS cannot make: asking for
-    # one might be granted under overcommit and then exhaust memory
+    # one might be granted under overcommit and then exhaust memory.  The
+    # packed 5 x 5 factor (15 entries) is the first array allocated.
     zeros = np.zeros
 
     def refuse_the_factor(shape, *args, **kwargs):
-        if shape == (5, 5):
+        if shape in (15, (15,)):
             raise MemoryError(f"Unable to allocate array with shape {shape}")
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", refuse_the_factor)
-    with pytest.raises(InvalidInputError, match=r"factor of 5 x 5 float64 needs 200 bytes"):
+    with pytest.raises(InvalidInputError, match=r"factor of 5 x 5 float64, packed, needs 120 bytes"):
         privatize_covariance(np.arange(5.0)[:, None], PARAMS, seed=0)
 
 
@@ -282,6 +289,38 @@ def test_factor_from_bartlett_is_the_qr_of_the_release(r, k, n):
     assert R.shape == expected.shape == (rows, n)
     assert np.max(np.abs(R - expected)) <= 1e-10 * np.max(np.abs(expected))
     _assert_upper_trapezoidal(R)
+
+
+def _params_with_rows(r):
+    """Privacy parameters whose release has ``r`` projection rows."""
+    eta = 0.999
+    p = PrivacyParams(1.0, 0.1, eta, 2.0 * math.exp(-(r - 0.1) * eta**2 / 8.0))
+    assert jl_params(p).r == r
+    return p
+
+
+# r, k, n and a panel width (None: the default panels), beyond the QR regimes:
+# one panel of 16 columns and a column less or more, several panels (a width
+# of 24 is cut to 16 left of column r), r < n with several panels on both
+# sides of column r, and the tall shape n = 2000, r = 2952, whose default
+# panels are 64 columns wide.
+_PANEL_SHAPES = [
+    (20, 2, 15, 16), (20, 2, 16, 16), (20, 2, 17, 16), (120, 3, 100, 16), (120, 3, 100, 24),
+    (120, 3, 100, 32), (40, 2, 100, 16), (40, 5, 130, 24), (267, 2, 500, None), (2952, 2, 2000, None),
+]
+
+
+@pytest.mark.parametrize("r, k, n, width", [(*shape, None) for shape in _REGIMES] + _PANEL_SHAPES)
+def test_release_is_bit_identical_to_the_dense_release(r, k, n, width, monkeypatch):
+    """The panel-by-panel release equals, byte for byte, the release drawn and factored dense."""
+    if width is not None:
+        monkeypatch.setattr(privacy, "_PANEL_FLOATS", width * min(r, n))
+    p = _params_with_rows(r)
+    F = 30.0 * np.random.default_rng(r + 100 * k + 10_000 * n).standard_normal((n, k))
+    for seed in (0, 99):
+        released = privatize_covariance(F, p, seed)
+        assert (released.rows, released.n) == (min(r, n), n)
+        assert released.values.tobytes() == dense_release(F, p, seed).values.tobytes()
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (4, 12), (2, 20), (16, 20)])

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pitest.cli import main
+from pitest.data import save_csv
 from pitest.errors import (
     InsufficientSamplesError,
     InvalidInputError,
@@ -34,6 +36,7 @@ from pitest.protocol import (
     alice_prepare,
     bob_evaluate,
     deserialize_package,
+    encode_package,
     factor_W,
     report_to_dict,
     serialize_package,
@@ -331,6 +334,16 @@ def test_layout_is_header_line_then_raw_payloads(package):
     assert payload == package.proj_B.values.astype("<f8").tobytes()
     R = unpack_factor(package.proj_B)
     assert payload == b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(12))
+
+
+def test_encoded_parts_are_the_header_line_and_the_factors_own_buffer(package):
+    head, payload = encode_package(package)
+    assert head.endswith(b"\n") and head.count(b"\n") == 1
+    assert len(payload) == payload.nbytes == package.proj_B.values.nbytes
+    assert np.shares_memory(np.frombuffer(payload, dtype="<f8"), package.proj_B.values)
+    assert head + bytes(payload) == serialize_package(package)
+    wire = deserialize_package(serialize_package(package))  # a read-only view of the blob
+    assert b"".join(encode_package(wire)) == serialize_package(package)
 
 
 def test_round_trip_preserves_bob_verdict(package, xy):
@@ -651,6 +664,32 @@ def test_release_and_analyst_hold_no_whole_draw():
         assert alice < 1.25 * release_bytes, (n, alice, release_bytes)
         assert prepare < 1.25 * release_bytes, (n, prepare, release_bytes)
         assert bob < release_bytes / 4, (n, bob, release_bytes)
+
+
+def test_alice_holds_one_packed_factor(tmp_path, capsys):
+    """Alice's traced peak stays below 1.25x the packed factor, from the release to the file.
+
+    n = 2000 and r = 2952: the factor is a 2000 x 2000 upper triangle.  Neither
+    a dense factor nor a joined copy of the package fits under the bound.
+    """
+    params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.1, nu=0.05)
+    assert jl_params(params).r == 2952
+    n = 2000
+    X = np.random.default_rng(4).standard_normal((n, 2))
+    x_csv, out = tmp_path / "x.csv", tmp_path / "pkg.bin"
+    save_csv(x_csv, X)
+    packed_bytes = 8 * n * (n + 1) // 2
+    B = factor_W(X)
+    argv = ["alice", "--input", str(x_csv), "--epsilon", "1", "--seed", "3", "--out", str(out)]
+    peaks = {}
+    peaks["privatize_covariance"], proj = _peak_bytes(
+        lambda: privatize_covariance(B, params.half_budget(), 1))
+    peaks["alice_prepare"] = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
+    peaks["pi-test alice"], rc = _peak_bytes(lambda: main(argv))
+    assert rc == 0
+    assert proj.values.nbytes == packed_bytes
+    assert out.stat().st_size > packed_bytes
+    assert all(peak < 1.25 * packed_bytes for peak in peaks.values()), (peaks, packed_bytes)
 
 
 def test_sx_draw_holds_nothing_of_size_r():
