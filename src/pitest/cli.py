@@ -20,10 +20,10 @@ import math
 import sys
 
 from .data import load_csv
-from .errors import InvalidInputError, PiTestError
+from .errors import PiTestError
 from .estimators import dcov_sq_closed_form, decide, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .privacy import PrivacyParams, jl_params, tau, tau_mechanism
+from .privacy import PrivacyParams, jl_params, tau_mechanism
 from .protocol import _privacy_section
 from .protocol import alice_prepare, bob_evaluate, deserialize_package, encode_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
@@ -79,6 +79,13 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _unit_open_float_list(text: str) -> tuple[float, ...]:
+    values = _float_list(text)
+    if not all(0.0 < v < 1.0 for v in values):
+        raise argparse.ArgumentTypeError(f"all values must lie strictly in (0, 1), got {text}")
+    return values
+
+
 def _increasing_float_list(text: str) -> tuple[float, ...]:
     values = _float_list(text)
     if any(v <= 0 for v in values):
@@ -116,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_privacy_flags(p_alice)
     p_alice.add_argument("--out", required=True,
                          help="package file to write (a JSON header line, then binary payloads)")
-    p_alice.add_argument("--analyst-dim", type=_positive_int, default=1, metavar="M",
-                         help="assumed analyst column count for the closed-form tau printout")
     p_alice.set_defaults(func=_cmd_alice)
 
     p_bob = sub.add_parser("bob", help="evaluate a package against the analyst's Y")
@@ -148,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--header", action="store_true", help="skip the first CSV line of both")
     p_sweep.add_argument("--epsilons", type=_increasing_float_list, default=(0.5, 1.0, 2.0, 4.0, 8.0),
                          help="comma-separated increasing epsilon grid (default 0.5,1,2,4,8)")
-    p_sweep.add_argument("--etas", type=_float_list, default=(0.05, 0.1),
-                         help="comma-separated eta grid (default 0.05,0.1)")
-    p_sweep.add_argument("--replications", type=int, default=50,
+    p_sweep.add_argument("--etas", type=_unit_open_float_list, default=(0.05, 0.1),
+                         help="comma-separated eta grid, each in (0,1) (default 0.05,0.1)")
+    p_sweep.add_argument("--replications", type=_positive_int, default=50,
                          help="protocol replications per cell (default 50)")
     p_sweep.add_argument("--delta", type=_unit_open_float, default=2e-4)
     p_sweep.add_argument("--nu", type=_unit_open_float, default=0.05)
@@ -189,11 +194,6 @@ def _cmd_alice(args) -> int:
     print(f"per-release budget: epsilon = {per_release.epsilon:g}, delta = {per_release.delta:g}")
     print(f"projection rows r = {r}, spectral floor w = {w:.6g}")
     print(f"tau_mech (mechanism additive constant) = {tau_mechanism(per_release):.6g}")
-    try:
-        tau_cf = tau(per_release, args.analyst_dim, package.n)
-        print(f"tau (closed form, m = {args.analyst_dim}) = {tau_cf:.6g}")
-    except InvalidInputError as exc:
-        print(f"tau (closed form, m = {args.analyst_dim}) = n/a ({exc})")
     return 0
 
 

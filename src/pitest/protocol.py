@@ -402,7 +402,7 @@ def deserialize_package(data: bytes) -> AlicePackage:
     for field in ("epsilon", "delta", "eta", "nu"):
         value = _require(privacy, field, "section 'privacy'")
         kwargs[field] = _number(value, f"privacy field '{field}'")
-    split = privacy.get("split", _SPLIT)
+    split = _require(privacy, "split", "section 'privacy'")
     if split != _SPLIT:
         raise PackageFormatError(f"unsupported budget split {split!r}; expected {_SPLIT!r}")
     try:

@@ -10,8 +10,6 @@ degenerate with NaN entries.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -61,19 +59,6 @@ class SweepRow(NamedTuple):
 SWEEP_HEADER = ",".join(SweepRow._fields)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("PI_TEST_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InvalidInputError(f"PI_TEST_THREADS must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise InvalidInputError(f"PI_TEST_THREADS must be >= 1, got {workers}")
-        return workers
-    return min(32, os.cpu_count() or 1)
-
-
 def _rel_err_pct(private: float, reference: float) -> float:
     if reference == 0.0:
         return float("nan")  # degenerate reference; cell is marked, not crashed
@@ -90,9 +75,9 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     """Run the sweep; one row per (epsilon, eta) in configuration order.
 
-    Trial seeds are derived from (master_seed, epsilon index, eta index,
-    replication index), so results are reproducible regardless of how the
-    replications are scheduled across threads (capped by PI_TEST_THREADS).
+    Trials run one after another in the calling thread.  Each trial's seed is
+    derived from (master_seed, epsilon index, eta index, replication index),
+    so a row depends only on the configuration and the data.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -102,35 +87,24 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     s_ref = s_hat(X, Y)
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 
-    def one_trial(args: tuple[int, int, int]) -> tuple[float, float, float]:
-        i_eps, i_eta, rep = args
-        seed = int(
-            np.random.SeedSequence([cfg.master_seed, i_eps, i_eta, rep]).generate_state(
-                1, np.uint64
-            )[0]
-        )
-        p = PrivacyParams(cfg.epsilons[i_eps], cfg.delta, cfg.eta_values[i_eta], cfg.nu)
-        report = bob_evaluate(alice_prepare(X, p, seed), Y, cfg.alpha)
-        gamma_bar = report.statistic if report.statistic is not None else float("nan")
-        return (
-            _rel_err_pct(gamma_bar, gamma_ref) if s_ref > 0.0 else float("nan"),
-            _rel_err_pct(report.s_bar, s_ref),
-            _rel_err_pct(report.omega_bar_sq, omega_ref),
-        )
-
-    # One map over the whole grid, so no cell waits for the previous one to
-    # drain; results come back in job order, i.e. cell by cell.
-    cells = list(product(range(len(cfg.epsilons)), range(len(cfg.eta_values))))
-    jobs = [(i_eps, i_eta, rep) for i_eps, i_eta in cells for rep in range(cfg.replications)]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(one_trial, jobs))
-
     rows: list[SweepRow] = []
-    for cell, (i_eps, i_eta) in enumerate(cells):
-        trials = results[cell * cfg.replications : (cell + 1) * cfg.replications]
-        g_mean, g_sd = _mean_sd([t[0] for t in trials])
-        s_mean, s_sd = _mean_sd([t[1] for t in trials])
-        o_mean, o_sd = _mean_sd([t[2] for t in trials])
+    for i_eps, i_eta in product(range(len(cfg.epsilons)), range(len(cfg.eta_values))):
+        p = PrivacyParams(cfg.epsilons[i_eps], cfg.delta, cfg.eta_values[i_eta], cfg.nu)
+        gammas, ss, omegas = [], [], []
+        for rep in range(cfg.replications):
+            seed = int(
+                np.random.SeedSequence([cfg.master_seed, i_eps, i_eta, rep]).generate_state(
+                    1, np.uint64
+                )[0]
+            )
+            report = bob_evaluate(alice_prepare(X, p, seed), Y, cfg.alpha)
+            gamma_bar = report.statistic if report.statistic is not None else float("nan")
+            gammas.append(_rel_err_pct(gamma_bar, gamma_ref))
+            ss.append(_rel_err_pct(report.s_bar, s_ref))
+            omegas.append(_rel_err_pct(report.omega_bar_sq, omega_ref))
+        g_mean, g_sd = _mean_sd(gammas)
+        s_mean, s_sd = _mean_sd(ss)
+        o_mean, o_sd = _mean_sd(omegas)
         rows.append(
             SweepRow(cfg.epsilons[i_eps], cfg.eta_values[i_eta],
                      g_mean, g_sd, s_mean, s_sd, o_mean, o_sd)

@@ -2,15 +2,18 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import pitest.sweep
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError
 from pitest.privacy import PrivacyParams, jl_params
-from pitest.protocol import alice_prepare, deserialize_package, serialize_package
+from pitest.estimators import dcov_sq_closed_form, s_hat
+from pitest.protocol import alice_prepare, bob_evaluate, deserialize_package, serialize_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
 from reference import _draw_bartlett, unpack_factor
@@ -168,13 +171,6 @@ def test_alice_default_seed_is_fresh(data_dir, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_alice_reports_unavailable_closed_form(data_dir, tmp_path, capsys):
-    # nu = 0.5 saturates (m + n) nu, so the closed-form constant is n/a
-    out = tmp_path / "pkg.json"
-    main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--out", str(out)])
-    assert "tau (closed form, m = 1) = n/a" in capsys.readouterr().out
-
-
 def test_bob_round_trip(data_dir, tmp_path, capsys):
     pkg = tmp_path / "pkg.json"
     report = tmp_path / "report.json"
@@ -251,11 +247,15 @@ def test_usage_errors_exit_two(data_dir, tmp_path):
         main(["sweep", "--input-x", "a", "--input-y", "b", "--out", "c",
               "--epsilons", "4,2,1"])
     assert exc.value.code == 2  # not increasing
-    for dim in ("-3", "0", "1.5"):
+    for etas in ("1.5", "0", "0.1,1"):
         with pytest.raises(SystemExit) as exc:
-            main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
-                  "--analyst-dim", dim, "--out", str(tmp_path / "p")])
-        assert exc.value.code == 2  # not a positive integer
+            main(["sweep", "--input-x", "a", "--input-y", "b", "--out", str(tmp_path / "p"),
+                  "--etas", etas])
+        assert exc.value.code == 2  # an eta outside (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
+              "--analyst-dim", "1", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2  # no such flag
     assert not (tmp_path / "p").exists()
 
 
@@ -298,10 +298,11 @@ def test_run_and_sweep_constant_x_are_degenerate(tmp_path, capsys):
 
 def test_sweep_rejects_zero_replications(data_dir, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--input-x", str(data_dir / "x.csv"),
-               "--input-y", str(data_dir / "y.csv"), "--replications", "0", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: replications must be >= 1")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--input-x", str(data_dir / "x.csv"),
+              "--input-y", str(data_dir / "y.csv"), "--replications", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--replications: must be a positive integer, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -330,16 +331,46 @@ def test_sweep_writes_expected_table(data_dir, tmp_path, capsys):
 # ------------------------------------------------------------- sweep library
 
 
-def test_sweep_rows_deterministic_under_thread_cap(data_dir, monkeypatch):
+def test_sweep_runs_every_trial_on_the_calling_thread(data_dir, monkeypatch):
+    threads = []
+
+    def recording_prepare(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return alice_prepare(*args, **kwargs)
+
+    monkeypatch.setattr(pitest.sweep, "alice_prepare", recording_prepare)
+    cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=3, eta_values=(0.5,),
+                      delta=0.01, nu=0.5)
+    run_sweep(cfg, load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv"))
+    assert threads == [threading.get_ident()] * 6
+
+
+def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
+    """A cell's trials are alice_prepare(X, p, seed) then bob_evaluate, with the
+    seed drawn from SeedSequence([master_seed, epsilon index, eta index, replication])."""
     X = load_csv(data_dir / "x.csv")
     Y = load_csv(data_dir / "y.csv")
-    cfg = SweepConfig(epsilons=(100.0,), replications=4, eta_values=(0.5,),
-                      delta=0.01, nu=0.5, master_seed=1)
-    monkeypatch.setenv("PI_TEST_THREADS", "1")
-    serial = run_sweep(cfg, X, Y)
-    monkeypatch.setenv("PI_TEST_THREADS", "4")
-    parallel = run_sweep(cfg, X, Y)
-    assert serial == parallel
+    cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=4, eta_values=(0.3, 0.5),
+                      delta=0.01, nu=0.5, alpha=0.1, master_seed=7)
+    rows = run_sweep(cfg, X, Y)
+    assert len(rows) == 4
+
+    i_eps, i_eta = 1, 0  # the third row, in (epsilon, eta) order
+    p = PrivacyParams(1000.0, 0.01, 0.3, 0.5)
+    omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
+    gamma_ref = X.shape[0] * omega_ref / s_ref
+    errors = []
+    for rep in range(4):
+        seed = int(np.random.SeedSequence([7, i_eps, i_eta, rep]).generate_state(1, np.uint64)[0])
+        report = bob_evaluate(alice_prepare(X, p, seed), Y, 0.1)
+        errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
+            (report.statistic, gamma_ref), (report.s_bar, s_ref),
+            (report.omega_bar_sq, omega_ref))])
+    errors = np.array(errors)
+    expected = [1000.0, 0.3]
+    for column in errors.T:
+        expected += [float(column.mean()), float(column.std(ddof=1))]
+    assert rows[2] == tuple(expected)
 
 
 def test_sweep_single_replication_has_zero_sd(data_dir):

@@ -508,6 +508,14 @@ def test_rejects_bad_privacy_values(package):
     _reject(package, doc)
 
 
+def test_rejects_a_header_without_the_budget_split(package):
+    """The encoder always writes the split, so a header without one is not read as half-half."""
+    doc = _doc(package)
+    del doc["privacy"]["split"]
+    with pytest.raises(PackageFormatError, match="missing required section 'split'"):
+        deserialize_package(_wire(package, doc))
+
+
 def test_rejects_bad_projection_sections(package):
     doc = _doc(package)
     doc["proj_B"]["rows"] = 4.5
