@@ -208,10 +208,31 @@ def _cmd_bob(args) -> int:
     # Read off the header and the blob's length: nothing beyond the release.
     r, w = jl_params(package.params.half_budget())
     doc["release"] = {"r": r, "w": w, "rows": package.proj_B.rows, "package_bytes": len(blob)}
+    doc["floor"] = _floor_section(package, Y, report)
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(f"wrote report: {args.report}")
     return 0
+
+
+def _floor_section(package, Y, report) -> dict:
+    """The spectral floor's share of each private statistic, and the smallest unclamped ``s_param``.
+
+    ``omega_share`` is w^2 ||Y||_F^2 over ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``,
+    for the ``Y`` that Bob queries (uncentred); ``s_share`` is
+    w^2 (n - 1) / sx.  A share near 1 means that statistic is mostly floor.
+    Either is null when its denominator is 0.  ``s_param_min`` is
+    tau_mech / (1 - eta): an ``s_param`` not above it clamps the upper bound.
+    """
+    per_release = package.params.half_budget()
+    w2 = jl_params(per_release).w ** 2
+    n = package.n
+    answers = n * n / 2.0 * report.omega_bar_sq
+    return {
+        "omega_share": w2 * float((Y * Y).sum()) / answers if answers > 0.0 else None,
+        "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,
+        "s_param_min": tau_mechanism(per_release) / (1.0 - per_release.eta),
+    }
 
 
 def _print_decision(report) -> None:

@@ -36,9 +36,12 @@ The analyst reads ``P`` only through its Gram ``P^T P``, so what is shipped
 is not ``P`` but ``R``, the min(r, n) x n upper-trapezoidal factor with a
 positive diagonal of a QR of ``P``: ``R^T R = P^T P``, so every query has
 the same answer.  ``R`` is drawn from its exact law without drawing ``P``,
-and kept packed: column ``j`` holds only its first min(j+1, rows) entries,
-the columns one after another, so the zeros below the diagonal are neither
-stored nor shipped.
+and kept packed in row panels: rows [a, b) of ``R`` are stored as their
+(b - a) x (b - a) diagonal block, an upper triangle packed column by
+column, then the (b - a) x (n - b) rectangle right of it in column-major
+order, panel after panel, so the zeros below the diagonal are neither
+stored nor shipped.  Every panel but the last has the height of
+:func:`_panel_height`, a multiple of the reflector block.
 Write ``G = Q T`` for a QR of ``G`` with ``T`` upper trapezoidal and
 positive on its diagonal; then ``P^T P = (T A_hat)^T (T A_hat) / r``, so ``R``
 is the R factor of ``T A_hat / sqrt(r)``.  By Bartlett's decomposition the
@@ -55,20 +58,28 @@ factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
 O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n flops for
 ``P``, and holds nothing of size r.
 
-The QR runs left-looking, one panel of columns at a time, in the packed
-buffer.  A panel [a, b) left of column min(r, n) is expanded into its
-a x (b - a) top block and its triangle; the reflectors of columns [0, a)
-are applied to the top block and to ``D``'s columns [a, b) (one
-``dtpmqrt``), the triangle over them is factored (``dtpqrt``), and the
-panel is scaled and packed back.  Right of column min(r, n) the packed
-columns are whole, and ``dtpmqrt`` applies all the reflectors to them in
-place.  So Alice holds the packed factor and O(panel) scratch.  Panels left
-of column min(r, n) start at multiples of the reflector block, so every
-column meets the same reflector blocks, in the same order, as in one
-``dtpqrt`` of all the leading columns; and the normals are drawn in column
-order, a block of columns per call, which is the stream of one call per
-column.  So a seed gives the same bits as that draw and that one-shot QR
-on a dense min(r, n) x n buffer.
+The QR runs right-looking, one row panel at a time, in the packed buffer.
+The reflector of column j acts only on row j of ``T_22`` and on ``D``, so
+when panel [a, b) comes up its rows are still the drawn ``T_22`` and only
+``D`` carries the earlier panels' reflectors.  The panel's normals are
+drawn into place (the triangle's, column by column, then the rectangle's,
+then its diagonal), one ``dtpqrt`` factors its triangle, copied into a
+(b - a) x (b - a) scratch, over ``D[:, a:b]``, ``dtpmqrt`` applies
+those reflectors to the rectangle and to ``D[:, b:]``, and the panel is
+scaled and its triangle copied back.  So each entry is drawn, updated by
+its own panel's reflector blocks and scaled once, and Alice holds the
+packed factor and O(panel) scratch.  One ``dtpqrt`` of all the leading
+columns runs the same reflector blocks of ``_REFLECTOR_BLOCK`` columns:
+it factors a block and updates every column right of it, in one call for
+the columns left of min(r, n) and one for the rest.  The panels split those
+updates at panel edges, which are multiples of the block, and the
+rectangle's update at column min(r, n), so each column sees the same
+blocks in the same order and in BLAS calls ending at the same column; on
+the OpenBLAS builds measured that rounds every column the same, so a seed
+gives the same bits as that draw and that one-shot QR on a dense
+min(r, n) x n buffer.  A release of one panel (n min(r, n) up to about
+``_PANEL_FLOATS``) draws in column order and is laid out column by column,
+as in wire format 5, byte for byte.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -100,6 +111,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -121,49 +133,76 @@ __all__ = [
 ]
 
 
-# Entries of float64 per row block (256 KiB): every pass over a block stays in
-# cache, and a GEMM against a thin factor stays below OpenBLAS's threading
-# threshold.  Measured on run_sweep: 2**13 pays per-block Python overhead,
-# 2**19 crosses the threshold again.
+# Entries of float64 (256 KiB) of a packed factor that its finiteness check
+# and the analyst's product take at a time, so that neither holds a
+# temporary of the factor's or of a panel's size.
 _BLOCK_FLOATS = 2**15
 
 # Reflectors per block of the triangular-pentagonal QR, and float64 entries
-# per panel of columns that the QR works on at a time (1 MiB, so a panel
-# stays in cache while it is updated and scaled, and a panel's scratch stays
-# small beside the factor).  Measured on the 2952 x 20000 factor of n = 2e4,
-# r = 2952: 16 and 2**17 took 0.41 s; 32 and 2**17 took 0.47 s, and 32 with
-# one panel of all the columns 0.60 s.
+# per row panel of the release factor (1 MiB, so a panel's triangle scratch
+# stays small beside the factor).  Both fix the wire layout through
+# :func:`_panel_height`, so changing either is a format change, and the
+# block is the one-shot QR's, whose bits the release keeps.  Measured on a
+# release at n = 2000, r = 2952 (2-core box, medians of 15 interleaved
+# repetitions): 2**16, 2**17, 2**18 and 2**19 entries (panels of 32, 64, 128
+# and 256 rows) took 67, 66, 67 and 70 ms, the normals alone about 40 ms.
 _REFLECTOR_BLOCK = 16
 _PANEL_FLOATS = 2**17
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices covering ``range(rows)`` in blocks of about ``_BLOCK_FLOATS`` entries."""
-    h = max(1, _BLOCK_FLOATS // width)
-    for i in range(0, rows, h):
-        yield slice(i, min(i + h, rows))
+def _panel_height(rows: int, n: int) -> int:
+    """Rows per panel of a packed rows x n factor, the last panel excepted.
 
-
-def _packed_offset(j: int, rows: int) -> int:
-    """Entries before column ``j`` of a packed factor with ``rows`` rows.
-
-    Column ``i`` keeps its first min(i+1, rows) entries, so this is
-    j (j+1) / 2 up to column ``rows`` and grows by ``rows`` a column after
-    it; for ``j = n`` it is the length of the whole packed factor.
+    About ``_PANEL_FLOATS`` entries of n-wide rows, rounded down to a
+    multiple of ``_REFLECTOR_BLOCK`` but at least one block, and at most
+    ``rows``.  This decides the packed layout, for the release, the
+    analyst and the parser alike.
     """
-    t = min(j, rows)
-    return t * (t + 1) // 2 + (j - t) * rows
+    h = _PANEL_FLOATS // n
+    return min(rows, max(_REFLECTOR_BLOCK, h - h % _REFLECTOR_BLOCK))
 
 
-def _column_blocks(rows: int, n: int):
-    """Slices of about ``_BLOCK_FLOATS`` entries covering the columns of a rows x n factor.
+def _row_offset(a: int, n: int) -> int:
+    """Entries of a packed factor n wide before its row ``a``: row i keeps its n - i entries.
 
-    No slice crosses column ``rows``: the columns before it grow by one
-    entry each, the columns after it are whole.
+    For ``a = rows`` it is the length of the whole packed factor.
     """
-    yield from _row_blocks(rows, rows)
-    for cols in _row_blocks(n - rows, rows):
-        yield slice(rows + cols.start, rows + cols.stop)
+    return a * n - a * (a - 1) // 2
+
+
+def _panels(rows: int, n: int):
+    """The row panels ``(a, b)`` of a packed rows x n factor, top down."""
+    h = _panel_height(rows, n)
+    for a in range(0, rows, h):
+        yield a, min(a + h, rows)
+
+
+@lru_cache(maxsize=16)
+def _tri(rows: int, cols: int, k: int) -> np.ndarray:
+    """``np.tri(rows, cols, k)`` as a read-only boolean mask, cached.
+
+    Over a transposed triangle, whose row j is column j of the triangle,
+    ``_tri(h, h, 0)`` marks the triangle's entries and ``_tri(h, h, -1)``
+    those above its diagonal.  Cached because the sweep releases and
+    queries thousands of factors of one shape.
+    """
+    mask = np.tri(rows, cols, k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _panel_parts(values: np.ndarray, a: int, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel [a, b) of the packed ``values``: its packed triangle, and its rectangle.
+
+    The triangle holds column j of the panel's (b - a) x (b - a) diagonal
+    block as its first j + 1 entries, the columns one after another; the
+    rectangle is the (b - a) x (n - b) block right of it, a Fortran-ordered
+    view.
+    """
+    h = b - a
+    segment = values[_row_offset(a, n) : _row_offset(b, n)]
+    t = h * (h + 1) // 2
+    return segment[:t], segment[t:].reshape(n - b, h).T
 
 
 @dataclass(frozen=True)
@@ -265,13 +304,17 @@ def tau_mechanism(p: PrivacyParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PrivateProjection:
-    """A released factor ``R``: rows x n, upper trapezoidal, stored packed.
+    """A released factor ``R``: rows x n, upper trapezoidal, stored packed in row panels.
 
-    ``values`` holds column ``j`` of ``R`` as its first min(j+1, rows)
-    entries, the columns one after another; the entries below the diagonal
-    are zero and not stored.  ``R`` answers directional variance queries
-    ``||R y||^2`` approximating ``y^T F F^T y + w^2 ||y||^2``; only its Gram
-    ``R^T R`` matters.  A release from :func:`privatize_covariance` is the
+    ``values`` holds the rows of ``R`` in panels [a, b) of
+    :func:`_panel_height` rows (the last may be shorter), top down.  A panel
+    is its (b - a) x (b - a) diagonal block, an upper triangle packed column
+    by column (column j of the block keeps its first j + 1 entries), then
+    the (b - a) x (n - b) rectangle right of it in column-major order.  The
+    entries below the diagonal are zero and not stored; row i keeps its
+    n - i entries.  ``R`` answers directional variance queries ``||R y||^2``
+    approximating ``y^T F F^T y + w^2 ||y||^2``; only its Gram ``R^T R``
+    matters.  A release from :func:`privatize_covariance` is the
     min(r, n) x n QR factor of the projection ``P``.  It does not keep the
     parameters it was released under; its holder does (a package keeps its
     total budget).  The generator seed is not kept either: with it, anyone
@@ -285,7 +328,7 @@ class PrivateProjection:
     def __post_init__(self) -> None:
         if not (1 <= self.rows <= self.n):
             raise ShapeError(f"a factor needs 1 <= rows <= n, got rows={self.rows}, n={self.n}")
-        size = _packed_offset(self.n, self.rows)
+        size = _row_offset(self.rows, self.n)
         if self.values.shape != (size,):
             raise ShapeError(f"a packed {self.rows} x {self.n} factor has {size} entries, "
                              f"got shape {self.values.shape}")
@@ -295,117 +338,66 @@ class PrivateProjection:
             raise InvalidInputError("projection contains non-finite entries")
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of ``R``: entry j of column j, at packed offset j (j+3) / 2."""
-        j = np.arange(self.rows)
-        return self.values[j * (j + 3) // 2]
+        """The diagonal of ``R``: in the panel from row a, row a + j's entry is j (j+3) / 2 values in."""
+        i = np.arange(self.rows)
+        a = i - i % _panel_height(self.rows, self.n)
+        j = i - a
+        return self.values[_row_offset(a, self.n) + j * (j + 3) // 2]
 
 
-def _panels(rows: int, n: int):
-    """Panels ``(a, b)`` of about ``_PANEL_FLOATS`` entries covering the columns of a rows x n factor.
-
-    No panel crosses column ``rows``.  Left of it a panel's width is a
-    multiple of ``_REFLECTOR_BLOCK`` (the last may be narrower), so the
-    reflector blocks of a QR run panel by panel are those of one QR of all
-    the leading columns.
-    """
-    width = max(1, _PANEL_FLOATS // rows)
-    left = max(_REFLECTOR_BLOCK, width - width % _REFLECTOR_BLOCK)
-    for a in range(0, rows, left):
-        yield a, min(a + left, rows)
-    for a in range(rows, n, width):
-        yield a, min(a + width, n)
-
-
-def _column_heads(heads, lengths) -> np.ndarray:
-    """A mask over columns of ``lengths`` entries, one after another: True at the first ``heads`` of each."""
-    lengths = np.asarray(lengths)
-    runs = np.empty((lengths.size, 2), dtype=np.intp)
-    runs[:, 0] = heads
-    runs[:, 1] = lengths - runs[:, 0]
-    return np.repeat(np.tile([True, False], lengths.size), runs.reshape(-1))
-
-
-def _draw_t22(rng: np.random.Generator, values: np.ndarray, rows: int, n: int, q: int, dof: float) -> None:
-    """Draw ``T22`` (see the module docstring) into the zeroed packed factor ``values``.
-
-    Its q x n upper-trapezoidal entries come from the Bartlett law: the
-    normals above the diagonal in column order, one draw per block of
-    columns, then the diagonal, ``chi_{dof - i}`` in row ``i``.  Rows q to
-    ``rows`` stay zero.
-    """
-    for cols in _column_blocks(rows, n):
-        a, b = cols.start, cols.stop
-        segment = values[_packed_offset(a, rows) : _packed_offset(b, rows)]
-        if a >= rows:  # whole columns, normals in their first q rows
-            segment.reshape(b - a, rows)[:, :q] = rng.standard_normal((b - a, q))
-            continue
-        # Column j keeps j + 1 entries, and its normals are the first min(j, q).
-        columns = np.arange(a, b)
-        drawn = _column_heads(np.minimum(columns, q), columns + 1)
-        segment[drawn] = rng.standard_normal(np.count_nonzero(drawn))
-    j = np.arange(q)
-    values[j * (j + 3) // 2] = np.sqrt(rng.chisquare(dof - np.arange(q, dtype=np.float64)))
-
-
-def _factor_panel(segment: np.ndarray, a: int, b: int, D: np.ndarray, Tv: np.ndarray,
-                  scale: np.ndarray, floor: float) -> None:
-    """Factor the packed columns [a, b), left of column ``rows``, in place.
-
-    ``segment`` holds them; column j keeps ``a`` entries of the top block,
-    then j - a + 1 of the triangle.  ``D[:, :a]`` and ``Tv[:, :a]`` hold
-    the earlier panels' reflectors and ``scale[:a]`` their rows' scales;
-    this panel's are written to ``D[:, a:b]``, ``Tv[:, a:b]`` and
-    ``scale[a:b]``.
-    """
-    width = b - a
-    heads = _column_heads(a, np.arange(a + 1, b + 1))
-    if a:  # the earlier reflectors act on the top block and on D[:, a:b]
-        top_t = segment[heads].reshape(width, a)
-        lapack.dtpmqrt(0, D[:, :a], Tv[:, :a], top_t.T, D[:, a:b], trans="T",
-                       overwrite_a=1, overwrite_b=1)
-        top_t *= scale[:a]
-        segment[heads] = top_t.reshape(-1)
-        del top_t  # before the triangle's scratch, so that only one is held
-    in_triangle = np.logical_not(heads, out=heads)
-    lower = np.tri(width, dtype=bool)
-    triangle_t = np.zeros((width, width))  # transposed, so the triangle is Fortran-ordered
-    triangle_t[lower] = segment[in_triangle]
-    t = lapack.dtpqrt(0, min(width, Tv.shape[0]), triangle_t.T, D[:, a:b],
-                      overwrite_a=1, overwrite_b=1)[2]
-    Tv[: t.shape[0], a:b] = t
-    scale[a:b] = np.copysign(floor, np.diagonal(triangle_t))
-    triangle_t *= scale[a:b]
-    segment[in_triangle] = triangle_t[lower]
-
-
-def _factor_packed(A: np.ndarray, w: float, r: int, T1: np.ndarray, values: np.ndarray, rows: int) -> None:
-    """Overwrite the packed ``T22`` in ``values`` with the release factor ``R``.
+def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T1: np.ndarray,
+                    values: np.ndarray, rows: int) -> None:
+    """Draw ``T22`` and overwrite it with the release factor ``R``, one row panel at a time.
 
     ``R`` is the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``
-    for the n x k factor ``A``, ``A_hat = [A^T; w I]`` and ``T`` from
-    ``T1`` and ``T22``.  The triangular-pentagonal QR of ``[T22; D]`` is
-    left-looking: each panel left of column ``rows`` takes the earlier
-    panels' reflectors, is factored and is scaled (:func:`_factor_panel`).
-    Right of column ``rows`` the packed columns are whole, and the
-    reflectors are applied to them in place.
+    for the n x k factor ``A``, ``A_hat = [A^T; w I]`` and ``T`` from ``T1``
+    and ``T22`` (see the module docstring).  ``values`` is the zeroed packed
+    factor.  For each panel [a, b): its Bartlett entries are drawn (the
+    triangle's normals in column order, then the rectangle's, then the
+    diagonal, ``chi_{r - k1 - i}`` in row ``i``; rows from
+    q = min(r - k1, n) on stay zero), one ``dtpqrt`` factors the triangle
+    over ``D[:, a:b]``, ``dtpmqrt`` applies its reflectors to the
+    rectangle and ``D[:, b:]``, and the panel is scaled.
     """
     n, k = A.shape
+    k1 = T1.shape[0]
+    q = min(r - k1, n)
+    dof = float(r) - k1  # r may exceed int64
     # The dense rows of T A_hat, over w: T11 A^T / w + T12.
     D = np.asfortranarray(T1[:, k:])
     D += T1[:, :k] @ (A.T / w)
-    # The reflector blocks' triangular factors, and the rows' scales, which
-    # make the diagonal positive and restore the floor and the 1/sqrt(r).
-    Tv = np.empty((min(rows, _REFLECTOR_BLOCK), rows), order="F")
-    scale = np.empty(rows)
+    floor = w / math.sqrt(r)
+    h = _panel_height(rows, n)
+    upper, above = _tri(h, h, 0), _tri(h, h, -1)
     for a, b in _panels(rows, n):
-        segment = values[_packed_offset(a, rows) : _packed_offset(b, rows)]
-        if a < rows:
-            _factor_panel(segment, a, b, D, Tv, scale, w / math.sqrt(r))
-            continue
-        block = segment.reshape(b - a, rows).T
-        lapack.dtpmqrt(0, D[:, :rows], Tv, block, D[:, a:b], trans="T",
-                       overwrite_a=1, overwrite_b=1)
-        block *= scale[:, None]
+        hb = b - a
+        drawn = min(max(q - a, 0), hb)  # the panel's rows with Bartlett entries
+        triangle, rect = _panel_parts(values, a, b, n)
+        triangle_t = np.zeros((hb, hb))  # transposed, so the triangle is Fortran-ordered
+        normals = above[:hb, :hb]
+        if drawn < hb:
+            normals = normals & (np.arange(hb) < drawn)
+        triangle_t[normals] = rng.standard_normal(np.count_nonzero(normals))
+        if drawn == hb:
+            rng.standard_normal(out=rect.T)
+        elif drawn:
+            rect.T[:, :drawn] = rng.standard_normal((n - b, drawn))
+        j = np.arange(drawn)
+        triangle_t[j, j] = np.sqrt(rng.chisquare(dof - np.arange(a, a + drawn, dtype=np.float64)))
+        t = lapack.dtpqrt(0, min(hb, _REFLECTOR_BLOCK), triangle_t.T, D[:, a:b],
+                          overwrite_a=1, overwrite_b=1)[2]
+        # The rectangle's columns left and right of column ``rows`` take the
+        # reflectors in two calls, as in one QR of the leading columns and
+        # one update of the rest, so that each column is rounded the same.
+        for c, d in ((b, rows), (max(b, rows), n)):
+            if c < d:
+                lapack.dtpmqrt(0, D[:, a:b], t, rect[:, c - b : d - b], D[:, c:d], trans="T",
+                               overwrite_a=1, overwrite_b=1)
+        # Make the diagonal positive and restore the floor and the 1/sqrt(r).
+        scale = np.copysign(floor, np.diagonal(triangle_t))
+        triangle_t *= scale
+        rect *= scale[:, None]
+        triangle[:] = triangle_t[upper[:hb, :hb]]
 
 
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
@@ -429,7 +421,7 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     n, k = A.shape
     r, w = jl_params(p)
     k1, rows = min(r, k), min(r, n)
-    size = _packed_offset(n, rows)
+    size = _row_offset(rows, n)
     try:
         values = np.zeros(size)  # the only array of the factor's size
     except (MemoryError, ValueError) as exc:
@@ -441,8 +433,7 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     # Degrees of freedom as floats: r may exceed int64.
     T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
     T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
-    _draw_t22(rng, values, rows, n, min(r - k1, n), float(r) - k1)
-    _factor_packed(A, w, r, T1, values, rows)
+    _release_panels(rng, A, w, r, T1, values, rows)
     return PrivateProjection(values, rows, n)
 
 
@@ -486,21 +477,23 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
         raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("query matrix contains non-finite entries")
-    # R V summed over blocks of R's columns.  A block left of column ``rows``
-    # is expanded into a zeroed scratch, whose entries below the block's
-    # diagonal no earlier block has written; a block right of it is whole
-    # columns, a contiguous run of the packed entries, and an unaligned wire
-    # payload is copied one block at a time.
-    rows = P.rows
+    # R V one row panel at a time, and each panel a block of about
+    # _BLOCK_FLOATS entries at a time: a block of the triangle's columns is
+    # expanded into a zeroed scratch, and a block of the rectangle's columns
+    # is multiplied as it lies (BLAS copies it if it is an unaligned wire
+    # payload), so nothing of a panel's size is held.
+    rows, n = P.rows, P.n
     RV = np.zeros((rows, M.shape[1]))
-    scratch = np.zeros((min(rows, max(1, _BLOCK_FLOATS // rows)), rows))
-    for cols in _column_blocks(rows, P.n):
-        a, b = cols.start, cols.stop
-        packed = P.values[_packed_offset(a, rows) : _packed_offset(b, rows)]
-        if a < rows:
-            block = scratch[: b - a, :b]
-            block[np.tri(b - a, b, a, dtype=bool)] = packed
-            RV[:b] += block.T @ M[cols]
-        else:
-            RV += packed.reshape(b - a, rows).T @ M[cols]
+    for a, b in _panels(rows, n):
+        hb = b - a
+        triangle, rect = _panel_parts(P.values, a, b, n)
+        width = max(1, _BLOCK_FLOATS // hb)
+        for c in range(0, hb, width):
+            d = min(c + width, hb)
+            block = np.zeros((d - c, d))  # transposed: row j is the triangle's column c + j
+            block[_tri(d - c, d, c)] = triangle[c * (c + 1) // 2 : d * (d + 1) // 2]
+            RV[a : a + d] += block.T @ M[a + c : a + d]
+        del block  # before the rectangle's blocks, so that one block is held at a time
+        for c in range(0, n - b, width):
+            RV[a:b] += rect[:, c : c + width] @ M[b + c : b + c + width]
     return float(np.sum(RV * RV))

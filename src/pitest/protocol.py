@@ -30,27 +30,34 @@ Roles:
   rejection rule.  Nothing flows back, so the release's privacy guarantee
   is preserved under this post-processing.
 
-Wire format (version 5): one line of canonical UTF-8 JSON (sorted keys,
+Wire format (version 6): one line of canonical UTF-8 JSON (sorted keys,
 compact separators) holding ``version``, ``n``, ``privacy``, ``sx`` (a
 finite number >= 0) and the ``rows``/``cols`` of the ``proj_B`` section,
 then one newline byte, then the ``proj_B`` payload: the upper trapezoid of
-the factor ``R_B``, packed, as raw little-endian IEEE-754 binary64 values.
-Column ``j`` of ``R_B`` contributes its first min(j+1, rows) entries, from
-row 0 down, and the columns follow one another: column 0 (one value), then
-column 1 (two values), and so on.  The zeros below the diagonal are not
-sent.  This is the buffer Alice fills, so neither side rearranges it, and
+the factor ``R_B``, packed in row panels, as raw little-endian IEEE-754
+binary64 values.  Every panel but the last has
+``h = min(rows, max(16, floor(2^17 / n) rounded down to a multiple of 16))``
+rows, so the header fixes the layout.  Panel [a, b) is its
+(b - a) x (b - a) diagonal block, an upper triangle sent column by column
+(column j of the block contributes its first j + 1 entries, from row a
+down), then the (b - a) x (n - b) rectangle right of it, column by column;
+the panels follow one another, top down.  Row i contributes its n - i
+entries, so panel [a, b) starts ``a n - a (a - 1) / 2`` values in, and its
+diagonal entry in row a + j is j (j+3) / 2 values into the panel.  The
+zeros below the diagonal are not sent.  A factor of one panel
+(``h = rows``) is the upper trapezoid column by column, as in version 5.
+This is the buffer Alice fills, so neither side rearranges it, and
 :func:`encode_package` hands it to a writer as it is, after the header line.
 ``rows`` must be min(r, n) for the ``r`` that the ``privacy`` fields imply
 for one release, and ``cols`` must be ``n``.  The blob is exactly the
 header, the newline and ``8 * (rows (rows+1) / 2 + (n - rows) rows)``
 payload bytes long (``8 n (n+1) / 2`` when r >= n).  Every payload value
-must be finite, and every diagonal entry, the value at offset j (j+3) / 2
-for j < rows, must be > 0.  ``sx`` is written as the shortest decimal that
-reads back to the same float, so round-trips are bit-exact and equal
-packages are equal bytes.  The payload starts right after the header, at
-an offset that need not be a multiple of 8; the analyst reads it one block
-of columns at a time, so the copy that BLAS needs for an unaligned operand
-is one block, not a payload.
+must be finite, and every diagonal entry must be > 0.  ``sx`` is written as
+the shortest decimal that reads back to the same float, so round-trips are
+bit-exact and equal packages are equal bytes.  The payload starts right
+after the header, at an offset that need not be a multiple of 8; the
+analyst reads it one panel at a time, so the copy that BLAS needs for an
+unaligned operand is one panel's rectangle, not a payload.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from .estimators import _centered, rejection_threshold, test_statistic
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
-    _packed_offset,
+    _row_offset,
     jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
@@ -100,7 +107,7 @@ __all__ = [
     "report_to_dict",
 ]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _SPLIT = "half-half"  # the budget split over the two releases
 
 
@@ -418,7 +425,7 @@ def deserialize_package(data: bytes) -> AlicePackage:
     _check_shape(_require(doc, "proj_B"), "proj_B", rows, n)
 
     offset = end + 1
-    size = _packed_offset(n, rows)
+    size = _row_offset(rows, n)
     expected = offset + 8 * size
     if len(data) != expected:
         raise PackageFormatError(

@@ -27,14 +27,11 @@ from scipy.linalg import lapack
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
+from pitest import privacy
 from pitest.privacy import (
-    _PANEL_FLOATS,
     _REFLECTOR_BLOCK,
     PrivacyParams,
     PrivateProjection,
-    _column_blocks,
-    _packed_offset,
-    _row_blocks,
     jl_params,
 )
 
@@ -282,8 +279,10 @@ def _draw_bartlett(rng: np.random.Generator, r: int, k: int, n: int) -> tuple[np
     in two parts.  Returns ``T1``, its first min(r, k) rows, and a
     zero-filled min(r, n) x n Fortran-order array whose leading
     q = min(r - min(r, k), n) rows hold ``T22 = T[min(r, k):, k:]``; that
-    array becomes the release factor.  ``T22`` is drawn one column at a
-    time, straight into place.
+    array becomes the release factor.  ``T22`` is drawn in the order of the
+    packed layout, one row panel [a, b) at a time, straight into place: the
+    normals of the panel's triangle column by column, then those of its
+    rectangle column by column, then its diagonal.
     """
     k1, rows = min(r, k), min(r, n)
     q = min(r - k1, n)
@@ -291,9 +290,12 @@ def _draw_bartlett(rng: np.random.Generator, r: int, k: int, n: int) -> tuple[np
     # Degrees of freedom as floats: r may exceed int64.
     T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
     T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
-    for j in range(n):  # column j of T22 has min(j, q) normals above its diagonal
-        rng.standard_normal(out=Rt[j, : min(j, q)])
-    Rt[range(q), range(q)] = np.sqrt(rng.chisquare(float(r) - k1 - np.arange(q, dtype=np.float64)))
+    for a, b in privacy._panels(rows, n):
+        c = min(b, q)  # rows a to c of the panel hold Bartlett entries
+        for j in range(a, n):  # the normals above the diagonal, in rows a to c
+            rng.standard_normal(out=Rt[j, a : max(a, min(j, c))])
+        i = np.arange(a, max(a, c))
+        Rt[i, i] = np.sqrt(rng.chisquare(float(r) - k1 - i.astype(np.float64)))
     return T1, Rt.T
 
 
@@ -317,45 +319,22 @@ def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np
     # Make the diagonal positive and restore the floor and the 1/sqrt(r).
     scale = np.copysign(w / math.sqrt(r), np.diagonal(R))
     columns = R.T
-    for cols in _row_blocks(rows, rows):
-        columns[cols, : cols.stop] *= scale[: cols.stop]  # zero below row cols.stop
-    # When rows < n the same reflectors finish the trailing columns, a panel
-    # at a time.  What they leave of D is zero in exact arithmetic, since
-    # [T22; D] has only ``rows`` nonzero rows.
-    width = max(1, _PANEL_FLOATS // rows)
-    for start in range(rows, n, width):
-        panel = R[:, start : start + width]
-        lapack.dtpmqrt(0, V, Tv, panel, D[:, start : start + width], trans="T",
-                       overwrite_a=1, overwrite_b=1)
-        panel *= scale[:, None]
-
-
-def _pack_columns(R: np.ndarray) -> np.ndarray:
-    """Pack the Fortran-ordered upper-trapezoidal ``R`` in place; return the packed entries.
-
-    Column ``j`` keeps its first min(j+1, rows) entries.  A block of columns
-    is gathered, then written at its packed offset, which is at or before
-    the block's own start, so no column not yet read is overwritten.  The
-    result is a view of the start of ``R``'s buffer.
-    """
-    rows, n = R.shape
-    flat = R.reshape(-1, order="F")
-    columns = R.T
-    for cols in _column_blocks(rows, n):
-        a, b = cols.start, cols.stop
-        block = columns[cols, : min(b, rows)]
-        if a < rows:
-            block = block[np.tri(b - a, b, a, dtype=bool)]
-        flat[_packed_offset(a, rows) : _packed_offset(b, rows)] = block.reshape(-1)
-    return flat[: _packed_offset(n, rows)]
+    for j in range(rows):
+        columns[j, : j + 1] *= scale[: j + 1]  # zero below row j
+    # When rows < n the same reflectors finish the trailing columns.  What
+    # they leave of D is zero in exact arithmetic, since [T22; D] has only
+    # ``rows`` nonzero rows.
+    if rows < n:
+        lapack.dtpmqrt(0, V, Tv, R[:, rows:], D[:, rows:], trans="T", overwrite_a=1, overwrite_b=1)
+        R[:, rows:] *= scale[:, None]
 
 
 def dense_release(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     """The packed release factor, drawn and factored on a whole dense rows x n buffer.
 
-    ``T`` is drawn one column at a time into a zeroed Fortran-order
-    min(r, n) x n array, one ``dtpqrt`` factors all its leading columns,
-    ``dtpmqrt`` finishes the rest, and the result is packed in place.
+    ``T`` is drawn panel by panel into a zeroed Fortran-order min(r, n) x n
+    array, one ``dtpqrt`` factors all its leading columns, ``dtpmqrt``
+    finishes the rest, and the result is packed.
     ``pitest.privacy.privatize_covariance`` draws the same stream and runs
     the same reflector blocks panel by panel in the packed buffer, so its
     values are bit-identical to these.
@@ -365,21 +344,33 @@ def dense_release(F, p: PrivacyParams, seed: int) -> PrivateProjection:
     r, w = jl_params(p)
     T1, R = _draw_bartlett(np.random.default_rng(int(seed)), r, k, n)
     _factor_from_bartlett(A, w, r, T1, R)
-    return PrivateProjection(_pack_columns(R), *R.shape)
+    return pack_factor(R)
+
+
+def _panel_entries(rows: int, n: int):
+    """The packed order of a rows x n factor's entries, as ``(column, first row, last row + 1)``.
+
+    Row panel after row panel: the columns of the panel's triangle, then
+    those of its rectangle.
+    """
+    for a, b in privacy._panels(rows, n):
+        for j in range(a, b):
+            yield j, a, j + 1
+        for j in range(b, n):
+            yield j, a, b
 
 
 def unpack_factor(proj: PrivateProjection) -> np.ndarray:
     """The dense rows x n factor ``R`` of a packed release, zeros below the diagonal.
 
-    Column ``j`` of ``R`` is read, one column at a time, from the next
-    min(j+1, rows) packed values.
+    The packed values are read in order, one column of a panel's triangle
+    or rectangle at a time.
     """
     R = np.zeros((proj.rows, proj.n))
     at = 0
-    for j in range(proj.n):
-        h = min(j + 1, proj.rows)
-        R[:h, j] = proj.values[at : at + h]
-        at += h
+    for j, top, bottom in _panel_entries(proj.rows, proj.n):
+        R[top:bottom, j] = proj.values[at : at + bottom - top]
+        at += bottom - top
     assert at == proj.values.size
     return R
 
@@ -387,7 +378,8 @@ def unpack_factor(proj: PrivateProjection) -> np.ndarray:
 def pack_factor(R) -> PrivateProjection:
     """The packed release of the upper trapezoid of a dense rows x n ``R`` (rows <= n)."""
     rows, n = R.shape
-    return PrivateProjection(np.concatenate([R[: min(j + 1, rows), j] for j in range(n)]), rows, n)
+    return PrivateProjection(
+        np.concatenate([R[top:bottom, j] for j, top, bottom in _panel_entries(rows, n)]), rows, n)
 
 
 class DistanceSpreadCheck(NamedTuple):

@@ -11,7 +11,7 @@ import pitest.sweep
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError
-from pitest.privacy import PrivacyParams, jl_params
+from pitest.privacy import PrivacyParams, jl_params, tau_mechanism
 from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.protocol import alice_prepare, bob_evaluate, deserialize_package, serialize_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
@@ -42,7 +42,7 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     head, newline, payload = out.read_bytes().partition(b"\n")
     assert newline == b"\n"
     doc = json.loads(head)
-    assert doc["version"] == 5
+    assert doc["version"] == 6
     assert doc["n"] == 20
     assert doc["privacy"]["split"] == "half-half"
     assert doc["sx"] > 0.0
@@ -191,6 +191,25 @@ def test_bob_round_trip(data_dir, tmp_path, capsys):
     r, w = jl_params(PrivacyParams(10.0, 0.01, 0.5, 0.5).half_budget())
     assert doc["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": pkg.stat().st_size}
     assert r == 45
+
+
+def test_bob_reports_the_floor_share_of_each_statistic(data_dir, tmp_path, capsys):
+    """omega_share = w^2 ||Y||^2 / ||R Y||^2, s_share = w^2 (n - 1) / sx, s_param_min = tau_mech / (1 - eta)."""
+    pkg, report = tmp_path / "pkg.bin", tmp_path / "report.json"
+    main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--out", str(pkg)])
+    assert main(["bob", "--package", str(pkg), "--input", str(data_dir / "y.csv"),
+                 "--report", str(report)]) == 0
+    capsys.readouterr()
+    floor = json.loads(report.read_text())["floor"]
+    package = deserialize_package(pkg.read_bytes())
+    Y = load_csv(data_dir / "y.csv")
+    half = PrivacyParams(10.0, 0.01, 0.5, 0.5).half_budget()
+    w = jl_params(half).w
+    RY = unpack_factor(package.proj_B) @ Y
+    assert floor["omega_share"] == pytest.approx(w**2 * np.sum(Y * Y) / np.sum(RY * RY), rel=1e-12)
+    assert floor["s_share"] == pytest.approx(w**2 * 19 / package.sx, rel=1e-15)
+    assert floor["s_param_min"] == pytest.approx(tau_mechanism(half) / 0.5, rel=1e-15)
+    assert 0.0 < floor["omega_share"] and 0.0 < floor["s_share"]
 
 
 def test_bob_degenerate_input_still_exits_zero(data_dir, tmp_path, capsys):

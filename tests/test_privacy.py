@@ -299,28 +299,56 @@ def _params_with_rows(r):
     return p
 
 
-# r, k, n and a panel width (None: the default panels), beyond the QR regimes:
-# one panel of 16 columns and a column less or more, several panels (a width
-# of 24 is cut to 16 left of column r), r < n with several panels on both
-# sides of column r, and the tall shape n = 2000, r = 2952, whose default
-# panels are 64 columns wide.
+# r, k, n and a panel height (None: the default panels), beyond the QR
+# regimes: one panel of 15 and 16 rows, then a panel of 16 and a short last
+# panel of one row, several panels (a height of 24 is cut to 16), r < n with
+# several panels, the last one ending at row r, and the tall shape n = 2000,
+# r = 2952, whose default panels are 64 rows high.
 _PANEL_SHAPES = [
     (20, 2, 15, 16), (20, 2, 16, 16), (20, 2, 17, 16), (120, 3, 100, 16), (120, 3, 100, 24),
     (120, 3, 100, 32), (40, 2, 100, 16), (40, 5, 130, 24), (267, 2, 500, None), (2952, 2, 2000, None),
 ]
 
+# More panels: a short last panel of 6 rows; T22's last Bartlett row q - 1 =
+# 29 (r - k = 30 < r = rows) inside the second of four panels, so two panels
+# hold D's rows only; q = 80 < rows = n = 100 < r inside the third panel;
+# r < n with four whole panels, the last ending at row r = 64.
+_MORE_PANEL_SHAPES = [(200, 2, 150, 48), (60, 30, 100, 16), (110, 30, 100, 32), (64, 2, 300, 16)]
 
-@pytest.mark.parametrize("r, k, n, width", [(*shape, None) for shape in _REGIMES] + _PANEL_SHAPES)
-def test_release_is_bit_identical_to_the_dense_release(r, k, n, width, monkeypatch):
+
+@pytest.mark.parametrize("r, k, n, height",
+                         [(*shape, None) for shape in _REGIMES] + _PANEL_SHAPES + _MORE_PANEL_SHAPES)
+def test_release_is_bit_identical_to_the_dense_release(r, k, n, height, monkeypatch):
     """The panel-by-panel release equals, byte for byte, the release drawn and factored dense."""
-    if width is not None:
-        monkeypatch.setattr(privacy, "_PANEL_FLOATS", width * min(r, n))
+    if height is not None:
+        monkeypatch.setattr(privacy, "_PANEL_FLOATS", height * n)
+        assert privacy._panel_height(min(r, n), n) == min(height - height % 16, r, n)
     p = _params_with_rows(r)
     F = 30.0 * np.random.default_rng(r + 100 * k + 10_000 * n).standard_normal((n, k))
     for seed in (0, 99):
         released = privatize_covariance(F, p, seed)
         assert (released.rows, released.n) == (min(r, n), n)
         assert released.values.tobytes() == dense_release(F, p, seed).values.tobytes()
+
+
+def test_release_applies_each_reflector_block_once(monkeypatch):
+    """A tall release applies each block of 16 reflectors once, to the rows right of it.
+
+    n = 2000 and r = 2952: the factor has 2000 rows, so 125 reflector
+    blocks.  Left-looking panels of 64 columns applied every earlier block
+    again to each panel, 1,984 block applications in all.
+    """
+    dtpmqrt = lapack.dtpmqrt
+    blocks = []
+
+    def counted(*args, **kwargs):
+        blocks.append(math.ceil(args[1].shape[1] / 16))  # V holds the applied reflectors
+        return dtpmqrt(*args, **kwargs)
+
+    monkeypatch.setattr(privacy.lapack, "dtpmqrt", counted)
+    F = 30.0 * np.random.default_rng(5).standard_normal((2000, 2))
+    assert privatize_covariance(F, _params_with_rows(2952), 1).rows == 2000
+    assert 0 < sum(blocks) <= math.ceil(2000 / 16)
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (4, 12), (2, 20), (16, 20)])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pitest import privacy
 from pitest.cli import main
 from pitest.data import save_csv
 from pitest.errors import (
@@ -28,6 +29,7 @@ from pitest.privacy import (
     PrivateProjection,
     jl_params,
     private_centered_sq_norm,
+    private_sum_directional_variances,
     privatize_covariance,
     tau_mechanism,
 )
@@ -43,6 +45,8 @@ from pitest.protocol import (
 )
 
 from reference import (
+    _draw_bartlett,
+    _factor_from_bartlett,
     dcov_sq_direct,
     dcov_sq_directional,
     gaussian_release,
@@ -324,7 +328,7 @@ def test_layout_is_header_line_then_raw_payloads(package):
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
     assert head == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert doc["version"] == 5
+    assert doc["version"] == 6
     assert sorted(doc) == ["n", "privacy", "proj_B", "sx", "version"]
     assert doc["sx"] == package.sx
     assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12} == {"rows": 12, "cols": 12}
@@ -409,8 +413,8 @@ def test_rejects_missing_section(package, field):
 
 def test_rejects_future_version(package):
     doc = _doc(package)
-    doc["version"] = 6
-    with pytest.raises(UnsupportedVersionError, match="version 6"):
+    doc["version"] = 7
+    with pytest.raises(UnsupportedVersionError, match="version 7"):
         deserialize_package(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
@@ -467,9 +471,28 @@ def test_rejects_version_4_document(package):
         deserialize_package(head + b"\n" + R.astype("<f8").tobytes(order="F"))
 
 
+def test_rejects_version_5_document(monkeypatch):
+    """A version 5 document, the factor column by column whatever its height, is no longer read.
+
+    Its payload is as long as version 6's, and for a factor of one panel
+    it is the same bytes, so only the version tells them apart.
+    """
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # 16-row panels
+    X = np.random.default_rng(9).standard_normal((40, 2))
+    pkg = alice_prepare(X, PARAMS, master_seed=3)
+    R = unpack_factor(pkg.proj_B)
+    doc = _doc(pkg)
+    doc["version"] = 5
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    v5 = b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(40))
+    assert len(v5) == pkg.proj_B.values.nbytes
+    with pytest.raises(UnsupportedVersionError, match="version 5"):
+        deserialize_package(head + b"\n" + v5)
+
+
 def test_rejects_non_integer_version(package):
     doc = _doc(package)
-    doc["version"] = "5"
+    doc["version"] = "6"
     _reject(package, doc)
     doc["version"] = True
     _reject(package, doc)
@@ -546,10 +569,22 @@ def test_rejects_row_count_other_than_the_headers_r(package):
         deserialize_package(head + b"\n" + one_row)
 
 
+def _factor_offset(rows: int, n: int, row: int, col: int) -> int:
+    """The packed offset of entry (row, col), row <= col, of a rows x n factor in row panels."""
+    h = privacy._panel_height(rows, n)
+    a = row - row % h
+    b = min(a + h, rows)
+    start = a * n - a * (a - 1) // 2  # rows before a keep n, n - 1, ... entries
+    if col < b:  # in the panel's triangle, column by column
+        return start + (col - a) * (col - a + 1) // 2 + row - a
+    return start + (b - a) * (b - a + 1) // 2 + (col - b) * (b - a) + row - a
+
+
 def _with_factor_entry(package, row: int, col: int, value: float) -> bytes:
     """The package's blob with entry (row, col), row <= col, of the factor replaced by ``value``."""
     blob = bytearray(serialize_package(package))
-    at = blob.index(b"\n") + 1 + 8 * (col * (col + 1) // 2 + row)  # packed, 12 rows
+    rows, n = package.proj_B.rows, package.n
+    at = blob.index(b"\n") + 1 + 8 * _factor_offset(rows, n, row, col)
     blob[at:at + 8] = struct.pack("<d", value)
     return bytes(blob)
 
@@ -562,6 +597,79 @@ def test_rejects_a_diagonal_entry_that_is_not_positive(package):
                 deserialize_package(_with_factor_entry(package, j, j, value))
     # the entry just above a diagonal entry may be anything finite
     assert deserialize_package(_with_factor_entry(package, 10, 11, -1.0)).n == 12
+
+
+def test_rejects_a_diagonal_entry_that_is_not_positive_in_any_panel(monkeypatch):
+    """The first and last diagonal entry of each of three row panels is checked where it lies."""
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 50)  # 16-row panels
+    X = np.random.default_rng(9).standard_normal((50, 2))
+    pkg = alice_prepare(X, PARAMS, master_seed=3)
+    assert (pkg.proj_B.rows, privacy._panel_height(45, 50)) == (45, 16)
+    R = unpack_factor(pkg.proj_B)
+    assert deserialize_package(serialize_package(pkg)).n == 50
+    for j in (0, 15, 16, 31, 32, 44):  # panels [0, 16), [16, 32) and [32, 45)
+        for value in (0.0, -0.0, -R[j, j], -5e-324):
+            with pytest.raises(PackageFormatError, match="diagonal entry is not > 0"):
+                deserialize_package(_with_factor_entry(pkg, j, j, value))
+        # the entries right of and above it may be anything finite
+        assert deserialize_package(_with_factor_entry(pkg, j, j + 1, -1.0)).n == 50
+        if j:
+            assert deserialize_package(_with_factor_entry(pkg, j - 1, j, -1.0)).n == 50
+
+
+def test_payload_is_the_factor_in_row_panels(monkeypatch):
+    """Rows [0, 16), [16, 32) and [32, 45) of a 45 x 50 factor: each panel's triangle, then its rectangle.
+
+    The layout is written out here by hand; the release, the parser's
+    diagonal and the analyst's sum each read it so.
+    """
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 50)
+    n, rows = 50, 45
+    i, j = np.indices((rows, n))
+    R = np.where(i <= j, 1.0 + i + j / 1000.0, 0.0)  # the entries name their places
+    by_hand = []
+    for a, b in ((0, 16), (16, 32), (32, 45)):
+        by_hand += [R[a : c + 1, c] for c in range(a, b)]  # the triangle, column by column
+        by_hand += [R[a:b, c] for c in range(b, n)]  # the rectangle, column-major
+    by_hand = np.concatenate(by_hand)
+    assert by_hand.size == rows * (rows + 1) // 2 + (n - rows) * rows
+    assert np.array_equal(pack_factor(R).values, by_hand)
+    proj = PrivateProjection(by_hand, rows, n)
+    assert np.array_equal(proj.diagonal(), np.diagonal(R))
+    V = np.random.default_rng(1).standard_normal((n, 3))
+    assert private_sum_directional_variances(proj, V) == pytest.approx(
+        float(np.sum((R @ V) ** 2)), rel=1e-13)
+    wire = deserialize_package(serialize_package(AlicePackage(PARAMS, proj, sx=1.0)))
+    assert wire.proj_B.values.tobytes() == by_hand.tobytes()
+    # Alice writes the factor of the dense draw and QR in the same order
+    F = factor_W(np.random.default_rng(2).standard_normal((n, 2)))
+    r, w = jl_params(PARAMS.half_budget())
+    T1, dense = _draw_bartlett(np.random.default_rng(4), r, 2, n)
+    _factor_from_bartlett(F, w, r, T1, dense)
+    released = privatize_covariance(F, PARAMS.half_budget(), 4).values
+    at = 0
+    for a, b in ((0, 16), (16, 32), (32, 45)):
+        for c in range(a, n):
+            column = dense[a : min(c + 1, b), c]
+            assert np.array_equal(released[at : at + column.size], column), (a, c)
+            at += column.size
+    assert at == released.size
+
+
+@pytest.mark.parametrize("n", [12, 60])
+def test_one_panel_payload_is_the_upper_trapezoid_column_by_column(n):
+    """A factor of one panel, rows = n (r = 45 > n = 12) or rows = r < n = 60, is sent as in version 5."""
+    X = np.random.default_rng(n).standard_normal((n, 2))
+    half = PARAMS.half_budget()
+    r, w = jl_params(half)
+    rows = min(r, n)
+    assert privacy._panel_height(rows, n) == rows
+    B = factor_W(X)
+    T1, dense = _draw_bartlett(np.random.default_rng(6), r, 2, n)
+    _factor_from_bartlett(B, w, r, T1, dense)
+    pkg = AlicePackage(PARAMS, privatize_covariance(B, half, 6), sx=1.0)
+    payload = _header_and_payload(serialize_package(pkg))[1]
+    assert payload == b"".join(dense[: min(j + 1, rows), j].astype("<f8").tobytes() for j in range(n))
 
 
 def test_rejects_a_payload_one_entry_short_or_long(package):
