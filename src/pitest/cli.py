@@ -205,33 +205,36 @@ def _cmd_bob(args) -> int:
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
     doc = report_to_dict(report)
     doc["privacy"] = _privacy_section(package.params)
-    # Read off the header and the blob's length: nothing beyond the release.
-    r, w = jl_params(package.params.half_budget())
-    doc["release"] = {"r": r, "w": w, "rows": package.proj_B.rows, "package_bytes": len(blob)}
-    doc["floor"] = _floor_section(package, Y, report)
+    doc.update(_release_sections(package, len(blob), Y, report))
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(f"wrote report: {args.report}")
     return 0
 
 
-def _floor_section(package, Y, report) -> dict:
-    """The spectral floor's share of each private statistic, and the smallest unclamped ``s_param``.
+def _release_sections(package, package_bytes: int, Y, report) -> dict:
+    """The ``release`` and ``floor`` sections of a report, from the package, its length and Y.
 
-    ``omega_share`` is w^2 ||Y||_F^2 over ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``,
-    for the ``Y`` that Bob queries (uncentred); ``s_share`` is
-    w^2 (n - 1) / sx.  A share near 1 means that statistic is mostly floor.
-    Either is null when its denominator is 0.  ``s_param_min`` is
-    tau_mech / (1 - eta): an ``s_param`` not above it clamps the upper bound.
+    ``release`` is the row count ``r`` and floor ``w`` of one release, the
+    factor's ``rows`` and ``package_bytes``.  ``floor`` has the spectral
+    floor's share of each private statistic: ``omega_share`` is
+    w^2 ||Y||_F^2 over ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``, for the
+    ``Y`` that Bob queries (uncentred), and ``s_share`` is w^2 (n - 1) / sx.
+    A share near 1 means that statistic is mostly floor; either is null
+    when its denominator is 0.  ``s_param_min`` is tau_mech / (1 - eta): an
+    ``s_param`` not above it clamps the upper bound.
     """
     per_release = package.params.half_budget()
-    w2 = jl_params(per_release).w ** 2
-    n = package.n
+    r, w = jl_params(per_release)
+    w2, n = w * w, package.n
     answers = n * n / 2.0 * report.omega_bar_sq
     return {
-        "omega_share": w2 * float((Y * Y).sum()) / answers if answers > 0.0 else None,
-        "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,
-        "s_param_min": tau_mechanism(per_release) / (1.0 - per_release.eta),
+        "release": {"r": r, "w": w, "rows": package.proj_B.rows, "package_bytes": package_bytes},
+        "floor": {
+            "omega_share": w2 * float((Y * Y).sum()) / answers if answers > 0.0 else None,
+            "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,
+            "s_param_min": tau_mechanism(per_release) / (1.0 - per_release.eta),
+        },
     }
 
 
@@ -282,7 +285,8 @@ def _cmd_run(args) -> int:
         }
         np_line = "non-private: degenerate (constant dataset)"
 
-    doc = {"private": report_to_dict(report), "nonprivate": nonprivate}
+    doc = {"private": report_to_dict(report), "nonprivate": nonprivate,
+           **_release_sections(package, sum(map(len, encode_package(package))), Y, report)}
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(np_line)

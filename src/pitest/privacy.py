@@ -77,9 +77,13 @@ rectangle's update at column min(r, n), so each column sees the same
 blocks in the same order and in BLAS calls ending at the same column; on
 the OpenBLAS builds measured that rounds every column the same, so a seed
 gives the same bits as that draw and that one-shot QR on a dense
-min(r, n) x n buffer.  A release of one panel (n min(r, n) up to about
-``_PANEL_FLOATS``) draws in column order and is laid out column by column,
-as in wire format 5, byte for byte.
+min(r, n) x n buffer.
+
+The analyst's product ``R V`` runs one panel at a time too: LAPACK's
+``dtpttr`` expands the panel's packed triangle (its column-packed upper
+storage is the panel's triangle layout), and the rectangle is multiplied
+where it lies, so the analyst holds one panel's triangle and nothing of
+the factor's size.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -94,9 +98,10 @@ with multiplicity ``n - 1 - q``, and one 0.  Summing the squared norms of
     sx = sum_{j<=q} (lambda_j + w^2) g_j / r + w^2 h / r,
     g_j ~ chi^2_r,  h ~ chi^2_{r (n-1-q)},  all independent,
 
-which costs O(n k min(n, k)) for the eigenvalues and q + 1 chi-square
-draws, and holds nothing of size r.  Each draw is divided by r before it is
-weighted, so sx stays finite when r is too large for ``w^2 r``.
+which costs O(n k min(n, k)) for the eigenvalues (the squared singular
+values of ``Fc``) and q + 1 chi-square draws, and holds nothing of size r.
+Each draw is divided by r before it is weighted, so sx stays finite when r
+is too large for ``w^2 r``.
 
 Privacy is unchanged by either draw: (epsilon, delta) differential privacy
 is a property of the law of a mechanism's output.  ``R`` and ``sx`` are
@@ -132,11 +137,6 @@ __all__ = [
     "private_sum_directional_variances",
 ]
 
-
-# Entries of float64 (256 KiB) of a packed factor that its finiteness check
-# and the analyst's product take at a time, so that neither holds a
-# temporary of the factor's or of a panel's size.
-_BLOCK_FLOATS = 2**15
 
 # Reflectors per block of the triangular-pentagonal QR, and float64 entries
 # per row panel of the release factor (1 MiB, so a panel's triangle scratch
@@ -178,15 +178,14 @@ def _panels(rows: int, n: int):
 
 
 @lru_cache(maxsize=16)
-def _tri(rows: int, cols: int, k: int) -> np.ndarray:
-    """``np.tri(rows, cols, k)`` as a read-only boolean mask, cached.
+def _above(h: int) -> np.ndarray:
+    """The entries above the diagonal of an h x h transposed triangle, as a read-only mask, cached.
 
-    Over a transposed triangle, whose row j is column j of the triangle,
-    ``_tri(h, h, 0)`` marks the triangle's entries and ``_tri(h, h, -1)``
-    those above its diagonal.  Cached because the sweep releases and
-    queries thousands of factors of one shape.
+    Row j of a transposed triangle is column j of the triangle, so the mask
+    walks those entries in column order.  Cached because the sweep releases
+    thousands of factors of one shape.
     """
-    mask = np.tri(rows, cols, k, dtype=bool)
+    mask = np.tri(h, h, -1, dtype=bool)
     mask.flags.writeable = False
     return mask
 
@@ -332,9 +331,9 @@ class PrivateProjection:
         if self.values.shape != (size,):
             raise ShapeError(f"a packed {self.rows} x {self.n} factor has {size} entries, "
                              f"got shape {self.values.shape}")
-        # One block at a time, so the check holds no whole-size temporary.
-        if not all(np.isfinite(self.values[i : i + _BLOCK_FLOATS]).all()
-                   for i in range(0, size, _BLOCK_FLOATS)):
+        # One panel at a time, so the check holds no whole-size temporary.
+        if not all(np.isfinite(self.values[_row_offset(a, self.n) : _row_offset(b, self.n)]).all()
+                   for a, b in _panels(self.rows, self.n)):
             raise InvalidInputError("projection contains non-finite entries")
 
     def diagonal(self) -> np.ndarray:
@@ -367,8 +366,7 @@ def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T
     D = np.asfortranarray(T1[:, k:])
     D += T1[:, :k] @ (A.T / w)
     floor = w / math.sqrt(r)
-    h = _panel_height(rows, n)
-    upper, above = _tri(h, h, 0), _tri(h, h, -1)
+    above = _above(_panel_height(rows, n))
     for a, b in _panels(rows, n):
         hb = b - a
         drawn = min(max(q - a, 0), hb)  # the panel's rows with Bartlett entries
@@ -397,7 +395,7 @@ def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T
         scale = np.copysign(floor, np.diagonal(triangle_t))
         triangle_t *= scale
         rect *= scale[:, None]
-        triangle[:] = triangle_t[upper[:hb, :hb]]
+        triangle[:] = lapack.dtrttp(triangle_t.T)[0]
 
 
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
@@ -451,9 +449,9 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     n, k = A.shape
     r, w = jl_params(p)
     Ac = A - A.mean(axis=0, keepdims=True)
-    gram = Ac.T @ Ac if k <= n else Ac @ Ac.T
     q = min(k, n - 1)
-    lam = np.clip(np.linalg.eigvalsh(gram)[-q:], 0.0, None)  # the top q, ascending
+    # The top q eigenvalues of Ac^T Ac, ascending: squared singular values of Ac.
+    lam = np.linalg.svd(Ac, compute_uv=False)[q - 1 :: -1] ** 2
     rng = np.random.default_rng(int(seed))
     w2 = w * w
     rf = float(r)  # r may exceed int64, and w^2 r may exceed float64
@@ -477,23 +475,12 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
         raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("query matrix contains non-finite entries")
-    # R V one row panel at a time, and each panel a block of about
-    # _BLOCK_FLOATS entries at a time: a block of the triangle's columns is
-    # expanded into a zeroed scratch, and a block of the rectangle's columns
-    # is multiplied as it lies (BLAS copies it if it is an unaligned wire
-    # payload), so nothing of a panel's size is held.
+    # R V one row panel at a time: the packed triangle expanded by dtpttr
+    # (f2py zero-fills its output, so the entries below the diagonal are 0)
+    # and the rectangle multiplied as it lies.
     rows, n = P.rows, P.n
-    RV = np.zeros((rows, M.shape[1]))
+    RV = np.empty((rows, M.shape[1]))
     for a, b in _panels(rows, n):
-        hb = b - a
         triangle, rect = _panel_parts(P.values, a, b, n)
-        width = max(1, _BLOCK_FLOATS // hb)
-        for c in range(0, hb, width):
-            d = min(c + width, hb)
-            block = np.zeros((d - c, d))  # transposed: row j is the triangle's column c + j
-            block[_tri(d - c, d, c)] = triangle[c * (c + 1) // 2 : d * (d + 1) // 2]
-            RV[a : a + d] += block.T @ M[a + c : a + d]
-        del block  # before the rectangle's blocks, so that one block is held at a time
-        for c in range(0, n - b, width):
-            RV[a:b] += rect[:, c : c + width] @ M[b + c : b + c + width]
+        RV[a:b] = lapack.dtpttr(b - a, triangle)[0] @ M[a:b] + rect @ M[b:]
     return float(np.sum(RV * RV))

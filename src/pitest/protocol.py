@@ -30,12 +30,14 @@ Roles:
   rejection rule.  Nothing flows back, so the release's privacy guarantee
   is preserved under this post-processing.
 
-Wire format (version 6): one line of canonical UTF-8 JSON (sorted keys,
-compact separators) holding ``version``, ``n``, ``privacy``, ``sx`` (a
-finite number >= 0) and the ``rows``/``cols`` of the ``proj_B`` section,
-then one newline byte, then the ``proj_B`` payload: the upper trapezoid of
-the factor ``R_B``, packed in row panels, as raw little-endian IEEE-754
-binary64 values.  Every panel but the last has
+Wire format (version 7): one line of canonical UTF-8 JSON (sorted keys,
+compact separators) holding ``version``, ``n``, ``privacy`` and ``sx`` (a
+finite number >= 0), padded with ASCII blanks before its newline byte so
+that the line is a multiple of 8 bytes long, then the ``proj_B`` payload:
+the upper trapezoid of the factor ``R_B``, packed in row panels, as raw
+little-endian IEEE-754 binary64 values.  The factor has
+``rows = min(r, n)`` rows for the ``r`` that the ``privacy`` fields imply
+for one release, and ``n`` columns.  Every panel but the last has
 ``h = min(rows, max(16, floor(2^17 / n) rounded down to a multiple of 16))``
 rows, so the header fixes the layout.  Panel [a, b) is its
 (b - a) x (b - a) diagonal block, an upper triangle sent column by column
@@ -44,20 +46,16 @@ down), then the (b - a) x (n - b) rectangle right of it, column by column;
 the panels follow one another, top down.  Row i contributes its n - i
 entries, so panel [a, b) starts ``a n - a (a - 1) / 2`` values in, and its
 diagonal entry in row a + j is j (j+3) / 2 values into the panel.  The
-zeros below the diagonal are not sent.  A factor of one panel
-(``h = rows``) is the upper trapezoid column by column, as in version 5.
-This is the buffer Alice fills, so neither side rearranges it, and
-:func:`encode_package` hands it to a writer as it is, after the header line.
-``rows`` must be min(r, n) for the ``r`` that the ``privacy`` fields imply
-for one release, and ``cols`` must be ``n``.  The blob is exactly the
-header, the newline and ``8 * (rows (rows+1) / 2 + (n - rows) rows)``
-payload bytes long (``8 n (n+1) / 2`` when r >= n).  Every payload value
-must be finite, and every diagonal entry must be > 0.  ``sx`` is written as
-the shortest decimal that reads back to the same float, so round-trips are
-bit-exact and equal packages are equal bytes.  The payload starts right
-after the header, at an offset that need not be a multiple of 8; the
-analyst reads it one panel at a time, so the copy that BLAS needs for an
-unaligned operand is one panel's rectangle, not a payload.
+zeros below the diagonal are not sent.  This is the buffer Alice fills, so
+neither side rearranges it, and :func:`encode_package` hands it to a writer
+as it is, after the header line.  The blob is exactly the header line and
+``8 * (rows (rows+1) / 2 + (n - rows) rows)`` payload bytes long
+(``8 n (n+1) / 2`` when r >= n), and the payload must start at a multiple
+of 8 bytes, so the analyst reads each panel where it lies.  Every payload
+value must be finite, and every diagonal entry must be > 0.  ``sx`` is
+written as the shortest decimal that reads back to the same float, and the
+padding is fixed by the line's length, so round-trips are bit-exact and
+equal packages are equal bytes.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ __all__ = [
     "report_to_dict",
 ]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _SPLIT = "half-half"  # the budget split over the two releases
 
 
@@ -323,10 +321,10 @@ def encode_package(pkg: AlicePackage) -> tuple[bytes, memoryview]:
         "n": pkg.n,
         "privacy": _privacy_section(pkg.params),
         "sx": float(pkg.sx),
-        "proj_B": {"rows": pkg.proj_B.rows, "cols": pkg.n},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return head + b"\n", memoryview(payload.view(np.uint8))
+    # Blanks before the newline start the payload at a multiple of 8 bytes.
+    return head + b" " * (-(len(head) + 1) % 8) + b"\n", memoryview(payload.view(np.uint8))
 
 
 def serialize_package(pkg: AlicePackage) -> bytes:
@@ -349,17 +347,6 @@ def _number(value, what: str) -> float:
         raise PackageFormatError(f"{what} is out of range: {exc}") from exc
 
 
-def _check_shape(section, name: str, rows: int, n: int) -> None:
-    if not isinstance(section, dict):
-        raise PackageFormatError(f"section '{name}' must be an object")
-    for field, symbol, want in (("rows", "min(r, n)", rows), ("cols", "n", n)):
-        got = _require(section, field, f"section '{name}'")
-        if not isinstance(got, int) or isinstance(got, bool) or got != want:
-            raise PackageFormatError(
-                f"section '{name}': {field} must equal {symbol} = {want}, got {got!r}"
-            )
-
-
 def _parse_header(head: bytes) -> dict:
     try:
         text = head.decode("utf-8")
@@ -377,7 +364,7 @@ def _parse_header(head: bytes) -> dict:
 def deserialize_package(data: bytes) -> AlicePackage:
     """Parse and validate package bytes; inverse of :func:`serialize_package`.
 
-    The factor is a read-only view into ``data``.  Raises
+    The factor is an aligned, read-only view into ``data``.  Raises
     PackageFormatError (or its UnsupportedVersionError subclass) for every
     malformed input; never returns a partially validated package.
     """
@@ -422,9 +409,10 @@ def deserialize_package(data: bytes) -> AlicePackage:
     # json.loads reads NaN and Infinity, and 1e400 as inf: AlicePackage
     # checks that sx is finite and >= 0.
     sx = _number(_require(doc, "sx"), "sx")
-    _check_shape(_require(doc, "proj_B"), "proj_B", rows, n)
 
     offset = end + 1
+    if offset % 8:
+        raise PackageFormatError(f"the payload starts at byte {offset}, not at a multiple of 8")
     size = _row_offset(rows, n)
     expected = offset + 8 * size
     if len(data) != expected:

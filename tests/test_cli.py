@@ -42,11 +42,12 @@ def test_alice_writes_package(data_dir, tmp_path, capsys):
     head, newline, payload = out.read_bytes().partition(b"\n")
     assert newline == b"\n"
     doc = json.loads(head)
-    assert doc["version"] == 6
+    assert doc["version"] == 7
+    assert sorted(doc) == ["n", "privacy", "sx", "version"]
     assert doc["n"] == 20
     assert doc["privacy"]["split"] == "half-half"
     assert doc["sx"] > 0.0
-    assert doc["proj_B"]["rows"] == 20
+    assert (len(head) + 1) % 8 == 0  # the payload starts at a multiple of 8
     assert len(payload) == 8 * (20 * 21 // 2)
     size = len(head) + 1 + len(payload)
     assert f"({size} bytes; n = 20, release factor 20 x 20 packed as 210 entries," in captured.out
@@ -62,6 +63,7 @@ def test_alice_file_is_the_serialized_package(tmp_path, capsys):
     blob = serialize_package(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 17))
     assert deserialize_package(blob).proj_B.rows == 45
     assert out.read_bytes() == blob
+    assert deserialize_package(out.read_bytes()).proj_B.values.flags.aligned
     assert f"({len(blob)} bytes; n = 150, release factor 45 x 150 " in capsys.readouterr().out
 
 
@@ -292,6 +294,25 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     assert ref["degenerate"] is False
     # with an essentially unlimited budget the two statistics agree closely
     assert priv["statistic"] == pytest.approx(ref["statistic"], rel=0.15)
+    # the release and floor sections of a bob report on the same package
+    X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
+    params = PrivacyParams(1e6, 0.5, 0.01, 0.05)
+    package = alice_prepare(X, params, 4)
+    r, w = jl_params(params.half_budget())
+    blob = serialize_package(package)
+    assert doc["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": len(blob)}
+    RY = unpack_factor(package.proj_B) @ Y
+    assert doc["floor"] == pytest.approx({
+        "omega_share": w**2 * np.sum(Y * Y) / np.sum(RY * RY),
+        "s_share": w**2 * 19 / package.sx,
+        "s_param_min": tau_mechanism(params.half_budget()) / (1.0 - 0.01),
+    }, rel=1e-12)
+    pkg_file, bob_report = tmp_path / "pkg.bin", tmp_path / "bob.json"
+    pkg_file.write_bytes(blob)
+    assert main(["bob", "--package", str(pkg_file), "--input", str(data_dir / "y.csv"),
+                 "--report", str(bob_report)]) == 0
+    bob_doc = json.loads(bob_report.read_text())
+    assert (bob_doc["release"], bob_doc["floor"]) == (doc["release"], doc["floor"])
 
 
 def test_run_and_sweep_constant_x_are_degenerate(tmp_path, capsys):

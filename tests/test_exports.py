@@ -1,9 +1,12 @@
-"""Every name a ``pitest`` module lists in ``__all__`` exists, and the package imports."""
+"""Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, and
+README describes the package format the code writes."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pitest
+from pitest.protocol import FORMAT_VERSION
 
 
 def test_package_imports():
@@ -21,3 +24,9 @@ def test_every_listed_export_resolves():
         assert not missing, (info.name, missing)
         checked += 1
     assert checked >= 5
+
+
+def test_readme_package_section_names_the_format_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("- **Package**", 1)[1].split("\n- **", 1)[0]
+    assert f"format version {FORMAT_VERSION}" in section

@@ -302,10 +302,15 @@ def _doc(package) -> dict:
     return _header_and_payload(serialize_package(package))[0]
 
 
+def _line(head: bytes) -> bytes:
+    """``head`` as a header line: padded with blanks, as the encoder pads it, and a newline."""
+    return head + b" " * (-(len(head) + 1) % 8) + b"\n"
+
+
 def _wire(package, doc) -> bytes:
     """A (possibly mutated) header line followed by the package's payloads."""
     payload = _header_and_payload(serialize_package(package))[1]
-    return json.dumps(doc).encode("utf-8") + b"\n" + payload
+    return _line(json.dumps(doc).encode("utf-8")) + payload
 
 
 def _reject(package, doc):
@@ -327,17 +332,37 @@ def test_layout_is_header_line_then_raw_payloads(package):
     blob = serialize_package(package)
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
-    assert head == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert doc["version"] == 6
-    assert sorted(doc) == ["n", "privacy", "proj_B", "sx", "version"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert head == _line(canonical)[:-1]  # the canonical JSON, then blanks up to a multiple of 8
+    assert doc["version"] == 7
+    assert sorted(doc) == ["n", "privacy", "sx", "version"]
     assert doc["sx"] == package.sx
-    assert doc["proj_B"] == {"rows": package.proj_B.rows, "cols": 12} == {"rows": 12, "cols": 12}
     # the upper triangle of the 12 x 12 factor, column j keeping j + 1 entries
     assert len(blob) == len(head) + 1 + 8 * (12 * 13 // 2)
     # the buffer Alice filled, which is the factor's upper trapezoid column by column
     assert payload == package.proj_B.values.astype("<f8").tobytes()
     R = unpack_factor(package.proj_B)
     assert payload == b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(12))
+    # For several n and budgets, an sx of 1 to 8 significant digits gives the
+    # unpadded line (the JSON and the newline) every length mod 8, 0 and 7
+    # included; the payload starts at a multiple of 8 all the same, and a
+    # line one blank short is refused.
+    residues = set()
+    for n, params in ((12, PARAMS), (7, PrivacyParams(1.0, 0.01, 0.3, 0.5)),
+                      (1000, PrivacyParams(10.0, 2e-4, 0.9, 0.5))):
+        proj = alice_prepare(np.random.default_rng(n).standard_normal((n, 2)), params, 2024).proj_B
+        for digits in range(8):
+            pkg = AlicePackage(params, proj, sx=1.0 + 2.0**-digits if digits else 1.0)
+            line, payload = encode_package(pkg)
+            unpadded = len(line.rstrip(b" \n")) + 1
+            residues.add(unpadded % 8)
+            assert len(line) % 8 == 0 and len(line) - unpadded < 8
+            wire = deserialize_package(line + bytes(payload))
+            assert np.array_equal(wire.proj_B.values, proj.values) and wire.sx == pkg.sx
+            if len(line) > unpadded:
+                with pytest.raises(PackageFormatError, match="not at a multiple of 8"):
+                    deserialize_package(line[:-2] + b"\n" + bytes(payload))
+    assert residues == set(range(8))
 
 
 def test_encoded_parts_are_the_header_line_and_the_factors_own_buffer(package):
@@ -403,7 +428,7 @@ def test_rejects_trailing_bytes(package):
             deserialize_package(blob + extra)
 
 
-@pytest.mark.parametrize("field", ["version", "n", "privacy", "proj_B", "sx"])
+@pytest.mark.parametrize("field", ["version", "n", "privacy", "sx"])
 def test_rejects_missing_section(package, field):
     doc = _doc(package)
     del doc[field]
@@ -413,8 +438,8 @@ def test_rejects_missing_section(package, field):
 
 def test_rejects_future_version(package):
     doc = _doc(package)
-    doc["version"] = 7
-    with pytest.raises(UnsupportedVersionError, match="version 7"):
+    doc["version"] = 8
+    with pytest.raises(UnsupportedVersionError, match="version 8"):
         deserialize_package(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
@@ -474,7 +499,7 @@ def test_rejects_version_4_document(package):
 def test_rejects_version_5_document(monkeypatch):
     """A version 5 document, the factor column by column whatever its height, is no longer read.
 
-    Its payload is as long as version 6's, and for a factor of one panel
+    Its payload is as long as version 7's, and for a factor of one panel
     it is the same bytes, so only the version tells them apart.
     """
     monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # 16-row panels
@@ -490,9 +515,23 @@ def test_rejects_version_5_document(monkeypatch):
         deserialize_package(head + b"\n" + v5)
 
 
+def test_rejects_version_6_document(package):
+    """A version 6 document, its header unpadded and with a ``proj_B`` section, is no longer read.
+
+    Its payload is version 7's, byte for byte, so only the version tells them apart.
+    """
+    doc = _doc(package)
+    doc["version"] = 6
+    doc["proj_B"] = {"rows": package.proj_B.rows, "cols": package.n}
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = _header_and_payload(serialize_package(package))[1]
+    with pytest.raises(UnsupportedVersionError, match="version 6"):
+        deserialize_package(head + b"\n" + payload)
+
+
 def test_rejects_non_integer_version(package):
     doc = _doc(package)
-    doc["version"] = "6"
+    doc["version"] = "7"
     _reject(package, doc)
     doc["version"] = True
     _reject(package, doc)
@@ -539,34 +578,15 @@ def test_rejects_a_header_without_the_budget_split(package):
         deserialize_package(_wire(package, doc))
 
 
-def test_rejects_bad_projection_sections(package):
-    doc = _doc(package)
-    doc["proj_B"]["rows"] = 4.5
-    _reject(package, doc)
-    doc = _doc(package)
-    doc["proj_B"]["cols"] = 13  # disagrees with n
-    _reject(package, doc)
-    doc = _doc(package)
-    doc["proj_B"]["rows"] += 1  # disagrees with the payload length
-    _reject(package, doc)
-    doc = _doc(package)
-    doc["proj_B"]["rows"] -= 1
-    _reject(package, doc)
-    doc = _doc(package)
-    doc["proj_B"] = "should be an object"
-    _reject(package, doc)
-
-
 def test_rejects_row_count_other_than_the_headers_r(package):
-    """The header's privacy fields fix r, so min(r, n); a factor of other height is refused."""
+    """The header's privacy fields fix r, so min(r, n); a factor of other height is refused by its length."""
     assert jl_params(PARAMS.half_budget()).r == 45
     assert package.proj_B.rows == min(45, 12)
-    doc = _doc(package)
-    doc["proj_B"]["rows"] = 1
-    head = json.dumps(doc).encode("utf-8")
-    one_row = unpack_factor(package.proj_B)[:1].astype("<f8").tobytes()
-    with pytest.raises(PackageFormatError, match=r"rows must equal min\(r, n\) = 12"):
-        deserialize_package(head + b"\n" + one_row)
+    line = encode_package(package)[0]
+    for rows in (1, 11):
+        other = pack_factor(unpack_factor(package.proj_B)[:rows]).values.astype("<f8").tobytes()
+        with pytest.raises(PackageFormatError, match=r"expected .* the 78 float64 of a packed 12x12"):
+            deserialize_package(line + other)
 
 
 def _factor_offset(rows: int, n: int, row: int, col: int) -> int:
@@ -693,12 +713,13 @@ def test_rejects_bad_sx(package):
         with pytest.raises(PackageFormatError, match="sx"):
             deserialize_package(_wire(package, doc))
     # json.loads reads these as NaN and infinities
-    blob = serialize_package(package)
+    head = encode_package(package)[0].rstrip()
+    payload = _header_and_payload(serialize_package(package))[1]
     good = b'"sx":' + json.dumps(package.sx).encode("ascii")
-    assert blob.count(good) == 1
+    assert head.count(good) == 1
     for bad in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
         with pytest.raises(PackageFormatError, match="sx"):
-            deserialize_package(blob.replace(good, b'"sx":' + bad))
+            deserialize_package(_line(head.replace(good, b'"sx":' + bad)) + payload)
     for edge in (0, 0.0, 5e-324, 2**70):  # finite and >= 0, so read
         doc = _doc(package)
         doc["sx"] = edge
@@ -738,12 +759,10 @@ def test_codec_makes_no_payload_copy():
     assert peaks["serialize"] < 1.25 * payload_bytes, (peaks, payload_bytes)
 
 
-def _unaligned_wire(pkg) -> AlicePackage:
-    """``pkg`` decoded from a blob whose payload starts off an 8-byte boundary."""
-    head, _, payload = serialize_package(pkg).partition(b"\n")
-    pad = b" " if (len(head) + 1) % 8 == 0 else b""  # JSON allows the blank
-    wire = deserialize_package(head + pad + b"\n" + payload)
-    assert wire.proj_B.values.ctypes.data % 8 != 0  # BLAS needs an aligned copy
+def _wire_package(pkg) -> AlicePackage:
+    """``pkg`` decoded from its blob: the factor is an aligned, read-only view of the payload."""
+    wire = deserialize_package(serialize_package(pkg))
+    assert wire.proj_B.values.flags.aligned and not wire.proj_B.values.flags.writeable
     return wire
 
 
@@ -758,9 +777,11 @@ def _peak_bytes(call):
 
 
 def test_release_and_analyst_hold_no_whole_draw():
-    """Alice holds the factor and blocks far smaller, never P_B or P_X; Bob holds one block.
+    """Alice holds the factor and blocks far smaller, never P_B or P_X; Bob holds one panel.
 
-    The factor is min(r, n) x n for r = 738: r < n, then r > n.
+    The factor is min(r, n) x n for r = 738: r < n, then r > n.  Bob's
+    peak is one panel's triangle, expanded (h x h for panels of h rows),
+    and a few n x m arrays.
     """
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     r = jl_params(params).r
@@ -771,7 +792,7 @@ def test_release_and_analyst_hold_no_whole_draw():
         Y = rng.standard_normal((n, 2))
         release_bytes = 8 * min(r, n) * n
         B = factor_W(X)
-        wire = _unaligned_wire(alice_prepare(X, params, master_seed=8))
+        wire = _wire_package(alice_prepare(X, params, master_seed=8))
         alice, proj = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
         rows = min(r, n)
         assert proj.values.nbytes == 8 * (rows * (rows + 1) // 2 + (n - rows) * rows)
@@ -779,7 +800,8 @@ def test_release_and_analyst_hold_no_whole_draw():
         bob = _peak_bytes(lambda: bob_evaluate(wire, Y))[0]
         assert alice < 1.25 * release_bytes, (n, alice, release_bytes)
         assert prepare < 1.25 * release_bytes, (n, prepare, release_bytes)
-        assert bob < release_bytes / 4, (n, bob, release_bytes)
+        h = privacy._panel_height(rows, n)
+        assert bob < 8 * h * h + 64 * n * Y.shape[1], (n, bob, h)
 
 
 def test_alice_holds_one_packed_factor(tmp_path, capsys):
@@ -820,8 +842,8 @@ def test_sx_draw_holds_nothing_of_size_r():
 
 
 def test_blocked_statistics_match_one_shot_formulas():
-    # n = 500: the 267 x 500 factor's columns in blocks of 122 on each side of
-    # column 267, so omega_bar_sq spans five blocks
+    # n = 500: the 267 x 500 factor in row panels of 256 and 11 rows, so
+    # omega_bar_sq spans two panels, on the wire as in memory
     n = 500
     params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
     rng = np.random.default_rng(19)
@@ -829,7 +851,10 @@ def test_blocked_statistics_match_one_shot_formulas():
     Y = rng.standard_normal((n, 3))
     pkg = alice_prepare(X, params, master_seed=6)
     assert pkg.proj_B.rows == 267
-    wire = _unaligned_wire(pkg)
+    assert privacy._panel_height(267, n) == 256
+    wire = _wire_package(pkg)
+    assert bob_evaluate(wire, Y).omega_bar_sq == pytest.approx(
+        bob_evaluate(pkg, Y).omega_bar_sq, rel=1e-15)
     for p in (pkg, wire):
         PB = unpack_factor(p.proj_B)
         omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
