@@ -14,7 +14,6 @@ from .estimators import (
     TestDecision,
     dcov_sq_closed_form,
     decide,
-    distance_correlation_sq,
     rejection_threshold,
     s_hat,
     test_statistic,

@@ -9,7 +9,8 @@ Subcommands:
 - ``pi-test sweep``: privacy-utility table over a grid of (epsilon, eta).
 
 Exit status: 0 on success (degenerate reports included), 1 on runtime
-errors (bad files, mismatched shapes, ...), 2 on usage errors.
+errors (bad files, mismatched shapes, ...), 2 on usage errors.  Every
+parameter rule is checked by its library owner before any file is read.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 import sys
 
 from .data import load_csv
-from .errors import PiTestError
-from .estimators import dcov_sq_closed_form, decide, s_hat
+from .errors import InvalidInputError, PiTestError
+from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
 from .protocol import _privacy_section
@@ -39,16 +40,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _unit_open_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"must lie strictly in (0, 1), got {text}")
-    return value
-
-
 def _seed_int(text: str) -> int:
     try:
         value = int(text)
@@ -59,50 +50,22 @@ def _seed_int(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
-    return values
-
-
-def _unit_open_float_list(text: str) -> tuple[float, ...]:
-    values = _float_list(text)
-    if not all(0.0 < v < 1.0 for v in values):
-        raise argparse.ArgumentTypeError(f"all values must lie strictly in (0, 1), got {text}")
-    return values
-
-
-def _increasing_float_list(text: str) -> tuple[float, ...]:
-    values = _float_list(text)
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(f"all values must be positive, got {text}")
-    if list(values) != sorted(set(values)):
-        raise argparse.ArgumentTypeError(f"values must be strictly increasing, got {text}")
     return values
 
 
 def _add_privacy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=_positive_float, required=True,
+    parser.add_argument("--epsilon", type=float, required=True,
                         help="total privacy budget epsilon (split over the two releases)")
-    parser.add_argument("--delta", type=_unit_open_float, default=2e-4,
+    parser.add_argument("--delta", type=float, default=2e-4,
                         help="total privacy budget delta (default 2e-4)")
-    parser.add_argument("--eta", type=_unit_open_float, default=0.1,
+    parser.add_argument("--eta", type=float, default=0.1,
                         help="multiplicative accuracy in (0,1) (default 0.1)")
-    parser.add_argument("--nu", type=_unit_open_float, default=0.05,
+    parser.add_argument("--nu", type=float, default=0.05,
                         help="per-query failure probability in (0,1) (default 0.05)")
     parser.add_argument("--seed", type=_seed_int, default=None,
                         help="master seed for the release randomness, for reproducible tests "
@@ -123,52 +86,66 @@ def build_parser() -> argparse.ArgumentParser:
     _add_privacy_flags(p_alice)
     p_alice.add_argument("--out", required=True,
                          help="package file to write (a JSON header line, then binary payloads)")
-    p_alice.set_defaults(func=_cmd_alice)
+    p_alice.set_defaults(func=_cmd_alice, parser=p_alice)
 
     p_bob = sub.add_parser("bob", help="evaluate a package against the analyst's Y")
     p_bob.add_argument("--package", required=True,
                        help="package file written by 'pi-test alice'")
     p_bob.add_argument("--input", required=True, help="CSV file with Y (rows = samples)")
     p_bob.add_argument("--header", action="store_true", help="skip the first CSV line")
-    p_bob.add_argument("--alpha", type=_unit_open_float, default=0.05,
+    p_bob.add_argument("--alpha", type=float, default=0.05,
                        help="significance level (default 0.05)")
     p_bob.add_argument("--s-param", type=_positive_float, default=None,
                        help="scale parameter for the upper ratio bound (default: s_bar/n)")
     p_bob.add_argument("--report", required=True, help="report file to write (JSON)")
-    p_bob.set_defaults(func=_cmd_bob)
+    p_bob.set_defaults(func=_cmd_bob, parser=p_bob)
 
     p_run = sub.add_parser("run", help="run both roles locally, with a non-private comparison")
     p_run.add_argument("--input-x", required=True, help="CSV file with X")
     p_run.add_argument("--input-y", required=True, help="CSV file with Y")
     p_run.add_argument("--header", action="store_true", help="skip the first CSV line of both")
     _add_privacy_flags(p_run)
-    p_run.add_argument("--alpha", type=_unit_open_float, default=0.05)
+    p_run.add_argument("--alpha", type=float, default=0.05)
     p_run.add_argument("--s-param", type=_positive_float, default=None)
     p_run.add_argument("--report", required=True, help="report file to write (JSON)")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_sweep = sub.add_parser("sweep", help="privacy-utility sweep over (epsilon, eta)")
     p_sweep.add_argument("--input-x", required=True, help="CSV file with X")
     p_sweep.add_argument("--input-y", required=True, help="CSV file with Y")
     p_sweep.add_argument("--header", action="store_true", help="skip the first CSV line of both")
-    p_sweep.add_argument("--epsilons", type=_increasing_float_list, default=(0.5, 1.0, 2.0, 4.0, 8.0),
+    p_sweep.add_argument("--epsilons", type=_float_list, default=(0.5, 1.0, 2.0, 4.0, 8.0),
                          help="comma-separated increasing epsilon grid (default 0.5,1,2,4,8)")
-    p_sweep.add_argument("--etas", type=_unit_open_float_list, default=(0.05, 0.1),
+    p_sweep.add_argument("--etas", type=_float_list, default=(0.05, 0.1),
                          help="comma-separated eta grid, each in (0,1) (default 0.05,0.1)")
-    p_sweep.add_argument("--replications", type=_positive_int, default=50,
+    p_sweep.add_argument("--replications", type=int, default=50,
                          help="protocol replications per cell (default 50)")
-    p_sweep.add_argument("--delta", type=_unit_open_float, default=2e-4)
-    p_sweep.add_argument("--nu", type=_unit_open_float, default=0.05)
-    p_sweep.add_argument("--alpha", type=_unit_open_float, default=0.05)
-    p_sweep.add_argument("--seed", type=_seed_int, default=0)
+    p_sweep.add_argument("--delta", type=float, default=2e-4)
+    p_sweep.add_argument("--nu", type=float, default=0.05)
+    p_sweep.add_argument("--alpha", type=float, default=0.05)
+    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="CSV table to write")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 
     return parser
 
 
-def _params_from_args(args) -> PrivacyParams:
-    return PrivacyParams(args.epsilon, args.delta, args.eta, args.nu)
+def _checked_inputs(args) -> tuple:
+    """The command's typed inputs, built before any file is opened.
+
+    Each rule has one owner, whose InvalidInputError ``main`` reports as a
+    usage error: PrivacyParams for alice and run, rejection_threshold for
+    the alpha of bob and run, and SweepConfig for sweep.
+    """
+    if args.command == "sweep":
+        return (SweepConfig(epsilons=args.epsilons, replications=args.replications,
+                            eta_values=args.etas, delta=args.delta, nu=args.nu,
+                            alpha=args.alpha, master_seed=args.seed),)
+    if args.command != "alice":
+        rejection_threshold(args.alpha)
+    if args.command == "bob":
+        return ()
+    return (PrivacyParams(args.epsilon, args.delta, args.eta, args.nu),)
 
 
 def _warn_if_seeded(args) -> None:
@@ -177,10 +154,9 @@ def _warn_if_seeded(args) -> None:
               "use it for reproducible tests only", file=sys.stderr)
 
 
-def _cmd_alice(args) -> int:
+def _cmd_alice(args, params: PrivacyParams) -> int:
     _warn_if_seeded(args)
     X = load_csv(args.input, has_header=args.header)
-    params = _params_from_args(args)
     package = alice_prepare(X, params, args.seed)
     parts = encode_package(package)
     atomic_write_bytes(args.out, *parts)
@@ -199,27 +175,27 @@ def _cmd_alice(args) -> int:
 
 def _cmd_bob(args) -> int:
     with open(args.package, "rb") as handle:
-        blob = handle.read()
-    package = deserialize_package(blob)
+        package = deserialize_package(handle.read())
     Y = load_csv(args.input, has_header=args.header)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
     doc = report_to_dict(report)
     doc["privacy"] = _privacy_section(package.params)
-    doc.update(_release_sections(package, len(blob), Y, report))
+    doc.update(_release_sections(package, Y, report))
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(f"wrote report: {args.report}")
     return 0
 
 
-def _release_sections(package, package_bytes: int, Y, report) -> dict:
-    """The ``release`` and ``floor`` sections of a report, from the package, its length and Y.
+def _release_sections(package, Y, report) -> dict:
+    """The ``release`` and ``floor`` sections of a report, from the package and Y.
 
     ``release`` is the row count ``r`` and floor ``w`` of one release, the
-    factor's ``rows`` and ``package_bytes``.  ``floor`` has the spectral
-    floor's share of each private statistic: ``omega_share`` is
-    w^2 ||Y||_F^2 over ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``, for the
-    ``Y`` that Bob queries (uncentred), and ``s_share`` is w^2 (n - 1) / sx.
+    factor's ``rows`` and ``package_bytes``, the length of the package's
+    encoding.  ``floor`` has the spectral floor's share of each private
+    statistic: ``omega_share`` is w^2 ||Y||_F^2 over
+    ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``, for the ``Y`` that Bob
+    queries (uncentred), and ``s_share`` is w^2 (n - 1) / sx.
     A share near 1 means that statistic is mostly floor; either is null
     when its denominator is 0.  ``s_param_min`` is tau_mech / (1 - eta): an
     ``s_param`` not above it clamps the upper bound.
@@ -228,6 +204,7 @@ def _release_sections(package, package_bytes: int, Y, report) -> dict:
     r, w = jl_params(per_release)
     w2, n = w * w, package.n
     answers = n * n / 2.0 * report.omega_bar_sq
+    package_bytes = sum(map(len, encode_package(package)))
     return {
         "release": {"r": r, "w": w, "rows": package.proj_B.rows, "package_bytes": package_bytes},
         "floor": {
@@ -249,44 +226,30 @@ def _print_decision(report) -> None:
         )
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, params: PrivacyParams) -> int:
     _warn_if_seeded(args)
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
-    params = _params_from_args(args)
     package = alice_prepare(X, params, args.seed)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
 
     n = X.shape[0]
     omega_ref = dcov_sq_closed_form(X, Y)
     s_ref = s_hat(X, Y)
+    nonprivate = {"omega_sq": omega_ref, "s_hat": s_ref, "statistic": None,
+                  "threshold": None, "reject": None, "degenerate": True}
+    np_line = "non-private: degenerate (constant dataset)"
     if s_ref > 0.0:
         verdict = decide(n * omega_ref / s_ref, args.alpha)
-        nonprivate = {
-            "omega_sq": omega_ref,
-            "s_hat": s_ref,
-            "statistic": verdict.statistic,
-            "threshold": verdict.threshold,
-            "reject": verdict.reject,
-            "degenerate": False,
-        }
+        nonprivate.update(statistic=verdict.statistic, threshold=verdict.threshold,
+                          reject=verdict.reject, degenerate=False)
         np_line = (
             f"non-private: Gamma = {verdict.statistic:.6g}, threshold = {verdict.threshold:.6g}"
             f" -> {'reject' if verdict.reject else 'fail to reject'}"
         )
-    else:
-        nonprivate = {
-            "omega_sq": omega_ref,
-            "s_hat": s_ref,
-            "statistic": None,
-            "threshold": None,
-            "reject": None,
-            "degenerate": True,
-        }
-        np_line = "non-private: degenerate (constant dataset)"
 
     doc = {"private": report_to_dict(report), "nonprivate": nonprivate,
-           **_release_sections(package, sum(map(len, encode_package(package))), Y, report)}
+           **_release_sections(package, Y, report)}
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(np_line)
@@ -294,18 +257,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, cfg: SweepConfig) -> int:
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
-    cfg = SweepConfig(
-        epsilons=tuple(args.epsilons),
-        replications=args.replications,
-        eta_values=tuple(args.etas),
-        delta=args.delta,
-        nu=args.nu,
-        alpha=args.alpha,
-        master_seed=args.seed,
-    )
     rows = run_sweep(cfg, X, Y)
     atomic_write_text(args.out, sweep_rows_to_csv(rows))
     print(f"wrote sweep table: {args.out} ({len(rows)} rows)")
@@ -316,11 +270,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except PiTestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        inputs = _checked_inputs(args)
+    except InvalidInputError as exc:
+        args.parser.error(str(exc))
+    try:
+        return args.func(args, *inputs)
+    except (PiTestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,7 +52,6 @@ __all__ = [
     "test_statistic",
     "rejection_threshold",
     "decide",
-    "distance_correlation_sq",
 ]
 
 
@@ -143,29 +142,3 @@ def decide(statistic: float, alpha: float) -> TestDecision:
         raise InvalidInputError(f"test statistic must be finite, got {statistic}")
     threshold = rejection_threshold(alpha)
     return TestDecision(float(statistic), threshold, float(alpha), bool(statistic > threshold))
-
-
-def distance_correlation_sq(X, Y) -> float:
-    """Normalized dependence: ``dcov^2(X,Y) / sqrt(dcov^2(X,X) dcov^2(Y,Y))``.
-
-    Evaluated in closed form as
-    ``||Xc^T Yc||_F^2 / sqrt(||Xc^T Xc||_F^2 ||Yc^T Yc||_F^2)``.
-    Returns 0 when the product of the two self-dependence terms is zero
-    (either dataset constant).  Values are clamped into [0, 1] only when
-    within 1e-9 of a boundary; anything further out is returned as computed.
-    """
-    A, B = _paired_matrices(X, Y)
-    Ac = _centered(A)
-    Bc = _centered(B)
-    M_xy = Ac.T @ Bc
-    M_xx = Ac.T @ Ac
-    M_yy = Bc.T @ Bc
-    prod = float(np.sum(M_xx * M_xx)) * float(np.sum(M_yy * M_yy))
-    if prod <= 0.0:
-        return 0.0
-    value = float(np.sum(M_xy * M_xy)) / math.sqrt(prod)
-    if -1e-9 <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + 1e-9:
-        return 1.0
-    return value

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import dcov_sq_closed_form, s_hat
+from .estimators import dcov_sq_closed_form, rejection_threshold, s_hat
 from .privacy import PrivacyParams
 from .protocol import alice_prepare, bob_evaluate
 
@@ -26,6 +26,12 @@ __all__ = ["SweepConfig", "SweepRow", "SWEEP_HEADER", "run_sweep", "sweep_rows_t
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's grid and settings, each checked by the owner of its rule.
+
+    ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
+    ``cells``, and ``rejection_threshold`` checks alpha.
+    """
+
     epsilons: tuple[float, ...]
     replications: int = 50
     eta_values: tuple[float, ...] = (0.05, 0.1)
@@ -35,14 +41,21 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise InvalidInputError("epsilons must be a non-empty list of positive values")
+        if not self.cells:
+            raise InvalidInputError("epsilons and eta_values must be non-empty")
         if list(self.epsilons) != sorted(set(self.epsilons)):
-            raise InvalidInputError("epsilons must be strictly increasing")
+            raise InvalidInputError(f"epsilons must be strictly increasing, got {self.epsilons}")
         if self.replications < 1:
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
-        if not self.eta_values:
-            raise InvalidInputError("eta_values must be non-empty")
+        rejection_threshold(self.alpha)
+        if self.master_seed < 0:
+            raise InvalidInputError(f"master_seed must be >= 0, got {self.master_seed}")
+
+    @property
+    def cells(self) -> tuple[PrivacyParams, ...]:
+        """The ``PrivacyParams`` of every (epsilon, eta), in row order."""
+        return tuple(PrivacyParams(e, self.delta, eta, self.nu)
+                     for e, eta in product(self.epsilons, self.eta_values))
 
 
 class SweepRow(NamedTuple):
@@ -88,8 +101,8 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 
     rows: list[SweepRow] = []
-    for i_eps, i_eta in product(range(len(cfg.epsilons)), range(len(cfg.eta_values))):
-        p = PrivacyParams(cfg.epsilons[i_eps], cfg.delta, cfg.eta_values[i_eta], cfg.nu)
+    indices = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
+    for (i_eps, i_eta), p in zip(indices, cfg.cells):
         gammas, ss, omegas = [], [], []
         for rep in range(cfg.replications):
             seed = int(
@@ -106,8 +119,7 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
         s_mean, s_sd = _mean_sd(ss)
         o_mean, o_sd = _mean_sd(omegas)
         rows.append(
-            SweepRow(cfg.epsilons[i_eps], cfg.eta_values[i_eta],
-                     g_mean, g_sd, s_mean, s_sd, o_mean, o_sd)
+            SweepRow(p.epsilon, p.eta, g_mean, g_sd, s_mean, s_sd, o_mean, o_sd)
         )
     return rows
 

@@ -5,7 +5,8 @@ With squared distances the package evaluates one closed form,
 derived from (Szekely, Rizzo & Bakirov, 2007) build n x n distance matrices,
 Laplacians and the centering matrix; they are kept here as references that
 the tests compare the closed forms against, next to the pure-Python loops
-of ``oracles.py``.  They validate their inputs with the package's own
+of ``oracles.py``, with the normalised dependence
+(``distance_correlation_sq``) that no production path reads.  They validate their inputs with the package's own
 private helpers, so they accept and reject exactly what the package does.
 The naive ratio interval, which the closed-form bounds of ``pitest.bounds``
 are checked to contain, is kept here too, and so are the Gaussian release
@@ -218,6 +219,33 @@ def dcov_sq_unbiased(X, Y) -> float:
     term2 = 2.0 * float(a_row @ b_row) / (n * (n - 2) * (n - 3))
     term3 = a_tot * b_tot / (n * (n - 1) * (n - 2) * (n - 3))
     return term1 - term2 + term3
+
+
+def distance_correlation_sq(X, Y) -> float:
+    """Normalized dependence: ``dcov^2(X,Y) / sqrt(dcov^2(X,X) dcov^2(Y,Y))``.
+
+    Evaluated in closed form as
+    ``||Xc^T Yc||_F^2 / sqrt(||Xc^T Xc||_F^2 ||Yc^T Yc||_F^2)``.  No
+    production path reads it; the tests pin it against the n x n route.
+    Returns 0 when the product of the two self-dependence terms is zero
+    (either dataset constant).  Values are clamped into [0, 1] only when
+    within 1e-9 of a boundary; anything further out is returned as computed.
+    """
+    A, B = _paired_matrices(X, Y)
+    Ac = _centered(A)
+    Bc = _centered(B)
+    M_xy = Ac.T @ Bc
+    M_xx = Ac.T @ Ac
+    M_yy = Bc.T @ Bc
+    prod = float(np.sum(M_xx * M_xx)) * float(np.sum(M_yy * M_yy))
+    if prod <= 0.0:
+        return 0.0
+    value = float(np.sum(M_xy * M_xy)) / math.sqrt(prod)
+    if -1e-9 <= value < 0.0:
+        return 0.0
+    if 1.0 < value <= 1.0 + 1e-9:
+        return 1.0
+    return value
 
 
 def s_hat_directional(Q, Y) -> float:

@@ -88,6 +88,18 @@ def test_alice_writes_a_package_at_a_huge_row_count(data_dir, tmp_path, capsys):
     assert math.isfinite(package.sx) and package.sx > 0.0
 
 
+def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
+    # the column sums of X overflow, so the centred factor is not finite
+    X = np.random.default_rng(0).uniform(0.9, 1.0, (20, 2)) * 1e307
+    save_csv(tmp_path / "x.csv", X)
+    out = tmp_path / "pkg.bin"
+    with np.errstate(over="ignore"):
+        rc = main(["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", "1", "--out", str(out)])
+    assert rc == 1
+    assert "error: factor contains non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, capsys):
     X = load_csv(data_dir / "x.csv")
     blob = serialize_package(alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 3))
@@ -256,7 +268,7 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two(data_dir, tmp_path):
+def test_usage_errors_exit_two(data_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["alice", "--input", str(data_dir / "x.csv"), "--out", str(tmp_path / "p")])
     assert exc.value.code == 2  # --epsilon is required
@@ -277,6 +289,24 @@ def test_usage_errors_exit_two(data_dir, tmp_path):
         main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "1",
               "--analyst-dim", "1", "--out", str(tmp_path / "p")])
     assert exc.value.code == 2  # no such flag
+    # Every rule is checked before a file is read, so nonexistent inputs
+    # still give the usage error, from the library's owner of the rule.
+    missing = str(tmp_path / "missing.csv")
+    sweep = ["sweep", "--input-x", missing, "--input-y", missing, "--out", str(tmp_path / "p")]
+    for argv, message in (
+        (sweep + ["--epsilons", "1,inf"], "epsilon must be a finite number, got inf"),
+        (sweep + ["--epsilons", "nan"], "epsilon must be a finite number, got nan"),
+        (sweep + ["--seed", "-1"], "master_seed must be >= 0, got -1"),
+        (sweep + ["--delta", "1"], "delta must lie in (0, 1), got 1.0"),
+        (sweep + ["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+        (["bob", "--package", missing, "--input", missing, "--alpha", "1",
+          "--report", str(tmp_path / "p")], "alpha must lie in (0, 1), got 1.0"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
 
 
@@ -342,7 +372,7 @@ def test_sweep_rejects_zero_replications(data_dir, tmp_path, capsys):
         main(["sweep", "--input-x", str(data_dir / "x.csv"),
               "--input-y", str(data_dir / "y.csv"), "--replications", "0", "--out", str(out)])
     assert exc.value.code == 2
-    assert "--replications: must be a positive integer, got 0" in capsys.readouterr().err
+    assert "error: replications must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,6 +461,12 @@ def test_sweep_config_validation():
         SweepConfig(epsilons=(2.0, 1.0))
     with pytest.raises(InvalidInputError):
         SweepConfig(epsilons=(1.0,), replications=0)
+    with pytest.raises(InvalidInputError, match="master_seed must be >= 0"):
+        SweepConfig(epsilons=(1.0,), master_seed=-1)
+    with pytest.raises(InvalidInputError, match="eta must lie in"):
+        SweepConfig(epsilons=(1.0,), eta_values=(1.5,))
+    with pytest.raises(InvalidInputError, match="epsilon must be a finite number"):
+        SweepConfig(epsilons=(1.0, math.inf))
 
 
 # ----------------------------------------------------------------- CSV files

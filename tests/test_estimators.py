@@ -14,7 +14,6 @@ from pitest.errors import (
 from pitest.estimators import (
     dcov_sq_closed_form,
     decide,
-    distance_correlation_sq,
     rejection_threshold,
     s_hat,
     test_statistic as gamma_statistic,
@@ -34,6 +33,7 @@ from reference import (
     dcov_sq_directional,
     dcov_sq_laplacian,
     dcov_sq_unbiased,
+    distance_correlation_sq,
     factor_S,
     laplacian_S,
     laplacian_W,

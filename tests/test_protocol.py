@@ -326,6 +326,9 @@ def test_round_trip_is_bit_exact(package):
     assert pkg2.params == package.params
     assert np.array_equal(pkg2.proj_B.values, package.proj_B.values)
     assert pkg2.sx == package.sx
+    # integer budget fields are written as the floats the parser reads back
+    ints = AlicePackage(PrivacyParams(1, 0.01, 0.3, 0.5), package.proj_B, package.sx)
+    assert deserialize_package(serialize_package(ints)).params == ints.params
 
 
 def test_layout_is_header_line_then_raw_payloads(package):
@@ -346,7 +349,7 @@ def test_layout_is_header_line_then_raw_payloads(package):
     # For several n and budgets, an sx of 1 to 8 significant digits gives the
     # unpadded line (the JSON and the newline) every length mod 8, 0 and 7
     # included; the payload starts at a multiple of 8 all the same, and a
-    # line one blank short is refused.
+    # line one blank short is not the canonical line, so it is refused.
     residues = set()
     for n, params in ((12, PARAMS), (7, PrivacyParams(1.0, 0.01, 0.3, 0.5)),
                       (1000, PrivacyParams(10.0, 2e-4, 0.9, 0.5))):
@@ -360,7 +363,7 @@ def test_layout_is_header_line_then_raw_payloads(package):
             wire = deserialize_package(line + bytes(payload))
             assert np.array_equal(wire.proj_B.values, proj.values) and wire.sx == pkg.sx
             if len(line) > unpadded:
-                with pytest.raises(PackageFormatError, match="not at a multiple of 8"):
+                with pytest.raises(PackageFormatError, match="not the canonical line"):
                     deserialize_package(line[:-2] + b"\n" + bytes(payload))
     assert residues == set(range(8))
 
@@ -720,10 +723,21 @@ def test_rejects_bad_sx(package):
     for bad in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
         with pytest.raises(PackageFormatError, match="sx"):
             deserialize_package(_line(head.replace(good, b'"sx":' + bad)) + payload)
-    for edge in (0, 0.0, 5e-324, 2**70):  # finite and >= 0, so read
-        doc = _doc(package)
-        doc["sx"] = edge
-        assert deserialize_package(_wire(package, doc)).sx == float(edge)
+    for edge in (0.0, 5e-324, 2.0**70):  # finite and >= 0, so read
+        pkg = AlicePackage(package.params, package.proj_B, sx=edge)
+        assert deserialize_package(serialize_package(pkg)).sx == edge
+    # Only the encoder's line for the parsed fields is read: other spellings
+    # of the same header (", " and ": " separators, 8 blanks too many, an
+    # integer sx) are refused, so one package has one encoding.
+    line, payload = encode_package(package)
+    doc = _doc(package)
+    refused = [_wire(package, doc), line[:-1] + b" " * 8 + b"\n" + payload]
+    for sx in (0, 2**70):
+        head = json.dumps(dict(doc, sx=sx), sort_keys=True, separators=(",", ":"))
+        refused.append(_line(head.encode("utf-8")) + payload)
+    for blob in refused:
+        with pytest.raises(PackageFormatError, match="not the canonical line"):
+            deserialize_package(blob)
 
 
 def test_rejects_nan_payload(package):
