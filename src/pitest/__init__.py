@@ -26,6 +26,7 @@ from .privacy import (
     private_centered_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
+    privatize_covariance_panels,
     tau,
     tau_mechanism,
 )
@@ -34,12 +35,15 @@ from .protocol import (
     FORMAT_VERSION,
     AlicePackage,
     BoundsReport,
+    PackageStream,
     TestReport,
     alice_prepare,
+    alice_stream,
     bob_evaluate,
     deserialize_package,
     encode_package,
     factor_W,
+    read_package,
     report_to_dict,
     serialize_package,
 )

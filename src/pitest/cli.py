@@ -25,8 +25,8 @@ from .errors import InvalidInputError, PiTestError
 from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
-from .protocol import _privacy_section
-from .protocol import alice_prepare, bob_evaluate, deserialize_package, encode_package, report_to_dict
+from .protocol import _package_bytes, _privacy_section
+from .protocol import alice_prepare, alice_stream, bob_evaluate, read_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
 
@@ -157,16 +157,14 @@ def _warn_if_seeded(args) -> None:
 def _cmd_alice(args, params: PrivacyParams) -> int:
     _warn_if_seeded(args)
     X = load_csv(args.input, has_header=args.header)
-    package = alice_prepare(X, params, args.seed)
-    parts = encode_package(package)
-    atomic_write_bytes(args.out, *parts)
+    stream = alice_stream(X, params, args.seed)
+    size = atomic_write_bytes(args.out, stream.parts)
 
     per_release = params.half_budget()
     r, w = jl_params(per_release)
-    factor = package.proj_B
-    print(f"wrote package: {args.out} ({sum(map(len, parts))} bytes; n = {package.n}, "
-          f"release factor {factor.rows} x {factor.n} packed as {factor.values.size} entries, "
-          f"scalar sx = {package.sx:.6g})")
+    print(f"wrote package: {args.out} ({size} bytes; n = {stream.n}, "
+          f"release factor {stream.rows} x {stream.n} packed as {stream.entries} entries, "
+          f"scalar sx = {stream.sx:.6g})")
     print(f"per-release budget: epsilon = {per_release.epsilon:g}, delta = {per_release.delta:g}")
     print(f"projection rows r = {r}, spectral floor w = {w:.6g}")
     print(f"tau_mech (mechanism additive constant) = {tau_mechanism(per_release):.6g}")
@@ -175,9 +173,11 @@ def _cmd_alice(args, params: PrivacyParams) -> int:
 
 def _cmd_bob(args) -> int:
     with open(args.package, "rb") as handle:
-        package = deserialize_package(handle.read())
-    Y = load_csv(args.input, has_header=args.header)
-    report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
+        package = read_package(handle)  # the header and the length, checked
+        Y = load_csv(args.input, has_header=args.header)
+        # The factor is read and checked one panel at a time: a bad panel
+        # raises before any statistic exists.
+        report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
     doc = report_to_dict(report)
     doc["privacy"] = _privacy_section(package.params)
     doc.update(_release_sections(package, Y, report))
@@ -192,8 +192,9 @@ def _release_sections(package, Y, report) -> dict:
 
     ``release`` is the row count ``r`` and floor ``w`` of one release, the
     factor's ``rows`` and ``package_bytes``, the length of the package's
-    encoding.  ``floor`` has the spectral floor's share of each private
-    statistic: ``omega_share`` is w^2 ||Y||_F^2 over
+    encoding (for ``bob``, the package file's checked length).  ``floor``
+    has the spectral floor's share of each private statistic:
+    ``omega_share`` is w^2 ||Y||_F^2 over
     ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``, for the ``Y`` that Bob
     queries (uncentred), and ``s_share`` is w^2 (n - 1) / sx.
     A share near 1 means that statistic is mostly floor; either is null
@@ -204,9 +205,9 @@ def _release_sections(package, Y, report) -> dict:
     r, w = jl_params(per_release)
     w2, n = w * w, package.n
     answers = n * n / 2.0 * report.omega_bar_sq
-    package_bytes = sum(map(len, encode_package(package)))
     return {
-        "release": {"r": r, "w": w, "rows": package.proj_B.rows, "package_bytes": package_bytes},
+        "release": {"r": r, "w": w, "rows": package.proj_B.rows,
+                    "package_bytes": _package_bytes(package)},
         "floor": {
             "omega_share": w2 * float((Y * Y).sum()) / answers if answers > 0.0 else None,
             "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,

@@ -51,8 +51,8 @@ entries of ``T`` are independent, with ``T_ii ~ chi_{r-i}`` (counting from
 ``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and a
 QR of that stack is one triangular-pentagonal QR (LAPACK ``dtpqrt``) of
 its leading min(r, n) columns, whose reflectors ``dtpmqrt`` applies to the
-rest.  ``T_22`` is drawn straight into the packed buffer that becomes
-``R``, the only array of the factor's size, with the min(r, k) dense rows
+rest.  ``T_22`` is drawn straight into the packed panels that become
+``R`` (no other array is of the factor's size), with the min(r, k) dense rows
 ``D`` scaled by ``1/w`` so that the floor is applied once, to the finished
 factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
 O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n flops for
@@ -67,8 +67,15 @@ then its diagonal), one ``dtpqrt`` factors its triangle, copied into a
 (b - a) x (b - a) scratch, over ``D[:, a:b]``, ``dtpmqrt`` applies
 those reflectors to the rectangle and to ``D[:, b:]``, and the panel is
 scaled and its triangle copied back.  So each entry is drawn, updated by
-its own panel's reflector blocks and scaled once, and Alice holds the
-packed factor and O(panel) scratch.  One ``dtpqrt`` of all the leading
+its own panel's reflector blocks and scaled once, and a panel is final
+when its turn ends: later panels touch only their own rows and ``D``.
+The release is therefore one generator of panels with two consumers:
+:func:`privatize_covariance` gives it slices of the packed buffer, which
+it keeps, and :func:`privatize_covariance_panels` gives it one scratch
+panel again and again, so that a writer can ship each panel as it
+finishes and hold O(panel + n k), nothing of the factor's size.  The
+generator writes every entry of a panel, so both give the same bits.
+One ``dtpqrt`` of all the leading
 columns runs the same reflector blocks of ``_REFLECTOR_BLOCK`` columns:
 it factors a block and updates every column right of it, in one call for
 the columns left of min(r, n) and one for the rest.  The panels split those
@@ -82,8 +89,9 @@ min(r, n) x n buffer.
 The analyst's product ``R V`` runs one panel at a time too: LAPACK's
 ``dtpttr`` expands the panel's packed triangle (its column-packed upper
 storage is the panel's triangle layout), and the rectangle is multiplied
-where it lies, so the analyst holds one panel's triangle and nothing of
-the factor's size.
+where it lies.  It reads the factor only through its panels, so they may
+come from memory or, one reused buffer at a time, from a package file,
+and the analyst then holds one panel and nothing of the factor's size.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -117,7 +125,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -133,6 +141,7 @@ __all__ = [
     "tau",
     "tau_mechanism",
     "privatize_covariance",
+    "privatize_covariance_panels",
     "private_centered_sq_norm",
     "private_sum_directional_variances",
 ]
@@ -190,18 +199,36 @@ def _above(h: int) -> np.ndarray:
     return mask
 
 
-def _panel_parts(values: np.ndarray, a: int, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panel [a, b) of the packed ``values``: its packed triangle, and its rectangle.
+def _split_panel(segment: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """A panel's packed ``segment`` of h rows: its packed triangle, and its rectangle.
 
-    The triangle holds column j of the panel's (b - a) x (b - a) diagonal
-    block as its first j + 1 entries, the columns one after another; the
-    rectangle is the (b - a) x (n - b) block right of it, a Fortran-ordered
-    view.
+    The triangle holds column j of the panel's h x h diagonal block as its
+    first j + 1 entries, the columns one after another; the rectangle is
+    the h-row block right of it, a Fortran-ordered view.
     """
-    h = b - a
-    segment = values[_row_offset(a, n) : _row_offset(b, n)]
     t = h * (h + 1) // 2
-    return segment[:t], segment[t:].reshape(n - b, h).T
+    return segment[:t], segment[t:].reshape(-1, h).T
+
+
+@lru_cache(maxsize=16)
+def _diagonal_at(h: int) -> np.ndarray:
+    """Where the diagonal of a panel of h rows lies in its segment: row j's entry is j (j+3) / 2 in."""
+    j = np.arange(h)
+    at = j * (j + 3) // 2
+    at.flags.writeable = False
+    return at
+
+
+def _check_panel(segment: np.ndarray, h: int) -> None:
+    """Raise InvalidInputError unless a panel of h rows is finite with a positive diagonal.
+
+    The one check of a released panel, made on each panel Alice writes and
+    on each panel the package parser and Bob read.
+    """
+    if not np.isfinite(segment).all():
+        raise InvalidInputError("projection contains non-finite entries (NaN or infinite)")
+    if not (segment[_diagonal_at(h)] > 0.0).all():
+        raise InvalidInputError("projection: a diagonal entry is not > 0")
 
 
 @dataclass(frozen=True)
@@ -332,36 +359,43 @@ class PrivateProjection:
             raise ShapeError(f"a packed {self.rows} x {self.n} factor has {size} entries, "
                              f"got shape {self.values.shape}")
         # One panel at a time, so the check holds no whole-size temporary.
-        if not all(np.isfinite(self.values[_row_offset(a, self.n) : _row_offset(b, self.n)]).all()
-                   for a, b in _panels(self.rows, self.n)):
+        if not all(np.isfinite(segment).all() for _, _, segment in self.panels()):
             raise InvalidInputError("projection contains non-finite entries")
 
+    def panels(self):
+        """Yield ``(a, b, segment)`` for each row panel [a, b), top down, ``segment`` a view of ``values``."""
+        for a, b in _panels(self.rows, self.n):
+            yield a, b, self.values[_row_offset(a, self.n) : _row_offset(b, self.n)]
+
     def diagonal(self) -> np.ndarray:
-        """The diagonal of ``R``: in the panel from row a, row a + j's entry is j (j+3) / 2 values in."""
-        i = np.arange(self.rows)
-        a = i - i % _panel_height(self.rows, self.n)
-        j = i - a
-        return self.values[_row_offset(a, self.n) + j * (j + 3) // 2]
+        """The diagonal of ``R``, panel by panel (see :func:`_diagonal_at`)."""
+        return np.concatenate([segment[_diagonal_at(b - a)] for a, b, segment in self.panels()])
 
 
-def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T1: np.ndarray,
-                    values: np.ndarray, rows: int) -> None:
-    """Draw ``T22`` and overwrite it with the release factor ``R``, one row panel at a time.
+def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int, segment):
+    """Yield the release factor ``R`` of the n x k factor ``A``, one row panel at a time.
 
     ``R`` is the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``
-    for the n x k factor ``A``, ``A_hat = [A^T; w I]`` and ``T`` from ``T1``
-    and ``T22`` (see the module docstring).  ``values`` is the zeroed packed
-    factor.  For each panel [a, b): its Bartlett entries are drawn (the
-    triangle's normals in column order, then the rectangle's, then the
+    for ``A_hat = [A^T; w I]`` and ``T`` drawn from its Bartlett law (see
+    the module docstring).  For each panel [a, b), top down, ``segment(a,
+    b)`` gives a writable float64 array of the panel's packed length, and
+    every entry of it is written: the panel's Bartlett entries are drawn
+    (the triangle's normals in column order, then the rectangle's, then the
     diagonal, ``chi_{r - k1 - i}`` in row ``i``; rows from
-    q = min(r - k1, n) on stay zero), one ``dtpqrt`` factors the triangle
+    q = min(r - k1, n) on are zero), one ``dtpqrt`` factors the triangle
     over ``D[:, a:b]``, ``dtpmqrt`` applies its reflectors to the
-    rectangle and ``D[:, b:]``, and the panel is scaled.
+    rectangle and ``D[:, b:]``, and the panel is scaled.  Then
+    ``(a, b, segment)`` is yielded; the panel is final, so the consumer may
+    keep it, write it out, or hand the same array back for the next panel.
     """
     n, k = A.shape
-    k1 = T1.shape[0]
+    r, w = jl_params(p)
+    k1, rows = min(r, k), min(r, n)
     q = min(r - k1, n)
     dof = float(r) - k1  # r may exceed int64
+    rng = np.random.default_rng(int(seed))
+    T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
+    T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
     # The dense rows of T A_hat, over w: T11 A^T / w + T12.
     D = np.asfortranarray(T1[:, k:])
     D += T1[:, :k] @ (A.T / w)
@@ -370,7 +404,8 @@ def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T
     for a, b in _panels(rows, n):
         hb = b - a
         drawn = min(max(q - a, 0), hb)  # the panel's rows with Bartlett entries
-        triangle, rect = _panel_parts(values, a, b, n)
+        values = segment(a, b)
+        triangle, rect = _split_panel(values, hb)
         triangle_t = np.zeros((hb, hb))  # transposed, so the triangle is Fortran-ordered
         normals = above[:hb, :hb]
         if drawn < hb:
@@ -378,8 +413,10 @@ def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T
         triangle_t[normals] = rng.standard_normal(np.count_nonzero(normals))
         if drawn == hb:
             rng.standard_normal(out=rect.T)
-        elif drawn:
-            rect.T[:, :drawn] = rng.standard_normal((n - b, drawn))
+        else:
+            rect[drawn:] = 0.0  # the rows from q on, which the draw leaves
+            if drawn:
+                rect.T[:, :drawn] = rng.standard_normal((n - b, drawn))
         j = np.arange(drawn)
         triangle_t[j, j] = np.sqrt(rng.chisquare(dof - np.arange(a, a + drawn, dtype=np.float64)))
         t = lapack.dtpqrt(0, min(hb, _REFLECTOR_BLOCK), triangle_t.T, D[:, a:b],
@@ -396,6 +433,7 @@ def _release_panels(rng: np.random.Generator, A: np.ndarray, w: float, r: int, T
         triangle_t *= scale
         rect *= scale[:, None]
         triangle[:] = lapack.dtrttp(triangle_t.T)[0]
+        yield a, b, values
 
 
 def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
@@ -411,14 +449,14 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         PrivateProjection of ``R``, the min(r, n) x n upper-trapezoidal R
         factor with positive diagonal of a QR of the release
         ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law (see the
-        module docstring) without drawing ``P``, and packed.
+        module docstring) without drawing ``P``, and packed.  Its panels
+        are released straight into the packed buffer.
 
     Raises InvalidInputError when the packed ``R`` cannot be allocated.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    n, k = A.shape
-    r, w = jl_params(p)
-    k1, rows = min(r, k), min(r, n)
+    n = A.shape[0]
+    rows = min(jl_params(p).r, n)
     size = _row_offset(rows, n)
     try:
         values = np.zeros(size)  # the only array of the factor's size
@@ -427,12 +465,34 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
             f"a release factor of {rows} x {n} float64, packed, needs {8.0 * size:.6g} bytes "
             f"and cannot be allocated: {exc}"
         ) from None
-    rng = np.random.default_rng(int(seed))
-    # Degrees of freedom as floats: r may exceed int64.
-    T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
-    T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
-    _release_panels(rng, A, w, r, T1, values, rows)
+    for _ in _release_panels(A, p, seed, lambda a, b: values[_row_offset(a, n) : _row_offset(b, n)]):
+        pass
     return PrivateProjection(values, rows, n)
+
+
+def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, Iterator[np.ndarray]]:
+    """The release of :func:`privatize_covariance`, one checked row panel at a time.
+
+    Returns the factor's row count and an iterator over its packed panels,
+    top down, each finite with a positive diagonal; their concatenation is
+    the ``values`` of ``privatize_covariance(F, p, seed)``, bit for bit.
+    Every panel is released into one reused scratch array of the first
+    (largest) panel's size, so a yielded panel is valid until the next is
+    asked for, and the release holds O(panel + n k), nothing of the
+    factor's size.  ``F`` and ``p`` are checked before this returns.
+    """
+    A = _as_sample_matrix(F, "factor", min_rows=2)
+    n = A.shape[0]
+    rows = min(jl_params(p).r, n)
+    scratch = np.empty(_row_offset(_panel_height(rows, n), n))
+
+    def checked():
+        segment = lambda a, b: scratch[: _row_offset(b, n) - _row_offset(a, n)]
+        for a, b, values in _release_panels(A, p, seed, segment):
+            _check_panel(values, b - a)
+            yield values
+
+    return rows, checked()
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
@@ -464,7 +524,10 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
 def private_sum_directional_variances(P: PrivateProjection, V) -> float:
     """Sum of query answers over the columns of ``V``: ``||R V||_F^2`` for the factor ``R``.
 
-    A vector ``V`` is one query ``y``, answered as ``||R y||^2``.  Non-unit
+    ``P`` is read only through ``rows``, ``n`` and ``panels()``, one panel
+    at a time, so it may be a factor in memory or one read from a package
+    file panel by panel (:func:`pitest.protocol.read_package`).  A vector
+    ``V`` is one query ``y``, answered as ``||R y||^2``.  Non-unit
     directions are answered as asked; the value scales as ``||y||^2``, so
     callers normalize when the unit-direction convention matters.
     """
@@ -478,9 +541,8 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
     # R V one row panel at a time: the packed triangle expanded by dtpttr
     # (f2py zero-fills its output, so the entries below the diagonal are 0)
     # and the rectangle multiplied as it lies.
-    rows, n = P.rows, P.n
-    RV = np.empty((rows, M.shape[1]))
-    for a, b in _panels(rows, n):
-        triangle, rect = _panel_parts(P.values, a, b, n)
+    RV = np.empty((P.rows, M.shape[1]))
+    for a, b, segment in P.panels():
+        triangle, rect = _split_panel(segment, b - a)
         RV[a:b] = lapack.dtpttr(b - a, triangle)[0] @ M[a:b] + rect @ M[b:]
     return float(np.sum(RV * RV))

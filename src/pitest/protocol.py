@@ -46,24 +46,35 @@ down), then the (b - a) x (n - b) rectangle right of it, column by column;
 the panels follow one another, top down.  Row i contributes its n - i
 entries, so panel [a, b) starts ``a n - a (a - 1) / 2`` values in, and its
 diagonal entry in row a + j is j (j+3) / 2 values into the panel.  The
-zeros below the diagonal are not sent.  This is the buffer Alice fills, so
-neither side rearranges it, and :func:`encode_package` hands it to a writer
-as it is, after the header line.  The blob is exactly the header line and
+zeros below the diagonal are not sent.  This is the order in which Alice
+releases the panels, so neither side rearranges it, and both stream it:
+``sx`` does not depend on ``R_B``, so :func:`alice_stream` gives the
+header line first and then each panel as it is released and checked, and
+:func:`read_package` checks the header line and the file's length, then
+reads and checks one panel at a time when the analyst sums over them.
+Each side holds O(panel + n (d + m)), never the whole factor.  For a
+package in memory, :func:`encode_package` hands the header line and the
+factor's buffer to a writer as they are.  The blob is exactly the header line and
 ``8 * (rows (rows+1) / 2 + (n - rows) rows)`` payload bytes long
 (``8 n (n+1) / 2`` when r >= n).  Every payload value must be finite, and
 every diagonal entry must be > 0.  ``sx`` is written as the shortest decimal
 that reads back to the same float, and the padding is fixed by the line's
 length, so round-trips are bit-exact and equal packages are equal bytes.
-The parser accepts only the header line that the encoder writes for the
-fields it read, so one package has one encoding, and the payload starts at
-a multiple of 8 bytes, where the analyst reads each panel.
+The parsers, :func:`deserialize_package` for bytes and :func:`read_package`
+for a file, share one header check and one panel check.  They accept only
+the header line that the encoder writes for the fields they read, so one
+package has one encoding, and the payload starts at a multiple of 8 bytes.
+No statistic is computed from a package before its last panel has passed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
+from itertools import chain
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,11 +89,15 @@ from .estimators import _centered, rejection_threshold, test_statistic
 from .privacy import (
     PrivacyParams,
     PrivateProjection,
+    _check_panel,
+    _panel_height,
+    _panels,
     _row_offset,
     jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
+    privatize_covariance_panels,
     tau,
     tau_mechanism,
 )
@@ -95,19 +110,28 @@ from .bounds import (
 __all__ = [
     "FORMAT_VERSION",
     "AlicePackage",
+    "PackageStream",
     "BoundsReport",
     "TestReport",
     "factor_W",
     "alice_prepare",
+    "alice_stream",
     "bob_evaluate",
     "encode_package",
     "serialize_package",
     "deserialize_package",
+    "read_package",
     "report_to_dict",
 ]
 
 FORMAT_VERSION = 7
 _SPLIT = "half-half"  # the budget split over the two releases
+_HEADER_LIMIT = 1 << 16  # bytes of a package file read in search of its header's newline
+
+
+def _check_sx(sx: float) -> None:
+    if not (math.isfinite(sx) and sx >= 0.0):
+        raise InvalidInputError(f"sx must be a finite number >= 0, got {sx!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +142,9 @@ class AlicePackage:
     ``proj_B`` has the Gram of a release ``P_B`` of ``B B^T``, and ``sx`` has
     the law of ``||P_X - row means||_F^2`` for a release ``P_X`` of
     ``X X^T``.  The sample count is the factor's width, so it is not stored
-    again.
+    again.  The factor is a :class:`PrivateProjection` in memory, or, for a
+    package from :func:`read_package`, the package file's factor, read one
+    panel at a time.
     """
 
     params: PrivacyParams
@@ -130,8 +156,26 @@ class AlicePackage:
         return self.proj_B.n
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sx) and self.sx >= 0.0):
-            raise InvalidInputError(f"sx must be a finite number >= 0, got {self.sx!r}")
+        _check_sx(self.sx)
+
+
+class PackageStream(NamedTuple):
+    """A package as Alice writes it: its parts, produced one at a time.
+
+    ``parts`` yields the header line, then the factor's row panels as raw
+    little-endian float64 bytes, each released and checked when it is asked
+    for and valid until the next is; see :func:`alice_stream`.
+    """
+
+    n: int
+    rows: int
+    sx: float
+    parts: Iterator
+
+    @property
+    def entries(self) -> int:
+        """Float64 entries of the packed factor."""
+        return _row_offset(self.rows, self.n)
 
 
 @dataclass(frozen=True)
@@ -181,6 +225,16 @@ def factor_W(X) -> np.ndarray:
     return np.sqrt(2.0) * (A - A.mean(axis=0, keepdims=True))
 
 
+def _alice_inputs(X, master_seed: int | None) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``X`` checked, its Laplacian factor ``B``, and the seeds of the ``B`` and ``X`` releases."""
+    A = _as_sample_matrix(X, "X", min_rows=2)
+    try:
+        seeds = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(f"invalid master seed {master_seed!r}: {exc}") from exc
+    return A, factor_W(A), int(seeds[0]), int(seeds[1])
+
+
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
     """Build the data holder's package from her data matrix.
 
@@ -192,16 +246,33 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     ``X``, its Laplacian factor ``B`` and the seeds stay on this side;
     neither release is drawn.
     """
-    A = _as_sample_matrix(X, "X", min_rows=2)
-    B = factor_W(A)
-    try:
-        seeds = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInputError(f"invalid master seed {master_seed!r}: {exc}") from exc
+    A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
     per_release = p.half_budget()
-    proj_B = privatize_covariance(B, per_release, int(seeds[0]))
-    sx = private_centered_sq_norm(A, per_release, int(seeds[1]))
+    proj_B = privatize_covariance(B, per_release, seed_B)
+    sx = private_centered_sq_norm(A, per_release, seed_X)
     return AlicePackage(params=p, proj_B=proj_B, sx=sx)
+
+
+def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> PackageStream:
+    """The package of :func:`alice_prepare`, encoded one row panel at a time.
+
+    ``sx`` does not depend on ``R_B``, so it is drawn first and the header
+    line comes out whole; then each panel of ``R_B`` is released into one
+    reused scratch panel, checked (finite, positive diagonal) and handed
+    out as bytes.  The parts joined are ``serialize_package(alice_prepare(X,
+    p, master_seed))``, byte for byte, and Alice holds O(panel + n d),
+    nothing of the factor's size.  ``X``, ``p`` and the seed are checked
+    before this returns; a panel that fails its check raises
+    InvalidInputError when it is reached, so a writer of the parts must
+    discard what it wrote.
+    """
+    A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
+    per_release = p.half_budget()
+    rows, panels = privatize_covariance_panels(B, per_release, seed_B)
+    sx = private_centered_sq_norm(A, per_release, seed_X)
+    _check_sx(sx)
+    n = A.shape[0]
+    return PackageStream(n, rows, sx, chain([_header_line(n, p, sx)], map(_wire_bytes, panels)))
 
 
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
@@ -300,13 +371,13 @@ def _privacy_section(params: PrivacyParams) -> dict:
     }
 
 
-def _header_line(pkg: AlicePackage) -> bytes:
+def _header_line(n: int, params: PrivacyParams, sx: float) -> bytes:
     """The canonical header line of a package: its JSON, padding blanks and newline."""
     header = {
         "version": FORMAT_VERSION,
-        "n": pkg.n,
-        "privacy": _privacy_section(pkg.params),
-        "sx": float(pkg.sx),
+        "n": n,
+        "privacy": _privacy_section(params),
+        "sx": float(sx),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # Blanks before the newline start the payload at a multiple of 8 bytes.
@@ -320,8 +391,21 @@ def encode_package(pkg: AlicePackage) -> tuple[bytes, memoryview]:
     a byte view of the factor's own packed little-endian float64 buffer, so
     a writer can stream both without joining or copying the payload.
     """
-    payload = np.ascontiguousarray(pkg.proj_B.values, dtype="<f8")
-    return _header_line(pkg), memoryview(payload.view(np.uint8))
+    return _header_line(pkg.n, pkg.params, pkg.sx), _wire_bytes(pkg.proj_B.values)
+
+
+def _wire_bytes(values: np.ndarray) -> memoryview:
+    """Packed float64 ``values`` as little-endian bytes: a view, copied only on a big-endian host."""
+    return memoryview(np.ascontiguousarray(values, dtype="<f8").view(np.uint8))
+
+
+def _package_bytes(pkg: AlicePackage) -> int:
+    """The length of the package's encoding: its header line and 8 bytes per packed entry.
+
+    For a package from :func:`read_package` it is the file's length, which
+    the reader checked against it before reading any panel.
+    """
+    return len(_header_line(pkg.n, pkg.params, pkg.sx)) + 8 * _row_offset(pkg.proj_B.rows, pkg.n)
 
 
 def serialize_package(pkg: AlicePackage) -> bytes:
@@ -358,18 +442,27 @@ def _parse_header(head: bytes) -> dict:
     return doc
 
 
-def deserialize_package(data: bytes) -> AlicePackage:
-    """Parse and validate package bytes; inverse of :func:`serialize_package`.
+class _Header(NamedTuple):
+    """The fields of a checked header line, and where the payload starts."""
 
-    The factor is an aligned, read-only view into ``data``.  Raises
-    PackageFormatError (or its UnsupportedVersionError subclass) for every
-    malformed input; never returns a partially validated package.
+    n: int
+    params: PrivacyParams
+    sx: float
+    rows: int
+    offset: int
+
+
+def _read_header(data: bytes) -> _Header:
+    """Parse and check the header line at the start of ``data``: the one header check.
+
+    ``data`` holds at least the whole line, newline included: a package, or
+    the first line of a package file.  Without a newline all of ``data`` is
+    read as the header, so a document of another format version is still
+    reported by its version.  Only the line that :func:`_header_line`
+    writes for the parsed fields is accepted, which also starts the
+    payload at a multiple of 8 bytes.
     """
-    if not isinstance(data, bytes):
-        raise PackageFormatError(f"package must be bytes, got {type(data).__name__}")
     end = data.find(b"\n")
-    # Without a newline the whole input is read as the header, so a document
-    # of another format version is still reported by its version.
     doc = _parse_header(data if end < 0 else data[:end])
 
     version = _require(doc, "version")
@@ -403,36 +496,100 @@ def deserialize_package(data: bytes) -> AlicePackage:
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid privacy parameters: {exc}") from exc
 
-    # json.loads reads NaN and Infinity, and 1e400 as inf: AlicePackage
-    # checks that sx is finite and >= 0.
+    # json.loads reads NaN and Infinity, and 1e400 as inf.
     sx = _number(_require(doc, "sx"), "sx")
-
-    offset = end + 1
-    size = _row_offset(rows, n)
-    expected = offset + 8 * size
-    if len(data) != expected:
-        raise PackageFormatError(
-            f"package holds {len(data)} bytes, expected {expected} "
-            f"(header, newline and the {size} float64 of a packed {rows}x{n} factor)"
-        )
-    values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
     try:
-        proj_B = PrivateProjection(values, rows, n)
-    except InvalidInputError as exc:
-        raise PackageFormatError("section 'proj_B': payload contains NaN or infinite entries") from exc
-    if not np.all(proj_B.diagonal() > 0.0):
-        raise PackageFormatError("section 'proj_B': a diagonal entry is not > 0")
-    try:
-        package = AlicePackage(params=params, proj_B=proj_B, sx=sx)
+        _check_sx(sx)
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid package: {exc}") from exc
-    # One package has one encoding, which also starts the payload at a multiple of 8 bytes.
-    if data[:offset] != _header_line(package):
+
+    offset = end + 1
+    if data[:offset] != _header_line(n, params, sx):
         raise PackageFormatError(
             "package header is not the canonical line for its fields (sorted keys, no blanks, "
             "shortest numbers, padding to a multiple of 8 bytes)"
         )
-    return package
+    return _Header(n, params, sx, rows, offset)
+
+
+def _check_length(header: _Header, length: int) -> None:
+    """Refuse a package whose length is not its header line's and its packed factor's."""
+    size = _row_offset(header.rows, header.n)
+    expected = header.offset + 8 * size
+    if length != expected:
+        raise PackageFormatError(
+            f"package holds {length} bytes, expected {expected} "
+            f"(header, newline and the {size} float64 of a packed {header.rows}x{header.n} factor)"
+        )
+
+
+def _check_payload_panel(segment: np.ndarray, h: int) -> None:
+    """The release's panel check (finite, positive diagonal), failing as PackageFormatError."""
+    try:
+        _check_panel(segment, h)
+    except InvalidInputError as exc:
+        raise PackageFormatError(f"section 'proj_B': {exc}") from None
+
+
+def deserialize_package(data: bytes) -> AlicePackage:
+    """Parse and validate package bytes; inverse of :func:`serialize_package`.
+
+    The factor is an aligned, read-only view into ``data``.  Raises
+    PackageFormatError (or its UnsupportedVersionError subclass) for every
+    malformed input; never returns a partially validated package.
+    """
+    if not isinstance(data, bytes):
+        raise PackageFormatError(f"package must be bytes, got {type(data).__name__}")
+    header = _read_header(data)
+    _check_length(header, len(data))
+    rows, n = header.rows, header.n
+    values = np.frombuffer(data, dtype="<f8", count=_row_offset(rows, n), offset=header.offset)
+    for a, b in _panels(rows, n):
+        _check_payload_panel(values[_row_offset(a, n) : _row_offset(b, n)], b - a)
+    return AlicePackage(params=header.params, proj_B=PrivateProjection(values, rows, n), sx=header.sx)
+
+
+@dataclass(frozen=True, eq=False)
+class _FileFactor:
+    """The factor of an open package file, read and checked one row panel at a time.
+
+    It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
+    ``panels()``.  Each pass reads the payload from ``offset`` into one
+    reused, aligned panel buffer, and checks each panel (finite, positive
+    diagonal) before it yields it; a failure raises PackageFormatError, so
+    nothing computed from the factor outlives a bad panel.
+    """
+
+    handle: BinaryIO
+    offset: int
+    rows: int
+    n: int
+
+    def panels(self):
+        n = self.n
+        buffer = np.empty(_row_offset(_panel_height(self.rows, n), n), dtype="<f8")
+        self.handle.seek(self.offset)
+        for a, b in _panels(self.rows, n):
+            segment = buffer[: _row_offset(b, n) - _row_offset(a, n)]
+            if self.handle.readinto(segment) != segment.nbytes:
+                raise PackageFormatError(f"package ends inside the panel of rows {a} to {b - 1}")
+            _check_payload_panel(segment, b - a)
+            yield a, b, segment
+
+
+def read_package(handle: BinaryIO) -> AlicePackage:
+    """The package in an open, seekable binary file, with its factor left in the file.
+
+    The header line and the file's exact length are checked here, before
+    any of the factor is read; the factor is read one row panel at a time,
+    each panel checked, whenever it is used (see :class:`_FileFactor`), so
+    the reader holds one panel and never the whole factor.  The file must
+    stay open and unchanged while the package is used.
+    """
+    header = _read_header(handle.readline(_HEADER_LIMIT))
+    _check_length(header, os.fstat(handle.fileno()).st_size)
+    factor = _FileFactor(handle, header.offset, header.rows, header.n)
+    return AlicePackage(params=header.params, proj_B=factor, sx=header.sx)
 
 
 def report_to_dict(report: TestReport) -> dict:

@@ -29,7 +29,8 @@ class SweepConfig:
     """A sweep's grid and settings, each checked by the owner of its rule.
 
     ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
-    ``cells``, and ``rejection_threshold`` checks alpha.
+    ``cells``, and ``rejection_threshold`` checks alpha; ``replications``
+    and ``master_seed`` must be integers.
     """
 
     epsilons: tuple[float, ...]
@@ -45,6 +46,10 @@ class SweepConfig:
             raise InvalidInputError("epsilons and eta_values must be non-empty")
         if list(self.epsilons) != sorted(set(self.epsilons)):
             raise InvalidInputError(f"epsilons must be strictly increasing, got {self.epsilons}")
+        for name in ("replications", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
         rejection_threshold(self.alpha)

@@ -2,18 +2,28 @@
 
 import json
 import math
+import re
+import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pitest.sweep
+from pitest import privacy
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError
 from pitest.privacy import PrivacyParams, jl_params, tau_mechanism
 from pitest.estimators import dcov_sq_closed_form, s_hat
-from pitest.protocol import alice_prepare, bob_evaluate, deserialize_package, serialize_package
+from pitest.protocol import (
+    alice_prepare,
+    bob_evaluate,
+    deserialize_package,
+    read_package,
+    serialize_package,
+)
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
 from reference import _draw_bartlett, unpack_factor
@@ -98,6 +108,133 @@ def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
     assert rc == 1
     assert "error: factor contains non-finite entries" in capsys.readouterr().err
     assert not out.exists()
+
+
+# n, and rows per panel (None: the default panels), for r = 45: one panel
+# of 20 rows; panels [0, 16), [16, 32) and [32, 40) of a 40 x 40 factor;
+# and r < n, panels [0, 16), [16, 32) and [32, 45) of a 45 x 150 factor.
+_STREAM_SHAPES = [(20, None), (40, 16), (150, 16)]
+
+
+@pytest.mark.parametrize("n, height", _STREAM_SHAPES)
+def test_alice_streams_the_serialized_package(n, height, tmp_path, monkeypatch, capsys):
+    """The file written panel by panel is serialize_package(alice_prepare(...)), byte for byte."""
+    if height is not None:
+        monkeypatch.setattr(privacy, "_PANEL_FLOATS", height * n)
+    rows = min(45, n)
+    assert len(list(privacy._panels(rows, n))) == (1 if height is None else 3)
+    X, _ = synthetic_pair(n=n, d=2, m=1, dependence=0.0, seed=n)
+    x_csv, out = tmp_path / "x.csv", tmp_path / "pkg.bin"
+    save_csv(x_csv, X)
+    assert main(["alice", "--input", str(x_csv), *ALICE_ARGS, "--seed", "23", "--out", str(out)]) == 0
+    blob = serialize_package(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 23))
+    assert out.read_bytes() == blob
+    assert f"({len(blob)} bytes; n = {n}, release factor {rows} x {n} " in capsys.readouterr().out
+
+
+def test_alice_leaves_nothing_when_a_later_panel_is_not_finite(tmp_path, monkeypatch, capsys):
+    """A release that turns non-finite in its last panel, after the first panels are written."""
+    n = 200  # panels [0, 16), [16, 32) and [32, 45) of 25 kB and more, so written as they come
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * n)
+    X, _ = synthetic_pair(n=n, d=2, m=1, dependence=0.0, seed=1)
+    save_csv(tmp_path / "x.csv", X)
+    out_dir = tmp_path / "out"
+    release = privacy._release_panels
+    partial = []
+
+    def poisoned(A, p, seed, segment):
+        for a, b, values in release(A, p, seed, segment):
+            if b == 45:
+                partial.extend(path.stat().st_size for path in out_dir.iterdir())
+                values[1] = math.nan  # an entry right of the diagonal
+            yield a, b, values
+
+    monkeypatch.setattr(privacy, "_release_panels", poisoned)
+    rc = main(["alice", "--input", str(tmp_path / "x.csv"), *ALICE_ARGS, "--out", str(out_dir / "pkg.bin")])
+    assert rc == 1
+    assert "error: projection contains non-finite entries" in capsys.readouterr().err
+    assert len(partial) == 1 and partial[0] > 0  # the temporary file, with the first panels in it
+    assert list(out_dir.iterdir()) == []
+
+
+def _package_with_bad_last_panel(tmp_path, defect: str):
+    """A package of n = 40 in three panels, its last panel [32, 40) spoilt as ``defect`` says."""
+    n = 40
+    X, _ = synthetic_pair(n=n, d=2, m=2, dependence=0.0, seed=8)
+    blob = bytearray(serialize_package(alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 5)))
+    last = blob.index(b"\n") + 1 + 8 * privacy._row_offset(32, n)  # where the last panel starts
+    if defect == "nan":
+        blob[last + 8 : last + 16] = struct.pack("<d", math.nan)  # right of its first diagonal entry
+    elif defect == "diagonal":
+        blob[-8:] = struct.pack("<d", -1.0)  # the diagonal entry of row 39, the payload's last
+    else:  # the last panel is missing
+        del blob[last:]
+    pkg = tmp_path / "pkg.bin"
+    pkg.write_bytes(bytes(blob))
+    return pkg
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "section 'proj_B': projection contains non-finite entries"),
+    ("diagonal", "section 'proj_B': projection: a diagonal entry is not > 0"),
+    ("short", "package holds .* bytes, expected"),
+])
+def test_bob_refuses_a_bad_last_panel_and_writes_no_report(defect, message, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)
+    pkg = _package_with_bad_last_panel(tmp_path, defect)
+    Y = synthetic_pair(n=40, d=2, m=2, dependence=0.0, seed=8)[1]
+    save_csv(tmp_path / "y.csv", Y)
+    report = tmp_path / "report.json"
+    rc = main(["bob", "--package", str(pkg), "--input", str(tmp_path / "y.csv"), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""  # no statistic, no verdict
+    assert captured.err.startswith("error: ")
+    assert re.search(message, captured.err)
+    assert not report.exists()
+
+
+def test_bob_reads_the_same_package_from_a_file(data_dir, tmp_path):
+    """bob_evaluate on a package read panel by panel equals it on the package in memory."""
+    X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
+    package = alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 4)
+    path = tmp_path / "pkg.bin"
+    path.write_bytes(serialize_package(package))
+    with open(path, "rb") as handle:
+        streamed = read_package(handle)
+        assert (streamed.params, streamed.sx, streamed.n) == (package.params, package.sx, 20)
+        assert bob_evaluate(streamed, Y) == bob_evaluate(package, Y)
+        assert bob_evaluate(streamed, Y) == bob_evaluate(package, Y)  # each use reads it again
+
+
+def test_alice_and_bob_hold_a_few_panels_not_the_factor(tmp_path, capsys):
+    """Traced peaks of ``pi-test alice`` and ``pi-test bob`` stay within a few panels and O(n (d + m)).
+
+    n = 3000 at the CLI defaults (r = 2952): the packed factor is 36 MB,
+    a panel 32 rows, 0.77 MB.
+    """
+    n, d, m = 3000, 2, 2
+    X, Y = synthetic_pair(n=n, d=d, m=m, dependence=0.3, x_scale=3e4, seed=2)
+    save_csv(tmp_path / "x.csv", X)
+    save_csv(tmp_path / "y.csv", Y)
+    pkg = tmp_path / "pkg.bin"
+    peaks = {}
+    for argv in (["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", "1", "--out", str(pkg)],
+                 ["bob", "--package", str(pkg), "--input", str(tmp_path / "y.csv"),
+                  "--report", str(tmp_path / "report.json")]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    factor_bytes = 8 * privacy._row_offset(2952, n)
+    assert pkg.stat().st_size > factor_bytes > 36e6
+    limit = 3 * 8 * privacy._PANEL_FLOATS + 8 * 8 * n * (d + m)
+    assert limit < factor_bytes / 8
+    assert all(peak < limit for peak in peaks.values()), (peaks, limit)
 
 
 def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, capsys):
@@ -467,6 +604,16 @@ def test_sweep_config_validation():
         SweepConfig(epsilons=(1.0,), eta_values=(1.5,))
     with pytest.raises(InvalidInputError, match="epsilon must be a finite number"):
         SweepConfig(epsilons=(1.0, math.inf))
+
+
+@pytest.mark.parametrize("field, value", [("replications", 1.5), ("replications", True),
+                                          ("master_seed", 0.5), ("master_seed", "3")])
+def test_sweep_config_rejects_a_non_integer_count_or_seed(field, value):
+    from pitest.errors import InvalidInputError
+
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value!r}"):
+        SweepConfig(epsilons=(1.0,), **{field: value})
+    assert SweepConfig(epsilons=(1.0,), **{field: np.int64(2)}).cells  # numpy integers are integers
 
 
 # ----------------------------------------------------------------- CSV files

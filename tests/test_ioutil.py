@@ -18,7 +18,7 @@ def _assert_only(directory, target, content):
 def test_parts_are_written_in_order(tmp_path):
     target = tmp_path / "pkg.bin"
     target.write_bytes(PREVIOUS)
-    atomic_write_bytes(target, b"head\n", memoryview(b"payload"), bytearray(b"!"))
+    atomic_write_bytes(target, [b"head\n", memoryview(b"payload"), bytearray(b"!")])
     _assert_only(tmp_path, target, b"head\npayload!")
 
 
@@ -48,7 +48,7 @@ def test_a_write_failing_after_the_first_part_keeps_the_target(tmp_path, monkeyp
     fdopen = os.fdopen
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FailsOnSecondWrite(fdopen(fd, mode)))
     with pytest.raises(OSError, match="No space left"):
-        atomic_write_bytes(target, b"new header\n", memoryview(b"new payload"))
+        atomic_write_bytes(target, [b"new header\n", memoryview(b"new payload")])
     _assert_only(tmp_path, target, PREVIOUS)
 
 
@@ -61,5 +61,5 @@ def test_a_failing_replace_keeps_the_target(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        atomic_write_bytes(target, b"new header\n", memoryview(b"new payload"))
+        atomic_write_bytes(target, [b"new header\n", memoryview(b"new payload")])
     _assert_only(tmp_path, target, PREVIOUS)
