@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Privacy-utility sweep on a synthetic dataset, printed as an aligned table.
 
+Each trial draws the two private statistics from the exact law of what the
+protocol would report (see ``pitest.sweep``), without releasing a package:
+the s columns are the package's for each seed, bit for bit, and the gamma
+and omega columns are new draws of the same law.
+
 Example:
     python3 scripts/sweep_table.py --n 100 --x-scale 3e4 --replications 50 \
         --epsilons 0.5,1,2,4,8 --out sweep.csv

@@ -24,6 +24,7 @@ from .privacy import (
     PrivateProjection,
     jl_params,
     private_centered_sq_norm,
+    private_projected_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
     privatize_covariance_panels,

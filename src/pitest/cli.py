@@ -6,7 +6,8 @@ Subcommands:
 - ``pi-test bob``: evaluate a package against Y and write the test report.
 - ``pi-test run``: both roles in one process, with the non-private test
   reported side by side.
-- ``pi-test sweep``: privacy-utility table over a grid of (epsilon, eta).
+- ``pi-test sweep``: privacy-utility table over a grid of (epsilon, eta),
+  each trial drawn from the exact law of the two private statistics.
 
 Exit status: 0 on success (degenerate reports included), 1 on runtime
 errors (bad files, mismatched shapes, ...), 2 on usage errors.  Every
@@ -25,7 +26,7 @@ from .errors import InvalidInputError, PiTestError
 from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
-from .protocol import _package_bytes, _privacy_section
+from .protocol import _package_bytes, _privacy_section, _query_matrix
 from .protocol import alice_prepare, alice_stream, bob_evaluate, read_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
@@ -110,7 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--report", required=True, help="report file to write (JSON)")
     p_run.set_defaults(func=_cmd_run, parser=p_run)
 
-    p_sweep = sub.add_parser("sweep", help="privacy-utility sweep over (epsilon, eta)")
+    p_sweep = sub.add_parser(
+        "sweep", help="privacy-utility sweep over (epsilon, eta)",
+        description="Privacy-utility sweep over (epsilon, eta). Each trial draws the two private "
+                    "statistics from the exact law of what alice then bob would report, without "
+                    "releasing a package: for a given seed the s columns are the package's, bit "
+                    "for bit, and the gamma and omega columns are new draws of the same law.")
     p_sweep.add_argument("--input-x", required=True, help="CSV file with X")
     p_sweep.add_argument("--input-y", required=True, help="CSV file with Y")
     p_sweep.add_argument("--header", action="store_true", help="skip the first CSV line of both")
@@ -119,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--etas", type=_float_list, default=(0.05, 0.1),
                          help="comma-separated eta grid, each in (0,1) (default 0.05,0.1)")
     p_sweep.add_argument("--replications", type=int, default=50,
-                         help="protocol replications per cell (default 50)")
+                         help="trials per cell, each drawn from the exact law of the private "
+                              "statistics (default 50)")
     p_sweep.add_argument("--delta", type=float, default=2e-4)
     p_sweep.add_argument("--nu", type=float, default=0.05)
     p_sweep.add_argument("--alpha", type=float, default=0.05)
@@ -194,9 +201,10 @@ def _release_sections(package, Y, report) -> dict:
     factor's ``rows`` and ``package_bytes``, the length of the package's
     encoding (for ``bob``, the package file's checked length).  ``floor``
     has the spectral floor's share of each private statistic:
-    ``omega_share`` is w^2 ||Y||_F^2 over
-    ``||R Y||_F^2 = (n^2 / 2) omega_bar_sq``, for the ``Y`` that Bob
-    queries (uncentred), and ``s_share`` is w^2 (n - 1) / sx.
+    ``omega_share`` is w^2 ||Q||_F^2 over
+    ``||R Q||_F^2 = (n^2 / 2) omega_bar_sq``, for the matrix ``Q`` that Bob
+    queries (``protocol._query_matrix``: ``Y``, uncentred), and
+    ``s_share`` is w^2 (n - 1) / sx.
     A share near 1 means that statistic is mostly floor; either is null
     when its denominator is 0.  ``s_param_min`` is tau_mech / (1 - eta): an
     ``s_param`` not above it clamps the upper bound.
@@ -205,11 +213,12 @@ def _release_sections(package, Y, report) -> dict:
     r, w = jl_params(per_release)
     w2, n = w * w, package.n
     answers = n * n / 2.0 * report.omega_bar_sq
+    Q = _query_matrix(Y)
     return {
         "release": {"r": r, "w": w, "rows": package.proj_B.rows,
                     "package_bytes": _package_bytes(package)},
         "floor": {
-            "omega_share": w2 * float((Y * Y).sum()) / answers if answers > 0.0 else None,
+            "omega_share": w2 * float((Q * Q).sum()) / answers if answers > 0.0 else None,
             "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,
             "s_param_min": tau_mechanism(per_release) / (1.0 - per_release.eta),
         },

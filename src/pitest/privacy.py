@@ -111,13 +111,26 @@ values of ``Fc``) and q + 1 chi-square draws, and holds nothing of size r.
 Each draw is divided by r before it is weighted, so sx stays finite when r
 is too large for ``w^2 r``.
 
-Privacy is unchanged by either draw: (epsilon, delta) differential privacy
-is a property of the law of a mechanism's output.  ``R`` and ``sx`` are
-data-independent functions (a QR factor, a centred sum of squares) of an
-(epsilon, delta)-DP release, so they are post-processing of it, and for
-every ``F`` the exact-law draws have exactly their laws.  So the shipped
-values satisfy the release's guarantee, though for a given seed they are
-not the functions of any one ``P`` drawn from that seed.
+The same holds for the analyst's answer to m queries, ``||P V||_F^2`` for
+an n x m ``V``, when only its law is wanted (the privacy-utility sweep):
+each row of ``P V`` is ``N(0, C / r)`` with
+``C = (F^T V)^T (F^T V) + w^2 V^T V``, so with ``mu_j`` the m eigenvalues
+of ``C``
+
+    ||P V||_F^2 = sum_{j<=m} mu_j g_j / r,     g_j ~ chi^2_r, independent,
+
+which :func:`private_projected_sq_norm` draws from ``F^T V`` and
+``V^T V`` alone, in O(n k m) and m chi-square draws.  Both samplers share
+one weighted chi-square draw, ``_ChiSquareMix``.
+
+Privacy is unchanged by any of these draws: (epsilon, delta) differential
+privacy is a property of the law of a mechanism's output.  ``R``, ``sx``
+and ``||P V||_F^2`` are data-independent functions (a QR factor, a centred
+sum of squares, a sum of query answers) of an (epsilon, delta)-DP release,
+so they are post-processing of it, and for every ``F`` the exact-law draws
+have exactly their laws.  So the shipped values satisfy the release's
+guarantee, though for a given seed they are not the functions of any one
+``P`` drawn from that seed.
 """
 
 from __future__ import annotations
@@ -143,6 +156,7 @@ __all__ = [
     "privatize_covariance",
     "privatize_covariance_panels",
     "private_centered_sq_norm",
+    "private_projected_sq_norm",
     "private_sum_directional_variances",
 ]
 
@@ -191,8 +205,8 @@ def _above(h: int) -> np.ndarray:
     """The entries above the diagonal of an h x h transposed triangle, as a read-only mask, cached.
 
     Row j of a transposed triangle is column j of the triangle, so the mask
-    walks those entries in column order.  Cached because the sweep releases
-    thousands of factors of one shape.
+    walks those entries in column order.  Cached because repeated releases
+    of one shape (the level-power script, the test suite) share it.
     """
     mask = np.tri(h, h, -1, dtype=bool)
     mask.flags.writeable = False
@@ -495,6 +509,77 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
     return rows, checked()
 
 
+class _ChiSquareMix(NamedTuple):
+    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a seed.
+
+    ``g_j ~ chi^2_r`` and ``h ~ chi^2_{r dof}``, all independent (no ``h``
+    when ``dof`` is 0): the law of a sum of squares of a release, see the
+    module docstring.  Each draw is divided by r before it is weighted, so
+    a value stays finite when r is too large for ``w^2 r``.
+    """
+
+    weights: np.ndarray
+    r: int
+    floor: float = 0.0
+    dof: int = 0
+
+    def draw(self, seed: int) -> float:
+        rng = np.random.default_rng(int(seed))
+        rf = float(self.r)  # r may exceed int64, and w^2 r may exceed float64
+        total = float(self.weights @ (rng.chisquare(rf, size=self.weights.size) / rf))
+        if self.dof:
+            total += self.floor * float(rng.chisquare(rf * self.dof) / rf)
+        return total
+
+
+def _centered_spectrum(A: np.ndarray) -> np.ndarray:
+    """The top ``min(k, n-1)`` eigenvalues of ``Ac^T Ac``, ascending, for the checked n x k ``A``.
+
+    The squared singular values of the column-centred ``Ac``: all that the
+    law of ``sx`` needs of the data, so a caller drawing many values of
+    ``sx`` computes it once.
+    """
+    n, k = A.shape
+    Ac = A - A.mean(axis=0, keepdims=True)
+    q = min(k, n - 1)
+    return np.linalg.svd(Ac, compute_uv=False)[q - 1 :: -1] ** 2
+
+
+def _centered_sq_norm_law(lam: np.ndarray, n: int, p: PrivacyParams) -> _ChiSquareMix:
+    """The law of ``||P J||_F^2`` for a release of n samples whose centred spectrum is ``lam``."""
+    r, w = jl_params(p)
+    w2 = w * w
+    return _ChiSquareMix(lam + w2, r, w2, n - 1 - lam.size)
+
+
+def _projected_sq_norm_law(FtV: np.ndarray, VtV: np.ndarray, p: PrivacyParams) -> _ChiSquareMix:
+    """The law of ``||P V||_F^2`` for a release of ``F F^T``, from ``F^T V`` and ``V^T V``.
+
+    Its weights are the eigenvalues of ``C = (F^T V)^T (F^T V) + w^2 V^T V``
+    (see the module docstring), clipped at 0 against rounding.  When
+    ``w^2`` overflows, ``C`` is not finite and neither is any draw; the
+    weights are then infinite, as a draw of ``sx`` is, and the caller
+    refuses the value.
+    """
+    r, w = jl_params(p)
+    C = FtV.T @ FtV + (w * w) * VtV
+    if not np.isfinite(C).all():
+        return _ChiSquareMix(np.full(len(C), math.inf), r)
+    return _ChiSquareMix(np.maximum(np.linalg.eigvalsh(C), 0.0), r)
+
+
+def _as_queries(V, n: int) -> np.ndarray:
+    """The query matrix ``V`` as n x m float64 (a vector is one query), checked finite."""
+    M = np.asarray(V, dtype=np.float64)
+    if M.ndim == 1:
+        M = M[:, None]
+    if M.ndim != 2 or M.shape[0] != n:
+        raise ShapeError(f"query matrix must have {n} rows, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("query matrix contains non-finite entries")
+    return M
+
+
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     """``||P - row means||_F^2`` for a release ``P`` of ``F F^T``, drawn from its exact law.
 
@@ -506,19 +591,23 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     matrix ``J``.  Nothing of size r is drawn or held.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    n, k = A.shape
-    r, w = jl_params(p)
-    Ac = A - A.mean(axis=0, keepdims=True)
-    q = min(k, n - 1)
-    # The top q eigenvalues of Ac^T Ac, ascending: squared singular values of Ac.
-    lam = np.linalg.svd(Ac, compute_uv=False)[q - 1 :: -1] ** 2
-    rng = np.random.default_rng(int(seed))
-    w2 = w * w
-    rf = float(r)  # r may exceed int64, and w^2 r may exceed float64
-    total = float((lam + w2) @ (rng.chisquare(rf, size=q) / rf))
-    if n - 1 > q:
-        total += w2 * float(rng.chisquare(rf * (n - 1 - q)) / rf)
-    return total
+    return _centered_sq_norm_law(_centered_spectrum(A), A.shape[0], p).draw(seed)
+
+
+def private_projected_sq_norm(F, V, p: PrivacyParams, seed: int) -> float:
+    """``||P V||_F^2`` for a release ``P`` of ``F F^T``, drawn from its exact law.
+
+    The value has the law of :func:`private_sum_directional_variances` of
+    ``privatize_covariance(F, p, s)`` and ``V``, for any seed ``s``: a
+    weighted sum of m chi-square draws (see the module docstring), from
+    the k x m ``F^T V`` and the m x m ``V^T V``.  So it carries the release's
+    privacy guarantee, without the release: nothing of size r, or of the
+    factor's size, is drawn or held.  It is not the answer of any release
+    drawn from this seed.
+    """
+    A = _as_sample_matrix(F, "factor", min_rows=2)
+    M = _as_queries(V, A.shape[0])
+    return _projected_sq_norm_law(A.T @ M, M.T @ M, p).draw(seed)
 
 
 def private_sum_directional_variances(P: PrivateProjection, V) -> float:
@@ -531,13 +620,7 @@ def private_sum_directional_variances(P: PrivateProjection, V) -> float:
     directions are answered as asked; the value scales as ``||y||^2``, so
     callers normalize when the unit-direction convention matters.
     """
-    M = np.asarray(V, dtype=np.float64)
-    if M.ndim == 1:
-        M = M[:, None]
-    if M.ndim != 2 or M.shape[0] != P.n:
-        raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("query matrix contains non-finite entries")
+    M = _as_queries(V, P.n)
     # R V one row panel at a time: the packed triangle expanded by dtpttr
     # (f2py zero-fills its output, so the entries below the diagonal are 0)
     # and the rectangle multiplied as it lies.

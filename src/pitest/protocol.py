@@ -225,14 +225,40 @@ def factor_W(X) -> np.ndarray:
     return np.sqrt(2.0) * (A - A.mean(axis=0, keepdims=True))
 
 
-def _alice_inputs(X, master_seed: int | None) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``X`` checked, its Laplacian factor ``B``, and the seeds of the ``B`` and ``X`` releases."""
-    A = _as_sample_matrix(X, "X", min_rows=2)
+def _release_seeds(master_seed: int | None) -> tuple[int, int]:
+    """The 64-bit seeds of the ``B`` release and of the ``X`` release, from a master seed."""
     try:
         seeds = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
     except (ValueError, TypeError) as exc:
         raise InvalidInputError(f"invalid master seed {master_seed!r}: {exc}") from exc
-    return A, factor_W(A), int(seeds[0]), int(seeds[1])
+    return int(seeds[0]), int(seeds[1])
+
+
+def _alice_inputs(X, master_seed: int | None) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``X`` checked, its Laplacian factor ``B``, and the seeds of the ``B`` and ``X`` releases."""
+    A = _as_sample_matrix(X, "X", min_rows=2)
+    seed_B, seed_X = _release_seeds(master_seed)
+    return A, factor_W(A), seed_B, seed_X
+
+
+def _query_matrix(Y: np.ndarray) -> np.ndarray:
+    """The matrix whose columns the analyst queries the release of ``B B^T`` with: ``Y`` as given.
+
+    The one place this choice is made, for :func:`bob_evaluate`, the
+    sweep's exact-law draw of the same answer and the report's floor share.
+    """
+    return Y
+
+
+def _yc_sq(Y: np.ndarray) -> float:
+    """``||Yc||_F^2`` for the column-centred ``Y``: the analyst's factor of ``s_bar``."""
+    Yc = _centered(Y)
+    return float(np.sum(Yc * Yc))
+
+
+def _private_statistics(n: int, answers: float, sx: float, yc_sq: float) -> tuple[float, float]:
+    """``(omega_bar_sq, s_bar)`` from the release's answer ``||R Q||_F^2``, ``sx`` and ``||Yc||_F^2``."""
+    return 2.0 / n**2 * answers, 4.0 / n**3 * sx * (n * yc_sq)
 
 
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
@@ -300,9 +326,8 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     n, m = pkg.n, Ym.shape[1]
     threshold = rejection_threshold(alpha)
 
-    omega_bar_sq = 2.0 / n**2 * private_sum_directional_variances(pkg.proj_B, Ym)
-    Yc = _centered(Ym)
-    s_bar = 4.0 / n**3 * pkg.sx * (n * float(np.sum(Yc * Yc)))
+    answers = private_sum_directional_variances(pkg.proj_B, _query_matrix(Ym))
+    omega_bar_sq, s_bar = _private_statistics(n, answers, pkg.sx, _yc_sq(Ym))
 
     if not (s_bar > 0.0):
         return TestReport(

@@ -1,15 +1,27 @@
 """Privacy-utility sweep: relative error of the private statistics vs epsilon.
 
-For every (epsilon, eta) cell the protocol is replayed `replications` times
-with fresh seeds against fixed (X, Y); each trial's private statistic,
-denominator and numerator are compared to the non-private values on the same
-data as percent relative error, and the cell reports mean and standard
-deviation of each.  Cells whose non-private reference is zero are marked
-degenerate with NaN entries.
+For every (epsilon, eta) cell the protocol's two private statistics are
+drawn `replications` times with fresh seeds against fixed (X, Y); each
+trial's private statistic, denominator and numerator are compared to the
+non-private values on the same data as percent relative error, and the cell
+reports mean and standard deviation of each.  Cells whose non-private
+reference is zero are marked degenerate with NaN entries.
+
+A trial draws ``(omega_bar_sq, s_bar)`` from the exact joint law of what
+``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, not by releasing and
+reducing a package: the two releases are independent, ``sx`` is drawn by
+the code behind ``private_centered_sq_norm`` from the trial's ``X`` seed,
+so ``s_bar`` has the package's bits, and the analyst's answer
+``||R Q||_F^2`` by the law behind ``private_projected_sq_norm`` from its
+``B`` seed, a new draw of the same law.  What a trial needs of the data
+(``B^T Q``, ``Q^T Q``, the spectrum of ``Xc``, ``||Yc||_F^2``) is computed
+once per sweep, and the two laws once per cell, so a trial is a few
+chi-square draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -17,9 +29,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import dcov_sq_closed_form, rejection_threshold, s_hat
-from .privacy import PrivacyParams
-from .protocol import alice_prepare, bob_evaluate
+from .estimators import (
+    _paired_matrices,
+    dcov_sq_closed_form,
+    rejection_threshold,
+    s_hat,
+    test_statistic,
+)
+from .privacy import (
+    PrivacyParams,
+    _centered_spectrum,
+    _centered_sq_norm_law,
+    _ChiSquareMix,
+    _projected_sq_norm_law,
+)
+from .protocol import (
+    _check_sx,
+    _private_statistics,
+    _query_matrix,
+    _release_seeds,
+    _yc_sq,
+    factor_W,
+)
 
 __all__ = ["SweepConfig", "SweepRow", "SWEEP_HEADER", "run_sweep", "sweep_rows_to_csv"]
 
@@ -90,6 +121,30 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
     return mean, sd
 
 
+class _Cell(NamedTuple):
+    """What a cell's trials draw from: the laws of ``sx`` and of ``||R Q||_F^2``."""
+
+    n: int
+    yc_sq: float
+    sx: _ChiSquareMix
+    answers: _ChiSquareMix
+
+
+def _trial(cell: _Cell, seed: int) -> tuple[float, float]:
+    """One trial's ``(omega_bar_sq, s_bar)``, from the trial seed as ``alice_prepare`` splits it.
+
+    Raises InvalidInputError when ``sx`` is not finite, as ``AlicePackage``
+    refuses it, or when ``omega_bar_sq`` is not finite.
+    """
+    seed_B, seed_X = _release_seeds(seed)
+    sx = cell.sx.draw(seed_X)
+    _check_sx(sx)
+    omega_bar_sq, s_bar = _private_statistics(cell.n, cell.answers.draw(seed_B), sx, cell.yc_sq)
+    if not math.isfinite(omega_bar_sq):
+        raise InvalidInputError(f"omega_bar_sq must be a finite number, got {omega_bar_sq!r}")
+    return omega_bar_sq, s_bar
+
+
 def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     """Run the sweep; one row per (epsilon, eta) in configuration order.
 
@@ -97,17 +152,24 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     derived from (master_seed, epsilon index, eta index, replication index),
     so a row depends only on the configuration and the data.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    n = X.shape[0]
+    A, Ym = _paired_matrices(X, Y)
+    n = A.shape[0]
 
-    omega_ref = dcov_sq_closed_form(X, Y)
-    s_ref = s_hat(X, Y)
+    omega_ref = dcov_sq_closed_form(A, Ym)
+    s_ref = s_hat(A, Ym)
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
+
+    Q = _query_matrix(Ym)
+    BtQ, QtQ = factor_W(A).T @ Q, Q.T @ Q
+    spectrum = _centered_spectrum(A)
+    yc_sq = _yc_sq(Ym)
 
     rows: list[SweepRow] = []
     indices = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
     for (i_eps, i_eta), p in zip(indices, cfg.cells):
+        per_release = p.half_budget()
+        cell = _Cell(n, yc_sq, _centered_sq_norm_law(spectrum, n, per_release),
+                     _projected_sq_norm_law(BtQ, QtQ, per_release))
         gammas, ss, omegas = [], [], []
         for rep in range(cfg.replications):
             seed = int(
@@ -115,11 +177,11 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
                     1, np.uint64
                 )[0]
             )
-            report = bob_evaluate(alice_prepare(X, p, seed), Y, cfg.alpha)
-            gamma_bar = report.statistic if report.statistic is not None else float("nan")
+            omega_bar_sq, s_bar = _trial(cell, seed)
+            gamma_bar = test_statistic(omega_bar_sq, s_bar, n) if s_bar > 0.0 else float("nan")
             gammas.append(_rel_err_pct(gamma_bar, gamma_ref))
-            ss.append(_rel_err_pct(report.s_bar, s_ref))
-            omegas.append(_rel_err_pct(report.omega_bar_sq, omega_ref))
+            ss.append(_rel_err_pct(s_bar, s_ref))
+            omegas.append(_rel_err_pct(omega_bar_sq, omega_ref))
         g_mean, g_sd = _mean_sd(gammas)
         s_mean, s_sd = _mean_sd(ss)
         o_mean, o_sd = _mean_sd(omegas)

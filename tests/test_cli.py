@@ -14,13 +14,20 @@ import pitest.sweep
 from pitest import privacy
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
-from pitest.errors import CsvParseError
-from pitest.privacy import PrivacyParams, jl_params, tau_mechanism
+from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
+from pitest.privacy import (
+    PrivacyParams,
+    jl_params,
+    private_centered_sq_norm,
+    private_projected_sq_norm,
+    tau_mechanism,
+)
 from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.protocol import (
     alice_prepare,
     bob_evaluate,
     deserialize_package,
+    factor_W,
     read_package,
     serialize_package,
 )
@@ -540,12 +547,13 @@ def test_sweep_writes_expected_table(data_dir, tmp_path, capsys):
 
 def test_sweep_runs_every_trial_on_the_calling_thread(data_dir, monkeypatch):
     threads = []
+    draw_trial = pitest.sweep._trial
 
-    def recording_prepare(*args, **kwargs):
+    def recording_trial(*args, **kwargs):
         threads.append(threading.get_ident())
-        return alice_prepare(*args, **kwargs)
+        return draw_trial(*args, **kwargs)
 
-    monkeypatch.setattr(pitest.sweep, "alice_prepare", recording_prepare)
+    monkeypatch.setattr(pitest.sweep, "_trial", recording_trial)
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=3, eta_values=(0.5,),
                       delta=0.01, nu=0.5)
     run_sweep(cfg, load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv"))
@@ -553,8 +561,9 @@ def test_sweep_runs_every_trial_on_the_calling_thread(data_dir, monkeypatch):
 
 
 def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
-    """A cell's trials are alice_prepare(X, p, seed) then bob_evaluate, with the
-    seed drawn from SeedSequence([master_seed, epsilon index, eta index, replication])."""
+    """A cell's trials draw sx and ||R Y||^2 from the exact-law samplers, with the seed
+    drawn from SeedSequence([master_seed, epsilon index, eta index, replication]) and split
+    into the two release seeds as alice_prepare splits it; s_bar is the package's, bit for bit."""
     X = load_csv(data_dir / "x.csv")
     Y = load_csv(data_dir / "y.csv")
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=4, eta_values=(0.3, 0.5),
@@ -564,20 +573,63 @@ def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
 
     i_eps, i_eta = 1, 0  # the third row, in (epsilon, eta) order
     p = PrivacyParams(1000.0, 0.01, 0.3, 0.5)
+    n = X.shape[0]
     omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
-    gamma_ref = X.shape[0] * omega_ref / s_ref
+    gamma_ref = n * omega_ref / s_ref
+    Yc = Y - Y[0]
+    Yc = Yc - Yc.mean(axis=0)
     errors = []
     for rep in range(4):
         seed = int(np.random.SeedSequence([7, i_eps, i_eta, rep]).generate_state(1, np.uint64)[0])
-        report = bob_evaluate(alice_prepare(X, p, seed), Y, 0.1)
+        seed_B, seed_X = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        sx = private_centered_sq_norm(X, p.half_budget(), seed_X)
+        s_bar = 4.0 / n**3 * sx * (n * float(np.sum(Yc * Yc)))
+        assert s_bar == bob_evaluate(alice_prepare(X, p, seed), Y, 0.1).s_bar
+        omega_bar_sq = 2.0 / n**2 * private_projected_sq_norm(factor_W(X), Y, p.half_budget(),
+                                                              seed_B)
+        statistic = n * omega_bar_sq / s_bar
         errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
-            (report.statistic, gamma_ref), (report.s_bar, s_ref),
-            (report.omega_bar_sq, omega_ref))])
+            (statistic, gamma_ref), (s_bar, s_ref), (omega_bar_sq, omega_ref))])
     errors = np.array(errors)
     expected = [1000.0, 0.3]
     for column in errors.T:
         expected += [float(column.mean()), float(column.std(ddof=1))]
     assert rows[2] == tuple(expected)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("rows", ShapeError, "X and Y must have the same sample count, got 20 and 19"),
+    ("nan", InvalidInputError, "Y contains non-finite entries"),
+    ("one row", InsufficientSamplesError, "X has 1 sample"),
+    ("w2 overflows", InvalidInputError, "sx must be a finite number >= 0, got inf"),
+])
+def test_sweep_refuses_what_a_package_would_refuse(case, error, message, data_dir, tmp_path,
+                                                    capsys):
+    X = load_csv(data_dir / "x.csv")
+    Y = load_csv(data_dir / "y.csv")
+    epsilon = 100.0
+    if case == "rows":
+        Y = Y[:-1]
+    elif case == "nan":
+        Y[3, 1] = math.nan
+    elif case == "one row":
+        X, Y = X[:1], Y[:1]
+    else:
+        epsilon = 1e-160  # w ~ 6e163 is finite, w^2 is not
+    cfg = SweepConfig(epsilons=(epsilon,), replications=2, eta_values=(0.5,), delta=0.01, nu=0.5)
+    with pytest.raises(error, match=re.escape(message)):
+        run_sweep(cfg, X, Y)
+    if case == "nan":
+        return  # a CSV file cannot hold a NaN
+    save_csv(tmp_path / "x.csv", X)
+    save_csv(tmp_path / "y.csv", Y)
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main(["sweep", "--input-x", str(tmp_path / "x.csv"), "--input-y", str(tmp_path / "y.csv"),
+                 "--epsilons", repr(epsilon), "--etas", "0.5", "--replications", "2",
+                 "--delta", "0.01", "--nu", "0.5", "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_single_replication_has_zero_sd(data_dir):

@@ -265,6 +265,12 @@ def test_threshold_matches_bisection_oracle(alpha):
     assert rejection_threshold(alpha) == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [1e-17, 5e-324])
+def test_threshold_is_infinite_when_one_minus_half_alpha_rounds_to_one(alpha):
+    assert rejection_threshold(alpha) == math.inf
+    assert decide(1e300, alpha).reject is False
+
+
 def test_threshold_monotone():
     assert rejection_threshold(0.01) > rejection_threshold(0.05) > rejection_threshold(0.10)
 

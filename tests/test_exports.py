@@ -1,8 +1,12 @@
-"""Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, and
-README describes the package format the code writes."""
+"""Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, the
+CLI imports without ``scipy.special``, and README describes the package format the code
+writes."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pitest
@@ -11,6 +15,16 @@ from pitest.protocol import FORMAT_VERSION
 
 def test_package_imports():
     assert importlib.import_module("pitest") is pitest
+
+
+def test_cli_import_leaves_scipy_special_out():
+    env = dict(os.environ)
+    src = str(Path(pitest.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pitest.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_every_listed_export_resolves():

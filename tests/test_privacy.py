@@ -8,17 +8,20 @@ from scipy import stats
 from scipy.linalg import lapack
 
 from pitest import privacy
+from pitest.data import synthetic_pair
 from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
     PrivacyParams,
     PrivateProjection,
     jl_params,
     private_centered_sq_norm,
+    private_projected_sq_norm,
     private_sum_directional_variances,
     privatize_covariance,
     tau,
     tau_mechanism,
 )
+from pitest.protocol import _query_matrix, alice_prepare, bob_evaluate, factor_W
 
 from oracles import oracle_projection_mean
 from reference import (
@@ -370,6 +373,46 @@ def test_factor_has_the_law_of_the_release_gram(k, n):
     released = np.array([statistics(gaussian_release(F, p, s)) for s in range(trials, 2 * trials)])
     for column in range(2):
         assert stats.ks_2samp(drawn[:, column], released[:, column]).pvalue > 1e-3, column
+
+
+@pytest.mark.parametrize("epsilon, x_scale, floor_dominated",
+                         [(1.0, 1.0, True), (1e4, 100.0, False)], ids=["floor", "signal"])
+def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, floor_dominated):
+    """(2/n^2) ||P Q||^2 from the exact-law sampler has the law of a package's omega_bar_sq.
+
+    n = 60, m = 2 and r = 60; with the floor w^2 ||Q||^2 dominant, and with the
+    signal ||B^T Q||^2 dominant.  Where the floor dominates, a sampler that
+    leaves out w^2 Q^T Q is told apart from the package.
+    """
+    p = PrivacyParams(epsilon=epsilon, delta=2e-4, eta=0.43, nu=0.5)
+    half = p.half_budget()
+    r, w = jl_params(half)
+    assert r == 60
+    X, Y = synthetic_pair(n=60, d=2, m=2, dependence=0.3, x_scale=x_scale, seed=5)
+    n = X.shape[0]
+    B, Q = factor_W(X), _query_matrix(Y)
+    floor_share = w**2 * np.sum(Q * Q) / (np.sum((B.T @ Q) ** 2) + w**2 * np.sum(Q * Q))
+    assert (floor_share > 0.99) if floor_dominated else (floor_share < 0.01)
+    trials = 600
+    packaged = [bob_evaluate(alice_prepare(X, p, s), Y).omega_bar_sq for s in range(trials)]
+    drawn = [2.0 / n**2 * private_projected_sq_norm(B, Q, half, s)
+             for s in range(trials, 2 * trials)]
+    assert stats.ks_2samp(drawn, packaged).pvalue >= 1e-3
+    if floor_dominated:
+        no_floor = privacy._projected_sq_norm_law(B.T @ Q, np.zeros((2, 2)), half)
+        missing = [2.0 / n**2 * no_floor.draw(s) for s in range(trials, 2 * trials)]
+        assert stats.ks_2samp(missing, packaged).pvalue < 1e-6
+
+
+def test_private_projected_sq_norm_is_finite_at_a_huge_row_count():
+    # r ~ 3e201 and w^2 ~ 5e204: weighting chi^2_r / r keeps the draw finite,
+    # at its mean ||F^T y||^2 + w^2 ||y||^2 to within the sqrt(2/r) spread
+    p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
+    w = jl_params(p).w
+    F, y = np.arange(5.0)[:, None], np.ones(5)
+    value = private_projected_sq_norm(F, y, p, seed=0)
+    assert math.isfinite(value)
+    assert value == pytest.approx(100.0 + 5.0 * w**2, rel=1e-12)
 
 
 def test_privatize_rejects_non_finite_factor():
