@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "statistics (default 50)")
     p_sweep.add_argument("--delta", type=float, default=2e-4)
     p_sweep.add_argument("--nu", type=float, default=0.05)
-    p_sweep.add_argument("--alpha", type=float, default=0.05)
+    p_sweep.add_argument("--alpha", type=float, default=0.05,
+                         help="checked to lie in (0,1), but it has no effect on the table, "
+                              "which holds no test decision (default 0.05)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="CSV table to write")
     p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)

@@ -200,17 +200,13 @@ def _panels(rows: int, n: int):
         yield a, min(a + h, rows)
 
 
-@lru_cache(maxsize=16)
 def _above(h: int) -> np.ndarray:
-    """The entries above the diagonal of an h x h transposed triangle, as a read-only mask, cached.
+    """The entries above the diagonal of an h x h transposed triangle, as a mask.
 
     Row j of a transposed triangle is column j of the triangle, so the mask
-    walks those entries in column order.  Cached because repeated releases
-    of one shape (the level-power script, the test suite) share it.
+    walks those entries in column order.
     """
-    mask = np.tri(h, h, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    return np.tri(h, h, -1, dtype=bool)
 
 
 def _split_panel(segment: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,12 +11,13 @@ A trial draws ``(omega_bar_sq, s_bar)`` from the exact joint law of what
 ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, not by releasing and
 reducing a package: the two releases are independent, ``sx`` is drawn by
 the code behind ``private_centered_sq_norm`` from the trial's ``X`` seed,
-so ``s_bar`` has the package's bits, and the analyst's answer
-``||R Q||_F^2`` by the law behind ``private_projected_sq_norm`` from its
-``B`` seed, a new draw of the same law.  What a trial needs of the data
-(``B^T Q``, ``Q^T Q``, the spectrum of ``Xc``, ``||Yc||_F^2``) is computed
-once per sweep, and the two laws once per cell, so a trial is a few
-chi-square draws.
+as the package draws it, so ``s_bar`` has the package's bits, and the
+analyst's answer ``||R Q||_F^2`` by the code behind
+``private_projected_sq_norm`` from its ``B`` seed, a new draw of the same
+law.  What the two laws need of the data (``B^T Q``, ``Q^T Q``, the
+spectrum of ``Xc``) is computed once per sweep, and the laws once per cell,
+so a trial is a few chi-square draws, and nothing of size r is drawn or
+held.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class SweepConfig:
 
     ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
     ``cells``, and ``rejection_threshold`` checks alpha; ``replications``
-    and ``master_seed`` must be integers.
+    and ``master_seed`` must be integers.  ``alpha`` has no effect on the
+    rows, which hold no test decision.
     """
 
     epsilons: tuple[float, ...]
@@ -121,25 +123,17 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
     return mean, sd
 
 
-class _Cell(NamedTuple):
-    """What a cell's trials draw from: the laws of ``sx`` and of ``||R Q||_F^2``."""
-
-    n: int
-    yc_sq: float
-    sx: _ChiSquareMix
-    answers: _ChiSquareMix
-
-
-def _trial(cell: _Cell, seed: int) -> tuple[float, float]:
+def _trial(n: int, yc_sq: float, sx_law: _ChiSquareMix, answer_law: _ChiSquareMix,
+           seed: int) -> tuple[float, float]:
     """One trial's ``(omega_bar_sq, s_bar)``, from the trial seed as ``alice_prepare`` splits it.
 
     Raises InvalidInputError when ``sx`` is not finite, as ``AlicePackage``
     refuses it, or when ``omega_bar_sq`` is not finite.
     """
     seed_B, seed_X = _release_seeds(seed)
-    sx = cell.sx.draw(seed_X)
+    sx = sx_law.draw(seed_X)
     _check_sx(sx)
-    omega_bar_sq, s_bar = _private_statistics(cell.n, cell.answers.draw(seed_B), sx, cell.yc_sq)
+    omega_bar_sq, s_bar = _private_statistics(n, answer_law.draw(seed_B), sx, yc_sq)
     if not math.isfinite(omega_bar_sq):
         raise InvalidInputError(f"omega_bar_sq must be a finite number, got {omega_bar_sq!r}")
     return omega_bar_sq, s_bar
@@ -168,8 +162,8 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     indices = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
     for (i_eps, i_eta), p in zip(indices, cfg.cells):
         per_release = p.half_budget()
-        cell = _Cell(n, yc_sq, _centered_sq_norm_law(spectrum, n, per_release),
-                     _projected_sq_norm_law(BtQ, QtQ, per_release))
+        sx_law = _centered_sq_norm_law(spectrum, n, per_release)
+        answer_law = _projected_sq_norm_law(BtQ, QtQ, per_release)
         gammas, ss, omegas = [], [], []
         for rep in range(cfg.replications):
             seed = int(
@@ -177,7 +171,7 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
                     1, np.uint64
                 )[0]
             )
-            omega_bar_sq, s_bar = _trial(cell, seed)
+            omega_bar_sq, s_bar = _trial(n, yc_sq, sx_law, answer_law, seed)
             gamma_bar = test_statistic(omega_bar_sq, s_bar, n) if s_bar > 0.0 else float("nan")
             gammas.append(_rel_err_pct(gamma_bar, gamma_ref))
             ss.append(_rel_err_pct(s_bar, s_ref))
