@@ -21,12 +21,9 @@ from .estimators import (
 from .privacy import (
     JlParams,
     PrivacyParams,
-    PrivateProjection,
     jl_params,
     private_centered_sq_norm,
-    private_projected_sq_norm,
     private_sum_directional_variances,
-    privatize_covariance,
     privatize_covariance_panels,
     tau,
     tau_mechanism,
@@ -41,12 +38,9 @@ from .protocol import (
     alice_prepare,
     alice_stream,
     bob_evaluate,
-    deserialize_package,
-    encode_package,
     factor_W,
     read_package,
     report_to_dict,
-    serialize_package,
 )
 from .data import load_csv, save_csv, synthetic_pair
 from .sweep import SWEEP_HEADER, SweepConfig, SweepRow, run_sweep

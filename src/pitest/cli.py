@@ -144,14 +144,14 @@ def _checked_inputs(args) -> tuple:
 
     Each rule has one owner, whose InvalidInputError ``main`` reports as a
     usage error: PrivacyParams for alice and run, rejection_threshold for
-    the alpha of bob and run, and SweepConfig for sweep.
+    the alpha of bob, run and sweep, and SweepConfig for sweep.
     """
+    if args.command != "alice":
+        rejection_threshold(args.alpha)
     if args.command == "sweep":
         return (SweepConfig(epsilons=args.epsilons, replications=args.replications,
                             eta_values=args.etas, delta=args.delta, nu=args.nu,
-                            alpha=args.alpha, master_seed=args.seed),)
-    if args.command != "alice":
-        rejection_threshold(args.alpha)
+                            master_seed=args.seed),)
     if args.command == "bob":
         return ()
     return (PrivacyParams(args.epsilon, args.delta, args.eta, args.nu),)

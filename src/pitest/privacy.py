@@ -51,14 +51,14 @@ entries of ``T`` are independent, with ``T_ii ~ chi_{r-i}`` (counting from
 ``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and a
 QR of that stack is one triangular-pentagonal QR (LAPACK ``dtpqrt``) of
 its leading min(r, n) columns, whose reflectors ``dtpmqrt`` applies to the
-rest.  ``T_22`` is drawn straight into the packed panels that become
-``R`` (no other array is of the factor's size), with the min(r, k) dense rows
-``D`` scaled by ``1/w`` so that the floor is applied once, to the finished
-factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
+rest.  Each row panel of ``T_22`` is drawn straight into the packed
+scratch panel where it becomes that panel of ``R`` (no array is of the
+factor's size), with the min(r, k) dense rows ``D`` scaled by ``1/w`` so
+that the floor is applied once, to the finished factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
 O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n flops for
 ``P``, and holds nothing of size r.
 
-The QR runs right-looking, one row panel at a time, in the packed buffer.
+The QR runs right-looking, one row panel at a time, in a packed scratch panel.
 The reflector of column j acts only on row j of ``T_22`` and on ``D``, so
 when panel [a, b) comes up its rows are still the drawn ``T_22`` and only
 ``D`` carries the earlier panels' reflectors.  The panel's normals are
@@ -69,13 +69,10 @@ those reflectors to the rectangle and to ``D[:, b:]``, and the panel is
 scaled and its triangle copied back.  So each entry is drawn, updated by
 its own panel's reflector blocks and scaled once, and a panel is final
 when its turn ends: later panels touch only their own rows and ``D``.
-The release is therefore one generator of panels with two consumers:
-:func:`privatize_covariance` gives it slices of the packed buffer, which
-it keeps, and :func:`privatize_covariance_panels` gives it one scratch
-panel again and again, so that a writer can ship each panel as it
-finishes and hold O(panel + n k), nothing of the factor's size.  The
-generator writes every entry of a panel, so both give the same bits.
-One ``dtpqrt`` of all the leading
+So the release, :func:`privatize_covariance_panels`, is a generator of
+panels, each released into the same scratch panel: a writer ships each
+panel as it finishes and holds O(panel + n k), nothing of the factor's
+size.  One ``dtpqrt`` of all the leading
 columns runs the same reflector blocks of ``_REFLECTOR_BLOCK`` columns:
 it factors a block and updates every column right of it, in one call for
 the columns left of min(r, n) and one for the rest.  The panels split those
@@ -89,9 +86,9 @@ min(r, n) x n buffer.
 The analyst's product ``R V`` runs one panel at a time too: LAPACK's
 ``dtpttr`` expands the panel's packed triangle (its column-packed upper
 storage is the panel's triangle layout), and the rectangle is multiplied
-where it lies.  It reads the factor only through its panels, so they may
-come from memory or, one reused buffer at a time, from a package file,
-and the analyst then holds one panel and nothing of the factor's size.
+where it lies.  It reads the factor only through its panels, one reused
+buffer at a time from a package, so the analyst holds one panel and
+nothing of the factor's size.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -119,8 +116,8 @@ of ``C``
 
     ||P V||_F^2 = sum_{j<=m} mu_j g_j / r,     g_j ~ chi^2_r, independent,
 
-which :func:`private_projected_sq_norm` draws from ``F^T V`` and
-``V^T V`` alone, in O(n k m) and m chi-square draws.  Both samplers share
+which ``_projected_sq_norm_law`` draws from ``F^T V`` and ``V^T V``
+alone, in O(n k m) and m chi-square draws.  Both samplers share
 one weighted chi-square draw, ``_ChiSquareMix``.
 
 Privacy is unchanged by any of these draws: (epsilon, delta) differential
@@ -149,14 +146,11 @@ from .errors import InvalidInputError, ShapeError
 __all__ = [
     "PrivacyParams",
     "JlParams",
-    "PrivateProjection",
     "jl_params",
     "tau",
     "tau_mechanism",
-    "privatize_covariance",
     "privatize_covariance_panels",
     "private_centered_sq_norm",
-    "private_projected_sq_norm",
     "private_sum_directional_variances",
 ]
 
@@ -220,6 +214,10 @@ def _split_panel(segment: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return segment[:t], segment[t:].reshape(-1, h).T
 
 
+# Cached because every panel is checked where it is read: on a tall-n
+# package (n = 2000, r = 2952, 32 panels of 64 rows) bob_evaluate took
+# 3.26-3.34 ms with the cache and 3.49-3.56 ms without it (medians of 100
+# interleaved calls, three repetitions, 2-core Xeon).
 @lru_cache(maxsize=16)
 def _diagonal_at(h: int) -> np.ndarray:
     """Where the diagonal of a panel of h rows lies in its segment: row j's entry is j (j+3) / 2 in."""
@@ -257,7 +255,7 @@ class PrivacyParams:
     def __post_init__(self) -> None:
         for name in ("epsilon", "delta", "eta", "nu"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
         if self.epsilon <= 0.0:
             raise InvalidInputError(f"epsilon must be > 0, got {self.epsilon}")
@@ -338,65 +336,23 @@ def tau_mechanism(p: PrivacyParams) -> float:
     return (1.0 + p.eta) * jl_params(p).w ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class PrivateProjection:
-    """A released factor ``R``: rows x n, upper trapezoidal, stored packed in row panels.
-
-    ``values`` holds the rows of ``R`` in panels [a, b) of
-    :func:`_panel_height` rows (the last may be shorter), top down.  A panel
-    is its (b - a) x (b - a) diagonal block, an upper triangle packed column
-    by column (column j of the block keeps its first j + 1 entries), then
-    the (b - a) x (n - b) rectangle right of it in column-major order.  The
-    entries below the diagonal are zero and not stored; row i keeps its
-    n - i entries.  ``R`` answers directional variance queries ``||R y||^2``
-    approximating ``y^T F F^T y + w^2 ||y||^2``; only its Gram ``R^T R``
-    matters.  A release from :func:`privatize_covariance` is the
-    min(r, n) x n QR factor of the projection ``P``.  It does not keep the
-    parameters it was released under; its holder does (a package keeps its
-    total budget).  The generator seed is not kept either: with it, anyone
-    could regenerate ``T`` and recover the factor.
-    """
-
-    values: np.ndarray
-    rows: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.rows <= self.n):
-            raise ShapeError(f"a factor needs 1 <= rows <= n, got rows={self.rows}, n={self.n}")
-        size = _row_offset(self.rows, self.n)
-        if self.values.shape != (size,):
-            raise ShapeError(f"a packed {self.rows} x {self.n} factor has {size} entries, "
-                             f"got shape {self.values.shape}")
-        # One panel at a time, so the check holds no whole-size temporary.
-        if not all(np.isfinite(segment).all() for _, _, segment in self.panels()):
-            raise InvalidInputError("projection contains non-finite entries")
-
-    def panels(self):
-        """Yield ``(a, b, segment)`` for each row panel [a, b), top down, ``segment`` a view of ``values``."""
-        for a, b in _panels(self.rows, self.n):
-            yield a, b, self.values[_row_offset(a, self.n) : _row_offset(b, self.n)]
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of ``R``, panel by panel (see :func:`_diagonal_at`)."""
-        return np.concatenate([segment[_diagonal_at(b - a)] for a, b, segment in self.panels()])
-
-
-def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int, segment):
+def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     """Yield the release factor ``R`` of the n x k factor ``A``, one row panel at a time.
 
     ``R`` is the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``
     for ``A_hat = [A^T; w I]`` and ``T`` drawn from its Bartlett law (see
-    the module docstring).  For each panel [a, b), top down, ``segment(a,
-    b)`` gives a writable float64 array of the panel's packed length, and
-    every entry of it is written: the panel's Bartlett entries are drawn
-    (the triangle's normals in column order, then the rectangle's, then the
-    diagonal, ``chi_{r - k1 - i}`` in row ``i``; rows from
-    q = min(r - k1, n) on are zero), one ``dtpqrt`` factors the triangle
-    over ``D[:, a:b]``, ``dtpmqrt`` applies its reflectors to the
-    rectangle and ``D[:, b:]``, and the panel is scaled.  Then
-    ``(a, b, segment)`` is yielded; the panel is final, so the consumer may
-    keep it, write it out, or hand the same array back for the next panel.
+    the module docstring).  Every panel [a, b), top down, is released into
+    the leading entries of one scratch array of the first (largest) panel's
+    packed length, its triangle factored in one reused square, so no two
+    panels' arrays are held at once.  Every entry is written: the panel's
+    Bartlett entries are drawn (the triangle's normals in column order,
+    then the rectangle's, then the diagonal, ``chi_{r - k1 - i}`` in row
+    ``i``; rows from q = min(r - k1, n) on are zero), one ``dtpqrt``
+    factors the triangle over ``D[:, a:b]``, ``dtpmqrt`` applies its
+    reflectors to the rectangle and ``D[:, b:]``, and the panel is
+    scaled.  Then
+    ``(a, b, values)`` is yielded, ``values`` a view of the scratch: the
+    panel is final, and valid until the next panel is asked for.
     """
     n, k = A.shape
     r, w = jl_params(p)
@@ -410,13 +366,17 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int, segment):
     D = np.asfortranarray(T1[:, k:])
     D += T1[:, :k] @ (A.T / w)
     floor = w / math.sqrt(r)
-    above = _above(_panel_height(rows, n))
+    height = _panel_height(rows, n)
+    above = _above(height)
+    scratch = np.empty(_row_offset(height, n))
+    square = np.empty(height * height)
     for a, b in _panels(rows, n):
         hb = b - a
         drawn = min(max(q - a, 0), hb)  # the panel's rows with Bartlett entries
-        values = segment(a, b)
+        values = scratch[: _row_offset(b, n) - _row_offset(a, n)]
         triangle, rect = _split_panel(values, hb)
-        triangle_t = np.zeros((hb, hb))  # transposed, so the triangle is Fortran-ordered
+        triangle_t = square[: hb * hb].reshape(hb, hb)  # transposed, so the triangle is Fortran-ordered
+        triangle_t.fill(0.0)
         normals = above[:hb, :hb]
         if drawn < hb:
             normals = normals & (np.arange(hb) < drawn)
@@ -446,8 +406,8 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int, segment):
         yield a, b, values
 
 
-def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
-    """Release the Gram of a private projection for the covariance ``F F^T``.
+def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, Iterator[np.ndarray]]:
+    """Release the Gram of a private projection for the covariance ``F F^T``, one row panel at a time.
 
     Args:
         F: n x k factor of the target covariance (rows are samples).
@@ -455,50 +415,21 @@ def privatize_covariance(F, p: PrivacyParams, seed: int) -> PrivateProjection:
         seed: 64-bit generator seed; identical (F, p, seed) gives a
             bit-identical release.
 
-    Returns:
-        PrivateProjection of ``R``, the min(r, n) x n upper-trapezoidal R
-        factor with positive diagonal of a QR of the release
-        ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law (see the
-        module docstring) without drawing ``P``, and packed.  Its panels
-        are released straight into the packed buffer.
-
-    Raises InvalidInputError when the packed ``R`` cannot be allocated.
+    Returns the row count of ``R``, the min(r, n) x n upper-trapezoidal R
+    factor with positive diagonal of a QR of the release
+    ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law (see the
+    module docstring) without drawing ``P``, and an iterator over its
+    packed row panels, top down, each finite with a positive diagonal.
+    Every panel is released into one reused scratch array, so a yielded
+    panel is valid until the next is asked for, and the release holds
+    O(panel + n k), nothing of the factor's size.  ``F`` and ``p`` are
+    checked before this returns.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    n = A.shape[0]
-    rows = min(jl_params(p).r, n)
-    size = _row_offset(rows, n)
-    try:
-        values = np.zeros(size)  # the only array of the factor's size
-    except (MemoryError, ValueError) as exc:
-        raise InvalidInputError(
-            f"a release factor of {rows} x {n} float64, packed, needs {8.0 * size:.6g} bytes "
-            f"and cannot be allocated: {exc}"
-        ) from None
-    for _ in _release_panels(A, p, seed, lambda a, b: values[_row_offset(a, n) : _row_offset(b, n)]):
-        pass
-    return PrivateProjection(values, rows, n)
-
-
-def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, Iterator[np.ndarray]]:
-    """The release of :func:`privatize_covariance`, one checked row panel at a time.
-
-    Returns the factor's row count and an iterator over its packed panels,
-    top down, each finite with a positive diagonal; their concatenation is
-    the ``values`` of ``privatize_covariance(F, p, seed)``, bit for bit.
-    Every panel is released into one reused scratch array of the first
-    (largest) panel's size, so a yielded panel is valid until the next is
-    asked for, and the release holds O(panel + n k), nothing of the
-    factor's size.  ``F`` and ``p`` are checked before this returns.
-    """
-    A = _as_sample_matrix(F, "factor", min_rows=2)
-    n = A.shape[0]
-    rows = min(jl_params(p).r, n)
-    scratch = np.empty(_row_offset(_panel_height(rows, n), n))
+    rows = min(jl_params(p).r, A.shape[0])
 
     def checked():
-        segment = lambda a, b: scratch[: _row_offset(b, n) - _row_offset(a, n)]
-        for a, b, values in _release_panels(A, p, seed, segment):
+        for a, b, values in _release_panels(A, p, seed):
             _check_panel(values, b - a)
             yield values
 
@@ -590,31 +521,16 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     return _centered_sq_norm_law(_centered_spectrum(A), A.shape[0], p).draw(seed)
 
 
-def private_projected_sq_norm(F, V, p: PrivacyParams, seed: int) -> float:
-    """``||P V||_F^2`` for a release ``P`` of ``F F^T``, drawn from its exact law.
-
-    The value has the law of :func:`private_sum_directional_variances` of
-    ``privatize_covariance(F, p, s)`` and ``V``, for any seed ``s``: a
-    weighted sum of m chi-square draws (see the module docstring), from
-    the k x m ``F^T V`` and the m x m ``V^T V``.  So it carries the release's
-    privacy guarantee, without the release: nothing of size r, or of the
-    factor's size, is drawn or held.  It is not the answer of any release
-    drawn from this seed.
-    """
-    A = _as_sample_matrix(F, "factor", min_rows=2)
-    M = _as_queries(V, A.shape[0])
-    return _projected_sq_norm_law(A.T @ M, M.T @ M, p).draw(seed)
-
-
-def private_sum_directional_variances(P: PrivateProjection, V) -> float:
+def private_sum_directional_variances(P, V) -> float:
     """Sum of query answers over the columns of ``V``: ``||R V||_F^2`` for the factor ``R``.
 
-    ``P`` is read only through ``rows``, ``n`` and ``panels()``, one panel
-    at a time, so it may be a factor in memory or one read from a package
-    file panel by panel (:func:`pitest.protocol.read_package`).  A vector
-    ``V`` is one query ``y``, answered as ``||R y||^2``.  Non-unit
-    directions are answered as asked; the value scales as ``||y||^2``, so
-    callers normalize when the unit-direction convention matters.
+    ``P`` is read only through ``rows``, ``n`` and ``panels()``, which
+    yields ``(a, b, segment)`` for each packed row panel [a, b), top down:
+    a package's factor (:func:`pitest.protocol.read_package`), read from
+    its handle one panel at a time.  A vector ``V`` is one query ``y``,
+    answered as ``||R y||^2``.  Non-unit directions are answered as asked;
+    the value scales as ``||y||^2``, so callers normalize when the
+    unit-direction convention matters.
     """
     M = _as_queries(V, P.n)
     # R V one row panel at a time: the packed triangle expanded by dtpttr

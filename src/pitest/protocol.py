@@ -50,28 +50,28 @@ zeros below the diagonal are not sent.  This is the order in which Alice
 releases the panels, so neither side rearranges it, and both stream it:
 ``sx`` does not depend on ``R_B``, so :func:`alice_stream` gives the
 header line first and then each panel as it is released and checked, and
-:func:`read_package` checks the header line and the file's length, then
+:func:`read_package` checks the header line and the package's length, then
 reads and checks one panel at a time when the analyst sums over them.
-Each side holds O(panel + n (d + m)), never the whole factor.  For a
-package in memory, :func:`encode_package` hands the header line and the
-factor's buffer to a writer as they are.  The blob is exactly the header line and
+Each side holds O(panel + n (d + m)), never the whole factor.  They are
+the one writer and the one reader of a package: :func:`alice_prepare`
+writes the parts into memory and reads the package back from there.
+A package is exactly the header line and
 ``8 * (rows (rows+1) / 2 + (n - rows) rows)`` payload bytes long
 (``8 n (n+1) / 2`` when r >= n).  Every payload value must be finite, and
 every diagonal entry must be > 0.  ``sx`` is written as the shortest decimal
 that reads back to the same float, and the padding is fixed by the line's
 length, so round-trips are bit-exact and equal packages are equal bytes.
-The parsers, :func:`deserialize_package` for bytes and :func:`read_package`
-for a file, share one header check and one panel check.  They accept only
-the header line that the encoder writes for the fields they read, so one
-package has one encoding, and the payload starts at a multiple of 8 bytes.
-No statistic is computed from a package before its last panel has passed.
+The parser accepts only the header line that :func:`alice_stream` writes
+for the fields it reads, so one package has one encoding, and the payload
+starts at a multiple of 8 bytes.  No statistic is computed from a package
+before its last panel has passed.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import BinaryIO, Iterator, NamedTuple
@@ -88,7 +88,6 @@ from .data import _as_sample_matrix
 from .estimators import _centered, rejection_threshold, test_statistic
 from .privacy import (
     PrivacyParams,
-    PrivateProjection,
     _check_panel,
     _panel_height,
     _panels,
@@ -96,7 +95,6 @@ from .privacy import (
     jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
-    privatize_covariance,
     privatize_covariance_panels,
     tau,
     tau_mechanism,
@@ -117,16 +115,13 @@ __all__ = [
     "alice_prepare",
     "alice_stream",
     "bob_evaluate",
-    "encode_package",
-    "serialize_package",
-    "deserialize_package",
     "read_package",
     "report_to_dict",
 ]
 
 FORMAT_VERSION = 7
 _SPLIT = "half-half"  # the budget split over the two releases
-_HEADER_LIMIT = 1 << 16  # bytes of a package file read in search of its header's newline
+_HEADER_LIMIT = 1 << 16  # bytes of a package read in search of its header's newline
 
 
 def _check_sx(sx: float) -> None:
@@ -142,13 +137,12 @@ class AlicePackage:
     ``proj_B`` has the Gram of a release ``P_B`` of ``B B^T``, and ``sx`` has
     the law of ``||P_X - row means||_F^2`` for a release ``P_X`` of
     ``X X^T``.  The sample count is the factor's width, so it is not stored
-    again.  The factor is a :class:`PrivateProjection` in memory, or, for a
-    package from :func:`read_package`, the package file's factor, read one
-    panel at a time.
+    again.  The factor is read from the package's handle one panel at a
+    time (see :func:`read_package`).
     """
 
     params: PrivacyParams
-    proj_B: PrivateProjection
+    proj_B: _FileFactor
     sx: float
 
     @property
@@ -164,7 +158,10 @@ class PackageStream(NamedTuple):
 
     ``parts`` yields the header line, then the factor's row panels as raw
     little-endian float64 bytes, each released and checked when it is asked
-    for and valid until the next is; see :func:`alice_stream`.
+    for and valid until the next is; see :func:`alice_stream`.  So write
+    each part before asking for the next: every panel is a view of the
+    same scratch panel, and ``b"".join(parts)``, which collects the parts
+    before it copies them, reads every panel as the last one left it.
     """
 
     n: int
@@ -262,21 +259,30 @@ def _private_statistics(n: int, answers: float, sx: float, yc_sq: float) -> tupl
 
 
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
-    """Build the data holder's package from her data matrix.
+    """Build the data holder's package from her data matrix, in memory.
 
-    The master seed is expanded into one 64-bit seed per release (incidence
-    factor first, data matrix second).  By default it is drawn from OS
-    entropy; an explicit seed makes the package a deterministic function of
-    (X, p, master_seed), which is for reproducible tests only, since anyone
-    who knows it can regenerate the releases and recover ``X``.  Raw
-    ``X``, its Laplacian factor ``B`` and the seeds stay on this side;
-    neither release is drawn.
+    The package of :func:`alice_stream`, written part by part into a
+    buffer and read back by :func:`read_package`, so it is the bytes that
+    ``pi-test alice`` writes to a file.  The master seed is expanded into
+    one 64-bit seed per release (incidence factor first, data matrix
+    second).  By default it is drawn from OS entropy; an explicit seed
+    makes the package a deterministic function of (X, p, master_seed),
+    which is for reproducible tests only, since anyone who knows it can
+    regenerate the releases and recover ``X``.  Raw ``X``, its Laplacian
+    factor ``B`` and the seeds stay on this side; neither release is drawn.
+    Raises InvalidInputError when the package cannot be held in memory.
     """
-    A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
-    per_release = p.half_budget()
-    proj_B = privatize_covariance(B, per_release, seed_B)
-    sx = private_centered_sq_norm(A, per_release, seed_X)
-    return AlicePackage(params=p, proj_B=proj_B, sx=sx)
+    stream = alice_stream(X, p, master_seed)
+    buffer = io.BytesIO()
+    for part in stream.parts:
+        try:
+            buffer.write(part)
+        except MemoryError as exc:
+            raise InvalidInputError(
+                f"a release factor of {stream.rows} x {stream.n} float64, packed, needs "
+                f"{8.0 * stream.entries:.6g} bytes and cannot be held in memory: {exc}"
+            ) from None
+    return read_package(buffer)
 
 
 def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> PackageStream:
@@ -285,12 +291,10 @@ def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> Package
     ``sx`` does not depend on ``R_B``, so it is drawn first and the header
     line comes out whole; then each panel of ``R_B`` is released into one
     reused scratch panel, checked (finite, positive diagonal) and handed
-    out as bytes.  The parts joined are ``serialize_package(alice_prepare(X,
-    p, master_seed))``, byte for byte, and Alice holds O(panel + n d),
-    nothing of the factor's size.  ``X``, ``p`` and the seed are checked
-    before this returns; a panel that fails its check raises
-    InvalidInputError when it is reached, so a writer of the parts must
-    discard what it wrote.
+    out as bytes, and Alice holds O(panel + n d), nothing of the factor's
+    size.  ``X``, ``p`` and the seed are checked before this returns; a
+    panel that fails its check raises InvalidInputError when it is
+    reached, so a writer of the parts must discard what it wrote.
     """
     A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
     per_release = p.half_budget()
@@ -409,16 +413,6 @@ def _header_line(n: int, params: PrivacyParams, sx: float) -> bytes:
     return head + b" " * (-(len(head) + 1) % 8) + b"\n"
 
 
-def encode_package(pkg: AlicePackage) -> tuple[bytes, memoryview]:
-    """Encode a package as its two parts: the header line and the raw payload.
-
-    The header is the canonical JSON line with its newline; the payload is
-    a byte view of the factor's own packed little-endian float64 buffer, so
-    a writer can stream both without joining or copying the payload.
-    """
-    return _header_line(pkg.n, pkg.params, pkg.sx), _wire_bytes(pkg.proj_B.values)
-
-
 def _wire_bytes(values: np.ndarray) -> memoryview:
     """Packed float64 ``values`` as little-endian bytes: a view, copied only on a big-endian host."""
     return memoryview(np.ascontiguousarray(values, dtype="<f8").view(np.uint8))
@@ -427,15 +421,10 @@ def _wire_bytes(values: np.ndarray) -> memoryview:
 def _package_bytes(pkg: AlicePackage) -> int:
     """The length of the package's encoding: its header line and 8 bytes per packed entry.
 
-    For a package from :func:`read_package` it is the file's length, which
-    the reader checked against it before reading any panel.
+    It is the length of the package's handle, which :func:`read_package`
+    checked against it before reading any panel.
     """
     return len(_header_line(pkg.n, pkg.params, pkg.sx)) + 8 * _row_offset(pkg.proj_B.rows, pkg.n)
-
-
-def serialize_package(pkg: AlicePackage) -> bytes:
-    """The package as one bytes object: the two parts of :func:`encode_package`, joined."""
-    return b"".join(encode_package(pkg))
 
 
 def _require(doc: dict, field: str, where: str = "package"):
@@ -480,12 +469,11 @@ class _Header(NamedTuple):
 def _read_header(data: bytes) -> _Header:
     """Parse and check the header line at the start of ``data``: the one header check.
 
-    ``data`` holds at least the whole line, newline included: a package, or
-    the first line of a package file.  Without a newline all of ``data`` is
-    read as the header, so a document of another format version is still
-    reported by its version.  Only the line that :func:`_header_line`
-    writes for the parsed fields is accepted, which also starts the
-    payload at a multiple of 8 bytes.
+    ``data`` is the first line of a package, newline included.  Without a
+    newline all of ``data`` is read as the header, so a document of
+    another format version is still reported by its version.  Only the
+    line that :func:`_header_line` writes for the parsed fields is
+    accepted, which also starts the payload at a multiple of 8 bytes.
     """
     end = data.find(b"\n")
     doc = _parse_header(data if end < 0 else data[:end])
@@ -556,27 +544,9 @@ def _check_payload_panel(segment: np.ndarray, h: int) -> None:
         raise PackageFormatError(f"section 'proj_B': {exc}") from None
 
 
-def deserialize_package(data: bytes) -> AlicePackage:
-    """Parse and validate package bytes; inverse of :func:`serialize_package`.
-
-    The factor is an aligned, read-only view into ``data``.  Raises
-    PackageFormatError (or its UnsupportedVersionError subclass) for every
-    malformed input; never returns a partially validated package.
-    """
-    if not isinstance(data, bytes):
-        raise PackageFormatError(f"package must be bytes, got {type(data).__name__}")
-    header = _read_header(data)
-    _check_length(header, len(data))
-    rows, n = header.rows, header.n
-    values = np.frombuffer(data, dtype="<f8", count=_row_offset(rows, n), offset=header.offset)
-    for a, b in _panels(rows, n):
-        _check_payload_panel(values[_row_offset(a, n) : _row_offset(b, n)], b - a)
-    return AlicePackage(params=header.params, proj_B=PrivateProjection(values, rows, n), sx=header.sx)
-
-
 @dataclass(frozen=True, eq=False)
 class _FileFactor:
-    """The factor of an open package file, read and checked one row panel at a time.
+    """The factor of an open package handle, read and checked one row panel at a time.
 
     It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
     ``panels()``.  Each pass reads the payload from ``offset`` into one
@@ -603,16 +573,23 @@ class _FileFactor:
 
 
 def read_package(handle: BinaryIO) -> AlicePackage:
-    """The package in an open, seekable binary file, with its factor left in the file.
+    """The package in an open, seekable binary handle, with its factor left in the handle.
 
-    The header line and the file's exact length are checked here, before
-    any of the factor is read; the factor is read one row panel at a time,
-    each panel checked, whenever it is used (see :class:`_FileFactor`), so
-    the reader holds one panel and never the whole factor.  The file must
-    stay open and unchanged while the package is used.
+    The handle is read from its start, whatever its position: a file, or
+    an ``io.BytesIO`` of a package's bytes.  The header line and the
+    handle's exact length are checked here, before any of the factor is
+    read; the factor is read one row panel at a time, each panel checked,
+    whenever it is used (see :class:`_FileFactor`), so the reader holds one
+    panel and never the whole factor.  The handle must stay open and
+    unchanged while the package is used.  Raises PackageFormatError (or its
+    UnsupportedVersionError subclass) for every malformed package.
     """
-    header = _read_header(handle.readline(_HEADER_LIMIT))
-    _check_length(header, os.fstat(handle.fileno()).st_size)
+    handle.seek(0)
+    line = handle.readline(_HEADER_LIMIT)
+    if not isinstance(line, bytes):
+        raise PackageFormatError(f"package must be bytes, got {type(line).__name__}")
+    header = _read_header(line)
+    _check_length(header, handle.seek(0, io.SEEK_END))
     factor = _FileFactor(handle, header.offset, header.rows, header.n)
     return AlicePackage(params=header.params, proj_B=factor, sx=header.sx)
 

@@ -12,12 +12,11 @@ A trial draws ``(omega_bar_sq, s_bar)`` from the exact joint law of what
 reducing a package: the two releases are independent, ``sx`` is drawn by
 the code behind ``private_centered_sq_norm`` from the trial's ``X`` seed,
 as the package draws it, so ``s_bar`` has the package's bits, and the
-analyst's answer ``||R Q||_F^2`` by the code behind
-``private_projected_sq_norm`` from its ``B`` seed, a new draw of the same
-law.  What the two laws need of the data (``B^T Q``, ``Q^T Q``, the
-spectrum of ``Xc``) is computed once per sweep, and the laws once per cell,
-so a trial is a few chi-square draws, and nothing of size r is drawn or
-held.
+analyst's answer ``||R Q||_F^2`` from ``_projected_sq_norm_law``, drawn
+from its ``B`` seed, a new draw of the same law.  What the two laws need
+of the data (``B^T Q``, ``Q^T Q``, the spectrum of ``Xc``) is computed
+once per sweep, and the laws once per cell, so a trial is a few
+chi-square draws, and nothing of size r is drawn or held.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .errors import InvalidInputError
 from .estimators import (
     _paired_matrices,
     dcov_sq_closed_form,
-    rejection_threshold,
     s_hat,
     test_statistic,
 )
@@ -61,9 +59,8 @@ class SweepConfig:
     """A sweep's grid and settings, each checked by the owner of its rule.
 
     ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
-    ``cells``, and ``rejection_threshold`` checks alpha; ``replications``
-    and ``master_seed`` must be integers.  ``alpha`` has no effect on the
-    rows, which hold no test decision.
+    ``cells``; ``replications`` and ``master_seed`` must be integers.  The
+    rows hold no test decision, so there is no significance level.
     """
 
     epsilons: tuple[float, ...]
@@ -71,7 +68,6 @@ class SweepConfig:
     eta_values: tuple[float, ...] = (0.05, 0.1)
     delta: float = 2e-4
     nu: float = 0.05
-    alpha: float = 0.05
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -85,7 +81,6 @@ class SweepConfig:
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
-        rejection_threshold(self.alpha)
         if self.master_seed < 0:
             raise InvalidInputError(f"master_seed must be >= 0, got {self.master_seed}")
 

@@ -130,11 +130,11 @@ def oracle_projection_mean(F, y, params, trials: int, seed: int) -> float:
     """Monte Carlo mean of ||P y||^2 over `trials` fresh release seeds."""
     import numpy as np
 
-    from pitest.privacy import private_sum_directional_variances, privatize_covariance
+    from pitest.privacy import private_sum_directional_variances
+    from reference import released
 
     seeds = np.random.SeedSequence(seed).generate_state(trials, np.uint64)
     total = 0.0
     for s in seeds:
-        P = privatize_covariance(F, params, int(s))
-        total += private_sum_directional_variances(P, y)
+        total += private_sum_directional_variances(released(F, params, int(s)), y)
     return total / trials

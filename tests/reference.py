@@ -14,11 +14,16 @@ itself and its reduction to its centred sum of squares, whose laws the
 package's exact-law draws of the release factor and of ``sx`` are checked
 against, the dense view of a packed release factor, and the dense release
 (``dense_release``): the same draw and QR on a whole rows x n buffer, then
-packed, whose bytes the panel-by-panel release is checked to equal.
+packed, whose bytes the panel-by-panel release is checked to equal.  A
+packed factor is its 1-D array of packed values with its ``(rows, n)``.
+So that a test can hold a release or a package whole, ``released``,
+``held``, ``encoded`` and ``package_bytes`` collect copies of the panels
+and parts that the program streams.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from typing import NamedTuple
 
@@ -28,13 +33,9 @@ from scipy.linalg import lapack
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
-from pitest import privacy
-from pitest.privacy import (
-    _REFLECTOR_BLOCK,
-    PrivacyParams,
-    PrivateProjection,
-    jl_params,
-)
+from pitest import privacy, protocol
+from pitest.privacy import _REFLECTOR_BLOCK, PrivacyParams, jl_params
+from pitest.protocol import alice_stream
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -277,8 +278,8 @@ def gaussian_release(F, p: PrivacyParams, seed: int) -> np.ndarray:
     """The r x n Gaussian release ``P = (G_1 F^T + w G_2) / sqrt(r)`` itself.
 
     ``G = [G_1 G_2] = standard_normal((r, k+n))`` from the generator seeded
-    with ``seed``.  ``pitest.privacy.privatize_covariance`` ships the QR
-    factor of such a release, drawn from its exact law without drawing
+    with ``seed``.  ``pitest.privacy.privatize_covariance_panels`` releases
+    the QR factor of such a release, drawn from its exact law without drawing
     ``G``; ``private_centered_sq_norm`` draws the centred sum of squares.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
@@ -357,15 +358,15 @@ def _factor_from_bartlett(A: np.ndarray, w: float, r: int, T1: np.ndarray, R: np
         R[:, rows:] *= scale[:, None]
 
 
-def dense_release(F, p: PrivacyParams, seed: int) -> PrivateProjection:
-    """The packed release factor, drawn and factored on a whole dense rows x n buffer.
+def dense_release(F, p: PrivacyParams, seed: int) -> np.ndarray:
+    """The packed values of the release factor, drawn and factored on a whole dense rows x n buffer.
 
     ``T`` is drawn panel by panel into a zeroed Fortran-order min(r, n) x n
     array, one ``dtpqrt`` factors all its leading columns, ``dtpmqrt``
     finishes the rest, and the result is packed.
-    ``pitest.privacy.privatize_covariance`` draws the same stream and runs
-    the same reflector blocks panel by panel in the packed buffer, so its
-    values are bit-identical to these.
+    ``pitest.privacy.privatize_covariance_panels`` draws the same stream and
+    runs the same reflector blocks panel by panel in a packed scratch panel,
+    so its panels are bit-identical to these values.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n, k = A.shape
@@ -388,26 +389,72 @@ def _panel_entries(rows: int, n: int):
             yield j, a, b
 
 
-def unpack_factor(proj: PrivateProjection) -> np.ndarray:
-    """The dense rows x n factor ``R`` of a packed release, zeros below the diagonal.
+def unpack_factor(values: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """The dense rows x n factor ``R`` of the packed ``values``, zeros below the diagonal.
 
     The packed values are read in order, one column of a panel's triangle
     or rectangle at a time.
     """
-    R = np.zeros((proj.rows, proj.n))
+    R = np.zeros((rows, n))
     at = 0
-    for j, top, bottom in _panel_entries(proj.rows, proj.n):
-        R[top:bottom, j] = proj.values[at : at + bottom - top]
+    for j, top, bottom in _panel_entries(rows, n):
+        R[top:bottom, j] = values[at : at + bottom - top]
         at += bottom - top
-    assert at == proj.values.size
+    assert at == values.size
     return R
 
 
-def pack_factor(R) -> PrivateProjection:
-    """The packed release of the upper trapezoid of a dense rows x n ``R`` (rows <= n)."""
+def pack_factor(R) -> np.ndarray:
+    """The packed values of the upper trapezoid of a dense rows x n ``R`` (rows <= n)."""
     rows, n = R.shape
-    return PrivateProjection(
-        np.concatenate([R[top:bottom, j] for j, top, bottom in _panel_entries(rows, n)]), rows, n)
+    return np.concatenate([R[top:bottom, j] for j, top, bottom in _panel_entries(rows, n)])
+
+
+class PackedFactor(NamedTuple):
+    """A packed factor in memory, offered as the analyst's sum reads a package's factor.
+
+    ``panels()`` yields ``(a, b, segment)`` for each row panel [a, b), top
+    down, ``segment`` a view of ``values``.  ``unpack_factor(*factor)``
+    gives the dense factor.
+    """
+
+    values: np.ndarray
+    rows: int
+    n: int
+
+    def panels(self):
+        for a, b in privacy._panels(self.rows, self.n):
+            yield a, b, self.values[privacy._row_offset(a, self.n) : privacy._row_offset(b, self.n)]
+
+
+def released(F, p: PrivacyParams, seed: int) -> PackedFactor:
+    """The release factor of ``privatize_covariance_panels(F, p, seed)``, its panels copied.
+
+    Each panel is copied as it comes: the release yields every panel in
+    the same scratch panel.
+    """
+    rows, panels = privacy.privatize_covariance_panels(F, p, seed)
+    return PackedFactor(np.concatenate([panel.copy() for panel in panels]), rows, len(F))
+
+
+def held(factor) -> PackedFactor:
+    """A factor read one panel at a time (a package's ``proj_B``, say), copied into memory."""
+    values = np.concatenate([segment.copy() for _, _, segment in factor.panels()])
+    return PackedFactor(values, factor.rows, factor.n)
+
+
+def encoded(package) -> bytes:
+    """The bytes of a package that was read: its header line, then its factor's panels as read."""
+    head = protocol._header_line(package.n, package.params, package.sx)
+    return head + b"".join(segment.astype("<f8").tobytes() for _, _, segment in package.proj_B.panels())
+
+
+def package_bytes(X, p: PrivacyParams, master_seed: int) -> bytes:
+    """The package of ``alice_stream(X, p, master_seed)``, its parts written one at a time."""
+    buffer = io.BytesIO()
+    for part in alice_stream(X, p, master_seed).parts:
+        buffer.write(part)
+    return buffer.getvalue()
 
 
 class DistanceSpreadCheck(NamedTuple):

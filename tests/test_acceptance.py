@@ -5,6 +5,7 @@ pass/fail line per criterion.  Runtime budgets are asserted where they are
 part of the criterion.
 """
 
+import io
 import json
 import math
 import struct
@@ -22,10 +23,9 @@ from pitest.privacy import (
     PrivacyParams,
     jl_params,
     private_sum_directional_variances,
-    privatize_covariance,
     tau_mechanism,
 )
-from pitest.protocol import alice_prepare, bob_evaluate, deserialize_package, factor_W, serialize_package
+from pitest.protocol import alice_prepare, bob_evaluate, factor_W, read_package
 
 from oracles import oracle_dcov_double_sum
 from reference import (
@@ -33,10 +33,13 @@ from reference import (
     dcov_sq_direct,
     dcov_sq_directional,
     dcov_sq_laplacian,
+    encoded,
     factor_S,
     laplacian_S,
     omega_le_s_condition,
+    package_bytes,
     pairwise_sq_dist,
+    released,
 )
 
 REL_TOL_EQUIV = 1e-9          # criteria 1 and 3: estimator formulation agreement
@@ -124,8 +127,7 @@ def test_criterion_4_mechanism_coverage():
         seeds = np.random.SeedSequence(7).generate_state(2000, np.uint64)
         hits = 0
         for s in seeds:
-            P = privatize_covariance(F, p, int(s))
-            v = private_sum_directional_variances(P, y)
+            v = private_sum_directional_variances(released(F, p, int(s)), y)
             hits += (1 - eta) * t - t_mech <= v <= (1 + eta) * t + t_mech
         assert hits / 2000 >= 1.0 - nu - COVERAGE_SLACK
     assert time.monotonic() - start < 60.0
@@ -289,17 +291,18 @@ def test_criterion_9_determinism_roundtrip_fuzz():
     X = np.array([[0.0], [1.0], [3.0], [6.0]])
     params = PrivacyParams(epsilon=4.0, delta=0.1, eta=0.9, nu=0.5)  # tiny r = 14
 
-    blob = serialize_package(alice_prepare(X, params, master_seed=42))
-    assert serialize_package(alice_prepare(X, params, master_seed=42)) == blob
-    assert serialize_package(alice_prepare(X, params, master_seed=43)) != blob
-    assert serialize_package(deserialize_package(blob)) == blob
+    blob = package_bytes(X, params, master_seed=42)
+    assert package_bytes(X, params, master_seed=42) == blob
+    assert package_bytes(X, params, master_seed=43) != blob
+    assert encoded(alice_prepare(X, params, master_seed=42)) == blob
+    assert encoded(read_package(io.BytesIO(blob))) == blob
 
     rng = np.random.default_rng(999)
     raised = 0
     for _ in range(1000):
         mutated = _mutate(blob, rng)
         try:
-            deserialize_package(mutated)
+            encoded(read_package(io.BytesIO(mutated)))  # the header, then every panel
         except PackageFormatError:
             raised += 1
         # any other exception type propagates and fails the test

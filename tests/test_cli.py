@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import io
 import json
 import math
 import re
@@ -19,21 +20,18 @@ from pitest.privacy import (
     PrivacyParams,
     jl_params,
     private_centered_sq_norm,
-    private_projected_sq_norm,
     tau_mechanism,
 )
 from pitest.estimators import dcov_sq_closed_form, s_hat
-from pitest.protocol import (
-    alice_prepare,
-    bob_evaluate,
-    deserialize_package,
-    factor_W,
-    read_package,
-    serialize_package,
-)
+from pitest.protocol import alice_prepare, bob_evaluate, factor_W, read_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
-from reference import _draw_bartlett, unpack_factor
+from reference import _draw_bartlett, encoded, held, package_bytes, unpack_factor
+
+
+def _read(blob: bytes):
+    """The package in ``blob``, read from memory."""
+    return read_package(io.BytesIO(blob))
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +75,10 @@ def test_alice_file_is_the_serialized_package(tmp_path, capsys):
     save_csv(x_csv, X)
     rc = main(["alice", "--input", str(x_csv), *ALICE_ARGS, "--seed", "17", "--out", str(out)])
     assert rc == 0
-    blob = serialize_package(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 17))
-    assert deserialize_package(blob).proj_B.rows == 45
+    blob = encoded(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 17))
+    assert _read(blob).proj_B.rows == 45
     assert out.read_bytes() == blob
-    assert deserialize_package(out.read_bytes()).proj_B.values.flags.aligned
+    assert (blob.index(b"\n") + 1) % 8 == 0  # the payload is aligned for float64
     assert f"({len(blob)} bytes; n = 150, release factor 45 x 150 " in capsys.readouterr().out
 
 
@@ -100,7 +98,7 @@ def test_alice_writes_a_package_at_a_huge_row_count(data_dir, tmp_path, capsys):
                "--eta", "1e-100", "--out", str(out)])
     assert rc == 0
     assert capsys.readouterr().err == ""
-    package = deserialize_package(out.read_bytes())
+    package = _read(out.read_bytes())
     assert (package.proj_B.rows, package.proj_B.n) == (20, 20)
     assert math.isfinite(package.sx) and package.sx > 0.0
 
@@ -125,7 +123,7 @@ _STREAM_SHAPES = [(20, None), (40, 16), (150, 16)]
 
 @pytest.mark.parametrize("n, height", _STREAM_SHAPES)
 def test_alice_streams_the_serialized_package(n, height, tmp_path, monkeypatch, capsys):
-    """The file written panel by panel is serialize_package(alice_prepare(...)), byte for byte."""
+    """The file written panel by panel is the package of alice_prepare(...), byte for byte."""
     if height is not None:
         monkeypatch.setattr(privacy, "_PANEL_FLOATS", height * n)
     rows = min(45, n)
@@ -134,7 +132,7 @@ def test_alice_streams_the_serialized_package(n, height, tmp_path, monkeypatch, 
     x_csv, out = tmp_path / "x.csv", tmp_path / "pkg.bin"
     save_csv(x_csv, X)
     assert main(["alice", "--input", str(x_csv), *ALICE_ARGS, "--seed", "23", "--out", str(out)]) == 0
-    blob = serialize_package(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 23))
+    blob = encoded(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 23))
     assert out.read_bytes() == blob
     assert f"({len(blob)} bytes; n = {n}, release factor {rows} x {n} " in capsys.readouterr().out
 
@@ -149,8 +147,8 @@ def test_alice_leaves_nothing_when_a_later_panel_is_not_finite(tmp_path, monkeyp
     release = privacy._release_panels
     partial = []
 
-    def poisoned(A, p, seed, segment):
-        for a, b, values in release(A, p, seed, segment):
+    def poisoned(A, p, seed):
+        for a, b, values in release(A, p, seed):
             if b == 45:
                 partial.extend(path.stat().st_size for path in out_dir.iterdir())
                 values[1] = math.nan  # an entry right of the diagonal
@@ -168,7 +166,7 @@ def _package_with_bad_last_panel(tmp_path, defect: str):
     """A package of n = 40 in three panels, its last panel [32, 40) spoilt as ``defect`` says."""
     n = 40
     X, _ = synthetic_pair(n=n, d=2, m=2, dependence=0.0, seed=8)
-    blob = bytearray(serialize_package(alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 5)))
+    blob = bytearray(package_bytes(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 5))
     last = blob.index(b"\n") + 1 + 8 * privacy._row_offset(32, n)  # where the last panel starts
     if defect == "nan":
         blob[last + 8 : last + 16] = struct.pack("<d", math.nan)  # right of its first diagonal entry
@@ -207,7 +205,7 @@ def test_bob_reads_the_same_package_from_a_file(data_dir, tmp_path):
     X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
     package = alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 4)
     path = tmp_path / "pkg.bin"
-    path.write_bytes(serialize_package(package))
+    path.write_bytes(encoded(package))
     with open(path, "rb") as handle:
         streamed = read_package(handle)
         assert (streamed.params, streamed.sx, streamed.n) == (package.params, package.sx, 20)
@@ -246,7 +244,7 @@ def test_alice_and_bob_hold_a_few_panels_not_the_factor(tmp_path, capsys):
 
 def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, capsys):
     X = load_csv(data_dir / "x.csv")
-    blob = serialize_package(alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 3))
+    blob = package_bytes(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 3)
     head, _, payload = blob.partition(b"\n")
     doc = json.loads(head)
     doc["privacy"]["eta"] = 1e-200
@@ -279,9 +277,9 @@ def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
 
     X = load_csv(data_dir / "x.csv")
     params = PrivacyParams(10.0, 0.01, 0.5, 0.5)
-    assert out.read_bytes() == serialize_package(alice_prepare(X, params, 11))
+    assert out.read_bytes() == package_bytes(X, params, 11)
 
-    R = unpack_factor(deserialize_package(out.read_bytes()).proj_B)
+    R = unpack_factor(*held(_read(out.read_bytes()).proj_B))
     (n, k), (r, w) = X.shape, jl_params(params.half_budget())
     release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[0])
     T1, T22 = _draw_bartlett(np.random.default_rng(release_seed), r, k, n)
@@ -359,11 +357,11 @@ def test_bob_reports_the_floor_share_of_each_statistic(data_dir, tmp_path, capsy
                  "--report", str(report)]) == 0
     capsys.readouterr()
     floor = json.loads(report.read_text())["floor"]
-    package = deserialize_package(pkg.read_bytes())
+    package = _read(pkg.read_bytes())
     Y = load_csv(data_dir / "y.csv")
     half = PrivacyParams(10.0, 0.01, 0.5, 0.5).half_budget()
     w = jl_params(half).w
-    RY = unpack_factor(package.proj_B) @ Y
+    RY = unpack_factor(*held(package.proj_B)) @ Y
     assert floor["omega_share"] == pytest.approx(w**2 * np.sum(Y * Y) / np.sum(RY * RY), rel=1e-12)
     assert floor["s_share"] == pytest.approx(w**2 * 19 / package.sx, rel=1e-15)
     assert floor["s_param_min"] == pytest.approx(tau_mechanism(half) / 0.5, rel=1e-15)
@@ -473,9 +471,9 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     params = PrivacyParams(1e6, 0.5, 0.01, 0.05)
     package = alice_prepare(X, params, 4)
     r, w = jl_params(params.half_budget())
-    blob = serialize_package(package)
+    blob = encoded(package)
     assert doc["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": len(blob)}
-    RY = unpack_factor(package.proj_B) @ Y
+    RY = unpack_factor(*held(package.proj_B)) @ Y
     assert doc["floor"] == pytest.approx({
         "omega_share": w**2 * np.sum(Y * Y) / np.sum(RY * RY),
         "s_share": w**2 * 19 / package.sx,
@@ -567,7 +565,7 @@ def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
     X = load_csv(data_dir / "x.csv")
     Y = load_csv(data_dir / "y.csv")
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=4, eta_values=(0.3, 0.5),
-                      delta=0.01, nu=0.5, alpha=0.1, master_seed=7)
+                      delta=0.01, nu=0.5, master_seed=7)
     rows = run_sweep(cfg, X, Y)
     assert len(rows) == 4
 
@@ -578,6 +576,8 @@ def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
     gamma_ref = n * omega_ref / s_ref
     Yc = Y - Y[0]
     Yc = Yc - Yc.mean(axis=0)
+    B = factor_W(X)
+    answer_law = privacy._projected_sq_norm_law(B.T @ Y, Y.T @ Y, p.half_budget())
     errors = []
     for rep in range(4):
         seed = int(np.random.SeedSequence([7, i_eps, i_eta, rep]).generate_state(1, np.uint64)[0])
@@ -585,8 +585,7 @@ def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
         sx = private_centered_sq_norm(X, p.half_budget(), seed_X)
         s_bar = 4.0 / n**3 * sx * (n * float(np.sum(Yc * Yc)))
         assert s_bar == bob_evaluate(alice_prepare(X, p, seed), Y, 0.1).s_bar
-        omega_bar_sq = 2.0 / n**2 * private_projected_sq_norm(factor_W(X), Y, p.half_budget(),
-                                                              seed_B)
+        omega_bar_sq = 2.0 / n**2 * answer_law.draw(seed_B)
         statistic = n * omega_bar_sq / s_bar
         errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
             (statistic, gamma_ref), (s_bar, s_ref), (omega_bar_sq, omega_ref))])

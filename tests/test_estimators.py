@@ -18,7 +18,7 @@ from pitest.estimators import (
     s_hat,
     test_statistic as gamma_statistic,
 )
-from pitest.privacy import PrivacyParams, privatize_covariance
+from pitest.privacy import PrivacyParams
 from pitest.protocol import factor_W
 
 from oracles import (
@@ -37,6 +37,7 @@ from reference import (
     factor_S,
     laplacian_S,
     laplacian_W,
+    released,
     s_hat_directional,
     unpack_factor,
 )
@@ -200,7 +201,7 @@ def test_s_hat_directional_matches_s_hat():
     assert rel_close(s_hat_directional(X.T, Y), s_hat(X, Y))
     # a released projection in place of X^T, against the n^2 form with G = factor_S(n)
     n = 13
-    P = unpack_factor(privatize_covariance(X, PrivacyParams(2.0, 0.01, 0.3, 0.1), seed=5))
+    P = unpack_factor(*released(X, PrivacyParams(2.0, 0.01, 0.3, 0.1), seed=5))
     via_factor = (
         4.0 / n**4
         * np.linalg.norm(P @ factor_S(n), "fro") ** 2

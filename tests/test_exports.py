@@ -1,6 +1,6 @@
 """Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, the
-CLI imports without ``scipy.special``, and README describes the package format the code
-writes."""
+CLI imports without ``scipy.special``, README describes the package format the code
+writes, and README's library example runs."""
 
 import importlib
 import os
@@ -44,3 +44,17 @@ def test_readme_package_section_names_the_format_version():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("- **Package**", 1)[1].split("\n- **", 1)[0]
     assert f"format version {FORMAT_VERSION}" in section
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The Python block of README's Library section runs as written, at its n = 200.
+
+    So the example cannot name a function the package no longer has.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_library"})
+    assert (tmp_path / "pkg.bin").stat().st_size > 0
+    assert len(capsys.readouterr().out.split()) == 4  # statistic, verdict and the two bounds

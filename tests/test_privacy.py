@@ -12,12 +12,10 @@ from pitest.data import synthetic_pair
 from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
     PrivacyParams,
-    PrivateProjection,
     jl_params,
     private_centered_sq_norm,
-    private_projected_sq_norm,
     private_sum_directional_variances,
-    privatize_covariance,
+    privatize_covariance_panels,
     tau,
     tau_mechanism,
 )
@@ -30,6 +28,7 @@ from reference import (
     dense_release,
     gaussian_release,
     pack_factor,
+    released,
     unpack_factor,
 )
 
@@ -75,6 +74,15 @@ def test_jl_params_rejects_eta_too_small_for_a_row_count(eta):
 )
 def test_privacy_params_validation(kwargs):
     with pytest.raises(InvalidInputError):
+        PrivacyParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "delta", "eta", "nu"])
+def test_privacy_params_refuse_bools(field):
+    # True passes an (int, float) check and would read as 1
+    kwargs = dict(epsilon=1.0, delta=0.5, eta=0.5, nu=0.5)
+    kwargs[field] = True
+    with pytest.raises(InvalidInputError, match=f"{field} must be a finite number, got True"):
         PrivacyParams(**kwargs)
 
 
@@ -125,10 +133,10 @@ def test_tau_mechanism_is_eta_inflated_floor():
 
 def test_privatize_deterministic():
     F = np.random.default_rng(0).standard_normal((6, 2))
-    a = privatize_covariance(F, PARAMS, seed=1234)
-    b = privatize_covariance(F, PARAMS, seed=1234)
+    a = released(F, PARAMS, seed=1234)
+    b = released(F, PARAMS, seed=1234)
     assert a.values.tobytes() == b.values.tobytes()
-    c = privatize_covariance(F, PARAMS, seed=1235)
+    c = released(F, PARAMS, seed=1235)
     assert a.values.tobytes() != c.values.tobytes()
 
 
@@ -158,7 +166,7 @@ def test_privatize_is_projection_of_augmented_factor():
     r, w = jl_params(p)
     assert r == 267
     F = np.random.default_rng(1).standard_normal((5, 2))
-    R = unpack_factor(privatize_covariance(F, p, seed=99))
+    R = unpack_factor(*released(F, p, seed=99))
     # the release's bytes: T drawn from the seed, then R from T
     T1, expected = _draw_bartlett(np.random.default_rng(99), r, 2, 5)
     T = _bartlett_whole(T1, expected, r, 2)
@@ -176,9 +184,9 @@ def test_privatize_draws_and_projects_row_blocks():
     r, w = jl_params(p)
     n, k = 500, 2
     F = np.random.default_rng(1).standard_normal((n, k))
-    P = privatize_covariance(F, p, seed=99)
+    P = released(F, p, seed=99)
     assert (P.rows, P.n) == (r, n)
-    R = unpack_factor(P)
+    R = unpack_factor(*P)
     T1, expected = _draw_bartlett(np.random.default_rng(99), r, k, n)
     # the one-shot triangular-pentagonal QR over all n columns, T22 padded square
     T22 = np.zeros((n, n), order="F")
@@ -205,59 +213,31 @@ def test_packed_values_are_the_upper_trapezoid_of_the_factor(n):
     assert r == 267
     k = 2
     F = np.random.default_rng(n).standard_normal((n, k))
-    P = privatize_covariance(F, p, seed=99)
+    P = released(F, p, seed=99)
     T1, R = _draw_bartlett(np.random.default_rng(99), r, k, n)
     _factor_from_bartlett(F, w, r, T1, R)
     rows = min(r, n)
     assert P.values.size == rows * (rows + 1) // 2 + (n - rows) * rows
-    assert P.values.tobytes() == pack_factor(R).values.tobytes()
-
-
-def test_projection_checks_its_packed_length():
-    # a 2 x 3 factor keeps 1, 2 and 2 entries of its columns
-    assert PrivateProjection(np.ones(5), 2, 3).values.size == 5
-    for size, rows, n in ((6, 2, 3), (4, 2, 3), (5, 3, 3), (5, 4, 3), (5, 0, 3)):
-        with pytest.raises(ShapeError):
-            PrivateProjection(np.ones(size), rows, n)
-    with pytest.raises(ShapeError):
-        PrivateProjection(np.ones((1, 5)), 2, 3)
-    with pytest.raises(InvalidInputError, match="non-finite"):
-        PrivateProjection(np.array([1.0, np.nan, 1.0, 1.0, 1.0]), 2, 3)
+    assert P.values.tobytes() == pack_factor(R).tobytes()
 
 
 def test_privatize_shape_and_finiteness():
     p = PARAMS
     r, _ = jl_params(p)
-    P = privatize_covariance(np.zeros((7, 3)), p, seed=5)
+    P = released(np.zeros((7, 3)), p, seed=5)
     assert (P.rows, P.n) == (min(r, 7), 7)
     assert P.values.shape == (7 * 8 // 2,)
     assert np.all(np.isfinite(P.values))
-    _assert_upper_trapezoidal(unpack_factor(P))
+    _assert_upper_trapezoidal(unpack_factor(*P))
 
 
 def test_privatize_ships_an_n_row_factor_at_a_huge_row_count():
     # eta = 1e-100 gives r ~ 3e201 rows: the factor still has n = 5 rows
     p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
     assert jl_params(p).r > 1e201
-    P = privatize_covariance(np.arange(5.0)[:, None], p, seed=0)
+    P = released(np.arange(5.0)[:, None], p, seed=0)
     assert (P.rows, P.n) == (5, 5)
-    _assert_upper_trapezoidal(unpack_factor(P))
-
-
-def test_privatize_reports_a_factor_it_cannot_allocate(monkeypatch):
-    # a refusal stands in for an allocation the OS cannot make: asking for
-    # one might be granted under overcommit and then exhaust memory.  The
-    # packed 5 x 5 factor (15 entries) is the first array allocated.
-    zeros = np.zeros
-
-    def refuse_the_factor(shape, *args, **kwargs):
-        if shape in (15, (15,)):
-            raise MemoryError(f"Unable to allocate array with shape {shape}")
-        return zeros(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", refuse_the_factor)
-    with pytest.raises(InvalidInputError, match=r"factor of 5 x 5 float64, packed, needs 120 bytes"):
-        privatize_covariance(np.arange(5.0)[:, None], PARAMS, seed=0)
+    _assert_upper_trapezoidal(unpack_factor(*P))
 
 
 def test_private_centered_sq_norm_is_finite_at_a_huge_row_count():
@@ -329,9 +309,9 @@ def test_release_is_bit_identical_to_the_dense_release(r, k, n, height, monkeypa
     p = _params_with_rows(r)
     F = 30.0 * np.random.default_rng(r + 100 * k + 10_000 * n).standard_normal((n, k))
     for seed in (0, 99):
-        released = privatize_covariance(F, p, seed)
-        assert (released.rows, released.n) == (min(r, n), n)
-        assert released.values.tobytes() == dense_release(F, p, seed).values.tobytes()
+        factor = released(F, p, seed)
+        assert (factor.rows, factor.n) == (min(r, n), n)
+        assert factor.values.tobytes() == dense_release(F, p, seed).tobytes()
 
 
 def test_release_applies_each_reflector_block_once(monkeypatch):
@@ -350,7 +330,7 @@ def test_release_applies_each_reflector_block_once(monkeypatch):
 
     monkeypatch.setattr(privacy.lapack, "dtpmqrt", counted)
     F = 30.0 * np.random.default_rng(5).standard_normal((2000, 2))
-    assert privatize_covariance(F, _params_with_rows(2952), 1).rows == 2000
+    assert released(F, _params_with_rows(2952), 1).rows == 2000
     assert 0 < sum(blocks) <= math.ceil(2000 / 16)
 
 
@@ -369,10 +349,10 @@ def test_factor_has_the_law_of_the_release_gram(k, n):
         Z = M @ Y
         return float(np.sum(Z * Z)), float(Z[:, 0] @ Z[:, 1])
 
-    drawn = np.array([statistics(unpack_factor(privatize_covariance(F, p, s))) for s in range(trials)])
-    released = np.array([statistics(gaussian_release(F, p, s)) for s in range(trials, 2 * trials)])
+    drawn = np.array([statistics(unpack_factor(*released(F, p, s))) for s in range(trials)])
+    gaussian = np.array([statistics(gaussian_release(F, p, s)) for s in range(trials, 2 * trials)])
     for column in range(2):
-        assert stats.ks_2samp(drawn[:, column], released[:, column]).pvalue > 1e-3, column
+        assert stats.ks_2samp(drawn[:, column], gaussian[:, column]).pvalue > 1e-3, column
 
 
 @pytest.mark.parametrize("epsilon, x_scale, floor_dominated",
@@ -395,8 +375,8 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     assert (floor_share > 0.99) if floor_dominated else (floor_share < 0.01)
     trials = 600
     packaged = [bob_evaluate(alice_prepare(X, p, s), Y).omega_bar_sq for s in range(trials)]
-    drawn = [2.0 / n**2 * private_projected_sq_norm(B, Q, half, s)
-             for s in range(trials, 2 * trials)]
+    law = privacy._projected_sq_norm_law(B.T @ Q, Q.T @ Q, half)
+    drawn = [2.0 / n**2 * law.draw(s) for s in range(trials, 2 * trials)]
     assert stats.ks_2samp(drawn, packaged).pvalue >= 1e-3
     if floor_dominated:
         no_floor = privacy._projected_sq_norm_law(B.T @ Q, np.zeros((2, 2)), half)
@@ -409,15 +389,15 @@ def test_private_projected_sq_norm_is_finite_at_a_huge_row_count():
     # at its mean ||F^T y||^2 + w^2 ||y||^2 to within the sqrt(2/r) spread
     p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
     w = jl_params(p).w
-    F, y = np.arange(5.0)[:, None], np.ones(5)
-    value = private_projected_sq_norm(F, y, p, seed=0)
+    F, Q = np.arange(5.0)[:, None], np.ones((5, 1))
+    value = privacy._projected_sq_norm_law(F.T @ Q, Q.T @ Q, p).draw(0)
     assert math.isfinite(value)
     assert value == pytest.approx(100.0 + 5.0 * w**2, rel=1e-12)
 
 
 def test_privatize_rejects_non_finite_factor():
     with pytest.raises(InvalidInputError):
-        privatize_covariance(np.array([[1.0], [np.inf]]), PARAMS, seed=0)
+        privatize_covariance_panels(np.array([[1.0], [np.inf]]), PARAMS, seed=0)
 
 
 def test_zero_factor_mean_is_floor():
@@ -451,7 +431,7 @@ def test_projection_core_unbiased_within_three_se():
     seeds = np.random.SeedSequence(555).generate_state(trials, np.uint64)
     F = np.zeros((5, 1))
     for s in seeds:
-        P = privatize_covariance(F, PARAMS, int(s))
+        P = released(F, PARAMS, int(s))
         values.append(private_sum_directional_variances(P, y))
     values = np.asarray(values)
     se = values.std(ddof=1) / math.sqrt(trials)
@@ -462,12 +442,12 @@ def test_projection_core_unbiased_within_three_se():
 
 
 def test_directional_variance_zero_query():
-    P = privatize_covariance(np.zeros((4, 1)), PARAMS, seed=3)
+    P = released(np.zeros((4, 1)), PARAMS, seed=3)
     assert private_sum_directional_variances(P, np.zeros(4)) == 0.0
 
 
 def test_directional_variance_scales_quadratically():
-    P = privatize_covariance(np.random.default_rng(11).standard_normal((6, 2)), PARAMS, seed=4)
+    P = released(np.random.default_rng(11).standard_normal((6, 2)), PARAMS, seed=4)
     y = np.random.default_rng(12).standard_normal(6)
     assert private_sum_directional_variances(P, 2.0 * y) == pytest.approx(
         4.0 * private_sum_directional_variances(P, y), rel=1e-12
@@ -475,13 +455,13 @@ def test_directional_variance_scales_quadratically():
 
 
 def test_directional_variance_shape_check():
-    P = privatize_covariance(np.zeros((4, 1)), PARAMS, seed=3)
+    P = released(np.zeros((4, 1)), PARAMS, seed=3)
     with pytest.raises(ShapeError):
         private_sum_directional_variances(P, np.zeros(5))
 
 
 def test_sum_single_column_equals_single_query():
-    P = privatize_covariance(np.random.default_rng(13).standard_normal((5, 2)), PARAMS, seed=6)
+    P = released(np.random.default_rng(13).standard_normal((5, 2)), PARAMS, seed=6)
     y = np.random.default_rng(14).standard_normal(5)
     assert private_sum_directional_variances(P, y[:, None]) == pytest.approx(
         private_sum_directional_variances(P, y), rel=1e-12
@@ -489,14 +469,14 @@ def test_sum_single_column_equals_single_query():
 
 
 def test_sum_zero_matrix():
-    P = privatize_covariance(np.zeros((5, 1)), PARAMS, seed=7)
+    P = released(np.zeros((5, 1)), PARAMS, seed=7)
     assert private_sum_directional_variances(P, np.zeros((5, 3))) == 0.0
 
 
 def test_sum_matches_columnwise_loop():
-    P = privatize_covariance(np.random.default_rng(15).standard_normal((7, 3)), PARAMS, seed=8)
+    P = released(np.random.default_rng(15).standard_normal((7, 3)), PARAMS, seed=8)
     V = np.random.default_rng(16).standard_normal((7, 4))
-    R = unpack_factor(P)
+    R = unpack_factor(*P)
     total = sum(float(np.sum((R @ V[:, i]) ** 2)) for i in range(4))
     assert private_sum_directional_variances(P, V) == pytest.approx(total, rel=1e-10)
 
@@ -515,7 +495,7 @@ def test_single_query_coverage():
     seeds = np.random.SeedSequence(99).generate_state(400, np.uint64)
     hits = 0
     for s in seeds:
-        P = privatize_covariance(F, p, int(s))
+        P = released(F, p, int(s))
         value = private_sum_directional_variances(P, y)
         if (1 - p.eta) * t - t_mech <= value <= (1 + p.eta) * t + t_mech:
             hits += 1
@@ -533,7 +513,7 @@ def test_multi_query_union_coverage():
     seeds = np.random.SeedSequence(199).generate_state(300, np.uint64)
     all_hit = 0
     for s in seeds:
-        P = privatize_covariance(F, p, int(s))
+        P = released(F, p, int(s))
         ok = all(
             (1 - p.eta) * t - t_mech
             <= private_sum_directional_variances(P, V[:, i])
@@ -547,5 +527,5 @@ def test_multi_query_union_coverage():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**63 - 1))
 def test_release_always_finite(seed):
-    P = privatize_covariance(np.random.default_rng(2).standard_normal((5, 2)), PARAMS, seed)
+    P = released(np.random.default_rng(2).standard_normal((5, 2)), PARAMS, seed)
     assert np.all(np.isfinite(P.values))

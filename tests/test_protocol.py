@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import io
 import json
 import math
 import struct
@@ -26,32 +27,35 @@ from pitest.estimators import (
 )
 from pitest.privacy import (
     PrivacyParams,
-    PrivateProjection,
     jl_params,
     private_centered_sq_norm,
     private_sum_directional_variances,
-    privatize_covariance,
+    privatize_covariance_panels,
     tau_mechanism,
 )
 from pitest.protocol import (
     AlicePackage,
     alice_prepare,
+    alice_stream,
     bob_evaluate,
-    deserialize_package,
-    encode_package,
     factor_W,
+    read_package,
     report_to_dict,
-    serialize_package,
 )
 
 from reference import (
+    PackedFactor,
     _draw_bartlett,
     _factor_from_bartlett,
     dcov_sq_direct,
     dcov_sq_directional,
+    encoded,
     gaussian_release,
+    held,
     pack_factor,
+    package_bytes,
     release_centered_sq_norm,
+    released,
     unpack_factor,
 )
 
@@ -81,9 +85,9 @@ def _gaussian_releases(X, params, master_seed) -> tuple[np.ndarray, np.ndarray]:
 
 def test_alice_package_deterministic(xy, package):
     again = alice_prepare(xy[0], PARAMS, master_seed=2024)
-    assert serialize_package(again) == serialize_package(package)
+    assert encoded(again) == encoded(package)
     other = alice_prepare(xy[0], PARAMS, master_seed=2025)
-    assert serialize_package(other) != serialize_package(package)
+    assert encoded(other) != encoded(package)
 
 
 def test_projection_rows_use_half_budget(xy, package):
@@ -96,8 +100,8 @@ def test_release_seeds_derived_from_master(xy, package):
     X = xy[0]
     seeds = np.random.SeedSequence(2024).generate_state(2, np.uint64)
     half = PARAMS.half_budget()
-    proj_B = privatize_covariance(factor_W(X), half, int(seeds[0]))
-    assert np.array_equal(proj_B.values, package.proj_B.values)
+    proj_B = released(factor_W(X), half, int(seeds[0]))
+    assert np.array_equal(proj_B.values, held(package.proj_B).values)
     assert package.sx == private_centered_sq_norm(X, half, int(seeds[1]))
 
 
@@ -152,13 +156,44 @@ def test_alice_rejects_bad_input():
         alice_prepare(np.array([[1.0]]), PARAMS, 0)
 
 
+def test_alice_prepare_reports_a_package_it_cannot_hold(monkeypatch):
+    # a refusal stands in for an allocation the OS cannot make: asking for
+    # one might be granted under overcommit and then exhaust memory.  The
+    # 5 x 5 factor packs as 15 entries.
+    class Refusing(io.BytesIO):
+        def write(self, data):
+            raise MemoryError("Unable to allocate")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(io, "BytesIO", Refusing)
+        with pytest.raises(InvalidInputError, match=r"factor of 5 x 5 float64, packed, needs 120 bytes"):
+            alice_prepare(np.arange(5.0)[:, None], PARAMS, 0)
+
+
+def test_read_package_reads_a_file_and_a_buffer_alike(package, xy, tmp_path):
+    """A package file, its bytes in memory, and either handle left at another offset, give one report."""
+    blob = encoded(package)
+    path = tmp_path / "pkg.bin"
+    path.write_bytes(blob)
+    expected = bob_evaluate(package, xy[1])
+    with open(path, "rb") as handle:
+        assert bob_evaluate(read_package(handle), xy[1]) == expected
+        handle.seek(37)
+        assert bob_evaluate(read_package(handle), xy[1]) == expected
+    buffer = io.BytesIO(blob)
+    buffer.seek(0, io.SEEK_END)
+    from_memory = read_package(buffer)
+    assert (from_memory.params, from_memory.sx, from_memory.n) == (package.params, package.sx, 12)
+    assert bob_evaluate(from_memory, xy[1]) == expected
+
+
 def test_identity_hook_reproduces_nonprivate_statistics(xy):
     X, Y = xy
     # a 'release' with no noise and no floor: P = F^T answers queries exactly,
     # and so does the triangular factor of its QR
     Xc = X - X.mean(axis=0)
     R = np.linalg.qr(factor_W(X).T, mode="r")
-    pkg = AlicePackage(PARAMS, pack_factor(R), sx=float(np.sum(Xc * Xc)))
+    pkg = AlicePackage(PARAMS, PackedFactor(pack_factor(R), *R.shape), sx=float(np.sum(Xc * Xc)))
     report = bob_evaluate(pkg, Y)
     omega = dcov_sq_direct(X, Y)
     s = s_hat(X, Y)
@@ -172,7 +207,7 @@ def test_s_bar_keeps_precision_under_large_y_mean(xy):
     X, Y = xy
     Xc = X - X.mean(axis=0)
     R = np.linalg.qr(factor_W(X).T, mode="r")
-    pkg = AlicePackage(PARAMS, pack_factor(R), sx=float(np.sum(Xc * Xc)))
+    pkg = AlicePackage(PARAMS, PackedFactor(pack_factor(R), *R.shape), sx=float(np.sum(Xc * Xc)))
     for shift in (1e8, -1e9):
         report = bob_evaluate(pkg, Y + shift)
         assert report.s_bar == pytest.approx(s_hat(X, Y + shift), rel=1e-6)
@@ -182,7 +217,6 @@ def test_s_bar_keeps_precision_under_large_y_mean(xy):
 def test_package_stores_each_fact_once(package):
     """The budget, the projection and sx; n is the projection's width."""
     assert [f.name for f in dataclasses.fields(AlicePackage)] == ["params", "proj_B", "sx"]
-    assert [f.name for f in dataclasses.fields(PrivateProjection)] == ["values", "rows", "n"]
     assert package.n == package.proj_B.n == 12
 
 
@@ -218,7 +252,7 @@ def test_report_statistics_match_package_arithmetic(package, xy):
     Y = xy[1]
     report = bob_evaluate(package, Y)
     n = 12
-    omega = 2.0 / n**2 * np.linalg.norm(unpack_factor(package.proj_B) @ Y, "fro") ** 2
+    omega = 2.0 / n**2 * np.linalg.norm(unpack_factor(*held(package.proj_B)) @ Y, "fro") ** 2
     # ||P_X G||_F^2 = n ||P_X J||_F^2 = n sx
     s = 4.0 / n**4 * (n * package.sx) * (
         n * np.linalg.norm(Y, "fro") ** 2 - np.linalg.norm(Y.sum(axis=0)) ** 2
@@ -298,8 +332,27 @@ def _header_and_payload(blob: bytes) -> tuple[dict, bytes]:
     return json.loads(head), payload
 
 
+def _line_and_payload(blob: bytes) -> tuple[bytes, bytes]:
+    """A package's header line, newline included, and its payload."""
+    end = blob.index(b"\n") + 1
+    return blob[:end], blob[end:]
+
+
+def _read(blob: bytes) -> AlicePackage:
+    """The package in ``blob``, read from memory: its header and length are checked."""
+    return read_package(io.BytesIO(blob))
+
+
+def _read_factor(blob: bytes) -> AlicePackage:
+    """The package in ``blob``, with every panel of its factor read and checked too."""
+    package = _read(blob)
+    for _ in package.proj_B.panels():
+        pass
+    return package
+
+
 def _doc(package) -> dict:
-    return _header_and_payload(serialize_package(package))[0]
+    return _header_and_payload(encoded(package))[0]
 
 
 def _line(head: bytes) -> bytes:
@@ -309,30 +362,31 @@ def _line(head: bytes) -> bytes:
 
 def _wire(package, doc) -> bytes:
     """A (possibly mutated) header line followed by the package's payloads."""
-    payload = _header_and_payload(serialize_package(package))[1]
+    payload = _header_and_payload(encoded(package))[1]
     return _line(json.dumps(doc).encode("utf-8")) + payload
 
 
 def _reject(package, doc):
     with pytest.raises(PackageFormatError):
-        deserialize_package(_wire(package, doc))
+        _read(_wire(package, doc))
 
 
 def test_round_trip_is_bit_exact(package):
-    blob = serialize_package(package)
-    pkg2 = deserialize_package(blob)
-    assert serialize_package(pkg2) == blob
+    blob = encoded(package)
+    pkg2 = _read(blob)
+    assert encoded(pkg2) == blob
     assert pkg2.n == package.n
     assert pkg2.params == package.params
-    assert np.array_equal(pkg2.proj_B.values, package.proj_B.values)
+    assert np.array_equal(held(pkg2.proj_B).values, held(package.proj_B).values)
     assert pkg2.sx == package.sx
     # integer budget fields are written as the floats the parser reads back
     ints = AlicePackage(PrivacyParams(1, 0.01, 0.3, 0.5), package.proj_B, package.sx)
-    assert deserialize_package(serialize_package(ints)).params == ints.params
+    assert _read(encoded(ints)).params == ints.params
 
 
-def test_layout_is_header_line_then_raw_payloads(package):
-    blob = serialize_package(package)
+def test_layout_is_header_line_then_raw_payloads(package, xy):
+    blob = package_bytes(xy[0], PARAMS, 2024)  # as Alice writes it
+    assert blob == encoded(package)
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -342,9 +396,8 @@ def test_layout_is_header_line_then_raw_payloads(package):
     assert doc["sx"] == package.sx
     # the upper triangle of the 12 x 12 factor, column j keeping j + 1 entries
     assert len(blob) == len(head) + 1 + 8 * (12 * 13 // 2)
-    # the buffer Alice filled, which is the factor's upper trapezoid column by column
-    assert payload == package.proj_B.values.astype("<f8").tobytes()
-    R = unpack_factor(package.proj_B)
+    # the factor's upper trapezoid column by column
+    R = unpack_factor(*held(package.proj_B))
     assert payload == b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(12))
     # For several n and budgets, an sx of 1 to 8 significant digits gives the
     # unpadded line (the JSON and the newline) every length mod 8, 0 and 7
@@ -353,82 +406,96 @@ def test_layout_is_header_line_then_raw_payloads(package):
     residues = set()
     for n, params in ((12, PARAMS), (7, PrivacyParams(1.0, 0.01, 0.3, 0.5)),
                       (1000, PrivacyParams(10.0, 2e-4, 0.9, 0.5))):
-        proj = alice_prepare(np.random.default_rng(n).standard_normal((n, 2)), params, 2024).proj_B
+        proj = held(alice_prepare(np.random.default_rng(n).standard_normal((n, 2)), params, 2024).proj_B)
         for digits in range(8):
             pkg = AlicePackage(params, proj, sx=1.0 + 2.0**-digits if digits else 1.0)
-            line, payload = encode_package(pkg)
+            line, payload = _line_and_payload(encoded(pkg))
             unpadded = len(line.rstrip(b" \n")) + 1
             residues.add(unpadded % 8)
             assert len(line) % 8 == 0 and len(line) - unpadded < 8
-            wire = deserialize_package(line + bytes(payload))
-            assert np.array_equal(wire.proj_B.values, proj.values) and wire.sx == pkg.sx
+            wire = _read(line + payload)
+            assert np.array_equal(held(wire.proj_B).values, proj.values) and wire.sx == pkg.sx
             if len(line) > unpadded:
                 with pytest.raises(PackageFormatError, match="not the canonical line"):
-                    deserialize_package(line[:-2] + b"\n" + bytes(payload))
+                    _read(line[:-2] + b"\n" + payload)
     assert residues == set(range(8))
 
 
-def test_encoded_parts_are_the_header_line_and_the_factors_own_buffer(package):
-    head, payload = encode_package(package)
-    assert head.endswith(b"\n") and head.count(b"\n") == 1
-    assert len(payload) == payload.nbytes == package.proj_B.values.nbytes
-    assert np.shares_memory(np.frombuffer(payload, dtype="<f8"), package.proj_B.values)
-    assert head + bytes(payload) == serialize_package(package)
-    wire = deserialize_package(serialize_package(package))  # a read-only view of the blob
-    assert b"".join(encode_package(wire)) == serialize_package(package)
+def test_stream_parts_are_the_header_line_then_views_of_one_scratch_panel(monkeypatch):
+    """alice_stream gives the header line, then every panel as a view of the same scratch panel.
+
+    So a writer writes each part before it asks for the next, as
+    alice_prepare and package_bytes do; ``b"".join(parts)`` collects the
+    views first, and its panels then all read as the last one released.
+    """
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # panels [0, 16), [16, 32) and [32, 40)
+    X = np.random.default_rng(9).standard_normal((40, 2))
+    parts = alice_stream(X, PARAMS, 3).parts
+    head = next(parts)
+    assert head.endswith(b"\n") and head.count(b"\n") == 1 and len(head) % 8 == 0
+    views, copies = [], []
+    for part in parts:
+        views.append(np.frombuffer(part, dtype="<f8"))
+        copies.append(bytes(part))
+    offsets = [privacy._row_offset(a, 40) for a in (0, 16, 32, 40)]
+    assert [len(c) for c in copies] == [8 * (b - a) for a, b in zip(offsets, offsets[1:])]
+    assert all(np.shares_memory(view, views[0]) for view in views[1:])
+    written = head + b"".join(copies)
+    assert written == package_bytes(X, PARAMS, 3) == encoded(alice_prepare(X, PARAMS, 3))
+    assert b"".join(alice_stream(X, PARAMS, 3).parts) != written
 
 
 def test_round_trip_preserves_bob_verdict(package, xy):
     direct = bob_evaluate(package, xy[1])
-    wired = bob_evaluate(deserialize_package(serialize_package(package)), xy[1])
+    wired = bob_evaluate(_read(encoded(package)), xy[1])
     assert wired == direct
 
 
 def test_rejects_text(package):
-    # the format is binary: a str is not a package, whatever it holds
-    with pytest.raises(PackageFormatError, match="bytes"):
-        deserialize_package(serialize_package(package).decode("latin-1"))
+    # the format is binary: a text handle holds no package, whatever it holds
+    with pytest.raises(PackageFormatError, match="package must be bytes, got str"):
+        read_package(io.StringIO(encoded(package).decode("latin-1")))
 
 
 def test_rejects_non_utf8():
     with pytest.raises(PackageFormatError, match="UTF-8"):
-        deserialize_package(b"\xff\xfe\x00rubbish")
+        _read(b"\xff\xfe\x00rubbish")
 
 
 def test_rejects_truncated_json(package):
-    blob = serialize_package(package)
+    blob = encoded(package)
     with pytest.raises(PackageFormatError, match="JSON"):
-        deserialize_package(blob[: blob.index(b"\n") - 50])
+        _read(blob[: blob.index(b"\n") - 50])
 
 
 def test_rejects_non_object_document():
     with pytest.raises(PackageFormatError):
-        deserialize_package(b"[1,2,3]")
+        _read(b"[1,2,3]")
     with pytest.raises(PackageFormatError):
-        deserialize_package(b"[1,2,3]\n")
+        _read(b"[1,2,3]\n")
 
 
 def test_rejects_missing_newline(package):
-    blob = serialize_package(package)
+    blob = encoded(package)
     end = blob.index(b"\n")
     with pytest.raises(PackageFormatError, match="newline"):
-        deserialize_package(blob[:end])
+        _read(blob[:end])
     with pytest.raises(PackageFormatError):
-        deserialize_package(blob[:end] + blob[end + 1:])
+        _read(blob[:end] + blob[end + 1:])
 
 
 def test_rejects_short_payload(package):
-    blob = serialize_package(package)
+    blob = encoded(package)
     for cut in (1, 8, 8 * 12, len(blob) - blob.index(b"\n") - 1):
         with pytest.raises(PackageFormatError, match="expected"):
-            deserialize_package(blob[:-cut])
+            _read(blob[:-cut])
 
 
 def test_rejects_trailing_bytes(package):
-    blob = serialize_package(package)
+    blob = encoded(package)
     for extra in (b"\x00", b"\n", bytes(8), blob):
         with pytest.raises(PackageFormatError, match="expected"):
-            deserialize_package(blob + extra)
+            _read(blob + extra)
 
 
 @pytest.mark.parametrize("field", ["version", "n", "privacy", "sx"])
@@ -436,14 +503,14 @@ def test_rejects_missing_section(package, field):
     doc = _doc(package)
     del doc[field]
     with pytest.raises(PackageFormatError, match=field):
-        deserialize_package(_wire(package, doc))
+        _read(_wire(package, doc))
 
 
 def test_rejects_future_version(package):
     doc = _doc(package)
     doc["version"] = 8
     with pytest.raises(UnsupportedVersionError, match="version 8"):
-        deserialize_package(_wire(package, doc))
+        _read(_wire(package, doc))
     # the subclass keeps one except-clause sufficient for callers
     assert issubclass(UnsupportedVersionError, PackageFormatError)
 
@@ -467,7 +534,7 @@ def test_rejects_version_1_document(package, xy):
     v1 = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     assert b"\n" not in v1
     with pytest.raises(UnsupportedVersionError, match="version 1"):
-        deserialize_package(v1)
+        _read(v1)
 
 
 def test_rejects_version_2_document(package, xy):
@@ -475,7 +542,7 @@ def test_rejects_version_2_document(package, xy):
     doc, raws = _two_projection_header(package, xy, 2)
     head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with pytest.raises(UnsupportedVersionError, match="version 2"):
-        deserialize_package(b"".join([head, b"\n", *raws]))
+        _read(b"".join([head, b"\n", *raws]))
 
 
 def test_rejects_version_3_document(package, xy):
@@ -486,7 +553,7 @@ def test_rejects_version_3_document(package, xy):
     doc["proj_B"] = {"rows": PB.shape[0], "cols": PB.shape[1]}
     head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with pytest.raises(UnsupportedVersionError, match="version 3"):
-        deserialize_package(head + b"\n" + PB.astype("<f8").tobytes())
+        _read(head + b"\n" + PB.astype("<f8").tobytes())
 
 
 def test_rejects_version_4_document(package):
@@ -494,9 +561,9 @@ def test_rejects_version_4_document(package):
     doc = _doc(package)
     doc["version"] = 4
     head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    R = unpack_factor(package.proj_B)
+    R = unpack_factor(*held(package.proj_B))
     with pytest.raises(UnsupportedVersionError, match="version 4"):
-        deserialize_package(head + b"\n" + R.astype("<f8").tobytes(order="F"))
+        _read(head + b"\n" + R.astype("<f8").tobytes(order="F"))
 
 
 def test_rejects_version_5_document(monkeypatch):
@@ -508,14 +575,14 @@ def test_rejects_version_5_document(monkeypatch):
     monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # 16-row panels
     X = np.random.default_rng(9).standard_normal((40, 2))
     pkg = alice_prepare(X, PARAMS, master_seed=3)
-    R = unpack_factor(pkg.proj_B)
+    R = unpack_factor(*held(pkg.proj_B))
     doc = _doc(pkg)
     doc["version"] = 5
     head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     v5 = b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(40))
-    assert len(v5) == pkg.proj_B.values.nbytes
+    assert len(v5) == held(pkg.proj_B).values.nbytes
     with pytest.raises(UnsupportedVersionError, match="version 5"):
-        deserialize_package(head + b"\n" + v5)
+        _read(head + b"\n" + v5)
 
 
 def test_rejects_version_6_document(package):
@@ -527,9 +594,9 @@ def test_rejects_version_6_document(package):
     doc["version"] = 6
     doc["proj_B"] = {"rows": package.proj_B.rows, "cols": package.n}
     head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = _header_and_payload(serialize_package(package))[1]
+    payload = _header_and_payload(encoded(package))[1]
     with pytest.raises(UnsupportedVersionError, match="version 6"):
-        deserialize_package(head + b"\n" + payload)
+        _read(head + b"\n" + payload)
 
 
 def test_rejects_non_integer_version(package):
@@ -551,11 +618,11 @@ def test_rejects_out_of_range_integers(package):
     doc = _doc(package)
     doc["privacy"]["epsilon"] = 10**400  # too large for a float
     with pytest.raises(PackageFormatError, match="epsilon"):
-        deserialize_package(_wire(package, doc))
-    blob = serialize_package(package)
+        _read(_wire(package, doc))
+    blob = encoded(package)
     huge_n = blob.replace(b'"n":12', b'"n":' + b"1" * 5000, 1)  # too long to convert
     with pytest.raises(PackageFormatError, match="JSON"):
-        deserialize_package(huge_n)
+        _read(huge_n)
 
 
 def test_rejects_bad_privacy_values(package):
@@ -578,18 +645,18 @@ def test_rejects_a_header_without_the_budget_split(package):
     doc = _doc(package)
     del doc["privacy"]["split"]
     with pytest.raises(PackageFormatError, match="missing required section 'split'"):
-        deserialize_package(_wire(package, doc))
+        _read(_wire(package, doc))
 
 
 def test_rejects_row_count_other_than_the_headers_r(package):
     """The header's privacy fields fix r, so min(r, n); a factor of other height is refused by its length."""
     assert jl_params(PARAMS.half_budget()).r == 45
     assert package.proj_B.rows == min(45, 12)
-    line = encode_package(package)[0]
+    line = _line_and_payload(encoded(package))[0]
     for rows in (1, 11):
-        other = pack_factor(unpack_factor(package.proj_B)[:rows]).values.astype("<f8").tobytes()
+        other = pack_factor(unpack_factor(*held(package.proj_B))[:rows]).astype("<f8").tobytes()
         with pytest.raises(PackageFormatError, match=r"expected .* the 78 float64 of a packed 12x12"):
-            deserialize_package(line + other)
+            _read(line + other)
 
 
 def _factor_offset(rows: int, n: int, row: int, col: int) -> int:
@@ -605,7 +672,7 @@ def _factor_offset(rows: int, n: int, row: int, col: int) -> int:
 
 def _with_factor_entry(package, row: int, col: int, value: float) -> bytes:
     """The package's blob with entry (row, col), row <= col, of the factor replaced by ``value``."""
-    blob = bytearray(serialize_package(package))
+    blob = bytearray(encoded(package))
     rows, n = package.proj_B.rows, package.n
     at = blob.index(b"\n") + 1 + 8 * _factor_offset(rows, n, row, col)
     blob[at:at + 8] = struct.pack("<d", value)
@@ -613,13 +680,14 @@ def _with_factor_entry(package, row: int, col: int, value: float) -> bytes:
 
 
 def test_rejects_a_diagonal_entry_that_is_not_positive(package):
-    R = unpack_factor(package.proj_B)
+    R = unpack_factor(*held(package.proj_B))
     for j in (0, 4, 11):  # the first, a middle and the last diagonal offset
         for value in (0.0, -0.0, -R[j, j], -5e-324):
+            bad = _read(_with_factor_entry(package, j, j, value))  # the header is sound
             with pytest.raises(PackageFormatError, match="diagonal entry is not > 0"):
-                deserialize_package(_with_factor_entry(package, j, j, value))
+                bob_evaluate(bad, np.ones((12, 1)))
     # the entry just above a diagonal entry may be anything finite
-    assert deserialize_package(_with_factor_entry(package, 10, 11, -1.0)).n == 12
+    assert _read_factor(_with_factor_entry(package, 10, 11, -1.0)).n == 12
 
 
 def test_rejects_a_diagonal_entry_that_is_not_positive_in_any_panel(monkeypatch):
@@ -628,16 +696,16 @@ def test_rejects_a_diagonal_entry_that_is_not_positive_in_any_panel(monkeypatch)
     X = np.random.default_rng(9).standard_normal((50, 2))
     pkg = alice_prepare(X, PARAMS, master_seed=3)
     assert (pkg.proj_B.rows, privacy._panel_height(45, 50)) == (45, 16)
-    R = unpack_factor(pkg.proj_B)
-    assert deserialize_package(serialize_package(pkg)).n == 50
+    R = unpack_factor(*held(pkg.proj_B))
+    assert _read_factor(encoded(pkg)).n == 50
     for j in (0, 15, 16, 31, 32, 44):  # panels [0, 16), [16, 32) and [32, 45)
         for value in (0.0, -0.0, -R[j, j], -5e-324):
             with pytest.raises(PackageFormatError, match="diagonal entry is not > 0"):
-                deserialize_package(_with_factor_entry(pkg, j, j, value))
+                _read_factor(_with_factor_entry(pkg, j, j, value))
         # the entries right of and above it may be anything finite
-        assert deserialize_package(_with_factor_entry(pkg, j, j + 1, -1.0)).n == 50
+        assert _read_factor(_with_factor_entry(pkg, j, j + 1, -1.0)).n == 50
         if j:
-            assert deserialize_package(_with_factor_entry(pkg, j - 1, j, -1.0)).n == 50
+            assert _read_factor(_with_factor_entry(pkg, j - 1, j, -1.0)).n == 50
 
 
 def test_payload_is_the_factor_in_row_panels(monkeypatch):
@@ -656,27 +724,28 @@ def test_payload_is_the_factor_in_row_panels(monkeypatch):
         by_hand += [R[a:b, c] for c in range(b, n)]  # the rectangle, column-major
     by_hand = np.concatenate(by_hand)
     assert by_hand.size == rows * (rows + 1) // 2 + (n - rows) * rows
-    assert np.array_equal(pack_factor(R).values, by_hand)
-    proj = PrivateProjection(by_hand, rows, n)
-    assert np.array_equal(proj.diagonal(), np.diagonal(R))
+    assert np.array_equal(pack_factor(R), by_hand)
+    proj = PackedFactor(by_hand, rows, n)
+    diagonal = [segment[privacy._diagonal_at(b - a)] for a, b, segment in proj.panels()]
+    assert np.array_equal(np.concatenate(diagonal), np.diagonal(R))
     V = np.random.default_rng(1).standard_normal((n, 3))
     assert private_sum_directional_variances(proj, V) == pytest.approx(
         float(np.sum((R @ V) ** 2)), rel=1e-13)
-    wire = deserialize_package(serialize_package(AlicePackage(PARAMS, proj, sx=1.0)))
-    assert wire.proj_B.values.tobytes() == by_hand.tobytes()
+    wire = _read(encoded(AlicePackage(PARAMS, proj, sx=1.0)))
+    assert held(wire.proj_B).values.tobytes() == by_hand.tobytes()
     # Alice writes the factor of the dense draw and QR in the same order
     F = factor_W(np.random.default_rng(2).standard_normal((n, 2)))
     r, w = jl_params(PARAMS.half_budget())
     T1, dense = _draw_bartlett(np.random.default_rng(4), r, 2, n)
     _factor_from_bartlett(F, w, r, T1, dense)
-    released = privatize_covariance(F, PARAMS.half_budget(), 4).values
+    values = released(F, PARAMS.half_budget(), 4).values
     at = 0
     for a, b in ((0, 16), (16, 32), (32, 45)):
         for c in range(a, n):
             column = dense[a : min(c + 1, b), c]
-            assert np.array_equal(released[at : at + column.size], column), (a, c)
+            assert np.array_equal(values[at : at + column.size], column), (a, c)
             at += column.size
-    assert at == released.size
+    assert at == values.size
 
 
 @pytest.mark.parametrize("n", [12, 60])
@@ -690,23 +759,23 @@ def test_one_panel_payload_is_the_upper_trapezoid_column_by_column(n):
     B = factor_W(X)
     T1, dense = _draw_bartlett(np.random.default_rng(6), r, 2, n)
     _factor_from_bartlett(B, w, r, T1, dense)
-    pkg = AlicePackage(PARAMS, privatize_covariance(B, half, 6), sx=1.0)
-    payload = _header_and_payload(serialize_package(pkg))[1]
+    pkg = AlicePackage(PARAMS, released(B, half, 6), sx=1.0)
+    payload = _header_and_payload(encoded(pkg))[1]
     assert payload == b"".join(dense[: min(j + 1, rows), j].astype("<f8").tobytes() for j in range(n))
 
 
 def test_rejects_a_payload_one_entry_short_or_long(package):
-    blob = serialize_package(package)
+    blob = encoded(package)
     for wrong in (blob[:-8], blob + struct.pack("<d", 1.0)):
         with pytest.raises(PackageFormatError, match=r"expected .* the 78 float64 of a packed 12x12"):
-            deserialize_package(wrong)
+            _read(wrong)
 
 
 def test_rejects_eta_too_small_for_a_row_count(package):
     doc = _doc(package)
     doc["privacy"]["eta"] = 1e-200  # eta^2 underflows in jl_params
     with pytest.raises(PackageFormatError, match="eta"):
-        deserialize_package(_wire(package, doc))
+        _read(_wire(package, doc))
 
 
 def test_rejects_bad_sx(package):
@@ -714,22 +783,21 @@ def test_rejects_bad_sx(package):
         doc = _doc(package)
         doc["sx"] = bad
         with pytest.raises(PackageFormatError, match="sx"):
-            deserialize_package(_wire(package, doc))
+            _read(_wire(package, doc))
     # json.loads reads these as NaN and infinities
-    head = encode_package(package)[0].rstrip()
-    payload = _header_and_payload(serialize_package(package))[1]
+    line, payload = _line_and_payload(encoded(package))
+    head = line.rstrip()
     good = b'"sx":' + json.dumps(package.sx).encode("ascii")
     assert head.count(good) == 1
     for bad in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
         with pytest.raises(PackageFormatError, match="sx"):
-            deserialize_package(_line(head.replace(good, b'"sx":' + bad)) + payload)
+            _read(_line(head.replace(good, b'"sx":' + bad)) + payload)
     for edge in (0.0, 5e-324, 2.0**70):  # finite and >= 0, so read
         pkg = AlicePackage(package.params, package.proj_B, sx=edge)
-        assert deserialize_package(serialize_package(pkg)).sx == edge
+        assert _read(encoded(pkg)).sx == edge
     # Only the encoder's line for the parsed fields is read: other spellings
     # of the same header (", " and ": " separators, 8 blanks too many, an
     # integer sx) are refused, so one package has one encoding.
-    line, payload = encode_package(package)
     doc = _doc(package)
     refused = [_wire(package, doc), line[:-1] + b" " * 8 + b"\n" + payload]
     for sx in (0, 2**70):
@@ -737,47 +805,44 @@ def test_rejects_bad_sx(package):
         refused.append(_line(head.encode("utf-8")) + payload)
     for blob in refused:
         with pytest.raises(PackageFormatError, match="not the canonical line"):
-            deserialize_package(blob)
+            _read(blob)
 
 
 def test_rejects_nan_payload(package):
-    clean = serialize_package(package)
+    clean = encoded(package)
     first, last = clean.index(b"\n") + 1, len(clean) - 8  # first and last proj_B value
     for bad in (math.nan, math.inf, -math.inf):
         for at in (first, last):
             blob = bytearray(clean)
             blob[at:at + 8] = struct.pack("<d", bad)
             with pytest.raises(PackageFormatError, match="NaN or infinite"):
-                deserialize_package(bytes(blob))
+                _read_factor(bytes(blob))
 
 
 def test_codec_makes_no_payload_copy():
-    """Decoding returns views into the blob and encoding writes one buffer."""
+    """Reading a package holds one panel of it, and writing one holds its payload about once."""
     n = 2100
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     X = np.random.default_rng(3).standard_normal((n, 2))
-    pkg = alice_prepare(X, params, master_seed=8)
-    payload_bytes = pkg.proj_B.values.nbytes
+    blob = package_bytes(X, params, 8)
+    payload_bytes = len(_line_and_payload(blob)[1])
     assert payload_bytes > 10_000_000
-    blob = serialize_package(pkg)
+    handle = io.BytesIO(blob)
+
+    def read():
+        for _ in read_package(handle).proj_B.panels():
+            pass
+
     peaks = {}
-    for name, call in (("serialize", lambda: serialize_package(pkg)),
-                       ("deserialize", lambda: deserialize_package(blob))):
+    for name, call in (("write", lambda: alice_prepare(X, params, master_seed=8)), ("read", read)):
         tracemalloc.start()
         try:
             call()
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["deserialize"] < payload_bytes / 10, (peaks, payload_bytes)
-    assert peaks["serialize"] < 1.25 * payload_bytes, (peaks, payload_bytes)
-
-
-def _wire_package(pkg) -> AlicePackage:
-    """``pkg`` decoded from its blob: the factor is an aligned, read-only view of the payload."""
-    wire = deserialize_package(serialize_package(pkg))
-    assert wire.proj_B.values.flags.aligned and not wire.proj_B.values.flags.writeable
-    return wire
+    assert peaks["read"] < payload_bytes / 10, (peaks, payload_bytes)
+    assert peaks["write"] < 1.25 * payload_bytes, (peaks, payload_bytes)
 
 
 def _peak_bytes(call):
@@ -790,12 +855,19 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
+def _stream_release(B, params, seed) -> tuple[int, int]:
+    """Run the release of ``B`` through: its row count and the bytes of its panels."""
+    rows, panels = privatize_covariance_panels(B, params, seed)
+    return rows, sum(panel.nbytes for panel in panels)
+
+
 def test_release_and_analyst_hold_no_whole_draw():
-    """Alice holds the factor and blocks far smaller, never P_B or P_X; Bob holds one panel.
+    """Alice holds the package and blocks far smaller, never P_B or P_X; Bob holds one panel.
 
     The factor is min(r, n) x n for r = 738: r < n, then r > n.  Bob's
-    peak is one panel's triangle, expanded (h x h for panels of h rows),
-    and a few n x m arrays.
+    peak on a factor in memory is one panel's triangle, expanded (h x h
+    for panels of h rows), and a few n x m arrays; reading the factor from
+    the package's handle adds the one packed panel it reads into.
     """
     params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.2, nu=0.05)
     r = jl_params(params).r
@@ -806,16 +878,20 @@ def test_release_and_analyst_hold_no_whole_draw():
         Y = rng.standard_normal((n, 2))
         release_bytes = 8 * min(r, n) * n
         B = factor_W(X)
-        wire = _wire_package(alice_prepare(X, params, master_seed=8))
-        alice, proj = _peak_bytes(lambda: privatize_covariance(B, params.half_budget(), 1))
-        rows = min(r, n)
-        assert proj.values.nbytes == 8 * (rows * (rows + 1) // 2 + (n - rows) * rows)
+        package = alice_prepare(X, params, master_seed=8)
+        alice, (rows, nbytes) = _peak_bytes(lambda: _stream_release(B, params.half_budget(), 1))
+        assert rows == min(r, n)
+        assert nbytes == 8 * (rows * (rows + 1) // 2 + (n - rows) * rows)
         prepare = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
-        bob = _peak_bytes(lambda: bob_evaluate(wire, Y))[0]
+        in_memory = AlicePackage(package.params, held(package.proj_B), package.sx)
+        bob = _peak_bytes(lambda: bob_evaluate(in_memory, Y))[0]
+        bob_read = _peak_bytes(lambda: bob_evaluate(package, Y))[0]
         assert alice < 1.25 * release_bytes, (n, alice, release_bytes)
         assert prepare < 1.25 * release_bytes, (n, prepare, release_bytes)
         h = privacy._panel_height(rows, n)
         assert bob < 8 * h * h + 64 * n * Y.shape[1], (n, bob, h)
+        panel_bytes = 8 * privacy._row_offset(h, n)
+        assert bob_read < panel_bytes + 8 * h * h + 64 * n * Y.shape[1], (n, bob_read, h)
 
 
 def test_alice_holds_one_packed_factor(tmp_path, capsys):
@@ -834,12 +910,12 @@ def test_alice_holds_one_packed_factor(tmp_path, capsys):
     B = factor_W(X)
     argv = ["alice", "--input", str(x_csv), "--epsilon", "1", "--seed", "3", "--out", str(out)]
     peaks = {}
-    peaks["privatize_covariance"], proj = _peak_bytes(
-        lambda: privatize_covariance(B, params.half_budget(), 1))
+    peaks["privatize_covariance_panels"], (_, nbytes) = _peak_bytes(
+        lambda: _stream_release(B, params.half_budget(), 1))
     peaks["alice_prepare"] = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
     peaks["pi-test alice"], rc = _peak_bytes(lambda: main(argv))
     assert rc == 0
-    assert proj.values.nbytes == packed_bytes
+    assert nbytes == packed_bytes
     assert out.stat().st_size > packed_bytes
     assert all(peak < 1.25 * packed_bytes for peak in peaks.values()), (peaks, packed_bytes)
 
@@ -857,7 +933,7 @@ def test_sx_draw_holds_nothing_of_size_r():
 
 def test_blocked_statistics_match_one_shot_formulas():
     # n = 500: the 267 x 500 factor in row panels of 256 and 11 rows, so
-    # omega_bar_sq spans two panels, on the wire as in memory
+    # omega_bar_sq spans two panels, from Alice's buffer as from a copy of its bytes
     n = 500
     params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
     rng = np.random.default_rng(19)
@@ -866,11 +942,11 @@ def test_blocked_statistics_match_one_shot_formulas():
     pkg = alice_prepare(X, params, master_seed=6)
     assert pkg.proj_B.rows == 267
     assert privacy._panel_height(267, n) == 256
-    wire = _wire_package(pkg)
+    wire = _read(encoded(pkg))
     assert bob_evaluate(wire, Y).omega_bar_sq == pytest.approx(
         bob_evaluate(pkg, Y).omega_bar_sq, rel=1e-15)
     for p in (pkg, wire):
-        PB = unpack_factor(p.proj_B)
+        PB = unpack_factor(*held(p.proj_B))
         omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
         col = Y.sum(axis=0)
         s = 4.0 / n**3 * p.sx * (n * float(np.sum(Y * Y)) - float(col @ col))
