@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -106,12 +107,19 @@ def synthetic_pair(
         Y = dependence * (X_std @ C) + (1 - dependence) * noise
 
     so ``dependence = 0`` gives independent pairs and values near 1 give a
-    nearly deterministic relationship.
+    nearly deterministic relationship.  ``n``, ``d``, ``m`` and
+    ``clusters`` must be integers (not bools) and ``dependence`` a real
+    number; anything else raises InvalidInputError.
     """
+    shape = {"n": n, "d": d, "m": m, "clusters": clusters}
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in shape.values()):
+        raise InvalidInputError(f"synthetic shape must be integers, got {shape}")
     if n < 2 or d < 1 or m < 1 or clusters < 1:
         raise InvalidInputError(
             f"invalid synthetic shape n={n}, d={d}, m={m}, clusters={clusters}"
         )
+    if isinstance(dependence, bool) or not isinstance(dependence, numbers.Real):
+        raise InvalidInputError(f"dependence must be a number, got {dependence!r}")
     if not (0.0 <= dependence <= 1.0):
         raise InvalidInputError(f"dependence must lie in [0, 1], got {dependence}")
     rng = np.random.default_rng(seed)

@@ -83,12 +83,16 @@ the OpenBLAS builds measured that rounds every column the same, so a seed
 gives the same bits as that draw and that one-shot QR on a dense
 min(r, n) x n buffer.
 
-The analyst's product ``R V`` runs one panel at a time too: LAPACK's
-``dtpttr`` expands the panel's packed triangle (its column-packed upper
-storage is the panel's triangle layout), and the rectangle is multiplied
-where it lies.  It reads the factor only through its panels, one reused
-buffer at a time from a package, so the analyst holds one panel and
-nothing of the factor's size.
+The analyst's product ``R V`` runs one panel at a time too: the panel's
+packed triangle is copied column by column into a new zero-filled square,
+and the rectangle is multiplied where it lies.  The square is
+Fortran-ordered, as LAPACK's ``dtpttr`` (which reads the same
+column-packed storage) would return it, so its product with ``V`` makes
+the same BLAS call and rounds the same.  It reads the factor only through
+its panels, one reused buffer at a time from a package, so the analyst
+holds one panel and nothing of the factor's size.  The release is the one
+user of scipy: it is imported when a release is asked for, so the analyst
+and the exact-law samplers below run on numpy alone.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -138,7 +142,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .data import _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
@@ -225,6 +228,21 @@ def _diagonal_at(h: int) -> np.ndarray:
     at = j * (j + 3) // 2
     at.flags.writeable = False
     return at
+
+
+def _unpack_triangle(triangle: np.ndarray, h: int) -> np.ndarray:
+    """A panel's packed triangle, expanded into a new zero-filled h x h square.
+
+    Column j of the square takes the triangle's next j + 1 entries.  The
+    square is Fortran-ordered, as LAPACK's ``dtpttr`` returns it, so a
+    product with it makes the same BLAS call and rounds the same.
+    """
+    square = np.zeros((h, h), order="F")
+    start = 0
+    for j in range(h):
+        square[: j + 1, j] = triangle[start : start + j + 1]
+        start += j + 1
+    return square
 
 
 def _check_panel(segment: np.ndarray, h: int) -> None:
@@ -354,6 +372,8 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     ``(a, b, values)`` is yielded, ``values`` a view of the scratch: the
     panel is final, and valid until the next panel is asked for.
     """
+    from scipy.linalg import lapack  # imported by privatize_covariance_panels already
+
     n, k = A.shape
     r, w = jl_params(p)
     k1, rows = min(r, k), min(r, n)
@@ -427,6 +447,10 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     rows = min(jl_params(p).r, A.shape[0])
+    # This QR is the one user of scipy (LAPACK): importing it here keeps it
+    # out of the analyst and the sweep, and a missing scipy fails before a
+    # writer opens its file.
+    import scipy.linalg.lapack
 
     def checked():
         for a, b, values in _release_panels(A, p, seed):
@@ -533,11 +557,11 @@ def private_sum_directional_variances(P, V) -> float:
     unit-direction convention matters.
     """
     M = _as_queries(V, P.n)
-    # R V one row panel at a time: the packed triangle expanded by dtpttr
-    # (f2py zero-fills its output, so the entries below the diagonal are 0)
+    # R V one row panel at a time: the packed triangle expanded into a new
+    # square (a temporary of the statement, so no square outlives its panel)
     # and the rectangle multiplied as it lies.
     RV = np.empty((P.rows, M.shape[1]))
     for a, b, segment in P.panels():
         triangle, rect = _split_panel(segment, b - a)
-        RV[a:b] = lapack.dtpttr(b - a, triangle)[0] @ M[a:b] + rect @ M[b:]
+        RV[a:b] = _unpack_triangle(triangle, b - a) @ M[a:b] + rect @ M[b:]
     return float(np.sum(RV * RV))

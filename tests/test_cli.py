@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import hashlib
 import io
 import json
 import math
@@ -709,6 +710,30 @@ def test_load_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(CsvParseError, match="no data rows"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(n=200, d=2, m=2, dependence=0.3, x_scale=3e4, seed=7),
+     "a29f6c13b8413e67ef2e9d8a87ac95e2fa976903d45e9030e65d7b153e7e6c93"),
+    (dict(n=15, d=3, m=2, dependence=0.4, clusters=4, seed=8),
+     "95fcdab6e3882fa7c1f323f20db6ba5990ce327c9585f0f5ad22df0d8b62df37"),
+    (dict(n=np.int64(12), d=np.int32(2), m=1, dependence=1, seed=2),
+     "47d2cfc1a060060ed2489ee94d86f38ea45b4ad31795806e91963a5b73d713e8"),
+])
+def test_synthetic_pair_draws_are_pinned(kwargs, digest):
+    """Valid arguments keep their draws: the benchmark's data comes from this function."""
+    X, Y = synthetic_pair(**kwargs)
+    assert hashlib.sha256(X.tobytes() + Y.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n=2.5), dict(n=20.0), dict(n=20, d=True), dict(n=20, d=2.0), dict(n=20, m=np.float64(2.0)),
+    dict(n=20, clusters=1.5), dict(n=20, dependence=True), dict(n=20, dependence="0.5"),
+    dict(n=20, dependence=None),
+])
+def test_synthetic_pair_refuses_non_integer_shapes_and_non_numeric_dependence(kwargs):
+    with pytest.raises(InvalidInputError):
+        synthetic_pair(**kwargs)
 
 
 def test_synthetic_pair_shapes_and_determinism():

@@ -1,16 +1,30 @@
 """Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, the
-CLI imports without ``scipy.special``, README describes the package format the code
-writes, and README's library example runs."""
+CLI imports without ``scipy.special``, only Alice's release loads scipy, README
+describes the package format the code writes, and README's library example runs."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pitest
+from pitest.cli import main
+from pitest.data import save_csv, synthetic_pair
 from pitest.protocol import FORMAT_VERSION
+
+
+def _run_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports pitest from this tree."""
+    env = dict(os.environ)
+    src = str(Path(pitest.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout.strip()
 
 
 def test_package_imports():
@@ -18,13 +32,41 @@ def test_package_imports():
 
 
 def test_cli_import_leaves_scipy_special_out():
-    env = dict(os.environ)
-    src = str(Path(pitest.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pitest.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert _run_python("import sys, pitest.cli; print('scipy.special' in sys.modules)") == "False"
+
+
+def test_only_alices_release_loads_scipy(tmp_path):
+    """``import pitest``, ``pi-test bob`` and ``pi-test sweep`` run on numpy alone.
+
+    Alice's QR (LAPACK ``dtpqrt``, ``dtpmqrt``) is the one user of scipy, so
+    ``pi-test alice`` run last in the same process does load it.
+    """
+    X, Y = synthetic_pair(n=40, d=2, m=2, dependence=0.3, seed=4)
+    x, y, package = (str(tmp_path / name) for name in ("x.csv", "y.csv", "pkg.bin"))
+    save_csv(x, X)
+    save_csv(y, Y)
+    budget = ["--epsilon", "10", "--delta", "0.01", "--eta", "0.5", "--nu", "0.5"]
+    assert main(["alice", "--input", x, *budget, "--seed", "1", "--out", package]) == 0
+    calls = {
+        "bob": ["bob", "--package", package, "--input", y, "--report", str(tmp_path / "bob.json")],
+        "sweep": ["sweep", "--input-x", x, "--input-y", y, "--epsilons", "1,10", "--etas", "0.5",
+                  "--replications", "2", "--delta", "0.01", "--nu", "0.5",
+                  "--out", str(tmp_path / "sweep.csv")],
+        "alice": ["alice", "--input", x, *budget, "--seed", "2", "--out", str(tmp_path / "again.bin")],
+    }
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import pitest
+        loaded = {{"import pitest": "scipy" in sys.modules}}
+        from pitest.cli import main
+        for name, argv in {calls!r}.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, name
+            loaded[name] = "scipy" in sys.modules
+        print(json.dumps(loaded))
+    """)
+    loaded = json.loads(_run_python(code))
+    assert loaded == {"import pitest": False, "bob": False, "sweep": False, "alice": True}
 
 
 def test_every_listed_export_resolves():

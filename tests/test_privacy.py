@@ -328,10 +328,21 @@ def test_release_applies_each_reflector_block_once(monkeypatch):
         blocks.append(math.ceil(args[1].shape[1] / 16))  # V holds the applied reflectors
         return dtpmqrt(*args, **kwargs)
 
-    monkeypatch.setattr(privacy.lapack, "dtpmqrt", counted)
+    monkeypatch.setattr(lapack, "dtpmqrt", counted)
     F = 30.0 * np.random.default_rng(5).standard_normal((2000, 2))
     assert released(F, _params_with_rows(2952), 1).rows == 2000
     assert 0 < sum(blocks) <= math.ceil(2000 / 16)
+
+
+@pytest.mark.parametrize("h", [1, 2, 15, 16, 17, 64, 200, 256])
+def test_unpacked_triangle_is_dtpttrs_square(h):
+    """The analyst's expansion of a packed triangle equals LAPACK's, bits and memory order alike."""
+    triangle = np.random.default_rng(h).standard_normal(h * (h + 1) // 2)
+    square = privacy._unpack_triangle(triangle, h)
+    expected = lapack.dtpttr(h, triangle)[0]
+    assert np.array_equal(square, expected)
+    assert square.tobytes(order="A") == expected.tobytes(order="A")
+    assert square.flags.f_contiguous and expected.flags.f_contiguous
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (4, 12), (2, 20), (16, 20)])
