@@ -17,6 +17,7 @@ parameter rule is checked by its library owner before any file is read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -278,9 +279,14 @@ def _cmd_sweep(args, cfg: SweepConfig) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it unchanged, and every default is immutable."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         inputs = _checked_inputs(args)
     except InvalidInputError as exc:

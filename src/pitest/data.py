@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,40 @@ def _as_sample_matrix(X, name: str = "X", min_rows: int = 1) -> np.ndarray:
 def load_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a numeric CSV file into an n x d float64 matrix.
 
-    Every cell must parse as a finite number and every row must have the
-    same width; violations raise CsvParseError naming the offending line
-    and column (1-based, counting the header line if present).
+    The file is parsed by numpy's C reader (``np.loadtxt``): comma-separated
+    cells, optionally in double quotes, each in numpy's float syntax
+    (``1``, ``-2.5``, ``.5``, ``1e-3``; no digit-group underscores) with
+    blank lines skipped.  Every cell must parse as a finite number and every
+    row must have the same width.  A file it refuses, or that has no rows or
+    a non-finite value, raises CsvParseError naming the offending line and
+    column (1-based, counting the header line if present); a file refused
+    for a reason that has no line and column (``1_000``, say) raises
+    CsvParseError with numpy's message.
     """
     path = Path(path)
-    rows: list[list[float]] = []
+    try:
+        with open(path) as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
+            A = np.loadtxt(handle, delimiter=",", dtype=np.float64, ndmin=2, comments=None,
+                           quotechar='"', skiprows=int(has_header))
+    except ValueError as exc:
+        fault = str(exc)
+    else:
+        if A.size and np.isfinite(A).all():
+            return A
+        fault = "non-finite value" if A.size else "no data rows"
+    _locate_fault(path, has_header)
+    raise CsvParseError(f"{path}: {fault}")
+
+
+def _locate_fault(path: Path, has_header: bool) -> None:
+    """Raise CsvParseError at the first line and column that ``load_csv`` refuses.
+
+    A cell by cell reading with the csv module, run only after numpy's
+    reader has refused the file, found no rows or returned a non-finite
+    value; it returns, having found no fault, only for a file that
+    Python's ``float`` reads but numpy does not.
+    """
     width: int | None = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -59,7 +88,6 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
                 raise CsvParseError(
                     f"{path}: line {line_no}: expected {width} columns, got {len(record)}"
                 )
-            parsed = []
             for col_no, cell in enumerate(record, start=1):
                 try:
                     value = float(cell)
@@ -71,11 +99,8 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
                     raise CsvParseError(
                         f"{path}: line {line_no}, column {col_no}: non-finite value {cell!r}"
                     )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
+    if width is None:
         raise CsvParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
 
 
 def save_csv(path, X) -> None:
@@ -108,8 +133,9 @@ def synthetic_pair(
 
     so ``dependence = 0`` gives independent pairs and values near 1 give a
     nearly deterministic relationship.  ``n``, ``d``, ``m`` and
-    ``clusters`` must be integers (not bools) and ``dependence`` a real
-    number; anything else raises InvalidInputError.
+    ``clusters`` must be integers (not bools), ``dependence`` and
+    ``x_scale`` finite real numbers and ``seed`` a nonnegative integer;
+    anything else raises InvalidInputError.
     """
     shape = {"n": n, "d": d, "m": m, "clusters": clusters}
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in shape.values()):
@@ -122,6 +148,10 @@ def synthetic_pair(
         raise InvalidInputError(f"dependence must be a number, got {dependence!r}")
     if not (0.0 <= dependence <= 1.0):
         raise InvalidInputError(f"dependence must lie in [0, 1], got {dependence}")
+    if isinstance(x_scale, bool) or not isinstance(x_scale, numbers.Real) or not math.isfinite(x_scale):
+        raise InvalidInputError(f"x_scale must be a finite number, got {x_scale!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 3.0, size=(clusters, d))
     labels = rng.integers(0, clusters, size=n)

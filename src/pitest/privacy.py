@@ -84,13 +84,13 @@ gives the same bits as that draw and that one-shot QR on a dense
 min(r, n) x n buffer.
 
 The analyst's product ``R V`` runs one panel at a time too: the panel's
-packed triangle is copied column by column into a new zero-filled square,
-and the rectangle is multiplied where it lies.  The square is
-Fortran-ordered, as LAPACK's ``dtpttr`` (which reads the same
-column-packed storage) would return it, so its product with ``V`` makes
-the same BLAS call and rounds the same.  It reads the factor only through
-its panels, one reused buffer at a time from a package, so the analyst
-holds one panel and nothing of the factor's size.  The release is the one
+packed triangle is copied, 16 columns at a time through a boolean mask,
+into a new zero-filled square, and the rectangle is multiplied where it
+lies.  The square is Fortran-ordered, as LAPACK's ``dtpttr`` (which reads
+the same column-packed storage) would return it, so its product with ``V``
+makes the same BLAS call and rounds the same.  It reads the factor only
+through its panels, one reused buffer at a time from a package, so the
+analyst holds one panel and nothing of the factor's size.  The release is the one
 user of scipy: it is imported when a release is asked for, so the analyst
 and the exact-law samplers below run on numpy alone.
 
@@ -235,13 +235,20 @@ def _unpack_triangle(triangle: np.ndarray, h: int) -> np.ndarray:
 
     Column j of the square takes the triangle's next j + 1 entries.  The
     square is Fortran-ordered, as LAPACK's ``dtpttr`` returns it, so a
-    product with it makes the same BLAS call and rounds the same.
+    product with it makes the same BLAS call and rounds the same.  It is
+    filled ``_REFLECTOR_BLOCK`` columns at a time: columns [c, d) take their
+    rows [0, d) through a d-wide slice of one ``np.tri`` mask, built once
+    per call, whose row k keeps rows [0, c + k] of column c + k.
     """
     square = np.zeros((h, h), order="F")
+    width = _REFLECTOR_BLOCK
+    mask = np.tri(width, h + width, h, dtype=bool)  # mask[k, h - c + i] is i <= c + k
     start = 0
-    for j in range(h):
-        square[: j + 1, j] = triangle[start : start + j + 1]
-        start += j + 1
+    for c in range(0, h, width):
+        d = min(c + width, h)
+        stop = start + (d * (d + 1) - c * (c + 1)) // 2
+        square[:d, c:d].T[mask[: d - c, h - c : h - c + d]] = triangle[start:stop]
+        start = stop
     return square
 
 

@@ -18,11 +18,14 @@ packed, whose bytes the panel-by-panel release is checked to equal.  A
 packed factor is its 1-D array of packed values with its ``(rows, n)``.
 So that a test can hold a release or a package whole, ``released``,
 ``held``, ``encoded`` and ``package_bytes`` collect copies of the panels
-and parts that the program streams.
+and parts that the program streams.  The cell by cell CSV loader that
+``pitest.data.load_csv`` replaced (``load_csv_cellwise``) is kept as the
+oracle that the numpy reader is checked to accept, refuse and read alike.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from typing import NamedTuple
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from pitest.data import _as_2d, _as_sample_matrix
-from pitest.errors import InsufficientSamplesError, InvalidInputError, ShapeError
+from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
 from pitest import privacy, protocol
 from pitest.privacy import _REFLECTOR_BLOCK, PrivacyParams, jl_params
@@ -517,3 +520,39 @@ def naive_ratio_interval(
     lower = omega_lo / s_hi
     upper = math.inf if s_lo <= 0.0 else omega_hi / s_lo
     return NaiveInterval(lower, upper)
+
+
+def load_csv_cellwise(path, has_header: bool = False) -> np.ndarray:
+    """A numeric CSV file as an n x d float64 matrix, read cell by cell.
+
+    The csv module splits the records and Python's ``float`` reads each
+    cell; blank records are skipped and the first record is the header
+    when ``has_header``.  A ragged row, a cell that is not a number or not
+    finite, and a file without rows raise CsvParseError naming the line and
+    column (1-based, counting the header line if present).
+    """
+    rows: list[list[float]] = []
+    width: int | None = None
+    with open(path, newline="") as handle:
+        for line_no, record in enumerate(csv.reader(handle), start=1):
+            if (line_no == 1 and has_header) or not record:
+                continue
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise CsvParseError(f"{path}: line {line_no}: expected {width} columns, got {len(record)}")
+            parsed = []
+            for col_no, cell in enumerate(record, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"{path}: line {line_no}, column {col_no}: not a number: {cell!r}") from None
+                if not math.isfinite(value):
+                    raise CsvParseError(
+                        f"{path}: line {line_no}, column {col_no}: non-finite value {cell!r}")
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise CsvParseError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pitest.sweep
-from pitest import privacy
+from pitest import cli, privacy
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
@@ -27,7 +27,7 @@ from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.protocol import alice_prepare, bob_evaluate, factor_W, read_package
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
-from reference import _draw_bartlett, encoded, held, package_bytes, unpack_factor
+from reference import _draw_bartlett, encoded, held, load_csv_cellwise, package_bytes, unpack_factor
 
 
 def _read(blob: bytes):
@@ -411,6 +411,40 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_and_keeps_no_state(data_dir, tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process; a reused parser leaves every output as a first call's.
+
+    Two passes of alice, bob, run, a usage error and sweep, with fixed
+    seeds: the second pass writes the first pass's bytes and streams.
+    """
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    x, y = str(data_dir / "x.csv"), str(data_dir / "y.csv")
+    passes = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["alice", "--input", x, *ALICE_ARGS, "--seed", "11",
+                     "--out", str(out / "pkg.bin")]) == 0
+        assert main(["bob", "--package", str(out / "pkg.bin"), "--input", y,
+                     "--report", str(out / "bob.json")]) == 0
+        assert main(["run", "--input-x", x, "--input-y", y, *ALICE_ARGS, "--seed", "12",
+                     "--report", str(out / "run.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bob", "--package", str(out / "pkg.bin"), "--input", y, "--alpha", "2",
+                  "--report", str(out / "bad.json")])
+        assert exc.value.code == 2
+        assert main(["sweep", "--input-x", x, "--input-y", y, "--epsilons", "1,2",
+                     "--replications", "3", "--seed", "5", "--out", str(out / "sweep.csv")]) == 0
+        streams = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        passes.append((files, streams.out.replace(str(out), "#"), streams.err.replace(str(out), "#")))
+    assert len(built) == 1
+    assert sorted(passes[0][0]) == ["bob.json", "pkg.bin", "run.json", "sweep.csv"]
+    assert passes[1] == passes[0]
+
+
 def test_usage_errors_exit_two(data_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["alice", "--input", str(data_dir / "x.csv"), "--out", str(tmp_path / "p")])
@@ -712,6 +746,101 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(path)
 
 
+# name, file bytes, has_header: load_csv and the cell by cell oracle accept
+# or refuse each alike, with the same values or the same message.
+CSV_EDGE_CASES = [
+    ("plain", b"1,2\n3,4\n", False),
+    ("spaces", b" 1 , 2\n3 ,4 \n", False),
+    ("tabs and form feeds", b"\t1,2\x0c\n3,\x0b4\n", False),
+    ("no-break and em spaces", " 1,2\u2003\n3,4\n".encode(), False),
+    ("signs", b"+1,-2\n-0,+4\n", False),
+    ("bare points", b".5,5.\n-.5,+.5\n", False),
+    ("exponents", b"1e3,2E-3\n-1.5e+2,3e0\n", False),
+    ("extreme exponents", b"1e-400,4.9e-324\n1.7976931348623157e308,2.2250738585072014e-308\n", False),
+    ("leading zeros and long mantissa", b"007,0.1000000000000000055511151231257827\n", False),
+    ("quoted cells", b'"1.5",2\n3,"4" \n', False),
+    ("quoted line break", b'"1\n",2\n3,4\n', False),
+    ("crlf", b"1,2\r\n3,4\r\n", False),
+    ("lone cr", b"1,2\r3,4\r", False),
+    ("no final newline", b"1,2\n3,4", False),
+    ("blank lines", b"\n1,2\n\n3,4\n\n", False),
+    ("one column", b"1\n2\n3\n", False),
+    ("one row", b"1,2,3\n", False),
+    ("header", b"a,b\n1,2\n3,4\n", True),
+    ("blank header line", b"\n1,2\n", True),
+    ("ragged header", b"a,b,c\n1,2\n", True),
+    ("whitespace-only line", b"1,2\n   \n3,4\n", False),
+    ("whitespace-only line after header", b"a,b\n   \n3,4\n", True),
+    ("trailing commas", b"1,2,\n3,4,\n", False),
+    ("empty cell", b"1,,2\n3,4,5\n", False),
+    ("empty quoted cell", b'"",1\n', False),
+    ("bom", b"\xef\xbb\xbf1,2\n3,4\n", False),
+    ("ragged rows", b"1,2\n3,4,5\n", False),
+    ("nan", b"1,nan\n3,4\n", False),
+    ("signed inf", b"1,2\n-inf,4\n", False),
+    ("infinity", b"1,2\nInfinity,4\n", False),
+    ("overflow to inf", b"1e400,2\n", False),
+    ("non-number", b"1,2\n3,oops\n", False),
+    ("hex", b"0x10,2\n", False),
+    ("comment line", b"# note\n1,2\n", False),
+    ("semicolons", b"1;2\n", False),
+    ("quote inside a cell", b'1"2",3\n', False),
+    ("delimiter inside quotes", b'"1,5",2\n', False),
+    ("unicode minus", "\u22121,2\n".encode(), False),
+    ("nul", b"1\x00,2\n", False),
+    ("empty file", b"", False),
+    ("header only", b"a,b\n", True),
+    ("header, no header flag", b"a,b\n1,2\n", False),
+]
+
+
+@pytest.mark.parametrize("name, text, has_header", CSV_EDGE_CASES, ids=[c[0] for c in CSV_EDGE_CASES])
+def test_load_csv_matches_the_cellwise_loader(tmp_path, name, text, has_header):
+    """numpy's reader accepts, reads and refuses as the cell by cell loader it replaced."""
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text)
+    try:
+        expected = load_csv_cellwise(path, has_header=has_header)
+    except CsvParseError as exc:
+        with pytest.raises(CsvParseError) as got:
+            load_csv(path, has_header=has_header)
+        assert str(got.value) == str(exc)
+    else:
+        A = load_csv(path, has_header=has_header)
+        assert A.dtype == np.float64 and A.shape == expected.shape
+        assert A.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, has_header, cell", [
+    (b"1_000,2\n", False, "1_000"),
+    ("\u0661,2\n".encode(), False, "\u0661"),
+    ("\uff11,2\n".encode(), False, "\uff11"),
+    (b'"a\nb",c\n1,2\n', True, "'b\"'"),  # numpy skips one line, not one record
+], ids=["underscore", "arabic-indic digit", "fullwidth digit", "two-line header"])
+def test_load_csv_refuses_what_only_python_float_reads(tmp_path, text, has_header, cell):
+    """Cells numpy's float syntax refuses: now refused, with numpy's message."""
+    path = tmp_path / "py.csv"
+    path.write_bytes(text)
+    assert load_csv_cellwise(path, has_header=has_header).size
+    with pytest.raises(CsvParseError) as got:
+        load_csv(path, has_header=has_header)
+    assert str(got.value).startswith(f"{path}: could not convert string ")
+    assert cell in str(got.value)
+
+
+def test_saved_csv_reads_back_bit_for_bit(tmp_path):
+    """Files that save_csv writes, the benchmark's among them, read to the oracle's float64 bits."""
+    rng = np.random.default_rng(5)
+    mantissa = rng.standard_normal((300, 3))
+    M = np.ldexp(mantissa, rng.integers(-1070, 1020, size=mantissa.shape))
+    M[:4, 0] = [0.0, -0.0, 5e-324, np.finfo(float).max]
+    X, _ = synthetic_pair(n=200, d=2, m=2, dependence=0.3, x_scale=3e4, seed=7)
+    for i, A in enumerate((M, X)):
+        path = tmp_path / f"m{i}.csv"
+        save_csv(path, A)
+        assert load_csv(path).tobytes() == load_csv_cellwise(path).tobytes() == A.tobytes()
+
+
 @pytest.mark.parametrize("kwargs, digest", [
     (dict(n=200, d=2, m=2, dependence=0.3, x_scale=3e4, seed=7),
      "a29f6c13b8413e67ef2e9d8a87ac95e2fa976903d45e9030e65d7b153e7e6c93"),
@@ -734,6 +863,23 @@ def test_synthetic_pair_draws_are_pinned(kwargs, digest):
 def test_synthetic_pair_refuses_non_integer_shapes_and_non_numeric_dependence(kwargs):
     with pytest.raises(InvalidInputError):
         synthetic_pair(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(x_scale=float("nan")), "x_scale must be a finite number"),
+    (dict(x_scale=-np.inf), "x_scale must be a finite number"),
+    (dict(x_scale=True), "x_scale must be a finite number"),
+    (dict(x_scale="3"), "x_scale must be a finite number"),
+    (dict(seed=-1), "seed must be a nonnegative integer"),
+    (dict(seed=1.5), "seed must be a nonnegative integer"),
+    (dict(seed=2.0), "seed must be a nonnegative integer"),
+    (dict(seed=False), "seed must be a nonnegative integer"),
+    (dict(seed=None), "seed must be a nonnegative integer"),
+])
+def test_synthetic_pair_refuses_a_non_finite_scale_and_a_bad_seed(kwargs, message):
+    with pytest.raises(InvalidInputError, match=message):
+        synthetic_pair(20, **kwargs)
+    assert synthetic_pair(20, x_scale=np.float32(2), seed=np.uint8(3))[0].shape == (20, 2)
 
 
 def test_synthetic_pair_shapes_and_determinism():
