@@ -46,9 +46,11 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
     blank lines skipped.  Every cell must parse as a finite number and every
     row must have the same width.  A file it refuses, or that has no rows or
     a non-finite value, raises CsvParseError naming the offending line and
-    column (1-based, counting the header line if present); a file refused
-    for a reason that has no line and column (``1_000``, say) raises
-    CsvParseError with numpy's message.
+    column (1-based, counting the header line if present); a file that is
+    not text in the locale's encoding raises CsvParseError naming the first
+    byte that is not and its offset (0-based); a file refused for a reason
+    that has no line and column (``1_000``, say) raises CsvParseError with
+    numpy's message.
     """
     path = Path(path)
     try:
@@ -62,7 +64,10 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
         if A.size and np.isfinite(A).all():
             return A
         fault = "non-finite value" if A.size else "no data rows"
-    _locate_fault(path, has_header)
+    try:
+        _locate_fault(path, has_header)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(_undecodable(path, exc.encoding)) from None
     raise CsvParseError(f"{path}: {fault}")
 
 
@@ -101,6 +106,19 @@ def _locate_fault(path: Path, has_header: bool) -> None:
                     )
     if width is None:
         raise CsvParseError(f"{path}: no data rows")
+
+
+def _undecodable(path: Path, encoding: str) -> str:
+    """Name the first byte of ``path`` that is not ``encoding`` text, and where it lies.
+
+    The decoder of a text handle reports a position within the chunk it
+    was decoding, so the file's bytes are decoded again, whole.
+    """
+    try:
+        path.read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        return f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not {encoding} text"
+    return f"{path}: not {encoding} text"
 
 
 def save_csv(path, X) -> None:

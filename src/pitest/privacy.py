@@ -41,47 +41,49 @@ and kept packed in row panels: rows [a, b) of ``R`` are stored as their
 column, then the (b - a) x (n - b) rectangle right of it in column-major
 order, panel after panel, so the zeros below the diagonal are neither
 stored nor shipped.  Every panel but the last has the height of
-:func:`_panel_height`, a multiple of the reflector block.
+:func:`_panel_height`, a multiple of 16 rows.
 Write ``G = Q T`` for a QR of ``G`` with ``T`` upper trapezoidal and
 positive on its diagonal; then ``P^T P = (T A_hat)^T (T A_hat) / r``, so ``R``
 is the R factor of ``T A_hat / sqrt(r)``.  By Bartlett's decomposition the
 entries of ``T`` are independent, with ``T_ii ~ chi_{r-i}`` (counting from
 0) and ``T_ij ~ N(0, 1)`` for ``j > i``.  Splitting ``T`` after row
 ``min(r, k)`` and column ``k``, ``T A_hat`` is the min(r, k) dense rows
-``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and a
-QR of that stack is one triangular-pentagonal QR (LAPACK ``dtpqrt``) of
-its leading min(r, n) columns, whose reflectors ``dtpmqrt`` applies to the
-rest.  Each row panel of ``T_22`` is drawn straight into the packed
-scratch panel where it becomes that panel of ``R`` (no array is of the
+``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and
+``R`` is the R factor of a QR of that stack's leading min(r, n) columns,
+whose Q is applied to the rest.  Each row panel of ``T_22`` is drawn
+straight into the packed scratch panel where it becomes that panel of
+``R`` (no array is of the
 factor's size), with the min(r, k) dense rows ``D`` scaled by ``1/w`` so
-that the floor is applied once, to the finished factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
-O(k min(r, n) n) flops, against r (k+n) normals and 2 r k n flops for
-``P``, and holds nothing of size r.
+that the floor is applied once, to the finished factor.  That costs about
+min(r, n) n - min(r, n)^2 / 2 normals and O((k + 32)^2 min(r, n) n / 32)
+flops, against r (k+n) normals and 2 r k n flops for ``P``, and holds
+nothing of size r.
 
-The QR runs right-looking, one row panel at a time, in a packed scratch panel.
-The reflector of column j acts only on row j of ``T_22`` and on ``D``, so
+The QR runs right-looking, one row panel at a time, in a packed scratch
+panel, in 32-column blocks through numpy (``np.linalg.qr``; ``_QR_BLOCK``).
+A block of columns [c, e) mixes only rows [c, e) of ``T_22`` with ``D``, so
 when panel [a, b) comes up its rows are still the drawn ``T_22`` and only
-``D`` carries the earlier panels' reflectors.  The panel's normals are
-drawn into place (the triangle's, column by column, then the rectangle's,
-then its diagonal), one ``dtpqrt`` factors its triangle, copied into a
-(b - a) x (b - a) scratch, over ``D[:, a:b]``, ``dtpmqrt`` applies
-those reflectors to the rectangle and to ``D[:, b:]``, and the panel is
-scaled and its triangle copied back.  So each entry is drawn, updated by
-its own panel's reflector blocks and scaled once, and a panel is final
-when its turn ends: later panels touch only their own rows and ``D``.
-So the release, :func:`privatize_covariance_panels`, is a generator of
-panels, each released into the same scratch panel: a writer ships each
-panel as it finishes and holds O(panel + n k), nothing of the factor's
-size.  One ``dtpqrt`` of all the leading
-columns runs the same reflector blocks of ``_REFLECTOR_BLOCK`` columns:
-it factors a block and updates every column right of it, in one call for
-the columns left of min(r, n) and one for the rest.  The panels split those
-updates at panel edges, which are multiples of the block, and the
-rectangle's update at column min(r, n), so each column sees the same
-blocks in the same order and in BLAS calls ending at the same column; on
-the OpenBLAS builds measured that rounds every column the same, so a seed
-gives the same bits as that draw and that one-shot QR on a dense
-min(r, n) x n buffer.
+``D`` carries the earlier panels' updates.  The panel's normals are drawn
+into place (the triangle's, column by column, then the rectangle's, then
+its diagonal).  Then each block of the panel's columns has one QR of the
+(k1 + s) x s stack ``[D[:, c:e]; T_22[c:e, c:e]]`` of the k1 = min(r, k)
+dense rows over the block's s rows of the triangle.  The dense rows go
+first, so each column's reflector ends at the column's diagonal entry, and
+LAPACK's QR inside numpy skips the zeros below it.  The stack's whole Q
+updates the block's rows and ``D`` right of the block (the rest of the
+panel's triangle, its rectangle and ``D[:, b:]``) through ``np.matmul``,
+in chunks of at most ``_APPLY_FLOATS`` entries; a block with nothing right
+of it takes the R factor alone.  The block's rows are then final, and are
+written scaled.  So each entry is drawn, updated by its own panel's blocks
+and scaled once, and a panel is final when its turn ends: later panels
+touch only their own rows and ``D``.  So the release,
+:func:`privatize_covariance_panels`, is a generator of panels, each
+released into the same scratch panel: a writer ships each panel as it
+finishes and holds O(panel + n k), nothing of the factor's size.  Its
+values agree with LAPACK's one-shot QR of the same draw (``dtpqrt`` and
+``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of the factor's
+largest entry; they round differently, and a seed gives one fixed set of
+bytes on a given numpy and BLAS.
 
 The analyst's product ``R V`` runs one panel at a time too: the panel's
 packed triangle is copied, 16 columns at a time through a boolean mask,
@@ -90,9 +92,8 @@ lies.  The square is Fortran-ordered, as LAPACK's ``dtpttr`` (which reads
 the same column-packed storage) would return it, so its product with ``V``
 makes the same BLAS call and rounds the same.  It reads the factor only
 through its panels, one reused buffer at a time from a package, so the
-analyst holds one panel and nothing of the factor's size.  The release is the one
-user of scipy: it is imported when a release is asked for, so the analyst
-and the exact-law samplers below run on numpy alone.
+analyst holds one panel and nothing of the factor's size.  The release,
+the analyst and the exact-law samplers below run on numpy alone.
 
 A release that is only ever reduced to its centred sum of squares
 ``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
@@ -158,16 +159,22 @@ __all__ = [
 ]
 
 
-# Reflectors per block of the triangular-pentagonal QR, and float64 entries
-# per row panel of the release factor (1 MiB, so a panel's triangle scratch
-# stays small beside the factor).  Both fix the wire layout through
-# :func:`_panel_height`, so changing either is a format change, and the
-# block is the one-shot QR's, whose bits the release keeps.  Measured on a
-# release at n = 2000, r = 2952 (2-core box, medians of 15 interleaved
-# repetitions): 2**16, 2**17, 2**18 and 2**19 entries (panels of 32, 64, 128
-# and 256 rows) took 67, 66, 67 and 70 ms, the normals alone about 40 ms.
+# Rows to which panel heights are rounded, and the width of the analyst's
+# fill of a packed triangle; float64 entries per row panel of the release
+# factor (1 MiB, so a panel stays small beside the factor).  Both fix the
+# wire layout through :func:`_panel_height`, so changing either is a format
+# change.  Measured on a release at n = 2000, r = 2952 (2-core box, medians
+# of 15 interleaved repetitions): 2**16, 2**17, 2**18 and 2**19 entries
+# (panels of 32, 64, 128 and 256 rows) took 67, 66, 67 and 70 ms, the
+# normals alone about 40 ms.
 _REFLECTOR_BLOCK = 16
 _PANEL_FLOATS = 2**17
+
+# Columns per QR of the release, and float64 entries per work buffer of the
+# update that applies a block's Q to the entries right of it.  Neither is
+# part of the layout.
+_QR_BLOCK = 32
+_APPLY_FLOATS = 2**14
 
 
 def _panel_height(rows: int, n: int) -> int:
@@ -197,15 +204,6 @@ def _panels(rows: int, n: int):
         yield a, min(a + h, rows)
 
 
-def _above(h: int) -> np.ndarray:
-    """The entries above the diagonal of an h x h transposed triangle, as a mask.
-
-    Row j of a transposed triangle is column j of the triangle, so the mask
-    walks those entries in column order.
-    """
-    return np.tri(h, h, -1, dtype=bool)
-
-
 def _split_panel(segment: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     """A panel's packed ``segment`` of h rows: its packed triangle, and its rectangle.
 
@@ -228,6 +226,21 @@ def _diagonal_at(h: int) -> np.ndarray:
     at = j * (j + 3) // 2
     at.flags.writeable = False
     return at
+
+
+@lru_cache(maxsize=16)
+def _packed_normals(h: int, drawn: int) -> np.ndarray:
+    """A mask of the packed triangle of h rows: its entries above the diagonal in rows < ``drawn``.
+
+    Those are the entries a panel's normals are drawn into.  ``square[j, i]``
+    stands for entry (i, j) of the triangle, so its lower triangle, read row
+    by row, walks the packed entries column by column.
+    """
+    square = np.tri(h, h, -1, dtype=bool)
+    square[:, drawn:] = False
+    normals = square[np.tri(h, dtype=bool)]
+    normals.flags.writeable = False
+    return normals
 
 
 def _unpack_triangle(triangle: np.ndarray, h: int) -> np.ndarray:
@@ -361,6 +374,77 @@ def tau_mechanism(p: PrivacyParams) -> float:
     return (1.0 + p.eta) * jl_params(p).w ** 2
 
 
+def _apply_block(Q: np.ndarray, Dt: np.ndarray, Ut: np.ndarray, stack: np.ndarray) -> None:
+    """Overwrite ``Ut`` (m x s) and ``Dt`` (m x k1) with ``[Dt | Ut] @ Q``, a block's update.
+
+    ``Q`` is the (k1 + s) x (k1 + s) Q factor of the block's stack, dense
+    rows first, its first s columns scaled; row j of ``Dt`` and of ``Ut`` is
+    column j of ``D`` and of the block's s rows, right of the block.  The
+    product's first s columns are the block's rows, final and scaled; the
+    rest are the updated ``D``.  Each is written where it lies, in chunks
+    of rows whose stack ``[Dt | Ut]`` fits in ``stack``.
+    """
+    m, s = Ut.shape
+    k1 = Dt.shape[1]
+    width = k1 + s
+    step = stack.size // width
+    to_u, to_d = Q[:, :s], Q[:, s:]
+    for u in range(0, m, step):
+        v = min(u + step, m)
+        x = stack[: (v - u) * width].reshape(v - u, width)
+        x[:, :k1] = Dt[u:v]
+        x[:, k1:] = Ut[u:v]
+        np.matmul(x, to_u, out=Ut[u:v])
+        np.matmul(x, to_d, out=Dt[u:v])
+
+
+def _factor_panel(triangle: np.ndarray, rect: np.ndarray, Dt: np.ndarray, floor: float) -> None:
+    """Factor one drawn row panel in place, ``_QR_BLOCK`` columns at a time, and scale it.
+
+    ``triangle`` and ``rect`` are the panel's packed triangle and its
+    rectangle, as drawn, and ``Dt`` is the transposed dense rows ``D`` from
+    the panel's first column on, carrying the earlier panels' updates.  For
+    the block of columns [c, e), the stack ``[D[:, c:e]; U[c:e, c:e]]`` of
+    the dense rows over the block's triangle has one QR, and its Q updates
+    the block's rows and ``D`` right of the block: the rest of the triangle,
+    the rectangle and the rest of ``D``.  Rows [c, e) are then final, so
+    they come out scaled by ``floor`` with the sign of their diagonal.  The
+    work buffer is this call's, so it does not outlive the panel.
+    """
+    h, k1 = rect.shape[0], Dt.shape[1]
+    j = np.arange(h)
+    # Entry (i, j) of the triangle lies at j (j + 1) / 2 + i, so entry
+    # (c + i, j) lies at place[j, i] in triangle[c:], for i < _QR_BLOCK.
+    place = (j * (j + 1) // 2)[:, None] + j[:_QR_BLOCK]
+    lower = np.tri(_QR_BLOCK, dtype=bool)
+    width = k1 + min(h, _QR_BLOCK)
+    stack = np.empty(max(width, min(_APPLY_FLOATS, width * max(h - _QR_BLOCK, rect.shape[1]))))
+    for c in range(0, h, _QR_BLOCK):
+        e = min(c + _QR_BLOCK, h)
+        s = e - c
+        below = triangle[c:]
+        kept = lower[:s, :s]  # kept[j', i'] is i' <= j'
+        at = place[c:e, :s][kept]  # the block's entries (c + i', c + j'), column by column
+        X = np.zeros((k1 + s, s))
+        X[:k1] = Dt[c:e].T
+        X[k1:].T[kept] = below[at]
+        if e == h and rect.shape[1] == 0:  # nothing right of the block
+            R = np.linalg.qr(X, mode="r")
+            below[at] = (R.T * np.copysign(floor, np.diagonal(R)))[kept]
+            break
+        Q, R = np.linalg.qr(X, mode="complete")
+        scale = np.copysign(floor, np.diagonal(R))
+        below[at] = (R[:s].T * scale)[kept]
+        Q[:, :s] *= scale
+        if e < h:
+            right = place[e:, :s]  # rows [c, e) of the triangle's columns right of the block
+            Ut = below[right]
+            _apply_block(Q, Dt[e:h], Ut, stack)
+            below[right] = Ut
+        if rect.shape[1]:
+            _apply_block(Q, Dt[h:], rect.T[:, c:e], stack)
+
+
 def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     """Yield the release factor ``R`` of the n x k factor ``A``, one row panel at a time.
 
@@ -368,19 +452,14 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     for ``A_hat = [A^T; w I]`` and ``T`` drawn from its Bartlett law (see
     the module docstring).  Every panel [a, b), top down, is released into
     the leading entries of one scratch array of the first (largest) panel's
-    packed length, its triangle factored in one reused square, so no two
-    panels' arrays are held at once.  Every entry is written: the panel's
-    Bartlett entries are drawn (the triangle's normals in column order,
-    then the rectangle's, then the diagonal, ``chi_{r - k1 - i}`` in row
-    ``i``; rows from q = min(r - k1, n) on are zero), one ``dtpqrt``
-    factors the triangle over ``D[:, a:b]``, ``dtpmqrt`` applies its
-    reflectors to the rectangle and ``D[:, b:]``, and the panel is
-    scaled.  Then
+    packed length, so no two panels' arrays are held at once.  Every entry
+    is written: the panel's Bartlett entries are drawn (the triangle's
+    normals in column order, then the rectangle's, then the diagonal,
+    ``chi_{r - k1 - i}`` in row ``i``; rows from q = min(r - k1, n) on are
+    zero), and :func:`_factor_panel` factors and scales the panel.  Then
     ``(a, b, values)`` is yielded, ``values`` a view of the scratch: the
     panel is final, and valid until the next panel is asked for.
     """
-    from scipy.linalg import lapack  # imported by privatize_covariance_panels already
-
     n, k = A.shape
     r, w = jl_params(p)
     k1, rows = min(r, k), min(r, n)
@@ -389,47 +468,30 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     rng = np.random.default_rng(int(seed))
     T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
     T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
-    # The dense rows of T A_hat, over w: T11 A^T / w + T12.
+    # The dense rows of T A_hat, over w: T11 A^T / w + T12, held transposed
+    # so that a range of columns is a range of rows.
     D = np.asfortranarray(T1[:, k:])
     D += T1[:, :k] @ (A.T / w)
+    Dt = D.T
     floor = w / math.sqrt(r)
-    height = _panel_height(rows, n)
-    above = _above(height)
-    scratch = np.empty(_row_offset(height, n))
-    square = np.empty(height * height)
+    scratch = np.empty(_row_offset(_panel_height(rows, n), n))
     for a, b in _panels(rows, n):
         hb = b - a
         drawn = min(max(q - a, 0), hb)  # the panel's rows with Bartlett entries
         values = scratch[: _row_offset(b, n) - _row_offset(a, n)]
         triangle, rect = _split_panel(values, hb)
-        triangle_t = square[: hb * hb].reshape(hb, hb)  # transposed, so the triangle is Fortran-ordered
-        triangle_t.fill(0.0)
-        normals = above[:hb, :hb]
-        if drawn < hb:
-            normals = normals & (np.arange(hb) < drawn)
-        triangle_t[normals] = rng.standard_normal(np.count_nonzero(normals))
+        normals = _packed_normals(hb, drawn)
+        triangle.fill(0.0)
+        triangle[normals] = rng.standard_normal(np.count_nonzero(normals))
         if drawn == hb:
             rng.standard_normal(out=rect.T)
         else:
             rect[drawn:] = 0.0  # the rows from q on, which the draw leaves
             if drawn:
                 rect.T[:, :drawn] = rng.standard_normal((n - b, drawn))
-        j = np.arange(drawn)
-        triangle_t[j, j] = np.sqrt(rng.chisquare(dof - np.arange(a, a + drawn, dtype=np.float64)))
-        t = lapack.dtpqrt(0, min(hb, _REFLECTOR_BLOCK), triangle_t.T, D[:, a:b],
-                          overwrite_a=1, overwrite_b=1)[2]
-        # The rectangle's columns left and right of column ``rows`` take the
-        # reflectors in two calls, as in one QR of the leading columns and
-        # one update of the rest, so that each column is rounded the same.
-        for c, d in ((b, rows), (max(b, rows), n)):
-            if c < d:
-                lapack.dtpmqrt(0, D[:, a:b], t, rect[:, c - b : d - b], D[:, c:d], trans="T",
-                               overwrite_a=1, overwrite_b=1)
-        # Make the diagonal positive and restore the floor and the 1/sqrt(r).
-        scale = np.copysign(floor, np.diagonal(triangle_t))
-        triangle_t *= scale
-        rect *= scale[:, None]
-        triangle[:] = lapack.dtrttp(triangle_t.T)[0]
+        triangle[_diagonal_at(hb)[:drawn]] = np.sqrt(
+            rng.chisquare(dof - np.arange(a, a + drawn, dtype=np.float64)))
+        _factor_panel(triangle, rect, Dt[a:], floor)
         yield a, b, values
 
 
@@ -454,10 +516,6 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     rows = min(jl_params(p).r, A.shape[0])
-    # This QR is the one user of scipy (LAPACK): importing it here keeps it
-    # out of the analyst and the sweep, and a missing scipy fails before a
-    # writer opens its file.
-    import scipy.linalg.lapack
 
     def checked():
         for a, b, values in _release_panels(A, p, seed):

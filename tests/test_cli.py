@@ -1,8 +1,10 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import codecs
 import hashlib
 import io
 import json
+import locale
 import math
 import re
 import struct
@@ -744,6 +746,49 @@ def test_load_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(CsvParseError, match="no data rows"):
         load_csv(path)
+
+
+def _undecodable_in_locale() -> str:
+    """The locale's text encoding, for tests of a byte it cannot decode (0xe9, as in Latin-1 'é')."""
+    encoding = locale.getpreferredencoding(False)
+    try:
+        b"\xe9".decode(encoding)
+    except UnicodeDecodeError:
+        return codecs.lookup(encoding).name
+    pytest.skip(f"0xe9 is text in the locale's encoding {encoding}")
+
+
+@pytest.mark.parametrize("has_header", [False, True])
+def test_load_csv_names_the_first_byte_that_is_not_text(tmp_path, has_header):
+    encoding = _undecodable_in_locale()
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2\n3,4\xe9\n" if has_header else b"1,2\n3,4\xe9\n")
+    offset = 11 if has_header else 7
+    with pytest.raises(CsvParseError) as got:
+        load_csv(path, has_header=has_header)
+    assert str(got.value) == f"{path}: byte 0xe9 at offset {offset} is not {encoding} text"
+
+
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_a_csv_that_is_not_text_is_an_error(role, data_dir, tmp_path, capsys):
+    """A CSV file holding a byte that is not text ends the call with exit 1 and one error line."""
+    encoding = _undecodable_in_locale()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1.5,2\n3,4\xe9\n" + b"5,6\n" * 18)
+    out = tmp_path / ("pkg.bin" if role == "alice" else "report.json")
+    if role == "alice":
+        argv = ["alice", "--input", str(bad), *ALICE_ARGS, "--out", str(out)]
+    else:
+        package = tmp_path / "pkg.bin"
+        assert main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--seed", "2",
+                     "--out", str(package)]) == 0
+        capsys.readouterr()
+        argv = ["bob", "--package", str(package), "--input", str(bad), "--report", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: byte 0xe9 at offset 9 is not {encoding} text\n"
+    assert not out.exists()
 
 
 # name, file bytes, has_header: load_csv and the cell by cell oracle accept

@@ -1,5 +1,5 @@
 """Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, the
-CLI imports without ``scipy.special``, only Alice's release loads scipy, README
+CLI imports without ``scipy.special``, every command runs without scipy, README
 describes the package format the code writes, and README's library example runs."""
 
 import importlib
@@ -12,7 +12,6 @@ import textwrap
 from pathlib import Path
 
 import pitest
-from pitest.cli import main
 from pitest.data import save_csv, synthetic_pair
 from pitest.protocol import FORMAT_VERSION
 
@@ -35,38 +34,44 @@ def test_cli_import_leaves_scipy_special_out():
     assert _run_python("import sys, pitest.cli; print('scipy.special' in sys.modules)") == "False"
 
 
-def test_only_alices_release_loads_scipy(tmp_path):
-    """``import pitest``, ``pi-test bob`` and ``pi-test sweep`` run on numpy alone.
+def test_every_command_runs_without_scipy(tmp_path):
+    """``import pitest`` and ``pi-test alice``, ``bob``, ``run`` and ``sweep`` run on numpy alone.
 
-    Alice's QR (LAPACK ``dtpqrt``, ``dtpmqrt``) is the one user of scipy, so
-    ``pi-test alice`` run last in the same process does load it.
+    The interpreter is given ``sys.modules["scipy"] = None``, so that any
+    import of scipy or of a scipy module raises ImportError.
     """
     X, Y = synthetic_pair(n=40, d=2, m=2, dependence=0.3, seed=4)
     x, y, package = (str(tmp_path / name) for name in ("x.csv", "y.csv", "pkg.bin"))
     save_csv(x, X)
     save_csv(y, Y)
-    budget = ["--epsilon", "10", "--delta", "0.01", "--eta", "0.5", "--nu", "0.5"]
-    assert main(["alice", "--input", x, *budget, "--seed", "1", "--out", package]) == 0
+    budget = ["--epsilon", "10", "--delta", "0.01", "--eta", "0.5", "--nu", "0.5", "--seed", "1"]
     calls = {
+        "alice": ["alice", "--input", x, *budget, "--out", package],
         "bob": ["bob", "--package", package, "--input", y, "--report", str(tmp_path / "bob.json")],
+        "run": ["run", "--input-x", x, "--input-y", y, *budget, "--report", str(tmp_path / "run.json")],
         "sweep": ["sweep", "--input-x", x, "--input-y", y, "--epsilons", "1,10", "--etas", "0.5",
                   "--replications", "2", "--delta", "0.01", "--nu", "0.5",
                   "--out", str(tmp_path / "sweep.csv")],
-        "alice": ["alice", "--input", x, *budget, "--seed", "2", "--out", str(tmp_path / "again.bin")],
     }
     code = textwrap.dedent(f"""
         import contextlib, io, json, sys
+        sys.modules["scipy"] = None
+        try:
+            import scipy.linalg
+        except ImportError:
+            pass
+        else:
+            raise AssertionError("scipy was importable")
         import pitest
-        loaded = {{"import pitest": "scipy" in sys.modules}}
         from pitest.cli import main
+        codes = {{}}
         for name, argv in {calls!r}.items():
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == 0, name
-            loaded[name] = "scipy" in sys.modules
-        print(json.dumps(loaded))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes[name] = main(argv)
+        print(json.dumps(codes))
     """)
-    loaded = json.loads(_run_python(code))
-    assert loaded == {"import pitest": False, "bob": False, "sweep": False, "alice": True}
+    assert json.loads(_run_python(code)) == {"alice": 0, "bob": 0, "run": 0, "sweep": 0}
+    assert (tmp_path / "pkg.bin").stat().st_size > 0
 
 
 def test_every_listed_export_resolves():
