@@ -417,6 +417,8 @@ def _factor_panel(triangle: np.ndarray, rect: np.ndarray, Dt: np.ndarray, floor:
     # (c + i, j) lies at place[j, i] in triangle[c:], for i < _QR_BLOCK.
     place = (j * (j + 1) // 2)[:, None] + j[:_QR_BLOCK]
     lower = np.tri(_QR_BLOCK, dtype=bool)
+    # The update's stack: as many rows as the longest update needs, up to
+    # _APPLY_FLOATS entries, and one row at least.
     width = k1 + min(h, _QR_BLOCK)
     stack = np.empty(max(width, min(_APPLY_FLOATS, width * max(h - _QR_BLOCK, rect.shape[1]))))
     for c in range(0, h, _QR_BLOCK):
