@@ -4,7 +4,8 @@
 Each trial draws the two private statistics from the exact law of what the
 protocol would report (see ``pitest.sweep``), without releasing a package:
 the s columns are the package's for each seed, bit for bit, and the gamma
-and omega columns are new draws of the same law.
+and omega columns come from one stream per cell, keyed by the master seed
+and the cell's indices, as draws of the same law.
 
 Example:
     python3 scripts/sweep_table.py --n 100 --x-scale 3e4 --replications 50 \
@@ -62,7 +63,8 @@ def main():
         print(f"{r.epsilon:>6g} {r.eta:>5g} | {r.mean_rel_err_gamma:>12.3f} {r.sd_gamma:>9.3f} | "
               f"{r.mean_rel_err_s:>12.3f} {r.sd_s:>9.3f} | "
               f"{r.mean_rel_err_omega:>12.3f} {r.sd_omega:>9.3f}")
-    print(f"\n{len(rows)} cells x {args.replications} replications in {elapsed:.1f}s")
+    print(f"\n{len(rows)} cells x {args.replications} replications in {elapsed:.1f}s; "
+          f"{rows.degenerate_trials} trials had s_bar <= 0")
 
     if args.out:
         atomic_write_text(args.out, sweep_rows_to_csv(rows))

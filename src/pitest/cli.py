@@ -27,8 +27,8 @@ from .errors import InvalidInputError, PiTestError
 from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
-from .protocol import _package_bytes, _privacy_section, _query_matrix
-from .protocol import alice_prepare, alice_stream, bob_evaluate, read_package, report_to_dict
+from .protocol import _package_bytes, _privacy_section, _query_matrix, _released_package
+from .protocol import alice_stream, bob_evaluate, read_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
 
@@ -116,8 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="privacy-utility sweep over (epsilon, eta)",
         description="Privacy-utility sweep over (epsilon, eta). Each trial draws the two private "
                     "statistics from the exact law of what alice then bob would report, without "
-                    "releasing a package: for a given seed the s columns are the package's, bit "
-                    "for bit, and the gamma and omega columns are new draws of the same law.")
+                    "releasing a package: each trial's sx is drawn from its own seed, so the s "
+                    "columns are the package's, bit for bit, and the gamma and omega columns "
+                    "come from one stream per cell, keyed by --seed and the cell's indices. "
+                    "The closing line counts the trials whose s_bar was not > 0; each makes its "
+                    "cell's gamma columns NaN.")
     p_sweep.add_argument("--input-x", required=True, help="CSV file with X")
     p_sweep.add_argument("--input-y", required=True, help="CSV file with Y")
     p_sweep.add_argument("--header", action="store_true", help="skip the first CSV line of both")
@@ -243,7 +246,9 @@ def _cmd_run(args, params: PrivacyParams) -> int:
     _warn_if_seeded(args)
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
-    package = alice_prepare(X, params, args.seed)
+    # Bob's sum reads each panel of the factor as Alice releases it, so the
+    # run holds one panel, and no package, at a time.
+    package = _released_package(X, params, args.seed)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
 
     n = X.shape[0]
@@ -273,9 +278,11 @@ def _cmd_run(args, params: PrivacyParams) -> int:
 def _cmd_sweep(args, cfg: SweepConfig) -> int:
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
-    rows = run_sweep(cfg, X, Y)
-    atomic_write_text(args.out, sweep_rows_to_csv(rows))
-    print(f"wrote sweep table: {args.out} ({len(rows)} rows)")
+    table = run_sweep(cfg, X, Y)
+    atomic_write_text(args.out, sweep_rows_to_csv(table))
+    trials = len(table) * cfg.replications
+    print(f"wrote sweep table: {args.out} ({len(table)} rows; "
+          f"{table.degenerate_trials} of {trials} trials had s_bar <= 0)")
     return 0
 
 

@@ -128,7 +128,9 @@ def save_csv(path, X) -> None:
     A = np.asarray(X, dtype=np.float64)
     if A.ndim == 1:
         A = A[:, None]
-    lines = "\n".join(",".join(repr(float(v)) for v in row) for row in A)
+    # tolist() gives Python floats, whose repr is the shortest round-trip text;
+    # one row at a time, so no list of every value is held beside the text.
+    lines = "\n".join(",".join(map(repr, row.tolist())) for row in A)
     atomic_write_text(path, lines + "\n")
 
 

@@ -121,9 +121,11 @@ of ``C``
 
     ||P V||_F^2 = sum_{j<=m} mu_j g_j / r,     g_j ~ chi^2_r, independent,
 
-which ``_projected_sq_norm_law`` draws from ``F^T V`` and ``V^T V``
+which ``_projected_sq_norm_laws`` draws from ``F^T V`` and ``V^T V``
 alone, in O(n k m) and m chi-square draws.  Both samplers share
-one weighted chi-square draw, ``_ChiSquareMix``.
+one weighted chi-square draw, ``_ChiSquareMix``, which also draws many
+values of its law from one generator at once, one chi-square array per
+term, for a caller that wants the law's values and not a seed's.
 
 Privacy is unchanged by any of these draws: (epsilon, delta) differential
 privacy is a property of the law of a mechanism's output.  ``R``, ``sx``
@@ -528,7 +530,7 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
 
 
 class _ChiSquareMix(NamedTuple):
-    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a seed.
+    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a seed or from a generator.
 
     ``g_j ~ chi^2_r`` and ``h ~ chi^2_{r dof}``, all independent (no ``h``
     when ``dof`` is 0): the law of a sum of squares of a release, see the
@@ -547,6 +549,18 @@ class _ChiSquareMix(NamedTuple):
         total = float(self.weights @ (rng.chisquare(rf, size=self.weights.size) / rf))
         if self.dof:
             total += self.floor * float(rng.chisquare(rf * self.dof) / rf)
+        return total
+
+    def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` independent values of the law, from ``rng``: one chi-square array per term.
+
+        Not the values of :meth:`draw` for any seeds, but values of the
+        same law, with one chi-square call per term whatever ``size``.
+        """
+        rf = float(self.r)
+        total = (rng.chisquare(rf, size=(size, self.weights.size)) / rf) @ self.weights
+        if self.dof:
+            total += self.floor * (rng.chisquare(rf * self.dof, size) / rf)
         return total
 
 
@@ -570,20 +584,24 @@ def _centered_sq_norm_law(lam: np.ndarray, n: int, p: PrivacyParams) -> _ChiSqua
     return _ChiSquareMix(lam + w2, r, w2, n - 1 - lam.size)
 
 
-def _projected_sq_norm_law(FtV: np.ndarray, VtV: np.ndarray, p: PrivacyParams) -> _ChiSquareMix:
-    """The law of ``||P V||_F^2`` for a release of ``F F^T``, from ``F^T V`` and ``V^T V``.
+def _projected_sq_norm_laws(FtV: np.ndarray, VtV: np.ndarray, ps) -> list[_ChiSquareMix]:
+    """The laws of ``||P V||_F^2`` for a release of ``F F^T`` at each of ``ps``, from ``F^T V`` and ``V^T V``.
 
-    Its weights are the eigenvalues of ``C = (F^T V)^T (F^T V) + w^2 V^T V``
-    (see the module docstring), clipped at 0 against rounding.  When
-    ``w^2`` overflows, ``C`` is not finite and neither is any draw; the
-    weights are then infinite, as a draw of ``sx`` is, and the caller
-    refuses the value.
+    The weights of the law at ``p`` are the eigenvalues of
+    ``C = (F^T V)^T (F^T V) + w^2 V^T V`` for the ``w`` of ``p`` (see the
+    module docstring), clipped at 0 against rounding; the matrices of all
+    of ``ps`` go through one stacked ``eigvalsh``.  When ``w^2`` overflows,
+    ``C`` is not finite and neither is any draw; the weights are then
+    infinite, as a draw of ``sx`` is, and the caller refuses the value.
     """
-    r, w = jl_params(p)
-    C = FtV.T @ FtV + (w * w) * VtV
-    if not np.isfinite(C).all():
-        return _ChiSquareMix(np.full(len(C), math.inf), r)
-    return _ChiSquareMix(np.maximum(np.linalg.eigvalsh(C), 0.0), r)
+    params = [jl_params(p) for p in ps]
+    w2 = np.array([w * w for _, w in params])  # float products: an overflow is inf, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):  # a C that is not finite is refused below
+        C = FtV.T @ FtV + w2[:, None, None] * VtV
+    finite = np.isfinite(C).all(axis=(1, 2))
+    weights = np.full(C.shape[:2], math.inf)
+    weights[finite] = np.maximum(np.linalg.eigvalsh(C[finite]), 0.0)
+    return [_ChiSquareMix(mu, r) for mu, (r, _) in zip(weights, params)]
 
 
 def _as_queries(V, n: int) -> np.ndarray:

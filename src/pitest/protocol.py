@@ -137,12 +137,13 @@ class AlicePackage:
     ``proj_B`` has the Gram of a release ``P_B`` of ``B B^T``, and ``sx`` has
     the law of ``||P_X - row means||_F^2`` for a release ``P_X`` of
     ``X X^T``.  The sample count is the factor's width, so it is not stored
-    again.  The factor is read from the package's handle one panel at a
-    time (see :func:`read_package`).
+    again.  The factor is read one panel at a time: from the package's
+    handle (see :func:`read_package`), or once, as it is released (see
+    :func:`_released_package`).
     """
 
     params: PrivacyParams
-    proj_B: _FileFactor
+    proj_B: _FileFactor | _ReleasedFactor
     sx: float
 
     @property
@@ -305,6 +306,38 @@ def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> Package
     return PackageStream(n, rows, sx, chain([_header_line(n, p, sx)], map(_wire_bytes, panels)))
 
 
+@dataclass(frozen=True, eq=False)
+class _ReleasedFactor:
+    """The factor of a :class:`PackageStream`, read once, each row panel as it is released.
+
+    It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
+    ``panels()``, which views each checked panel's wire bytes as float64,
+    so it has the values a package's reader would read back.  The panels
+    come from the release, so ``panels()`` can be read through once only.
+    """
+
+    rows: int
+    n: int
+    parts: Iterator  # the stream's panels, its header line taken off
+
+    def panels(self):
+        for (a, b), part in zip(_panels(self.rows, self.n), self.parts):
+            yield a, b, np.frombuffer(part, dtype="<f8")
+
+
+def _released_package(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
+    """The package of :func:`alice_stream`, never written: its factor is read once, as released.
+
+    ``pi-test run`` hands it to :func:`bob_evaluate`, which reads the factor
+    once, so both roles hold one panel and nothing of the factor's size.
+    The header line is dropped: its length is fixed by the fields, from
+    which :func:`_package_bytes` computes it.
+    """
+    stream = alice_stream(X, p, master_seed)
+    next(stream.parts)  # the header line
+    return AlicePackage(p, _ReleasedFactor(stream.rows, stream.n, stream.parts), stream.sx)
+
+
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
     """Evaluate the analyst's side of the protocol from a package and ``Y``.
 
@@ -421,8 +454,8 @@ def _wire_bytes(values: np.ndarray) -> memoryview:
 def _package_bytes(pkg: AlicePackage) -> int:
     """The length of the package's encoding: its header line and 8 bytes per packed entry.
 
-    It is the length of the package's handle, which :func:`read_package`
-    checked against it before reading any panel.
+    For a package read from a handle it is the handle's length, which
+    :func:`read_package` checked against it before reading any panel.
     """
     return len(_header_line(pkg.n, pkg.params, pkg.sx)) + 8 * _row_offset(pkg.proj_B.rows, pkg.n)
 

@@ -1,46 +1,47 @@
 """Privacy-utility sweep: relative error of the private statistics vs epsilon.
 
 For every (epsilon, eta) cell the protocol's two private statistics are
-drawn `replications` times with fresh seeds against fixed (X, Y); each
-trial's private statistic, denominator and numerator are compared to the
-non-private values on the same data as percent relative error, and the cell
-reports mean and standard deviation of each.  Cells whose non-private
-reference is zero are marked degenerate with NaN entries.
+drawn `replications` times against fixed (X, Y); each trial's private
+statistic, denominator and numerator are compared to the non-private
+values on the same data as percent relative error, and the cell reports
+mean and standard deviation of each.  Cells whose non-private reference is
+zero are marked degenerate with NaN entries, and so are the gamma columns
+of a cell with a trial whose ``s_bar`` is not > 0; the table counts those
+trials.
 
-A trial draws ``(omega_bar_sq, s_bar)`` from the exact joint law of what
-``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, not by releasing and
-reducing a package: the two releases are independent, ``sx`` is drawn by
-the code behind ``private_centered_sq_norm`` from the trial's ``X`` seed,
-as the package draws it, so ``s_bar`` has the package's bits, and the
-analyst's answer ``||R Q||_F^2`` from ``_projected_sq_norm_law``, drawn
-from its ``B`` seed, a new draw of the same law.  What the two laws need
-of the data (``B^T Q``, ``Q^T Q``, the spectrum of ``Xc``) is computed
-once per sweep, and the laws once per cell, so a trial is a few
-chi-square draws, and nothing of size r is drawn or held.
+A trial's ``(omega_bar_sq, s_bar)`` has the exact joint law of what
+``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no package
+released or reduced: the two releases are independent, so ``sx`` and the
+analyst's answer ``||R Q||_F^2`` are drawn apart.  ``sx`` is drawn per
+trial by the code behind ``private_centered_sq_norm``, from the ``X`` seed
+that ``alice_prepare`` takes from the trial's seed, so ``s_bar`` and the s
+columns are the package's, bit for bit.  The answers are values of the law
+of ``_projected_sq_norm_laws``, not a seed's: all of a cell's come from one
+stream keyed by the master seed and the cell's indices, as one chi-square
+array contracted with the cell's weights.  What the laws need of the data
+(``B^T Q``, ``Q^T Q``, the spectrum of ``Xc``) is computed once per sweep,
+the answer weights of every cell in one stacked ``eigvalsh``, and the rest
+is array arithmetic over the (cell, replication) grid, so nothing of size
+r is drawn or held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import (
-    _paired_matrices,
-    dcov_sq_closed_form,
-    s_hat,
-    test_statistic,
-)
+from .estimators import _paired_matrices, dcov_sq_closed_form, s_hat
 from .privacy import (
     PrivacyParams,
     _centered_spectrum,
     _centered_sq_norm_law,
-    _ChiSquareMix,
-    _projected_sq_norm_law,
+    _projected_sq_norm_laws,
 )
 from .protocol import (
     _check_sx,
@@ -51,7 +52,8 @@ from .protocol import (
     factor_W,
 )
 
-__all__ = ["SweepConfig", "SweepRow", "SWEEP_HEADER", "run_sweep", "sweep_rows_to_csv"]
+__all__ = ["SweepConfig", "SweepRow", "SweepTable", "SWEEP_HEADER", "run_sweep",
+           "sweep_rows_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ class SweepConfig:
         if self.master_seed < 0:
             raise InvalidInputError(f"master_seed must be >= 0, got {self.master_seed}")
 
-    @property
+    @cached_property
     def cells(self) -> tuple[PrivacyParams, ...]:
-        """The ``PrivacyParams`` of every (epsilon, eta), in row order."""
+        """The ``PrivacyParams`` of every (epsilon, eta), in row order, built once."""
         return tuple(PrivacyParams(e, self.delta, eta, self.nu)
                      for e, eta in product(self.epsilons, self.eta_values))
 
@@ -105,41 +107,57 @@ class SweepRow(NamedTuple):
 SWEEP_HEADER = ",".join(SweepRow._fields)
 
 
-def _rel_err_pct(private: float, reference: float) -> float:
-    if reference == 0.0:
-        return float("nan")  # degenerate reference; cell is marked, not crashed
-    return abs(private - reference) / abs(reference) * 100.0
+class SweepTable(list):
+    """A sweep's rows, one per (epsilon, eta) in configuration order, and its degenerate count.
 
-
-def _mean_sd(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, sd
-
-
-def _trial(n: int, yc_sq: float, sx_law: _ChiSquareMix, answer_law: _ChiSquareMix,
-           seed: int) -> tuple[float, float]:
-    """One trial's ``(omega_bar_sq, s_bar)``, from the trial seed as ``alice_prepare`` splits it.
-
-    Raises InvalidInputError when ``sx`` is not finite, as ``AlicePackage``
-    refuses it, or when ``omega_bar_sq`` is not finite.
+    ``degenerate_trials`` is the number of trials whose ``s_bar`` was not
+    > 0: each leaves its statistic undefined, so its cell's gamma columns
+    are NaN.
     """
-    seed_B, seed_X = _release_seeds(seed)
-    sx = sx_law.draw(seed_X)
-    _check_sx(sx)
-    omega_bar_sq, s_bar = _private_statistics(n, answer_law.draw(seed_B), sx, yc_sq)
-    if not math.isfinite(omega_bar_sq):
-        raise InvalidInputError(f"omega_bar_sq must be a finite number, got {omega_bar_sq!r}")
-    return omega_bar_sq, s_bar
+
+    def __init__(self, rows, degenerate_trials: int):
+        super().__init__(rows)
+        self.degenerate_trials = degenerate_trials
 
 
-def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
+def _sx_draws(master_seed: int, replications: int, grid, laws) -> np.ndarray:
+    """Every trial's ``sx``, cells by replications, each drawn as ``alice_prepare`` draws it.
+
+    ``laws`` holds the law of ``sx`` at each cell of ``grid``.  A trial's
+    seed comes from ``SeedSequence([master_seed, epsilon index, eta index,
+    replication])`` and is split into the two release seeds as
+    ``alice_prepare`` splits its master seed; ``sx`` comes from the second.
+    """
+    sx = np.empty((len(grid), replications))
+    for c, ((i_eps, i_eta), law) in enumerate(zip(grid, laws)):
+        for rep in range(replications):
+            key = np.random.SeedSequence([master_seed, i_eps, i_eta, rep])
+            sx[c, rep] = law.draw(_release_seeds(int(key.generate_state(1, np.uint64)[0]))[1])
+    return sx
+
+
+def _check_trials(sx: np.ndarray, omega_bar_sq: np.ndarray) -> None:
+    """Refuse the first trial, in grid order, that a package or a report would refuse.
+
+    Its ``sx`` as ``AlicePackage`` refuses it, else its ``omega_bar_sq``
+    when that is not finite.
+    """
+    refused = ~(np.isfinite(sx) & (sx >= 0.0)) | ~np.isfinite(omega_bar_sq)
+    if refused.any():
+        first = np.flatnonzero(refused)[0]
+        _check_sx(float(sx.flat[first]))
+        raise InvalidInputError(
+            f"omega_bar_sq must be a finite number, got {float(omega_bar_sq.flat[first])!r}")
+
+
+def run_sweep(cfg: SweepConfig, X, Y) -> SweepTable:
     """Run the sweep; one row per (epsilon, eta) in configuration order.
 
-    Trials run one after another in the calling thread.  Each trial's seed is
-    derived from (master_seed, epsilon index, eta index, replication index),
-    so a row depends only on the configuration and the data.
+    Everything runs in the calling thread.  A row depends only on the
+    configuration and the data: a trial's ``sx`` on its seed, derived from
+    (master_seed, epsilon index, eta index, replication index), and a
+    cell's analyst answers on a stream keyed by (master_seed, epsilon
+    index, eta index).
     """
     A, Ym = _paired_matrices(X, Y)
     n = A.shape[0]
@@ -149,35 +167,35 @@ def run_sweep(cfg: SweepConfig, X, Y) -> list[SweepRow]:
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 
     Q = _query_matrix(Ym)
-    BtQ, QtQ = factor_W(A).T @ Q, Q.T @ Q
+    grid = list(product(range(len(cfg.epsilons)), range(len(cfg.eta_values))))
+    releases = [p.half_budget() for p in cfg.cells]
+    answer_laws = _projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, releases)
+    # numpy's SeedSequence pads a key of fewer than four words with zeros, so
+    # (master_seed, i_eps, i_eta) alone would be replication 0's trial key; two
+    # zero words make a cell's key one word longer than every trial key.
+    answers = np.array([law.draws(np.random.default_rng([cfg.master_seed, i_eps, i_eta, 0, 0]),
+                                  cfg.replications)
+                        for law, (i_eps, i_eta) in zip(answer_laws, grid)])
     spectrum = _centered_spectrum(A)
-    yc_sq = _yc_sq(Ym)
+    sx = _sx_draws(cfg.master_seed, cfg.replications, grid,
+                   [_centered_sq_norm_law(spectrum, n, p) for p in releases])
 
-    rows: list[SweepRow] = []
-    indices = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
-    for (i_eps, i_eta), p in zip(indices, cfg.cells):
-        per_release = p.half_budget()
-        sx_law = _centered_sq_norm_law(spectrum, n, per_release)
-        answer_law = _projected_sq_norm_law(BtQ, QtQ, per_release)
-        gammas, ss, omegas = [], [], []
-        for rep in range(cfg.replications):
-            seed = int(
-                np.random.SeedSequence([cfg.master_seed, i_eps, i_eta, rep]).generate_state(
-                    1, np.uint64
-                )[0]
-            )
-            omega_bar_sq, s_bar = _trial(n, yc_sq, sx_law, answer_law, seed)
-            gamma_bar = test_statistic(omega_bar_sq, s_bar, n) if s_bar > 0.0 else float("nan")
-            gammas.append(_rel_err_pct(gamma_bar, gamma_ref))
-            ss.append(_rel_err_pct(s_bar, s_ref))
-            omegas.append(_rel_err_pct(omega_bar_sq, omega_ref))
-        g_mean, g_sd = _mean_sd(gammas)
-        s_mean, s_sd = _mean_sd(ss)
-        o_mean, o_sd = _mean_sd(omegas)
-        rows.append(
-            SweepRow(p.epsilon, p.eta, g_mean, g_sd, s_mean, s_sd, o_mean, o_sd)
-        )
-    return rows
+    # Float arithmetic as on Python floats: an overflow is inf, and every
+    # quotient that is not defined is replaced by NaN, all unwarned.
+    with np.errstate(all="ignore"):
+        omega_bar_sq, s_bar = _private_statistics(n, answers, sx, _yc_sq(Ym))
+        _check_trials(sx, omega_bar_sq)
+        degenerate = ~(s_bar > 0.0)
+        gamma_bar = np.where(degenerate, math.nan, n * omega_bar_sq / s_bar)
+        private = np.stack([gamma_bar, s_bar, omega_bar_sq])  # statistic, cell, replication
+        reference = np.array([gamma_ref, s_ref, omega_ref])[:, None, None]
+        errors = np.where(reference == 0.0, math.nan,
+                          np.abs(private - reference) / np.abs(reference) * 100.0)
+        means = errors.mean(axis=-1)
+        sds = errors.std(axis=-1, ddof=1) if cfg.replications > 1 else np.zeros_like(means)
+    columns = np.stack([means, sds], axis=1).reshape(6, -1).T.tolist()
+    rows = [SweepRow(p.epsilon, p.eta, *values) for p, values in zip(cfg.cells, columns)]
+    return SweepTable(rows, int(np.count_nonzero(degenerate)))
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:

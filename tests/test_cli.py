@@ -10,11 +10,11 @@ import re
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-import pitest.sweep
 from pitest import cli, privacy
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
@@ -524,6 +524,55 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     assert (bob_doc["release"], bob_doc["floor"]) == (doc["release"], doc["floor"])
 
 
+@pytest.mark.parametrize("n, privacy_args, rows, panels", [
+    (20, ALICE_ARGS, 20, 1),
+    (600, ["--epsilon", "1"], 600, 3),
+    (1000, ["--epsilon", "1", "--eta", "0.25", "--nu", "0.5"], 178, 2),
+], ids=["one panel", "several panels", "r below n"])
+def test_run_reports_what_alice_then_bob_report(n, privacy_args, rows, panels, tmp_path, capsys):
+    """``pi-test run`` reads the factor as it is released; its report keeps the bits of bob's
+    report on the package that alice writes from the same seed."""
+    assert len(list(privacy._panels(rows, n))) == panels
+    X, Y = synthetic_pair(n=n, d=2, m=2, dependence=0.3, x_scale=3e4, seed=n)
+    x, y = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    save_csv(x, X)
+    save_csv(y, Y)
+    pkg, bob_report, run_report = tmp_path / "pkg.bin", tmp_path / "bob.json", tmp_path / "run.json"
+    assert main(["alice", "--input", x, *privacy_args, "--seed", "6", "--out", str(pkg)]) == 0
+    assert main(["bob", "--package", str(pkg), "--input", y, "--report", str(bob_report)]) == 0
+    assert main(["run", "--input-x", x, "--input-y", y, *privacy_args, "--seed", "6",
+                 "--report", str(run_report)]) == 0
+    capsys.readouterr()
+    bob, run = json.loads(bob_report.read_text()), json.loads(run_report.read_text())
+    del bob["privacy"]  # a run report has no privacy section
+    assert run["release"]["rows"] == rows and run["release"]["package_bytes"] == pkg.stat().st_size
+    assert {key: run[key] for key in ("release", "floor")} == {key: bob.pop(key) for key in ("release", "floor")}
+    assert run["private"] == bob
+
+
+def test_run_holds_a_few_panels_not_the_package(tmp_path, capsys):
+    """The traced peak of ``pi-test run`` stays within a few panels and O(n (d + m)).
+
+    n = 3000 at the CLI defaults (r = 2952): the packed factor is 36 MB, a panel 32 rows.
+    """
+    n, d, m = 3000, 2, 2
+    X, Y = synthetic_pair(n=n, d=d, m=m, dependence=0.3, x_scale=3e4, seed=2)
+    save_csv(tmp_path / "x.csv", X)
+    save_csv(tmp_path / "y.csv", Y)
+    tracemalloc.start()
+    try:
+        assert main(["run", "--input-x", str(tmp_path / "x.csv"), "--input-y", str(tmp_path / "y.csv"),
+                     "--epsilon", "1", "--report", str(tmp_path / "run.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    release = json.loads((tmp_path / "run.json").read_text())["release"]
+    assert release["package_bytes"] > 8 * privacy._row_offset(2952, n) > 36e6
+    limit = 3 * 8 * privacy._PANEL_FLOATS + 8 * 8 * n * (d + m)
+    assert peak < limit, (peak, limit)
+
+
 def test_run_and_sweep_constant_x_are_degenerate(tmp_path, capsys):
     # 0.1 has an inexact column mean; the non-private reference must still be exactly zero
     _, Y = synthetic_pair(n=20, d=2, m=2, dependence=0.0, seed=3)
@@ -581,56 +630,89 @@ def test_sweep_writes_expected_table(data_dir, tmp_path, capsys):
 
 
 def test_sweep_runs_every_trial_on_the_calling_thread(data_dir, monkeypatch):
-    threads = []
-    draw_trial = pitest.sweep._trial
-
-    def recording_trial(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return draw_trial(*args, **kwargs)
-
-    monkeypatch.setattr(pitest.sweep, "_trial", recording_trial)
+    """run_sweep starts no thread, and two calls give the same rows."""
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=3, eta_values=(0.5,),
                       delta=0.01, nu=0.5)
-    run_sweep(cfg, load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv"))
-    assert threads == [threading.get_ident()] * 6
+    threads = threading.active_count()
+    first = run_sweep(cfg, X, Y)
+    assert threading.active_count() == threads and started == []
+    assert run_sweep(cfg, X, Y) == first
+
+
+def _trial_seed(master_seed: int, i_eps: int, i_eta: int, rep: int) -> int:
+    return int(np.random.SeedSequence([master_seed, i_eps, i_eta, rep]).generate_state(1, np.uint64)[0])
 
 
 def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
-    """A cell's trials draw sx and ||R Y||^2 from the exact-law samplers, with the seed
-    drawn from SeedSequence([master_seed, epsilon index, eta index, replication]) and split
-    into the two release seeds as alice_prepare splits it; s_bar is the package's, bit for bit."""
+    """Every trial's s_bar is the package's for the trial's seed, bit for bit, and a row is the
+    mean and sd of its trials' errors.
+
+    A trial's seed is SeedSequence([master_seed, epsilon index, eta index, replication]), as
+    alice_prepare takes it; a cell's analyst answers are one batched draw from a stream keyed
+    [master_seed, epsilon index, eta index, 0, 0].  At m = 2, 1 and 3.
+    """
     X = load_csv(data_dir / "x.csv")
-    Y = load_csv(data_dir / "y.csv")
+    n = X.shape[0]
+    _, Y3 = synthetic_pair(n=n, d=2, m=3, dependence=0.5, seed=8)
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=4, eta_values=(0.3, 0.5),
                       delta=0.01, nu=0.5, master_seed=7)
-    rows = run_sweep(cfg, X, Y)
-    assert len(rows) == 4
+    for Y in (load_csv(data_dir / "y.csv"), Y3[:, :1], Y3):
+        rows = run_sweep(cfg, X, Y)
+        assert len(rows) == 4 and rows.degenerate_trials == 0
+        omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
+        gamma_ref = n * omega_ref / s_ref
+        laws = privacy._projected_sq_norm_laws(factor_W(X).T @ Y, Y.T @ Y,
+                                               [p.half_budget() for p in cfg.cells])
+        for row, p, law, (i_eps, i_eta) in zip(rows, cfg.cells, laws, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+            answers = law.draws(np.random.default_rng([7, i_eps, i_eta, 0, 0]), 4)
+            errors = []
+            for rep, answer in enumerate(answers):
+                s_bar = bob_evaluate(alice_prepare(X, p, _trial_seed(7, i_eps, i_eta, rep)), Y).s_bar
+                omega_bar_sq = 2.0 / n**2 * answer
+                errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
+                    (n * omega_bar_sq / s_bar, gamma_ref), (s_bar, s_ref), (omega_bar_sq, omega_ref))])
+            expected = [p.epsilon, p.eta]
+            for column in np.array(errors).T:
+                expected += [float(column.mean()), float(column.std(ddof=1))]
+            assert tuple(row) == tuple(expected), (Y.shape, p)
 
-    i_eps, i_eta = 1, 0  # the third row, in (epsilon, eta) order
-    p = PrivacyParams(1000.0, 0.01, 0.3, 0.5)
-    n = X.shape[0]
-    omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
-    gamma_ref = n * omega_ref / s_ref
-    Yc = Y - Y[0]
-    Yc = Yc - Yc.mean(axis=0)
-    B = factor_W(X)
-    answer_law = privacy._projected_sq_norm_law(B.T @ Y, Y.T @ Y, p.half_budget())
-    errors = []
-    for rep in range(4):
-        seed = int(np.random.SeedSequence([7, i_eps, i_eta, rep]).generate_state(1, np.uint64)[0])
-        seed_B, seed_X = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
-        sx = private_centered_sq_norm(X, p.half_budget(), seed_X)
-        s_bar = 4.0 / n**3 * sx * (n * float(np.sum(Yc * Yc)))
-        assert s_bar == bob_evaluate(alice_prepare(X, p, seed), Y, 0.1).s_bar
-        omega_bar_sq = 2.0 / n**2 * answer_law.draw(seed_B)
-        statistic = n * omega_bar_sq / s_bar
-        errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
-            (statistic, gamma_ref), (s_bar, s_ref), (omega_bar_sq, omega_ref))])
-    errors = np.array(errors)
-    expected = [1000.0, 0.3]
-    for column in errors.T:
-        expected += [float(column.mean()), float(column.std(ddof=1))]
-    assert rows[2] == tuple(expected)
+
+def test_sweep_counts_its_degenerate_trials(tmp_path, capsys):
+    """A trial whose s_bar is 0 is counted: X is constant, with an exact mean, so its centred
+    spectrum is 0, and at epsilon = 1e300 w^2 underflows to 0, so sx = 0."""
+    _, Y = synthetic_pair(n=20, d=2, m=2, dependence=0.0, seed=3)
+    X = np.full((20, 2), 0.5)
+    w = jl_params(PrivacyParams(1e300, 0.01, 0.5, 0.5).half_budget()).w
+    assert w > 0.0 and w * w == 0.0
+    cfg = SweepConfig(epsilons=(100.0, 1e300), replications=3, eta_values=(0.5,),
+                      delta=0.01, nu=0.5)
+    rows = run_sweep(cfg, X, Y)
+    assert rows.degenerate_trials == 3  # the floor keeps sx > 0 at epsilon = 100
+    assert math.isnan(rows[1].mean_rel_err_gamma)
+    save_csv(tmp_path / "x.csv", X)
+    save_csv(tmp_path / "y.csv", Y)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--input-x", str(tmp_path / "x.csv"), "--input-y", str(tmp_path / "y.csv"),
+                 "--epsilons", "100,1e300", "--etas", "0.5", "--replications", "3",
+                 "--delta", "0.01", "--nu", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote sweep table: {out} (2 rows; 3 of 6 trials had s_bar <= 0)\n"
+
+
+@pytest.mark.parametrize("epsilons, message", [
+    ((100.0,), "omega_bar_sq must be a finite number, got inf"),
+    ((1e-160, 100.0), "sx must be a finite number >= 0, got inf"),
+])
+def test_sweep_refuses_its_first_bad_trial_without_a_numpy_warning(epsilons, message, data_dir):
+    """With Y at 1e153, w^2 Y^T Y overflows, so omega_bar_sq is not finite; at epsilon = 1e-160
+    w^2 overflows, so sx is not finite, and that cell comes first."""
+    cfg = SweepConfig(epsilons=epsilons, replications=2, eta_values=(0.5,), delta=0.01, nu=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            run_sweep(cfg, load_csv(data_dir / "x.csv"), 1e153 * load_csv(data_dir / "y.csv"))
 
 
 @pytest.mark.parametrize("case, error, message", [
@@ -712,6 +794,20 @@ def test_load_csv_round_trip(tmp_path):
     M = np.array([[1.5, -2.0], [0.125, 3e8]])
     save_csv(path, M)
     assert np.array_equal(load_csv(path), M)
+
+
+def test_save_csv_writes_the_repr_of_every_float(tmp_path):
+    """The text is ``repr(float(v))`` per value, so -0.0, subnormals, the largest magnitudes and
+    integer-valued floats are written as before and read back bit for bit."""
+    M = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072014e-309],
+                  [1e308, -1e308, 1.7976931348623157e308, 3.0],
+                  [-2.0, 1e16, 0.1, 1 / 3]])
+    for A in (M, M[:, 0]):
+        path = tmp_path / "m.csv"
+        save_csv(path, A)
+        rows = A[:, None] if A.ndim == 1 else A
+        assert path.read_text() == "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+        assert load_csv(path).tobytes() == rows.tobytes()
 
 
 def test_load_csv_header_and_blank_lines(tmp_path):
