@@ -171,7 +171,7 @@ def _cmd_alice(args, params: PrivacyParams) -> int:
     _warn_if_seeded(args)
     X = load_csv(args.input, has_header=args.header)
     stream = alice_stream(X, params, args.seed)
-    size = atomic_write_bytes(args.out, stream.parts)
+    size = atomic_write_bytes(args.out, stream.parts, stream.size)
 
     per_release = params.half_budget()
     r, w = jl_params(per_release)

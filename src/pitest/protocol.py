@@ -163,11 +163,13 @@ class PackageStream(NamedTuple):
     each part before asking for the next: every panel is a view of the
     same scratch panel, and ``b"".join(parts)``, which collects the parts
     before it copies them, reads every panel as the last one left it.
+    ``size`` is the parts' total length, known before the first is asked for.
     """
 
     n: int
     rows: int
     sx: float
+    size: int
     parts: Iterator
 
     @property
@@ -275,14 +277,19 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     """
     stream = alice_stream(X, p, master_seed)
     buffer = io.BytesIO()
-    for part in stream.parts:
-        try:
+    try:
+        # Sized once to the package's length: pieces written into a growing
+        # BytesIO would leave it about 1/8 larger than what they hold.
+        buffer.seek(stream.size - 1)
+        buffer.write(b"\0")
+        buffer.seek(0)
+        for part in stream.parts:
             buffer.write(part)
-        except MemoryError as exc:
-            raise InvalidInputError(
-                f"a release factor of {stream.rows} x {stream.n} float64, packed, needs "
-                f"{8.0 * stream.entries:.6g} bytes and cannot be held in memory: {exc}"
-            ) from None
+    except MemoryError as exc:
+        raise InvalidInputError(
+            f"a release factor of {stream.rows} x {stream.n} float64, packed, needs "
+            f"{8.0 * stream.entries:.6g} bytes and cannot be held in memory: {exc}"
+        ) from None
     return read_package(buffer)
 
 
@@ -303,7 +310,9 @@ def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> Package
     sx = private_centered_sq_norm(A, per_release, seed_X)
     _check_sx(sx)
     n = A.shape[0]
-    return PackageStream(n, rows, sx, chain([_header_line(n, p, sx)], map(_wire_bytes, panels)))
+    head = _header_line(n, p, sx)
+    return PackageStream(n, rows, sx, _package_length(len(head), rows, n),
+                         chain([head], map(_wire_bytes, panels)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,13 +460,22 @@ def _wire_bytes(values: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(values, dtype="<f8").view(np.uint8))
 
 
+def _package_length(head_bytes: int, rows: int, n: int) -> int:
+    """The length of a package's encoding: a header line of ``head_bytes``, then 8 bytes per packed entry.
+
+    The one owner of the length: the stream's ``size``, the report's
+    ``package_bytes`` and the reader's length check all come from here.
+    """
+    return head_bytes + 8 * _row_offset(rows, n)
+
+
 def _package_bytes(pkg: AlicePackage) -> int:
-    """The length of the package's encoding: its header line and 8 bytes per packed entry.
+    """The length of the package's encoding, as :class:`PackageStream` gives it.
 
     For a package read from a handle it is the handle's length, which
     :func:`read_package` checked against it before reading any panel.
     """
-    return len(_header_line(pkg.n, pkg.params, pkg.sx)) + 8 * _row_offset(pkg.proj_B.rows, pkg.n)
+    return _package_length(len(_header_line(pkg.n, pkg.params, pkg.sx)), pkg.proj_B.rows, pkg.n)
 
 
 def _require(doc: dict, field: str, where: str = "package"):
@@ -560,12 +578,11 @@ def _read_header(data: bytes) -> _Header:
 
 def _check_length(header: _Header, length: int) -> None:
     """Refuse a package whose length is not its header line's and its packed factor's."""
-    size = _row_offset(header.rows, header.n)
-    expected = header.offset + 8 * size
+    expected = _package_length(header.offset, header.rows, header.n)
     if length != expected:
         raise PackageFormatError(
-            f"package holds {length} bytes, expected {expected} "
-            f"(header, newline and the {size} float64 of a packed {header.rows}x{header.n} factor)"
+            f"package holds {length} bytes, expected {expected} (header, newline and the "
+            f"{_row_offset(header.rows, header.n)} float64 of a packed {header.rows}x{header.n} factor)"
         )
 
 

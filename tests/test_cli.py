@@ -1,11 +1,13 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
 import codecs
+import errno
 import hashlib
 import io
 import json
 import locale
 import math
+import os
 import re
 import struct
 import threading
@@ -163,6 +165,47 @@ def test_alice_leaves_nothing_when_a_later_panel_is_not_finite(tmp_path, monkeyp
     assert "error: projection contains non-finite entries" in capsys.readouterr().err
     assert len(partial) == 1 and partial[0] > 0  # the temporary file, with the first panels in it
     assert list(out_dir.iterdir()) == []
+
+
+def test_alice_on_a_full_disk_keeps_the_old_package_and_releases_nothing(tmp_path, monkeypatch, capsys):
+    """The temporary file is preallocated before the first panel is released, so ENOSPC comes first."""
+    X, _ = synthetic_pair(n=40, d=2, m=1, dependence=0.0, seed=4)
+    save_csv(tmp_path / "x.csv", X)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "pkg.bin"
+    out.write_bytes(b"the old package")
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    factored = []
+    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+    monkeypatch.setattr(privacy, "_factor_panel", lambda *args: factored.append(args))
+    rc = main(["alice", "--input", str(tmp_path / "x.csv"), *ALICE_ARGS, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert factored == []
+    assert list(out_dir.iterdir()) == [out]
+    assert out.read_bytes() == b"the old package"
+
+
+@pytest.mark.parametrize("n, rows", [(20, 20), (150, 45)])
+def test_the_package_length_is_the_printed_the_written_and_the_reported_one(n, rows, tmp_path, capsys):
+    X, Y = synthetic_pair(n=n, d=2, m=2, dependence=0.0, seed=n)
+    save_csv(tmp_path / "x.csv", X)
+    save_csv(tmp_path / "y.csv", Y)
+    pkg, report = tmp_path / "pkg.bin", tmp_path / "report.json"
+    pkg.write_bytes(b"an older, longer package " * 1000)  # replaced, not overwritten in place
+    assert main(["alice", "--input", str(tmp_path / "x.csv"), *ALICE_ARGS, "--out", str(pkg)]) == 0
+    printed = int(re.search(r"\((\d+) bytes; ", capsys.readouterr().out).group(1))
+    assert main(["bob", "--package", str(pkg), "--input", str(tmp_path / "y.csv"),
+                 "--report", str(report)]) == 0
+    release = json.loads(report.read_text())["release"]
+    assert release["rows"] == rows
+    assert printed == pkg.stat().st_size == release["package_bytes"]
 
 
 def _package_with_bad_last_panel(tmp_path, defect: str):

@@ -63,3 +63,80 @@ def test_a_failing_replace_keeps_the_target(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="replace refused"):
         atomic_write_bytes(target, [b"new header\n", memoryview(b"new payload")])
     _assert_only(tmp_path, target, PREVIOUS)
+
+
+class _Parts:
+    """The parts of a package, counting how many were asked for."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+        self.taken = 0
+
+    def __iter__(self):
+        for part in self.parts:
+            self.taken += 1
+            yield part
+
+
+NEW = (b"new header\n", memoryview(b"new payload"))
+NEW_CONTENT = b"new header\nnew payload"
+NEW_SIZE = len(NEW_CONTENT)
+
+
+def test_the_temporary_file_is_preallocated_before_the_first_part(tmp_path, monkeypatch):
+    target = tmp_path / "pkg.bin"
+    target.write_bytes(PREVIOUS)
+    parts = _Parts(*NEW)
+    calls = []
+    fallocate = os.posix_fallocate
+
+    def spy(fd, offset, length):
+        calls.append((offset, length, parts.taken))
+        fallocate(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
+    assert atomic_write_bytes(target, parts, NEW_SIZE) == NEW_SIZE
+    assert calls == [(0, NEW_SIZE, 0)]
+    _assert_only(tmp_path, target, NEW_CONTENT)
+
+
+@pytest.mark.parametrize("answer", [None, errno.EOPNOTSUPP, errno.EINVAL])
+def test_a_file_system_that_cannot_preallocate_is_written_as_it_comes(answer, tmp_path, monkeypatch):
+    """No ``os.posix_fallocate`` (macOS), or a file system that refuses it."""
+    target = tmp_path / "pkg.bin"
+    target.write_bytes(PREVIOUS)
+    if answer is None:
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    else:
+        def refuse(fd, offset, length):
+            raise OSError(answer, os.strerror(answer))
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+    assert atomic_write_bytes(target, _Parts(*NEW), NEW_SIZE) == NEW_SIZE
+    _assert_only(tmp_path, target, NEW_CONTENT)
+
+
+@pytest.mark.parametrize("answer", [errno.ENOSPC, errno.EFBIG])
+def test_a_failed_preallocation_consumes_no_part_and_keeps_the_target(answer, tmp_path, monkeypatch):
+    target = tmp_path / "pkg.bin"
+    target.write_bytes(PREVIOUS)
+
+    def refuse(fd, offset, length):
+        raise OSError(answer, os.strerror(answer))
+
+    monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+    parts = _Parts(*NEW)
+    with pytest.raises(OSError) as raised:
+        atomic_write_bytes(target, parts, NEW_SIZE)
+    assert raised.value.errno == answer
+    assert parts.taken == 0
+    _assert_only(tmp_path, target, PREVIOUS)
+
+
+@pytest.mark.parametrize("size", [NEW_SIZE - 1, NEW_SIZE + 1])
+def test_parts_of_another_total_than_the_size_keep_the_target(size, tmp_path):
+    target = tmp_path / "pkg.bin"
+    target.write_bytes(PREVIOUS)
+    with pytest.raises(OSError, match=f"wrote {NEW_SIZE} bytes for .*, expected {size}"):
+        atomic_write_bytes(target, _Parts(*NEW), size)
+    _assert_only(tmp_path, target, PREVIOUS)

@@ -172,6 +172,14 @@ def test_alice_prepare_reports_a_package_it_cannot_hold(monkeypatch):
             alice_prepare(np.arange(5.0)[:, None], PARAMS, 0)
 
 
+def test_a_package_read_as_zeros_after_a_crash_is_refused(package, tmp_path):
+    """A replaced package whose blocks were not written before a power loss reads as zeros."""
+    path = tmp_path / "pkg.bin"
+    path.write_bytes(bytes(len(encoded(package))))
+    with open(path, "rb") as handle, pytest.raises(PackageFormatError, match="not valid JSON"):
+        read_package(handle)
+
+
 def test_read_package_reads_a_file_and_a_buffer_alike(package, xy, tmp_path):
     """A package file, its bytes in memory, and either handle left at another offset, give one report."""
     blob = encoded(package)
@@ -855,6 +863,22 @@ def test_codec_makes_no_payload_copy():
             tracemalloc.stop()
     assert peaks["read"] < payload_bytes / 10, (peaks, payload_bytes)
     assert peaks["write"] < 1.25 * payload_bytes, (peaks, payload_bytes)
+
+
+def test_alice_prepare_holds_the_package_and_two_panels():
+    """The package buffer is sized once, to the package's length, not regrown as panels arrive.
+
+    n = 2100 at the CLI defaults (r = 2952): the payload is 17.65 MB, a panel
+    0.8 MB.  A buffer grown by its writes holds about 1/8 more than them.
+    """
+    n = 2100
+    params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.1, nu=0.05)
+    X = np.random.default_rng(5).standard_normal((n, 2))
+    payload_bytes = 8 * n * (n + 1) // 2
+    panel_bytes = 8 * privacy._row_offset(privacy._panel_height(n, n), n)
+    peak, package = _peak_bytes(lambda: alice_prepare(X, params, master_seed=6))
+    assert package.proj_B.rows == n
+    assert peak <= payload_bytes + 2 * panel_bytes, (peak, payload_bytes, panel_bytes)
 
 
 def _peak_bytes(call):
