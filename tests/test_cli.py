@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pitest import cli, privacy
+from pitest import cli, ioutil, privacy
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
@@ -180,7 +180,7 @@ def test_alice_on_a_full_disk_keeps_the_old_package_and_releases_nothing(tmp_pat
         raise OSError(errno.ENOSPC, "No space left on device")
 
     factored = []
-    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+    monkeypatch.setattr(ioutil, "_fallocate", lambda: full)
     monkeypatch.setattr(privacy, "_factor_panel", lambda *args: factored.append(args))
     rc = main(["alice", "--input", str(tmp_path / "x.csv"), *ALICE_ARGS, "--out", str(out)])
     captured = capsys.readouterr()

@@ -2,12 +2,17 @@
 
 import errno
 import os
+import sys
 
 import pytest
 
+from pitest import ioutil
 from pitest.ioutil import atomic_write_bytes
 
 PREVIOUS = b"previous package\n\x00\x01"
+NEW = (b"new header\n", memoryview(b"new payload"))
+NEW_CONTENT = b"new header\nnew payload"
+NEW_SIZE = len(NEW_CONTENT)
 
 
 def _assert_only(directory, target, content):
@@ -18,7 +23,7 @@ def _assert_only(directory, target, content):
 def test_parts_are_written_in_order(tmp_path):
     target = tmp_path / "pkg.bin"
     target.write_bytes(PREVIOUS)
-    atomic_write_bytes(target, [b"head\n", memoryview(b"payload"), bytearray(b"!")])
+    atomic_write_bytes(target, [b"head\n", memoryview(b"payload"), bytearray(b"!")], 13)
     _assert_only(tmp_path, target, b"head\npayload!")
 
 
@@ -48,7 +53,7 @@ def test_a_write_failing_after_the_first_part_keeps_the_target(tmp_path, monkeyp
     fdopen = os.fdopen
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FailsOnSecondWrite(fdopen(fd, mode)))
     with pytest.raises(OSError, match="No space left"):
-        atomic_write_bytes(target, [b"new header\n", memoryview(b"new payload")])
+        atomic_write_bytes(target, NEW, NEW_SIZE)
     _assert_only(tmp_path, target, PREVIOUS)
 
 
@@ -61,7 +66,7 @@ def test_a_failing_replace_keeps_the_target(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        atomic_write_bytes(target, [b"new header\n", memoryview(b"new payload")])
+        atomic_write_bytes(target, NEW, NEW_SIZE)
     _assert_only(tmp_path, target, PREVIOUS)
 
 
@@ -78,23 +83,16 @@ class _Parts:
             yield part
 
 
-NEW = (b"new header\n", memoryview(b"new payload"))
-NEW_CONTENT = b"new header\nnew payload"
-NEW_SIZE = len(NEW_CONTENT)
-
-
 def test_the_temporary_file_is_preallocated_before_the_first_part(tmp_path, monkeypatch):
     target = tmp_path / "pkg.bin"
     target.write_bytes(PREVIOUS)
     parts = _Parts(*NEW)
     calls = []
-    fallocate = os.posix_fallocate
 
     def spy(fd, offset, length):
         calls.append((offset, length, parts.taken))
-        fallocate(fd, offset, length)
 
-    monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
+    monkeypatch.setattr(ioutil, "_fallocate", lambda: spy)
     assert atomic_write_bytes(target, parts, NEW_SIZE) == NEW_SIZE
     assert calls == [(0, NEW_SIZE, 0)]
     _assert_only(tmp_path, target, NEW_CONTENT)
@@ -102,16 +100,16 @@ def test_the_temporary_file_is_preallocated_before_the_first_part(tmp_path, monk
 
 @pytest.mark.parametrize("answer", [None, errno.EOPNOTSUPP, errno.EINVAL])
 def test_a_file_system_that_cannot_preallocate_is_written_as_it_comes(answer, tmp_path, monkeypatch):
-    """No ``os.posix_fallocate`` (macOS), or a file system that refuses it."""
+    """No call to preallocate with (macOS), or a file system that refuses it."""
     target = tmp_path / "pkg.bin"
     target.write_bytes(PREVIOUS)
     if answer is None:
-        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        monkeypatch.setattr(ioutil, "_fallocate", lambda: None)
     else:
         def refuse(fd, offset, length):
             raise OSError(answer, os.strerror(answer))
 
-        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        monkeypatch.setattr(ioutil, "_fallocate", lambda: refuse)
     assert atomic_write_bytes(target, _Parts(*NEW), NEW_SIZE) == NEW_SIZE
     _assert_only(tmp_path, target, NEW_CONTENT)
 
@@ -124,7 +122,7 @@ def test_a_failed_preallocation_consumes_no_part_and_keeps_the_target(answer, tm
     def refuse(fd, offset, length):
         raise OSError(answer, os.strerror(answer))
 
-    monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+    monkeypatch.setattr(ioutil, "_fallocate", lambda: refuse)
     parts = _Parts(*NEW)
     with pytest.raises(OSError) as raised:
         atomic_write_bytes(target, parts, NEW_SIZE)
@@ -140,3 +138,25 @@ def test_parts_of_another_total_than_the_size_keep_the_target(size, tmp_path):
     with pytest.raises(OSError, match=f"wrote {NEW_SIZE} bytes for .*, expected {size}"):
         atomic_write_bytes(target, _Parts(*NEW), size)
     _assert_only(tmp_path, target, PREVIOUS)
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fallocate(2) is Linux's")
+
+
+@linux_only
+def test_fallocate_reserves_the_length(tmp_path):
+    with open(tmp_path / "f.bin", "wb") as handle:
+        ioutil._fallocate()(handle.fileno(), 0, 1 << 20)
+        assert os.fstat(handle.fileno()).st_size == 1 << 20
+
+
+@linux_only
+def test_fallocate_raises_the_errno_it_is_answered(tmp_path):
+    """fallocate(2) is called through ctypes, so its answer must come back as OSError's errno."""
+    with open(tmp_path / "f.bin", "wb") as handle:
+        with pytest.raises(OSError) as raised:
+            ioutil._fallocate()(handle.fileno(), 0, -1)
+        assert raised.value.errno == errno.EINVAL
+    with pytest.raises(OSError) as raised:
+        ioutil._fallocate()(-1, 0, 1)
+    assert raised.value.errno == errno.EBADF
