@@ -3,9 +3,8 @@
 
 Each trial draws the two private statistics from the exact law of what the
 protocol would report (see ``pitest.sweep``), without releasing a package:
-the s columns are the package's for each seed, bit for bit, and the gamma
-and omega columns come from one stream per cell, keyed by the master seed
-and the cell's indices, as draws of the same law.
+every column comes from one stream per cell, keyed by the master seed and
+the cell's indices, as draws of the package's law.
 
 Example:
     python3 scripts/sweep_table.py --n 100 --x-scale 3e4 --replications 50 \

@@ -86,11 +86,11 @@ largest entry; they round differently, and a seed gives one fixed set of
 bytes on a given numpy and BLAS.
 
 The analyst's product ``R V`` runs one panel at a time too: the panel's
-packed triangle is copied, 16 columns at a time through a boolean mask,
-into a new zero-filled square, and the rectangle is multiplied where it
-lies.  The square is Fortran-ordered, as LAPACK's ``dtpttr`` (which reads
-the same column-packed storage) would return it, so its product with ``V``
-makes the same BLAS call and rounds the same.  It reads the factor only
+packed triangle is scattered, through one cached boolean mask, into a new
+zero-filled square, and the rectangle is multiplied where it lies.  The
+square is Fortran-ordered, as LAPACK's ``dtpttr`` (which reads the same
+column-packed storage) would return it, so its product with ``V`` makes
+the same BLAS call and rounds the same.  It reads the factor only
 through its panels, one reused buffer at a time from a package, so the
 analyst holds one panel and nothing of the factor's size.  The release,
 the analyst and the exact-law samplers below run on numpy alone.
@@ -122,10 +122,9 @@ of ``C``
     ||P V||_F^2 = sum_{j<=m} mu_j g_j / r,     g_j ~ chi^2_r, independent,
 
 which ``_projected_sq_norm_laws`` draws from ``F^T V`` and ``V^T V``
-alone, in O(n k m) and m chi-square draws.  Both samplers share
-one weighted chi-square draw, ``_ChiSquareMix``, which also draws many
-values of its law from one generator at once, one chi-square array per
-term, for a caller that wants the law's values and not a seed's.
+alone, in O(n k m) and m chi-square draws.  Both laws have one
+sampler, ``_ChiSquareMix.draws``, which draws any number of values of
+its law from one generator, one chi-square array per term.
 
 Privacy is unchanged by any of these draws: (epsilon, delta) differential
 privacy is a property of the law of a mechanism's output.  ``R``, ``sx``
@@ -148,6 +147,7 @@ import numpy as np
 
 from .data import _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
+from .estimators import _centered
 
 __all__ = [
     "PrivacyParams",
@@ -161,14 +161,13 @@ __all__ = [
 ]
 
 
-# Rows to which panel heights are rounded, and the width of the analyst's
-# fill of a packed triangle; float64 entries per row panel of the release
-# factor (1 MiB, so a panel stays small beside the factor).  Both fix the
-# wire layout through :func:`_panel_height`, so changing either is a format
-# change.  Measured on a release at n = 2000, r = 2952 (2-core box, medians
-# of 15 interleaved repetitions): 2**16, 2**17, 2**18 and 2**19 entries
-# (panels of 32, 64, 128 and 256 rows) took 67, 66, 67 and 70 ms, the
-# normals alone about 40 ms.
+# Rows to which panel heights are rounded; float64 entries per row panel
+# of the release factor (1 MiB, so a panel stays small beside the factor).
+# Both fix the wire layout through :func:`_panel_height`, so changing
+# either is a format change.  Measured on a release at n = 2000, r = 2952
+# (2-core box, medians of 15 interleaved repetitions): 2**16, 2**17, 2**18
+# and 2**19 entries (panels of 32, 64, 128 and 256 rows) took 67, 66, 67
+# and 70 ms, the normals alone about 40 ms.
 _REFLECTOR_BLOCK = 16
 _PANEL_FLOATS = 2**17
 
@@ -245,25 +244,30 @@ def _packed_normals(h: int, drawn: int) -> np.ndarray:
     return normals
 
 
+# Cached beside _diagonal_at: a panel height's mask (at most h^2 <= 2^17
+# bytes) is built once, where Bob reads every panel of a factor through it.
+@lru_cache(maxsize=16)
+def _upper(h: int) -> np.ndarray:
+    """A read-only mask of the lower triangle of h x h, diagonal included.
+
+    On the transpose of a square it selects the square's upper triangle,
+    column by column: the order of a packed triangle.
+    """
+    mask = np.tri(h, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _unpack_triangle(triangle: np.ndarray, h: int) -> np.ndarray:
     """A panel's packed triangle, expanded into a new zero-filled h x h square.
 
-    Column j of the square takes the triangle's next j + 1 entries.  The
-    square is Fortran-ordered, as LAPACK's ``dtpttr`` returns it, so a
-    product with it makes the same BLAS call and rounds the same.  It is
-    filled ``_REFLECTOR_BLOCK`` columns at a time: columns [c, d) take their
-    rows [0, d) through a d-wide slice of one ``np.tri`` mask, built once
-    per call, whose row k keeps rows [0, c + k] of column c + k.
+    Column j of the square takes the triangle's next j + 1 entries, in one
+    scatter into the square's transpose.  The square is Fortran-ordered, as
+    LAPACK's ``dtpttr`` returns it, so a product with it makes the same BLAS
+    call and rounds the same.
     """
     square = np.zeros((h, h), order="F")
-    width = _REFLECTOR_BLOCK
-    mask = np.tri(width, h + width, h, dtype=bool)  # mask[k, h - c + i] is i <= c + k
-    start = 0
-    for c in range(0, h, width):
-        d = min(c + width, h)
-        stop = start + (d * (d + 1) - c * (c + 1)) // 2
-        square[:d, c:d].T[mask[: d - c, h - c : h - c + d]] = triangle[start:stop]
-        start = stop
+    square.T[_upper(h)] = triangle
     return square
 
 
@@ -530,7 +534,7 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
 
 
 class _ChiSquareMix(NamedTuple):
-    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a seed or from a generator.
+    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a generator.
 
     ``g_j ~ chi^2_r`` and ``h ~ chi^2_{r dof}``, all independent (no ``h``
     when ``dof`` is 0): the law of a sum of squares of a release, see the
@@ -543,21 +547,9 @@ class _ChiSquareMix(NamedTuple):
     floor: float = 0.0
     dof: int = 0
 
-    def draw(self, seed: int) -> float:
-        rng = np.random.default_rng(int(seed))
-        rf = float(self.r)  # r may exceed int64, and w^2 r may exceed float64
-        total = float(self.weights @ (rng.chisquare(rf, size=self.weights.size) / rf))
-        if self.dof:
-            total += self.floor * float(rng.chisquare(rf * self.dof) / rf)
-        return total
-
     def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` independent values of the law, from ``rng``: one chi-square array per term.
-
-        Not the values of :meth:`draw` for any seeds, but values of the
-        same law, with one chi-square call per term whatever ``size``.
-        """
-        rf = float(self.r)
+        """``size`` independent values of the law, from ``rng``: one chi-square array per term."""
+        rf = float(self.r)  # r may exceed int64, and w^2 r may exceed float64
         total = (rng.chisquare(rf, size=(size, self.weights.size)) / rf) @ self.weights
         if self.dof:
             total += self.floor * (rng.chisquare(rf * self.dof, size) / rf)
@@ -567,14 +559,14 @@ class _ChiSquareMix(NamedTuple):
 def _centered_spectrum(A: np.ndarray) -> np.ndarray:
     """The top ``min(k, n-1)`` eigenvalues of ``Ac^T Ac``, ascending, for the checked n x k ``A``.
 
-    The squared singular values of the column-centred ``Ac``: all that the
-    law of ``sx`` needs of the data, so a caller drawing many values of
-    ``sx`` computes it once.
+    The squared singular values of the column-centred ``Ac``, centred as
+    the non-private estimators centre, so a constant column adds exact
+    zeros: all that the law of ``sx`` needs of the data, so a caller
+    drawing many values of ``sx`` computes it once.
     """
     n, k = A.shape
-    Ac = A - A.mean(axis=0, keepdims=True)
     q = min(k, n - 1)
-    return np.linalg.svd(Ac, compute_uv=False)[q - 1 :: -1] ** 2
+    return np.linalg.svd(_centered(A), compute_uv=False)[q - 1 :: -1] ** 2
 
 
 def _centered_sq_norm_law(lam: np.ndarray, n: int, p: PrivacyParams) -> _ChiSquareMix:
@@ -627,7 +619,8 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     matrix ``J``.  Nothing of size r is drawn or held.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    return _centered_sq_norm_law(_centered_spectrum(A), A.shape[0], p).draw(seed)
+    law = _centered_sq_norm_law(_centered_spectrum(A), A.shape[0], p)
+    return float(law.draws(np.random.default_rng(int(seed)), 1)[0])
 
 
 def private_sum_directional_variances(P, V) -> float:

@@ -12,17 +12,15 @@ trials.
 A trial's ``(omega_bar_sq, s_bar)`` has the exact joint law of what
 ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no package
 released or reduced: the two releases are independent, so ``sx`` and the
-analyst's answer ``||R Q||_F^2`` are drawn apart.  ``sx`` is drawn per
-trial by the code behind ``private_centered_sq_norm``, from the ``X`` seed
-that ``alice_prepare`` takes from the trial's seed, so ``s_bar`` and the s
-columns are the package's, bit for bit.  The answers are values of the law
-of ``_projected_sq_norm_laws``, not a seed's: all of a cell's come from one
-stream keyed by the master seed and the cell's indices, as one chi-square
-array contracted with the cell's weights.  What the laws need of the data
-(``B^T Q``, ``Q^T Q``, the spectrum of ``Xc``) is computed once per sweep,
-the answer weights of every cell in one stacked ``eigvalsh``, and the rest
-is array arithmetic over the (cell, replication) grid, so nothing of size
-r is drawn or held.
+analyst's answer ``||R Q||_F^2`` are drawn apart, each from its law
+(``_centered_sq_norm_law`` and ``_projected_sq_norm_laws``).  They are
+values of those laws, not a seed's: each cell has one stream, keyed by
+the master seed and the cell's indices, from which its answers are drawn
+first and then its values of ``sx``, each as one chi-square array per
+term.  What the laws need of the data (``B^T Q``, ``Q^T Q``, the spectrum
+of ``Xc``) is computed once per sweep, the answer weights of every cell
+in one stacked ``eigvalsh``, and the rest is array arithmetic over the
+(cell, replication) grid, so nothing of size r is drawn or held.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .protocol import (
     _check_sx,
     _private_statistics,
     _query_matrix,
-    _release_seeds,
     _yc_sq,
     factor_W,
 )
@@ -61,8 +58,9 @@ class SweepConfig:
     """A sweep's grid and settings, each checked by the owner of its rule.
 
     ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
-    ``cells``; ``replications`` and ``master_seed`` must be integers.  The
-    rows hold no test decision, so there is no significance level.
+    ``cells``; ``replications`` and ``master_seed`` must be integers.
+    ``master_seed`` keys each cell's one stream, with the cell's indices.
+    The rows hold no test decision, so there is no significance level.
     """
 
     epsilons: tuple[float, ...]
@@ -120,22 +118,6 @@ class SweepTable(list):
         self.degenerate_trials = degenerate_trials
 
 
-def _sx_draws(master_seed: int, replications: int, grid, laws) -> np.ndarray:
-    """Every trial's ``sx``, cells by replications, each drawn as ``alice_prepare`` draws it.
-
-    ``laws`` holds the law of ``sx`` at each cell of ``grid``.  A trial's
-    seed comes from ``SeedSequence([master_seed, epsilon index, eta index,
-    replication])`` and is split into the two release seeds as
-    ``alice_prepare`` splits its master seed; ``sx`` comes from the second.
-    """
-    sx = np.empty((len(grid), replications))
-    for c, ((i_eps, i_eta), law) in enumerate(zip(grid, laws)):
-        for rep in range(replications):
-            key = np.random.SeedSequence([master_seed, i_eps, i_eta, rep])
-            sx[c, rep] = law.draw(_release_seeds(int(key.generate_state(1, np.uint64)[0]))[1])
-    return sx
-
-
 def _check_trials(sx: np.ndarray, omega_bar_sq: np.ndarray) -> None:
     """Refuse the first trial, in grid order, that a package or a report would refuse.
 
@@ -154,9 +136,8 @@ def run_sweep(cfg: SweepConfig, X, Y) -> SweepTable:
     """Run the sweep; one row per (epsilon, eta) in configuration order.
 
     Everything runs in the calling thread.  A row depends only on the
-    configuration and the data: a trial's ``sx`` on its seed, derived from
-    (master_seed, epsilon index, eta index, replication index), and a
-    cell's analyst answers on a stream keyed by (master_seed, epsilon
+    configuration and the data: its cell's answers and values of ``sx``
+    come, in that order, from one stream keyed by (master_seed, epsilon
     index, eta index).
     """
     A, Ym = _paired_matrices(X, Y)
@@ -167,18 +148,16 @@ def run_sweep(cfg: SweepConfig, X, Y) -> SweepTable:
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 
     Q = _query_matrix(Ym)
-    grid = list(product(range(len(cfg.epsilons)), range(len(cfg.eta_values))))
     releases = [p.half_budget() for p in cfg.cells]
     answer_laws = _projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, releases)
-    # numpy's SeedSequence pads a key of fewer than four words with zeros, so
-    # (master_seed, i_eps, i_eta) alone would be replication 0's trial key; two
-    # zero words make a cell's key one word longer than every trial key.
-    answers = np.array([law.draws(np.random.default_rng([cfg.master_seed, i_eps, i_eta, 0, 0]),
-                                  cfg.replications)
-                        for law, (i_eps, i_eta) in zip(answer_laws, grid)])
     spectrum = _centered_spectrum(A)
-    sx = _sx_draws(cfg.master_seed, cfg.replications, grid,
-                   [_centered_sq_norm_law(spectrum, n, p) for p in releases])
+    answers = np.empty((len(releases), cfg.replications))
+    sx = np.empty_like(answers)
+    grid = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
+    for c, ((i_eps, i_eta), answer_law, p) in enumerate(zip(grid, answer_laws, releases)):
+        rng = np.random.default_rng([cfg.master_seed, i_eps, i_eta])
+        answers[c] = answer_law.draws(rng, cfg.replications)
+        sx[c] = _centered_sq_norm_law(spectrum, n, p).draws(rng, cfg.replications)
 
     # Float arithmetic as on Python floats: an overflow is inf, and every
     # quotient that is not defined is replaced by NaN, all unwarned.

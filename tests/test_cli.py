@@ -28,7 +28,14 @@ from pitest.privacy import (
     tau_mechanism,
 )
 from pitest.estimators import dcov_sq_closed_form, s_hat
-from pitest.protocol import alice_prepare, bob_evaluate, factor_W, read_package
+from pitest.protocol import (
+    _private_statistics,
+    _yc_sq,
+    alice_prepare,
+    bob_evaluate,
+    factor_W,
+    read_package,
+)
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
 from reference import _draw_bartlett, encoded, held, load_csv_cellwise, package_bytes, unpack_factor
@@ -685,36 +692,34 @@ def test_sweep_runs_every_trial_on_the_calling_thread(data_dir, monkeypatch):
     assert run_sweep(cfg, X, Y) == first
 
 
-def _trial_seed(master_seed: int, i_eps: int, i_eta: int, rep: int) -> int:
-    return int(np.random.SeedSequence([master_seed, i_eps, i_eta, rep]).generate_state(1, np.uint64)[0])
+def test_sweep_row_is_the_mean_and_sd_of_its_cells_stream(data_dir):
+    """A row is the mean and sd of its trials' errors, each trial reported as Bob reports it.
 
-
-def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
-    """Every trial's s_bar is the package's for the trial's seed, bit for bit, and a row is the
-    mean and sd of its trials' errors.
-
-    A trial's seed is SeedSequence([master_seed, epsilon index, eta index, replication]), as
-    alice_prepare takes it; a cell's analyst answers are one batched draw from a stream keyed
-    [master_seed, epsilon index, eta index, 0, 0].  At m = 2, 1 and 3.
+    A cell's stream is default_rng([master_seed, epsilon index, eta index]); its analyst
+    answers are drawn from it first, then its values of sx, each as one batched draw of its
+    law.  At m = 2, 1 and 3.
     """
     X = load_csv(data_dir / "x.csv")
     n = X.shape[0]
     _, Y3 = synthetic_pair(n=n, d=2, m=3, dependence=0.5, seed=8)
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=4, eta_values=(0.3, 0.5),
                       delta=0.01, nu=0.5, master_seed=7)
+    spectrum = privacy._centered_spectrum(X)
     for Y in (load_csv(data_dir / "y.csv"), Y3[:, :1], Y3):
         rows = run_sweep(cfg, X, Y)
         assert len(rows) == 4 and rows.degenerate_trials == 0
         omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
         gamma_ref = n * omega_ref / s_ref
-        laws = privacy._projected_sq_norm_laws(factor_W(X).T @ Y, Y.T @ Y,
-                                               [p.half_budget() for p in cfg.cells])
-        for row, p, law, (i_eps, i_eta) in zip(rows, cfg.cells, laws, [(0, 0), (0, 1), (1, 0), (1, 1)]):
-            answers = law.draws(np.random.default_rng([7, i_eps, i_eta, 0, 0]), 4)
+        releases = [p.half_budget() for p in cfg.cells]
+        laws = privacy._projected_sq_norm_laws(factor_W(X).T @ Y, Y.T @ Y, releases)
+        for row, p, half, law, (i_eps, i_eta) in zip(rows, cfg.cells, releases, laws,
+                                                    [(0, 0), (0, 1), (1, 0), (1, 1)]):
+            rng = np.random.default_rng([7, i_eps, i_eta])
+            answers = law.draws(rng, 4)
+            sx = privacy._centered_sq_norm_law(spectrum, n, half).draws(rng, 4)
             errors = []
-            for rep, answer in enumerate(answers):
-                s_bar = bob_evaluate(alice_prepare(X, p, _trial_seed(7, i_eps, i_eta, rep)), Y).s_bar
-                omega_bar_sq = 2.0 / n**2 * answer
+            for answer, sx_trial in zip(answers, sx):
+                omega_bar_sq, s_bar = _private_statistics(n, float(answer), float(sx_trial), _yc_sq(Y))
                 errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
                     (n * omega_bar_sq / s_bar, gamma_ref), (s_bar, s_ref), (omega_bar_sq, omega_ref))])
             expected = [p.epsilon, p.eta]
@@ -723,13 +728,33 @@ def test_sweep_row_is_the_mean_and_sd_of_its_seeded_trials(data_dir):
             assert tuple(row) == tuple(expected), (Y.shape, p)
 
 
-def test_sweep_counts_its_degenerate_trials(tmp_path, capsys):
-    """A trial whose s_bar is 0 is counted: X is constant, with an exact mean, so its centred
-    spectrum is 0, and at epsilon = 1e300 w^2 underflows to 0, so sx = 0."""
+def test_sweep_makes_one_generator_per_cell(data_dir, monkeypatch):
+    """A 5 x 2 grid at 4 replications makes 10 generators, one per cell, not one per trial."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    cfg = SweepConfig(epsilons=(0.5, 1.0, 2.0, 4.0, 8.0), replications=4, eta_values=(0.3, 0.5),
+                      delta=0.01, nu=0.5, master_seed=3)
+    run_sweep(cfg, load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv"))
+    assert len(made) == 10
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1])
+def test_sweep_counts_its_degenerate_trials(value, tmp_path, capsys):
+    """A trial whose s_bar is 0 is counted: X is constant, so its centred spectrum is 0, and at
+    epsilon = 1e300 w^2 underflows to 0, so sx = 0, as in a package.  0.1 has no exact mean:
+    centring must subtract the first row before the mean to make its columns exact zeros."""
     _, Y = synthetic_pair(n=20, d=2, m=2, dependence=0.0, seed=3)
-    X = np.full((20, 2), 0.5)
-    w = jl_params(PrivacyParams(1e300, 0.01, 0.5, 0.5).half_budget()).w
+    X = np.full((20, 2), value)
+    p = PrivacyParams(1e300, 0.01, 0.5, 0.5)
+    w = jl_params(p.half_budget()).w
     assert w > 0.0 and w * w == 0.0
+    assert bob_evaluate(alice_prepare(X, p, 0), Y).degenerate
     cfg = SweepConfig(epsilons=(100.0, 1e300), replications=3, eta_values=(0.5,),
                       delta=0.01, nu=0.5)
     rows = run_sweep(cfg, X, Y)

@@ -400,7 +400,9 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
 
     n = 60, m = 2 and r = 60; with the floor w^2 ||Q||^2 dominant, and with the
     signal ||B^T Q||^2 dominant.  Where the floor dominates, a sampler that
-    leaves out w^2 Q^T Q is told apart from the package.
+    leaves out w^2 Q^T Q is told apart from the package.  The sampler's mean
+    is within 4 sd of tr C: one answer has mean sum mu = tr C and sd
+    sqrt(2 sum mu^2 / r).
     """
     p = PrivacyParams(epsilon=epsilon, delta=2e-4, eta=0.43, nu=0.5)
     half = p.half_budget()
@@ -414,37 +416,16 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     trials = 600
     packaged = [bob_evaluate(alice_prepare(X, p, s), Y).omega_bar_sq for s in range(trials)]
     (law,) = privacy._projected_sq_norm_laws(B.T @ Q, Q.T @ Q, [half])
-    drawn = [2.0 / n**2 * law.draw(s) for s in range(trials, 2 * trials)]
-    assert stats.ks_2samp(drawn, packaged).pvalue >= 1e-3
+    answers = law.draws(np.random.default_rng(trials), trials)
+    assert answers.shape == (trials,)
+    assert stats.ks_2samp(2.0 / n**2 * answers, packaged).pvalue >= 1e-3
+    trace_C = float(np.sum((B.T @ Q) ** 2)) + w**2 * float(np.sum(Q * Q))
+    sd_of_mean = math.sqrt(2.0 * float(np.sum(law.weights**2)) / r / trials)
+    assert abs(float(answers.mean()) - trace_C) < 4.0 * sd_of_mean
     if floor_dominated:
         (no_floor,) = privacy._projected_sq_norm_laws(B.T @ Q, np.zeros((2, 2)), [half])
-        missing = [2.0 / n**2 * no_floor.draw(s) for s in range(trials, 2 * trials)]
+        missing = 2.0 / n**2 * no_floor.draws(np.random.default_rng(trials), trials)
         assert stats.ks_2samp(missing, packaged).pvalue < 1e-6
-
-
-def test_batched_answers_have_the_law_of_the_seeded_draws():
-    """The sweep's batched answers at one cell: 2000 values from one generator against 2000
-    seeded draws of the same law, and their mean within 4 sd of tr C.
-
-    n = 60, m = 3 and r = 60, with the signal dominant and three distinct weights.  One
-    answer has mean sum mu = tr C and sd sqrt(2 sum mu^2 / r).
-    """
-    p = PrivacyParams(epsilon=300.0, delta=2e-4, eta=0.43, nu=0.5)
-    r, w = jl_params(p)
-    assert r == 60
-    X, Y = synthetic_pair(n=60, d=2, m=3, dependence=0.3, x_scale=100.0, seed=5)
-    B, Q = factor_W(X), _query_matrix(Y)
-    C = (B.T @ Q).T @ (B.T @ Q) + w**2 * (Q.T @ Q)
-    (law,) = privacy._projected_sq_norm_laws(B.T @ Q, Q.T @ Q, [p])
-    mu = law.weights
-    assert np.all(np.diff(mu) > 0.0)
-    trials = 2000
-    batched = law.draws(np.random.default_rng(20231), trials)
-    assert batched.shape == (trials,)
-    seeded = [law.draw(s) for s in range(trials)]
-    assert stats.ks_2samp(batched, seeded).pvalue > 1e-3
-    sd_of_mean = math.sqrt(2.0 * float(np.sum(mu * mu)) / r / trials)
-    assert abs(float(batched.mean()) - np.trace(C)) < 4.0 * sd_of_mean
 
 
 def test_private_projected_sq_norm_is_finite_at_a_huge_row_count():
@@ -454,7 +435,7 @@ def test_private_projected_sq_norm_is_finite_at_a_huge_row_count():
     w = jl_params(p).w
     F, Q = np.arange(5.0)[:, None], np.ones((5, 1))
     (law,) = privacy._projected_sq_norm_laws(F.T @ Q, Q.T @ Q, [p])
-    value = law.draw(0)
+    value = float(law.draws(np.random.default_rng(0), 1)[0])
     assert math.isfinite(value)
     assert value == pytest.approx(100.0 + 5.0 * w**2, rel=1e-12)
 

@@ -122,8 +122,9 @@ _SX_LAW_CASES = [
 def test_sx_is_post_processing_of_the_x_release():
     """sx has the law of the centred sum of squares of a drawn release of X X^T.
 
-    The exact-law draw and the reduction of drawn releases are compared over
-    disjoint seeds, by a two-sample KS test and by bands on the mean
+    The exact-law draw, the sweep's batched draw of the same law from one
+    generator and the reduction of drawn releases are compared over disjoint
+    seeds, by two-sample KS tests against the reductions and by bands on the mean
     ||Xc||^2 + w^2 (n-1) and the variance (2/r)(sum (lambda_j + w^2)^2 +
     w^4 (n-1-q)) that the law implies, with the fourth cumulant of the chi-square
     sum setting the standard error of the sample variance.
@@ -144,8 +145,11 @@ def test_sx_is_post_processing_of_the_x_release():
         kappa4 = 48.0 / r**3 * float(np.sum(c**4))
         drawn = np.array([private_centered_sq_norm(X, p, s) for s in range(trials)])
         reduced = np.array([release_centered_sq_norm(X, p, s) for s in range(trials, 2 * trials)])
-        assert stats.ks_2samp(drawn, reduced).pvalue > 1e-3, case
-        for sample in (drawn, reduced):
+        law = privacy._centered_sq_norm_law(privacy._centered_spectrum(X), n, p)
+        batched = law.draws(np.random.default_rng(42), trials)
+        for sample in (drawn, batched):
+            assert stats.ks_2samp(sample, reduced).pvalue > 1e-3, case
+        for sample in (drawn, batched, reduced):
             se_var = math.sqrt(kappa4 / trials + 2.0 * var**2 / (trials - 1))
             assert abs(sample.mean() - mean) < 5.0 * math.sqrt(var / trials), case
             assert abs(sample.var(ddof=1) - var) < 5.0 * se_var, case
