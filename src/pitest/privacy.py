@@ -51,39 +51,42 @@ entries of ``T`` are independent, with ``T_ii ~ chi_{r-i}`` (counting from
 ``T_11 F^T + w T_12`` stacked over the upper-trapezoidal ``w T_22``, and
 ``R`` is the R factor of a QR of that stack's leading min(r, n) columns,
 whose Q is applied to the rest.  Each row panel of ``T_22`` is drawn
-straight into the packed scratch panel where it becomes that panel of
-``R`` (no array is of the
-factor's size), with the min(r, k) dense rows ``D`` scaled by ``1/w`` so
-that the floor is applied once, to the finished factor.  That costs about
-min(r, n) n - min(r, n)^2 / 2 normals and O((k + 32)^2 min(r, n) n / 32)
-flops, against r (k+n) normals and 2 r k n flops for ``P``, and holds
-nothing of size r.
+straight into the scratch block where it becomes that panel of ``R`` (no
+array is of the factor's size), with the min(r, k) dense rows ``D``
+scaled by ``1/w`` so that the floor is applied once, to the finished
+factor.  That costs about min(r, n) n - min(r, n)^2 / 2 normals and
+O((k + 32)^2 min(r, n) n / 32) flops, against r (k+n) normals and
+2 r k n flops for ``P``, and holds nothing of size r.
 
-The QR runs right-looking, one row panel at a time, in a packed scratch
-panel, in 32-column blocks through numpy (``np.linalg.qr``; ``_QR_BLOCK``).
-A block of columns [c, e) mixes only rows [c, e) of ``T_22`` with ``D``, so
-when panel [a, b) comes up its rows are still the drawn ``T_22`` and only
-``D`` carries the earlier panels' updates.  The panel's normals are drawn
-into place (the triangle's, column by column, then the rectangle's, then
-its diagonal).  Then each block of the panel's columns has one QR of the
-(k1 + s) x s stack ``[D[:, c:e]; T_22[c:e, c:e]]`` of the k1 = min(r, k)
-dense rows over the block's s rows of the triangle.  The dense rows go
+The QR runs right-looking, one row panel at a time, in 32-column blocks
+through numpy (``np.linalg.qr``; ``_QR_BLOCK``).  A block of columns
+[c, e) mixes only rows [c, e) of ``T_22`` with ``D``, so when panel [a, b)
+comes up its rows are still the drawn ``T_22`` and only ``D`` carries the
+earlier panels' updates.  The panel of h rows is drawn as a dense,
+Fortran-ordered h x (n - a) block ``U``, its square (zero below the
+diagonal) then its rectangle: the square's normals, column by column, then
+the rectangle's, then the diagonal.  Each block of columns has one QR of
+the (k1 + s) x s stack ``[D[:, c:e]; U[c:e, c:e]]`` of the k1 = min(r, k)
+dense rows over the block's s rows of the square.  The dense rows go
 first, so each column's reflector ends at the column's diagonal entry, and
-LAPACK's QR inside numpy skips the zeros below it.  The stack's whole Q
-updates the block's rows and ``D`` right of the block (the rest of the
-panel's triangle, its rectangle and ``D[:, b:]``) through ``np.matmul``,
-in chunks of at most ``_APPLY_FLOATS`` entries; a block with nothing right
-of it takes the R factor alone.  The block's rows are then final, and are
-written scaled.  So each entry is drawn, updated by its own panel's blocks
-and scaled once, and a panel is final when its turn ends: later panels
-touch only their own rows and ``D``.  So the release,
-:func:`privatize_covariance_panels`, is a generator of panels, each
-released into the same scratch panel: a writer ships each panel as it
-finishes and holds O(panel + n k), nothing of the factor's size.  Its
-values agree with LAPACK's one-shot QR of the same draw (``dtpqrt`` and
-``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of the factor's
-largest entry; they round differently, and a seed gives one fixed set of
-bytes on a given numpy and BLAS.
+LAPACK's QR inside numpy skips the zeros below it.  The scaled R factor
+replaces ``U[c:e, c:e]``, and the stack's whole Q updates, through
+``np.matmul`` in chunks of at most ``_APPLY_FLOATS`` entries, ``D`` and
+``U[c:e, e:]`` right of the block, the rest of the square and the
+rectangle together; a block with nothing right of it takes the R factor
+alone.  So each entry is drawn, updated by its own panel's blocks and
+scaled once, and a panel is final when its turn ends: later panels touch
+only their own rows and ``D``.  The square is then packed in place, in one
+gather through the cached mask that the analyst unpacks with, onto the
+entries just before the rectangle, which is already in packed order.
+Every block lies in one scratch array so that its packed values start at
+the same address, so the release, :func:`privatize_covariance_panels`, is
+a generator of panels, each a view of that scratch: a writer ships each
+panel as it finishes and holds O(panel + n k), nothing of the factor's
+size.  Its values agree with LAPACK's one-shot QR of the same draw
+(``dtpqrt`` and ``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of
+the factor's largest entry; they round differently, and a seed gives one
+fixed set of bytes on a given numpy and BLAS.
 
 The analyst's product ``R V`` runs one panel at a time too: the panel's
 packed triangle is scattered, through one cached boolean mask, into a new
@@ -231,21 +234,21 @@ def _diagonal_at(h: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _packed_normals(h: int, drawn: int) -> np.ndarray:
-    """A mask of the packed triangle of h rows: its entries above the diagonal in rows < ``drawn``.
+    """A read-only mask of an h x h square's transpose: its entries above the diagonal in rows < ``drawn``.
 
-    Those are the entries a panel's normals are drawn into.  ``square[j, i]``
-    stands for entry (i, j) of the triangle, so its lower triangle, read row
-    by row, walks the packed entries column by column.
+    Those are the entries a panel's normals are drawn into.  ``mask[j, i]``
+    stands for entry (i, j) of the square, so ``square.T[mask]`` walks them
+    column by column, the order of a packed triangle.
     """
-    square = np.tri(h, h, -1, dtype=bool)
-    square[:, drawn:] = False
-    normals = square[np.tri(h, dtype=bool)]
-    normals.flags.writeable = False
-    return normals
+    mask = np.tri(h, h, -1, dtype=bool)
+    mask[:, drawn:] = False
+    mask.flags.writeable = False
+    return mask
 
 
 # Cached beside _diagonal_at: a panel height's mask (at most h^2 <= 2^17
-# bytes) is built once, where Bob reads every panel of a factor through it.
+# bytes) is built once, where Alice packs and Bob reads every panel of a
+# factor through it.
 @lru_cache(maxsize=16)
 def _upper(h: int) -> np.ndarray:
     """A read-only mask of the lower triangle of h x h, diagonal included.
@@ -404,53 +407,32 @@ def _apply_block(Q: np.ndarray, Dt: np.ndarray, Ut: np.ndarray, stack: np.ndarra
         np.matmul(x, to_d, out=Dt[u:v])
 
 
-def _factor_panel(triangle: np.ndarray, rect: np.ndarray, Dt: np.ndarray, floor: float) -> None:
+def _factor_panel(U: np.ndarray, Dt: np.ndarray, floor: float, stack: np.ndarray) -> None:
     """Factor one drawn row panel in place, ``_QR_BLOCK`` columns at a time, and scale it.
 
-    ``triangle`` and ``rect`` are the panel's packed triangle and its
-    rectangle, as drawn, and ``Dt`` is the transposed dense rows ``D`` from
-    the panel's first column on, carrying the earlier panels' updates.  For
-    the block of columns [c, e), the stack ``[D[:, c:e]; U[c:e, c:e]]`` of
-    the dense rows over the block's triangle has one QR, and its Q updates
-    the block's rows and ``D`` right of the block: the rest of the triangle,
-    the rectangle and the rest of ``D``.  Rows [c, e) are then final, so
-    they come out scaled by ``floor`` with the sign of their diagonal.  The
-    work buffer is this call's, so it does not outlive the panel.
+    ``U`` is the panel's h x (n - a) block, as drawn: its square, zero below
+    the diagonal, then its rectangle.  ``Dt`` is the transposed dense rows
+    ``D`` from the panel's first column on, carrying the earlier panels'
+    updates.  For the block of columns [c, e), the stack
+    ``[D[:, c:e]; U[c:e, c:e]]`` of the dense rows over the block's square
+    has one QR, and its Q updates, in one :func:`_apply_block`, the block's
+    rows and ``D`` right of the block.  Rows [c, e) are then final, so they
+    come out scaled by ``floor`` with the sign of their diagonal.
     """
-    h, k1 = rect.shape[0], Dt.shape[1]
-    j = np.arange(h)
-    # Entry (i, j) of the triangle lies at j (j + 1) / 2 + i, so entry
-    # (c + i, j) lies at place[j, i] in triangle[c:], for i < _QR_BLOCK.
-    place = (j * (j + 1) // 2)[:, None] + j[:_QR_BLOCK]
-    lower = np.tri(_QR_BLOCK, dtype=bool)
-    # The update's stack: as many rows as the longest update needs, up to
-    # _APPLY_FLOATS entries, and one row at least.
-    width = k1 + min(h, _QR_BLOCK)
-    stack = np.empty(max(width, min(_APPLY_FLOATS, width * max(h - _QR_BLOCK, rect.shape[1]))))
+    h = U.shape[0]
     for c in range(0, h, _QR_BLOCK):
         e = min(c + _QR_BLOCK, h)
         s = e - c
-        below = triangle[c:]
-        kept = lower[:s, :s]  # kept[j', i'] is i' <= j'
-        at = place[c:e, :s][kept]  # the block's entries (c + i', c + j'), column by column
-        X = np.zeros((k1 + s, s))
-        X[:k1] = Dt[c:e].T
-        X[k1:].T[kept] = below[at]
-        if e == h and rect.shape[1] == 0:  # nothing right of the block
+        X = np.concatenate([Dt[c:e].T, U[c:e, c:e]])
+        if e == U.shape[1]:  # nothing right of the block
             R = np.linalg.qr(X, mode="r")
-            below[at] = (R.T * np.copysign(floor, np.diagonal(R)))[kept]
+            U[c:e, c:e] = R * np.copysign(floor, np.diagonal(R))[:, None]
             break
         Q, R = np.linalg.qr(X, mode="complete")
         scale = np.copysign(floor, np.diagonal(R))
-        below[at] = (R[:s].T * scale)[kept]
+        U[c:e, c:e] = R[:s] * scale[:, None]
         Q[:, :s] *= scale
-        if e < h:
-            right = place[e:, :s]  # rows [c, e) of the triangle's columns right of the block
-            Ut = below[right]
-            _apply_block(Q, Dt[e:h], Ut, stack)
-            below[right] = Ut
-        if rect.shape[1]:
-            _apply_block(Q, Dt[h:], rect.T[:, c:e], stack)
+        _apply_block(Q, Dt[e:], U[c:e, e:].T, stack)
 
 
 def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
@@ -458,15 +440,19 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
 
     ``R`` is the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``
     for ``A_hat = [A^T; w I]`` and ``T`` drawn from its Bartlett law (see
-    the module docstring).  Every panel [a, b), top down, is released into
-    the leading entries of one scratch array of the first (largest) panel's
-    packed length, so no two panels' arrays are held at once.  Every entry
-    is written: the panel's Bartlett entries are drawn (the triangle's
-    normals in column order, then the rectangle's, then the diagonal,
-    ``chi_{r - k1 - i}`` in row ``i``; rows from q = min(r - k1, n) on are
-    zero), and :func:`_factor_panel` factors and scales the panel.  Then
-    ``(a, b, values)`` is yielded, ``values`` a view of the scratch: the
-    panel is final, and valid until the next panel is asked for.
+    the module docstring).  Every panel [a, b) of h rows, top down, is
+    drawn into a dense, Fortran-ordered h x (n - a) block ``U`` of one
+    scratch array of h0 n floats, h0 the first (largest) panel's height:
+    the square's normals above its diagonal, column by column, then the
+    rectangle's, then the diagonal, ``chi_{r - k1 - i}`` in row ``i``; rows
+    from q = min(r - k1, n) on, and the square below its diagonal, are
+    zero.  :func:`_factor_panel` factors and scales ``U``, and its square is
+    packed in place, through the mask :func:`_upper` that the analyst
+    unpacks with, onto the entries just before the rectangle.  The block
+    lies at h0 (h0 - 1) / 2 - h (h - 1) / 2, so every panel's packed values
+    start at h0 (h0 - 1) / 2.  Then ``(a, b, values)`` is yielded,
+    ``values`` a view of the scratch: the panel is final, and valid until
+    the next panel is asked for.
     """
     n, k = A.shape
     r, w = jl_params(p)
@@ -482,24 +468,33 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     D += T1[:, :k] @ (A.T / w)
     Dt = D.T
     floor = w / math.sqrt(r)
-    scratch = np.empty(_row_offset(_panel_height(rows, n), n))
+    h0 = _panel_height(rows, n)
+    scratch = np.empty(h0 * n)
+    packed = h0 * (h0 - 1) // 2  # where every panel's packed values start
+    # The update's stack, for every block of the release: up to
+    # _APPLY_FLOATS entries, and one row of the widest block at least.
+    stack = np.empty(max(_APPLY_FLOATS, k1 + _QR_BLOCK))
     for a, b in _panels(rows, n):
-        hb = b - a
-        drawn = min(max(q - a, 0), hb)  # the panel's rows with Bartlett entries
-        values = scratch[: _row_offset(b, n) - _row_offset(a, n)]
-        triangle, rect = _split_panel(values, hb)
-        normals = _packed_normals(hb, drawn)
-        triangle.fill(0.0)
-        triangle[normals] = rng.standard_normal(np.count_nonzero(normals))
-        if drawn == hb:
+        h = b - a
+        drawn = min(max(q - a, 0), h)  # the panel's rows with Bartlett entries
+        start = packed - h * (h - 1) // 2
+        end = start + h * (n - a)
+        U = scratch[start:end].reshape(n - a, h).T
+        square, rect = U[:, :h], U[:, h:]
+        square.fill(0.0)
+        normals = _packed_normals(h, drawn)
+        square.T[normals] = rng.standard_normal(np.count_nonzero(normals))
+        if drawn == h:
             rng.standard_normal(out=rect.T)
         else:
             rect[drawn:] = 0.0  # the rows from q on, which the draw leaves
             if drawn:
                 rect.T[:, :drawn] = rng.standard_normal((n - b, drawn))
-        triangle[_diagonal_at(hb)[:drawn]] = np.sqrt(
-            rng.chisquare(dof - np.arange(a, a + drawn, dtype=np.float64)))
-        _factor_panel(triangle, rect, Dt[a:], floor)
+        j = np.arange(drawn)
+        square[j, j] = np.sqrt(rng.chisquare(dof - (a + j)))
+        _factor_panel(U, Dt[a:], floor, stack)
+        values = scratch[packed:end]
+        values[: h * (h + 1) // 2] = square.T[_upper(h)]
         yield a, b, values
 
 

@@ -219,10 +219,10 @@ def factor_W(X) -> np.ndarray:
 
     ``B = sqrt(2) * (X - column means)``: an n x d matrix, exact in O(nd)
     with no eigendecomposition, since ``L = -J E J = 2 J X X^T J`` for the
-    squared-distance matrix ``E`` of ``X``.
+    squared-distance matrix ``E`` of ``X``.  It is centred as the
+    estimators centre, so a constant column gives exact zeros.
     """
-    A = _as_sample_matrix(X, min_rows=2)
-    return np.sqrt(2.0) * (A - A.mean(axis=0, keepdims=True))
+    return np.sqrt(2.0) * _centered(_as_sample_matrix(X, min_rows=2))
 
 
 def _release_seeds(master_seed: int | None) -> tuple[int, int]:

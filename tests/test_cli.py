@@ -116,15 +116,24 @@ def test_alice_writes_a_package_at_a_huge_row_count(data_dir, tmp_path, capsys):
 
 
 def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
-    # the column sums of X overflow, so the centred factor is not finite
-    X = np.random.default_rng(0).uniform(0.9, 1.0, (20, 2)) * 1e307
-    save_csv(tmp_path / "x.csv", X)
-    out = tmp_path / "pkg.bin"
-    with np.errstate(over="ignore"):
-        rc = main(["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", "1", "--out", str(out)])
-    assert rc == 1
-    assert "error: factor contains non-finite entries" in capsys.readouterr().err
-    assert not out.exists()
+    # The column sums of the first X overflow, but its differences from the
+    # first row do not, so its factor is finite and its centred sum of
+    # squares is not; the second X's row differences overflow, so its
+    # centred factor is not finite.
+    large = np.random.default_rng(0).uniform(0.9, 1.0, (20, 2)) * 1e307
+    signs = np.where(np.arange(20) % 2, 1e308, -1e308)[:, None]
+    cases = [
+        (large, "error: sx must be a finite number >= 0, got inf"),
+        (np.hstack([signs, signs]), "error: factor contains non-finite entries"),
+    ]
+    for X, message in cases:
+        save_csv(tmp_path / "x.csv", X)
+        out = tmp_path / "pkg.bin"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", "1", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 # n, and rows per panel (None: the default panels), for r = 45: one panel

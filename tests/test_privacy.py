@@ -303,9 +303,12 @@ _MORE_PANEL_SHAPES = [(200, 2, 150, 48), (60, 30, 100, 16), (110, 30, 100, 32), 
 
 # Shapes for the QR's 32-column blocks: k1 = min(r, k) >= 32 dense rows
 # (d = 40, and d = 100 at n = 300, whose rows from q = 200 on are D's
-# alone); panels of 48 rows, a block and a half; and r <= d, where T22
-# has no rows and the factor is D's.
-_QR_BLOCK_SHAPES = [(300, 40, 200, None), (300, 100, 300, None), (120, 40, 100, 48), (40, 40, 100, None)]
+# alone); panels of 48 rows, a block and a half; r <= d, where T22 has no
+# rows and the factor is D's; and r = 90 < n, panels [0, 48) and [48, 90)
+# with q = 50 inside the second, where a block's one update spans the rest
+# of the square and the rectangle.
+_QR_BLOCK_SHAPES = [(300, 40, 200, None), (300, 100, 300, None), (120, 40, 100, 48), (40, 40, 100, None),
+                    (90, 40, 200, 48)]
 
 
 @pytest.mark.parametrize("r, k, n, height",
@@ -333,43 +336,61 @@ def test_release_is_bit_identical_to_the_dense_release(r, k, n, height, monkeypa
 
 
 def test_release_applies_each_reflector_block_once(monkeypatch):
-    """Each block of 32 columns has one QR, of its dense rows over its triangle.
+    """Each block of 32 columns has one QR, of its dense rows over its square, and one update.
 
     So a panel of h rows makes ceil(h / 32) calls of ``np.linalg.qr``, each
-    of a (k1 + s) x s stack for s <= 32; a release that factored an earlier
-    block again, for a later panel or block, would make more.  n = 2000 and
-    r = 2952: 31 panels of 64 rows and one of 16, so 63 QRs; and panels of
-    48 rows of a 150-row factor, 4 panels and 7 QRs.
+    of a (k1 + s) x s stack for s <= 32, and one ``_apply_block`` for each
+    block with columns right of it, the rest of the square and the
+    rectangle together; a release that factored an earlier block again, for
+    a later panel or block, or split an update, would make more.  n = 2000
+    and r = 2952: 31 panels of 64 rows and one of 16, so 63 QRs and 62
+    updates; and panels of 48 rows of a 150-row factor, 4 panels, 7 QRs and
+    6 updates.
     """
-    qr = np.linalg.qr
-    stacks = []
+    qr, apply_block = np.linalg.qr, privacy._apply_block
+    stacks, updates = [], []
 
     def counted(a, *args, **kwargs):
         stacks.append(a.shape)
         return qr(a, *args, **kwargs)
 
+    def counted_update(Q, Dt, Ut, stack):
+        updates.append(Ut.shape)
+        apply_block(Q, Dt, Ut, stack)
+
     monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(privacy, "_apply_block", counted_update)
     for r, k, n, height in ((2952, 2, 2000, None), (200, 2, 150, 48)):
         if height is not None:
             monkeypatch.setattr(privacy, "_PANEL_FLOATS", height * n)
         stacks.clear()
+        updates.clear()
         F = 30.0 * np.random.default_rng(5).standard_normal((n, k))
         rows = released(F, _params_with_rows(r), 1).rows
         assert rows == min(r, n)
-        heights = [b - a for a, b in privacy._panels(rows, n)]
-        assert len(stacks) == sum(math.ceil(h / 32) for h in heights) == (63 if height is None else 7)
+        panels = list(privacy._panels(rows, n))
+        assert len(stacks) == sum(math.ceil((b - a) / 32) for a, b in panels) == (63 if height is None else 7)
         assert all(s <= 32 and m == k + s for m, s in stacks)
+        # the columns right of each block, which its one update covers
+        right = [n - a - min(c + 32, b - a) for a, b in panels for c in range(0, b - a, 32)]
+        assert [m for m, _ in updates] == [m for m in right if m]
+        assert len(updates) == (62 if height is None else 6)
 
 
 @pytest.mark.parametrize("h", [1, 2, 15, 16, 17, 64, 200, 256])
 def test_unpacked_triangle_is_dtpttrs_square(h):
-    """The analyst's expansion of a packed triangle equals LAPACK's, bits and memory order alike."""
+    """The analyst's expansion of a packed triangle equals LAPACK's, bits and memory order alike.
+
+    And the release's pack of a square through the same mask is LAPACK's
+    ``dtrttp``, so both sides read one layout.
+    """
     triangle = np.random.default_rng(h).standard_normal(h * (h + 1) // 2)
     square = privacy._unpack_triangle(triangle, h)
     expected = lapack.dtpttr(h, triangle)[0]
     assert np.array_equal(square, expected)
     assert square.tobytes(order="A") == expected.tobytes(order="A")
     assert square.flags.f_contiguous and expected.flags.f_contiguous
+    assert square.T[privacy._upper(h)].tobytes() == lapack.dtrttp(square)[0].tobytes()
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (4, 12), (2, 20), (16, 20)])

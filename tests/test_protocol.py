@@ -252,6 +252,17 @@ def test_constant_y_gives_degenerate_report(package):
     assert report.s_bar == 0.0
 
 
+def test_constant_x_gives_a_zero_factor_and_answer():
+    """0.1 has no exact mean, yet a constant column's factor is exact zeros, centred as the
+    estimators centre.  At epsilon = 1e300 w^2 underflows to 0, so Bob's answer, the release
+    of that zero factor, is 0 too."""
+    X = np.full((20, 2), 0.1)
+    assert not factor_W(X).any()
+    Y = np.random.default_rng(4).standard_normal((20, 2))
+    p = PrivacyParams(1e300, 2e-4, 0.1, 0.05)
+    assert bob_evaluate(alice_prepare(X, p, 0), Y).omega_bar_sq == 0.0
+
+
 def test_sample_count_mismatch_message(package):
     with pytest.raises(ShapeError, match=r"built for n = 12 samples but Y has 10 rows"):
         bob_evaluate(package, np.random.default_rng(0).standard_normal((10, 2)))
