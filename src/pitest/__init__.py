@@ -38,11 +38,11 @@ from .protocol import (
     alice_prepare,
     alice_stream,
     bob_evaluate,
-    factor_W,
     read_package,
     report_to_dict,
 )
 from .data import load_csv, save_csv, synthetic_pair
+from .laws import factor_W
 from .sweep import SWEEP_HEADER, SweepConfig, SweepRow, run_sweep
 
 __version__ = "0.1.0"

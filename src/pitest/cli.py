@@ -27,7 +27,8 @@ from .errors import InvalidInputError, PiTestError
 from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
-from .protocol import _package_bytes, _privacy_section, _query_matrix, _released_package
+from .laws import query_matrix
+from .protocol import _package_bytes, _privacy_section, _released_package
 from .protocol import alice_stream, bob_evaluate, read_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
@@ -208,7 +209,7 @@ def _release_sections(package, Y, report) -> dict:
     has the spectral floor's share of each private statistic:
     ``omega_share`` is w^2 ||Q||_F^2 over
     ``||R Q||_F^2 = (n^2 / 2) omega_bar_sq``, for the matrix ``Q`` that Bob
-    queries (``protocol._query_matrix``: ``Y``, uncentred), and
+    queries (``laws.query_matrix``: ``Y``, uncentred), and
     ``s_share`` is w^2 (n - 1) / sx.
     A share near 1 means that statistic is mostly floor; either is null
     when its denominator is 0.  ``s_param_min`` is tau_mech / (1 - eta): an
@@ -218,7 +219,7 @@ def _release_sections(package, Y, report) -> dict:
     r, w = jl_params(per_release)
     w2, n = w * w, package.n
     answers = n * n / 2.0 * report.omega_bar_sq
-    Q = _query_matrix(Y)
+    Q = query_matrix(Y)
     return {
         "release": {"r": r, "w": w, "rows": package.proj_B.rows,
                     "package_bytes": _package_bytes(package)},

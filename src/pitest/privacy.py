@@ -96,38 +96,15 @@ column-packed storage) would return it, so its product with ``V`` makes
 the same BLAS call and rounds the same.  It reads the factor only
 through its panels, one reused buffer at a time from a package, so the
 analyst holds one panel and nothing of the factor's size.  The release,
-the analyst and the exact-law samplers below run on numpy alone.
+the analyst and the exact-law draws run on numpy alone.
 
 A release that is only ever reduced to its centred sum of squares
-``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all: sx is
-drawn from its exact law.  Each row of ``P J`` is ``(Fc rho + w J xi) /
-sqrt(r)`` with ``Fc = J F`` the column-centred factor, ``rho ~ N(0, I_k)``
-and ``xi ~ N(0, I_n)``, so it is ``N(0, (Fc Fc^T + w^2 J) / r)``.  That
-covariance has the eigenvalues ``(lambda_j + w^2) / r`` for the top
-``q = min(k, n-1)`` eigenvalues ``lambda_j`` of ``Fc^T Fc``, ``w^2 / r``
-with multiplicity ``n - 1 - q``, and one 0.  Summing the squared norms of
-``r`` independent rows gives
-
-    sx = sum_{j<=q} (lambda_j + w^2) g_j / r + w^2 h / r,
-    g_j ~ chi^2_r,  h ~ chi^2_{r (n-1-q)},  all independent,
-
-which costs O(n k min(n, k)) for the eigenvalues (the squared singular
-values of ``Fc``) and q + 1 chi-square draws, and holds nothing of size r.
-Each draw is divided by r before it is weighted, so sx stays finite when r
-is too large for ``w^2 r``.
-
-The same holds for the analyst's answer to m queries, ``||P V||_F^2`` for
-an n x m ``V``, when only its law is wanted (the privacy-utility sweep):
-each row of ``P V`` is ``N(0, C / r)`` with
-``C = (F^T V)^T (F^T V) + w^2 V^T V``, so with ``mu_j`` the m eigenvalues
-of ``C``
-
-    ||P V||_F^2 = sum_{j<=m} mu_j g_j / r,     g_j ~ chi^2_r, independent,
-
-which ``_projected_sq_norm_laws`` draws from ``F^T V`` and ``V^T V``
-alone, in O(n k m) and m chi-square draws.  Both laws have one
-sampler, ``_ChiSquareMix.draws``, which draws any number of values of
-its law from one generator, one chi-square array per term.
+``sx = ||P J||_F^2`` (``J`` the centering matrix) is not drawn at all:
+:func:`private_centered_sq_norm` draws sx from its exact law, a weighted
+sum of chi-square draws whose weights are the centred spectrum of ``F``
+and the floor, which :mod:`pitest.laws` holds beside the law of the
+analyst's answers ``||P V||_F^2``.  That costs O(n k min(n, k)) and
+min(k, n-1) + 1 chi-square draws, and holds nothing of size r.
 
 Privacy is unchanged by any of these draws: (epsilon, delta) differential
 privacy is a property of the law of a mechanism's output.  ``R``, ``sx``
@@ -150,7 +127,7 @@ import numpy as np
 
 from .data import _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
-from .estimators import _centered
+from .laws import centered_spectrum, centered_sq_norm_law
 
 __all__ = [
     "PrivacyParams",
@@ -528,69 +505,6 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
     return rows, checked()
 
 
-class _ChiSquareMix(NamedTuple):
-    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a generator.
-
-    ``g_j ~ chi^2_r`` and ``h ~ chi^2_{r dof}``, all independent (no ``h``
-    when ``dof`` is 0): the law of a sum of squares of a release, see the
-    module docstring.  Each draw is divided by r before it is weighted, so
-    a value stays finite when r is too large for ``w^2 r``.
-    """
-
-    weights: np.ndarray
-    r: int
-    floor: float = 0.0
-    dof: int = 0
-
-    def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` independent values of the law, from ``rng``: one chi-square array per term."""
-        rf = float(self.r)  # r may exceed int64, and w^2 r may exceed float64
-        total = (rng.chisquare(rf, size=(size, self.weights.size)) / rf) @ self.weights
-        if self.dof:
-            total += self.floor * (rng.chisquare(rf * self.dof, size) / rf)
-        return total
-
-
-def _centered_spectrum(A: np.ndarray) -> np.ndarray:
-    """The top ``min(k, n-1)`` eigenvalues of ``Ac^T Ac``, ascending, for the checked n x k ``A``.
-
-    The squared singular values of the column-centred ``Ac``, centred as
-    the non-private estimators centre, so a constant column adds exact
-    zeros: all that the law of ``sx`` needs of the data, so a caller
-    drawing many values of ``sx`` computes it once.
-    """
-    n, k = A.shape
-    q = min(k, n - 1)
-    return np.linalg.svd(_centered(A), compute_uv=False)[q - 1 :: -1] ** 2
-
-
-def _centered_sq_norm_law(lam: np.ndarray, n: int, p: PrivacyParams) -> _ChiSquareMix:
-    """The law of ``||P J||_F^2`` for a release of n samples whose centred spectrum is ``lam``."""
-    r, w = jl_params(p)
-    w2 = w * w
-    return _ChiSquareMix(lam + w2, r, w2, n - 1 - lam.size)
-
-
-def _projected_sq_norm_laws(FtV: np.ndarray, VtV: np.ndarray, ps) -> list[_ChiSquareMix]:
-    """The laws of ``||P V||_F^2`` for a release of ``F F^T`` at each of ``ps``, from ``F^T V`` and ``V^T V``.
-
-    The weights of the law at ``p`` are the eigenvalues of
-    ``C = (F^T V)^T (F^T V) + w^2 V^T V`` for the ``w`` of ``p`` (see the
-    module docstring), clipped at 0 against rounding; the matrices of all
-    of ``ps`` go through one stacked ``eigvalsh``.  When ``w^2`` overflows,
-    ``C`` is not finite and neither is any draw; the weights are then
-    infinite, as a draw of ``sx`` is, and the caller refuses the value.
-    """
-    params = [jl_params(p) for p in ps]
-    w2 = np.array([w * w for _, w in params])  # float products: an overflow is inf, unwarned
-    with np.errstate(over="ignore", invalid="ignore"):  # a C that is not finite is refused below
-        C = FtV.T @ FtV + w2[:, None, None] * VtV
-    finite = np.isfinite(C).all(axis=(1, 2))
-    weights = np.full(C.shape[:2], math.inf)
-    weights[finite] = np.maximum(np.linalg.eigvalsh(C[finite]), 0.0)
-    return [_ChiSquareMix(mu, r) for mu, (r, _) in zip(weights, params)]
-
-
 def _as_queries(V, n: int) -> np.ndarray:
     """The query matrix ``V`` as n x m float64 (a vector is one query), checked finite."""
     M = np.asarray(V, dtype=np.float64)
@@ -614,7 +528,8 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     matrix ``J``.  Nothing of size r is drawn or held.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    law = _centered_sq_norm_law(_centered_spectrum(A), A.shape[0], p)
+    r, w = jl_params(p)
+    law = centered_sq_norm_law(centered_spectrum(A), A.shape[0], r, w)
     return float(law.draws(np.random.default_rng(int(seed)), 1)[0])
 
 

@@ -11,7 +11,8 @@ Roles:
   of ``P_B``, drawn from its exact law (see :mod:`pitest.privacy`) without
   drawing ``P_B``.  Of ``P_X`` the analyst needs one number,
   ``sx = ||P_X - row means||_F^2``, so Alice draws ``sx`` from its exact law
-  (a weighted sum of chi-square draws) and never draws ``P_X``.  For every
+  (a weighted sum of chi-square draws, see :mod:`pitest.laws`) and never
+  draws ``P_X``.  For every
   ``X`` both have the law of a data-independent function of their release,
   so they carry its guarantee.  The package of the total budget, ``R_B``
   (under the name ``proj_B``) and ``sx`` is all that ever leaves her side
@@ -26,9 +27,10 @@ Roles:
   ``(4/n^4) ||P_X G||_F^2 Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
   complete-graph factor, never formed, and ``Tr(Y^T L_S Y) = n ||Yc||_F^2``
   for the column-centered ``Yc``, which keeps its precision when ``Y`` has a
-  large mean), forms ``Gamma = n * omega_bar_sq / s_bar``, and applies the
-  rejection rule.  Nothing flows back, so the release's privacy guarantee
-  is preserved under this post-processing.
+  large mean; :func:`pitest.laws.private_statistics`), forms
+  ``Gamma = n * omega_bar_sq / s_bar``, and applies the rejection rule.
+  Nothing flows back, so the release's privacy guarantee is preserved
+  under this post-processing.
 
 Wire format (version 7): one line of canonical UTF-8 JSON (sorted keys,
 compact separators) holding ``version``, ``n``, ``privacy`` and ``sx`` (a
@@ -85,7 +87,8 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .data import _as_sample_matrix
-from .estimators import _centered, rejection_threshold, test_statistic
+from .estimators import rejection_threshold, test_statistic
+from .laws import check_sx, factor_W, private_statistics, query_matrix, yc_sq
 from .privacy import (
     PrivacyParams,
     _check_panel,
@@ -111,7 +114,6 @@ __all__ = [
     "PackageStream",
     "BoundsReport",
     "TestReport",
-    "factor_W",
     "alice_prepare",
     "alice_stream",
     "bob_evaluate",
@@ -122,11 +124,6 @@ __all__ = [
 FORMAT_VERSION = 7
 _SPLIT = "half-half"  # the budget split over the two releases
 _HEADER_LIMIT = 1 << 16  # bytes of a package read in search of its header's newline
-
-
-def _check_sx(sx: float) -> None:
-    if not (math.isfinite(sx) and sx >= 0.0):
-        raise InvalidInputError(f"sx must be a finite number >= 0, got {sx!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +148,7 @@ class AlicePackage:
         return self.proj_B.n
 
     def __post_init__(self) -> None:
-        _check_sx(self.sx)
+        check_sx(self.sx)
 
 
 class PackageStream(NamedTuple):
@@ -214,17 +211,6 @@ class TestReport:
     m: int
 
 
-def factor_W(X) -> np.ndarray:
-    """Analytic factor ``B`` of the centered-distance Laplacian ``L = B B^T``.
-
-    ``B = sqrt(2) * (X - column means)``: an n x d matrix, exact in O(nd)
-    with no eigendecomposition, since ``L = -J E J = 2 J X X^T J`` for the
-    squared-distance matrix ``E`` of ``X``.  It is centred as the
-    estimators centre, so a constant column gives exact zeros.
-    """
-    return np.sqrt(2.0) * _centered(_as_sample_matrix(X, min_rows=2))
-
-
 def _release_seeds(master_seed: int | None) -> tuple[int, int]:
     """The 64-bit seeds of the ``B`` release and of the ``X`` release, from a master seed."""
     try:
@@ -239,26 +225,6 @@ def _alice_inputs(X, master_seed: int | None) -> tuple[np.ndarray, np.ndarray, i
     A = _as_sample_matrix(X, "X", min_rows=2)
     seed_B, seed_X = _release_seeds(master_seed)
     return A, factor_W(A), seed_B, seed_X
-
-
-def _query_matrix(Y: np.ndarray) -> np.ndarray:
-    """The matrix whose columns the analyst queries the release of ``B B^T`` with: ``Y`` as given.
-
-    The one place this choice is made, for :func:`bob_evaluate`, the
-    sweep's exact-law draw of the same answer and the report's floor share.
-    """
-    return Y
-
-
-def _yc_sq(Y: np.ndarray) -> float:
-    """``||Yc||_F^2`` for the column-centred ``Y``: the analyst's factor of ``s_bar``."""
-    Yc = _centered(Y)
-    return float(np.sum(Yc * Yc))
-
-
-def _private_statistics(n: int, answers: float, sx: float, yc_sq: float) -> tuple[float, float]:
-    """``(omega_bar_sq, s_bar)`` from the release's answer ``||R Q||_F^2``, ``sx`` and ``||Yc||_F^2``."""
-    return 2.0 / n**2 * answers, 4.0 / n**3 * sx * (n * yc_sq)
 
 
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
@@ -300,16 +266,23 @@ def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> Package
     line comes out whole; then each panel of ``R_B`` is released into one
     reused scratch panel, checked (finite, positive diagonal) and handed
     out as bytes, and Alice holds O(panel + n d), nothing of the factor's
-    size.  ``X``, ``p`` and the seed are checked before this returns; a
-    panel that fails its check raises InvalidInputError when it is
-    reached, so a writer of the parts must discard what it wrote.
+    size.  ``X``, ``p`` and the seed are checked before this returns, and
+    so is ``sx``: when it overflows, InvalidInputError names X's scale, or
+    an epsilon whose floor alone overflows.  A panel that fails its check
+    raises InvalidInputError when it is reached, so a writer of the parts
+    must discard what it wrote.
     """
     A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
     per_release = p.half_budget()
     rows, panels = privatize_covariance_panels(B, per_release, seed_B)
     sx = private_centered_sq_norm(A, per_release, seed_X)
-    _check_sx(sx)
     n = A.shape[0]
+    if not math.isfinite(sx):  # a sum of squares: it is >= 0 unless it overflowed
+        w = jl_params(per_release).w  # the floor adds about w^2 (n - 1) to sx
+        cause = ("X's scale is too large" if math.isfinite(w * w * (n - 1))
+                 else f"epsilon = {p.epsilon!r} is too small")
+        raise InvalidInputError(f"{cause} for a finite release: sx, the centred sum of "
+                                "squares of X's release, overflows")
     head = _header_line(n, p, sx)
     return PackageStream(n, rows, sx, _package_length(len(head), rows, n),
                          chain([head], map(_wire_bytes, panels)))
@@ -372,8 +345,8 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     n, m = pkg.n, Ym.shape[1]
     threshold = rejection_threshold(alpha)
 
-    answers = private_sum_directional_variances(pkg.proj_B, _query_matrix(Ym))
-    omega_bar_sq, s_bar = _private_statistics(n, answers, pkg.sx, _yc_sq(Ym))
+    answers = private_sum_directional_variances(pkg.proj_B, query_matrix(Ym))
+    omega_bar_sq, s_bar = private_statistics(n, answers, pkg.sx, yc_sq(Ym))
 
     if not (s_bar > 0.0):
         return TestReport(
@@ -563,7 +536,7 @@ def _read_header(data: bytes) -> _Header:
     # json.loads reads NaN and Infinity, and 1e400 as inf.
     sx = _number(_require(doc, "sx"), "sx")
     try:
-        _check_sx(sx)
+        check_sx(sx)
     except InvalidInputError as exc:
         raise PackageFormatError(f"invalid package: {exc}") from exc
 

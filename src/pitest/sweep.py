@@ -9,18 +9,16 @@ zero are marked degenerate with NaN entries, and so are the gamma columns
 of a cell with a trial whose ``s_bar`` is not > 0; the table counts those
 trials.
 
-A trial's ``(omega_bar_sq, s_bar)`` has the exact joint law of what
+A trial's ``(omega_bar_sq, s_bar)`` is a draw of
+:func:`pitest.laws.statistics_laws`, the exact joint law of what
 ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no package
-released or reduced: the two releases are independent, so ``sx`` and the
-analyst's answer ``||R Q||_F^2`` are drawn apart, each from its law
-(``_centered_sq_norm_law`` and ``_projected_sq_norm_laws``).  They are
-values of those laws, not a seed's: each cell has one stream, keyed by
-the master seed and the cell's indices, from which its answers are drawn
-first and then its values of ``sx``, each as one chi-square array per
-term.  What the laws need of the data (``B^T Q``, ``Q^T Q``, the spectrum
-of ``Xc``) is computed once per sweep, the answer weights of every cell
-in one stacked ``eigvalsh``, and the rest is array arithmetic over the
-(cell, replication) grid, so nothing of size r is drawn or held.
+released or reduced.  They are values of that law, not a seed's: each
+cell has one stream, keyed by the master seed and the cell's indices,
+from which its answers are drawn first and then its values of ``sx``.
+What the laws need of the data is computed once per sweep, the answer
+weights of every cell in one stacked ``eigvalsh``, and the errors are
+array arithmetic over the (cell, replication) grid, so nothing of size r
+is drawn or held.
 """
 
 from __future__ import annotations
@@ -34,20 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import _paired_matrices, dcov_sq_closed_form, s_hat
-from .privacy import (
-    PrivacyParams,
-    _centered_spectrum,
-    _centered_sq_norm_law,
-    _projected_sq_norm_laws,
-)
-from .protocol import (
-    _check_sx,
-    _private_statistics,
-    _query_matrix,
-    _yc_sq,
-    factor_W,
-)
+from .estimators import dcov_sq_closed_form, s_hat
+from .laws import statistics_laws
+from .privacy import PrivacyParams, jl_params
 
 __all__ = ["SweepConfig", "SweepRow", "SweepTable", "SWEEP_HEADER", "run_sweep",
            "sweep_rows_to_csv"]
@@ -118,20 +105,6 @@ class SweepTable(list):
         self.degenerate_trials = degenerate_trials
 
 
-def _check_trials(sx: np.ndarray, omega_bar_sq: np.ndarray) -> None:
-    """Refuse the first trial, in grid order, that a package or a report would refuse.
-
-    Its ``sx`` as ``AlicePackage`` refuses it, else its ``omega_bar_sq``
-    when that is not finite.
-    """
-    refused = ~(np.isfinite(sx) & (sx >= 0.0)) | ~np.isfinite(omega_bar_sq)
-    if refused.any():
-        first = np.flatnonzero(refused)[0]
-        _check_sx(float(sx.flat[first]))
-        raise InvalidInputError(
-            f"omega_bar_sq must be a finite number, got {float(omega_bar_sq.flat[first])!r}")
-
-
 def run_sweep(cfg: SweepConfig, X, Y) -> SweepTable:
     """Run the sweep; one row per (epsilon, eta) in configuration order.
 
@@ -140,30 +113,22 @@ def run_sweep(cfg: SweepConfig, X, Y) -> SweepTable:
     come, in that order, from one stream keyed by (master_seed, epsilon
     index, eta index).
     """
-    A, Ym = _paired_matrices(X, Y)
-    n = A.shape[0]
+    laws = statistics_laws(X, Y, [jl_params(p.half_budget()) for p in cfg.cells])
+    n = laws[0].n
 
-    omega_ref = dcov_sq_closed_form(A, Ym)
-    s_ref = s_hat(A, Ym)
+    omega_ref = dcov_sq_closed_form(X, Y)
+    s_ref = s_hat(X, Y)
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 
-    Q = _query_matrix(Ym)
-    releases = [p.half_budget() for p in cfg.cells]
-    answer_laws = _projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, releases)
-    spectrum = _centered_spectrum(A)
-    answers = np.empty((len(releases), cfg.replications))
-    sx = np.empty_like(answers)
+    omega_bar_sq, s_bar = np.empty((2, len(laws), cfg.replications))  # cell x replication
     grid = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
-    for c, ((i_eps, i_eta), answer_law, p) in enumerate(zip(grid, answer_laws, releases)):
+    for c, ((i_eps, i_eta), law) in enumerate(zip(grid, laws)):
         rng = np.random.default_rng([cfg.master_seed, i_eps, i_eta])
-        answers[c] = answer_law.draws(rng, cfg.replications)
-        sx[c] = _centered_sq_norm_law(spectrum, n, p).draws(rng, cfg.replications)
+        omega_bar_sq[c], s_bar[c] = law.draws(rng, cfg.replications)
 
-    # Float arithmetic as on Python floats: an overflow is inf, and every
-    # quotient that is not defined is replaced by NaN, all unwarned.
+    # Float arithmetic as on Python floats: every quotient that is not
+    # defined is replaced by NaN, unwarned.
     with np.errstate(all="ignore"):
-        omega_bar_sq, s_bar = _private_statistics(n, answers, sx, _yc_sq(Ym))
-        _check_trials(sx, omega_bar_sq)
         degenerate = ~(s_bar > 0.0)
         gamma_bar = np.where(degenerate, math.nan, n * omega_bar_sq / s_bar)
         private = np.stack([gamma_bar, s_bar, omega_bar_sq])  # statistic, cell, replication

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pitest import cli, ioutil, privacy
+from pitest import cli, ioutil, laws, privacy
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
@@ -29,8 +29,6 @@ from pitest.privacy import (
 )
 from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.protocol import (
-    _private_statistics,
-    _yc_sq,
     alice_prepare,
     bob_evaluate,
     factor_W,
@@ -119,18 +117,22 @@ def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
     # The column sums of the first X overflow, but its differences from the
     # first row do not, so its factor is finite and its centred sum of
     # squares is not; the second X's row differences overflow, so its
-    # centred factor is not finite.
+    # centred factor is not finite.  At epsilon = 1e-160 the floor w is
+    # finite and w^2 is not, so sx overflows whatever X is.
     large = np.random.default_rng(0).uniform(0.9, 1.0, (20, 2)) * 1e307
     signs = np.where(np.arange(20) % 2, 1e308, -1e308)[:, None]
     cases = [
-        (large, "error: sx must be a finite number >= 0, got inf"),
-        (np.hstack([signs, signs]), "error: factor contains non-finite entries"),
+        (large, "1", "error: X's scale is too large for a finite release: sx, the centred sum "
+                     "of squares of X's release, overflows"),
+        (np.hstack([signs, signs]), "1", "error: factor contains non-finite entries"),
+        (large * 1e-307, "1e-160", "error: epsilon = 1e-160 is too small for a finite release"),
     ]
-    for X, message in cases:
+    for X, epsilon, message in cases:
         save_csv(tmp_path / "x.csv", X)
         out = tmp_path / "pkg.bin"
         with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", "1", "--out", str(out)])
+            rc = main(["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", epsilon,
+                       "--out", str(out)])
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -713,22 +715,24 @@ def test_sweep_row_is_the_mean_and_sd_of_its_cells_stream(data_dir):
     _, Y3 = synthetic_pair(n=n, d=2, m=3, dependence=0.5, seed=8)
     cfg = SweepConfig(epsilons=(100.0, 1000.0), replications=4, eta_values=(0.3, 0.5),
                       delta=0.01, nu=0.5, master_seed=7)
-    spectrum = privacy._centered_spectrum(X)
+    spectrum = laws.centered_spectrum(X)
     for Y in (load_csv(data_dir / "y.csv"), Y3[:, :1], Y3):
         rows = run_sweep(cfg, X, Y)
         assert len(rows) == 4 and rows.degenerate_trials == 0
         omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
         gamma_ref = n * omega_ref / s_ref
-        releases = [p.half_budget() for p in cfg.cells]
-        laws = privacy._projected_sq_norm_laws(factor_W(X).T @ Y, Y.T @ Y, releases)
-        for row, p, half, law, (i_eps, i_eta) in zip(rows, cfg.cells, releases, laws,
-                                                    [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        releases = [jl_params(p.half_budget()) for p in cfg.cells]
+        Q = laws.query_matrix(Y)
+        answer_laws = laws.projected_sq_norm_laws(factor_W(X).T @ Q, Q.T @ Q, releases)
+        for row, p, (r, w), law, (i_eps, i_eta) in zip(rows, cfg.cells, releases, answer_laws,
+                                                       [(0, 0), (0, 1), (1, 0), (1, 1)]):
             rng = np.random.default_rng([7, i_eps, i_eta])
             answers = law.draws(rng, 4)
-            sx = privacy._centered_sq_norm_law(spectrum, n, half).draws(rng, 4)
+            sx = laws.centered_sq_norm_law(spectrum, n, r, w).draws(rng, 4)
             errors = []
             for answer, sx_trial in zip(answers, sx):
-                omega_bar_sq, s_bar = _private_statistics(n, float(answer), float(sx_trial), _yc_sq(Y))
+                omega_bar_sq, s_bar = laws.private_statistics(n, float(answer), float(sx_trial),
+                                                              laws.yc_sq(Y))
                 errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
                     (n * omega_bar_sq / s_bar, gamma_ref), (s_bar, s_ref), (omega_bar_sq, omega_ref))])
             expected = [p.epsilon, p.eta]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import lapack
 
-from pitest import privacy
+from pitest import laws, privacy
 from pitest.data import synthetic_pair
 from pitest.errors import InvalidInputError, ShapeError
 from pitest.privacy import (
@@ -19,7 +19,7 @@ from pitest.privacy import (
     tau,
     tau_mechanism,
 )
-from pitest.protocol import _query_matrix, alice_prepare, bob_evaluate, factor_W
+from pitest.protocol import alice_prepare, bob_evaluate, factor_W
 
 from oracles import oracle_projection_mean
 from reference import (
@@ -431,12 +431,12 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     assert r == 60
     X, Y = synthetic_pair(n=60, d=2, m=2, dependence=0.3, x_scale=x_scale, seed=5)
     n = X.shape[0]
-    B, Q = factor_W(X), _query_matrix(Y)
+    B, Q = factor_W(X), laws.query_matrix(Y)
     floor_share = w**2 * np.sum(Q * Q) / (np.sum((B.T @ Q) ** 2) + w**2 * np.sum(Q * Q))
     assert (floor_share > 0.99) if floor_dominated else (floor_share < 0.01)
     trials = 600
     packaged = [bob_evaluate(alice_prepare(X, p, s), Y).omega_bar_sq for s in range(trials)]
-    (law,) = privacy._projected_sq_norm_laws(B.T @ Q, Q.T @ Q, [half])
+    (law,) = laws.projected_sq_norm_laws(B.T @ Q, Q.T @ Q, [(r, w)])
     answers = law.draws(np.random.default_rng(trials), trials)
     assert answers.shape == (trials,)
     assert stats.ks_2samp(2.0 / n**2 * answers, packaged).pvalue >= 1e-3
@@ -444,7 +444,7 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     sd_of_mean = math.sqrt(2.0 * float(np.sum(law.weights**2)) / r / trials)
     assert abs(float(answers.mean()) - trace_C) < 4.0 * sd_of_mean
     if floor_dominated:
-        (no_floor,) = privacy._projected_sq_norm_laws(B.T @ Q, np.zeros((2, 2)), [half])
+        (no_floor,) = laws.projected_sq_norm_laws(B.T @ Q, np.zeros((2, 2)), [(r, w)])
         missing = 2.0 / n**2 * no_floor.draws(np.random.default_rng(trials), trials)
         assert stats.ks_2samp(missing, packaged).pvalue < 1e-6
 
@@ -453,9 +453,9 @@ def test_private_projected_sq_norm_is_finite_at_a_huge_row_count():
     # r ~ 3e201 and w^2 ~ 5e204: weighting chi^2_r / r keeps the draw finite,
     # at its mean ||F^T y||^2 + w^2 ||y||^2 to within the sqrt(2/r) spread
     p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
-    w = jl_params(p).w
+    r, w = jl_params(p)
     F, Q = np.arange(5.0)[:, None], np.ones((5, 1))
-    (law,) = privacy._projected_sq_norm_laws(F.T @ Q, Q.T @ Q, [p])
+    (law,) = laws.projected_sq_norm_laws(F.T @ Q, Q.T @ Q, [(r, w)])
     value = float(law.draws(np.random.default_rng(0), 1)[0])
     assert math.isfinite(value)
     assert value == pytest.approx(100.0 + 5.0 * w**2, rel=1e-12)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pitest import privacy
+from pitest import laws, privacy
 from pitest.cli import main
 from pitest.data import save_csv
 from pitest.errors import (
@@ -145,7 +145,7 @@ def test_sx_is_post_processing_of_the_x_release():
         kappa4 = 48.0 / r**3 * float(np.sum(c**4))
         drawn = np.array([private_centered_sq_norm(X, p, s) for s in range(trials)])
         reduced = np.array([release_centered_sq_norm(X, p, s) for s in range(trials, 2 * trials)])
-        law = privacy._centered_sq_norm_law(privacy._centered_spectrum(X), n, p)
+        law = laws.centered_sq_norm_law(laws.centered_spectrum(X), n, r, w)
         batched = law.draws(np.random.default_rng(42), trials)
         for sample in (drawn, batched):
             assert stats.ks_2samp(sample, reduced).pvalue > 1e-3, case

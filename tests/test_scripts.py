@@ -8,9 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = [
-    ("level_power.py", ["--n", "30", "--seeds", "5"], "n = 30, 5 seeds, alpha = 0.05"),
-    ("budget_convergence.py", ["--n", "10", "--eta", "0.5", "--reps", "1"],
-     "non-private Gamma = "),
+    ("level_power.py", ["--ns", "30", "--trials", "5", "--epsilons", "1,1e4"],
+     "5 trials per row, alpha = 0.05; band: "),
     ("sweep_table.py", ["--n", "20", "--replications", "2", "--epsilons", "1,2", "--etas", "0.5"],
      "eps   eta | "),
 ]
