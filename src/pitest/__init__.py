@@ -33,11 +33,11 @@ from .protocol import (
     FORMAT_VERSION,
     AlicePackage,
     BoundsReport,
-    PackageStream,
     TestReport,
     alice_prepare,
     alice_stream,
     bob_evaluate,
+    package_parts,
     read_package,
     report_to_dict,
 )

@@ -28,8 +28,8 @@ from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
 from .laws import query_matrix
-from .protocol import _package_bytes, _privacy_section, _released_package
-from .protocol import alice_stream, bob_evaluate, read_package, report_to_dict
+from .protocol import _package_bytes, _privacy_section, alice_stream, bob_evaluate
+from .protocol import package_parts, read_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
 
@@ -170,14 +170,15 @@ def _warn_if_seeded(args) -> None:
 def _cmd_alice(args, params: PrivacyParams) -> int:
     _warn_if_seeded(args)
     X = load_csv(args.input, has_header=args.header)
-    stream = alice_stream(X, params, args.seed)
-    size = atomic_write_bytes(args.out, stream.parts, stream.size)
+    package = alice_stream(X, params, args.seed)
+    size = atomic_write_bytes(args.out, package_parts(package), _package_bytes(package))
 
     per_release = params.half_budget()
     r, w = jl_params(per_release)
-    print(f"wrote package: {args.out} ({size} bytes; n = {stream.n}, "
-          f"release factor {stream.rows} x {stream.n} packed as {stream.entries} entries, "
-          f"scalar sx = {stream.sx:.6g})")
+    n, rows = package.n, package.proj_B.rows
+    print(f"wrote package: {args.out} ({size} bytes; n = {n}, "
+          f"release factor {rows} x {n} packed as {package.entries} entries, "
+          f"scalar sx = {package.sx:.6g})")
     print(f"per-release budget: epsilon = {per_release.epsilon:g}, delta = {per_release.delta:g}")
     print(f"projection rows r = {r}, spectral floor w = {w:.6g}")
     print(f"tau_mech (mechanism additive constant) = {tau_mechanism(per_release):.6g}")
@@ -247,8 +248,8 @@ def _cmd_run(args, params: PrivacyParams) -> int:
     X = load_csv(args.input_x, has_header=args.header)
     Y = load_csv(args.input_y, has_header=args.header)
     # Bob's sum reads each panel of the factor as Alice releases it, so the
-    # run holds one panel, and no package, at a time.
-    package = _released_package(X, params, args.seed)
+    # run holds one panel, and no encoded package, at a time.
+    package = alice_stream(X, params, args.seed)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
 
     n = X.shape[0]

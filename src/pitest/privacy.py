@@ -81,9 +81,9 @@ gather through the cached mask that the analyst unpacks with, onto the
 entries just before the rectangle, which is already in packed order.
 Every block lies in one scratch array so that its packed values start at
 the same address, so the release, :func:`privatize_covariance_panels`, is
-a generator of panels, each a view of that scratch: a writer ships each
-panel as it finishes and holds O(panel + n k), nothing of the factor's
-size.  Its values agree with LAPACK's one-shot QR of the same draw
+a factor read once, whose panels are each a view of that scratch: a
+writer ships each panel as it finishes, or the analyst sums it, and holds
+O(panel + n k), nothing of the factor's size.  Its values agree with LAPACK's one-shot QR of the same draw
 (``dtpqrt`` and ``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of
 the factor's largest entry; they round differently, and a seed gives one
 fixed set of bytes on a given numpy and BLAS.
@@ -94,8 +94,8 @@ zero-filled square, and the rectangle is multiplied where it lies.  The
 square is Fortran-ordered, as LAPACK's ``dtpttr`` (which reads the same
 column-packed storage) would return it, so its product with ``V`` makes
 the same BLAS call and rounds the same.  It reads the factor only
-through its panels, one reused buffer at a time from a package, so the
-analyst holds one panel and nothing of the factor's size.  The release,
+through its panels, one reused buffer at a time from a package or as
+they are released, so the analyst holds one panel and nothing of the factor's size.  The release,
 the analyst and the exact-law draws run on numpy alone.
 
 A release that is only ever reduced to its centred sum of squares
@@ -475,7 +475,24 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
         yield a, b, values
 
 
-def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, Iterator[np.ndarray]]:
+class _Release(NamedTuple):
+    """A release factor, read once: each checked row panel as it is released.
+
+    It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
+    ``panels()``, which yields ``(a, b, values)`` for each row panel [a, b),
+    top down.  The panels come from the release itself, so ``panels()``
+    can be read through once only; a second pass yields nothing.
+    """
+
+    rows: int
+    n: int
+    released: Iterator
+
+    def panels(self) -> Iterator:
+        return self.released
+
+
+def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
     """Release the Gram of a private projection for the covariance ``F F^T``, one row panel at a time.
 
     Args:
@@ -484,37 +501,25 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> tuple[int, It
         seed: 64-bit generator seed; identical (F, p, seed) gives a
             bit-identical release.
 
-    Returns the row count of ``R``, the min(r, n) x n upper-trapezoidal R
-    factor with positive diagonal of a QR of the release
-    ``P = (1/sqrt(r)) G [F^T; w I]``, drawn from its exact law (see the
-    module docstring) without drawing ``P``, and an iterator over its
-    packed row panels, top down, each finite with a positive diagonal.
-    Every panel is released into one reused scratch array, so a yielded
-    panel is valid until the next is asked for, and the release holds
-    O(panel + n k), nothing of the factor's size.  ``F`` and ``p`` are
-    checked before this returns.
+    Returns ``R``, the min(r, n) x n upper-trapezoidal R factor with
+    positive diagonal of a QR of the release ``P = (1/sqrt(r)) G [F^T; w I]``,
+    drawn from its exact law (see the module docstring) without drawing
+    ``P``, as a factor read once: its ``panels()`` releases the packed row
+    panels, top down, each checked finite with a positive diagonal before
+    it is yielded.  Every panel is released into one reused scratch array,
+    so a yielded panel is valid until the next is asked for, and the
+    release holds O(panel + n k), nothing of the factor's size.  ``F`` and
+    ``p`` are checked before this returns.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    rows = min(jl_params(p).r, A.shape[0])
+    n = A.shape[0]
 
     def checked():
         for a, b, values in _release_panels(A, p, seed):
             _check_panel(values, b - a)
-            yield values
+            yield a, b, values
 
-    return rows, checked()
-
-
-def _as_queries(V, n: int) -> np.ndarray:
-    """The query matrix ``V`` as n x m float64 (a vector is one query), checked finite."""
-    M = np.asarray(V, dtype=np.float64)
-    if M.ndim == 1:
-        M = M[:, None]
-    if M.ndim != 2 or M.shape[0] != n:
-        raise ShapeError(f"query matrix must have {n} rows, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("query matrix contains non-finite entries")
-    return M
+    return _Release(min(jl_params(p).r, n), n, checked())
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
@@ -539,17 +544,31 @@ def private_sum_directional_variances(P, V) -> float:
     ``P`` is read only through ``rows``, ``n`` and ``panels()``, which
     yields ``(a, b, segment)`` for each packed row panel [a, b), top down:
     a package's factor (:func:`pitest.protocol.read_package`), read from
-    its handle one panel at a time.  A vector ``V`` is one query ``y``,
-    answered as ``||R y||^2``.  Non-unit directions are answered as asked;
-    the value scales as ``||y||^2``, so callers normalize when the
-    unit-direction convention matters.
+    its handle one panel at a time, or a release
+    (:func:`privatize_covariance_panels`), read once as it is released.
+    The panels must tile rows [0, rows) in order, else InvalidInputError
+    names the rows they covered: so a release read a second time, which
+    yields no panel, raises.  A vector ``V`` is one query ``y``, answered
+    as ``||R y||^2``.  Non-unit directions are answered as asked; the value
+    scales as ``||y||^2``, so callers normalize when the unit-direction
+    convention matters.
     """
-    M = _as_queries(V, P.n)
+    M = _as_sample_matrix(V, "query matrix")
+    if M.shape[0] != P.n:
+        raise ShapeError(f"query matrix must have {P.n} rows, got shape {M.shape}")
     # R V one row panel at a time: the packed triangle expanded into a new
     # square (a temporary of the statement, so no square outlives its panel)
     # and the rectangle multiplied as it lies.
     RV = np.empty((P.rows, M.shape[1]))
+    covered = 0
     for a, b, segment in P.panels():
+        if a != covered:
+            raise InvalidInputError(f"the factor's panels covered rows [0, {covered}) of "
+                                    f"{P.rows}, then gave rows [{a}, {b})")
         triangle, rect = _split_panel(segment, b - a)
         RV[a:b] = _unpack_triangle(triangle, b - a) @ M[a:b] + rect @ M[b:]
+        covered = b
+    if covered != P.rows:
+        raise InvalidInputError(f"the factor's panels covered rows [0, {covered}) of {P.rows}: "
+                                "a factor read once was read again, or its panels ended early")
     return float(np.sum(RV * RV))

@@ -36,37 +36,32 @@ Wire format (version 7): one line of canonical UTF-8 JSON (sorted keys,
 compact separators) holding ``version``, ``n``, ``privacy`` and ``sx`` (a
 finite number >= 0), padded with ASCII blanks before its newline byte so
 that the line is a multiple of 8 bytes long, then the ``proj_B`` payload:
-the upper trapezoid of the factor ``R_B``, packed in row panels, as raw
-little-endian IEEE-754 binary64 values.  The factor has
-``rows = min(r, n)`` rows for the ``r`` that the ``privacy`` fields imply
-for one release, and ``n`` columns.  Every panel but the last has
-``h = min(rows, max(16, floor(2^17 / n) rounded down to a multiple of 16))``
-rows, so the header fixes the layout.  Panel [a, b) is its
-(b - a) x (b - a) diagonal block, an upper triangle sent column by column
-(column j of the block contributes its first j + 1 entries, from row a
-down), then the (b - a) x (n - b) rectangle right of it, column by column;
-the panels follow one another, top down.  Row i contributes its n - i
-entries, so panel [a, b) starts ``a n - a (a - 1) / 2`` values in, and its
-diagonal entry in row a + j is j (j+3) / 2 values into the panel.  The
-zeros below the diagonal are not sent.  This is the order in which Alice
-releases the panels, so neither side rearranges it, and both stream it:
-``sx`` does not depend on ``R_B``, so :func:`alice_stream` gives the
-header line first and then each panel as it is released and checked, and
-:func:`read_package` checks the header line and the package's length, then
-reads and checks one panel at a time when the analyst sums over them.
-Each side holds O(panel + n (d + m)), never the whole factor.  They are
-the one writer and the one reader of a package: :func:`alice_prepare`
-writes the parts into memory and reads the package back from there.
-A package is exactly the header line and
-``8 * (rows (rows+1) / 2 + (n - rows) rows)`` payload bytes long
-(``8 n (n+1) / 2`` when r >= n).  Every payload value must be finite, and
-every diagonal entry must be > 0.  ``sx`` is written as the shortest decimal
-that reads back to the same float, and the padding is fixed by the line's
-length, so round-trips are bit-exact and equal packages are equal bytes.
-The parser accepts only the header line that :func:`alice_stream` writes
-for the fields it reads, so one package has one encoding, and the payload
-starts at a multiple of 8 bytes.  No statistic is computed from a package
-before its last panel has passed.
+the factor ``R_B``, packed in row panels as :mod:`pitest.privacy` lays it
+out and releases it, as raw little-endian IEEE-754 binary64 values.  The
+factor has ``rows = min(r, n)`` rows for the ``r`` that the ``privacy``
+fields imply for one release, and ``n`` columns, and the panel height is
+a function of the two, so the header fixes the layout.  A package is
+exactly the header line and ``8 * (rows (rows+1) / 2 + (n - rows) rows)``
+payload bytes long (``8 n (n+1) / 2`` when r >= n).  Every payload value
+must be finite, and every diagonal entry must be > 0.  ``sx`` is written
+as the shortest decimal that reads back to the same float, and the
+padding is fixed by the line's length, so round-trips are bit-exact and
+equal packages are equal bytes.
+
+One object, :class:`AlicePackage`, is the message on both sides, and its
+factor is read one panel at a time.  :func:`alice_stream` gives the
+package with its factor read once, as it is released; ``sx`` does not
+depend on ``R_B``, so it is drawn first.  :func:`package_parts` is the one
+encoder: the header line, then each panel as it is released and checked.
+:func:`read_package` is the one reader: it checks the header line and the
+package's length, then reads and checks one panel at a time when the
+analyst sums over them, so no statistic is computed from a package before
+its last panel has passed.  Each side holds O(panel + n (d + m)), never
+the whole factor, and ``pi-test run`` hands the released package straight
+to :func:`bob_evaluate`, with no encoding between.  The parser accepts only
+the header line that :func:`package_parts` writes for the fields it reads,
+so one package has one encoding, and the payload starts at a multiple of 8
+bytes.
 """
 
 from __future__ import annotations
@@ -75,7 +70,6 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
@@ -91,6 +85,7 @@ from .estimators import rejection_threshold, test_statistic
 from .laws import check_sx, factor_W, private_statistics, query_matrix, yc_sq
 from .privacy import (
     PrivacyParams,
+    _Release,
     _check_panel,
     _panel_height,
     _panels,
@@ -111,12 +106,12 @@ from .bounds import (
 __all__ = [
     "FORMAT_VERSION",
     "AlicePackage",
-    "PackageStream",
     "BoundsReport",
     "TestReport",
     "alice_prepare",
     "alice_stream",
     "bob_evaluate",
+    "package_parts",
     "read_package",
     "report_to_dict",
 ]
@@ -136,43 +131,24 @@ class AlicePackage:
     ``X X^T``.  The sample count is the factor's width, so it is not stored
     again.  The factor is read one panel at a time: from the package's
     handle (see :func:`read_package`), or once, as it is released (see
-    :func:`_released_package`).
+    :func:`alice_stream`).
     """
 
     params: PrivacyParams
-    proj_B: _FileFactor | _ReleasedFactor
+    proj_B: _FileFactor | _Release
     sx: float
 
     @property
     def n(self) -> int:
         return self.proj_B.n
 
-    def __post_init__(self) -> None:
-        check_sx(self.sx)
-
-
-class PackageStream(NamedTuple):
-    """A package as Alice writes it: its parts, produced one at a time.
-
-    ``parts`` yields the header line, then the factor's row panels as raw
-    little-endian float64 bytes, each released and checked when it is asked
-    for and valid until the next is; see :func:`alice_stream`.  So write
-    each part before asking for the next: every panel is a view of the
-    same scratch panel, and ``b"".join(parts)``, which collects the parts
-    before it copies them, reads every panel as the last one left it.
-    ``size`` is the parts' total length, known before the first is asked for.
-    """
-
-    n: int
-    rows: int
-    sx: float
-    size: int
-    parts: Iterator
-
     @property
     def entries(self) -> int:
         """Float64 entries of the packed factor."""
-        return _row_offset(self.rows, self.n)
+        return _row_offset(self.proj_B.rows, self.n)
+
+    def __post_init__(self) -> None:
+        check_sx(self.sx)
 
 
 @dataclass(frozen=True)
@@ -230,10 +206,10 @@ def _alice_inputs(X, master_seed: int | None) -> tuple[np.ndarray, np.ndarray, i
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
     """Build the data holder's package from her data matrix, in memory.
 
-    The package of :func:`alice_stream`, written part by part into a
-    buffer and read back by :func:`read_package`, so it is the bytes that
-    ``pi-test alice`` writes to a file.  The master seed is expanded into
-    one 64-bit seed per release (incidence factor first, data matrix
+    The package of :func:`alice_stream`, written by :func:`package_parts`
+    into a buffer and read back by :func:`read_package`, so it is the bytes
+    that ``pi-test alice`` writes to a file.  The master seed is expanded
+    into one 64-bit seed per release (incidence factor first, data matrix
     second).  By default it is drawn from OS entropy; an explicit seed
     makes the package a deterministic function of (X, p, master_seed),
     which is for reproducible tests only, since anyone who knows it can
@@ -241,83 +217,67 @@ def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AliceP
     factor ``B`` and the seeds stay on this side; neither release is drawn.
     Raises InvalidInputError when the package cannot be held in memory.
     """
-    stream = alice_stream(X, p, master_seed)
+    pkg = alice_stream(X, p, master_seed)
     buffer = io.BytesIO()
     try:
         # Sized once to the package's length: pieces written into a growing
         # BytesIO would leave it about 1/8 larger than what they hold.
-        buffer.seek(stream.size - 1)
+        buffer.seek(_package_bytes(pkg) - 1)
         buffer.write(b"\0")
         buffer.seek(0)
-        for part in stream.parts:
+        for part in package_parts(pkg):
             buffer.write(part)
     except MemoryError as exc:
         raise InvalidInputError(
-            f"a release factor of {stream.rows} x {stream.n} float64, packed, needs "
-            f"{8.0 * stream.entries:.6g} bytes and cannot be held in memory: {exc}"
+            f"a release factor of {pkg.proj_B.rows} x {pkg.n} float64, packed, needs "
+            f"{8.0 * pkg.entries:.6g} bytes and cannot be held in memory: {exc}"
         ) from None
     return read_package(buffer)
 
 
-def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> PackageStream:
-    """The package of :func:`alice_prepare`, encoded one row panel at a time.
+def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
+    """The package of :func:`alice_prepare`, its factor read once, as it is released.
 
-    ``sx`` does not depend on ``R_B``, so it is drawn first and the header
-    line comes out whole; then each panel of ``R_B`` is released into one
-    reused scratch panel, checked (finite, positive diagonal) and handed
-    out as bytes, and Alice holds O(panel + n d), nothing of the factor's
-    size.  ``X``, ``p`` and the seed are checked before this returns, and
-    so is ``sx``: when it overflows, InvalidInputError names X's scale, or
-    an epsilon whose floor alone overflows.  A panel that fails its check
+    ``sx`` does not depend on ``R_B``, so it is drawn here; each panel of
+    ``R_B`` is released only when the factor's ``panels()`` asks for it,
+    into one reused scratch panel, and checked (finite, positive
+    diagonal), so Alice holds O(panel + n d), nothing of the factor's
+    size.  Hand the package to :func:`bob_evaluate` or to
+    :func:`package_parts`, once: a second reading of the factor raises.
+    ``X``, ``p`` and the seed are checked before this returns, and so is
+    ``sx``: when it overflows, InvalidInputError names X's scale, or an
+    epsilon whose floor alone overflows.  A panel that fails its check
     raises InvalidInputError when it is reached, so a writer of the parts
     must discard what it wrote.
     """
     A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
     per_release = p.half_budget()
-    rows, panels = privatize_covariance_panels(B, per_release, seed_B)
+    factor = privatize_covariance_panels(B, per_release, seed_B)
     sx = private_centered_sq_norm(A, per_release, seed_X)
-    n = A.shape[0]
     if not math.isfinite(sx):  # a sum of squares: it is >= 0 unless it overflowed
         w = jl_params(per_release).w  # the floor adds about w^2 (n - 1) to sx
-        cause = ("X's scale is too large" if math.isfinite(w * w * (n - 1))
+        cause = ("X's scale is too large" if math.isfinite(w * w * (A.shape[0] - 1))
                  else f"epsilon = {p.epsilon!r} is too small")
         raise InvalidInputError(f"{cause} for a finite release: sx, the centred sum of "
                                 "squares of X's release, overflows")
-    head = _header_line(n, p, sx)
-    return PackageStream(n, rows, sx, _package_length(len(head), rows, n),
-                         chain([head], map(_wire_bytes, panels)))
+    return AlicePackage(p, factor, sx)
 
 
-@dataclass(frozen=True, eq=False)
-class _ReleasedFactor:
-    """The factor of a :class:`PackageStream`, read once, each row panel as it is released.
+def package_parts(pkg: AlicePackage) -> Iterator:
+    """The encoding of ``pkg``, one part at a time: the header line, then each panel of its factor.
 
-    It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
-    ``panels()``, which views each checked panel's wire bytes as float64,
-    so it has the values a package's reader would read back.  The panels
-    come from the release, so ``panels()`` can be read through once only.
+    The one writer of a package's bytes.  Each panel is its packed values
+    as raw little-endian float64 bytes, read from the factor when it is
+    asked for and valid until the next is: a released factor, or a read
+    package's, hands out every panel in one reused buffer.  So write each
+    part before asking for the next; ``b"".join(parts)``, which collects
+    the parts before it copies them, reads every panel as the last one
+    left it.  :func:`_package_bytes` gives the parts' total length before
+    the first is asked for.
     """
-
-    rows: int
-    n: int
-    parts: Iterator  # the stream's panels, its header line taken off
-
-    def panels(self):
-        for (a, b), part in zip(_panels(self.rows, self.n), self.parts):
-            yield a, b, np.frombuffer(part, dtype="<f8")
-
-
-def _released_package(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
-    """The package of :func:`alice_stream`, never written: its factor is read once, as released.
-
-    ``pi-test run`` hands it to :func:`bob_evaluate`, which reads the factor
-    once, so both roles hold one panel and nothing of the factor's size.
-    The header line is dropped: its length is fixed by the fields, from
-    which :func:`_package_bytes` computes it.
-    """
-    stream = alice_stream(X, p, master_seed)
-    next(stream.parts)  # the header line
-    return AlicePackage(p, _ReleasedFactor(stream.rows, stream.n, stream.parts), stream.sx)
+    yield _header_line(pkg.n, pkg.params, pkg.sx)
+    for _, _, values in pkg.proj_B.panels():
+        yield _wire_bytes(values)
 
 
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
@@ -436,14 +396,14 @@ def _wire_bytes(values: np.ndarray) -> memoryview:
 def _package_length(head_bytes: int, rows: int, n: int) -> int:
     """The length of a package's encoding: a header line of ``head_bytes``, then 8 bytes per packed entry.
 
-    The one owner of the length: the stream's ``size``, the report's
+    The one owner of the length: the writers' preallocation, the report's
     ``package_bytes`` and the reader's length check all come from here.
     """
     return head_bytes + 8 * _row_offset(rows, n)
 
 
 def _package_bytes(pkg: AlicePackage) -> int:
-    """The length of the package's encoding, as :class:`PackageStream` gives it.
+    """The length of the package's encoding, the parts of :func:`package_parts` together.
 
     For a package read from a handle it is the handle's length, which
     :func:`read_package` checked against it before reading any panel.

@@ -19,9 +19,11 @@ checked to agree with to ``LAPACK_AGREEMENT``.  A
 packed factor is its 1-D array of packed values with its ``(rows, n)``.
 So that a test can hold a release or a package whole, ``released``,
 ``held``, ``encoded`` and ``package_bytes`` collect copies of the panels
-and parts that the program streams.  The cell by cell CSV loader that
-``pitest.data.load_csv`` replaced (``load_csv_cellwise``) is kept as the
-oracle that the numpy reader is checked to accept, refuse and read alike.
+and parts that the program streams; ``encoded`` writes the parts of the
+program's one encoder, ``pitest.protocol.package_parts``.  The cell by
+cell CSV loader that ``pitest.data.load_csv`` replaced
+(``load_csv_cellwise``) is kept as the oracle that the numpy reader is
+checked to accept, refuse and read alike.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from scipy.linalg import lapack
 from pitest.data import _as_2d, _as_sample_matrix
 from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
 from pitest.estimators import _centered, _paired_matrices
-from pitest import privacy, protocol
+from pitest import privacy
 from pitest.privacy import _REFLECTOR_BLOCK, PrivacyParams, jl_params
-from pitest.protocol import alice_stream
+from pitest.protocol import alice_stream, package_parts
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -445,33 +447,31 @@ class PackedFactor(NamedTuple):
 
 
 def released(F, p: PrivacyParams, seed: int) -> PackedFactor:
-    """The release factor of ``privatize_covariance_panels(F, p, seed)``, its panels copied.
-
-    Each panel is copied as it comes: the release yields every panel in
-    the same scratch panel.
-    """
-    rows, panels = privacy.privatize_covariance_panels(F, p, seed)
-    return PackedFactor(np.concatenate([panel.copy() for panel in panels]), rows, len(F))
+    """The release factor of ``privatize_covariance_panels(F, p, seed)``, its panels copied."""
+    return held(privacy.privatize_covariance_panels(F, p, seed))
 
 
 def held(factor) -> PackedFactor:
-    """A factor read one panel at a time (a package's ``proj_B``, say), copied into memory."""
+    """A factor read one panel at a time (a package's ``proj_B``, say), copied into memory.
+
+    Each panel is copied as it comes: a release, or a package's reader,
+    yields every panel in one reused buffer.
+    """
     values = np.concatenate([segment.copy() for _, _, segment in factor.panels()])
     return PackedFactor(values, factor.rows, factor.n)
 
 
 def encoded(package) -> bytes:
-    """The bytes of a package that was read: its header line, then its factor's panels as read."""
-    head = protocol._header_line(package.n, package.params, package.sx)
-    return head + b"".join(segment.astype("<f8").tobytes() for _, _, segment in package.proj_B.panels())
+    """The bytes of ``package``: the parts of ``package_parts``, each written before the next is asked for."""
+    buffer = io.BytesIO()
+    for part in package_parts(package):
+        buffer.write(part)
+    return buffer.getvalue()
 
 
 def package_bytes(X, p: PrivacyParams, master_seed: int) -> bytes:
-    """The package of ``alice_stream(X, p, master_seed)``, its parts written one at a time."""
-    buffer = io.BytesIO()
-    for part in alice_stream(X, p, master_seed).parts:
-        buffer.write(part)
-    return buffer.getvalue()
+    """The package of ``alice_stream(X, p, master_seed)``, encoded."""
+    return encoded(alice_stream(X, p, master_seed))
 
 
 class DistanceSpreadCheck(NamedTuple):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pitest import laws
 from pitest.bounds import (
     aggregate_coverage_probability,
     lower_bound_ratio,
     upper_bound_ratio,
 )
+from pitest.data import synthetic_pair
 from pitest.errors import InvalidInputError
-from pitest.estimators import s_hat
+from pitest.estimators import dcov_sq_closed_form, s_hat
+from pitest.privacy import PrivacyParams, jl_params, tau_mechanism
 
 from reference import dcov_sq_direct, naive_ratio_interval, omega_le_s_condition
 
@@ -257,3 +260,38 @@ def test_spread_condition_implies_numerator_at_most_denominator():
         labels = rng.integers(0, 3, size=20)
         Y = np.eye(3)[labels]
         assert dcov_sq_direct(X, Y) <= s_hat(X, Y) * (1 + 1e-12)
+
+
+def test_private_ratio_lies_within_the_bounds_where_their_precondition_holds():
+    """The paper's utility theorem, through the exact law of Bob's ``(omega_bar_sq, s_bar)``.
+
+    n = 200, d = m = 2, delta = 2e-4, eta = 0.1, nu = 1e-4, on a grid of
+    epsilon, x scale and dependence.  Wherever s_hat / n > tau_mech / (1 - eta),
+    the private ratio lies in [L(rho_hat), U(rho_hat)] for the non-private
+    ratio rho_hat in at least 1 - (m + n) nu - 0.02 of 2000 draws.  At
+    epsilon = 1 and x scale 1e4 the precondition fails: the floor then
+    dominates s_bar, and the private ratio falls below L as well.
+    """
+    n, m, draws = 200, 2, 2000
+    totals = [PrivacyParams(epsilon, 2e-4, 0.1, 1e-4) for epsilon in (1.0, 1e3)]
+    budgets = [p.half_budget() for p in totals]
+    invalid = []
+    for x_scale in (1e4, 1e6):
+        for dependence in (0.5, 0.9):
+            X, Y = synthetic_pair(n=n, d=2, m=m, dependence=dependence, x_scale=x_scale, seed=3)
+            s = s_hat(X, Y)
+            rho = dcov_sq_closed_form(X, Y) / s
+            statistics = laws.statistics_laws(X, Y, [jl_params(b) for b in budgets])
+            for p, b, law in zip(totals, budgets, statistics):
+                tau_mech = tau_mechanism(b)
+                point = (p.epsilon, x_scale, dependence)
+                if not s / n > tau_mech / (1.0 - b.eta):
+                    invalid.append(point)
+                    continue
+                omega_bar_sq, s_bar = law.draws(np.random.default_rng(0), draws)
+                ratio = omega_bar_sq / s_bar
+                lower = lower_bound_ratio(rho, b.eta)
+                upper = upper_bound_ratio(rho, b.eta, tau_mech, s / n)
+                inside = np.count_nonzero((lower <= ratio) & (ratio <= upper)) / draws
+                assert inside >= aggregate_coverage_probability(m, n, b.nu) - 0.02, (point, inside)
+    assert invalid == [(1.0, 1e4, 0.5), (1.0, 1e4, 0.9)]

@@ -1,7 +1,9 @@
 """Every name a ``pitest`` module lists in ``__all__`` exists, the package imports, the
-CLI imports without ``scipy.special``, every command runs without scipy, README
-describes the package format the code writes, and README's library example runs."""
+CLI imports without ``scipy.special``, every command runs without scipy, only
+``protocol`` imports ``privacy``'s private names, README describes the package
+format the code writes, and README's library example runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -105,3 +107,21 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_library"})
     assert (tmp_path / "pkg.bin").stat().st_size > 0
     assert len(capsys.readouterr().out.split()) == 4  # statistic, verdict and the two bounds
+
+
+def test_only_protocol_imports_privacys_private_names():
+    """The packed layout is read in ``privacy`` and ``protocol`` alone.
+
+    ``privacy`` releases and sums the panels and ``protocol`` encodes and
+    parses them, through ``privacy``'s underscored helpers; any other
+    module reads the factor through ``AlicePackage`` and ``protocol``.
+    """
+    src = Path(pitest.__file__).resolve().parent
+    imported = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "protocol":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("privacy", "pitest.privacy"):
+                imported += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert not imported

@@ -1,4 +1,6 @@
 import math
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -521,9 +523,34 @@ def test_directional_variance_scales_quadratically():
 
 
 def test_directional_variance_shape_check():
+    """A query vector or matrix of n + 1 rows, or a matrix of no column, is refused for a factor n = 4 wide."""
     P = released(np.zeros((4, 1)), PARAMS, seed=3)
-    with pytest.raises(ShapeError):
-        private_sum_directional_variances(P, np.zeros(5))
+    for shape in [(5,), (5, 2), (4, 0)]:
+        with pytest.raises(ShapeError):
+            private_sum_directional_variances(P, np.zeros(shape))
+
+
+def test_directional_variance_refuses_a_non_finite_query():
+    P = released(np.zeros((4, 1)), PARAMS, seed=3)
+    V = np.zeros((4, 2))
+    V[2, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="query matrix contains non-finite"):
+        private_sum_directional_variances(P, V)
+
+
+def test_sum_refuses_panels_that_do_not_tile_the_factor(monkeypatch):
+    """Panels [0, 16), [16, 32) and [32, 40): a factor whose panels skip the first raises.
+
+    Without the check the rows of the skipped panel were summed from
+    uninitialised memory.
+    """
+    monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)
+    P = released(np.random.default_rng(17).standard_normal((40, 2)), PARAMS, seed=9)
+    skips_first = SimpleNamespace(rows=P.rows, n=P.n, panels=lambda: islice(P.panels(), 1, None))
+    V = np.ones((40, 1))
+    assert private_sum_directional_variances(P, V) > 0.0
+    with pytest.raises(InvalidInputError, match=r"covered rows \[0, 0\) of 40, then gave rows \[16, 32\)"):
+        private_sum_directional_variances(skips_first, V)
 
 
 def test_sum_single_column_equals_single_query():

@@ -39,6 +39,7 @@ from pitest.protocol import (
     alice_stream,
     bob_evaluate,
     factor_W,
+    package_parts,
     read_package,
     report_to_dict,
 )
@@ -447,7 +448,7 @@ def test_layout_is_header_line_then_raw_payloads(package, xy):
 
 
 def test_stream_parts_are_the_header_line_then_views_of_one_scratch_panel(monkeypatch):
-    """alice_stream gives the header line, then every panel as a view of the same scratch panel.
+    """package_parts gives the header line, then every released panel as a view of the same scratch panel.
 
     So a writer writes each part before it asks for the next, as
     alice_prepare and package_bytes do; ``b"".join(parts)`` collects the
@@ -455,7 +456,7 @@ def test_stream_parts_are_the_header_line_then_views_of_one_scratch_panel(monkey
     """
     monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # panels [0, 16), [16, 32) and [32, 40)
     X = np.random.default_rng(9).standard_normal((40, 2))
-    parts = alice_stream(X, PARAMS, 3).parts
+    parts = package_parts(alice_stream(X, PARAMS, 3))
     head = next(parts)
     assert head.endswith(b"\n") and head.count(b"\n") == 1 and len(head) % 8 == 0
     views, copies = [], []
@@ -467,7 +468,20 @@ def test_stream_parts_are_the_header_line_then_views_of_one_scratch_panel(monkey
     assert all(np.shares_memory(view, views[0]) for view in views[1:])
     written = head + b"".join(copies)
     assert written == package_bytes(X, PARAMS, 3) == encoded(alice_prepare(X, PARAMS, 3))
-    assert b"".join(alice_stream(X, PARAMS, 3).parts) != written
+    assert b"".join(package_parts(alice_stream(X, PARAMS, 3))) != written
+
+
+def test_a_released_package_is_read_once(xy):
+    """alice_stream's package gives Bob the report of its bytes; a second evaluation raises.
+
+    Its factor is released as Bob reads it, so a second reading finds no
+    panel, and Bob refuses it rather than sum rows that were never filled.
+    """
+    released_package = alice_stream(xy[0], PARAMS, 2024)
+    assert bob_evaluate(released_package, xy[1]) == bob_evaluate(
+        alice_prepare(xy[0], PARAMS, 2024), xy[1])
+    with pytest.raises(InvalidInputError, match=r"covered rows \[0, 0\) of 12: a factor read once"):
+        bob_evaluate(released_package, xy[1])
 
 
 def test_round_trip_preserves_bob_verdict(package, xy):
@@ -908,8 +922,8 @@ def _peak_bytes(call):
 
 def _stream_release(B, params, seed) -> tuple[int, int]:
     """Run the release of ``B`` through: its row count and the bytes of its panels."""
-    rows, panels = privatize_covariance_panels(B, params, seed)
-    return rows, sum(panel.nbytes for panel in panels)
+    factor = privatize_covariance_panels(B, params, seed)
+    return factor.rows, sum(panel.nbytes for _, _, panel in factor.panels())
 
 
 def test_release_and_analyst_hold_no_whole_draw():
