@@ -5,10 +5,11 @@ Every trial draws a fresh (X, Y) from ``synthetic_pair`` (d = 2, m = 1),
 shifts Y by the row's offset in units of its sd, and draws Bob's
 ``(omega_bar_sq, s_bar)`` once per epsilon from ``pitest.laws``: the exact
 law of what ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no
-package released.  The rule rejects when ``n omega_bar_sq / s_bar`` exceeds
-the level-alpha threshold.  Beside each row of independent data is the
-central 99.9% band of Binomial(trials, alpha), the counts a rule of level
-alpha gives; a count below or above it is marked.
+package released, and judges each draw with ``pitest.estimators.decide``:
+the rule rejects when ``n omega_bar_sq / s_bar`` exceeds the level-alpha
+threshold.  Beside each row of independent data is the central 99.9% band
+of Binomial(trials, alpha), the counts a rule of level alpha gives; a count
+below or above it is marked.
 
 Example:
     python3 scripts/level_power.py --ns 200,2000 --epsilons 1,1e4 --trials 500
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from pitest.data import synthetic_pair
-from pitest.estimators import rejection_threshold
+from pitest.estimators import decide
 from pitest.laws import statistics_laws
 from pitest.privacy import PrivacyParams, jl_params
 
@@ -55,7 +56,6 @@ def main():
     epsilons = numbers(args.epsilons)
     # pi-test's default delta, eta and nu
     params = [jl_params(PrivacyParams(e, 2e-4, 0.1, 0.05).half_budget()) for e in epsilons]
-    threshold = rejection_threshold(args.alpha)
     low, high = binomial_band(args.trials, args.alpha)
     print(f"{args.trials} trials per row, alpha = {args.alpha}; band: 99.9% of Binomial("
           f"{args.trials}, {args.alpha}) for independent data")
@@ -72,7 +72,7 @@ def main():
             rng = np.random.default_rng([args.seed, t])
             for i, law in enumerate(statistics_laws(X, Y, params)):
                 omega_bar_sq, s_bar = law.draws(rng, 1)
-                rejected[i] += bool(s_bar[0] > 0.0 and n * omega_bar_sq[0] / s_bar[0] > threshold)
+                rejected[i] += bool(decide(omega_bar_sq[0], s_bar[0], n, args.alpha).reject)
         for epsilon, count in zip(epsilons, rejected):
             mark = " below" if count < low else " above" if count > high else ""
             band = f"[{low}, {high}]{mark}" if dependence == 0.0 else ""

@@ -2,7 +2,6 @@
 
 from .errors import (
     CsvParseError,
-    DegenerateStatisticError,
     InsufficientSamplesError,
     InvalidInputError,
     PackageFormatError,
@@ -16,7 +15,6 @@ from .estimators import (
     decide,
     rejection_threshold,
     s_hat,
-    test_statistic,
 )
 from .privacy import (
     JlParams,
@@ -28,11 +26,10 @@ from .privacy import (
     tau,
     tau_mechanism,
 )
-from .bounds import aggregate_coverage_probability, lower_bound_ratio, upper_bound_ratio
+from .bounds import BoundsReport, aggregate_coverage_probability, lower_bound_ratio, upper_bound_ratio
 from .protocol import (
     FORMAT_VERSION,
     AlicePackage,
-    BoundsReport,
     TestReport,
     alice_prepare,
     alice_stream,

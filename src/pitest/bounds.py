@@ -18,19 +18,48 @@ The second precondition of the lower side has a sufficient condition on the
 spread of squared pairwise distances, ``d_max <= ((n-1)/2) d_min^2`` (with
 one-hot second datasets).  Checking it visits all n^2 pairs, so it lives
 with the test suite's n^2 references in ``tests/reference.py``.
+
+:func:`evaluate_bounds` evaluates all of a report's bounds, as a
+:class:`BoundsReport`, and :func:`s_param_min` is the one statement of the
+rule that clamps its upper bound.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .errors import InvalidInputError
+from .privacy import PrivacyParams, tau, tau_mechanism
 
 __all__ = [
+    "BoundsReport",
+    "evaluate_bounds",
+    "s_param_min",
     "lower_bound_ratio",
     "upper_bound_ratio",
     "aggregate_coverage_probability",
 ]
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Two-sided bound on the private ratio, evaluated at the observed value.
+
+    ``tau_used`` is the mechanism-level additive constant the transforms
+    were evaluated with; ``tau_closed_form`` is the analytical constant for
+    the same workload (None when its precondition fails), reported alongside
+    for comparison.  ``upper`` is ``inf`` when ``s_param`` fell outside the
+    validity region (recorded by ``s_param_clamped``).
+    """
+
+    lower: float
+    upper: float
+    s_param: float
+    tau_used: float
+    tau_closed_form: float | None
+    prob_floor: float | None
+    s_param_clamped: bool
 
 
 def _check_eta(eta: float) -> None:
@@ -85,3 +114,31 @@ def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
             f"(m+n)*nu = {total:.6g} must be < 1 for a nontrivial probability floor"
         )
     return 1.0 - total
+
+
+def s_param_min(p: PrivacyParams) -> float:
+    """``tau_mech / (1 - eta)`` at one release's ``p``: an ``s_param`` not above it clamps ``upper``."""
+    return tau_mechanism(p) / (1.0 - p.eta)
+
+
+def evaluate_bounds(ratio: float, s_param: float, per_release: PrivacyParams, m: int, n: int) -> BoundsReport:
+    """The report's bounds at the private ``ratio``, for releases at ``per_release`` and m + n queries.
+
+    The transforms are evaluated with ``tau_mechanism(per_release)``.  An
+    ``s_param`` not above :func:`s_param_min` clamps the upper bound to
+    ``inf`` rather than raising; ``tau_closed_form`` and ``prob_floor`` are
+    None when their union bound over the m + n queries is vacuous.
+    """
+    tau_used = tau_mechanism(per_release)
+    clamped = not (s_param > s_param_min(per_release))
+    upper = math.inf if clamped else upper_bound_ratio(ratio, per_release.eta, tau_used, s_param)
+    try:
+        tau_closed: float | None = tau(per_release, m, n)
+    except InvalidInputError:
+        tau_closed = None
+    try:
+        prob_floor: float | None = aggregate_coverage_probability(m, n, per_release.nu)
+    except InvalidInputError:
+        prob_floor = None
+    return BoundsReport(lower_bound_ratio(ratio, per_release.eta), upper, s_param, tau_used,
+                        tau_closed, prob_floor, clamped)

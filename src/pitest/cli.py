@@ -24,6 +24,7 @@ import sys
 
 from .data import load_csv
 from .errors import InvalidInputError, PiTestError
+from .bounds import s_param_min
 from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
@@ -213,8 +214,9 @@ def _release_sections(package, Y, report) -> dict:
     queries (``laws.query_matrix``: ``Y``, uncentred), and
     ``s_share`` is w^2 (n - 1) / sx.
     A share near 1 means that statistic is mostly floor; either is null
-    when its denominator is 0.  ``s_param_min`` is tau_mech / (1 - eta): an
-    ``s_param`` not above it clamps the upper bound.
+    when its denominator is 0.  ``s_param_min`` is
+    :func:`pitest.bounds.s_param_min`: an ``s_param`` not above it clamps
+    the upper bound.
     """
     per_release = package.params.half_budget()
     r, w = jl_params(per_release)
@@ -227,7 +229,7 @@ def _release_sections(package, Y, report) -> dict:
         "floor": {
             "omega_share": w2 * float((Q * Q).sum()) / answers if answers > 0.0 else None,
             "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,
-            "s_param_min": tau_mechanism(per_release) / (1.0 - per_release.eta),
+            "s_param_min": s_param_min(per_release),
         },
     }
 
@@ -252,20 +254,15 @@ def _cmd_run(args, params: PrivacyParams) -> int:
     package = alice_stream(X, params, args.seed)
     report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
 
-    n = X.shape[0]
-    omega_ref = dcov_sq_closed_form(X, Y)
-    s_ref = s_hat(X, Y)
-    nonprivate = {"omega_sq": omega_ref, "s_hat": s_ref, "statistic": None,
-                  "threshold": None, "reject": None, "degenerate": True}
-    np_line = "non-private: degenerate (constant dataset)"
-    if s_ref > 0.0:
-        verdict = decide(n * omega_ref / s_ref, args.alpha)
-        nonprivate.update(statistic=verdict.statistic, threshold=verdict.threshold,
-                          reject=verdict.reject, degenerate=False)
-        np_line = (
-            f"non-private: Gamma = {verdict.statistic:.6g}, threshold = {verdict.threshold:.6g}"
-            f" -> {'reject' if verdict.reject else 'fail to reject'}"
-        )
+    omega_ref, s_ref = dcov_sq_closed_form(X, Y), s_hat(X, Y)
+    verdict = decide(omega_ref, s_ref, X.shape[0], args.alpha)
+    nonprivate = {"omega_sq": omega_ref, "s_hat": s_ref, "statistic": verdict.statistic,
+                  "threshold": verdict.threshold, "reject": verdict.reject,
+                  "degenerate": verdict.statistic is None}
+    np_line = "non-private: degenerate (constant dataset)" if verdict.statistic is None else (
+        f"non-private: Gamma = {verdict.statistic:.6g}, threshold = {verdict.threshold:.6g}"
+        f" -> {'reject' if verdict.reject else 'fail to reject'}"
+    )
 
     doc = {"private": report_to_dict(report), "nonprivate": nonprivate,
            **_release_sections(package, Y, report)}

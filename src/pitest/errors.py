@@ -17,10 +17,6 @@ class InsufficientSamplesError(InvalidInputError):
     """Too few rows to compute the requested statistic."""
 
 
-class DegenerateStatisticError(PiTestError):
-    """A denominator statistic is zero (or non-positive), so a ratio is undefined."""
-
-
 class CsvParseError(PiTestError, ValueError):
     """A data file is malformed; the message names the line and column."""
 

@@ -43,25 +43,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import _as_sample_matrix
-from .errors import DegenerateStatisticError, InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "TestDecision",
     "dcov_sq_closed_form",
     "s_hat",
-    "test_statistic",
     "rejection_threshold",
     "decide",
 ]
 
 
 class TestDecision(NamedTuple):
-    """Outcome of comparing the test statistic against its threshold."""
+    """Outcome of comparing the test statistic against its threshold.
 
-    statistic: float
+    ``statistic`` and ``reject`` are None when the denominator is not > 0:
+    a constant dataset gives no verdict.
+    """
+
+    statistic: float | None
     threshold: float
     alpha: float
-    reject: bool
+    reject: bool | None
 
 
 def _paired_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +115,6 @@ def s_hat(X, Y) -> float:
     return 4.0 * float(np.sum(Ac * Ac)) * float(np.sum(Bc * Bc)) / n**2
 
 
-def test_statistic(omega_sq: float, s: float, n: int) -> float:
-    """The test statistic ``Gamma = n * omega_sq / s``."""
-    if not (s > 0.0):
-        raise DegenerateStatisticError(
-            f"denominator statistic must be positive, got {s} (constant dataset?)"
-        )
-    return n * omega_sq / s
-
-
 def rejection_threshold(alpha: float) -> float:
     """Rejection threshold ``(Phi^{-1}(1 - alpha/2))^2``.
 
@@ -137,13 +131,21 @@ def rejection_threshold(alpha: float) -> float:
     return NormalDist().inv_cdf(p) ** 2 if p < 1.0 else math.inf
 
 
-def decide(statistic: float, alpha: float) -> TestDecision:
-    """Compare a statistic against the level-``alpha`` threshold.
+def decide(omega_sq: float, s: float, n: int, alpha: float) -> TestDecision:
+    """The test at level ``alpha``: ``Gamma = n * omega_sq / s`` against its threshold.
 
-    Rejection is strict: a statistic exactly at the threshold does not
-    reject.
+    The one statement of the rule, for Bob's private statistics and for the
+    non-private ones alike.  Rejection is strict: a statistic exactly at the
+    threshold does not reject.  When ``s`` is not > 0 (a constant dataset)
+    there is no verdict, and ``statistic`` and ``reject`` are None.  Raises
+    InvalidInputError naming the data's scale when ``omega_sq``, ``s`` or
+    Gamma is not finite, as when the data overflow float64.
     """
-    if not math.isfinite(statistic):
-        raise InvalidInputError(f"test statistic must be finite, got {statistic}")
     threshold = rejection_threshold(alpha)
-    return TestDecision(float(statistic), threshold, float(alpha), bool(statistic > threshold))
+    omega_sq, s = float(omega_sq), float(s)  # Python floats: an overflow is inf, unwarned
+    statistic = n * omega_sq / s if s > 0.0 else None
+    if not all(map(math.isfinite, (omega_sq, s, statistic or 0.0))):
+        raise InvalidInputError(f"the data's scale is too large for a finite test statistic: "
+                                f"omega_sq = {omega_sq!r}, s = {s!r}")
+    reject = None if statistic is None else bool(statistic > threshold)
+    return TestDecision(statistic, threshold, float(alpha), reject)

@@ -157,9 +157,13 @@ def query_matrix(Y: np.ndarray) -> np.ndarray:
 
 
 def yc_sq(Y: np.ndarray) -> float:
-    """``||Yc||_F^2`` for the column-centred ``Y``: the analyst's factor of ``s_bar``."""
+    """``||Yc||_F^2`` for the column-centred ``Y``: the analyst's factor of ``s_bar``.
+
+    An overflow is inf, unwarned, which the caller refuses.
+    """
     Yc = _centered(Y)
-    return float(np.sum(Yc * Yc))
+    with np.errstate(over="ignore"):
+        return float(np.sum(Yc * Yc))
 
 
 def private_statistics(n: int, answers, sx, yc: float):

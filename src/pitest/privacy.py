@@ -571,4 +571,5 @@ def private_sum_directional_variances(P, V) -> float:
     if covered != P.rows:
         raise InvalidInputError(f"the factor's panels covered rows [0, {covered}) of {P.rows}: "
                                 "a factor read once was read again, or its panels ended early")
-    return float(np.sum(RV * RV))
+    with np.errstate(over="ignore"):  # an overflow is inf, which the caller refuses
+        return float(np.sum(RV * RV))

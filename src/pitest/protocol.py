@@ -27,8 +27,9 @@ Roles:
   ``(4/n^4) ||P_X G||_F^2 Tr(Y^T L_S Y)`` with ``G = sqrt(n) J`` the
   complete-graph factor, never formed, and ``Tr(Y^T L_S Y) = n ||Yc||_F^2``
   for the column-centered ``Yc``, which keeps its precision when ``Y`` has a
-  large mean; :func:`pitest.laws.private_statistics`), forms
-  ``Gamma = n * omega_bar_sq / s_bar``, and applies the rejection rule.
+  large mean; :func:`pitest.laws.private_statistics`), and judges them with
+  the test's one rule, :func:`pitest.estimators.decide`, which rejects when
+  ``Gamma = n * omega_bar_sq / s_bar`` exceeds its threshold.
   Nothing flows back, so the release's privacy guarantee is preserved
   under this post-processing.
 
@@ -81,7 +82,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .data import _as_sample_matrix
-from .estimators import rejection_threshold, test_statistic
+from .estimators import decide, rejection_threshold
 from .laws import check_sx, factor_W, private_statistics, query_matrix, yc_sq
 from .privacy import (
     PrivacyParams,
@@ -94,19 +95,12 @@ from .privacy import (
     private_centered_sq_norm,
     private_sum_directional_variances,
     privatize_covariance_panels,
-    tau,
-    tau_mechanism,
 )
-from .bounds import (
-    aggregate_coverage_probability,
-    lower_bound_ratio,
-    upper_bound_ratio,
-)
+from .bounds import BoundsReport, evaluate_bounds
 
 __all__ = [
     "FORMAT_VERSION",
     "AlicePackage",
-    "BoundsReport",
     "TestReport",
     "alice_prepare",
     "alice_stream",
@@ -149,26 +143,6 @@ class AlicePackage:
 
     def __post_init__(self) -> None:
         check_sx(self.sx)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Two-sided bound on the private ratio, evaluated at the observed value.
-
-    ``tau_used`` is the mechanism-level additive constant the transforms
-    were evaluated with; ``tau_closed_form`` is the analytical constant for
-    the same workload (None when its precondition fails), reported alongside
-    for comparison.  ``upper`` is ``inf`` when ``s_param`` fell outside the
-    validity region (recorded by ``s_param_clamped``).
-    """
-
-    lower: float
-    upper: float
-    s_param: float
-    tau_used: float
-    tau_closed_form: float | None
-    prob_floor: float | None
-    s_param_clamped: bool
 
 
 @dataclass(frozen=True)
@@ -283,6 +257,11 @@ def package_parts(pkg: AlicePackage) -> Iterator:
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
     """Evaluate the analyst's side of the protocol from a package and ``Y``.
 
+    Checks ``Y`` and ``alpha``, sums the answers over the package's factor,
+    forms the private statistics, judges them with
+    :func:`pitest.estimators.decide` and evaluates the bounds with
+    :func:`pitest.bounds.evaluate_bounds`.
+
     Args:
         pkg: the data holder's package.
         Y: analyst's n x m data matrix (must match the package's n).
@@ -292,76 +271,28 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
             upper bound infinite (recorded in the report, not an error).
 
     Returns:
-        TestReport.  ``degenerate`` is set (and statistic/reject are None)
-        when the private denominator is not positive — e.g. constant ``Y``.
-        Deterministic given (pkg, Y, alpha, s_param): the analyst draws no
-        randomness.
+        TestReport.  ``degenerate`` is set (and statistic/reject/bounds are
+        None) when the private denominator is not positive — e.g. constant
+        ``Y``.  Deterministic given (pkg, Y, alpha, s_param): the analyst
+        draws no randomness.  Raises InvalidInputError naming the data's
+        scale when a statistic overflows.
     """
     Ym = _as_sample_matrix(Y, "Y", min_rows=2)
     if Ym.shape[0] != pkg.n:
         raise ShapeError(
             f"package was built for n = {pkg.n} samples but Y has {Ym.shape[0]} rows"
         )
+    rejection_threshold(alpha)  # alpha is checked before the factor is read
     n, m = pkg.n, Ym.shape[1]
-    threshold = rejection_threshold(alpha)
 
     answers = private_sum_directional_variances(pkg.proj_B, query_matrix(Ym))
     omega_bar_sq, s_bar = private_statistics(n, answers, pkg.sx, yc_sq(Ym))
-
-    if not (s_bar > 0.0):
-        return TestReport(
-            omega_bar_sq=omega_bar_sq,
-            s_bar=s_bar,
-            statistic=None,
-            threshold=threshold,
-            alpha=alpha,
-            reject=None,
-            bounds=None,
-            degenerate=True,
-            n=n,
-            m=m,
-        )
-
-    statistic = test_statistic(omega_bar_sq, s_bar, n)
-    reject = statistic > threshold
-
-    per_release = pkg.params.half_budget()
-    eta = per_release.eta
-    tau_used = tau_mechanism(per_release)
-    ratio = omega_bar_sq / s_bar
-    requested_s = float(s_param) if s_param is not None else s_bar / n
-    clamped = not (requested_s > tau_used / (1.0 - eta))
-    upper = math.inf if clamped else upper_bound_ratio(ratio, eta, tau_used, requested_s)
-    lower = lower_bound_ratio(ratio, eta)
-    try:
-        tau_closed: float | None = tau(per_release, m, n)
-    except InvalidInputError:
-        tau_closed = None
-    try:
-        prob_floor: float | None = aggregate_coverage_probability(m, n, per_release.nu)
-    except InvalidInputError:
-        prob_floor = None
-
-    return TestReport(
-        omega_bar_sq=omega_bar_sq,
-        s_bar=s_bar,
-        statistic=statistic,
-        threshold=threshold,
-        alpha=alpha,
-        reject=reject,
-        bounds=BoundsReport(
-            lower=lower,
-            upper=upper,
-            s_param=requested_s,
-            tau_used=tau_used,
-            tau_closed_form=tau_closed,
-            prob_floor=prob_floor,
-            s_param_clamped=clamped,
-        ),
-        degenerate=False,
-        n=n,
-        m=m,
-    )
+    verdict = decide(omega_bar_sq, s_bar, n, alpha)
+    degenerate = verdict.statistic is None
+    bounds = None if degenerate else evaluate_bounds(
+        omega_bar_sq / s_bar, s_bar / n if s_param is None else float(s_param),
+        pkg.params.half_budget(), m, n)
+    return TestReport(omega_bar_sq, s_bar, *verdict, bounds, degenerate, n, m)
 
 
 def _privacy_section(params: PrivacyParams) -> dict:

@@ -187,8 +187,7 @@ def test_criterion_7_level_and_power():
         y_independent = rng.standard_normal(n)
         y_dependent = x + 0.1 * rng.standard_normal(n)
         for y, counter in ((y_independent, "null"), (y_dependent, "dep")):
-            statistic = n * dcov_sq_direct(x, y) / s_hat(x, y)
-            rejected = decide(statistic, alpha).reject
+            rejected = decide(dcov_sq_direct(x, y), s_hat(x, y), n, alpha).reject
             if counter == "null":
                 rejections_null += rejected
             else:

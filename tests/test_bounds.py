@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from pitest import laws
 from pitest.bounds import (
     aggregate_coverage_probability,
+    evaluate_bounds,
     lower_bound_ratio,
+    s_param_min,
     upper_bound_ratio,
 )
 from pitest.data import synthetic_pair
@@ -64,6 +66,22 @@ def test_upper_bound_scale_requirement():
     with pytest.raises(InvalidInputError):
         upper_bound_ratio(1.0, 0.5, tau=1.0, s_param=2.0)
     assert math.isfinite(upper_bound_ratio(1.0, 0.5, tau=1.0, s_param=2.0 + 1e-9))
+
+
+def test_evaluate_bounds_clamps_at_exactly_s_param_min():
+    """The upper bound is clamped at s_param_min(p) and evaluated one float above it."""
+    p = PrivacyParams(1.0, 2e-4, 0.1, 0.05).half_budget()
+    floor = s_param_min(p)
+    assert floor == tau_mechanism(p) / (1.0 - p.eta)
+    at = evaluate_bounds(0.5, floor, p, 2, 200)
+    assert at.s_param_clamped and at.upper == math.inf
+    above = evaluate_bounds(0.5, math.nextafter(floor, math.inf), p, 2, 200)
+    assert not above.s_param_clamped
+    assert above.upper == upper_bound_ratio(0.5, p.eta, tau_mechanism(p), above.s_param)
+    for report in (at, above):
+        assert report.lower == lower_bound_ratio(0.5, p.eta)
+        assert report.tau_used == tau_mechanism(p)
+        assert report.tau_closed_form is None and report.prob_floor is None  # (2 + 200) 0.05 >= 1
 
 
 @pytest.mark.parametrize("bad_ratio", [-0.1, math.nan, math.inf])

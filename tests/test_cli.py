@@ -445,6 +445,33 @@ def test_bob_degenerate_input_still_exits_zero(data_dir, tmp_path, capsys):
     assert json.loads(report.read_text())["statistic"] is None
 
 
+@pytest.mark.parametrize("command", ["bob", "run"])
+def test_an_overflowing_statistic_is_one_error_line_and_no_report(command, tmp_path, capsys):
+    """``bob`` on X at scale 1e152, and ``run`` on Y at scale 1e160: exit 1, one ``error:``
+    line naming the scale, no numpy warning and no report."""
+    X, Y = synthetic_pair(400, 2, 2, dependence=0, seed=1)
+    x, y, pkg, report = (tmp_path / name for name in ("x.csv", "y.csv", "pkg.bin", "r.json"))
+    budget = ["--epsilon", "1", "--delta", "2e-4", "--eta", "0.5", "--nu", "0.5", "--seed", "1"]
+    if command == "bob":
+        save_csv(x, 1e152 * X)
+        save_csv(y, Y)
+        assert main(["alice", "--input", str(x), *budget, "--out", str(pkg)]) == 0
+        argv = ["bob", "--package", str(pkg), "--input", str(y), "--report", str(report)]
+    else:
+        save_csv(x, X)
+        save_csv(y, 1e160 * Y)
+        argv = ["run", "--input-x", str(x), "--input-y", str(y), *budget, "--report", str(report)]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not caught
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning: --seed")]
+    assert len(err) == 1 and err[0].startswith("error: ") and "scale is too large" in err[0]
+    assert not report.exists()
+
+
 def test_bob_shape_mismatch_is_runtime_error(data_dir, tmp_path, capsys):
     pkg = tmp_path / "pkg.json"
     main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--out", str(pkg)])
@@ -646,9 +673,11 @@ def test_run_and_sweep_constant_x_are_degenerate(tmp_path, capsys):
                "--seed", "4", "--report", str(report)])
     assert rc == 0
     assert "non-private: degenerate (constant dataset)" in capsys.readouterr().out
-    ref = json.loads(report.read_text())["nonprivate"]
+    doc = json.loads(report.read_text())
+    ref = doc["nonprivate"]
     assert ref["degenerate"] is True
     assert ref["omega_sq"] == 0.0 and ref["s_hat"] == 0.0
+    assert ref["threshold"] == doc["private"]["threshold"]
     cfg = SweepConfig(epsilons=(100.0,), replications=2, eta_values=(0.5,),
                       delta=0.01, nu=0.5)
     (row,) = run_sweep(cfg, X, Y)

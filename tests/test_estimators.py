@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pitest.errors import (
-    DegenerateStatisticError,
     InsufficientSamplesError,
     InvalidInputError,
     ShapeError,
@@ -16,7 +15,6 @@ from pitest.estimators import (
     decide,
     rejection_threshold,
     s_hat,
-    test_statistic as gamma_statistic,
 )
 from pitest.privacy import PrivacyParams
 from pitest.protocol import factor_W
@@ -234,22 +232,38 @@ def test_s_hat_directional_zero_factor_is_zero():
 
 
 def test_statistic_arithmetic():
-    assert gamma_statistic(2.0, 4.0, 10) == 5.0
+    assert decide(2.0, 4.0, 10, 0.05).statistic == 5.0
 
 
 def test_statistic_zero_numerator():
-    assert gamma_statistic(0.0, 1.5, 7) == 0.0
+    assert decide(0.0, 1.5, 7, 0.05).statistic == 0.0
 
 
 def test_statistic_composition():
     X, Y = random_pair(30, 15, 2, 2)
-    gamma = gamma_statistic(dcov_sq_direct(X, Y), s_hat(X, Y), 15)
+    gamma = decide(dcov_sq_direct(X, Y), s_hat(X, Y), 15, 0.05).statistic
     assert rel_close(gamma, 15 * dcov_sq_direct(X, Y) / s_hat(X, Y), 1e-12)
 
 
 def test_statistic_degenerate_denominator():
-    with pytest.raises(DegenerateStatisticError):
-        gamma_statistic(1.0, 0.0, 5)
+    assert decide(1.0, 0.0, 5, 0.05) == (None, rejection_threshold(0.05), 0.05, None)
+
+
+@given(st.floats(), st.floats(), st.integers(2, 10**6), st.floats(1e-6, 0.999))
+def test_decide_is_the_rule(omega_sq, s, n, alpha):
+    """No verdict iff not s > 0, else reject iff n omega_sq / s exceeds the threshold; non-finite raises."""
+    finite_inputs = math.isfinite(omega_sq) and math.isfinite(s)
+    if not finite_inputs or (s > 0.0 and not math.isfinite(n * omega_sq / s)):
+        with pytest.raises(InvalidInputError, match="scale"):
+            decide(omega_sq, s, n, alpha)
+        return
+    verdict = decide(omega_sq, s, n, alpha)
+    assert verdict.threshold == rejection_threshold(alpha) and verdict.alpha == alpha
+    assert (verdict.statistic is None) == (not s > 0.0)
+    assert (verdict.reject is None) == (not s > 0.0)
+    if s > 0.0:
+        assert verdict.statistic == n * omega_sq / s
+        assert verdict.reject == (n * omega_sq / s > rejection_threshold(alpha))
 
 
 def test_threshold_alpha_05():
@@ -269,7 +283,7 @@ def test_threshold_matches_bisection_oracle(alpha):
 @pytest.mark.parametrize("alpha", [1e-17, 5e-324])
 def test_threshold_is_infinite_when_one_minus_half_alpha_rounds_to_one(alpha):
     assert rejection_threshold(alpha) == math.inf
-    assert decide(1e300, alpha).reject is False
+    assert decide(1e300, 1.0, 1, alpha).reject is False
 
 
 def test_threshold_monotone():
@@ -283,23 +297,23 @@ def test_threshold_rejects_bad_alpha(alpha):
 
 
 def test_decide_reject():
-    assert decide(10.0, 0.05).reject is True
+    assert decide(10.0, 1.0, 1, 0.05).reject is True
 
 
 def test_decide_zero_statistic():
-    assert decide(0.0, 0.05).reject is False
+    assert decide(0.0, 1.0, 1, 0.05).reject is False
 
 
 def test_decide_boundary_is_not_rejection():
     threshold = rejection_threshold(0.05)
-    assert decide(threshold, 0.05).reject is False
+    assert decide(threshold, 1.0, 1, 0.05).reject is False
 
 
 @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
 def test_decide_monotone_in_statistic(a, b):
     lo, hi = min(a, b), max(a, b)
-    if decide(lo, 0.05).reject:
-        assert decide(hi, 0.05).reject
+    if decide(lo, 1.0, 1, 0.05).reject:
+        assert decide(hi, 1.0, 1, 0.05).reject
 
 
 # ---------------------------------------------------------------- normalized dependence
@@ -343,8 +357,8 @@ def test_statistic_invariant_to_rescaling_x(shape, c):
     s = s_hat(X, Y)
     if s <= 0:
         return
-    g1 = gamma_statistic(dcov_sq_direct(X, Y), s, n)
-    g2 = gamma_statistic(dcov_sq_direct(c * X, Y), s_hat(c * X, Y), n)
+    g1 = decide(dcov_sq_direct(X, Y), s, n, 0.05).statistic
+    g2 = decide(dcov_sq_direct(c * X, Y), s_hat(c * X, Y), n, 0.05).statistic
     assert rel_close(g1, g2, 1e-9) or abs(g1 - g2) <= 1e-9
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy import stats
 
 from pitest import laws, privacy
 from pitest.cli import main
-from pitest.data import save_csv
+from pitest.data import save_csv, synthetic_pair
 from pitest.errors import (
     InsufficientSamplesError,
     InvalidInputError,
@@ -20,11 +21,7 @@ from pitest.errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from pitest.estimators import (
-    dcov_sq_closed_form,
-    s_hat,
-    test_statistic as gamma_statistic,
-)
+from pitest.estimators import dcov_sq_closed_form, decide, s_hat
 from pitest.privacy import (
     PrivacyParams,
     jl_params,
@@ -214,7 +211,7 @@ def test_identity_hook_reproduces_nonprivate_statistics(xy):
     s = s_hat(X, Y)
     assert report.omega_bar_sq == pytest.approx(omega, rel=1e-9)
     assert report.s_bar == pytest.approx(s, rel=1e-9)
-    assert report.statistic == pytest.approx(gamma_statistic(omega, s, 12), rel=1e-9)
+    assert report.statistic == pytest.approx(decide(omega, s, 12, 0.05).statistic, rel=1e-9)
     assert not report.degenerate
 
 
@@ -262,6 +259,18 @@ def test_constant_x_gives_a_zero_factor_and_answer():
     Y = np.random.default_rng(4).standard_normal((20, 2))
     p = PrivacyParams(1e300, 2e-4, 0.1, 0.05)
     assert bob_evaluate(alice_prepare(X, p, 0), Y).omega_bar_sq == 0.0
+
+
+@pytest.mark.parametrize("x_scale, y_scale", [(1e152, 1.0), (1.0, 1e160)])
+def test_bob_refuses_an_overflowing_statistic_without_a_numpy_warning(x_scale, y_scale):
+    """At X's scale 1e152 Bob's answer overflows, and at Y's scale 1e160 so does ||Yc||^2:
+    decide's refusal, naming the scale, is all that comes out."""
+    X, Y = synthetic_pair(400, 2, 2, dependence=0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pkg = alice_prepare(x_scale * X, PrivacyParams(1.0, 2e-4, 0.5, 0.5), 1)
+        with pytest.raises(InvalidInputError, match="scale is too large"):
+            bob_evaluate(pkg, y_scale * Y)
 
 
 def test_sample_count_mismatch_message(package):
