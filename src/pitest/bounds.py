@@ -20,8 +20,10 @@ one-hot second datasets).  Checking it visits all n^2 pairs, so it lives
 with the test suite's n^2 references in ``tests/reference.py``.
 
 :func:`evaluate_bounds` evaluates all of a report's bounds, as a
-:class:`BoundsReport`, and :func:`s_param_min` is the one statement of the
-rule that clamps its upper bound.
+:class:`BoundsReport`.  It clamps the upper bound exactly where
+:func:`upper_bound_ratio` refuses its inputs: where the transform's divisor
+``(1 - eta) s_param - tau`` is not > 0.  :func:`s_param_min` is the
+``s_param`` at which that divisor vanishes, up to rounding.
 """
 
 from __future__ import annotations
@@ -82,24 +84,32 @@ def lower_bound_ratio(ratio: float, eta: float) -> float:
     return (1.0 - eta) / (1.0 + eta) * ratio - (1.0 - eta) ** 2 / (2.0 * (1.0 + eta))
 
 
+def _divisor(eta: float, tau: float, s_param: float) -> float:
+    """``(1 - eta) s_param - tau``, the upper bound's divisor: the bound holds where it is > 0."""
+    return (1.0 - eta) * s_param - tau
+
+
 def upper_bound_ratio(ratio: float, eta: float, tau: float, s_param: float) -> float:
     """Closed-form upper bound on the private ratio.
 
     ((1 + eta) / (1 - eta)) * ratio + tau / ((1 - eta) s_param - tau)
 
-    requires the scale parameter ``s_param > tau / (1 - eta)`` so the
-    additive term is positive and finite.
+    requires the divisor ``(1 - eta) s_param - tau`` to be > 0, so that the
+    additive term is positive and finite: ``s_param > tau / (1 - eta)``, up
+    to rounding.
     """
     _check_eta(eta)
     if not (ratio >= 0.0) or not math.isfinite(ratio):
         raise InvalidInputError(f"ratio must be a finite nonnegative number, got {ratio}")
     if tau < 0.0 or not math.isfinite(tau):
         raise InvalidInputError(f"tau must be finite and >= 0, got {tau}")
-    if not (s_param > tau / (1.0 - eta)):
+    divisor = _divisor(eta, tau, s_param)
+    if not divisor > 0.0:
         raise InvalidInputError(
-            f"s_param must exceed tau/(1-eta) = {tau / (1.0 - eta):.6g}, got {s_param}"
+            f"s_param must exceed tau/(1-eta) = {tau / (1.0 - eta):.6g}, so that "
+            f"(1-eta)*s_param - tau > 0, got {s_param}"
         )
-    return (1.0 + eta) / (1.0 - eta) * ratio + tau / ((1.0 - eta) * s_param - tau)
+    return (1.0 + eta) / (1.0 - eta) * ratio + tau / divisor
 
 
 def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
@@ -117,7 +127,7 @@ def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
 
 
 def s_param_min(p: PrivacyParams) -> float:
-    """``tau_mech / (1 - eta)`` at one release's ``p``: an ``s_param`` not above it clamps ``upper``."""
+    """``tau_mech / (1 - eta)`` at one release's ``p``: up to rounding, an ``s_param`` not above it clamps ``upper``."""
     return tau_mechanism(p) / (1.0 - p.eta)
 
 
@@ -125,12 +135,14 @@ def evaluate_bounds(ratio: float, s_param: float, per_release: PrivacyParams, m:
     """The report's bounds at the private ``ratio``, for releases at ``per_release`` and m + n queries.
 
     The transforms are evaluated with ``tau_mechanism(per_release)``.  An
-    ``s_param`` not above :func:`s_param_min` clamps the upper bound to
-    ``inf`` rather than raising; ``tau_closed_form`` and ``prob_floor`` are
-    None when their union bound over the m + n queries is vacuous.
+    ``s_param`` that :func:`upper_bound_ratio` refuses, one whose divisor
+    ``(1 - eta) s_param - tau_used`` is not > 0 (one not above
+    :func:`s_param_min`, up to rounding), clamps the upper bound to ``inf``
+    rather than raising; ``tau_closed_form`` and ``prob_floor`` are None
+    when their union bound over the m + n queries is vacuous.
     """
     tau_used = tau_mechanism(per_release)
-    clamped = not (s_param > s_param_min(per_release))
+    clamped = not _divisor(per_release.eta, tau_used, s_param) > 0.0
     upper = math.inf if clamped else upper_bound_ratio(ratio, per_release.eta, tau_used, s_param)
     try:
         tau_closed: float | None = tau(per_release, m, n)

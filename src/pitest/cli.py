@@ -215,8 +215,8 @@ def _release_sections(package, Y, report) -> dict:
     ``s_share`` is w^2 (n - 1) / sx.
     A share near 1 means that statistic is mostly floor; either is null
     when its denominator is 0.  ``s_param_min`` is
-    :func:`pitest.bounds.s_param_min`: an ``s_param`` not above it clamps
-    the upper bound.
+    :func:`pitest.bounds.s_param_min`: up to rounding, an ``s_param`` not
+    above it clamps the upper bound.
     """
     per_release = package.params.half_budget()
     r, w = jl_params(per_release)

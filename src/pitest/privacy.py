@@ -73,10 +73,9 @@ LAPACK's QR inside numpy skips the zeros below it.  The scaled R factor
 replaces ``U[c:e, c:e]``, and the stack's whole Q updates, through
 ``np.matmul`` in chunks of at most ``_APPLY_FLOATS`` entries, ``D`` and
 ``U[c:e, e:]`` right of the block, the rest of the square and the
-rectangle together; a block with nothing right of it takes the R factor
-alone.  So each entry is drawn, updated by its own panel's blocks and
-scaled once, and a panel is final when its turn ends: later panels touch
-only their own rows and ``D``.  The square is then packed in place, in one
+rectangle together.  So each entry is drawn, updated by its own panel's
+blocks and scaled once, and a panel is final when its turn ends: later
+panels touch only their own rows and ``D``.  The square is then packed in place, in one
 gather through the cached mask that the analyst unpacks with, onto the
 entries just before the rectangle, which is already in packed order.
 Every block lies in one scratch array so that its packed values start at
@@ -254,8 +253,8 @@ def _unpack_triangle(triangle: np.ndarray, h: int) -> np.ndarray:
 def _check_panel(segment: np.ndarray, h: int) -> None:
     """Raise InvalidInputError unless a panel of h rows is finite with a positive diagonal.
 
-    The one check of a released panel, made on each panel Alice writes and
-    on each panel the package parser and Bob read.
+    The one check of a released panel, made on each panel where Alice
+    packs it and on each panel the package parser and Bob read.
     """
     if not np.isfinite(segment).all():
         raise InvalidInputError("projection contains non-finite entries (NaN or infinite)")
@@ -393,19 +392,15 @@ def _factor_panel(U: np.ndarray, Dt: np.ndarray, floor: float, stack: np.ndarray
     updates.  For the block of columns [c, e), the stack
     ``[D[:, c:e]; U[c:e, c:e]]`` of the dense rows over the block's square
     has one QR, and its Q updates, in one :func:`_apply_block`, the block's
-    rows and ``D`` right of the block.  Rows [c, e) are then final, so they
-    come out scaled by ``floor`` with the sign of their diagonal.
+    rows and ``D`` right of the block, which are no rows for the factor's
+    last block.  Rows [c, e) are then final, so they come out scaled by
+    ``floor`` with the sign of their diagonal.
     """
     h = U.shape[0]
     for c in range(0, h, _QR_BLOCK):
         e = min(c + _QR_BLOCK, h)
         s = e - c
-        X = np.concatenate([Dt[c:e].T, U[c:e, c:e]])
-        if e == U.shape[1]:  # nothing right of the block
-            R = np.linalg.qr(X, mode="r")
-            U[c:e, c:e] = R * np.copysign(floor, np.diagonal(R))[:, None]
-            break
-        Q, R = np.linalg.qr(X, mode="complete")
+        Q, R = np.linalg.qr(np.concatenate([Dt[c:e].T, U[c:e, c:e]]), mode="complete")
         scale = np.copysign(floor, np.diagonal(R))
         U[c:e, c:e] = R[:s] * scale[:, None]
         Q[:, :s] *= scale
@@ -427,9 +422,10 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     packed in place, through the mask :func:`_upper` that the analyst
     unpacks with, onto the entries just before the rectangle.  The block
     lies at h0 (h0 - 1) / 2 - h (h - 1) / 2, so every panel's packed values
-    start at h0 (h0 - 1) / 2.  Then ``(a, b, values)`` is yielded,
-    ``values`` a view of the scratch: the panel is final, and valid until
-    the next panel is asked for.
+    start at h0 (h0 - 1) / 2.  Each panel is checked where it is packed
+    (:func:`_check_panel`: finite, positive diagonal), and then
+    ``(a, b, values)`` is yielded, ``values`` a view of the scratch: the
+    panel is final, and valid until the next panel is asked for.
     """
     n, k = A.shape
     r, w = jl_params(p)
@@ -472,6 +468,7 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
         _factor_panel(U, Dt[a:], floor, stack)
         values = scratch[packed:end]
         values[: h * (h + 1) // 2] = square.T[_upper(h)]
+        _check_panel(values, h)
         yield a, b, values
 
 
@@ -505,21 +502,16 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
     positive diagonal of a QR of the release ``P = (1/sqrt(r)) G [F^T; w I]``,
     drawn from its exact law (see the module docstring) without drawing
     ``P``, as a factor read once: its ``panels()`` releases the packed row
-    panels, top down, each checked finite with a positive diagonal before
-    it is yielded.  Every panel is released into one reused scratch array,
-    so a yielded panel is valid until the next is asked for, and the
-    release holds O(panel + n k), nothing of the factor's size.  ``F`` and
+    panels, top down, each checked finite with a positive diagonal where it
+    is packed, before it is yielded.  Every panel is released into one
+    reused scratch array, so a yielded panel is valid until the next is
+    asked for, and the release holds O(panel + n k), nothing of the
+    factor's size.  ``F`` and
     ``p`` are checked before this returns.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n = A.shape[0]
-
-    def checked():
-        for a, b, values in _release_panels(A, p, seed):
-            _check_panel(values, b - a)
-            yield a, b, values
-
-    return _Release(min(jl_params(p).r, n), n, checked())
+    return _Release(min(jl_params(p).r, n), n, _release_panels(A, p, seed))
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:

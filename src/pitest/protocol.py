@@ -170,13 +170,6 @@ def _release_seeds(master_seed: int | None) -> tuple[int, int]:
     return int(seeds[0]), int(seeds[1])
 
 
-def _alice_inputs(X, master_seed: int | None) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``X`` checked, its Laplacian factor ``B``, and the seeds of the ``B`` and ``X`` releases."""
-    A = _as_sample_matrix(X, "X", min_rows=2)
-    seed_B, seed_X = _release_seeds(master_seed)
-    return A, factor_W(A), seed_B, seed_X
-
-
 def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
     """Build the data holder's package from her data matrix, in memory.
 
@@ -224,9 +217,10 @@ def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePa
     raises InvalidInputError when it is reached, so a writer of the parts
     must discard what it wrote.
     """
-    A, B, seed_B, seed_X = _alice_inputs(X, master_seed)
+    A = _as_sample_matrix(X, "X", min_rows=2)
+    seed_B, seed_X = _release_seeds(master_seed)
     per_release = p.half_budget()
-    factor = privatize_covariance_panels(B, per_release, seed_B)
+    factor = privatize_covariance_panels(factor_W(A), per_release, seed_B)
     sx = private_centered_sq_norm(A, per_release, seed_X)
     if not math.isfinite(sx):  # a sum of squares: it is >= 0 unless it overflowed
         w = jl_params(per_release).w  # the floor adds about w^2 (n - 1) to sx

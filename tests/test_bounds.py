@@ -84,6 +84,33 @@ def test_evaluate_bounds_clamps_at_exactly_s_param_min():
         assert report.tau_closed_form is None and report.prob_floor is None  # (2 + 200) 0.05 >= 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    epsilon=st.floats(1e-2, 1e2),
+    delta=st.floats(1e-10, 0.5),
+    eta=st.floats(0.01, 0.99),
+    nu=st.floats(1e-10, 0.5),
+    ratio=st.floats(0.0, 10.0),
+)
+def test_evaluate_bounds_at_and_beside_s_param_min_clamps_what_the_transform_refuses(
+    epsilon, delta, eta, nu, ratio
+):
+    """At s_param_min and its two float neighbours nothing raises, ``upper`` is infinite exactly
+    when clamped, and the clamped inputs are exactly those the upper transform refuses."""
+    p = PrivacyParams(epsilon, delta, eta, nu)
+    floor, tau_mech = s_param_min(p), tau_mechanism(p)
+    below = math.nextafter(floor, -math.inf)
+    for s_param in (below, floor, math.nextafter(floor, math.inf)):
+        report = evaluate_bounds(ratio, s_param, p, 2, 200)
+        assert (report.upper == math.inf) == report.s_param_clamped
+        if report.s_param_clamped:
+            with pytest.raises(InvalidInputError):
+                upper_bound_ratio(ratio, p.eta, tau_mech, s_param)
+        else:
+            assert report.upper == upper_bound_ratio(ratio, p.eta, tau_mech, s_param)
+    assert evaluate_bounds(ratio, below, p, 2, 200).s_param_clamped
+
+
 @pytest.mark.parametrize("bad_ratio", [-0.1, math.nan, math.inf])
 def test_bounds_reject_bad_ratio(bad_ratio):
     with pytest.raises(InvalidInputError):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from pitest import cli, ioutil, laws, privacy
+from pitest.bounds import s_param_min
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
 from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputError, ShapeError
@@ -167,17 +168,16 @@ def test_alice_leaves_nothing_when_a_later_panel_is_not_finite(tmp_path, monkeyp
     X, _ = synthetic_pair(n=n, d=2, m=1, dependence=0.0, seed=1)
     save_csv(tmp_path / "x.csv", X)
     out_dir = tmp_path / "out"
-    release = privacy._release_panels
+    factor = privacy._factor_panel
     partial = []
 
-    def poisoned(A, p, seed):
-        for a, b, values in release(A, p, seed):
-            if b == 45:
-                partial.extend(path.stat().st_size for path in out_dir.iterdir())
-                values[1] = math.nan  # an entry right of the diagonal
-            yield a, b, values
+    def poisoned(U, Dt, floor, stack):
+        factor(U, Dt, floor, stack)
+        if U.shape[1] == n - 32:  # the panel [32, 45), before the release checks it
+            partial.extend(path.stat().st_size for path in out_dir.iterdir())
+            U[0, 1] = math.nan  # an entry right of the diagonal
 
-    monkeypatch.setattr(privacy, "_release_panels", poisoned)
+    monkeypatch.setattr(privacy, "_factor_panel", poisoned)
     rc = main(["alice", "--input", str(tmp_path / "x.csv"), *ALICE_ARGS, "--out", str(out_dir / "pkg.bin")])
     assert rc == 1
     assert "error: projection contains non-finite entries" in capsys.readouterr().err
@@ -430,6 +430,23 @@ def test_bob_reports_the_floor_share_of_each_statistic(data_dir, tmp_path, capsy
     assert floor["s_share"] == pytest.approx(w**2 * 19 / package.sx, rel=1e-15)
     assert floor["s_param_min"] == pytest.approx(tau_mechanism(half) / 0.5, rel=1e-15)
     assert 0.0 < floor["omega_share"] and 0.0 < floor["s_share"]
+
+
+def test_bob_one_float_above_s_param_min_clamps_the_upper_bound(data_dir, tmp_path, capsys):
+    """At epsilon 3 the upper bound's divisor (1 - eta) s_param - tau_mech is exactly 0 one
+    float above s_param_min, so the bound is clamped, not divided by zero."""
+    pkg, report = tmp_path / "pkg.bin", tmp_path / "report.json"
+    assert main(["alice", "--input", str(data_dir / "x.csv"), "--epsilon", "3", "--seed", "1",
+                 "--out", str(pkg)]) == 0
+    s_param = math.nextafter(s_param_min(PrivacyParams(3.0, 2e-4, 0.1, 0.05).half_budget()), math.inf)
+    assert s_param == 1621832558.9560668
+    rc = main(["bob", "--package", str(pkg), "--input", str(data_dir / "y.csv"),
+               "--s-param", repr(s_param), "--report", str(report)])
+    capsys.readouterr()
+    assert rc == 0
+    bounds = json.loads(report.read_text())["bounds"]
+    assert bounds["s_param"] == s_param
+    assert bounds["s_param_clamped"] is True and bounds["upper"] is None
 
 
 def test_bob_degenerate_input_still_exits_zero(data_dir, tmp_path, capsys):

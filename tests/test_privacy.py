@@ -342,12 +342,12 @@ def test_release_applies_each_reflector_block_once(monkeypatch):
 
     So a panel of h rows makes ceil(h / 32) calls of ``np.linalg.qr``, each
     of a (k1 + s) x s stack for s <= 32, and one ``_apply_block`` for each
-    block with columns right of it, the rest of the square and the
-    rectangle together; a release that factored an earlier block again, for
-    a later panel or block, or split an update, would make more.  n = 2000
-    and r = 2952: 31 panels of 64 rows and one of 16, so 63 QRs and 62
-    updates; and panels of 48 rows of a 150-row factor, 4 panels, 7 QRs and
-    6 updates.
+    block, of the columns right of it, the rest of the square and the
+    rectangle together (the factor's last block has none); a release that
+    factored an earlier block again, for a later panel or block, or split an
+    update, would make more.  n = 2000 and r = 2952: 31 panels of 64 rows
+    and one of 16, so 63 QRs and 63 updates, the last of no rows; and panels
+    of 48 rows of a 150-row factor, 4 panels, 7 QRs and 7 updates.
     """
     qr, apply_block = np.linalg.qr, privacy._apply_block
     stacks, updates = [], []
@@ -375,8 +375,9 @@ def test_release_applies_each_reflector_block_once(monkeypatch):
         assert all(s <= 32 and m == k + s for m, s in stacks)
         # the columns right of each block, which its one update covers
         right = [n - a - min(c + 32, b - a) for a, b in panels for c in range(0, b - a, 32)]
-        assert [m for m, _ in updates] == [m for m in right if m]
-        assert len(updates) == (62 if height is None else 6)
+        assert [m for m, _ in updates] == right
+        assert right[-1] == 0 and right.count(0) == 1
+        assert len(updates) == (63 if height is None else 7)
 
 
 @pytest.mark.parametrize("h", [1, 2, 15, 16, 17, 64, 200, 256])
