@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import errno
-import functools
 import os
-import sys
 import tempfile
 from pathlib import Path
 from typing import Iterable
@@ -16,51 +14,22 @@ __all__ = ["atomic_write_bytes", "atomic_write_text"]
 _NO_PREALLOCATION = (errno.EOPNOTSUPP, errno.EINVAL)
 
 
-@functools.cache
-def _fallocate():
-    """The call that preallocates a file: ``fallocate(2)`` on Linux, else ``os.posix_fallocate``, else None.
-
-    On Linux, glibc's ``posix_fallocate`` does not pass on a file system's
-    EOPNOTSUPP (NFSv3, many FUSE mounts, ext3 without extents): it writes
-    one zero byte into every block instead, a second pass over the file.
-    The same one-byte writes, made from Python, took a 16 MB write to a
-    fresh path from 5.2 to 26.0 ms on ext4 and from 7.8 to 16.2 ms on
-    tmpfs (medians of 15, 2-core VM).  ``fallocate(2)`` itself answers EOPNOTSUPP, and the file is then
-    written as it comes.  ``os.posix_fallocate`` is missing on macOS.
-    """
-    if not sys.platform.startswith("linux"):
-        return getattr(os, "posix_fallocate", None)
-    import ctypes
-
-    libc = ctypes.CDLL(None, use_errno=True)
-    # fallocate64 takes 64-bit offsets on 32-bit glibc too; musl has only
-    # fallocate, whose off_t is always 64-bit.
-    call = getattr(libc, "fallocate64", None) or libc.fallocate
-    call.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
-    call.restype = ctypes.c_int
-
-    def fallocate(fd: int, offset: int, length: int) -> None:
-        while call(fd, 0, offset, length) != 0:
-            err = ctypes.get_errno()
-            if err != errno.EINTR:
-                raise OSError(err, os.strerror(err))
-
-    return fallocate
-
-
 def _preallocate(fd: int, size: int) -> None:
     """Reserve ``size`` bytes of blocks for the file ``fd``, where the platform and file system can.
 
     A file whose blocks are allocated before it is written holds no
     delayed-allocation blocks, so renaming it over an existing file (ext4's
-    ``auto_da_alloc``) does not flush it.  Any other failure, a full disk
-    (ENOSPC) or a size over the file system's limit (EFBIG), is raised.
+    ``auto_da_alloc``) does not flush it.  ``os.posix_fallocate`` is missing
+    on macOS; where the C library passes on a file system's refusal
+    (EOPNOTSUPP, or EINVAL, which size 0 also gets), the file is written as
+    it comes.  glibc does not pass on EOPNOTSUPP: it writes one byte into
+    every block instead.  Any other failure, a full disk (ENOSPC) or a size
+    over the file system's limit (EFBIG), is raised.
     """
-    fallocate = _fallocate()
-    if fallocate is None:
+    if not hasattr(os, "posix_fallocate"):
         return
     try:
-        fallocate(fd, 0, size)
+        os.posix_fallocate(fd, 0, size)
     except OSError as exc:
         if exc.errno not in _NO_PREALLOCATION:
             raise

@@ -85,7 +85,10 @@ writer ships each panel as it finishes, or the analyst sums it, and holds
 O(panel + n k), nothing of the factor's size.  Its values agree with LAPACK's one-shot QR of the same draw
 (``dtpqrt`` and ``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of
 the factor's largest entry; they round differently, and a seed gives one
-fixed set of bytes on a given numpy and BLAS.
+fixed set of bytes on a given numpy and BLAS at a given BLAS thread count.
+Between 1 and 2 OpenBLAS threads, at d = 40 and n = 1500, 5,280 of the
+factor's 1,125,750 entries differed, by at most 4.2e-17 of its largest
+entry (sx was equal); at d = 2 the bytes were equal.
 
 The analyst's product ``R V`` runs one panel at a time too: the panel's
 packed triangle is scattered, through one cached boolean mask, into a new

@@ -1,4 +1,5 @@
-"""End-to-end command-line tests, run in-process through main(argv)."""
+"""End-to-end command-line tests, run in-process through main(argv), or in a
+subprocess where the process's environment matters."""
 
 import codecs
 import errno
@@ -10,14 +11,17 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pitest import cli, ioutil, laws, privacy
+from pitest import cli, laws, privacy
 from pitest.bounds import s_param_min
 from pitest.cli import main
 from pitest.data import load_csv, save_csv, synthetic_pair
@@ -198,7 +202,7 @@ def test_alice_on_a_full_disk_keeps_the_old_package_and_releases_nothing(tmp_pat
         raise OSError(errno.ENOSPC, "No space left on device")
 
     factored = []
-    monkeypatch.setattr(ioutil, "_fallocate", lambda: full)
+    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
     monkeypatch.setattr(privacy, "_factor_panel", lambda *args: factored.append(args))
     rc = main(["alice", "--input", str(tmp_path / "x.csv"), *ALICE_ARGS, "--out", str(out)])
     captured = capsys.readouterr()
@@ -318,6 +322,24 @@ def test_bob_reports_eta_too_small_in_a_header_as_an_error(data_dir, tmp_path, c
                "--report", str(tmp_path / "report.json")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: invalid privacy parameters: eta = 1e-200")
+
+
+def test_a_seeded_package_at_d_2_has_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """README's reproducibility claim at d = 2: OpenBLAS's thread count leaves the bytes alone."""
+    X, _ = synthetic_pair(n=200, d=2, m=2, dependence=0.3, x_scale=3e4, seed=1)
+    save_csv(tmp_path / "x.csv", X)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    packages = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"pkg{threads}.bin"
+        subprocess.run([sys.executable, "-m", "pitest.cli", "alice", "--input", str(tmp_path / "x.csv"),
+                        "--epsilon", "1", "--delta", "1e-4", "--eta", "0.1", "--nu", "1e-4",
+                        "--seed", "1", "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        packages.append(out.read_bytes())
+    assert packages[0] == packages[1]
 
 
 def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):

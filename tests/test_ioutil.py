@@ -2,12 +2,11 @@
 
 import errno
 import os
-import sys
 
 import pytest
 
 from pitest import ioutil
-from pitest.ioutil import atomic_write_bytes
+from pitest.ioutil import atomic_write_bytes, atomic_write_text
 
 PREVIOUS = b"previous package\n\x00\x01"
 NEW = (b"new header\n", memoryview(b"new payload"))
@@ -92,7 +91,7 @@ def test_the_temporary_file_is_preallocated_before_the_first_part(tmp_path, monk
     def spy(fd, offset, length):
         calls.append((offset, length, parts.taken))
 
-    monkeypatch.setattr(ioutil, "_fallocate", lambda: spy)
+    monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
     assert atomic_write_bytes(target, parts, NEW_SIZE) == NEW_SIZE
     assert calls == [(0, NEW_SIZE, 0)]
     _assert_only(tmp_path, target, NEW_CONTENT)
@@ -104,12 +103,12 @@ def test_a_file_system_that_cannot_preallocate_is_written_as_it_comes(answer, tm
     target = tmp_path / "pkg.bin"
     target.write_bytes(PREVIOUS)
     if answer is None:
-        monkeypatch.setattr(ioutil, "_fallocate", lambda: None)
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
     else:
         def refuse(fd, offset, length):
             raise OSError(answer, os.strerror(answer))
 
-        monkeypatch.setattr(ioutil, "_fallocate", lambda: refuse)
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
     assert atomic_write_bytes(target, _Parts(*NEW), NEW_SIZE) == NEW_SIZE
     _assert_only(tmp_path, target, NEW_CONTENT)
 
@@ -122,7 +121,7 @@ def test_a_failed_preallocation_consumes_no_part_and_keeps_the_target(answer, tm
     def refuse(fd, offset, length):
         raise OSError(answer, os.strerror(answer))
 
-    monkeypatch.setattr(ioutil, "_fallocate", lambda: refuse)
+    monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
     parts = _Parts(*NEW)
     with pytest.raises(OSError) as raised:
         atomic_write_bytes(target, parts, NEW_SIZE)
@@ -140,23 +139,16 @@ def test_parts_of_another_total_than_the_size_keep_the_target(size, tmp_path):
     _assert_only(tmp_path, target, PREVIOUS)
 
 
-linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fallocate(2) is Linux's")
+def test_an_empty_text_replaces_the_target(tmp_path):
+    """Through the real call: size 0 is answered EINVAL, and the empty file is written as it comes."""
+    target = tmp_path / "pkg.bin"
+    target.write_bytes(PREVIOUS)
+    atomic_write_text(target, "")
+    _assert_only(tmp_path, target, b"")
 
 
-@linux_only
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no os.posix_fallocate (macOS)")
 def test_fallocate_reserves_the_length(tmp_path):
     with open(tmp_path / "f.bin", "wb") as handle:
-        ioutil._fallocate()(handle.fileno(), 0, 1 << 20)
+        ioutil._preallocate(handle.fileno(), 1 << 20)
         assert os.fstat(handle.fileno()).st_size == 1 << 20
-
-
-@linux_only
-def test_fallocate_raises_the_errno_it_is_answered(tmp_path):
-    """fallocate(2) is called through ctypes, so its answer must come back as OSError's errno."""
-    with open(tmp_path / "f.bin", "wb") as handle:
-        with pytest.raises(OSError) as raised:
-            ioutil._fallocate()(handle.fileno(), 0, -1)
-        assert raised.value.errno == errno.EINVAL
-    with pytest.raises(OSError) as raised:
-        ioutil._fallocate()(-1, 0, 1)
-    assert raised.value.errno == errno.EBADF

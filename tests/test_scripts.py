@@ -10,8 +10,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = [
     ("level_power.py", ["--ns", "30", "--trials", "5", "--epsilons", "1,1e4"],
      "5 trials per row, alpha = 0.05; band: "),
-    ("sweep_table.py", ["--n", "20", "--replications", "2", "--epsilons", "1,2", "--etas", "0.5"],
-     "eps   eta | "),
 ]
 
 
