@@ -84,8 +84,9 @@ a factor read once, whose panels are each a view of that scratch: a
 writer ships each panel as it finishes, or the analyst sums it, and holds
 O(panel + n k), nothing of the factor's size.  Its values agree with LAPACK's one-shot QR of the same draw
 (``dtpqrt`` and ``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of
-the factor's largest entry; they round differently, and a seed gives one
-fixed set of bytes on a given numpy and BLAS at a given BLAS thread count.
+the factor's largest entry; they round differently.  Every draw comes from
+SFC64 (:func:`_release_rng`), and a seed gives one fixed set of bytes on a
+given numpy and BLAS at a given BLAS thread count.
 Between 1 and 2 OpenBLAS threads, at d = 40 and n = 1500, 5,280 of the
 factor's 1,125,750 entries differed, by at most 4.2e-17 of its largest
 entry (sx was equal); at d = 2 the bytes were equal.
@@ -147,9 +148,10 @@ __all__ = [
 # of the release factor (1 MiB, so a panel stays small beside the factor).
 # Both fix the wire layout through :func:`_panel_height`, so changing
 # either is a format change.  Measured on a release at n = 2000, r = 2952
-# (2-core box, medians of 15 interleaved repetitions): 2**16, 2**17, 2**18
-# and 2**19 entries (panels of 32, 64, 128 and 256 rows) took 67, 66, 67
-# and 70 ms, the normals alone about 40 ms.
+# drawn from SFC64 (2-core Xeon, medians of 15 interleaved repetitions):
+# 2**16, 2**17, 2**18 and 2**19 entries (panels of 32, 64, 128 and 256
+# rows) took 31.5, 30.3, 31.2 and 31.7 ms, and its 2.0 M normals alone
+# about 20.5 ms.
 _REFLECTOR_BLOCK = 16
 _PANEL_FLOATS = 2**17
 
@@ -410,6 +412,23 @@ def _factor_panel(U: np.ndarray, Dt: np.ndarray, floor: float, stack: np.ndarray
         _apply_block(Q, Dt[e:], U[c:e, e:].T, stack)
 
 
+def _release_rng(seed: int) -> np.random.Generator:
+    """The generator of one release's noise: SFC64, seeded through ``SeedSequence(seed)``.
+
+    The one source of every draw of Alice's releases, the factor's
+    (:func:`_release_panels`) and sx's (:func:`private_centered_sq_norm`).
+    Neither SFC64 nor numpy's default PCG64 is a cryptographic generator,
+    and numpy offers none: the noise stays secret only as long as the
+    generator's state cannot be recovered from the release, which ships
+    no seed and no raw output (README, "Threat model of the release
+    noise").  SFC64 was taken for speed: 2.0 M normals, the draw of a
+    release at n = 2000, took 20.5 ms against 24.8 ms from PCG64, and the
+    whole release 31.3 ms against 36.5 ms (2-core Xeon, interleaved
+    medians).
+    """
+    return np.random.Generator(np.random.SFC64(int(seed)))
+
+
 def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     """Yield the release factor ``R`` of the n x k factor ``A``, one row panel at a time.
 
@@ -435,7 +454,7 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     k1, rows = min(r, k), min(r, n)
     q = min(r - k1, n)
     dof = float(r) - k1  # r may exceed int64
-    rng = np.random.default_rng(int(seed))
+    rng = _release_rng(seed)
     T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
     T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
     # The dense rows of T A_hat, over w: T11 A^T / w + T12, held transposed
@@ -525,12 +544,14 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     carries that release's privacy guarantee; it is not the value of any
     release drawn from this seed.  It is the one number the analyst's denominator
     needs from the release of ``X X^T``: ``||P J||_F^2`` for the centering
-    matrix ``J``.  Nothing of size r is drawn or held.
+    matrix ``J``.  Its chi-square draws come from the release's generator,
+    SFC64 seeded with ``seed`` (:func:`_release_rng`).  Nothing of size r
+    is drawn or held.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     r, w = jl_params(p)
     law = centered_sq_norm_law(centered_spectrum(A), A.shape[0], r, w)
-    return float(law.draws(np.random.default_rng(int(seed)), 1)[0])
+    return float(law.draws(_release_rng(seed), 1)[0])
 
 
 def private_sum_directional_variances(P, V) -> float:

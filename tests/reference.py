@@ -390,7 +390,7 @@ def dense_release(F, p: PrivacyParams, seed: int) -> np.ndarray:
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n, k = A.shape
     r, w = jl_params(p)
-    T1, R = _draw_bartlett(np.random.default_rng(int(seed)), r, k, n)
+    T1, R = _draw_bartlett(privacy._release_rng(seed), r, k, n)
     _factor_from_bartlett(A, w, r, T1, R)
     return pack_factor(R)
 

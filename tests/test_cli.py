@@ -34,7 +34,9 @@ from pitest.privacy import (
 )
 from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.protocol import (
+    _release_seeds,
     alice_prepare,
+    alice_stream,
     bob_evaluate,
     factor_W,
     read_package,
@@ -368,7 +370,7 @@ def test_seed_warns_because_a_known_seed_reveals_x(data_dir, tmp_path, capsys):
     R = unpack_factor(*held(_read(out.read_bytes()).proj_B))
     (n, k), (r, w) = X.shape, jl_params(params.half_budget())
     release_seed = int(np.random.SeedSequence(11).generate_state(2, np.uint64)[0])
-    T1, T22 = _draw_bartlett(np.random.default_rng(release_seed), r, k, n)
+    T1, T22 = _draw_bartlett(privacy._release_rng(release_seed), r, k, n)
     gram = r * (R.T @ R) - w**2 * (T22.T @ T22)  # D^T D
     lam, V = np.linalg.eigh(gram)
     D0 = np.sqrt(lam[-k:])[:, None] * V[:, -k:].T  # D = O D0
@@ -823,6 +825,37 @@ def test_sweep_makes_one_generator_per_cell(data_dir, monkeypatch):
                       delta=0.01, nu=0.5, master_seed=3)
     run_sweep(cfg, load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv"))
     assert len(made) == 10
+
+
+def test_releases_draw_from_sfc64_through_one_owner(data_dir, monkeypatch):
+    """Alice's package makes two generators, one per release seed, both SFC64 from
+    privacy._release_rng and none from default_rng; the sweep, which draws no secret
+    noise, makes none through _release_rng."""
+    made, defaults = [], []
+    release_rng, default_rng = privacy._release_rng, np.random.default_rng
+
+    def counting(seed):
+        rng = release_rng(seed)
+        made.append((seed, rng))
+        return rng
+
+    def counting_default(*args, **kwargs):
+        defaults.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "_release_rng", counting)
+    monkeypatch.setattr(np.random, "default_rng", counting_default)
+    X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
+    pkg = alice_stream(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 3)
+    for _ in pkg.proj_B.panels():
+        pass
+    assert sorted(seed for seed, _ in made) == sorted(_release_seeds(3))
+    assert all(type(rng.bit_generator) is np.random.SFC64 for _, rng in made)
+    assert defaults == []
+    made.clear()
+    cfg = SweepConfig(epsilons=(1.0, 8.0), replications=4, eta_values=(0.5,), delta=0.01, nu=0.5)
+    run_sweep(cfg, X, Y)
+    assert made == [] and len(defaults) == 2
 
 
 @pytest.mark.parametrize("value", [0.5, 0.1])

@@ -172,7 +172,7 @@ def test_privatize_is_projection_of_augmented_factor():
     F = np.random.default_rng(1).standard_normal((5, 2))
     R = unpack_factor(*released(F, p, seed=99))
     # the release: T drawn from the seed, then R from T, as LAPACK factors it
-    T1, expected = _draw_bartlett(np.random.default_rng(99), r, 2, 5)
+    T1, expected = _draw_bartlett(privacy._release_rng(99), r, 2, 5)
     T = _bartlett_whole(T1, expected, r, 2)
     _factor_from_bartlett(F, w, r, T1, expected)
     assert relative_gap(R, expected) <= LAPACK_AGREEMENT
@@ -191,7 +191,7 @@ def test_privatize_draws_and_projects_row_blocks():
     P = released(F, p, seed=99)
     assert (P.rows, P.n) == (r, n)
     R = unpack_factor(*P)
-    T1, expected = _draw_bartlett(np.random.default_rng(99), r, k, n)
+    T1, expected = _draw_bartlett(privacy._release_rng(99), r, k, n)
     # the one-shot triangular-pentagonal QR over all n columns, T22 padded square
     T22 = np.zeros((n, n), order="F")
     T22[:r] = expected
@@ -218,7 +218,7 @@ def test_packed_values_are_the_upper_trapezoid_of_the_factor(n):
     k = 2
     F = np.random.default_rng(n).standard_normal((n, k))
     P = released(F, p, seed=99)
-    T1, R = _draw_bartlett(np.random.default_rng(99), r, k, n)
+    T1, R = _draw_bartlett(privacy._release_rng(99), r, k, n)
     _factor_from_bartlett(F, w, r, T1, R)
     rows = min(r, n)
     assert P.values.size == pack_factor(R).size == rows * (rows + 1) // 2 + (n - rows) * rows

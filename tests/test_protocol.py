@@ -786,7 +786,7 @@ def test_payload_is_the_factor_in_row_panels(monkeypatch):
     # of LAPACK's factor to LAPACK_AGREEMENT
     F = factor_W(np.random.default_rng(2).standard_normal((n, 2)))
     r, w = jl_params(PARAMS.half_budget())
-    T1, dense = _draw_bartlett(np.random.default_rng(4), r, 2, n)
+    T1, dense = _draw_bartlett(privacy._release_rng(4), r, 2, n)
     _factor_from_bartlett(F, w, r, T1, dense)
     values = released(F, PARAMS.half_budget(), 4).values
     scale = np.max(np.abs(dense))
@@ -813,7 +813,7 @@ def test_one_panel_payload_is_the_upper_trapezoid_column_by_column(n):
     rows = min(r, n)
     assert privacy._panel_height(rows, n) == rows
     B = factor_W(X)
-    T1, dense = _draw_bartlett(np.random.default_rng(6), r, 2, n)
+    T1, dense = _draw_bartlett(privacy._release_rng(6), r, 2, n)
     _factor_from_bartlett(B, w, r, T1, dense)
     pkg = AlicePackage(PARAMS, released(B, half, 6), sx=1.0)
     payload = np.frombuffer(_header_and_payload(encoded(pkg))[1], dtype="<f8")
