@@ -3,7 +3,8 @@
 
 Every trial draws a fresh (X, Y) from ``synthetic_pair`` (d = 2, m = 1),
 shifts Y by the row's offset in units of its sd, and draws Bob's
-``(omega_bar_sq, s_bar)`` once per epsilon from ``pitest.laws``: the exact
+``(omega_bar_sq, s_bar)`` once per epsilon from ``pitest.laws``, all
+epsilons of a trial from one batched law and one generator: the exact
 law of what ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no
 package released, and judges each draw with ``pitest.estimators.decide``:
 the rule rejects when ``n omega_bar_sq / s_bar`` exceeds the level-alpha
@@ -70,9 +71,9 @@ def main():
                                   seed=args.seed + t)
             Y = Y + offset * Y.std(axis=0)
             rng = np.random.default_rng([args.seed, t])
-            for i, law in enumerate(statistics_laws(X, Y, params)):
-                omega_bar_sq, s_bar = law.draws(rng, 1)
-                rejected[i] += bool(decide(omega_bar_sq[0], s_bar[0], n, args.alpha).reject)
+            omega_bar_sq, s_bar = statistics_laws(X, Y, params).draws(rng, 1)
+            for i, (omega_i, s_i) in enumerate(zip(omega_bar_sq[:, 0], s_bar[:, 0])):
+                rejected[i] += bool(decide(omega_i, s_i, n, args.alpha).reject)
         for epsilon, count in zip(epsilons, rejected):
             mark = " below" if count < low else " above" if count > high else ""
             band = f"[{low}, {high}]{mark}" if dependence == 0.0 else ""

@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="privacy-utility sweep over (epsilon, eta)",
         description="Privacy-utility sweep over (epsilon, eta). Each trial draws the two private "
                     "statistics from the exact law of what alice then bob would report, without "
-                    "releasing a package; every column comes from one stream per cell, keyed "
-                    "by --seed and the cell's indices. "
+                    "releasing a package; the whole grid comes from one stream seeded with "
+                    "--seed, so a row depends on the grid it is drawn with. "
                     "The closing line counts the trials whose s_bar was not > 0; each makes its "
                     "cell's gamma columns NaN.")
     p_sweep.add_argument("--input-x", required=True, help="CSV file with X")

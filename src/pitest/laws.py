@@ -35,10 +35,13 @@ of ``C``
     ||P V||_F^2 = sum_{j<=m} mu_j g_j / r,     g_j ~ chi^2_r, independent,
 
 which :func:`projected_sq_norm_laws` builds from ``F^T V`` and ``V^T V``
-alone, in O(n k m).  Both laws have one sampler, :meth:`ChiSquareMix.draws`,
-which draws any number of values from one generator, one chi-square
-array per term.  Each draw is divided by r before it is weighted, so a
-value stays finite when r is too large for ``w^2 r``.
+alone, in O(n k m).  Each law is built for a batch of parameters at once,
+one ``(r, w)`` per entry of the batch (a batch of shape ``()`` is one law),
+and both have one sampler, :meth:`ChiSquareMix.draws`, which draws any
+number of values of every law of a batch from one generator with one
+chi-square call per term, so a grid of parameters costs no Python loop.
+Each draw is divided by r before it is weighted, so a value stays finite
+when r is too large for ``w^2 r``.
 
 The analyst queries the release of ``B B^T`` with the columns of
 :func:`query_matrix` of ``Y`` and reports
@@ -48,9 +51,9 @@ The analyst queries the release of ``B B^T`` with the columns of
 (:func:`private_statistics`, with ``||Yc||_F^2`` from :func:`yc_sq`).  The
 two releases are independent, so :func:`statistics_laws` draws
 ``(omega_bar_sq, s_bar)`` with the joint law of what
-``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, for each of a list
-of parameters, with no package released or reduced.  The draws are values
-of the laws, not the values of any release drawn from a seed.
+``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, at every parameter
+of a batch, with no package released or reduced.  The draws are values of
+the laws, not the values of any release drawn from a seed.
 """
 
 from __future__ import annotations
@@ -70,25 +73,36 @@ __all__ = ["ChiSquareMix", "StatisticsLaw", "centered_spectrum", "centered_sq_no
 
 
 class ChiSquareMix(NamedTuple):
-    """The law of ``sum_j weights_j g_j / r + floor h / r``, drawn from a generator.
+    """A batch of laws ``sum_j weights_j g_j / r + floor h / r``, drawn from a generator.
 
     ``g_j ~ chi^2_r`` and ``h ~ chi^2_{r dof}``, all independent (no ``h``
     when ``dof`` is 0): the law of a sum of squares of a release, see the
-    module docstring.  Each draw is divided by r before it is weighted, so
-    a value stays finite when r is too large for ``w^2 r``.
+    module docstring.  ``weights`` has the shape ``(..., q)``, and ``r`` and
+    ``floor`` give one value per entry of the batch shape ``...``, which is
+    ``()`` for one law.  Each draw is divided by r before it is weighted,
+    so a value stays finite when r is too large for ``w^2 r``.
     """
 
     weights: np.ndarray
-    r: int
-    floor: float = 0.0
+    r: np.ndarray
+    floor: np.ndarray | float = 0.0
     dof: int = 0
 
     def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` independent values of the law, from ``rng``: one chi-square array per term."""
-        rf = float(self.r)  # r may exceed int64, and w^2 r may exceed float64
-        total = (rng.chisquare(rf, size=(size, self.weights.size)) / rf) @ self.weights
-        if self.dof:
-            total += self.floor * (rng.chisquare(rf * self.dof, size) / rf)
+        """``size`` independent values of each law of the batch, from ``rng``: shape ``(..., size)``.
+
+        One chi-square array per term, filled in the batch's order, so a
+        batch of one law draws what that law draws alone.
+        """
+        batch, q = self.weights.shape[:-1], self.weights.shape[-1]
+        # r may exceed int64, and w^2 r may exceed float64
+        rf = np.asarray(self.r, dtype=float)[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a value not finite
+            g = rng.chisquare(rf[..., None], size=(*batch, size, q)) / rf[..., None]
+            total = (g @ self.weights[..., None])[..., 0]
+            if self.dof:
+                h = rng.chisquare(rf * self.dof, size=(*batch, size)) / rf
+                total += np.asarray(self.floor)[..., None] * h
         return total
 
 
@@ -116,29 +130,41 @@ def centered_spectrum(A: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_centered(A), compute_uv=False)[q - 1 :: -1] ** 2
 
 
-def centered_sq_norm_law(lam: np.ndarray, n: int, r: int, w: float) -> ChiSquareMix:
-    """The law of ``||P J||_F^2`` at ``(r, w)``, for n samples whose centred spectrum is ``lam``."""
-    w2 = w * w
-    return ChiSquareMix(lam + w2, r, w2, n - 1 - lam.size)
+def _squared(w) -> np.ndarray:
+    """``w * w`` elementwise, for a floor or an array of floors: an overflow is inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return np.square(np.asarray(w, dtype=float))
 
 
-def projected_sq_norm_laws(FtV: np.ndarray, VtV: np.ndarray, params) -> list[ChiSquareMix]:
+def centered_sq_norm_law(lam: np.ndarray, n: int, r, w) -> ChiSquareMix:
+    """The law of ``||P J||_F^2`` at ``(r, w)``, for n samples whose centred spectrum is ``lam``.
+
+    ``r`` and ``w`` are numbers, for one law, or arrays of one batch shape,
+    for a batch of laws.
+    """
+    w2 = _squared(w)
+    return ChiSquareMix(lam + w2[..., None], np.asarray(r, dtype=float), w2, n - 1 - lam.size)
+
+
+def projected_sq_norm_laws(FtV: np.ndarray, VtV: np.ndarray, params) -> ChiSquareMix:
     """The laws of ``||P V||_F^2`` for a release of ``F F^T`` at each ``(r, w)`` of ``params``.
 
-    The weights of the law at ``(r, w)`` are the eigenvalues of
+    ``params`` is one ``(r, w)``, for one law, or an array-like of them of
+    shape ``(..., 2)``, for a batch of laws of the shape ``...``.  The
+    weights of the law at ``(r, w)`` are the eigenvalues of
     ``C = (F^T V)^T (F^T V) + w^2 V^T V`` (see the module docstring),
-    clipped at 0 against rounding; the matrices of all of ``params`` go
+    clipped at 0 against rounding; the matrices of the whole batch go
     through one stacked ``eigvalsh``.  When ``w^2`` overflows, ``C`` is not
     finite and neither is any draw; the weights are then infinite, as a
     draw of ``sx`` is, and the caller refuses the value.
     """
-    w2 = np.array([w * w for _, w in params])  # float products: an overflow is inf, unwarned
+    r, w = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # a C that is not finite is refused below
-        C = FtV.T @ FtV + w2[:, None, None] * VtV
-    finite = np.isfinite(C).all(axis=(1, 2))
-    weights = np.full(C.shape[:2], math.inf)
+        C = FtV.T @ FtV + _squared(w)[..., None, None] * VtV
+    finite = np.isfinite(C).all(axis=(-2, -1))
+    weights = np.full(C.shape[:-1], math.inf)
     weights[finite] = np.maximum(np.linalg.eigvalsh(C[finite]), 0.0)
-    return [ChiSquareMix(mu, r) for mu, (r, _) in zip(weights, params)]
+    return ChiSquareMix(weights, r)
 
 
 def check_sx(sx: float) -> None:
@@ -175,11 +201,12 @@ def private_statistics(n: int, answers, sx, yc: float):
 
 
 class StatisticsLaw(NamedTuple):
-    """The joint law of the analyst's ``(omega_bar_sq, s_bar)`` at one set of parameters.
+    """The joint law of the analyst's ``(omega_bar_sq, s_bar)`` at a batch of parameters.
 
     ``answer`` is the law of ``||R Q||_F^2`` and ``sx`` that of the X
-    release's centred sum of squares, for data of n samples whose ``Y``
-    has the centred sum of squares ``yc``; built by :func:`statistics_laws`.
+    release's centred sum of squares, batches of one shape, for data of n
+    samples whose ``Y`` has the centred sum of squares ``yc``; built by
+    :func:`statistics_laws`.
     """
 
     answer: ChiSquareMix
@@ -188,11 +215,13 @@ class StatisticsLaw(NamedTuple):
     yc: float
 
     def draws(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """``size`` independent draws of ``(omega_bar_sq, s_bar)`` from ``rng``: answers first, then sx.
+        """``size`` independent draws of ``(omega_bar_sq, s_bar)`` at each parameter of the batch.
 
-        The statistics are computed as on Python floats: an overflow is
-        inf, unwarned.  A draw of ``sx`` is >= 0 or not finite, so raises
-        InvalidInputError for the first draw whose ``sx`` a package would
+        Both have the shape ``(..., size)``, from ``rng``: the whole
+        batch's answers first, then its values of sx.  The statistics are
+        computed as on Python floats: an overflow is inf, unwarned.  A draw
+        of ``sx`` is >= 0 or not finite, so raises InvalidInputError for
+        the first draw, in the batch's order, whose ``sx`` a package would
         refuse (:func:`check_sx`), or else whose ``omega_bar_sq`` is not
         finite.
         """
@@ -203,27 +232,29 @@ class StatisticsLaw(NamedTuple):
         finite = np.isfinite(sx) & np.isfinite(omega_bar_sq)
         if not finite.all():
             first = np.argmin(finite)
-            check_sx(float(sx[first]))
+            check_sx(float(sx.flat[first]))
             raise InvalidInputError(
-                f"omega_bar_sq must be a finite number, got {float(omega_bar_sq[first])!r}")
+                f"omega_bar_sq must be a finite number, got {float(omega_bar_sq.flat[first])!r}")
         return omega_bar_sq, s_bar
 
 
-def statistics_laws(X, Y, params) -> list[StatisticsLaw]:
+def statistics_laws(X, Y, params) -> StatisticsLaw:
     """The law of what the analyst reports on ``X`` and ``Y``, at each ``(r, w)`` of ``params``.
 
     ``(r, w)`` is the row count and floor of one release, as
-    :func:`pitest.privacy.jl_params` gives them for half the budget.  A
-    draw of the law at the parameters of ``p`` has the joint law of
+    :func:`pitest.privacy.jl_params` gives them for half the budget;
+    ``params`` is one of them, or an array-like of them of shape
+    ``(..., 2)`` for a batch of the shape ``...``.  A draw of the law at
+    the parameters of ``p`` has the joint law of
     ``bob_evaluate(alice_prepare(X, p, seed), Y)``'s ``omega_bar_sq`` and
     ``s_bar``.  What the laws need of the data (``B^T Q``, ``Q^T Q``, the
     spectrum of ``Xc`` and ``||Yc||_F^2``) is computed once, and the answer
-    weights of every parameter go through one stacked ``eigvalsh``.
+    weights of the whole batch go through one stacked ``eigvalsh``.
     """
     A, Ym = _paired_matrices(X, Y)
     n = A.shape[0]
     Q = query_matrix(Ym)
-    answers = projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, params)
-    spectrum, yc = centered_spectrum(A), yc_sq(Ym)
-    return [StatisticsLaw(answer, centered_sq_norm_law(spectrum, n, r, w), n, yc)
-            for answer, (r, w) in zip(answers, params)]
+    answer = projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, params)
+    w = np.asarray(params, dtype=float)[..., 1]
+    return StatisticsLaw(answer, centered_sq_norm_law(centered_spectrum(A), n, answer.r, w), n,
+                         yc_sq(Ym))

@@ -12,9 +12,11 @@ trials.
 A trial's ``(omega_bar_sq, s_bar)`` is a draw of
 :func:`pitest.laws.statistics_laws`, the exact joint law of what
 ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no package
-released or reduced.  They are values of that law, not a seed's: each
-cell has one stream, keyed by the master seed and the cell's indices,
-from which its answers are drawn first and then its values of ``sx``.
+released or reduced.  They are values of that law, not a seed's: the
+sweep has one generator, seeded with the master seed, from which the
+answers of the whole grid are drawn first and then its values of ``sx``,
+one batched law and one chi-square call per term for every cell at once.
+So a row depends on the grid it is drawn with, not only on its cell.
 What the laws need of the data is computed once per sweep, the answer
 weights of every cell in one stacked ``eigvalsh``, and the errors are
 array arithmetic over the (cell, replication) grid, so nothing of size r
@@ -46,7 +48,7 @@ class SweepConfig:
 
     ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
     ``cells``; ``replications`` and ``master_seed`` must be integers.
-    ``master_seed`` keys each cell's one stream, with the cell's indices.
+    ``master_seed`` seeds the sweep's one generator.
     The rows hold no test decision, so there is no significance level.
     """
 
@@ -108,23 +110,20 @@ class SweepTable(list):
 def run_sweep(cfg: SweepConfig, X, Y) -> SweepTable:
     """Run the sweep; one row per (epsilon, eta) in configuration order.
 
-    Everything runs in the calling thread.  A row depends only on the
-    configuration and the data: its cell's answers and values of ``sx``
-    come, in that order, from one stream keyed by (master_seed, epsilon
-    index, eta index).
+    Everything runs in the calling thread.  The table depends only on the
+    configuration and the data: the answers of every cell and then their
+    values of ``sx`` come from one generator seeded with ``master_seed``,
+    so a row depends on the whole grid, not only on its own cell.
     """
-    laws = statistics_laws(X, Y, [jl_params(p.half_budget()) for p in cfg.cells])
-    n = laws[0].n
+    law = statistics_laws(X, Y, [jl_params(p.half_budget()) for p in cfg.cells])
+    n = law.n
 
     omega_ref = dcov_sq_closed_form(X, Y)
     s_ref = s_hat(X, Y)
     gamma_ref = n * omega_ref / s_ref if s_ref > 0.0 else 0.0
 
-    omega_bar_sq, s_bar = np.empty((2, len(laws), cfg.replications))  # cell x replication
-    grid = product(range(len(cfg.epsilons)), range(len(cfg.eta_values)))
-    for c, ((i_eps, i_eta), law) in enumerate(zip(grid, laws)):
-        rng = np.random.default_rng([cfg.master_seed, i_eps, i_eta])
-        omega_bar_sq[c], s_bar[c] = law.draws(rng, cfg.replications)
+    # cell x replication: every cell's answers, then every cell's values of sx
+    omega_bar_sq, s_bar = law.draws(np.random.default_rng(cfg.master_seed), cfg.replications)
 
     # Float arithmetic as on Python floats: every quotient that is not
     # defined is replaced by NaN, unwarned.

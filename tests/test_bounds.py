@@ -326,15 +326,14 @@ def test_private_ratio_lies_within_the_bounds_where_their_precondition_holds():
             X, Y = synthetic_pair(n=n, d=2, m=m, dependence=dependence, x_scale=x_scale, seed=3)
             s = s_hat(X, Y)
             rho = dcov_sq_closed_form(X, Y) / s
-            statistics = laws.statistics_laws(X, Y, [jl_params(b) for b in budgets])
-            for p, b, law in zip(totals, budgets, statistics):
+            law = laws.statistics_laws(X, Y, [jl_params(b) for b in budgets])
+            omega_bar_sq, s_bar = law.draws(np.random.default_rng(0), draws)
+            for p, b, ratio in zip(totals, budgets, omega_bar_sq / s_bar):
                 tau_mech = tau_mechanism(b)
                 point = (p.epsilon, x_scale, dependence)
                 if not s / n > tau_mech / (1.0 - b.eta):
                     invalid.append(point)
                     continue
-                omega_bar_sq, s_bar = law.draws(np.random.default_rng(0), draws)
-                ratio = omega_bar_sq / s_bar
                 lower = lower_bound_ratio(rho, b.eta)
                 upper = upper_bound_ratio(rho, b.eta, tau_mech, s / n)
                 inside = np.count_nonzero((lower <= ratio) & (ratio <= upper)) / draws

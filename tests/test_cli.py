@@ -776,9 +776,9 @@ def test_sweep_runs_every_trial_on_the_calling_thread(data_dir, monkeypatch):
 def test_sweep_row_is_the_mean_and_sd_of_its_cells_stream(data_dir):
     """A row is the mean and sd of its trials' errors, each trial reported as Bob reports it.
 
-    A cell's stream is default_rng([master_seed, epsilon index, eta index]); its analyst
-    answers are drawn from it first, then its values of sx, each as one batched draw of its
-    law.  At m = 2, 1 and 3.
+    The sweep's one stream is default_rng(master_seed); the analyst answers of every cell are
+    drawn from it first, then every cell's values of sx, each as one batched draw of its law,
+    and a row's trials are its cell's slice of those draws.  At m = 2, 1 and 3.
     """
     X = load_csv(data_dir / "x.csv")
     n = X.shape[0]
@@ -793,14 +793,14 @@ def test_sweep_row_is_the_mean_and_sd_of_its_cells_stream(data_dir):
         gamma_ref = n * omega_ref / s_ref
         releases = [jl_params(p.half_budget()) for p in cfg.cells]
         Q = laws.query_matrix(Y)
-        answer_laws = laws.projected_sq_norm_laws(factor_W(X).T @ Q, Q.T @ Q, releases)
-        for row, p, (r, w), law, (i_eps, i_eta) in zip(rows, cfg.cells, releases, answer_laws,
-                                                       [(0, 0), (0, 1), (1, 0), (1, 1)]):
-            rng = np.random.default_rng([7, i_eps, i_eta])
-            answers = law.draws(rng, 4)
-            sx = laws.centered_sq_norm_law(spectrum, n, r, w).draws(rng, 4)
+        rng = np.random.default_rng(7)
+        answers = laws.projected_sq_norm_laws(factor_W(X).T @ Q, Q.T @ Q, releases).draws(rng, 4)
+        r, w = np.array(releases).T
+        sx = laws.centered_sq_norm_law(spectrum, n, r, w).draws(rng, 4)
+        assert answers.shape == sx.shape == (4, 4)
+        for row, p, cell_answers, cell_sx in zip(rows, cfg.cells, answers, sx):
             errors = []
-            for answer, sx_trial in zip(answers, sx):
+            for answer, sx_trial in zip(cell_answers, cell_sx):
                 omega_bar_sq, s_bar = laws.private_statistics(n, float(answer), float(sx_trial),
                                                               laws.yc_sq(Y))
                 errors.append([abs(got - ref) / abs(ref) * 100.0 for got, ref in (
@@ -811,8 +811,9 @@ def test_sweep_row_is_the_mean_and_sd_of_its_cells_stream(data_dir):
             assert tuple(row) == tuple(expected), (Y.shape, p)
 
 
-def test_sweep_makes_one_generator_per_cell(data_dir, monkeypatch):
-    """A 5 x 2 grid at 4 replications makes 10 generators, one per cell, not one per trial."""
+def test_sweep_makes_one_generator(data_dir, monkeypatch):
+    """A 5 x 2 grid at 4 replications makes one generator, from the master seed, for the whole
+    grid: not one per cell or per trial."""
     made = []
     default_rng = np.random.default_rng
 
@@ -824,7 +825,7 @@ def test_sweep_makes_one_generator_per_cell(data_dir, monkeypatch):
     cfg = SweepConfig(epsilons=(0.5, 1.0, 2.0, 4.0, 8.0), replications=4, eta_values=(0.3, 0.5),
                       delta=0.01, nu=0.5, master_seed=3)
     run_sweep(cfg, load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv"))
-    assert len(made) == 10
+    assert made == [(3,)]
 
 
 def test_releases_draw_from_sfc64_through_one_owner(data_dir, monkeypatch):
@@ -855,7 +856,7 @@ def test_releases_draw_from_sfc64_through_one_owner(data_dir, monkeypatch):
     made.clear()
     cfg = SweepConfig(epsilons=(1.0, 8.0), replications=4, eta_values=(0.5,), delta=0.01, nu=0.5)
     run_sweep(cfg, X, Y)
-    assert made == [] and len(defaults) == 2
+    assert made == [] and len(defaults) == 1
 
 
 @pytest.mark.parametrize("value", [0.5, 0.1])

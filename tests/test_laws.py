@@ -1,5 +1,7 @@
 """The exact laws of ``pitest.laws`` against real packages, and the level of the paper's rule."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -24,10 +26,45 @@ def test_statistics_law_matches_real_packages(m):
     assert r == 60
     X, Y = synthetic_pair(n=30, d=2, m=m, dependence=0.5, x_scale=1e3, seed=11)
     reports = [bob_evaluate(alice_prepare(X, p, seed), Y) for seed in range(1000)]
-    (law,) = laws.statistics_laws(X, Y, [(r, w)])
+    law = laws.statistics_laws(X, Y, (r, w))
     omega_bar_sq, s_bar = law.draws(np.random.default_rng(1000), 4000)
     assert stats.ks_2samp(omega_bar_sq, [x.omega_bar_sq for x in reports]).pvalue > 1e-3
     assert stats.ks_2samp(s_bar, [x.s_bar for x in reports]).pvalue > 1e-3
+
+
+def test_a_batch_of_laws_has_one_sampler():
+    """A law and the same law as a batch of 1 draw identical values from identically seeded
+    generators, for both laws of a release.  In a 2-cell batch whose (r, w) differ by orders of
+    magnitude, each cell's mean and variance lie within 6 standard errors of its own analytic
+    values: a draw sum_j c_j chi^2_{k_j} / r has mean sum_j c_j k_j / r, variance
+    2 sum_j c_j^2 k_j / r^2 and fourth cumulant 48 sum_j c_j^4 k_j / r^4."""
+    X, Y = synthetic_pair(n=40, d=3, m=2, dependence=0.5, x_scale=10.0, seed=4)
+    n = X.shape[0]
+    lam, Q = laws.centered_spectrum(X), laws.query_matrix(Y)
+    FtV, VtV = laws.factor_W(X).T @ Q, Q.T @ Q
+    r, w = 37, 2.5
+    for one, batch in [(laws.centered_sq_norm_law(lam, n, r, w),
+                        laws.centered_sq_norm_law(lam, n, [r], [w])),
+                       (laws.projected_sq_norm_laws(FtV, VtV, (r, w)),
+                        laws.projected_sq_norm_laws(FtV, VtV, [(r, w)]))]:
+        assert one.weights.shape == batch.weights.shape[1:]
+        drawn = one.draws(np.random.default_rng(5), 300)
+        assert drawn.shape == (300,)
+        assert np.array_equal(batch.draws(np.random.default_rng(5), 300), drawn[None])
+
+    size = 4000
+    law = laws.centered_sq_norm_law(lam, n, np.array([5, 5000]), np.array([0.1, 100.0]))
+    assert law.dof == n - 1 - lam.size > 0
+    drawn = law.draws(np.random.default_rng(6), size)
+    assert drawn.shape == (2, size)
+    for cell in range(2):
+        weights, floor, r = law.weights[cell], float(law.floor[cell]), float(law.r[cell])
+        mean = float(np.sum(weights)) + floor * law.dof
+        var = 2.0 / r * (float(np.sum(weights**2)) + floor**2 * law.dof)
+        kappa4 = 48.0 / r**3 * (float(np.sum(weights**4)) + floor**4 * law.dof)
+        se_var = math.sqrt(kappa4 / size + 2.0 * var**2 / (size - 1))
+        assert abs(float(drawn[cell].mean()) - mean) < 6.0 * math.sqrt(var / size), cell
+        assert abs(float(drawn[cell].var(ddof=1)) - var) < 6.0 * se_var, cell
 
 
 @pytest.mark.xfail(

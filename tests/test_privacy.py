@@ -439,7 +439,7 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     assert (floor_share > 0.99) if floor_dominated else (floor_share < 0.01)
     trials = 600
     packaged = [bob_evaluate(alice_prepare(X, p, s), Y).omega_bar_sq for s in range(trials)]
-    (law,) = laws.projected_sq_norm_laws(B.T @ Q, Q.T @ Q, [(r, w)])
+    law = laws.projected_sq_norm_laws(B.T @ Q, Q.T @ Q, (r, w))
     answers = law.draws(np.random.default_rng(trials), trials)
     assert answers.shape == (trials,)
     assert stats.ks_2samp(2.0 / n**2 * answers, packaged).pvalue >= 1e-3
@@ -447,7 +447,7 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     sd_of_mean = math.sqrt(2.0 * float(np.sum(law.weights**2)) / r / trials)
     assert abs(float(answers.mean()) - trace_C) < 4.0 * sd_of_mean
     if floor_dominated:
-        (no_floor,) = laws.projected_sq_norm_laws(B.T @ Q, np.zeros((2, 2)), [(r, w)])
+        no_floor = laws.projected_sq_norm_laws(B.T @ Q, np.zeros((2, 2)), (r, w))
         missing = 2.0 / n**2 * no_floor.draws(np.random.default_rng(trials), trials)
         assert stats.ks_2samp(missing, packaged).pvalue < 1e-6
 
@@ -458,7 +458,7 @@ def test_private_projected_sq_norm_is_finite_at_a_huge_row_count():
     p = PrivacyParams(1.0, 1e-3, 1e-100, 0.05)
     r, w = jl_params(p)
     F, Q = np.arange(5.0)[:, None], np.ones((5, 1))
-    (law,) = laws.projected_sq_norm_laws(F.T @ Q, Q.T @ Q, [(r, w)])
+    law = laws.projected_sq_norm_laws(F.T @ Q, Q.T @ Q, (r, w))
     value = float(law.draws(np.random.default_rng(0), 1)[0])
     assert math.isfinite(value)
     assert value == pytest.approx(100.0 + 5.0 * w**2, rel=1e-12)
