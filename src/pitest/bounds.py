@@ -36,6 +36,7 @@ from .privacy import PrivacyParams, tau, tau_mechanism
 
 __all__ = [
     "BoundsReport",
+    "check_s_param",
     "evaluate_bounds",
     "s_param_min",
     "lower_bound_ratio",
@@ -124,6 +125,17 @@ def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
             f"(m+n)*nu = {total:.6g} must be < 1 for a nontrivial probability floor"
         )
     return 1.0 - total
+
+
+def check_s_param(s_param: float) -> float:
+    """``s_param`` as a float, refused unless it is a positive finite number: the one rule for a given scale."""
+    try:
+        value = float(s_param)
+    except OverflowError:  # an int beyond float's range
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"s_param must be a positive finite number, got {s_param}")
+    return value
 
 
 def s_param_min(p: PrivacyParams) -> float:

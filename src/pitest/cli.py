@@ -19,39 +19,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .data import load_csv
 from .errors import InvalidInputError, PiTestError
-from .bounds import s_param_min
+from .bounds import check_s_param
 from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
-from .laws import query_matrix
-from .protocol import _package_bytes, _privacy_section, alice_stream, bob_evaluate
+from .protocol import _package_bytes, _release_seeds, alice_stream, bob_evaluate
 from .protocol import package_parts, read_package, report_to_dict
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (value > 0.0) or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
-def _seed_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
-    return value
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -71,7 +49,7 @@ def _add_privacy_flags(parser: argparse.ArgumentParser) -> None:
                         help="multiplicative accuracy in (0,1) (default 0.1)")
     parser.add_argument("--nu", type=float, default=0.05,
                         help="per-query failure probability in (0,1) (default 0.05)")
-    parser.add_argument("--seed", type=_seed_int, default=None,
+    parser.add_argument("--seed", type=int, default=None,
                         help="master seed for the release randomness, for reproducible tests "
                              "only: it lets anyone regenerate the release and recover X "
                              "(default: fresh OS entropy)")
@@ -99,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bob.add_argument("--header", action="store_true", help="skip the first CSV line")
     p_bob.add_argument("--alpha", type=float, default=0.05,
                        help="significance level (default 0.05)")
-    p_bob.add_argument("--s-param", type=_positive_float, default=None,
+    p_bob.add_argument("--s-param", type=float, default=None,
                        help="scale parameter for the upper ratio bound (default: s_bar/n)")
     p_bob.add_argument("--report", required=True, help="report file to write (JSON)")
     p_bob.set_defaults(func=_cmd_bob, parser=p_bob)
@@ -110,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--header", action="store_true", help="skip the first CSV line of both")
     _add_privacy_flags(p_run)
     p_run.add_argument("--alpha", type=float, default=0.05)
-    p_run.add_argument("--s-param", type=_positive_float, default=None)
+    p_run.add_argument("--s-param", type=float, default=None)
     p_run.add_argument("--report", required=True, help="report file to write (JSON)")
     p_run.set_defaults(func=_cmd_run, parser=p_run)
 
@@ -148,8 +126,9 @@ def _checked_inputs(args) -> tuple:
     """The command's typed inputs, built before any file is opened.
 
     Each rule has one owner, whose InvalidInputError ``main`` reports as a
-    usage error: PrivacyParams for alice and run, rejection_threshold for
-    the alpha of bob, run and sweep, and SweepConfig for sweep.
+    usage error: rejection_threshold for the alpha of bob, run and sweep,
+    SweepConfig for sweep, check_s_param for the s_param of bob and run,
+    and the release seeds and PrivacyParams for alice and run.
     """
     if args.command != "alice":
         rejection_threshold(args.alpha)
@@ -157,8 +136,11 @@ def _checked_inputs(args) -> tuple:
         return (SweepConfig(epsilons=args.epsilons, replications=args.replications,
                             eta_values=args.etas, delta=args.delta, nu=args.nu,
                             master_seed=args.seed),)
+    if args.command != "alice" and args.s_param is not None:
+        check_s_param(args.s_param)
     if args.command == "bob":
         return ()
+    _release_seeds(args.seed)  # refuses a seed that the release could not expand
     return (PrivacyParams(args.epsilon, args.delta, args.eta, args.nu),)
 
 
@@ -193,45 +175,10 @@ def _cmd_bob(args) -> int:
         # The factor is read and checked one panel at a time: a bad panel
         # raises before any statistic exists.
         report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
-    doc = report_to_dict(report)
-    doc["privacy"] = _privacy_section(package.params)
-    doc.update(_release_sections(package, Y, report))
-    atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(args.report, json.dumps(report_to_dict(report), indent=2) + "\n")
     _print_decision(report)
     print(f"wrote report: {args.report}")
     return 0
-
-
-def _release_sections(package, Y, report) -> dict:
-    """The ``release`` and ``floor`` sections of a report, from the package and Y.
-
-    ``release`` is the row count ``r`` and floor ``w`` of one release, the
-    factor's ``rows`` and ``package_bytes``, the length of the package's
-    encoding (for ``bob``, the package file's checked length).  ``floor``
-    has the spectral floor's share of each private statistic:
-    ``omega_share`` is w^2 ||Q||_F^2 over
-    ``||R Q||_F^2 = (n^2 / 2) omega_bar_sq``, for the matrix ``Q`` that Bob
-    queries (``laws.query_matrix``: ``Y``, uncentred), and
-    ``s_share`` is w^2 (n - 1) / sx.
-    A share near 1 means that statistic is mostly floor; either is null
-    when its denominator is 0.  ``s_param_min`` is
-    :func:`pitest.bounds.s_param_min`: up to rounding, an ``s_param`` not
-    above it clamps the upper bound.
-    """
-    per_release = package.params.half_budget()
-    r, w = jl_params(per_release)
-    w2, n = w * w, package.n
-    answers = n * n / 2.0 * report.omega_bar_sq
-    Q = query_matrix(Y)
-    return {
-        "release": {"r": r, "w": w, "rows": package.proj_B.rows,
-                    "package_bytes": _package_bytes(package)},
-        "floor": {
-            "omega_share": w2 * float((Q * Q).sum()) / answers if answers > 0.0 else None,
-            "s_share": w2 * (n - 1) / package.sx if package.sx > 0.0 else None,
-            "s_param_min": s_param_min(per_release),
-        },
-    }
 
 
 def _print_decision(report) -> None:
@@ -264,8 +211,7 @@ def _cmd_run(args, params: PrivacyParams) -> int:
         f" -> {'reject' if verdict.reject else 'fail to reject'}"
     )
 
-    doc = {"private": report_to_dict(report), "nonprivate": nonprivate,
-           **_release_sections(package, Y, report)}
+    doc = {"private": report_to_dict(report), "nonprivate": nonprivate}
     atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
     _print_decision(report)
     print(np_line)

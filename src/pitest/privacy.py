@@ -283,7 +283,12 @@ class PrivacyParams:
     def __post_init__(self) -> None:
         for name in ("epsilon", "delta", "eta", "nu"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            try:
+                finite = not isinstance(value, bool) and isinstance(value, (int, float)) \
+                    and math.isfinite(value)
+            except OverflowError:  # an int beyond float's range
+                finite = False
+            if not finite:
                 raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
         if self.epsilon <= 0.0:
             raise InvalidInputError(f"epsilon must be > 0, got {self.epsilon}")

@@ -96,7 +96,7 @@ from .privacy import (
     private_sum_directional_variances,
     privatize_covariance_panels,
 )
-from .bounds import BoundsReport, evaluate_bounds
+from .bounds import BoundsReport, check_s_param, evaluate_bounds, s_param_min
 
 __all__ = [
     "FORMAT_VERSION",
@@ -147,7 +147,22 @@ class AlicePackage:
 
 @dataclass(frozen=True)
 class TestReport:
-    """The analyst's verdict plus everything needed to audit it."""
+    """The analyst's verdict plus everything needed to audit it.
+
+    After the verdict and its bounds come three sections of plain values.
+    ``privacy`` is the package's header section: the total budget and its
+    split.  ``release`` is the row count ``r`` and floor ``w`` of one
+    release, the factor's ``rows`` and ``package_bytes``, the length of the
+    package's encoding (for a package read from a file, its checked
+    length).  ``floor`` has the spectral floor's share of each private
+    statistic: ``omega_share`` is w^2 ||Q||_F^2 over
+    ``||R Q||_F^2 = (n^2 / 2) omega_bar_sq``, for the matrix ``Q`` that Bob
+    queries (``laws.query_matrix``: ``Y``, uncentred), and ``s_share`` is
+    w^2 (n - 1) / sx.  A share near 1 means that statistic is mostly floor;
+    either is None when its denominator is 0.  ``s_param_min`` is
+    :func:`pitest.bounds.s_param_min`: up to rounding, an ``s_param`` not
+    above it clamps the upper bound.
+    """
 
     omega_bar_sq: float
     s_bar: float
@@ -159,6 +174,9 @@ class TestReport:
     degenerate: bool
     n: int
     m: int
+    privacy: dict
+    release: dict
+    floor: dict
 
 
 def _release_seeds(master_seed: int | None) -> tuple[int, int]:
@@ -249,18 +267,20 @@ def package_parts(pkg: AlicePackage) -> Iterator:
 
 
 def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | None = None) -> TestReport:
-    """Evaluate the analyst's side of the protocol from a package and ``Y``.
+    """Evaluate the analyst's side of the protocol from a package and ``Y``: the whole report.
 
-    Checks ``Y`` and ``alpha``, sums the answers over the package's factor,
-    forms the private statistics, judges them with
-    :func:`pitest.estimators.decide` and evaluates the bounds with
-    :func:`pitest.bounds.evaluate_bounds`.
+    Checks ``Y``, ``alpha`` and ``s_param``, sums the answers over the
+    package's factor, forms the private statistics, judges them with
+    :func:`pitest.estimators.decide`, evaluates the bounds with
+    :func:`pitest.bounds.evaluate_bounds` and reports the release and its
+    floor's share of each statistic.
 
     Args:
         pkg: the data holder's package.
         Y: analyst's n x m data matrix (must match the package's n).
         alpha: significance level in (0, 1).
-        s_param: scale parameter for the closed-form upper bound; defaults
+        s_param: scale parameter for the closed-form upper bound, a positive
+            finite number (:func:`pitest.bounds.check_s_param`); defaults
             to ``s_bar / n``.  Values outside the validity region make the
             upper bound infinite (recorded in the report, not an error).
 
@@ -276,17 +296,28 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
         raise ShapeError(
             f"package was built for n = {pkg.n} samples but Y has {Ym.shape[0]} rows"
         )
-    rejection_threshold(alpha)  # alpha is checked before the factor is read
+    rejection_threshold(alpha)  # alpha and s_param are checked before the factor is read
+    if s_param is not None:
+        s_param = check_s_param(s_param)
     n, m = pkg.n, Ym.shape[1]
+    per_release = pkg.params.half_budget()
+    r, w = jl_params(per_release)
 
-    answers = private_sum_directional_variances(pkg.proj_B, query_matrix(Ym))
+    Q = query_matrix(Ym)
+    answers = private_sum_directional_variances(pkg.proj_B, Q)
     omega_bar_sq, s_bar = private_statistics(n, answers, pkg.sx, yc_sq(Ym))
     verdict = decide(omega_bar_sq, s_bar, n, alpha)
     degenerate = verdict.statistic is None
     bounds = None if degenerate else evaluate_bounds(
-        omega_bar_sq / s_bar, s_bar / n if s_param is None else float(s_param),
-        pkg.params.half_budget(), m, n)
-    return TestReport(omega_bar_sq, s_bar, *verdict, bounds, degenerate, n, m)
+        omega_bar_sq / s_bar, s_bar / n if s_param is None else s_param, per_release, m, n)
+
+    w2, answered = w * w, n * n / 2.0 * omega_bar_sq
+    release = {"r": r, "w": w, "rows": pkg.proj_B.rows, "package_bytes": _package_bytes(pkg)}
+    floor = {"omega_share": w2 * float((Q * Q).sum()) / answered if answered > 0.0 else None,
+             "s_share": w2 * (n - 1) / pkg.sx if pkg.sx > 0.0 else None,
+             "s_param_min": s_param_min(per_release)}
+    return TestReport(omega_bar_sq, s_bar, *verdict, bounds, degenerate, n, m,
+                      _privacy_section(pkg.params), release, floor)
 
 
 def _privacy_section(params: PrivacyParams) -> dict:
@@ -503,7 +534,7 @@ def read_package(handle: BinaryIO) -> AlicePackage:
 
 
 def report_to_dict(report: TestReport) -> dict:
-    """JSON-safe dict for a TestReport (an infinite upper bound becomes null + flag)."""
+    """JSON-safe dict for a TestReport, its one serialiser (an infinite upper bound becomes null + flag)."""
     doc = asdict(report)
     bounds = doc["bounds"]
     if bounds is not None:

@@ -40,6 +40,7 @@ from pitest.protocol import (
     bob_evaluate,
     factor_W,
     read_package,
+    report_to_dict,
 )
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
@@ -437,6 +438,20 @@ def test_bob_round_trip(data_dir, tmp_path, capsys):
     assert r == 45
 
 
+def test_bob_writes_the_library_report(data_dir, tmp_path, capsys):
+    """``pi-test bob`` writes bob_evaluate's report, serialised by report_to_dict, and nothing more."""
+    pkg, report = tmp_path / "pkg.bin", tmp_path / "report.json"
+    assert main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--seed", "11",
+                 "--out", str(pkg)]) == 0
+    assert main(["bob", "--package", str(pkg), "--input", str(data_dir / "y.csv"),
+                 "--report", str(report)]) == 0
+    capsys.readouterr()
+    with open(pkg, "rb") as f:
+        doc = report_to_dict(bob_evaluate(read_package(f), load_csv(data_dir / "y.csv")))
+    assert list(doc)[-3:] == ["privacy", "release", "floor"]
+    assert report.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def test_bob_reports_the_floor_share_of_each_statistic(data_dir, tmp_path, capsys):
     """omega_share = w^2 ||Y||^2 / ||R Y||^2, s_share = w^2 (n - 1) / sx, s_param_min = tau_mech / (1 - eta)."""
     pkg, report = tmp_path / "pkg.bin", tmp_path / "report.json"
@@ -609,6 +624,12 @@ def test_usage_errors_exit_two(data_dir, tmp_path, capsys):
         (sweep + ["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
         (["bob", "--package", missing, "--input", missing, "--alpha", "1",
           "--report", str(tmp_path / "p")], "alpha must lie in (0, 1), got 1.0"),
+        (["alice", "--input", missing, "--epsilon", "1", "--seed", "-1", "--out", str(tmp_path / "p")],
+         "invalid master seed -1: expected non-negative integer"),
+        (["bob", "--package", missing, "--input", missing, "--s-param", "nan",
+          "--report", str(tmp_path / "p")], "s_param must be a positive finite number, got nan"),
+        (["run", "--input-x", missing, "--input-y", missing, "--epsilon", "1", "--s-param", "0",
+          "--report", str(tmp_path / "p")], "s_param must be a positive finite number, got 0.0"),
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
@@ -638,9 +659,9 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     package = alice_prepare(X, params, 4)
     r, w = jl_params(params.half_budget())
     blob = encoded(package)
-    assert doc["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": len(blob)}
+    assert priv["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": len(blob)}
     RY = unpack_factor(*held(package.proj_B)) @ Y
-    assert doc["floor"] == pytest.approx({
+    assert priv["floor"] == pytest.approx({
         "omega_share": w**2 * np.sum(Y * Y) / np.sum(RY * RY),
         "s_share": w**2 * 19 / package.sx,
         "s_param_min": tau_mechanism(params.half_budget()) / (1.0 - 0.01),
@@ -650,7 +671,7 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     assert main(["bob", "--package", str(pkg_file), "--input", str(data_dir / "y.csv"),
                  "--report", str(bob_report)]) == 0
     bob_doc = json.loads(bob_report.read_text())
-    assert (bob_doc["release"], bob_doc["floor"]) == (doc["release"], doc["floor"])
+    assert (bob_doc["release"], bob_doc["floor"]) == (priv["release"], priv["floor"])
 
 
 @pytest.mark.parametrize("n, privacy_args, rows, panels", [
@@ -659,8 +680,8 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     (1000, ["--epsilon", "1", "--eta", "0.25", "--nu", "0.5"], 178, 2),
 ], ids=["one panel", "several panels", "r below n"])
 def test_run_reports_what_alice_then_bob_report(n, privacy_args, rows, panels, tmp_path, capsys):
-    """``pi-test run`` reads the factor as it is released; its report keeps the bits of bob's
-    report on the package that alice writes from the same seed."""
+    """``pi-test run`` reads the factor as it is released; its ``private`` report is, bit for
+    bit, bob's report on the package that alice writes from the same seed."""
     assert len(list(privacy._panels(rows, n))) == panels
     X, Y = synthetic_pair(n=n, d=2, m=2, dependence=0.3, x_scale=3e4, seed=n)
     x, y = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
@@ -673,9 +694,7 @@ def test_run_reports_what_alice_then_bob_report(n, privacy_args, rows, panels, t
                  "--report", str(run_report)]) == 0
     capsys.readouterr()
     bob, run = json.loads(bob_report.read_text()), json.loads(run_report.read_text())
-    del bob["privacy"]  # a run report has no privacy section
-    assert run["release"]["rows"] == rows and run["release"]["package_bytes"] == pkg.stat().st_size
-    assert {key: run[key] for key in ("release", "floor")} == {key: bob.pop(key) for key in ("release", "floor")}
+    assert bob["release"]["rows"] == rows and bob["release"]["package_bytes"] == pkg.stat().st_size
     assert run["private"] == bob
 
 
@@ -696,7 +715,7 @@ def test_run_holds_a_few_panels_not_the_package(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    release = json.loads((tmp_path / "run.json").read_text())["release"]
+    release = json.loads((tmp_path / "run.json").read_text())["private"]["release"]
     assert release["package_bytes"] > 8 * privacy._row_offset(2952, n) > 36e6
     limit = 3 * 8 * privacy._PANEL_FLOATS + 8 * 8 * n * (d + m)
     assert peak < limit, (peak, limit)

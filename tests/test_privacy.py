@@ -90,6 +90,14 @@ def test_privacy_params_refuse_bools(field):
         PrivacyParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "delta", "eta", "nu"])
+def test_privacy_params_refuse_an_int_beyond_float_range(field):
+    kwargs = dict(epsilon=1.0, delta=0.5, eta=0.5, nu=0.5)
+    kwargs[field] = 10**400  # math.isfinite overflows on it
+    with pytest.raises(InvalidInputError, match=f"^{field} must be a finite number, got 1000"):
+        PrivacyParams(**kwargs)
+
+
 def test_half_budget_splits_epsilon_delta_only():
     p = PrivacyParams(2.0, 4e-4, 0.1, 0.01)
     h = p.half_budget()

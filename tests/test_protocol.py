@@ -283,6 +283,15 @@ def test_bob_rejects_bad_alpha(package, xy):
         bob_evaluate(package, xy[1], alpha=0.0)
 
 
+@pytest.mark.parametrize("s_param", [math.nan, math.inf, 0.0, -1.0])
+def test_bob_refuses_a_bad_s_param_before_reading_the_factor(s_param, xy):
+    """An s_param that is not a positive finite number raises, and a released factor stays unread."""
+    released_package = alice_stream(xy[0], PARAMS, 2024)
+    with pytest.raises(InvalidInputError, match=f"s_param must be a positive finite number, got {s_param}"):
+        bob_evaluate(released_package, xy[1], s_param=s_param)
+    assert bob_evaluate(released_package, xy[1]) == bob_evaluate(alice_prepare(xy[0], PARAMS, 2024), xy[1])
+
+
 def test_report_statistics_match_package_arithmetic(package, xy):
     Y = xy[1]
     report = bob_evaluate(package, Y)
