@@ -23,7 +23,8 @@ from itertools import product
 import numpy as np
 
 from pitest.data import synthetic_pair
-from pitest.estimators import decide
+from pitest.errors import InvalidInputError
+from pitest.estimators import decide, rejection_threshold
 from pitest.laws import statistics_laws
 from pitest.privacy import PrivacyParams, jl_params
 
@@ -55,8 +56,14 @@ def main():
     args = ap.parse_args()
 
     epsilons = numbers(args.epsilons)
-    # pi-test's default delta, eta and nu
-    params = [jl_params(PrivacyParams(e, 2e-4, 0.1, 0.05).half_budget()) for e in epsilons]
+    if args.trials < 1:
+        ap.error(f"--trials must be >= 1, got {args.trials}")
+    try:  # refused by the owner of each rule before anything is drawn
+        rejection_threshold(args.alpha)
+        # pi-test's default delta, eta and nu
+        params = [jl_params(PrivacyParams(e, 2e-4, 0.1, 0.05).half_budget()) for e in epsilons]
+    except InvalidInputError as exc:
+        ap.error(str(exc))
     low, high = binomial_band(args.trials, args.alpha)
     print(f"{args.trials} trials per row, alpha = {args.alpha}; band: 99.9% of Binomial("
           f"{args.trials}, {args.alpha}) for independent data")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .data import _as_float, _as_int
 from .errors import InvalidInputError
 from .privacy import PrivacyParams, tau, tau_mechanism
 
@@ -65,9 +66,18 @@ class BoundsReport:
     s_param_clamped: bool
 
 
-def _check_eta(eta: float) -> None:
-    if not (0.0 < eta < 1.0) or not math.isfinite(eta):
+def _check_eta(eta: float) -> float:
+    eta = _as_float(eta, "eta")
+    if not (0.0 < eta < 1.0):
         raise InvalidInputError(f"eta must lie in (0, 1), got {eta}")
+    return eta
+
+
+def _check_ratio(ratio: float) -> float:
+    ratio = _as_float(ratio, "ratio")
+    if not (0.0 <= ratio < math.inf):
+        raise InvalidInputError(f"ratio must be a finite nonnegative number, got {ratio}")
+    return ratio
 
 
 def lower_bound_ratio(ratio: float, eta: float) -> float:
@@ -79,9 +89,7 @@ def lower_bound_ratio(ratio: float, eta: float) -> float:
     denominator exceeds ``n tau / (1 - eta)`` and the numerator statistic is
     at most the denominator one.
     """
-    _check_eta(eta)
-    if not (ratio >= 0.0) or not math.isfinite(ratio):
-        raise InvalidInputError(f"ratio must be a finite nonnegative number, got {ratio}")
+    eta, ratio = _check_eta(eta), _check_ratio(ratio)
     return (1.0 - eta) / (1.0 + eta) * ratio - (1.0 - eta) ** 2 / (2.0 * (1.0 + eta))
 
 
@@ -97,12 +105,11 @@ def upper_bound_ratio(ratio: float, eta: float, tau: float, s_param: float) -> f
 
     requires the divisor ``(1 - eta) s_param - tau`` to be > 0, so that the
     additive term is positive and finite: ``s_param > tau / (1 - eta)``, up
-    to rounding.
+    to rounding.  ``s_param`` must pass :func:`check_s_param`.
     """
-    _check_eta(eta)
-    if not (ratio >= 0.0) or not math.isfinite(ratio):
-        raise InvalidInputError(f"ratio must be a finite nonnegative number, got {ratio}")
-    if tau < 0.0 or not math.isfinite(tau):
+    eta, ratio = _check_eta(eta), _check_ratio(ratio)
+    tau, s_param = _as_float(tau, "tau"), check_s_param(s_param)
+    if not (0.0 <= tau < math.inf):
         raise InvalidInputError(f"tau must be finite and >= 0, got {tau}")
     divisor = _divisor(eta, tau, s_param)
     if not divisor > 0.0:
@@ -115,9 +122,10 @@ def upper_bound_ratio(ratio: float, eta: float, tau: float, s_param: float) -> f
 
 def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
     """Probability floor ``1 - (m + n) nu`` for all m + n queries holding at once."""
+    m, n, nu = _as_int(m, "m"), _as_int(n, "n"), _as_float(nu, "nu")
     if m < 1 or n < 1:
         raise InvalidInputError(f"query counts must be positive, got m={m}, n={n}")
-    if not (0.0 <= nu < 1.0) or not math.isfinite(nu):
+    if not (0.0 <= nu < 1.0):
         raise InvalidInputError(f"nu must lie in [0, 1), got {nu}")
     total = (m + n) * nu
     if total >= 1.0:
@@ -128,11 +136,12 @@ def aggregate_coverage_probability(m: int, n: int, nu: float) -> float:
 
 
 def check_s_param(s_param: float) -> float:
-    """``s_param`` as a float, refused unless it is a positive finite number: the one rule for a given scale."""
-    try:
-        value = float(s_param)
-    except OverflowError:  # an int beyond float's range
-        value = math.inf
+    """``s_param`` as a float, refused unless it is a positive finite number: the one rule for a given scale.
+
+    A number by the package's rule (README, "Library"): a bool or a string
+    is refused, and an int too large for a float is not finite.
+    """
+    value = _as_float(s_param, "s_param")
     if not 0.0 < value < math.inf:
         raise InvalidInputError(f"s_param must be a positive finite number, got {s_param}")
     return value
@@ -151,8 +160,10 @@ def evaluate_bounds(ratio: float, s_param: float, per_release: PrivacyParams, m:
     ``(1 - eta) s_param - tau_used`` is not > 0 (one not above
     :func:`s_param_min`, up to rounding), clamps the upper bound to ``inf``
     rather than raising; ``tau_closed_form`` and ``prob_floor`` are None
-    when their union bound over the m + n queries is vacuous.
+    when their union bound over the m + n queries is vacuous.  ``s_param``
+    must pass :func:`check_s_param`, and ``m`` and ``n`` must be integers.
     """
+    s_param, m, n = check_s_param(s_param), _as_int(m, "m"), _as_int(n, "n")
     tau_used = tau_mechanism(per_release)
     clamped = not _divisor(per_release.eta, tau_used, s_param) > 0.0
     upper = math.inf if clamped else upper_bound_ratio(ratio, per_release.eta, tau_used, s_param)

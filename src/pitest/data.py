@@ -37,6 +37,36 @@ def _as_sample_matrix(X, name: str = "X", min_rows: int = 1) -> np.ndarray:
     return A
 
 
+def _as_float(value, name: str) -> float:
+    """``value`` as a float: the one rule for a number from outside.
+
+    A number is a ``numbers.Real`` that is not a bool (so numpy's real
+    scalars count, and ``"1"`` does not); an int too large for a float is
+    infinite.  Anything else raises InvalidInputError.  Only the type is
+    checked here: every caller checks its own range, finiteness included.
+    """
+    if type(value) is float:  # the common case, kept cheap
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int: the one rule for an integer from outside.
+
+    An integer is a ``numbers.Integral`` that is not a bool (so numpy's
+    integer scalars count, and ``2.0`` does not).  Anything else raises
+    InvalidInputError; the caller checks the range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a numeric CSV file into an n x d float64 matrix.
 
@@ -152,25 +182,26 @@ def synthetic_pair(
         Y = dependence * (X_std @ C) + (1 - dependence) * noise
 
     so ``dependence = 0`` gives independent pairs and values near 1 give a
-    nearly deterministic relationship.  ``n``, ``d``, ``m`` and
-    ``clusters`` must be integers (not bools), ``dependence`` and
-    ``x_scale`` finite real numbers and ``seed`` a nonnegative integer;
-    anything else raises InvalidInputError.
+    nearly deterministic relationship.  ``n``, ``d``, ``m``, ``clusters``
+    and ``seed`` must be integers and ``dependence`` and ``x_scale``
+    numbers, by the package's scalar rules (README, "Library"); ``n`` must
+    be >= 2, ``d``, ``m`` and ``clusters`` >= 1, ``dependence`` in [0, 1],
+    ``x_scale`` finite and ``seed`` >= 0.  Anything else raises
+    InvalidInputError, an int too large for a float included.
     """
-    shape = {"n": n, "d": d, "m": m, "clusters": clusters}
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in shape.values()):
-        raise InvalidInputError(f"synthetic shape must be integers, got {shape}")
+    n, d, m, clusters = map(_as_int, (n, d, m, clusters), ("n", "d", "m", "clusters"))
     if n < 2 or d < 1 or m < 1 or clusters < 1:
         raise InvalidInputError(
             f"invalid synthetic shape n={n}, d={d}, m={m}, clusters={clusters}"
         )
-    if isinstance(dependence, bool) or not isinstance(dependence, numbers.Real):
-        raise InvalidInputError(f"dependence must be a number, got {dependence!r}")
+    dependence = _as_float(dependence, "dependence")
     if not (0.0 <= dependence <= 1.0):
         raise InvalidInputError(f"dependence must lie in [0, 1], got {dependence}")
-    if isinstance(x_scale, bool) or not isinstance(x_scale, numbers.Real) or not math.isfinite(x_scale):
+    x_scale = _as_float(x_scale, "x_scale")
+    if not math.isfinite(x_scale):
         raise InvalidInputError(f"x_scale must be a finite number, got {x_scale!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    seed = _as_int(seed, "seed")
+    if seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 3.0, size=(clusters, d))

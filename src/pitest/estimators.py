@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _as_sample_matrix
+from .data import _as_float, _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -124,8 +124,10 @@ def rejection_threshold(alpha: float) -> float:
     for alpha in [1e-6, 0.999]; for instance ``alpha = 0.05`` gives
     ``1.959964^2 = 3.841459``.  An alpha so small that ``1 - alpha/2``
     rounds to 1 gives ``inf``, as ``ndtri(1)`` does: nothing rejects.
+    ``alpha`` is a number by the package's rule (README, "Library").
     """
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
+    alpha = _as_float(alpha, "alpha")
+    if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     p = 1.0 - alpha / 2.0
     return NormalDist().inv_cdf(p) ** 2 if p < 1.0 else math.inf

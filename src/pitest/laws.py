@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _as_sample_matrix
+from .data import _as_float, _as_sample_matrix
 from .errors import InvalidInputError
 from .estimators import _centered, _paired_matrices
 
@@ -167,10 +167,16 @@ def projected_sq_norm_laws(FtV: np.ndarray, VtV: np.ndarray, params) -> ChiSquar
     return ChiSquareMix(weights, r)
 
 
-def check_sx(sx: float) -> None:
-    """Raise InvalidInputError unless ``sx`` is a value of its law: a finite number >= 0."""
-    if not (math.isfinite(sx) and sx >= 0.0):
-        raise InvalidInputError(f"sx must be a finite number >= 0, got {sx!r}")
+def check_sx(sx: float) -> float:
+    """``sx`` as a float, refused unless it is a value of its law: a finite number >= 0.
+
+    A number by the package's rule (README, "Library"); anything else
+    raises InvalidInputError.
+    """
+    value = _as_float(sx, "sx")
+    if not 0.0 <= value < math.inf:
+        raise InvalidInputError(f"sx must be a finite number >= 0, got {value!r}")
+    return value
 
 
 def query_matrix(Y: np.ndarray) -> np.ndarray:

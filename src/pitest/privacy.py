@@ -128,7 +128,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .data import _as_sample_matrix
+from .data import _as_float, _as_int, _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
 from .laws import centered_spectrum, centered_sq_norm_law
 
@@ -273,6 +273,8 @@ class PrivacyParams:
 
     epsilon, delta: the differential-privacy budget; eta: multiplicative
     query accuracy in (0, 1); nu: per-query failure probability in (0, 1).
+    Each is a number by the package's rule (README, "Library"), kept as
+    a float.
     """
 
     epsilon: float
@@ -283,21 +285,15 @@ class PrivacyParams:
     def __post_init__(self) -> None:
         for name in ("epsilon", "delta", "eta", "nu"):
             value = getattr(self, name)
-            try:
-                finite = not isinstance(value, bool) and isinstance(value, (int, float)) \
-                    and math.isfinite(value)
-            except OverflowError:  # an int beyond float's range
-                finite = False
-            if not finite:
+            number = _as_float(value, name)
+            if not math.isfinite(number):
                 raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, number)
         if self.epsilon <= 0.0:
             raise InvalidInputError(f"epsilon must be > 0, got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidInputError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (0.0 < self.eta < 1.0):
-            raise InvalidInputError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (0.0 < self.nu < 1.0):
-            raise InvalidInputError(f"nu must lie in (0, 1), got {self.nu}")
+        for name in ("delta", "eta", "nu"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise InvalidInputError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
 
     def half_budget(self) -> "PrivacyParams":
         """Per-release parameters when the budget is split over two releases."""
@@ -337,8 +333,9 @@ def tau(p: PrivacyParams, m: int, n: int) -> float:
     Requires ``(m + n) nu < 1`` (and every logarithm above to have argument
     > 1) so the constant is positive and meaningful.  Raises
     InvalidInputError when it is not a finite number, e.g. for an
-    ``eta^2 delta`` that underflows.
+    ``eta^2 delta`` that underflows, and when ``m`` or ``n`` is not an integer.
     """
+    m, n = _as_int(m, "m"), _as_int(n, "n")
     if m < 1 or n < 1:
         raise InvalidInputError(f"query counts must be positive, got m={m}, n={n}")
     total = (m + n) * p.nu
@@ -420,6 +417,8 @@ def _factor_panel(U: np.ndarray, Dt: np.ndarray, floor: float, stack: np.ndarray
 def _release_rng(seed: int) -> np.random.Generator:
     """The generator of one release's noise: SFC64, seeded through ``SeedSequence(seed)``.
 
+    ``seed`` must be an integer >= 0, else InvalidInputError.
+
     The one source of every draw of Alice's releases, the factor's
     (:func:`_release_panels`) and sx's (:func:`private_centered_sq_norm`).
     Neither SFC64 nor numpy's default PCG64 is a cryptographic generator,
@@ -431,10 +430,13 @@ def _release_rng(seed: int) -> np.random.Generator:
     whole release 31.3 ms against 36.5 ms (2-core Xeon, interleaved
     medians).
     """
-    return np.random.Generator(np.random.SFC64(int(seed)))
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.SFC64(seed))
 
 
-def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
+def _release_panels(A: np.ndarray, p: PrivacyParams, rng: np.random.Generator):
     """Yield the release factor ``R`` of the n x k factor ``A``, one row panel at a time.
 
     ``R`` is the positive-diagonal R factor of a QR of ``T A_hat / sqrt(r)``
@@ -452,14 +454,14 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, seed: int):
     start at h0 (h0 - 1) / 2.  Each panel is checked where it is packed
     (:func:`_check_panel`: finite, positive diagonal), and then
     ``(a, b, values)`` is yielded, ``values`` a view of the scratch: the
-    panel is final, and valid until the next panel is asked for.
+    panel is final, and valid until the next panel is asked for.  Every
+    draw comes from ``rng``.
     """
     n, k = A.shape
     r, w = jl_params(p)
     k1, rows = min(r, k), min(r, n)
     q = min(r - k1, n)
     dof = float(r) - k1  # r may exceed int64
-    rng = _release_rng(seed)
     T1 = np.triu(rng.standard_normal((k1, k + n)), 1)
     T1[range(k1), range(k1)] = np.sqrt(rng.chisquare(float(r) - np.arange(k1, dtype=np.float64)))
     # The dense rows of T A_hat, over w: T11 A^T / w + T12, held transposed
@@ -522,8 +524,8 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
     Args:
         F: n x k factor of the target covariance (rows are samples).
         p: privacy/accuracy parameters of this release.
-        seed: 64-bit generator seed; identical (F, p, seed) gives a
-            bit-identical release.
+        seed: generator seed, an integer >= 0; identical (F, p, seed)
+            gives a bit-identical release.
 
     Returns ``R``, the min(r, n) x n upper-trapezoidal R factor with
     positive diagonal of a QR of the release ``P = (1/sqrt(r)) G [F^T; w I]``,
@@ -533,12 +535,12 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
     is packed, before it is yielded.  Every panel is released into one
     reused scratch array, so a yielded panel is valid until the next is
     asked for, and the release holds O(panel + n k), nothing of the
-    factor's size.  ``F`` and
-    ``p`` are checked before this returns.
+    factor's size.  ``F``, ``p`` and ``seed`` are checked before this
+    returns.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
-    n = A.shape[0]
-    return _Release(min(jl_params(p).r, n), n, _release_panels(A, p, seed))
+    n, rng = A.shape[0], _release_rng(seed)
+    return _Release(min(jl_params(p).r, n), n, _release_panels(A, p, rng))
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
@@ -550,8 +552,9 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
     release drawn from this seed.  It is the one number the analyst's denominator
     needs from the release of ``X X^T``: ``||P J||_F^2`` for the centering
     matrix ``J``.  Its chi-square draws come from the release's generator,
-    SFC64 seeded with ``seed`` (:func:`_release_rng`).  Nothing of size r
-    is drawn or held.
+    SFC64 seeded with ``seed`` (:func:`_release_rng`), an integer >= 0,
+    which is checked before anything is drawn.  Nothing of size r is drawn
+    or held.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     r, w = jl_params(p)

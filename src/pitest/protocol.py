@@ -70,6 +70,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import BinaryIO, Iterator, NamedTuple
 
@@ -81,7 +82,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .data import _as_sample_matrix
+from .data import _as_int, _as_sample_matrix
 from .estimators import decide, rejection_threshold
 from .laws import check_sx, factor_W, private_statistics, query_matrix, yc_sq
 from .privacy import (
@@ -181,8 +182,9 @@ class TestReport:
 
 def _release_seeds(master_seed: int | None) -> tuple[int, int]:
     """The 64-bit seeds of the ``B`` release and of the ``X`` release, from a master seed."""
-    try:
-        seeds = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    try:  # an integer by the package's rule, then one that SeedSequence takes
+        entropy = None if master_seed is None else _as_int(master_seed, "master seed")
+        seeds = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
     except (ValueError, TypeError) as exc:
         raise InvalidInputError(f"invalid master seed {master_seed!r}: {exc}") from exc
     return int(seeds[0]), int(seeds[1])
@@ -281,8 +283,10 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
         alpha: significance level in (0, 1).
         s_param: scale parameter for the closed-form upper bound, a positive
             finite number (:func:`pitest.bounds.check_s_param`); defaults
-            to ``s_bar / n``.  Values outside the validity region make the
-            upper bound infinite (recorded in the report, not an error).
+            to ``s_bar / n``, or to the least positive float where that
+            quotient underflows to 0.  Values outside the validity region
+            make the upper bound infinite (recorded in the report, not an
+            error).
 
     Returns:
         TestReport.  ``degenerate`` is set (and statistic/reject/bounds are
@@ -298,7 +302,7 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
         )
     rejection_threshold(alpha)  # alpha and s_param are checked before the factor is read
     if s_param is not None:
-        s_param = check_s_param(s_param)
+        check_s_param(s_param)
     n, m = pkg.n, Ym.shape[1]
     per_release = pkg.params.half_budget()
     r, w = jl_params(per_release)
@@ -308,8 +312,9 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     omega_bar_sq, s_bar = private_statistics(n, answers, pkg.sx, yc_sq(Ym))
     verdict = decide(omega_bar_sq, s_bar, n, alpha)
     degenerate = verdict.statistic is None
-    bounds = None if degenerate else evaluate_bounds(
-        omega_bar_sq / s_bar, s_bar / n if s_param is None else s_param, per_release, m, n)
+    if s_param is None:  # s_bar / n, or the least positive float where that underflows to 0
+        s_param = max(s_bar / n, math.ulp(0.0))
+    bounds = None if degenerate else evaluate_bounds(omega_bar_sq / s_bar, s_param, per_release, m, n)
 
     w2, answered = w * w, n * n / 2.0 * omega_bar_sq
     release = {"r": r, "w": w, "rows": pkg.proj_B.rows, "package_bytes": _package_bytes(pkg)}
@@ -321,14 +326,8 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
 
 
 def _privacy_section(params: PrivacyParams) -> dict:
-    """The ``privacy`` section of a package header or a report."""
-    return {
-        "epsilon": float(params.epsilon),
-        "delta": float(params.delta),
-        "eta": float(params.eta),
-        "nu": float(params.nu),
-        "split": _SPLIT,
-    }
+    """The ``privacy`` section of a package header or a report: the four floats, then the split."""
+    return {**asdict(params), "split": _SPLIT}
 
 
 def _header_line(n: int, params: PrivacyParams, sx: float) -> bytes:
@@ -367,19 +366,23 @@ def _package_bytes(pkg: AlicePackage) -> int:
     return _package_length(len(_header_line(pkg.n, pkg.params, pkg.sx)), pkg.proj_B.rows, pkg.n)
 
 
+@contextmanager
+def _malformed(prefix: str = ""):
+    """Raise an InvalidInputError of the block as PackageFormatError, after ``prefix``.
+
+    A package field that the owner of its rule refuses makes the package
+    malformed.
+    """
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise PackageFormatError(f"{prefix}{exc}") from exc
+
+
 def _require(doc: dict, field: str, where: str = "package"):
     if field not in doc:
         raise PackageFormatError(f"{where} is missing required section '{field}'")
     return doc[field]
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PackageFormatError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise PackageFormatError(f"{what} is out of range: {exc}") from exc
 
 
 def _parse_header(head: bytes) -> dict:
@@ -417,10 +420,8 @@ def _read_header(data: bytes) -> _Header:
     """
     end = data.find(b"\n")
     doc = _parse_header(data if end < 0 else data[:end])
-
-    version = _require(doc, "version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise PackageFormatError(f"version must be an integer, got {version!r}")
+    with _malformed():
+        version = _as_int(_require(doc, "version"), "version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"unsupported package version {version}; this build reads version {FORMAT_VERSION}"
@@ -428,33 +429,25 @@ def _read_header(data: bytes) -> _Header:
     if end < 0:
         raise PackageFormatError("package header is not followed by a newline (truncated?)")
 
-    n = _require(doc, "n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    with _malformed():
+        n = _as_int(_require(doc, "n"), "n")
+    if n < 2:
         raise PackageFormatError(f"n must be an integer >= 2, got {n!r}")
 
     privacy = _require(doc, "privacy")
     if not isinstance(privacy, dict):
         raise PackageFormatError("section 'privacy' must be an object")
-    kwargs = {}
-    for field in ("epsilon", "delta", "eta", "nu"):
-        value = _require(privacy, field, "section 'privacy'")
-        kwargs[field] = _number(value, f"privacy field '{field}'")
+    fields = [_require(privacy, f, "section 'privacy'") for f in ("epsilon", "delta", "eta", "nu")]
     split = _require(privacy, "split", "section 'privacy'")
     if split != _SPLIT:
         raise PackageFormatError(f"unsupported budget split {split!r}; expected {_SPLIT!r}")
-    try:
-        params = PrivacyParams(**kwargs)
+    with _malformed("invalid privacy parameters: "):
+        params = PrivacyParams(*fields)
         # The header fixes the factor's row count: min(r, n) for r of one release.
         rows = min(jl_params(params.half_budget()).r, n)
-    except InvalidInputError as exc:
-        raise PackageFormatError(f"invalid privacy parameters: {exc}") from exc
 
-    # json.loads reads NaN and Infinity, and 1e400 as inf.
-    sx = _number(_require(doc, "sx"), "sx")
-    try:
-        check_sx(sx)
-    except InvalidInputError as exc:
-        raise PackageFormatError(f"invalid package: {exc}") from exc
+    with _malformed("invalid package: "):  # json.loads reads NaN and Infinity, and 1e400 as inf
+        sx = check_sx(_require(doc, "sx"))
 
     offset = end + 1
     if data[:offset] != _header_line(n, params, sx):
@@ -473,14 +466,6 @@ def _check_length(header: _Header, length: int) -> None:
             f"package holds {length} bytes, expected {expected} (header, newline and the "
             f"{_row_offset(header.rows, header.n)} float64 of a packed {header.rows}x{header.n} factor)"
         )
-
-
-def _check_payload_panel(segment: np.ndarray, h: int) -> None:
-    """The release's panel check (finite, positive diagonal), failing as PackageFormatError."""
-    try:
-        _check_panel(segment, h)
-    except InvalidInputError as exc:
-        raise PackageFormatError(f"section 'proj_B': {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,7 +492,8 @@ class _FileFactor:
             segment = buffer[: _row_offset(b, n) - _row_offset(a, n)]
             if self.handle.readinto(segment) != segment.nbytes:
                 raise PackageFormatError(f"package ends inside the panel of rows {a} to {b - 1}")
-            _check_payload_panel(segment, b - a)
+            with _malformed("section 'proj_B': "):  # finite, positive diagonal
+                _check_panel(segment, b - a)
             yield a, b, segment
 
 

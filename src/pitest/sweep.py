@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import _as_int
 from .errors import InvalidInputError
 from .estimators import dcov_sq_closed_form, s_hat
 from .laws import statistics_laws
@@ -65,9 +66,7 @@ class SweepConfig:
         if list(self.epsilons) != sorted(set(self.epsilons)):
             raise InvalidInputError(f"epsilons must be strictly increasing, got {self.epsilons}")
         for name in ("replications", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            _as_int(getattr(self, name), name)
         if self.replications < 1:
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
         if self.master_seed < 0:

@@ -1214,10 +1214,10 @@ def test_synthetic_pair_refuses_non_integer_shapes_and_non_numeric_dependence(kw
     (dict(x_scale=True), "x_scale must be a finite number"),
     (dict(x_scale="3"), "x_scale must be a finite number"),
     (dict(seed=-1), "seed must be a nonnegative integer"),
-    (dict(seed=1.5), "seed must be a nonnegative integer"),
-    (dict(seed=2.0), "seed must be a nonnegative integer"),
-    (dict(seed=False), "seed must be a nonnegative integer"),
-    (dict(seed=None), "seed must be a nonnegative integer"),
+    (dict(seed=1.5), "seed must be an integer"),
+    (dict(seed=2.0), "seed must be an integer"),
+    (dict(seed=False), "seed must be an integer"),
+    (dict(seed=None), "seed must be an integer"),
 ])
 def test_synthetic_pair_refuses_a_non_finite_scale_and_a_bad_seed(kwargs, message):
     with pytest.raises(InvalidInputError, match=message):

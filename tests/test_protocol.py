@@ -21,7 +21,14 @@ from pitest.errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from pitest.estimators import dcov_sq_closed_form, decide, s_hat
+from pitest.bounds import (
+    aggregate_coverage_probability,
+    check_s_param,
+    evaluate_bounds,
+    lower_bound_ratio,
+    upper_bound_ratio,
+)
+from pitest.estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from pitest.privacy import (
     PrivacyParams,
     jl_params,
@@ -40,6 +47,7 @@ from pitest.protocol import (
     read_package,
     report_to_dict,
 )
+from pitest.sweep import SweepConfig
 
 from reference import (
     LAPACK_AGREEMENT,
@@ -290,6 +298,101 @@ def test_bob_refuses_a_bad_s_param_before_reading_the_factor(s_param, xy):
     with pytest.raises(InvalidInputError, match=f"s_param must be a positive finite number, got {s_param}"):
         bob_evaluate(released_package, xy[1], s_param=s_param)
     assert bob_evaluate(released_package, xy[1]) == bob_evaluate(alice_prepare(xy[0], PARAMS, 2024), xy[1])
+
+
+# The package's two scalar rules (README, "Library"): each public scalar
+# argument, called with every other argument valid.  ``good`` is a valid
+# value; a float's argument is a number and an int's an integer.
+_F = np.random.default_rng(3).standard_normal((6, 2))
+_TAU_PARAMS = PrivacyParams(1.0, 1e-4, 0.5, 0.01)  # (m + n) nu < 1 for m + n up to 99
+_SCALARS = {
+    "PrivacyParams.epsilon": (lambda v: PrivacyParams(v, 0.5, 0.5, 0.5), 1.0),
+    "PrivacyParams.delta": (lambda v: PrivacyParams(1.0, v, 0.5, 0.5), 0.5),
+    "PrivacyParams.eta": (lambda v: PrivacyParams(1.0, 0.5, v, 0.5), 0.5),
+    "PrivacyParams.nu": (lambda v: PrivacyParams(1.0, 0.5, 0.5, v), 0.5),
+    "check_s_param": (check_s_param, 2.0),
+    "lower_bound_ratio.ratio": (lambda v: lower_bound_ratio(v, 0.5), 0.5),
+    "lower_bound_ratio.eta": (lambda v: lower_bound_ratio(0.5, v), 0.5),
+    "upper_bound_ratio.ratio": (lambda v: upper_bound_ratio(v, 0.5, 0.25, 4.0), 0.5),
+    "upper_bound_ratio.eta": (lambda v: upper_bound_ratio(0.5, v, 0.25, 4.0), 0.5),
+    "upper_bound_ratio.tau": (lambda v: upper_bound_ratio(0.5, 0.5, v, 4.0), 0.25),
+    "upper_bound_ratio.s_param": (lambda v: upper_bound_ratio(0.5, 0.5, 0.25, v), 4.0),
+    "aggregate_coverage_probability.m": (lambda v: aggregate_coverage_probability(v, 2, 0.125), 1),
+    "aggregate_coverage_probability.n": (lambda v: aggregate_coverage_probability(1, v, 0.125), 2),
+    "aggregate_coverage_probability.nu": (lambda v: aggregate_coverage_probability(1, 2, v), 0.125),
+    "evaluate_bounds.ratio": (lambda v: evaluate_bounds(v, 4.0, _TAU_PARAMS, 2, 20), 0.5),
+    "evaluate_bounds.s_param": (lambda v: evaluate_bounds(0.5, v, _TAU_PARAMS, 2, 20), 4.0),
+    "evaluate_bounds.m": (lambda v: evaluate_bounds(0.5, 4.0, _TAU_PARAMS, v, 20), 2),
+    "evaluate_bounds.n": (lambda v: evaluate_bounds(0.5, 4.0, _TAU_PARAMS, 2, v), 20),
+    "tau.m": (lambda v: privacy.tau(_TAU_PARAMS, v, 20), 2),
+    "tau.n": (lambda v: privacy.tau(_TAU_PARAMS, 2, v), 20),
+    "rejection_threshold": (rejection_threshold, 0.25),
+    "check_sx": (laws.check_sx, 2.0),
+    "synthetic_pair.n": (lambda v: synthetic_pair(v), 20),
+    "synthetic_pair.d": (lambda v: synthetic_pair(20, d=v), 3),
+    "synthetic_pair.m": (lambda v: synthetic_pair(20, m=v), 3),
+    "synthetic_pair.clusters": (lambda v: synthetic_pair(20, clusters=v), 2),
+    "synthetic_pair.dependence": (lambda v: synthetic_pair(20, dependence=v), 0.5),
+    "synthetic_pair.x_scale": (lambda v: synthetic_pair(20, x_scale=v), 2.0),
+    "synthetic_pair.seed": (lambda v: synthetic_pair(20, seed=v), 3),
+    "SweepConfig.replications": (lambda v: SweepConfig(epsilons=(1.0,), replications=v), 4),
+    "SweepConfig.master_seed": (lambda v: SweepConfig(epsilons=(1.0,), master_seed=v), 3),
+    "privatize_covariance_panels.seed":
+        (lambda v: [x.copy() for _, _, x in privatize_covariance_panels(_F, PARAMS, v).panels()], 3),
+    "private_centered_sq_norm.seed": (lambda v: private_centered_sq_norm(_F, PARAMS, v), 3),
+    "alice_stream.master_seed": (lambda v: alice_stream(_F, PARAMS, v).sx, 3),
+}
+
+
+def _refused_cases():
+    for name, (call, good) in _SCALARS.items():
+        for bad in (True, "0.5", None, 10**400 if isinstance(good, float) else 2.7):
+            if not (bad is None and name == "alice_stream.master_seed"):  # None: OS entropy
+                yield pytest.param(call, bad, id=f"{name}={bad!r:.8}")
+    motivation = [  # each accepted, or refused with another error, before the two rules
+        (check_s_param, "1e3"), (laws.check_sx, True), (lambda v: lower_bound_ratio(v, 0.1), True),
+        (lambda v: lower_bound_ratio(v, 0.1), 10**400),
+        (lambda v: upper_bound_ratio(0.5, 0.1, v, 1e20), 10**400),
+        (laws.check_sx, 10**400), (lambda v: synthetic_pair(5, x_scale=v), 10**400),
+        (rejection_threshold, "0.05"), (lambda v: aggregate_coverage_probability(1, 2, v), "0.1"),
+        (laws.check_sx, "1"), (lambda v: aggregate_coverage_probability(v, 2, 0.1), 1.5),
+        (lambda v: private_centered_sq_norm(_F, PARAMS, v), "5"),
+        (lambda v: private_centered_sq_norm(_F, PARAMS, v), -1),
+        (lambda v: privatize_covariance_panels(_F, PARAMS, v), -1),
+        (lambda v: evaluate_bounds(0.5, v, PrivacyParams(1, 1e-4, 0.1, 0.05), 2, 200), math.nan),
+    ]
+    for i, (call, bad) in enumerate(motivation):
+        yield pytest.param(call, bad, id=f"motivation-{i}")
+
+
+@pytest.mark.parametrize("call, bad", _refused_cases())
+def test_a_scalar_from_outside_is_a_number_or_an_integer(call, bad):
+    """A bool, a string or None is neither a number nor an integer.
+
+    An int too large for a float is no finite number, and 2.7 no integer.
+    """
+    with pytest.raises(InvalidInputError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", _SCALARS)
+def test_numpy_scalars_count_as_their_python_values(name):
+    call, good = _SCALARS[name]
+    same = call(np.float32(good) if isinstance(good, float) else np.int64(good))
+    expected = call(good)
+    if isinstance(expected, (tuple, list)):
+        assert all(np.array_equal(a, b) for a, b in zip(same, expected, strict=True))
+    else:
+        assert same == expected
+
+
+def test_a_default_s_param_that_underflows_still_clamps_the_upper_bound():
+    """``s_bar / n`` can round to 0 for ``s_bar`` > 0; check_s_param refuses 0 as a given ``s_param``."""
+    X, Y = synthetic_pair(20, 2, 1, seed=1)
+    pkg = alice_prepare(X * 1e-150, PrivacyParams(1e12, 0.01, 0.5, 0.5), 1)
+    report = bob_evaluate(pkg, Y * 10.0**-153.5)
+    assert 0.0 < report.s_bar and report.s_bar / 20 == 0.0
+    assert report.bounds.s_param == math.ulp(0.0) and report.bounds.s_param_clamped
 
 
 def test_report_statistics_match_package_arithmetic(package, xy):

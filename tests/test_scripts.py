@@ -1,4 +1,4 @@
-"""Smoke test: each experiment script runs on tiny inputs and prints its header."""
+"""Smoke test: each experiment script runs on tiny inputs and prints its header, and refuses bad input."""
 
 import os
 import subprocess
@@ -12,6 +12,12 @@ SCRIPTS = [
      "5 trials per row, alpha = 0.05; band: "),
 ]
 
+# Each exits 2 with one usage-error line and prints nothing, so draws nothing.
+REFUSED = [
+    ("level_power.py", ["--alpha", "1.5"], "error: alpha must lie in (0, 1), got 1.5"),
+    ("level_power.py", ["--trials", "0"], "error: --trials must be >= 1, got 0"),
+]
+
 
 def test_scripts_run_on_tiny_inputs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -20,3 +26,12 @@ def test_scripts_run_on_tiny_inputs():
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (script, done.stderr)
         assert header in done.stdout.splitlines()[0], (script, done.stdout)
+
+
+def test_scripts_refuse_bad_input_before_drawing():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for script, args, message in REFUSED:
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, (script, args, done.stderr)
+        assert done.stdout == "" and done.stderr.splitlines()[-1].endswith(message), (args, done.stderr)
