@@ -43,25 +43,32 @@ def numbers(text):
     return [float(v) for v in text.split(",")]
 
 
+def integers(text):
+    return [int(v) for v in text.split(",")]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--ns", default="200,2000")
-    ap.add_argument("--epsilons", default="1,1e4")
-    ap.add_argument("--x-scales", default="1,1e4")
-    ap.add_argument("--offsets", default="0,3", help="Y offsets, in sd of Y")
-    ap.add_argument("--dependences", default="0,0.3")
+    ap.add_argument("--ns", type=integers, default="200,2000")
+    ap.add_argument("--epsilons", type=numbers, default="1,1e4")
+    ap.add_argument("--x-scales", type=numbers, default="1,1e4")
+    ap.add_argument("--offsets", type=numbers, default="0,3", help="Y offsets, in sd of Y")
+    ap.add_argument("--dependences", type=numbers, default="0,0.3")
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--alpha", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    epsilons = numbers(args.epsilons)
     if args.trials < 1:
         ap.error(f"--trials must be >= 1, got {args.trials}")
-    try:  # refused by the owner of each rule before anything is drawn
+    if not all(map(math.isfinite, args.offsets)):
+        ap.error(f"each Y offset must be finite, got {args.offsets}")
+    try:  # the whole grid, refused by the owner of each rule before anything is printed or drawn
         rejection_threshold(args.alpha)
         # pi-test's default delta, eta and nu
-        params = [jl_params(PrivacyParams(e, 2e-4, 0.1, 0.05).half_budget()) for e in epsilons]
+        params = [jl_params(PrivacyParams(e, 2e-4, 0.1, 0.05).half_budget()) for e in args.epsilons]
+        for n, x_scale, dependence in product(args.ns, args.x_scales, args.dependences):
+            synthetic_pair(n, 2, 1, dependence=dependence, x_scale=x_scale, seed=args.seed)
     except InvalidInputError as exc:
         ap.error(str(exc))
     low, high = binomial_band(args.trials, args.alpha)
@@ -69,10 +76,9 @@ def main():
           f"{args.trials}, {args.alpha}) for independent data")
     print(f"{'n':>6} {'epsilon':>8} {'x scale':>8} {'Y offset':>8} {'dependence':>10} "
           f"{'rejected':>10} {'rate':>6}  band")
-    grid = product([int(n) for n in numbers(args.ns)], numbers(args.x_scales),
-                   numbers(args.offsets), numbers(args.dependences))
+    grid = product(args.ns, args.x_scales, args.offsets, args.dependences)
     for n, x_scale, offset, dependence in grid:
-        rejected = np.zeros(len(epsilons), dtype=int)
+        rejected = np.zeros(len(args.epsilons), dtype=int)
         for t in range(args.trials):
             X, Y = synthetic_pair(n, 2, 1, dependence=dependence, x_scale=x_scale,
                                   seed=args.seed + t)
@@ -81,7 +87,7 @@ def main():
             omega_bar_sq, s_bar = statistics_laws(X, Y, params).draws(rng, 1)
             for i, (omega_i, s_i) in enumerate(zip(omega_bar_sq[:, 0], s_bar[:, 0])):
                 rejected[i] += bool(decide(omega_i, s_i, n, args.alpha).reject)
-        for epsilon, count in zip(epsilons, rejected):
+        for epsilon, count in zip(args.epsilons, rejected):
             mark = " below" if count < low else " above" if count > high else ""
             band = f"[{low}, {high}]{mark}" if dependence == 0.0 else ""
             print(f"{n:>6} {epsilon:>8g} {x_scale:>8g} {offset:>8g} {dependence:>10g} "

@@ -36,7 +36,6 @@ from .protocol import (
     bob_evaluate,
     package_parts,
     read_package,
-    report_to_dict,
 )
 from .data import load_csv, save_csv, synthetic_pair
 from .laws import factor_W

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .data import _as_float, _as_int
 from .errors import InvalidInputError
-from .privacy import PrivacyParams, tau, tau_mechanism
+from .privacy import PrivacyParams, tau_mechanism
 
 __all__ = [
     "BoundsReport",
@@ -51,18 +51,14 @@ class BoundsReport:
     """Two-sided bound on the private ratio, evaluated at the observed value.
 
     ``tau_used`` is the mechanism-level additive constant the transforms
-    were evaluated with; ``tau_closed_form`` is the analytical constant for
-    the same workload (None when its precondition fails), reported alongside
-    for comparison.  ``upper`` is ``inf`` when ``s_param`` fell outside the
-    validity region (recorded by ``s_param_clamped``).
+    were evaluated with.  ``upper`` is ``inf`` when ``s_param`` fell outside
+    the validity region (recorded by ``s_param_clamped``).
     """
 
     lower: float
     upper: float
     s_param: float
     tau_used: float
-    tau_closed_form: float | None
-    prob_floor: float | None
     s_param_clamped: bool
 
 
@@ -152,28 +148,16 @@ def s_param_min(p: PrivacyParams) -> float:
     return tau_mechanism(p) / (1.0 - p.eta)
 
 
-def evaluate_bounds(ratio: float, s_param: float, per_release: PrivacyParams, m: int, n: int) -> BoundsReport:
-    """The report's bounds at the private ``ratio``, for releases at ``per_release`` and m + n queries.
+def evaluate_bounds(ratio: float, s_param: float, per_release: PrivacyParams) -> BoundsReport:
+    """The report's bounds at the private ``ratio``, for releases at ``per_release``.
 
     The transforms are evaluated with ``tau_mechanism(per_release)``.  An
     ``s_param`` that :func:`upper_bound_ratio` refuses, one whose divisor
     ``(1 - eta) s_param - tau_used`` is not > 0 (one not above
     :func:`s_param_min`, up to rounding), clamps the upper bound to ``inf``
-    rather than raising; ``tau_closed_form`` and ``prob_floor`` are None
-    when their union bound over the m + n queries is vacuous.  ``s_param``
-    must pass :func:`check_s_param`, and ``m`` and ``n`` must be integers.
+    rather than raising.  ``s_param`` must pass :func:`check_s_param`.
     """
-    s_param, m, n = check_s_param(s_param), _as_int(m, "m"), _as_int(n, "n")
-    tau_used = tau_mechanism(per_release)
+    s_param, tau_used = check_s_param(s_param), tau_mechanism(per_release)
     clamped = not _divisor(per_release.eta, tau_used, s_param) > 0.0
     upper = math.inf if clamped else upper_bound_ratio(ratio, per_release.eta, tau_used, s_param)
-    try:
-        tau_closed: float | None = tau(per_release, m, n)
-    except InvalidInputError:
-        tau_closed = None
-    try:
-        prob_floor: float | None = aggregate_coverage_probability(m, n, per_release.nu)
-    except InvalidInputError:
-        prob_floor = None
-    return BoundsReport(lower_bound_ratio(ratio, per_release.eta), upper, s_param, tau_used,
-                        tau_closed, prob_floor, clamped)
+    return BoundsReport(lower_bound_ratio(ratio, per_release.eta), upper, s_param, tau_used, clamped)

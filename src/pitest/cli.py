@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from .data import load_csv
 from .errors import InvalidInputError, PiTestError
@@ -28,7 +30,7 @@ from .estimators import dcov_sq_closed_form, decide, rejection_threshold, s_hat
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .privacy import PrivacyParams, jl_params, tau_mechanism
 from .protocol import _package_bytes, _release_seeds, alice_stream, bob_evaluate
-from .protocol import package_parts, read_package, report_to_dict
+from .protocol import package_parts, read_package
 from .sweep import SweepConfig, run_sweep, sweep_rows_to_csv
 
 
@@ -175,10 +177,22 @@ def _cmd_bob(args) -> int:
         # The factor is read and checked one panel at a time: a bad panel
         # raises before any statistic exists.
         report = bob_evaluate(package, Y, alpha=args.alpha, s_param=args.s_param)
-    atomic_write_text(args.report, json.dumps(report_to_dict(report), indent=2) + "\n")
+    _write_report(args.report, asdict(report))
     _print_decision(report)
     print(f"wrote report: {args.report}")
     return 0
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float in it, at any depth of dicts, as None."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_report(path: str, doc: dict) -> None:
+    """Write a report as strict JSON: JSON has no NaN or Infinity, so each is written as null."""
+    atomic_write_text(path, json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _print_decision(report) -> None:
@@ -211,8 +225,7 @@ def _cmd_run(args, params: PrivacyParams) -> int:
         f" -> {'reject' if verdict.reject else 'fail to reject'}"
     )
 
-    doc = {"private": report_to_dict(report), "nonprivate": nonprivate}
-    atomic_write_text(args.report, json.dumps(doc, indent=2) + "\n")
+    _write_report(args.report, {"private": asdict(report), "nonprivate": nonprivate})
     _print_decision(report)
     print(np_line)
     print(f"wrote report: {args.report}")

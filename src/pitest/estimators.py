@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _as_float, _as_sample_matrix
+from .data import _as_float, _as_int, _as_sample_matrix
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -141,9 +141,12 @@ def decide(omega_sq: float, s: float, n: int, alpha: float) -> TestDecision:
     threshold does not reject.  When ``s`` is not > 0 (a constant dataset)
     there is no verdict, and ``statistic`` and ``reject`` are None.  Raises
     InvalidInputError naming the data's scale when ``omega_sq``, ``s`` or
-    Gamma is not finite, as when the data overflow float64.
+    Gamma is not finite, as when the data overflow float64, and when ``n``
+    is not an integer >= 1.
     """
-    threshold = rejection_threshold(alpha)
+    threshold, n = rejection_threshold(alpha), _as_int(n, "n")
+    if n < 1:
+        raise InvalidInputError(f"n must be an integer >= 1, got {n}")
     omega_sq, s = float(omega_sq), float(s)  # Python floats: an overflow is inf, unwarned
     statistic = n * omega_sq / s if s > 0.0 else None
     if not all(map(math.isfinite, (omega_sq, s, statistic or 0.0))):

@@ -26,11 +26,11 @@ parameters are
 
 which make the release (epsilon, delta)-differentially private; the floor
 inflates every answer by ``w^2 ||y||^2``, giving the mechanism-level
-additive constant ``tau_mech = (1 + eta) w^2`` for unit queries.  A
-closed-form additive constant ``tau`` for the end-to-end ratio guarantee is
-also provided; both are reported side by side because the closed form is a
-loose analytical bound while ``tau_mech`` reflects the mechanism actually
-run.
+additive constant ``tau_mech = (1 + eta) w^2`` for unit queries.  The
+paper's closed-form additive constant ``tau`` for the end-to-end ratio
+guarantee is kept as its transcription, but no report carries it: it is a
+loose analytical bound, while the report's bounds use ``tau_mech``, which
+reflects the mechanism actually run.
 
 The analyst reads ``P`` only through its Gram ``P^T P``, so what is shipped
 is not ``P`` but ``R``, the min(r, n) x n upper-trapezoidal factor with a

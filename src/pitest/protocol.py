@@ -108,7 +108,6 @@ __all__ = [
     "bob_evaluate",
     "package_parts",
     "read_package",
-    "report_to_dict",
 ]
 
 FORMAT_VERSION = 7
@@ -314,7 +313,7 @@ def bob_evaluate(pkg: AlicePackage, Y, alpha: float = 0.05, s_param: float | Non
     degenerate = verdict.statistic is None
     if s_param is None:  # s_bar / n, or the least positive float where that underflows to 0
         s_param = max(s_bar / n, math.ulp(0.0))
-    bounds = None if degenerate else evaluate_bounds(omega_bar_sq / s_bar, s_param, per_release, m, n)
+    bounds = None if degenerate else evaluate_bounds(omega_bar_sq / s_bar, s_param, per_release)
 
     w2, answered = w * w, n * n / 2.0 * omega_bar_sq
     release = {"r": r, "w": w, "rows": pkg.proj_B.rows, "package_bytes": _package_bytes(pkg)}
@@ -518,13 +517,3 @@ def read_package(handle: BinaryIO) -> AlicePackage:
     factor = _FileFactor(handle, header.offset, header.rows, header.n)
     return AlicePackage(params=header.params, proj_B=factor, sx=header.sx)
 
-
-def report_to_dict(report: TestReport) -> dict:
-    """JSON-safe dict for a TestReport, its one serialiser (an infinite upper bound becomes null + flag)."""
-    doc = asdict(report)
-    bounds = doc["bounds"]
-    if bounds is not None:
-        bounds["upper_finite"] = not math.isinf(bounds["upper"])
-        if not bounds["upper_finite"]:
-            bounds["upper"] = None
-    return doc

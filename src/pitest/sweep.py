@@ -26,6 +26,7 @@ is drawn or held.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _as_int
+from .data import _as_float, _as_int
 from .errors import InvalidInputError
 from .estimators import dcov_sq_closed_form, s_hat
 from .laws import statistics_laws
@@ -47,7 +48,8 @@ __all__ = ["SweepConfig", "SweepRow", "SweepTable", "SWEEP_HEADER", "run_sweep",
 class SweepConfig:
     """A sweep's grid and settings, each checked by the owner of its rule.
 
-    ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
+    ``epsilons`` and ``eta_values`` must be non-empty sequences of numbers,
+    and ``PrivacyParams`` checks epsilon, eta, delta and nu, as it builds
     ``cells``; ``replications`` and ``master_seed`` must be integers.
     ``master_seed`` seeds the sweep's one generator.
     The rows hold no test decision, so there is no significance level.
@@ -61,8 +63,13 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.cells:
-            raise InvalidInputError("epsilons and eta_values must be non-empty")
+        for name in ("epsilons", "eta_values"):  # a string is a Sequence, but no grid
+            grid = getattr(self, name)
+            if isinstance(grid, (str, bytes)) or not isinstance(grid, Sequence) or not grid:
+                raise InvalidInputError(f"{name} must be a non-empty sequence of numbers, got {grid!r}")
+            for value in grid:
+                _as_float(value, f"each of {name}")
+        self.cells  # built here: PrivacyParams checks each cell's numbers
         if list(self.epsilons) != sorted(set(self.epsilons)):
             raise InvalidInputError(f"epsilons must be strictly increasing, got {self.epsilons}")
         for name in ("replications", "master_seed"):

@@ -2,6 +2,7 @@
 subprocess where the process's environment matters."""
 
 import codecs
+import dataclasses
 import errno
 import hashlib
 import io
@@ -40,7 +41,6 @@ from pitest.protocol import (
     bob_evaluate,
     factor_W,
     read_package,
-    report_to_dict,
 )
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
@@ -438,18 +438,53 @@ def test_bob_round_trip(data_dir, tmp_path, capsys):
     assert r == 45
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def _as_written(doc) -> str:
+    """``doc`` as a report is written: indented JSON, each non-finite number as null."""
+    return json.dumps(json.loads(json.dumps(doc), parse_constant=lambda name: None), indent=2) + "\n"
+
+
 def test_bob_writes_the_library_report(data_dir, tmp_path, capsys):
-    """``pi-test bob`` writes bob_evaluate's report, serialised by report_to_dict, and nothing more."""
-    pkg, report = tmp_path / "pkg.bin", tmp_path / "report.json"
+    """``pi-test bob`` writes the ``asdict`` of bob_evaluate's report, and nothing more."""
+    pkg, path = tmp_path / "pkg.bin", tmp_path / "report.json"
     assert main(["alice", "--input", str(data_dir / "x.csv"), *ALICE_ARGS, "--seed", "11",
                  "--out", str(pkg)]) == 0
     assert main(["bob", "--package", str(pkg), "--input", str(data_dir / "y.csv"),
-                 "--report", str(report)]) == 0
+                 "--report", str(path)]) == 0
     capsys.readouterr()
     with open(pkg, "rb") as f:
-        doc = report_to_dict(bob_evaluate(read_package(f), load_csv(data_dir / "y.csv")))
+        doc = dataclasses.asdict(bob_evaluate(read_package(f), load_csv(data_dir / "y.csv")))
     assert list(doc)[-3:] == ["privacy", "release", "floor"]
-    assert report.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+    assert path.read_bytes() == _as_written(doc).encode()
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "1e-17"], ["--s-param", "1"]], ids=["alpha", "s_param"])
+def test_every_report_is_strict_json(flags, data_dir, tmp_path, capsys):
+    """Bob's and run's reports hold no NaN or Infinity: the infinite threshold of an alpha so small
+    that nothing rejects, and a clamped upper bound, are written as null."""
+    x, y = str(data_dir / "x.csv"), str(data_dir / "y.csv")
+    pkg, bob_path, run_path = tmp_path / "pkg.bin", tmp_path / "bob.json", tmp_path / "run.json"
+    assert main(["alice", "--input", x, *ALICE_ARGS, "--seed", "11", "--out", str(pkg)]) == 0
+    assert main(["bob", "--package", str(pkg), "--input", y, *flags, "--report", str(bob_path)]) == 0
+    assert main(["run", "--input-x", x, "--input-y", y, *ALICE_ARGS, "--seed", "11", *flags,
+                 "--report", str(run_path)]) == 0
+    capsys.readouterr()
+    bob = json.loads(bob_path.read_text(), parse_constant=_refuse_constant)
+    run = json.loads(run_path.read_text(), parse_constant=_refuse_constant)
+    options = {"alpha": 1e-17} if flags[0] == "--alpha" else {"s_param": 1.0}
+    with open(pkg, "rb") as f:
+        report = bob_evaluate(read_package(f), load_csv(y), **options)
+    assert bob_path.read_text() == _as_written(dataclasses.asdict(report))
+    assert run["private"] == bob
+    if flags[0] == "--alpha":
+        assert report.threshold == math.inf and report.reject is False
+        assert bob["threshold"] is None and run["nonprivate"]["threshold"] is None
+    else:
+        assert report.bounds.upper == math.inf and report.bounds.s_param_clamped
+        assert bob["bounds"]["upper"] is None and bob["bounds"]["s_param_clamped"] is True
 
 
 def test_bob_reports_the_floor_share_of_each_statistic(data_dir, tmp_path, capsys):
@@ -498,7 +533,8 @@ def test_bob_degenerate_input_still_exits_zero(data_dir, tmp_path, capsys):
                "--report", str(report)])
     assert rc == 0
     assert "degenerate" in capsys.readouterr().out
-    assert json.loads(report.read_text())["statistic"] is None
+    doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+    assert doc["degenerate"] is True and doc["statistic"] is None and doc["bounds"] is None
 
 
 @pytest.mark.parametrize("command", ["bob", "run"])
@@ -976,6 +1012,20 @@ def test_sweep_config_validation():
         SweepConfig(epsilons=(1.0,), eta_values=(1.5,))
     with pytest.raises(InvalidInputError, match="epsilon must be a finite number"):
         SweepConfig(epsilons=(1.0, math.inf))
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"epsilons": None}, "epsilons must be a non-empty sequence of numbers, got None"),
+    ({"eta_values": None}, "eta_values must be a non-empty sequence of numbers, got None"),
+    ({"epsilons": "12"}, "epsilons must be a non-empty sequence of numbers, got '12'"),
+    ({"epsilons": {1.0}}, "epsilons must be a non-empty sequence of numbers, got {1.0}"),
+    ({"eta_values": ()}, "eta_values must be a non-empty sequence of numbers, got ()"),
+    ({"epsilons": (1.0, "2")}, "each of epsilons must be a finite number, got '2'"),
+    ({"eta_values": [0.5, True]}, "each of eta_values must be a finite number, got True"),
+])
+def test_sweep_config_grids_are_non_empty_sequences_of_numbers(grid, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        SweepConfig(**{"epsilons": (1.0,), **grid})
 
 
 @pytest.mark.parametrize("field, value", [("replications", 1.5), ("replications", True),

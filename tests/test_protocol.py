@@ -45,7 +45,6 @@ from pitest.protocol import (
     factor_W,
     package_parts,
     read_package,
-    report_to_dict,
 )
 from pitest.sweep import SweepConfig
 
@@ -320,13 +319,12 @@ _SCALARS = {
     "aggregate_coverage_probability.m": (lambda v: aggregate_coverage_probability(v, 2, 0.125), 1),
     "aggregate_coverage_probability.n": (lambda v: aggregate_coverage_probability(1, v, 0.125), 2),
     "aggregate_coverage_probability.nu": (lambda v: aggregate_coverage_probability(1, 2, v), 0.125),
-    "evaluate_bounds.ratio": (lambda v: evaluate_bounds(v, 4.0, _TAU_PARAMS, 2, 20), 0.5),
-    "evaluate_bounds.s_param": (lambda v: evaluate_bounds(0.5, v, _TAU_PARAMS, 2, 20), 4.0),
-    "evaluate_bounds.m": (lambda v: evaluate_bounds(0.5, 4.0, _TAU_PARAMS, v, 20), 2),
-    "evaluate_bounds.n": (lambda v: evaluate_bounds(0.5, 4.0, _TAU_PARAMS, 2, v), 20),
+    "evaluate_bounds.ratio": (lambda v: evaluate_bounds(v, 4.0, _TAU_PARAMS), 0.5),
+    "evaluate_bounds.s_param": (lambda v: evaluate_bounds(0.5, v, _TAU_PARAMS), 4.0),
     "tau.m": (lambda v: privacy.tau(_TAU_PARAMS, v, 20), 2),
     "tau.n": (lambda v: privacy.tau(_TAU_PARAMS, 2, v), 20),
     "rejection_threshold": (rejection_threshold, 0.25),
+    "decide.n": (lambda v: decide(1.0, 1.0, v, 0.05), 3),
     "check_sx": (laws.check_sx, 2.0),
     "synthetic_pair.n": (lambda v: synthetic_pair(v), 20),
     "synthetic_pair.d": (lambda v: synthetic_pair(20, d=v), 3),
@@ -359,7 +357,9 @@ def _refused_cases():
         (lambda v: private_centered_sq_norm(_F, PARAMS, v), "5"),
         (lambda v: private_centered_sq_norm(_F, PARAMS, v), -1),
         (lambda v: privatize_covariance_panels(_F, PARAMS, v), -1),
-        (lambda v: evaluate_bounds(0.5, v, PrivacyParams(1, 1e-4, 0.1, 0.05), 2, 200), math.nan),
+        (lambda v: evaluate_bounds(0.5, v, PrivacyParams(1, 1e-4, 0.1, 0.05)), math.nan),
+        (lambda v: decide(1.0, 1.0, v, 0.05), True), (lambda v: decide(1.0, 1.0, v, 0.05), 2.5),
+        (lambda v: decide(1.0, 1.0, v, 0.05), "3"), (lambda v: decide(1.0, 1.0, v, 0.05), 0),
     ]
     for i, (call, bad) in enumerate(motivation):
         yield pytest.param(call, bad, id=f"motivation-{i}")
@@ -447,9 +447,6 @@ def test_report_bounds_plumbing(package, xy):
     assert b.s_param_clamped
     assert b.upper == math.inf
     assert math.isfinite(b.lower)
-    # nu = 0.5 saturates the (m + n) union budget, so no closed-form report
-    assert b.tau_closed_form is None
-    assert b.prob_floor is None
 
 
 def test_explicit_s_param_unclamps_upper(package, xy):
@@ -460,14 +457,6 @@ def test_explicit_s_param_unclamps_upper(package, xy):
     assert not report.bounds.s_param_clamped
     assert math.isfinite(report.bounds.upper)
     assert report.bounds.lower < report.bounds.upper
-
-
-def test_closed_form_constants_present_when_budget_allows(xy):
-    X, Y = xy
-    p = PrivacyParams(epsilon=10.0, delta=0.01, eta=0.5, nu=1e-6)
-    report = bob_evaluate(alice_prepare(X, p, 5), Y)
-    assert report.bounds.tau_closed_form > 0.0
-    assert report.bounds.prob_floor == pytest.approx(1.0 - 15 * 1e-6, rel=1e-12)
 
 
 # ------------------------------------------------------------ wire format
@@ -1139,30 +1128,3 @@ def test_blocked_statistics_match_one_shot_formulas():
         report = bob_evaluate(p, Y)
         assert report.omega_bar_sq == pytest.approx(omega, rel=1e-13)
         assert report.s_bar == pytest.approx(s, rel=1e-13)
-
-
-# ------------------------------------------------------------ report dict
-
-
-def test_report_to_dict_is_json_safe(package, xy):
-    report = bob_evaluate(package, xy[1])
-    doc = report_to_dict(report)
-    text = json.dumps(doc)  # would raise on inf
-    assert json.loads(text)["bounds"]["upper"] is None
-    assert doc["bounds"]["upper_finite"] is False
-    assert doc["reject"] == report.reject
-
-
-def test_report_to_dict_finite_upper(package, xy):
-    t_mech = tau_mechanism(PARAMS.half_budget())
-    report = bob_evaluate(package, xy[1], s_param=10.0 * t_mech / 0.5)
-    doc = report_to_dict(report)
-    assert doc["bounds"]["upper_finite"] is True
-    assert doc["bounds"]["upper"] == report.bounds.upper
-
-
-def test_report_to_dict_degenerate(package):
-    doc = report_to_dict(bob_evaluate(package, np.ones((12, 2))))
-    assert doc["degenerate"] is True
-    assert doc["statistic"] is None
-    assert doc["bounds"] is None

@@ -16,6 +16,10 @@ SCRIPTS = [
 REFUSED = [
     ("level_power.py", ["--alpha", "1.5"], "error: alpha must lie in (0, 1), got 1.5"),
     ("level_power.py", ["--trials", "0"], "error: --trials must be >= 1, got 0"),
+    ("level_power.py", ["--ns", "1"], "error: invalid synthetic shape n=1, d=2, m=1, clusters=3"),
+    ("level_power.py", ["--dependences", "2"], "error: dependence must lie in [0, 1], got 2.0"),
+    ("level_power.py", ["--ns", "2.9"], "error: argument --ns: invalid integers value: '2.9'"),
+    ("level_power.py", ["--ns", "abc"], "error: argument --ns: invalid integers value: 'abc'"),
 ]
 
 
