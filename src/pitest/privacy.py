@@ -80,8 +80,8 @@ gather through the cached mask that the analyst unpacks with, onto the
 entries just before the rectangle, which is already in packed order.
 Every block lies in one scratch array so that its packed values start at
 the same address, so the release, :func:`privatize_covariance_panels`, is
-a factor read once, whose panels are each a view of that scratch: a
-writer ships each panel as it finishes, or the analyst sums it, and holds
+a :class:`_Factor` read once, whose panels are each a view of that
+scratch: a writer ships each panel as it finishes, or the analyst sums it, and holds
 O(panel + n k), nothing of the factor's size.  Its values agree with LAPACK's one-shot QR of the same draw
 (``dtpqrt`` and ``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of
 the factor's largest entry; they round differently.  Every draw comes from
@@ -96,9 +96,10 @@ packed triangle is scattered, through one cached boolean mask, into a new
 zero-filled square, and the rectangle is multiplied where it lies.  The
 square is Fortran-ordered, as LAPACK's ``dtpttr`` (which reads the same
 column-packed storage) would return it, so its product with ``V`` makes
-the same BLAS call and rounds the same.  It reads the factor only
-through its panels, one reused buffer at a time from a package or as
-they are released, so the analyst holds one panel and nothing of the factor's size.  The release,
+the same BLAS call and rounds the same.  It reads the factor through the
+one factor type, :class:`_Factor`, whose panels come one reused buffer at
+a time, from a stored package or as they are released, so the analyst
+holds one panel and nothing of the factor's size.  The release,
 the analyst and the exact-law draws run on numpy alone.
 
 A release that is only ever reduced to its centred sum of squares
@@ -124,7 +125,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -501,24 +502,25 @@ def _release_panels(A: np.ndarray, p: PrivacyParams, rng: np.random.Generator):
         yield a, b, values
 
 
-class _Release(NamedTuple):
-    """A release factor, read once: each checked row panel as it is released.
+class _Factor(NamedTuple):
+    """A packed rows x n release factor, read one checked row panel at a time: the one factor type.
 
-    It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
-    ``panels()``, which yields ``(a, b, values)`` for each row panel [a, b),
-    top down.  The panels come from the release itself, so ``panels()``
-    can be read through once only; a second pass yields nothing.
+    Each call of ``panels()`` is one pass over the factor, which yields
+    ``(a, b, values)`` for each row panel [a, b), top down, ``values`` its
+    packed segment, checked finite with a positive diagonal before it is
+    yielded, and valid until the next panel is asked for.  A release
+    (:func:`privatize_covariance_panels`) passes its one generator, so it
+    is read once: a second pass yields nothing, which the analyst's sum
+    refuses.  A stored package (:func:`pitest.protocol.read_package`)
+    starts a new pass over its handle at each call.
     """
 
     rows: int
     n: int
-    released: Iterator
-
-    def panels(self) -> Iterator:
-        return self.released
+    panels: Callable[[], Iterator]
 
 
-def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
+def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Factor:
     """Release the Gram of a private projection for the covariance ``F F^T``, one row panel at a time.
 
     Args:
@@ -530,9 +532,10 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
     Returns ``R``, the min(r, n) x n upper-trapezoidal R factor with
     positive diagonal of a QR of the release ``P = (1/sqrt(r)) G [F^T; w I]``,
     drawn from its exact law (see the module docstring) without drawing
-    ``P``, as a factor read once: its ``panels()`` releases the packed row
-    panels, top down, each checked finite with a positive diagonal where it
-    is packed, before it is yielded.  Every panel is released into one
+    ``P``, as a :class:`_Factor` read once: its ``panels()`` returns the
+    release's one generator of the packed row panels, top down, each
+    checked finite with a positive diagonal where it is packed, before it
+    is yielded.  Every panel is released into one
     reused scratch array, so a yielded panel is valid until the next is
     asked for, and the release holds O(panel + n k), nothing of the
     factor's size.  ``F``, ``p`` and ``seed`` are checked before this
@@ -540,7 +543,8 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Release:
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n, rng = A.shape[0], _release_rng(seed)
-    return _Release(min(jl_params(p).r, n), n, _release_panels(A, p, rng))
+    released = _release_panels(A, p, rng)
+    return _Factor(min(jl_params(p).r, n), n, lambda: released)
 
 
 def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
@@ -565,10 +569,10 @@ def private_centered_sq_norm(F, p: PrivacyParams, seed: int) -> float:
 def private_sum_directional_variances(P, V) -> float:
     """Sum of query answers over the columns of ``V``: ``||R V||_F^2`` for the factor ``R``.
 
-    ``P`` is read only through ``rows``, ``n`` and ``panels()``, which
-    yields ``(a, b, segment)`` for each packed row panel [a, b), top down:
-    a package's factor (:func:`pitest.protocol.read_package`), read from
-    its handle one panel at a time, or a release
+    ``P`` is a :class:`_Factor`, whose ``panels()`` yields
+    ``(a, b, segment)`` for each packed row panel [a, b), top down: a
+    package's factor (:func:`pitest.protocol.read_package`), read from its
+    handle one panel at a time on every pass, or a release
     (:func:`privatize_covariance_panels`), read once as it is released.
     The panels must tile rows [0, rows) in order, else InvalidInputError
     names the rows they covered: so a release read a second time, which

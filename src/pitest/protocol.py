@@ -50,7 +50,8 @@ padding is fixed by the line's length, so round-trips are bit-exact and
 equal packages are equal bytes.
 
 One object, :class:`AlicePackage`, is the message on both sides, and its
-factor is read one panel at a time.  :func:`alice_stream` gives the
+factor has one type, :class:`pitest.privacy._Factor`, read one panel at a
+time whether it is released or stored.  :func:`alice_stream` gives the
 package with its factor read once, as it is released; ``sx`` does not
 depend on ``R_B``, so it is drawn first.  :func:`package_parts` is the one
 encoder: the header line, then each panel as it is released and checked.
@@ -67,12 +68,13 @@ bytes.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import BinaryIO, Iterator, NamedTuple
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -87,7 +89,7 @@ from .estimators import decide, rejection_threshold
 from .laws import check_sx, factor_W, private_statistics, query_matrix, yc_sq
 from .privacy import (
     PrivacyParams,
-    _Release,
+    _Factor,
     _check_panel,
     _panel_height,
     _panels,
@@ -123,13 +125,14 @@ class AlicePackage:
     ``proj_B`` has the Gram of a release ``P_B`` of ``B B^T``, and ``sx`` has
     the law of ``||P_X - row means||_F^2`` for a release ``P_X`` of
     ``X X^T``.  The sample count is the factor's width, so it is not stored
-    again.  The factor is read one panel at a time: from the package's
-    handle (see :func:`read_package`), or once, as it is released (see
+    again.  The factor is a :class:`pitest.privacy._Factor`, read one
+    panel at a time: from the package's handle on every pass (see
+    :func:`read_package`), or once, as it is released (see
     :func:`alice_stream`).
     """
 
     params: PrivacyParams
-    proj_B: _FileFactor | _Release
+    proj_B: _Factor
     sx: float
 
     @property
@@ -398,17 +401,7 @@ def _parse_header(head: bytes) -> dict:
     return doc
 
 
-class _Header(NamedTuple):
-    """The fields of a checked header line, and where the payload starts."""
-
-    n: int
-    params: PrivacyParams
-    sx: float
-    rows: int
-    offset: int
-
-
-def _read_header(data: bytes) -> _Header:
+def _read_header(data: bytes) -> tuple[int, PrivacyParams, float, int, int]:
     """Parse and check the header line at the start of ``data``: the one header check.
 
     ``data`` is the first line of a package, newline included.  Without a
@@ -454,46 +447,26 @@ def _read_header(data: bytes) -> _Header:
             "package header is not the canonical line for its fields (sorted keys, no blanks, "
             "shortest numbers, padding to a multiple of 8 bytes)"
         )
-    return _Header(n, params, sx, rows, offset)
+    return n, params, sx, rows, offset
 
 
-def _check_length(header: _Header, length: int) -> None:
-    """Refuse a package whose length is not its header line's and its packed factor's."""
-    expected = _package_length(header.offset, header.rows, header.n)
-    if length != expected:
-        raise PackageFormatError(
-            f"package holds {length} bytes, expected {expected} (header, newline and the "
-            f"{_row_offset(header.rows, header.n)} float64 of a packed {header.rows}x{header.n} factor)"
-        )
+def _stored_panels(handle: BinaryIO, offset: int, rows: int, n: int) -> Iterator:
+    """One pass over the packed rows x n factor stored in ``handle`` from ``offset``: each row panel, checked.
 
-
-@dataclass(frozen=True, eq=False)
-class _FileFactor:
-    """The factor of an open package handle, read and checked one row panel at a time.
-
-    It offers what the analyst's sum reads of a factor: ``rows``, ``n`` and
-    ``panels()``.  Each pass reads the payload from ``offset`` into one
-    reused, aligned panel buffer, and checks each panel (finite, positive
-    diagonal) before it yields it; a failure raises PackageFormatError, so
-    nothing computed from the factor outlives a bad panel.
+    The payload is read into one reused, aligned panel buffer, and each
+    panel is checked (finite, positive diagonal) before it is yielded; a
+    failure raises PackageFormatError, so nothing computed from the factor
+    outlives a bad panel.
     """
-
-    handle: BinaryIO
-    offset: int
-    rows: int
-    n: int
-
-    def panels(self):
-        n = self.n
-        buffer = np.empty(_row_offset(_panel_height(self.rows, n), n), dtype="<f8")
-        self.handle.seek(self.offset)
-        for a, b in _panels(self.rows, n):
-            segment = buffer[: _row_offset(b, n) - _row_offset(a, n)]
-            if self.handle.readinto(segment) != segment.nbytes:
-                raise PackageFormatError(f"package ends inside the panel of rows {a} to {b - 1}")
-            with _malformed("section 'proj_B': "):  # finite, positive diagonal
-                _check_panel(segment, b - a)
-            yield a, b, segment
+    buffer = np.empty(_row_offset(_panel_height(rows, n), n), dtype="<f8")
+    handle.seek(offset)
+    for a, b in _panels(rows, n):
+        segment = buffer[: _row_offset(b, n) - _row_offset(a, n)]
+        if handle.readinto(segment) != segment.nbytes:
+            raise PackageFormatError(f"package ends inside the panel of rows {a} to {b - 1}")
+        with _malformed("section 'proj_B': "):  # finite, positive diagonal
+            _check_panel(segment, b - a)
+        yield a, b, segment
 
 
 def read_package(handle: BinaryIO) -> AlicePackage:
@@ -502,9 +475,10 @@ def read_package(handle: BinaryIO) -> AlicePackage:
     The handle is read from its start, whatever its position: a file, or
     an ``io.BytesIO`` of a package's bytes.  The header line and the
     handle's exact length are checked here, before any of the factor is
-    read; the factor is read one row panel at a time, each panel checked,
-    whenever it is used (see :class:`_FileFactor`), so the reader holds one
-    panel and never the whole factor.  The handle must stay open and
+    read.  The package's factor is a :class:`pitest.privacy._Factor` whose
+    every pass reads the handle one row panel at a time, each panel checked
+    (:func:`_stored_panels`), so the reader holds one panel and never the
+    whole factor, and the factor can be read any number of times.  The handle must stay open and
     unchanged while the package is used.  Raises PackageFormatError (or its
     UnsupportedVersionError subclass) for every malformed package.
     """
@@ -512,8 +486,13 @@ def read_package(handle: BinaryIO) -> AlicePackage:
     line = handle.readline(_HEADER_LIMIT)
     if not isinstance(line, bytes):
         raise PackageFormatError(f"package must be bytes, got {type(line).__name__}")
-    header = _read_header(line)
-    _check_length(header, handle.seek(0, io.SEEK_END))
-    factor = _FileFactor(handle, header.offset, header.rows, header.n)
-    return AlicePackage(params=header.params, proj_B=factor, sx=header.sx)
+    n, params, sx, rows, offset = _read_header(line)
+    length, expected = handle.seek(0, io.SEEK_END), _package_length(offset, rows, n)
+    if length != expected:
+        raise PackageFormatError(
+            f"package holds {length} bytes, expected {expected} (header, newline and the "
+            f"{_row_offset(rows, n)} float64 of a packed {rows}x{n} factor)"
+        )
+    factor = _Factor(rows, n, functools.partial(_stored_panels, handle, offset, rows, n))
+    return AlicePackage(params, factor, sx)
 

@@ -594,6 +594,25 @@ def test_a_released_package_is_read_once(xy):
         bob_evaluate(released_package, xy[1])
 
 
+def test_a_release_and_a_stored_package_give_one_factor_type(xy):
+    """A release, a streamed package and a read package give Bob the one factor type.
+
+    A read package's factor reads its handle again on every pass, with the
+    same panels; a release's is read once, so Bob's sum refuses a second pass.
+    """
+    release = privatize_covariance_panels(factor_W(xy[0]), PARAMS.half_budget(), 5)
+    streamed = alice_stream(xy[0], PARAMS, 5).proj_B
+    stored = _read(encoded(alice_prepare(xy[0], PARAMS, 5))).proj_B
+    assert type(release) is type(streamed) is type(stored)
+    first, second = ([(a, b, values.copy()) for a, b, values in stored.panels()] for _ in range(2))
+    assert len(first) == len(second) > 0
+    for (a, b, values), (c, d, again) in zip(first, second):
+        assert (a, b) == (c, d) and np.array_equal(values, again)
+    assert private_sum_directional_variances(release, xy[1]) > 0.0
+    with pytest.raises(InvalidInputError, match=r"covered rows \[0, 0\) of 12: a factor read once"):
+        private_sum_directional_variances(release, xy[1])
+
+
 def test_round_trip_preserves_bob_verdict(package, xy):
     direct = bob_evaluate(package, xy[1])
     wired = bob_evaluate(_read(encoded(package)), xy[1])
