@@ -47,6 +47,19 @@ def integers(text):
     return [int(v) for v in text.split(",")]
 
 
+def rejections(args, params, n, x_scale, offset, dependence):
+    """The rule's rejections in ``args.trials`` trials of one row, one count per epsilon."""
+    rejected = np.zeros(len(params), dtype=int)
+    for t in range(args.trials):
+        X, Y = synthetic_pair(n, 2, 1, dependence=dependence, x_scale=x_scale, seed=args.seed + t)
+        Y = Y + offset * Y.std(axis=0)
+        rng = np.random.default_rng([args.seed, t])
+        omega_bar_sq, s_bar = statistics_laws(X, Y, params).draws(rng, 1)
+        for i, (omega_i, s_i) in enumerate(zip(omega_bar_sq[:, 0], s_bar[:, 0])):
+            rejected[i] += bool(decide(omega_i, s_i, n, args.alpha).reject)
+    return rejected
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ns", type=integers, default="200,2000")
@@ -63,12 +76,12 @@ def main():
         ap.error(f"--trials must be >= 1, got {args.trials}")
     if not all(map(math.isfinite, args.offsets)):
         ap.error(f"each Y offset must be finite, got {args.offsets}")
-    try:  # the whole grid, refused by the owner of each rule before anything is printed or drawn
+    try:  # every row is drawn, each rule refused by its owner, before anything is printed
         rejection_threshold(args.alpha)
         # pi-test's default delta, eta and nu
         params = [jl_params(PrivacyParams(e, 2e-4, 0.1, 0.05).half_budget()) for e in args.epsilons]
-        for n, x_scale, dependence in product(args.ns, args.x_scales, args.dependences):
-            synthetic_pair(n, 2, 1, dependence=dependence, x_scale=x_scale, seed=args.seed)
+        grid = list(product(args.ns, args.x_scales, args.offsets, args.dependences))
+        counts = [rejections(args, params, *row) for row in grid]
     except InvalidInputError as exc:
         ap.error(str(exc))
     low, high = binomial_band(args.trials, args.alpha)
@@ -76,17 +89,7 @@ def main():
           f"{args.trials}, {args.alpha}) for independent data")
     print(f"{'n':>6} {'epsilon':>8} {'x scale':>8} {'Y offset':>8} {'dependence':>10} "
           f"{'rejected':>10} {'rate':>6}  band")
-    grid = product(args.ns, args.x_scales, args.offsets, args.dependences)
-    for n, x_scale, offset, dependence in grid:
-        rejected = np.zeros(len(args.epsilons), dtype=int)
-        for t in range(args.trials):
-            X, Y = synthetic_pair(n, 2, 1, dependence=dependence, x_scale=x_scale,
-                                  seed=args.seed + t)
-            Y = Y + offset * Y.std(axis=0)
-            rng = np.random.default_rng([args.seed, t])
-            omega_bar_sq, s_bar = statistics_laws(X, Y, params).draws(rng, 1)
-            for i, (omega_i, s_i) in enumerate(zip(omega_bar_sq[:, 0], s_bar[:, 0])):
-                rejected[i] += bool(decide(omega_i, s_i, n, args.alpha).reject)
+    for (n, x_scale, offset, dependence), rejected in zip(grid, counts):
         for epsilon, count in zip(args.epsilons, rejected):
             mark = " below" if count < low else " above" if count > high else ""
             band = f"[{low}, {high}]{mark}" if dependence == 0.0 else ""

@@ -82,10 +82,12 @@ def _centered(A: np.ndarray) -> np.ndarray:
 
     The first row is subtracted before the mean: a constant column then
     becomes exact zeros even when its mean is not representable, and a large
-    mean costs no precision.
+    mean costs no precision.  An overflow is inf, or NaN where infs meet,
+    unwarned, which the caller refuses.
     """
-    D = A - A[0]
-    return D - D.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = A - A[0]
+        return D - D.mean(axis=0, keepdims=True)
 
 
 def dcov_sq_closed_form(X, Y) -> float:
@@ -97,8 +99,9 @@ def dcov_sq_closed_form(X, Y) -> float:
     """
     A, B = _paired_matrices(X, Y)
     n = A.shape[0]
-    M = _centered(A).T @ _centered(B)  # (d, m)
-    return 4.0 * float(np.sum(M * M)) / n**2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, which the caller refuses
+        M = _centered(A).T @ _centered(B)  # (d, m)
+        return 4.0 * float(np.sum(M * M)) / n**2
 
 
 def s_hat(X, Y) -> float:
@@ -112,7 +115,8 @@ def s_hat(X, Y) -> float:
     n = A.shape[0]
     Ac = _centered(A)
     Bc = _centered(B)
-    return 4.0 * float(np.sum(Ac * Ac)) * float(np.sum(Bc * Bc)) / n**2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, which the caller refuses
+        return 4.0 * float(np.sum(Ac * Ac)) * float(np.sum(Bc * Bc)) / n**2
 
 
 def rejection_threshold(alpha: float) -> float:

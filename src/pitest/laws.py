@@ -112,9 +112,12 @@ def factor_W(X) -> np.ndarray:
     ``B = sqrt(2) * (X - column means)``: an n x d matrix, exact in O(nd)
     with no eigendecomposition, since ``L = -J E J = 2 J X X^T J`` for the
     squared-distance matrix ``E`` of ``X``.  It is centred as the
-    estimators centre, so a constant column gives exact zeros.
+    estimators centre, so a constant column gives exact zeros.  An
+    overflow is inf, unwarned, which the caller refuses.
     """
-    return np.sqrt(2.0) * _centered(_as_sample_matrix(X, min_rows=2))
+    Xc = _centered(_as_sample_matrix(X, min_rows=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(2.0) * Xc
 
 
 def centered_spectrum(A: np.ndarray) -> np.ndarray:
@@ -123,11 +126,17 @@ def centered_spectrum(A: np.ndarray) -> np.ndarray:
     The squared singular values of the column-centred ``Ac``, centred as
     the non-private estimators centre, so a constant column adds exact
     zeros: all that the law of ``sx`` needs of the data, so a caller
-    drawing many values of ``sx`` computes it once.
+    drawing many values of ``sx`` computes it once.  When the centring or
+    a square overflows, the eigenvalues are inf, unwarned, as is then every
+    draw of ``sx``, which the caller refuses.
     """
     n, k = A.shape
     q = min(k, n - 1)
-    return np.linalg.svd(_centered(A), compute_uv=False)[q - 1 :: -1] ** 2
+    Ac = _centered(A)
+    if not np.isfinite(Ac).all():
+        return np.full(q, math.inf)
+    with np.errstate(over="ignore"):
+        return np.linalg.svd(Ac, compute_uv=False)[q - 1 :: -1] ** 2
 
 
 def _squared(w) -> np.ndarray:
@@ -260,7 +269,8 @@ def statistics_laws(X, Y, params) -> StatisticsLaw:
     A, Ym = _paired_matrices(X, Y)
     n = A.shape[0]
     Q = query_matrix(Ym)
-    answer = projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves C not finite: refused
+        answer = projected_sq_norm_laws(factor_W(A).T @ Q, Q.T @ Q, params)
     w = np.asarray(params, dtype=float)[..., 1]
     return StatisticsLaw(answer, centered_sq_norm_law(centered_spectrum(A), n, answer.r, w), n,
                          yc_sq(Ym))

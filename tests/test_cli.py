@@ -124,26 +124,38 @@ def test_alice_writes_a_package_at_a_huge_row_count(data_dir, tmp_path, capsys):
 def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
     # The column sums of the first X overflow, but its differences from the
     # first row do not, so its factor is finite and its centred sum of
-    # squares is not; the second X's row differences overflow, so its
-    # centred factor is not finite.  At epsilon = 1e-160 the floor w is
-    # finite and w^2 is not, so sx overflows whatever X is.
+    # squares is not; at X's scale 1e160 only the squares overflow.  The
+    # third X's row differences overflow, so its centred factor is not
+    # finite.  At epsilon = 1e-160 the floor w is finite and w^2 is not, so
+    # sx overflows whatever X is.  run fails as alice does, and sweep
+    # refuses the law's draws; each with one error line, and no numpy
+    # warning, which this suite makes an error.
     large = np.random.default_rng(0).uniform(0.9, 1.0, (20, 2)) * 1e307
     signs = np.where(np.arange(20) % 2, 1e308, -1e308)[:, None]
     cases = [
         (large, "1", "error: X's scale is too large for a finite release: sx, the centred sum "
                      "of squares of X's release, overflows"),
+        (synthetic_pair(20, 2, 1, x_scale=1e160, seed=1)[0], "1",
+         "error: X's scale is too large for a finite release"),
         (np.hstack([signs, signs]), "1", "error: factor contains non-finite entries"),
         (large * 1e-307, "1e-160", "error: epsilon = 1e-160 is too small for a finite release"),
     ]
+    x_csv, y_csv, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "pkg.bin"
+    save_csv(y_csv, np.random.default_rng(1).standard_normal((20, 1)))
     for X, epsilon, message in cases:
-        save_csv(tmp_path / "x.csv", X)
-        out = tmp_path / "pkg.bin"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["alice", "--input", str(tmp_path / "x.csv"), "--epsilon", epsilon,
-                       "--out", str(out)])
+        save_csv(x_csv, X)
+        rc = main(["alice", "--input", str(x_csv), "--epsilon", epsilon, "--out", str(out)])
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+        rc = main(["run", "--input-x", str(x_csv), "--input-y", str(y_csv), "--epsilon", epsilon,
+                   "--report", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1 and message in err[0], err
+        rc = main(["sweep", "--input-x", str(x_csv), "--input-y", str(y_csv), "--epsilons", epsilon,
+                   "--replications", "2", "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1 and err[0].startswith("error: "), err
 
 
 # n, and rows per panel (None: the default panels), for r = 45: one panel

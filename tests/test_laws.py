@@ -8,6 +8,8 @@ from scipy import stats
 
 from pitest import laws
 from pitest.data import synthetic_pair
+from pitest.errors import InvalidInputError
+from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.privacy import PrivacyParams, jl_params
 from pitest.protocol import alice_prepare, bob_evaluate
 
@@ -65,6 +67,29 @@ def test_a_batch_of_laws_has_one_sampler():
         se_var = math.sqrt(kappa4 / size + 2.0 * var**2 / (size - 1))
         assert abs(float(drawn[cell].mean()) - mean) < 6.0 * math.sqrt(var / size), cell
         assert abs(float(drawn[cell].var(ddof=1)) - var) < 6.0 * se_var, cell
+
+
+def test_an_overflow_is_inf_unwarned_and_refused_by_the_caller():
+    """Data that overflow float64 give inf, with no numpy warning, and the law's draws refuse it.
+
+    At X's scale 1e160 the squares of the centred spectrum and of the
+    non-private statistics overflow; rows of +-1e308 overflow the centring
+    itself, where the spectrum is inf without an SVD; a Y shifted by 1e300
+    sd overflows the answer's ``Q^T Q``.  Warnings are errors in this suite.
+    """
+    X, Y = synthetic_pair(30, 2, 1, x_scale=1e160, seed=1)
+    assert dcov_sq_closed_form(X, Y) == s_hat(X, Y) == math.inf
+    assert np.isinf(laws.centered_spectrum(X)).all()
+    signs = np.where(np.arange(30) % 2, 1e308, -1e308)[:, None]
+    wide = np.hstack([signs, signs])
+    assert not np.isfinite(laws.factor_W(wide)).any()
+    assert np.isinf(laws.centered_spectrum(wide)).all()
+    params = jl_params(PrivacyParams(1.0, 2e-4, 0.1, 0.05).half_budget())
+    rng = np.random.default_rng(0)
+    for X, Y, message in [(X, Y, "sx must be"), (wide, Y, "sx must be"),
+                          (X / 1e160, Y + 1e300 * Y.std(axis=0), "omega_bar_sq must be")]:
+        with pytest.raises(InvalidInputError, match=message):
+            laws.statistics_laws(X, Y, params).draws(rng, 1)
 
 
 @pytest.mark.xfail(

@@ -12,7 +12,9 @@ SCRIPTS = [
      "5 trials per row, alpha = 0.05; band: "),
 ]
 
-# Each exits 2 with one usage-error line and prints nothing, so draws nothing.
+# Each exits 2 with one usage-error line and no warning, and prints nothing:
+# every row is drawn before the table is printed, so a value refused by a
+# later row's draw is refused after earlier rows were drawn.
 REFUSED = [
     ("level_power.py", ["--alpha", "1.5"], "error: alpha must lie in (0, 1), got 1.5"),
     ("level_power.py", ["--trials", "0"], "error: --trials must be >= 1, got 0"),
@@ -20,6 +22,10 @@ REFUSED = [
     ("level_power.py", ["--dependences", "2"], "error: dependence must lie in [0, 1], got 2.0"),
     ("level_power.py", ["--ns", "2.9"], "error: argument --ns: invalid integers value: '2.9'"),
     ("level_power.py", ["--ns", "abc"], "error: argument --ns: invalid integers value: 'abc'"),
+    ("level_power.py", ["--ns", "30", "--trials", "1", "--offsets", "0", "--dependences", "0",
+                        "--x-scales", "1e200"], "error: sx must be a finite number >= 0, got inf"),
+    ("level_power.py", ["--ns", "30", "--trials", "1", "--offsets", "1e300", "--dependences", "0"],
+     "error: omega_bar_sq must be a finite number, got inf"),
 ]
 
 
@@ -32,10 +38,11 @@ def test_scripts_run_on_tiny_inputs():
         assert header in done.stdout.splitlines()[0], (script, done.stdout)
 
 
-def test_scripts_refuse_bad_input_before_drawing():
+def test_scripts_refuse_bad_input_before_printing():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for script, args, message in REFUSED:
         done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, (script, args, done.stderr)
         assert done.stdout == "" and done.stderr.splitlines()[-1].endswith(message), (args, done.stderr)
+        assert "Warning" not in done.stderr, (args, done.stderr)
