@@ -10,7 +10,9 @@ package released, and judges each draw with ``pitest.estimators.decide``:
 the rule rejects when ``n omega_bar_sq / s_bar`` exceeds the level-alpha
 threshold.  Beside each row of independent data is the central 99.9% band
 of Binomial(trials, alpha), the counts a rule of level alpha gives; a count
-below or above it is marked.
+below or above it is marked.  Every row is drawn before the table is
+printed, so a grid value that a rule or a draw refuses (an x scale whose
+release overflows, say) is one usage error, with nothing printed.
 
 Example:
     python3 scripts/level_power.py --ns 200,2000 --epsilons 1,1e4 --trials 500

@@ -83,11 +83,11 @@ def _centered(A: np.ndarray) -> np.ndarray:
     The first row is subtracted before the mean: a constant column then
     becomes exact zeros even when its mean is not representable, and a large
     mean costs no precision.  An overflow is inf, or NaN where infs meet,
-    unwarned, which the caller refuses.
+    which the caller refuses: every caller runs it with numpy's overflow
+    and invalid warnings off.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = A - A[0]
-        return D - D.mean(axis=0, keepdims=True)
+    D = A - A[0]
+    return D - D.mean(axis=0, keepdims=True)
 
 
 def dcov_sq_closed_form(X, Y) -> float:
@@ -113,9 +113,9 @@ def s_hat(X, Y) -> float:
     """
     A, B = _paired_matrices(X, Y)
     n = A.shape[0]
-    Ac = _centered(A)
-    Bc = _centered(B)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, which the caller refuses
+        Ac = _centered(A)
+        Bc = _centered(B)
         return 4.0 * float(np.sum(Ac * Ac)) * float(np.sum(Bc * Bc)) / n**2
 
 

@@ -115,9 +115,9 @@ def factor_W(X) -> np.ndarray:
     estimators centre, so a constant column gives exact zeros.  An
     overflow is inf, unwarned, which the caller refuses.
     """
-    Xc = _centered(_as_sample_matrix(X, min_rows=2))
+    A = _as_sample_matrix(X, min_rows=2)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(2.0) * Xc
+        return np.sqrt(2.0) * _centered(A)
 
 
 def centered_spectrum(A: np.ndarray) -> np.ndarray:
@@ -132,10 +132,10 @@ def centered_spectrum(A: np.ndarray) -> np.ndarray:
     """
     n, k = A.shape
     q = min(k, n - 1)
-    Ac = _centered(A)
-    if not np.isfinite(Ac).all():
-        return np.full(q, math.inf)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ac = _centered(A)
+        if not np.isfinite(Ac).all():
+            return np.full(q, math.inf)
         return np.linalg.svd(Ac, compute_uv=False)[q - 1 :: -1] ** 2
 
 
@@ -202,8 +202,8 @@ def yc_sq(Y: np.ndarray) -> float:
 
     An overflow is inf, unwarned, which the caller refuses.
     """
-    Yc = _centered(Y)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        Yc = _centered(Y)
         return float(np.sum(Yc * Yc))
 
 

@@ -81,8 +81,9 @@ entries just before the rectangle, which is already in packed order.
 Every block lies in one scratch array so that its packed values start at
 the same address, so the release, :func:`privatize_covariance_panels`, is
 a :class:`_Factor` read once, whose panels are each a view of that
-scratch: a writer ships each panel as it finishes, or the analyst sums it, and holds
-O(panel + n k), nothing of the factor's size.  Its values agree with LAPACK's one-shot QR of the same draw
+scratch: a writer ships each panel as it finishes, or the analyst sums
+it, and holds O(panel + n k), nothing of the factor's size.  Its values
+agree with LAPACK's one-shot QR of the same draw
 (``dtpqrt`` and ``dtpmqrt`` on a dense min(r, n) x n buffer) to 1e-14 of
 the factor's largest entry; they round differently.  Every draw comes from
 SFC64 (:func:`_release_rng`), and a seed gives one fixed set of bytes on a
@@ -535,11 +536,10 @@ def privatize_covariance_panels(F, p: PrivacyParams, seed: int) -> _Factor:
     ``P``, as a :class:`_Factor` read once: its ``panels()`` returns the
     release's one generator of the packed row panels, top down, each
     checked finite with a positive diagonal where it is packed, before it
-    is yielded.  Every panel is released into one
-    reused scratch array, so a yielded panel is valid until the next is
-    asked for, and the release holds O(panel + n k), nothing of the
-    factor's size.  ``F``, ``p`` and ``seed`` are checked before this
-    returns.
+    is yielded.  Every panel is released into one reused scratch array, so
+    a yielded panel is valid until the next is asked for, and the release
+    holds O(panel + n k), nothing of the factor's size.  ``F``, ``p`` and
+    ``seed`` are checked before this returns.
     """
     A = _as_sample_matrix(F, "factor", min_rows=2)
     n, rng = A.shape[0], _release_rng(seed)

@@ -409,6 +409,8 @@ def _read_header(data: bytes) -> tuple[int, PrivacyParams, float, int, int]:
     another format version is still reported by its version.  Only the
     line that :func:`_header_line` writes for the parsed fields is
     accepted, which also starts the payload at a multiple of 8 bytes.
+    Returns the fields ``(n, params, sx)``, then the factor's row count and
+    the offset where the payload starts.
     """
     end = data.find(b"\n")
     doc = _parse_header(data if end < 0 else data[:end])
@@ -478,8 +480,8 @@ def read_package(handle: BinaryIO) -> AlicePackage:
     read.  The package's factor is a :class:`pitest.privacy._Factor` whose
     every pass reads the handle one row panel at a time, each panel checked
     (:func:`_stored_panels`), so the reader holds one panel and never the
-    whole factor, and the factor can be read any number of times.  The handle must stay open and
-    unchanged while the package is used.  Raises PackageFormatError (or its
+    whole factor, and the factor can be read any number of times.  The
+    handle must stay open and unchanged while the package is used.  Raises PackageFormatError (or its
     UnsupportedVersionError subclass) for every malformed package.
     """
     handle.seek(0)

@@ -38,7 +38,7 @@ def test_scripts_run_on_tiny_inputs():
         assert header in done.stdout.splitlines()[0], (script, done.stdout)
 
 
-def test_scripts_refuse_bad_input_before_printing():
+def test_scripts_refuse_bad_input_before_drawing():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for script, args, message in REFUSED:
         done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
