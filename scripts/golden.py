@@ -9,21 +9,20 @@ sha256; then the rows of ``pi-test sweep`` on the benchmark's sweep grid at
 defaults.  ``tests/test_golden.py`` runs this script and compares its
 output with the committed ``tests/golden/golden.json``: values at 1e-12
 relative, verdicts and counts exactly, and each package's sha256 only when
-``build`` (numpy, its BLAS and the BLAS thread count) is the same, since a
-seeded package is bit-identical only on the same build.
+``build`` (numpy, its BLAS, the CPU features and the BLAS thread count) is
+the same, since a seeded package is bit-identical only on the same build
+and CPU.
 
-Without ``--out`` the JSON is printed.  Regenerate the committed file with
+The JSON is printed.  Regenerate the committed file with
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/golden.py --out tests/golden/golden.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/golden.py > tests/golden/golden.json
 
 and say in CHANGES.md which values moved and why.
 """
-import argparse
 import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 import pitest
-from pitest.cli import main as pi_test
+from pitest.cli import _json_safe, main as pi_test
 from pitest.data import save_csv, synthetic_pair
 from pitest.privacy import PrivacyParams
 from pitest.protocol import alice_stream, bob_evaluate, package_parts, read_package
@@ -60,20 +59,22 @@ SWEEP = {"n": 100, "epsilons": "0.5,1.0,2.0,4.0,8.0", "etas": "0.05,0.1", "repli
 
 
 def build() -> dict:
-    """What a seeded package's bytes depend on beyond the code: numpy, its BLAS and BLAS threads."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What a seeded package's bytes depend on beyond the code.
+
+    numpy, its BLAS, the BLAS thread count, and the CPU features that numpy
+    finds at run time: an OpenBLAS built with DYNAMIC_ARCH picks its kernels
+    by the CPU it runs on, whatever target its build string names.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__  # numpy >= 2
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    # numpy >= 1.26 keeps its build configuration in CONFIG; before it, the numpy version names the BLAS.
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__,
-            "blas": blas.get("openblas configuration", f"{blas['name']} {blas['version']}"),
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
-
-
-def plain(value):
-    """``value`` as strict JSON: every non-finite float, at any depth, as None."""
-    if isinstance(value, dict):
-        return {key: plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(item) for item in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+            "blas": blas.get("openblas configuration", f"{blas.get('name')} {blas.get('version')}"),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpu_features": " ".join(sorted(name for name, on in __cpu_features__.items() if on))}
 
 
 def case(n, d, m, dependence, x_scale, offset, epsilon, eta) -> dict:
@@ -121,21 +122,14 @@ def level_power_counts() -> list:
 
 
 def golden() -> dict:
-    return plain({"build": build(),
-                  "cases": {name: case(*spec) for name, spec in CASES.items()},
-                  "sweep": sweep_rows(),
-                  "level_power": level_power_counts()})
+    return _json_safe({"build": build(),
+                       "cases": {name: case(*spec) for name, spec in CASES.items()},
+                       "sweep": sweep_rows(),
+                       "level_power": level_power_counts()})
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", help="file to write the JSON to (default: print it)")
-    args = ap.parse_args()
-    text = json.dumps(golden(), indent=1, allow_nan=False) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    sys.stdout.write(json.dumps(golden(), indent=1, allow_nan=False) + "\n")
     return 0
 
 

@@ -12,7 +12,8 @@ threshold.  Beside each row of independent data is the central 99.9% band
 of Binomial(trials, alpha), the counts a rule of level alpha gives; a count
 below or above it is marked.  Every row is drawn before the table is
 printed, so a grid value that a rule or a draw refuses (an x scale whose
-release overflows, say) is one usage error, with nothing printed.
+release overflows, say) is one usage error, with nothing printed; a bad
+value in a later row is refused only after every earlier row is drawn.
 
 Example:
     python3 scripts/level_power.py --ns 200,2000 --epsilons 1,1e4 --trials 500

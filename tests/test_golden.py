@@ -3,8 +3,9 @@
 ``scripts/golden.py`` re-derives them in a subprocess with one BLAS
 thread, and they are compared with ``tests/golden/golden.json``: numbers
 at 1e-12 relative, verdicts, flags and counts exactly.  A package's sha256
-is compared only on the build that wrote the file (numpy, its BLAS and the
-BLAS thread count), since a seeded package is bit-identical only there.
+is compared only on the build and CPU that wrote the file (numpy, its BLAS,
+the BLAS thread count and the CPU features), since a seeded package is
+bit-identical only there.
 A change that moves a golden value regenerates the file (see the script)
 and says in CHANGES.md which values moved and why.
 """

@@ -38,7 +38,7 @@ def test_scripts_run_on_tiny_inputs():
         assert header in done.stdout.splitlines()[0], (script, done.stdout)
 
 
-def test_scripts_refuse_bad_input_before_drawing():
+def test_scripts_refuse_bad_input_with_one_error_line_and_nothing_printed():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for script, args, message in REFUSED:
         done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
