@@ -5,15 +5,16 @@ Every trial draws a fresh (X, Y) from ``synthetic_pair`` (d = 2, m = 1),
 shifts Y by the row's offset in units of its sd, and draws Bob's
 ``(omega_bar_sq, s_bar)`` once per epsilon from ``pitest.laws``, all
 epsilons of a trial from one batched law and one generator: the exact
-law of what ``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no
+law of what ``bob_evaluate(alice_stream(X, p, seed), Y)`` reports, with no
 package released, and judges each draw with ``pitest.estimators.decide``:
 the rule rejects when ``n omega_bar_sq / s_bar`` exceeds the level-alpha
 threshold.  Beside each row of independent data is the central 99.9% band
 of Binomial(trials, alpha), the counts a rule of level alpha gives; a count
 below or above it is marked.  Every row is drawn before the table is
 printed, so a grid value that a rule or a draw refuses (an x scale whose
-release overflows, say) is one usage error, with nothing printed; a bad
-value in a later row is refused only after every earlier row is drawn.
+release overflows, say, worded as ``pi-test alice`` words it) is one usage
+error, with nothing printed; a bad value in a later row is refused only
+after every earlier row is drawn.
 
 Example:
     python3 scripts/level_power.py --ns 200,2000 --epsilons 1,1e4 --trials 500

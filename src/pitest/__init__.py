@@ -31,7 +31,6 @@ from .protocol import (
     FORMAT_VERSION,
     AlicePackage,
     TestReport,
-    alice_prepare,
     alice_stream,
     bob_evaluate,
     package_parts,

@@ -137,6 +137,13 @@ def rejection_threshold(alpha: float) -> float:
     return NormalDist().inv_cdf(p) ** 2 if p < 1.0 else math.inf
 
 
+def _check_finite(omega_sq: float, s: float, statistic: float = 0.0) -> None:
+    """Raise InvalidInputError naming the data's scale unless the statistics are all finite."""
+    if not all(map(math.isfinite, (omega_sq, s, statistic))):
+        raise InvalidInputError(f"the data's scale is too large for a finite test statistic: "
+                                f"omega_sq = {omega_sq!r}, s = {s!r}")
+
+
 def decide(omega_sq: float, s: float, n: int, alpha: float) -> TestDecision:
     """The test at level ``alpha``: ``Gamma = n * omega_sq / s`` against its threshold.
 
@@ -153,8 +160,6 @@ def decide(omega_sq: float, s: float, n: int, alpha: float) -> TestDecision:
         raise InvalidInputError(f"n must be an integer >= 1, got {n}")
     omega_sq, s = float(omega_sq), float(s)  # Python floats: an overflow is inf, unwarned
     statistic = n * omega_sq / s if s > 0.0 else None
-    if not all(map(math.isfinite, (omega_sq, s, statistic or 0.0))):
-        raise InvalidInputError(f"the data's scale is too large for a finite test statistic: "
-                                f"omega_sq = {omega_sq!r}, s = {s!r}")
+    _check_finite(omega_sq, s, statistic or 0.0)
     reject = None if statistic is None else bool(statistic > threshold)
     return TestDecision(statistic, threshold, float(alpha), reject)

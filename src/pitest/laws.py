@@ -51,7 +51,7 @@ The analyst queries the release of ``B B^T`` with the columns of
 (:func:`private_statistics`, with ``||Yc||_F^2`` from :func:`yc_sq`).  The
 two releases are independent, so :func:`statistics_laws` draws
 ``(omega_bar_sq, s_bar)`` with the joint law of what
-``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, at every parameter
+``bob_evaluate(alice_stream(X, p, seed), Y)`` reports, at every parameter
 of a batch, with no package released or reduced.  The draws are values of
 the laws, not the values of any release drawn from a seed.
 """
@@ -65,7 +65,7 @@ import numpy as np
 
 from .data import _as_float, _as_sample_matrix
 from .errors import InvalidInputError
-from .estimators import _centered, _paired_matrices
+from .estimators import _centered, _check_finite, _paired_matrices
 
 __all__ = ["ChiSquareMix", "StatisticsLaw", "centered_spectrum", "centered_sq_norm_law", "check_sx",
            "factor_W", "private_statistics", "projected_sq_norm_laws", "query_matrix",
@@ -188,6 +188,22 @@ def check_sx(sx: float) -> float:
     return value
 
 
+def _finite_sx(sx: float, n: int, w2: float, budget: str) -> float:
+    """A draw of ``sx`` for n samples at the floor ``w2 = w^2``, refused with its cause unless finite.
+
+    ``sx`` is a sum of squares, so it is >= 0 unless it overflowed.  The
+    floor adds about ``w^2 (n - 1)`` to it: when that alone overflows,
+    ``budget`` (``"epsilon = ..."``, say) is too small, and else X's scale
+    is too large.  The one wording of this refusal, for a package and for
+    the law's draws alike.
+    """
+    if not math.isfinite(sx):
+        cause = f"{budget} is too small" if math.isinf(w2 * (n - 1)) else "X's scale is too large"
+        raise InvalidInputError(f"{cause} for a finite release: sx, the centred sum of squares "
+                                "of X's release, overflows")
+    return sx
+
+
 def query_matrix(Y: np.ndarray) -> np.ndarray:
     """The matrix whose columns the analyst queries the release of ``B B^T`` with: ``Y`` as given.
 
@@ -234,11 +250,12 @@ class StatisticsLaw(NamedTuple):
 
         Both have the shape ``(..., size)``, from ``rng``: the whole
         batch's answers first, then its values of sx.  The statistics are
-        computed as on Python floats: an overflow is inf, unwarned.  A draw
-        of ``sx`` is >= 0 or not finite, so raises InvalidInputError for
-        the first draw, in the batch's order, whose ``sx`` a package would
-        refuse (:func:`check_sx`), or else whose ``omega_bar_sq`` is not
-        finite.
+        computed as on Python floats: an overflow is inf, unwarned.  Raises
+        InvalidInputError for the first draw, in the batch's order, whose
+        ``sx`` is not finite, worded as a package's refusal (the data's
+        scale, or a budget whose floor alone overflows), or else whose
+        ``omega_bar_sq`` is not finite, worded as
+        :func:`pitest.estimators.decide` words it.
         """
         answers = self.answer.draws(rng, size)
         sx = self.sx.draws(rng, size)
@@ -247,9 +264,9 @@ class StatisticsLaw(NamedTuple):
         finite = np.isfinite(sx) & np.isfinite(omega_bar_sq)
         if not finite.all():
             first = np.argmin(finite)
-            check_sx(float(sx.flat[first]))
-            raise InvalidInputError(
-                f"omega_bar_sq must be a finite number, got {float(omega_bar_sq.flat[first])!r}")
+            _finite_sx(float(sx.flat[first]), self.n, float(np.ravel(self.sx.floor)[first // size]),
+                       "the budget")
+            _check_finite(float(omega_bar_sq.flat[first]), float(s_bar.flat[first]))
         return omega_bar_sq, s_bar
 
 
@@ -261,7 +278,7 @@ def statistics_laws(X, Y, params) -> StatisticsLaw:
     ``params`` is one of them, or an array-like of them of shape
     ``(..., 2)`` for a batch of the shape ``...``.  A draw of the law at
     the parameters of ``p`` has the joint law of
-    ``bob_evaluate(alice_prepare(X, p, seed), Y)``'s ``omega_bar_sq`` and
+    ``bob_evaluate(alice_stream(X, p, seed), Y)``'s ``omega_bar_sq`` and
     ``s_bar``.  What the laws need of the data (``B^T Q``, ``Q^T Q``, the
     spectrum of ``Xc`` and ``||Yc||_F^2``) is computed once, and the answer
     weights of the whole batch go through one stacked ``eigvalsh``.

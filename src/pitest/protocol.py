@@ -50,20 +50,23 @@ padding is fixed by the line's length, so round-trips are bit-exact and
 equal packages are equal bytes.
 
 One object, :class:`AlicePackage`, is the message on both sides, and its
-factor has one type, :class:`pitest.privacy._Factor`, read one panel at a
-time whether it is released or stored.  :func:`alice_stream` gives the
-package with its factor read once, as it is released; ``sx`` does not
-depend on ``R_B``, so it is drawn first.  :func:`package_parts` is the one
-encoder: the header line, then each panel as it is released and checked.
-:func:`read_package` is the one reader: it checks the header line and the
-package's length, then reads and checks one panel at a time when the
-analyst sums over them, so no statistic is computed from a package before
-its last panel has passed.  Each side holds O(panel + n (d + m)), never
-the whole factor, and ``pi-test run`` hands the released package straight
-to :func:`bob_evaluate`, with no encoding between.  The parser accepts only
-the header line that :func:`package_parts` writes for the fields it reads,
-so one package has one encoding, and the payload starts at a multiple of 8
-bytes.
+factor has one type, :class:`pitest.privacy._Factor`, read one panel at
+a time whether it is released or stored.  :func:`alice_stream` is the
+one constructor: it gives the package with its factor read once, as it
+is released; ``sx`` does not depend on ``R_B``, so it is drawn first.
+:func:`package_parts` is the one encoder: the header line, then each
+panel as it is released and checked.  :func:`read_package` is the one
+reader: it checks the header line and the package's length, then reads
+and checks one panel at a time when the analyst sums over them, so no
+statistic is computed from a package before its last panel has passed.
+Each side holds O(panel + n (d + m)), never the whole factor, and
+``pi-test run`` hands the released package straight to
+:func:`bob_evaluate`, with no encoding between, as
+``bob_evaluate(alice_stream(X, p), Y)`` does in one process.  A package
+that is evaluated more than once is written and read back with
+:func:`read_package`.  The parser accepts only the header line that
+:func:`package_parts` writes for the fields it reads, so one package has
+one encoding, and the payload starts at a multiple of 8 bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from .errors import (
 )
 from .data import _as_int, _as_sample_matrix
 from .estimators import decide, rejection_threshold
-from .laws import check_sx, factor_W, private_statistics, query_matrix, yc_sq
+from .laws import _finite_sx, check_sx, factor_W, private_statistics, query_matrix, yc_sq
 from .privacy import (
     PrivacyParams,
     _Factor,
@@ -105,7 +108,6 @@ __all__ = [
     "FORMAT_VERSION",
     "AlicePackage",
     "TestReport",
-    "alice_prepare",
     "alice_stream",
     "bob_evaluate",
     "package_parts",
@@ -192,64 +194,39 @@ def _release_seeds(master_seed: int | None) -> tuple[int, int]:
     return int(seeds[0]), int(seeds[1])
 
 
-def alice_prepare(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
-    """Build the data holder's package from her data matrix, in memory.
+def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
+    """The data holder's package of ``X``, its factor read once, as it is released.
 
-    The package of :func:`alice_stream`, written by :func:`package_parts`
-    into a buffer and read back by :func:`read_package`, so it is the bytes
-    that ``pi-test alice`` writes to a file.  The master seed is expanded
-    into one 64-bit seed per release (incidence factor first, data matrix
+    The one constructor of a package.  The master seed is expanded into
+    one 64-bit seed per release (incidence factor first, data matrix
     second).  By default it is drawn from OS entropy; an explicit seed
     makes the package a deterministic function of (X, p, master_seed),
     which is for reproducible tests only, since anyone who knows it can
     regenerate the releases and recover ``X``.  Raw ``X``, its Laplacian
-    factor ``B`` and the seeds stay on this side; neither release is drawn.
-    Raises InvalidInputError when the package cannot be held in memory.
-    """
-    pkg = alice_stream(X, p, master_seed)
-    buffer = io.BytesIO()
-    try:
-        # Sized once to the package's length: pieces written into a growing
-        # BytesIO would leave it about 1/8 larger than what they hold.
-        buffer.seek(_package_bytes(pkg) - 1)
-        buffer.write(b"\0")
-        buffer.seek(0)
-        for part in package_parts(pkg):
-            buffer.write(part)
-    except MemoryError as exc:
-        raise InvalidInputError(
-            f"a release factor of {pkg.proj_B.rows} x {pkg.n} float64, packed, needs "
-            f"{8.0 * pkg.entries:.6g} bytes and cannot be held in memory: {exc}"
-        ) from None
-    return read_package(buffer)
-
-
-def alice_stream(X, p: PrivacyParams, master_seed: int | None = None) -> AlicePackage:
-    """The package of :func:`alice_prepare`, its factor read once, as it is released.
+    factor ``B`` and the seeds stay on this side.
 
     ``sx`` does not depend on ``R_B``, so it is drawn here; each panel of
     ``R_B`` is released only when the factor's ``panels()`` asks for it,
     into one reused scratch panel, and checked (finite, positive
     diagonal), so Alice holds O(panel + n d), nothing of the factor's
-    size.  Hand the package to :func:`bob_evaluate` or to
+    size.  Hand the package to :func:`bob_evaluate`, which reads the
+    release as it is made (as ``pi-test run`` does), or to
     :func:`package_parts`, once: a second reading of the factor raises.
-    ``X``, ``p`` and the seed are checked before this returns, and so is
-    ``sx``: when it overflows, InvalidInputError names X's scale, or an
-    epsilon whose floor alone overflows.  A panel that fails its check
-    raises InvalidInputError when it is reached, so a writer of the parts
-    must discard what it wrote.
+    To evaluate one package more than once, write its parts and read them
+    back with :func:`read_package`.  ``X``, ``p`` and the seed are checked
+    before this returns, and so is ``sx``: when it overflows,
+    InvalidInputError names X's scale, or an epsilon whose floor alone
+    overflows.  A panel that fails its check raises InvalidInputError
+    when it is reached, so a writer of the parts must discard what it
+    wrote.
     """
     A = _as_sample_matrix(X, "X", min_rows=2)
     seed_B, seed_X = _release_seeds(master_seed)
     per_release = p.half_budget()
     factor = privatize_covariance_panels(factor_W(A), per_release, seed_B)
-    sx = private_centered_sq_norm(A, per_release, seed_X)
-    if not math.isfinite(sx):  # a sum of squares: it is >= 0 unless it overflowed
-        w = jl_params(per_release).w  # the floor adds about w^2 (n - 1) to sx
-        cause = ("X's scale is too large" if math.isfinite(w * w * (A.shape[0] - 1))
-                 else f"epsilon = {p.epsilon!r} is too small")
-        raise InvalidInputError(f"{cause} for a finite release: sx, the centred sum of "
-                                "squares of X's release, overflows")
+    w = jl_params(per_release).w
+    sx = _finite_sx(private_centered_sq_norm(A, per_release, seed_X), A.shape[0], w * w,
+                    f"epsilon = {p.epsilon!r}")
     return AlicePackage(p, factor, sx)
 
 
@@ -353,7 +330,7 @@ def _wire_bytes(values: np.ndarray) -> memoryview:
 def _package_length(head_bytes: int, rows: int, n: int) -> int:
     """The length of a package's encoding: a header line of ``head_bytes``, then 8 bytes per packed entry.
 
-    The one owner of the length: the writers' preallocation, the report's
+    The one owner of the length: the file writer's preallocation, the report's
     ``package_bytes`` and the reader's length check all come from here.
     """
     return head_bytes + 8 * _row_offset(rows, n)

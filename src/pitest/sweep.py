@@ -11,7 +11,7 @@ trials.
 
 A trial's ``(omega_bar_sq, s_bar)`` is a draw of
 :func:`pitest.laws.statistics_laws`, the exact joint law of what
-``bob_evaluate(alice_prepare(X, p, seed), Y)`` reports, with no package
+``bob_evaluate(alice_stream(X, p, seed), Y)`` reports, with no package
 released or reduced.  They are values of that law, not a seed's: the
 sweep has one generator, seeded with the master seed, from which the
 answers of the whole grid are drawn first and then its values of ``sx``,

@@ -20,7 +20,9 @@ packed factor is its 1-D array of packed values with its ``(rows, n)``.
 So that a test can hold a release or a package whole, ``released``,
 ``held``, ``encoded`` and ``package_bytes`` collect copies of the panels
 and parts that the program streams; ``encoded`` writes the parts of the
-program's one encoder, ``pitest.protocol.package_parts``.  The cell by
+program's one encoder, ``pitest.protocol.package_parts``, and
+``prepared`` reads them back with its one reader, so that a test can read
+one package more than once.  The cell by
 cell CSV loader that ``pitest.data.load_csv`` replaced
 (``load_csv_cellwise``) is kept as the oracle that the numpy reader is
 checked to accept, refuse and read alike.
@@ -41,7 +43,7 @@ from pitest.errors import CsvParseError, InsufficientSamplesError, InvalidInputE
 from pitest.estimators import _centered, _paired_matrices
 from pitest import privacy
 from pitest.privacy import _REFLECTOR_BLOCK, PrivacyParams, jl_params
-from pitest.protocol import alice_stream, package_parts
+from pitest.protocol import alice_stream, package_parts, read_package
 
 
 def pairwise_sq_dist(X) -> np.ndarray:
@@ -467,6 +469,15 @@ def encoded(package) -> bytes:
     for part in package_parts(package):
         buffer.write(part)
     return buffer.getvalue()
+
+
+def prepared(X, p: PrivacyParams, master_seed: int | None = None):
+    """The package of ``alice_stream(X, p, master_seed)``, stored: its bytes, read by ``read_package``.
+
+    Its factor is read from an in-memory handle on every pass, so the
+    package can be evaluated, encoded or held any number of times.
+    """
+    return read_package(io.BytesIO(encoded(alice_stream(X, p, master_seed))))
 
 
 def package_bytes(X, p: PrivacyParams, master_seed: int) -> bytes:

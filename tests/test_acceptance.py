@@ -25,7 +25,7 @@ from pitest.privacy import (
     private_sum_directional_variances,
     tau_mechanism,
 )
-from pitest.protocol import alice_prepare, bob_evaluate, factor_W, read_package
+from pitest.protocol import alice_stream, bob_evaluate, factor_W, read_package
 
 from oracles import oracle_dcov_double_sum
 from reference import (
@@ -39,6 +39,7 @@ from reference import (
     omega_le_s_condition,
     package_bytes,
     pairwise_sq_dist,
+    prepared,
     released,
 )
 
@@ -159,7 +160,7 @@ def test_criterion_5_ratio_bound_containment():
     seeds = np.random.SeedSequence(12345).generate_state(trials, np.uint64)
     inside = 0
     for s in seeds:
-        report = bob_evaluate(alice_prepare(X, params, int(s)), Y)
+        report = bob_evaluate(alice_stream(X, params, int(s)), Y)
         assert not report.degenerate
         inside += lo <= report.omega_bar_sq / report.s_bar <= hi
     floor = 1.0 - (m + n) * params.nu - CONTAINMENT_SLACK
@@ -173,7 +174,7 @@ def test_criterion_6_high_budget_convergence():
     Y = rng.standard_normal((50, 3))
     gamma_ref = 50 * dcov_sq_direct(X, Y) / s_hat(X, Y)
     params = PrivacyParams(epsilon=1e6, delta=0.5, eta=0.01, nu=0.05)
-    report = bob_evaluate(alice_prepare(X, params, master_seed=0), Y)
+    report = bob_evaluate(alice_stream(X, params, master_seed=0), Y)
     assert report.statistic == pytest.approx(gamma_ref, rel=HIGH_BUDGET_REL)
 
 
@@ -293,7 +294,7 @@ def test_criterion_9_determinism_roundtrip_fuzz():
     blob = package_bytes(X, params, master_seed=42)
     assert package_bytes(X, params, master_seed=42) == blob
     assert package_bytes(X, params, master_seed=43) != blob
-    assert encoded(alice_prepare(X, params, master_seed=42)) == blob
+    assert encoded(prepared(X, params, master_seed=42)) == blob
     assert encoded(read_package(io.BytesIO(blob))) == blob
 
     rng = np.random.default_rng(999)

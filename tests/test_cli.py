@@ -36,7 +36,6 @@ from pitest.privacy import (
 from pitest.estimators import dcov_sq_closed_form, s_hat
 from pitest.protocol import (
     _release_seeds,
-    alice_prepare,
     alice_stream,
     bob_evaluate,
     factor_W,
@@ -44,7 +43,8 @@ from pitest.protocol import (
 )
 from pitest.sweep import SWEEP_HEADER, SweepConfig, run_sweep
 
-from reference import _draw_bartlett, encoded, held, load_csv_cellwise, package_bytes, unpack_factor
+from reference import (_draw_bartlett, encoded, held, load_csv_cellwise, package_bytes, prepared,
+                       unpack_factor)
 
 
 def _read(blob: bytes):
@@ -93,7 +93,7 @@ def test_alice_file_is_the_serialized_package(tmp_path, capsys):
     save_csv(x_csv, X)
     rc = main(["alice", "--input", str(x_csv), *ALICE_ARGS, "--seed", "17", "--out", str(out)])
     assert rc == 0
-    blob = encoded(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 17))
+    blob = encoded(alice_stream(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 17))
     assert _read(blob).proj_B.rows == 45
     assert out.read_bytes() == blob
     assert (blob.index(b"\n") + 1) % 8 == 0  # the payload is aligned for float64
@@ -128,21 +128,22 @@ def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
     # third X's row differences overflow, so its centred factor is not
     # finite.  At epsilon = 1e-160 the floor w is finite and w^2 is not, so
     # sx overflows whatever X is.  run fails as alice does, and sweep
-    # refuses the law's draws; each with one error line, and no numpy
-    # warning, which this suite makes an error.
+    # refuses the law's draws in the same words, naming X's scale (the
+    # law's spectrum of the third X is inf) or the budget; each with one
+    # error line, and no numpy warning, which this suite makes an error.
     large = np.random.default_rng(0).uniform(0.9, 1.0, (20, 2)) * 1e307
     signs = np.where(np.arange(20) % 2, 1e308, -1e308)[:, None]
+    scale = "error: X's scale is too large for a finite release"
     cases = [
-        (large, "1", "error: X's scale is too large for a finite release: sx, the centred sum "
-                     "of squares of X's release, overflows"),
-        (synthetic_pair(20, 2, 1, x_scale=1e160, seed=1)[0], "1",
-         "error: X's scale is too large for a finite release"),
-        (np.hstack([signs, signs]), "1", "error: factor contains non-finite entries"),
-        (large * 1e-307, "1e-160", "error: epsilon = 1e-160 is too small for a finite release"),
+        (large, "1", f"{scale}: sx, the centred sum of squares of X's release, overflows", scale),
+        (synthetic_pair(20, 2, 1, x_scale=1e160, seed=1)[0], "1", scale, scale),
+        (np.hstack([signs, signs]), "1", "error: factor contains non-finite entries", scale),
+        (large * 1e-307, "1e-160", "error: epsilon = 1e-160 is too small for a finite release",
+         "error: the budget is too small for a finite release"),
     ]
     x_csv, y_csv, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "pkg.bin"
     save_csv(y_csv, np.random.default_rng(1).standard_normal((20, 1)))
-    for X, epsilon, message in cases:
+    for X, epsilon, message, sweep_message in cases:
         save_csv(x_csv, X)
         rc = main(["alice", "--input", str(x_csv), "--epsilon", epsilon, "--out", str(out)])
         assert rc == 1
@@ -155,7 +156,7 @@ def test_alice_reports_an_overflowing_column_mean_as_an_error(tmp_path, capsys):
         rc = main(["sweep", "--input-x", str(x_csv), "--input-y", str(y_csv), "--epsilons", epsilon,
                    "--replications", "2", "--out", str(tmp_path / "sweep.csv")])
         err = capsys.readouterr().err.splitlines()
-        assert rc == 1 and len(err) == 1 and err[0].startswith("error: "), err
+        assert rc == 1 and len(err) == 1 and err[0].startswith(sweep_message), err
 
 
 # n, and rows per panel (None: the default panels), for r = 45: one panel
@@ -166,7 +167,7 @@ _STREAM_SHAPES = [(20, None), (40, 16), (150, 16)]
 
 @pytest.mark.parametrize("n, height", _STREAM_SHAPES)
 def test_alice_streams_the_serialized_package(n, height, tmp_path, monkeypatch, capsys):
-    """The file written panel by panel is the package of alice_prepare(...), byte for byte."""
+    """The file written panel by panel is the package of alice_stream(...), byte for byte."""
     if height is not None:
         monkeypatch.setattr(privacy, "_PANEL_FLOATS", height * n)
     rows = min(45, n)
@@ -175,7 +176,7 @@ def test_alice_streams_the_serialized_package(n, height, tmp_path, monkeypatch, 
     x_csv, out = tmp_path / "x.csv", tmp_path / "pkg.bin"
     save_csv(x_csv, X)
     assert main(["alice", "--input", str(x_csv), *ALICE_ARGS, "--seed", "23", "--out", str(out)]) == 0
-    blob = encoded(alice_prepare(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 23))
+    blob = encoded(alice_stream(load_csv(x_csv), PrivacyParams(10.0, 0.01, 0.5, 0.5), 23))
     assert out.read_bytes() == blob
     assert f"({len(blob)} bytes; n = {n}, release factor {rows} x {n} " in capsys.readouterr().out
 
@@ -286,7 +287,7 @@ def test_bob_refuses_a_bad_last_panel_and_writes_no_report(defect, message, tmp_
 def test_bob_reads_the_same_package_from_a_file(data_dir, tmp_path):
     """bob_evaluate on a package read panel by panel equals it on the package in memory."""
     X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
-    package = alice_prepare(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 4)
+    package = prepared(X, PrivacyParams(10.0, 0.01, 0.5, 0.5), 4)
     path = tmp_path / "pkg.bin"
     path.write_bytes(encoded(package))
     with open(path, "rb") as handle:
@@ -704,7 +705,7 @@ def test_run_reports_both_worlds(data_dir, tmp_path, capsys):
     # the release and floor sections of a bob report on the same package
     X, Y = load_csv(data_dir / "x.csv"), load_csv(data_dir / "y.csv")
     params = PrivacyParams(1e6, 0.5, 0.01, 0.05)
-    package = alice_prepare(X, params, 4)
+    package = prepared(X, params, 4)
     r, w = jl_params(params.half_budget())
     blob = encoded(package)
     assert priv["release"] == {"r": r, "w": w, "rows": 20, "package_bytes": len(blob)}
@@ -936,7 +937,7 @@ def test_sweep_counts_its_degenerate_trials(value, tmp_path, capsys):
     p = PrivacyParams(1e300, 0.01, 0.5, 0.5)
     w = jl_params(p.half_budget()).w
     assert w > 0.0 and w * w == 0.0
-    assert bob_evaluate(alice_prepare(X, p, 0), Y).degenerate
+    assert bob_evaluate(alice_stream(X, p, 0), Y).degenerate
     cfg = SweepConfig(epsilons=(100.0, 1e300), replications=3, eta_values=(0.5,),
                       delta=0.01, nu=0.5)
     rows = run_sweep(cfg, X, Y)
@@ -952,8 +953,9 @@ def test_sweep_counts_its_degenerate_trials(value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("epsilons, message", [
-    ((100.0,), "omega_bar_sq must be a finite number, got inf"),
-    ((1e-160, 100.0), "sx must be a finite number >= 0, got inf"),
+    ((100.0,), "the data's scale is too large for a finite test statistic: omega_sq = inf, s = inf"),
+    ((1e-160, 100.0), "the budget is too small for a finite release: sx, the centred sum of "
+                      "squares of X's release, overflows"),
 ])
 def test_sweep_refuses_its_first_bad_trial_without_a_numpy_warning(epsilons, message, data_dir):
     """With Y at 1e153, w^2 Y^T Y overflows, so omega_bar_sq is not finite; at epsilon = 1e-160
@@ -969,7 +971,8 @@ def test_sweep_refuses_its_first_bad_trial_without_a_numpy_warning(epsilons, mes
     ("rows", ShapeError, "X and Y must have the same sample count, got 20 and 19"),
     ("nan", InvalidInputError, "Y contains non-finite entries"),
     ("one row", InsufficientSamplesError, "X has 1 sample"),
-    ("w2 overflows", InvalidInputError, "sx must be a finite number >= 0, got inf"),
+    ("w2 overflows", InvalidInputError, "the budget is too small for a finite release: sx, the "
+                                        "centred sum of squares of X's release, overflows"),
 ])
 def test_sweep_refuses_what_a_package_would_refuse(case, error, message, data_dir, tmp_path,
                                                     capsys):

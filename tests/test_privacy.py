@@ -21,8 +21,9 @@ from pitest.privacy import (
     tau,
     tau_mechanism,
 )
-from pitest.protocol import alice_prepare, bob_evaluate, factor_W
+from pitest.protocol import alice_stream, bob_evaluate, factor_W
 
+import privacy_audit
 from oracles import oracle_projection_mean
 from reference import (
     LAPACK_AGREEMENT,
@@ -446,7 +447,7 @@ def test_projected_sq_norm_has_the_law_of_the_package_answer(epsilon, x_scale, f
     floor_share = w**2 * np.sum(Q * Q) / (np.sum((B.T @ Q) ** 2) + w**2 * np.sum(Q * Q))
     assert (floor_share > 0.99) if floor_dominated else (floor_share < 0.01)
     trials = 600
-    packaged = [bob_evaluate(alice_prepare(X, p, s), Y).omega_bar_sq for s in range(trials)]
+    packaged = [bob_evaluate(alice_stream(X, p, s), Y).omega_bar_sq for s in range(trials)]
     law = laws.projected_sq_norm_laws(B.T @ Q, Q.T @ Q, (r, w))
     answers = law.draws(np.random.default_rng(trials), trials)
     assert answers.shape == (trials,)
@@ -631,3 +632,31 @@ def test_multi_query_union_coverage():
 def test_release_always_finite(seed):
     P = released(np.random.default_rng(2).standard_normal((5, 2)), PARAMS, seed)
     assert np.all(np.isfinite(P.values))
+
+
+# ---------------------------------------------------------------- black-box audit
+
+
+@pytest.mark.parametrize("scale", [
+    1.0,
+    pytest.param(1e4, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 3: the floor w has no data-scale term, so one release at data "
+               "scale 1e4 is far from (0.5, 1e-4)-private")),
+])
+def test_shipped_packages_keep_the_release_epsilon_against_a_black_box_audit(scale):
+    """400 packages of X and 400 of a neighbour X' bound one release's epsilon below by at most 0.5.
+
+    n = 30, d = 1, X = scale * N(0, 1), and X' moves row 0 by one scale
+    unit; at epsilon = 1 (delta 2e-4) the B release runs at (0.5, 1e-4).
+    The packages come from ``alice_stream`` at master seeds 0-399 (X) and
+    400-799 (X'), and ``tests/privacy_audit.py`` reads each one's exact
+    log-likelihood ratio.
+    """
+    p = PrivacyParams(1.0, 2e-4, 0.1, 0.05)
+    X = scale * np.random.default_rng(0).standard_normal((30, 1))
+    X_prime = X.copy()
+    X_prime[0] += scale
+    ratios = privacy_audit.log_likelihood_ratios(X, X_prime, p, range(400), range(400, 800))
+    release = p.half_budget()
+    assert privacy_audit.epsilon_lower_bound(*ratios, release.delta) <= release.epsilon

@@ -39,7 +39,6 @@ from pitest.privacy import (
 )
 from pitest.protocol import (
     AlicePackage,
-    alice_prepare,
     alice_stream,
     bob_evaluate,
     factor_W,
@@ -60,6 +59,7 @@ from reference import (
     held,
     pack_factor,
     package_bytes,
+    prepared,
     relative_gap,
     release_centered_sq_norm,
     released,
@@ -80,20 +80,20 @@ def xy():
 
 @pytest.fixture(scope="module")
 def package(xy):
-    return alice_prepare(xy[0], PARAMS, master_seed=2024)
+    return prepared(xy[0], PARAMS, master_seed=2024)
 
 
 def _gaussian_releases(X, params, master_seed) -> tuple[np.ndarray, np.ndarray]:
-    """The r x n releases of B B^T and X X^T drawn from the seeds alice_prepare uses."""
+    """The r x n releases of B B^T and X X^T drawn from the seeds alice_stream uses."""
     seeds = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
     half = params.half_budget()
     return gaussian_release(factor_W(X), half, int(seeds[0])), gaussian_release(X, half, int(seeds[1]))
 
 
 def test_alice_package_deterministic(xy, package):
-    again = alice_prepare(xy[0], PARAMS, master_seed=2024)
+    again = alice_stream(xy[0], PARAMS, master_seed=2024)
     assert encoded(again) == encoded(package)
-    other = alice_prepare(xy[0], PARAMS, master_seed=2025)
+    other = alice_stream(xy[0], PARAMS, master_seed=2025)
     assert encoded(other) != encoded(package)
 
 
@@ -162,23 +162,9 @@ def test_sx_is_post_processing_of_the_x_release():
 
 def test_alice_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        alice_prepare(np.array([[0.0], [np.nan]]), PARAMS, 0)
+        alice_stream(np.array([[0.0], [np.nan]]), PARAMS, 0)
     with pytest.raises(InsufficientSamplesError):
-        alice_prepare(np.array([[1.0]]), PARAMS, 0)
-
-
-def test_alice_prepare_reports_a_package_it_cannot_hold(monkeypatch):
-    # a refusal stands in for an allocation the OS cannot make: asking for
-    # one might be granted under overcommit and then exhaust memory.  The
-    # 5 x 5 factor packs as 15 entries.
-    class Refusing(io.BytesIO):
-        def write(self, data):
-            raise MemoryError("Unable to allocate")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(io, "BytesIO", Refusing)
-        with pytest.raises(InvalidInputError, match=r"factor of 5 x 5 float64, packed, needs 120 bytes"):
-            alice_prepare(np.arange(5.0)[:, None], PARAMS, 0)
+        alice_stream(np.array([[1.0]]), PARAMS, 0)
 
 
 def test_a_package_read_as_zeros_after_a_crash_is_refused(package, tmp_path):
@@ -265,7 +251,7 @@ def test_constant_x_gives_a_zero_factor_and_answer():
     assert not factor_W(X).any()
     Y = np.random.default_rng(4).standard_normal((20, 2))
     p = PrivacyParams(1e300, 2e-4, 0.1, 0.05)
-    assert bob_evaluate(alice_prepare(X, p, 0), Y).omega_bar_sq == 0.0
+    assert bob_evaluate(alice_stream(X, p, 0), Y).omega_bar_sq == 0.0
 
 
 @pytest.mark.parametrize("x_scale, y_scale", [(1e152, 1.0), (1.0, 1e160)])
@@ -275,7 +261,7 @@ def test_bob_refuses_an_overflowing_statistic_without_a_numpy_warning(x_scale, y
     X, Y = synthetic_pair(400, 2, 2, dependence=0, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pkg = alice_prepare(x_scale * X, PrivacyParams(1.0, 2e-4, 0.5, 0.5), 1)
+        pkg = alice_stream(x_scale * X, PrivacyParams(1.0, 2e-4, 0.5, 0.5), 1)
         with pytest.raises(InvalidInputError, match="scale is too large"):
             bob_evaluate(pkg, y_scale * Y)
 
@@ -296,7 +282,7 @@ def test_bob_refuses_a_bad_s_param_before_reading_the_factor(s_param, xy):
     released_package = alice_stream(xy[0], PARAMS, 2024)
     with pytest.raises(InvalidInputError, match=f"s_param must be a positive finite number, got {s_param}"):
         bob_evaluate(released_package, xy[1], s_param=s_param)
-    assert bob_evaluate(released_package, xy[1]) == bob_evaluate(alice_prepare(xy[0], PARAMS, 2024), xy[1])
+    assert bob_evaluate(released_package, xy[1]) == bob_evaluate(prepared(xy[0], PARAMS, 2024), xy[1])
 
 
 # The package's two scalar rules (README, "Library"): each public scalar
@@ -389,7 +375,7 @@ def test_numpy_scalars_count_as_their_python_values(name):
 def test_a_default_s_param_that_underflows_still_clamps_the_upper_bound():
     """``s_bar / n`` can round to 0 for ``s_bar`` > 0; check_s_param refuses 0 as a given ``s_param``."""
     X, Y = synthetic_pair(20, 2, 1, seed=1)
-    pkg = alice_prepare(X * 1e-150, PrivacyParams(1e12, 0.01, 0.5, 0.5), 1)
+    pkg = alice_stream(X * 1e-150, PrivacyParams(1e12, 0.01, 0.5, 0.5), 1)
     report = bob_evaluate(pkg, Y * 10.0**-153.5)
     assert 0.0 < report.s_bar and report.s_bar / 20 == 0.0
     assert report.bounds.s_param == math.ulp(0.0) and report.bounds.s_param_clamped
@@ -416,10 +402,10 @@ def test_analyst_and_reference_paths_build_no_n_by_n_array():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((n, 2))
     Y = rng.standard_normal((n, 2))
-    pkg = alice_prepare(X, params, master_seed=5)
+    pkg = prepared(X, params, master_seed=5)
     assert pkg.proj_B.rows == 14
     calls = {
-        "alice_prepare": lambda: alice_prepare(X, params, master_seed=5),
+        "alice_stream, encoded": lambda: encoded(alice_stream(X, params, master_seed=5)),
         "bob_evaluate": lambda: bob_evaluate(pkg, Y),
         "s_hat": lambda: s_hat(X, Y),
         "dcov_sq_closed_form": lambda: dcov_sq_closed_form(X, Y),
@@ -542,7 +528,7 @@ def test_layout_is_header_line_then_raw_payloads(package, xy):
     residues = set()
     for n, params in ((12, PARAMS), (7, PrivacyParams(1.0, 0.01, 0.3, 0.5)),
                       (1000, PrivacyParams(10.0, 2e-4, 0.9, 0.5))):
-        proj = held(alice_prepare(np.random.default_rng(n).standard_normal((n, 2)), params, 2024).proj_B)
+        proj = held(alice_stream(np.random.default_rng(n).standard_normal((n, 2)), params, 2024).proj_B)
         for digits in range(8):
             pkg = AlicePackage(params, proj, sx=1.0 + 2.0**-digits if digits else 1.0)
             line, payload = _line_and_payload(encoded(pkg))
@@ -561,7 +547,7 @@ def test_stream_parts_are_the_header_line_then_views_of_one_scratch_panel(monkey
     """package_parts gives the header line, then every released panel as a view of the same scratch panel.
 
     So a writer writes each part before it asks for the next, as
-    alice_prepare and package_bytes do; ``b"".join(parts)`` collects the
+    ``pi-test alice`` and package_bytes do; ``b"".join(parts)`` collects the
     views first, and its panels then all read as the last one released.
     """
     monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # panels [0, 16), [16, 32) and [32, 40)
@@ -577,7 +563,7 @@ def test_stream_parts_are_the_header_line_then_views_of_one_scratch_panel(monkey
     assert [len(c) for c in copies] == [8 * (b - a) for a, b in zip(offsets, offsets[1:])]
     assert all(np.shares_memory(view, views[0]) for view in views[1:])
     written = head + b"".join(copies)
-    assert written == package_bytes(X, PARAMS, 3) == encoded(alice_prepare(X, PARAMS, 3))
+    assert written == package_bytes(X, PARAMS, 3) == encoded(prepared(X, PARAMS, 3))
     assert b"".join(package_parts(alice_stream(X, PARAMS, 3))) != written
 
 
@@ -589,7 +575,7 @@ def test_a_released_package_is_read_once(xy):
     """
     released_package = alice_stream(xy[0], PARAMS, 2024)
     assert bob_evaluate(released_package, xy[1]) == bob_evaluate(
-        alice_prepare(xy[0], PARAMS, 2024), xy[1])
+        prepared(xy[0], PARAMS, 2024), xy[1])
     with pytest.raises(InvalidInputError, match=r"covered rows \[0, 0\) of 12: a factor read once"):
         bob_evaluate(released_package, xy[1])
 
@@ -602,7 +588,7 @@ def test_a_release_and_a_stored_package_give_one_factor_type(xy):
     """
     release = privatize_covariance_panels(factor_W(xy[0]), PARAMS.half_budget(), 5)
     streamed = alice_stream(xy[0], PARAMS, 5).proj_B
-    stored = _read(encoded(alice_prepare(xy[0], PARAMS, 5))).proj_B
+    stored = prepared(xy[0], PARAMS, 5).proj_B
     assert type(release) is type(streamed) is type(stored)
     first, second = ([(a, b, values.copy()) for a, b, values in stored.panels()] for _ in range(2))
     assert len(first) == len(second) > 0
@@ -742,7 +728,7 @@ def test_rejects_version_5_document(monkeypatch):
     """
     monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 40)  # 16-row panels
     X = np.random.default_rng(9).standard_normal((40, 2))
-    pkg = alice_prepare(X, PARAMS, master_seed=3)
+    pkg = prepared(X, PARAMS, master_seed=3)
     R = unpack_factor(*held(pkg.proj_B))
     doc = _doc(pkg)
     doc["version"] = 5
@@ -862,7 +848,7 @@ def test_rejects_a_diagonal_entry_that_is_not_positive_in_any_panel(monkeypatch)
     """The first and last diagonal entry of each of three row panels is checked where it lies."""
     monkeypatch.setattr(privacy, "_PANEL_FLOATS", 16 * 50)  # 16-row panels
     X = np.random.default_rng(9).standard_normal((50, 2))
-    pkg = alice_prepare(X, PARAMS, master_seed=3)
+    pkg = prepared(X, PARAMS, master_seed=3)
     assert (pkg.proj_B.rows, privacy._panel_height(45, 50)) == (45, 16)
     R = unpack_factor(*held(pkg.proj_B))
     assert _read_factor(encoded(pkg)).n == 50
@@ -1012,7 +998,8 @@ def test_codec_makes_no_payload_copy():
             pass
 
     peaks = {}
-    for name, call in (("write", lambda: alice_prepare(X, params, master_seed=8)), ("read", read)):
+    for name, call in (("write", lambda: encoded(alice_stream(X, params, master_seed=8))),
+                       ("read", read)):
         tracemalloc.start()
         try:
             call()
@@ -1021,22 +1008,6 @@ def test_codec_makes_no_payload_copy():
             tracemalloc.stop()
     assert peaks["read"] < payload_bytes / 10, (peaks, payload_bytes)
     assert peaks["write"] < 1.25 * payload_bytes, (peaks, payload_bytes)
-
-
-def test_alice_prepare_holds_the_package_and_two_panels():
-    """The package buffer is sized once, to the package's length, not regrown as panels arrive.
-
-    n = 2100 at the CLI defaults (r = 2952): the payload is 17.65 MB, a panel
-    0.8 MB.  A buffer grown by its writes holds about 1/8 more than them.
-    """
-    n = 2100
-    params = PrivacyParams(epsilon=1.0, delta=2e-4, eta=0.1, nu=0.05)
-    X = np.random.default_rng(5).standard_normal((n, 2))
-    payload_bytes = 8 * n * (n + 1) // 2
-    panel_bytes = 8 * privacy._row_offset(privacy._panel_height(n, n), n)
-    peak, package = _peak_bytes(lambda: alice_prepare(X, params, master_seed=6))
-    assert package.proj_B.rows == n
-    assert peak <= payload_bytes + 2 * panel_bytes, (peak, payload_bytes, panel_bytes)
 
 
 def _peak_bytes(call):
@@ -1072,16 +1043,14 @@ def test_release_and_analyst_hold_no_whole_draw():
         Y = rng.standard_normal((n, 2))
         release_bytes = 8 * min(r, n) * n
         B = factor_W(X)
-        package = alice_prepare(X, params, master_seed=8)
+        package = prepared(X, params, master_seed=8)
         alice, (rows, nbytes) = _peak_bytes(lambda: _stream_release(B, params.half_budget(), 1))
         assert rows == min(r, n)
         assert nbytes == 8 * (rows * (rows + 1) // 2 + (n - rows) * rows)
-        prepare = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
         in_memory = AlicePackage(package.params, held(package.proj_B), package.sx)
         bob = _peak_bytes(lambda: bob_evaluate(in_memory, Y))[0]
         bob_read = _peak_bytes(lambda: bob_evaluate(package, Y))[0]
         assert alice < 1.25 * release_bytes, (n, alice, release_bytes)
-        assert prepare < 1.25 * release_bytes, (n, prepare, release_bytes)
         h = privacy._panel_height(rows, n)
         assert bob < 8 * h * h + 64 * n * Y.shape[1], (n, bob, h)
         panel_bytes = 8 * privacy._row_offset(h, n)
@@ -1089,7 +1058,7 @@ def test_release_and_analyst_hold_no_whole_draw():
 
 
 def test_alice_holds_one_packed_factor(tmp_path, capsys):
-    """Alice's traced peak stays below 1.25x the packed factor, from the release to the file.
+    """Alice's traced peak stays below 1.25x the packed factor, from the release to the file or to Bob.
 
     n = 2000 and r = 2952: the factor is a 2000 x 2000 upper triangle.  Neither
     a dense factor nor a joined copy of the package fits under the bound.
@@ -1106,7 +1075,9 @@ def test_alice_holds_one_packed_factor(tmp_path, capsys):
     peaks = {}
     peaks["privatize_covariance_panels"], (_, nbytes) = _peak_bytes(
         lambda: _stream_release(B, params.half_budget(), 1))
-    peaks["alice_prepare"] = _peak_bytes(lambda: alice_prepare(X, params, master_seed=8))[0]
+    Y = np.random.default_rng(5).standard_normal((n, 1))
+    peaks["bob_evaluate(alice_stream(...))"] = _peak_bytes(
+        lambda: bob_evaluate(alice_stream(X, params, master_seed=8), Y))[0]
     peaks["pi-test alice"], rc = _peak_bytes(lambda: main(argv))
     assert rc == 0
     assert nbytes == packed_bytes
@@ -1127,23 +1098,21 @@ def test_sx_draw_holds_nothing_of_size_r():
 
 def test_blocked_statistics_match_one_shot_formulas():
     # n = 500: the 267 x 500 factor in row panels of 256 and 11 rows, so
-    # omega_bar_sq spans two panels, from Alice's buffer as from a copy of its bytes
+    # omega_bar_sq spans two panels, from the release as from the stored package
     n = 500
     params = PrivacyParams(epsilon=4.0, delta=0.02, eta=0.3, nu=0.1)
     rng = np.random.default_rng(19)
     X = 3.0 * rng.standard_normal((n, 2))
     Y = rng.standard_normal((n, 3))
-    pkg = alice_prepare(X, params, master_seed=6)
+    pkg = prepared(X, params, master_seed=6)
     assert pkg.proj_B.rows == 267
     assert privacy._panel_height(267, n) == 256
-    wire = _read(encoded(pkg))
-    assert bob_evaluate(wire, Y).omega_bar_sq == pytest.approx(
-        bob_evaluate(pkg, Y).omega_bar_sq, rel=1e-15)
-    for p in (pkg, wire):
-        PB = unpack_factor(*held(p.proj_B))
-        omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
-        col = Y.sum(axis=0)
-        s = 4.0 / n**3 * p.sx * (n * float(np.sum(Y * Y)) - float(col @ col))
-        report = bob_evaluate(p, Y)
-        assert report.omega_bar_sq == pytest.approx(omega, rel=1e-13)
-        assert report.s_bar == pytest.approx(s, rel=1e-13)
+    report = bob_evaluate(pkg, Y)
+    assert bob_evaluate(alice_stream(X, params, 6), Y).omega_bar_sq == pytest.approx(
+        report.omega_bar_sq, rel=1e-15)
+    PB = unpack_factor(*held(pkg.proj_B))
+    omega = 2.0 / n**2 * float(np.sum((PB @ Y) ** 2))
+    col = Y.sum(axis=0)
+    s = 4.0 / n**3 * pkg.sx * (n * float(np.sum(Y * Y)) - float(col @ col))
+    assert report.omega_bar_sq == pytest.approx(omega, rel=1e-13)
+    assert report.s_bar == pytest.approx(s, rel=1e-13)

@@ -1,4 +1,8 @@
-"""Smoke test: each experiment script runs on tiny inputs and prints its header, and refuses bad input."""
+"""Smoke tests of the scripts.
+
+Each experiment script runs on tiny inputs, prints its header and refuses bad
+input; the code-line counter counts only code lines.
+"""
 
 import os
 import subprocess
@@ -23,9 +27,11 @@ REFUSED = [
     ("level_power.py", ["--ns", "2.9"], "error: argument --ns: invalid integers value: '2.9'"),
     ("level_power.py", ["--ns", "abc"], "error: argument --ns: invalid integers value: 'abc'"),
     ("level_power.py", ["--ns", "30", "--trials", "1", "--offsets", "0", "--dependences", "0",
-                        "--x-scales", "1e200"], "error: sx must be a finite number >= 0, got inf"),
+                        "--x-scales", "1e200"],
+     "error: X's scale is too large for a finite release: sx, the centred sum of squares of X's "
+     "release, overflows"),
     ("level_power.py", ["--ns", "30", "--trials", "1", "--offsets", "1e300", "--dependences", "0"],
-     "error: omega_bar_sq must be a finite number, got inf"),
+     "error: the data's scale is too large for a finite test statistic: omega_sq = inf, s = 0.0"),
 ]
 
 
@@ -46,3 +52,13 @@ def test_scripts_refuse_bad_input_with_one_error_line_and_nothing_printed():
         assert done.returncode == 2, (script, args, done.stderr)
         assert done.stdout == "" and done.stderr.splitlines()[-1].endswith(message), (args, done.stderr)
         assert "Warning" not in done.stderr, (args, done.stderr)
+
+
+def test_code_lines_counts_neither_docstrings_nor_comments_nor_blank_lines(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('"""A docstring\n\non three lines."""\n# a comment\n\nimport math\n'
+                      'print(math.pi)  # a comment after code\n')
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(module)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"     2  {module}", "     2  total"]
