@@ -482,10 +482,19 @@ def _line(head: bytes) -> bytes:
     return head + b" " * (-(len(head) + 1) % 8) + b"\n"
 
 
+def _canonical(doc) -> bytes:
+    """``doc`` as the encoder writes a header: sorted keys, compact separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def _wire(package, doc) -> bytes:
-    """A (possibly mutated) header line followed by the package's payloads."""
+    """A (possibly mutated) header, written and padded as the encoder writes one, then the package's payload.
+
+    The line has the encoder's spelling, so a mutated field is refused by
+    its own check, not by the comparison with the canonical line.
+    """
     payload = _header_and_payload(encoded(package))[1]
-    return _line(json.dumps(doc).encode("utf-8")) + payload
+    return _line(_canonical(doc)) + payload
 
 
 def _reject(package, doc):
@@ -511,7 +520,7 @@ def test_layout_is_header_line_then_raw_payloads(package, xy):
     assert blob == encoded(package)
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    canonical = _canonical(doc)
     assert head == _line(canonical)[:-1]  # the canonical JSON, then blanks up to a multiple of 8
     assert doc["version"] == 7
     assert sorted(doc) == ["n", "privacy", "sx", "version"]
@@ -685,7 +694,7 @@ def test_rejects_version_1_document(package, xy):
     doc, raws = _two_projection_header(package, xy, 1)
     for name, raw in zip(("proj_B", "proj_X"), raws):
         doc[name]["data"] = base64.b64encode(raw).decode("ascii")
-    v1 = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    v1 = _canonical(doc)
     assert b"\n" not in v1
     with pytest.raises(UnsupportedVersionError, match="version 1"):
         _read(v1)
@@ -694,7 +703,7 @@ def test_rejects_version_1_document(package, xy):
 def test_rejects_version_2_document(package, xy):
     """A version 2 document, a header line then both projections, is no longer read."""
     doc, raws = _two_projection_header(package, xy, 2)
-    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = _canonical(doc)
     with pytest.raises(UnsupportedVersionError, match="version 2"):
         _read(b"".join([head, b"\n", *raws]))
 
@@ -705,7 +714,7 @@ def test_rejects_version_3_document(package, xy):
     doc["version"] = 3
     PB = _gaussian_releases(xy[0], PARAMS, 2024)[0]
     doc["proj_B"] = {"rows": PB.shape[0], "cols": PB.shape[1]}
-    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = _canonical(doc)
     with pytest.raises(UnsupportedVersionError, match="version 3"):
         _read(head + b"\n" + PB.astype("<f8").tobytes())
 
@@ -714,7 +723,7 @@ def test_rejects_version_4_document(package):
     """A version 4 document, a header line then the whole factor column by column, is no longer read."""
     doc = _doc(package)
     doc["version"] = 4
-    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = _canonical(doc)
     R = unpack_factor(*held(package.proj_B))
     with pytest.raises(UnsupportedVersionError, match="version 4"):
         _read(head + b"\n" + R.astype("<f8").tobytes(order="F"))
@@ -732,7 +741,7 @@ def test_rejects_version_5_document(monkeypatch):
     R = unpack_factor(*held(pkg.proj_B))
     doc = _doc(pkg)
     doc["version"] = 5
-    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = _canonical(doc)
     v5 = b"".join(R[: j + 1, j].astype("<f8").tobytes() for j in range(40))
     assert len(v5) == held(pkg.proj_B).values.nbytes
     with pytest.raises(UnsupportedVersionError, match="version 5"):
@@ -747,7 +756,7 @@ def test_rejects_version_6_document(package):
     doc = _doc(package)
     doc["version"] = 6
     doc["proj_B"] = {"rows": package.proj_B.rows, "cols": package.n}
-    head = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = _canonical(doc)
     payload = _header_and_payload(encoded(package))[1]
     with pytest.raises(UnsupportedVersionError, match="version 6"):
         _read(head + b"\n" + payload)
@@ -766,6 +775,11 @@ def test_rejects_bad_n(package):
         doc = _doc(package)
         doc["n"] = bad
         _reject(package, doc)
+    # A consistent package of one sample: the canonical line for n = 1 and
+    # the one positive entry of its 1 x 1 factor, so only n >= 2 refuses it.
+    one = _line(_canonical(dict(_doc(package), n=1))) + struct.pack("<d", 1.0)
+    with pytest.raises(PackageFormatError, match="n must be an integer >= 2, got 1"):
+        _read(one)
 
 
 def test_rejects_out_of_range_integers(package):
@@ -963,10 +977,10 @@ def test_rejects_bad_sx(package):
     # of the same header (", " and ": " separators, 8 blanks too many, an
     # integer sx) are refused, so one package has one encoding.
     doc = _doc(package)
-    refused = [_wire(package, doc), line[:-1] + b" " * 8 + b"\n" + payload]
+    spaced = _line(json.dumps(doc, sort_keys=True).encode("utf-8")) + payload
+    refused = [spaced, line[:-1] + b" " * 8 + b"\n" + payload]
     for sx in (0, 2**70):
-        head = json.dumps(dict(doc, sx=sx), sort_keys=True, separators=(",", ":"))
-        refused.append(_line(head.encode("utf-8")) + payload)
+        refused.append(_line(_canonical(dict(doc, sx=sx))) + payload)
     for blob in refused:
         with pytest.raises(PackageFormatError, match="not the canonical line"):
             _read(blob)
