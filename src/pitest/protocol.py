@@ -358,73 +358,60 @@ def _malformed(prefix: str = ""):
         raise PackageFormatError(f"{prefix}{exc}") from exc
 
 
-def _require(doc: dict, field: str, where: str = "package"):
-    if field not in doc:
-        raise PackageFormatError(f"{where} is missing required section '{field}'")
-    return doc[field]
-
-
-def _parse_header(head: bytes) -> dict:
-    try:
-        text = head.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise PackageFormatError(f"package header is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise PackageFormatError(f"package header is not valid JSON (truncated?): {exc}") from exc
-    if not isinstance(doc, dict):
-        raise PackageFormatError(f"package header must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def _read_header(data: bytes) -> tuple[int, PrivacyParams, float, int, int]:
     """Parse and check the header line at the start of ``data``: the one header check.
 
     ``data`` is the first line of a package, newline included.  Without a
     newline all of ``data`` is read as the header, so a document of
-    another format version is still reported by its version.  Only the
-    line that :func:`_header_line` writes for the parsed fields is
-    accepted, which also starts the payload at a multiple of 8 bytes.
-    Returns the fields ``(n, params, sx)``, then the factor's row count and
-    the offset where the payload starts.
+    another format version is still reported by its version.  The line is
+    parsed once, and only what the writer's line cannot show is checked,
+    in order: the version (before any other field, so an older format is
+    reported as UnsupportedVersionError), the newline, ``n`` (an integer
+    >= 2), the four privacy numbers (:class:`PrivacyParams`) and the row
+    count they give (:func:`pitest.privacy.jl_params`), and ``sx``
+    (:func:`pitest.laws.check_sx`); a section that is missing, or looked up
+    in a value that is not an object, is named.  Then the line must be the
+    one :func:`_header_line` writes for those fields, which refuses every
+    other key set, key order, spelling, padding and budget split, and
+    starts the payload at a multiple of 8 bytes.  Returns the fields
+    ``(n, params, sx)``, then the factor's row count and the offset where
+    the payload starts.
     """
     end = data.find(b"\n")
-    doc = _parse_header(data if end < 0 else data[:end])
-    with _malformed():
-        version = _as_int(_require(doc, "version"), "version")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"unsupported package version {version}; this build reads version {FORMAT_VERSION}"
-        )
-    if end < 0:
-        raise PackageFormatError("package header is not followed by a newline (truncated?)")
-
-    with _malformed():
-        n = _as_int(_require(doc, "n"), "n")
-    if n < 2:
-        raise PackageFormatError(f"n must be an integer >= 2, got {n!r}")
-
-    privacy = _require(doc, "privacy")
-    if not isinstance(privacy, dict):
-        raise PackageFormatError("section 'privacy' must be an object")
-    fields = [_require(privacy, f, "section 'privacy'") for f in ("epsilon", "delta", "eta", "nu")]
-    split = _require(privacy, "split", "section 'privacy'")
-    if split != _SPLIT:
-        raise PackageFormatError(f"unsupported budget split {split!r}; expected {_SPLIT!r}")
-    with _malformed("invalid privacy parameters: "):
-        params = PrivacyParams(*fields)
-        # The header fixes the factor's row count: min(r, n) for r of one release.
-        rows = min(jl_params(params.half_budget()).r, n)
-
-    with _malformed("invalid package: "):  # json.loads reads NaN and Infinity, and 1e400 as inf
-        sx = check_sx(_require(doc, "sx"))
+    try:
+        doc = json.loads((data if end < 0 else data[:end]).decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+        raise PackageFormatError(f"package header is not valid JSON in UTF-8 (truncated?): {exc}") from exc
+    try:  # each lookup names its key, for a section that is missing
+        with _malformed():
+            version = _as_int(doc[(key := "version")], key)
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(
+                f"unsupported package version {version}; this build reads version {FORMAT_VERSION}"
+            )
+        if end < 0:
+            raise PackageFormatError("package header is not followed by a newline (truncated?)")
+        with _malformed():
+            n = _as_int(doc[(key := "n")], key)
+        if n < 2:
+            raise PackageFormatError(f"n must be an integer >= 2, got {n!r}")
+        privacy = doc[(key := "privacy")]
+        # The split must be there too; the comparison with the writer's line checks its value.
+        *fields, _ = (privacy[(key := f)] for f in ("epsilon", "delta", "eta", "nu", "split"))
+        with _malformed("invalid privacy parameters: "):
+            params = PrivacyParams(*fields)
+            # The header fixes the factor's row count: min(r, n) for r of one release.
+            rows = min(jl_params(params.half_budget()).r, n)
+        with _malformed("invalid package: "):  # json.loads reads NaN and Infinity, and 1e400 as inf
+            sx = check_sx(doc[(key := "sx")])
+    except (KeyError, TypeError):  # a missing key, or one looked up in a value that is not an object
+        raise PackageFormatError(f"package is missing required section {key!r}") from None
 
     offset = end + 1
     if data[:offset] != _header_line(n, params, sx):
         raise PackageFormatError(
             "package header is not the canonical line for its fields (sorted keys, no blanks, "
-            "shortest numbers, padding to a multiple of 8 bytes)"
+            f"shortest numbers, the {_SPLIT!r} budget split, padding to a multiple of 8 bytes)"
         )
     return n, params, sx, rows, offset
 
