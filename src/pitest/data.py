@@ -152,12 +152,15 @@ def _undecodable(path: Path, encoding: str) -> str:
 
 
 def save_csv(path, X) -> None:
-    """Write a matrix as a plain numeric CSV (no header), atomically."""
+    """Write a matrix as a plain numeric CSV (no header), atomically: a file that :func:`load_csv` reads.
+
+    ``X`` is checked as a sample matrix first (a 1-D array is one column),
+    so a matrix that is not finite, 2-D and non-empty raises
+    InvalidInputError or ShapeError and no file is created.
+    """
     from .ioutil import atomic_write_text
 
-    A = np.asarray(X, dtype=np.float64)
-    if A.ndim == 1:
-        A = A[:, None]
+    A = _as_sample_matrix(X, "matrix")
     # tolist() gives Python floats, whose repr is the shortest round-trip text;
     # one row at a time, so no list of every value is held beside the text.
     lines = "\n".join(",".join(map(repr, row.tolist())) for row in A)

@@ -1077,6 +1077,19 @@ def test_save_csv_writes_the_repr_of_every_float(tmp_path):
         assert load_csv(path).tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("M, error", [
+    (np.zeros((2, 2, 2)), ShapeError),  # would be cells like [0.0, 0.0]
+    (np.zeros((0, 2)), ShapeError),  # would be a lone newline
+    (np.array(1.0), ShapeError),
+    (np.array([[1.0, np.nan]]), InvalidInputError),  # would be a cell nan
+])
+def test_save_csv_refuses_what_load_csv_would_refuse_before_it_creates_the_file(tmp_path, M, error):
+    path = tmp_path / "m.csv"
+    with pytest.raises(error):
+        save_csv(path, M)
+    assert not path.exists()
+
+
 def test_load_csv_header_and_blank_lines(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b\n1,2\n\n3,4\n")
