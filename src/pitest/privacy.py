@@ -271,12 +271,16 @@ def _check_panel(segment: np.ndarray, h: int) -> None:
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy and accuracy parameters of one release.
+    """Privacy and accuracy parameters: of one release, or of a package's total budget.
 
     epsilon, delta: the differential-privacy budget; eta: multiplicative
     query accuracy in (0, 1); nu: per-query failure probability in (0, 1).
     Each is a number by the package's rule (README, "Library"), kept as
-    a float.
+    a float.  A release (:func:`privatize_covariance_panels`,
+    :func:`private_centered_sq_norm`, :func:`jl_params`) reads them as its
+    own parameters.  ``AlicePackage.params``, :func:`pitest.protocol.alice_stream`
+    and the CLI keep the package's total budget in them, spent over two
+    releases; :meth:`half_budget` gives each release's parameters.
     """
 
     epsilon: float

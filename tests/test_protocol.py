@@ -520,8 +520,7 @@ def test_layout_is_header_line_then_raw_payloads(package, xy):
     assert blob == encoded(package)
     doc, payload = _header_and_payload(blob)
     head = blob[: blob.index(b"\n")]
-    canonical = _canonical(doc)
-    assert head == _line(canonical)[:-1]  # the canonical JSON, then blanks up to a multiple of 8
+    assert head == _line(_canonical(doc))[:-1]  # the canonical JSON, then blanks up to a multiple of 8
     assert doc["version"] == 7
     assert sorted(doc) == ["n", "privacy", "sx", "version"]
     assert doc["sx"] == package.sx
